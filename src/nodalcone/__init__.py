@@ -9,7 +9,7 @@ is over ``fractions.Fraction``; results are exact and deterministic.
 
 __version__ = "0.1.0"
 
-from .exactlin import MatrixQ, as_scalar, kernel_basis, rank, rref, solve, solve_many
+from .exactlin import MatrixQ, as_scalar, kernel_basis, rank, rref
 from .curve import (
     Component,
     DualGraph,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .curve import NodalCurve, PointOnLine, validate
-from .exactlin import MatrixQ, VectorQ, as_scalar, kernel_basis, rank
+from .exactlin import MatrixQ, VectorQ, as_scalar, free_columns, kernel_from_rref, rank, rref
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -220,11 +220,15 @@ class SectionSpace:
 
     Basis order is the canonical kernel order of the gluing matrix, so
     it is deterministic and forms part of downstream contracts (embedding
-    coordinates, monomial indexing).
+    coordinates, monomial indexing). ``free_columns`` are the free
+    columns of the gluing matrix's rref, in the flattened block layout:
+    the basis restricted to them is the identity, so a global section's
+    coordinates in this basis are its flattened entries there.
     """
 
     bundle: LineBundle
     basis: tuple[Section, ...]
+    free_columns: tuple[int, ...]
 
 
 def section_from_vector(bundle: LineBundle, vec) -> Section:
@@ -262,9 +266,15 @@ def flatten_section(bundle: LineBundle, section: Section) -> VectorQ:
 
 
 def section_basis(bundle: LineBundle) -> SectionSpace:
-    """Canonical basis of global sections: kernel of the gluing matrix."""
-    kernel = kernel_basis(gluing_matrix(bundle))
-    return SectionSpace(bundle, tuple(section_from_vector(bundle, v) for v in kernel))
+    """Canonical basis of global sections: kernel of the gluing matrix,
+    from one rref whose free columns the space keeps."""
+    reduced, pivots = rref(gluing_matrix(bundle))
+    kernel = kernel_from_rref(reduced, pivots)
+    return SectionSpace(
+        bundle,
+        tuple(section_from_vector(bundle, v) for v in kernel),
+        free_columns(reduced, pivots),
+    )
 
 
 def h0(bundle: LineBundle) -> int:

@@ -9,7 +9,8 @@ order and exact values ("p/q" strings, never floats) are deterministic:
 the same spec and flags produce byte-identical output.
 
 Exit codes: 0 success, 1 a verification check failed, 2 malformed input
-or usage error.
+or usage error (including a ``--samples`` count that is negative or
+larger than a component's pool of sample coordinates).
 """
 
 from __future__ import annotations
@@ -332,30 +333,32 @@ def run_ample(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) ->
 
 
 def run_embed(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) -> dict:
-    n = h0(bundle)
+    space = section_basis(bundle)
+    n = len(space.basis)
     points_out = []
     for x in sample_points(curve, samples, seed):
         entry: dict = {"point": str(x)}
         try:
-            entry["coordinates"] = [fmt_exact(v) for v in embed_point(bundle, x)]
+            entry["coordinates"] = [fmt_exact(v) for v in embed_point(space, x)]
         except ValueError:
             entry["undefined"] = True
         points_out.append(entry)
     return {
         "h0": n,
         "target": f"P^{n - 1}" if n >= 1 else "empty",
-        "node_consistency": node_images_consistent(bundle),
+        "node_consistency": node_images_consistent(space),
         "points": points_out,
     }
 
 
 def run_ideal(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) -> dict:
-    n = h0(bundle)
+    space = section_basis(bundle)
+    n = len(space.basis)
     m2 = multiplication_map(bundle, 2)
-    rank2 = rank(m2)
+    quadrics = quadric_ideal(m2)
+    rank2 = m2.cols - len(quadrics)
     m3 = multiplication_map(bundle, 3)
     rank3 = rank(m3)
-    quadrics = quadric_ideal(bundle)
     out = {
         "h0": n,
         "m2": {"source": m2.cols, "target": m2.rows, "rank": rank2, "surjective": rank2 == m2.rows},
@@ -373,12 +376,12 @@ def run_ideal(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) ->
     node_ranks = []
     for k in range(len(curve.nodes)):
         node_ranks.append(
-            cone_jacobian_rank(quadrics, cone_point(bundle, CurvePoint.at_node(k)))
+            cone_jacobian_rank(quadrics, cone_point(space, CurvePoint.at_node(k)))
         )
     probe["node_ranks"] = node_ranks
     smooth = [x for x in sample_points(curve, samples, seed) if not x.is_node]
     if smooth:
-        probe["smooth_point_rank"] = cone_jacobian_rank(quadrics, cone_point(bundle, smooth[0]))
+        probe["smooth_point_rank"] = cone_jacobian_rank(quadrics, cone_point(space, smooth[0]))
     out["singularity_probe"] = probe
     return out
 
@@ -462,14 +465,15 @@ def run_verify(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int, m
     flat = MatrixQ.from_rows(
         [flatten_section(bundle, s) for s in space.basis], cols=gluing_matrix(bundle).cols
     )
+    flat_rank = rank(flat)
     check(
         "basis-independent",
-        rank(flat) == len(space.basis),
-        f"rank {rank(flat)} of {len(space.basis)} stacked sections",
+        flat_rank == len(space.basis),
+        f"rank {flat_rank} of {len(space.basis)} stacked sections",
     )
     check(
         "node-image-consistency",
-        node_images_consistent(bundle),
+        node_images_consistent(space),
         "branch evaluation vectors are proportional with ratio the gluing scalar",
     )
 
@@ -480,7 +484,8 @@ def run_verify(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int, m
 
     if min(bundle.multidegree) >= 3:
         m2 = multiplication_map(bundle, 2)
-        r2 = rank(m2)
+        quadrics = quadric_ideal(m2)
+        r2 = m2.cols - len(quadrics)
         check(
             "multiplication-m2-surjective",
             r2 == m2.rows,
@@ -493,11 +498,10 @@ def run_verify(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int, m
             r3 == m3.rows,
             f"rank {r3} of a {m3.rows} x {m3.cols} matrix",
         )
-        quadrics = quadric_ideal(bundle)
         failures = 0
         tested = 0
         for x in sample_points(curve, samples, seed):
-            coords = embed_point(bundle, x)
+            coords = embed_point(space, x)
             for q in quadrics:
                 tested += 1
                 if quadric_value(q, coords) != 0:
@@ -683,6 +687,11 @@ def main(argv: list[str] | None = None) -> int:
         spec = parse_spec(raw.decode("utf-8"))
         curve = build_curve(spec)
         bundle = build_bundle(spec)
+        if hasattr(args, "samples"):
+            try:
+                sample_points(curve, args.samples, args.seed)
+            except ValueError as exc:
+                raise SpecError("samples", str(exc))
         if args.command == "info":
             body = run_info(curve, bundle)
         elif args.command == "sections":

@@ -8,13 +8,21 @@ a deterministic sample set: every node, plus seeded pseudo-random
 affine points on each component. Random sampling can only ever refute;
 the criterion is what certifies.
 
+Point-level tests (separation of points and jets, embedding
+coordinates, node bookkeeping) take the section space their caller
+holds, so a bundle is eliminated once however many points are tested.
+
 The multiplication map Sym^m H0(L) -> H0(L^m) is assembled in the
 canonical section bases on both sides, monomials ordered graded-lex
-over basis indices. Its kernel at m = 2 is the space of quadrics
-through the embedded curve; the rank of their Jacobian at points of the
-affine cone is exposed as a probe. The probe is a heuristic: it
-reflects the quadrics alone, which are not known here to generate the
-full ideal, so no smoothness verdict is derived from it.
+over basis indices. No system is solved: the target basis is the
+identity on the free columns of the target's gluing rref, so a
+product's coordinates are its entries at those columns, valid once an
+exact node-by-node check has shown the product is a global section.
+Its kernel at m = 2 is the space of quadrics through the embedded
+curve; the rank of their Jacobian at points of the affine cone is
+exposed as a probe. The probe is a heuristic: it reflects the quadrics
+alone, which are not known here to generate the full ideal, so no
+smoothness verdict is derived from it.
 """
 
 from __future__ import annotations
@@ -27,20 +35,27 @@ from itertools import combinations_with_replacement
 from .bundles import (
     LineBundle,
     SectionSpace,
-    block_widths,
     flatten_section,
     multiply_sections,
     poly_jet,
     poly_value,
     power,
     section_basis,
+    section_satisfies_gluing,
 )
 from .curve import NodalCurve, PointOnLine, affine_point
-from .exactlin import MatrixQ, VectorQ, as_scalar, kernel_basis, rank, solve_many
+from .exactlin import MatrixQ, VectorQ, as_scalar, kernel_basis, rank
 
 _ZERO = Fraction(0)
 
 SAMPLE_SEED = 1105
+_MAX_NUMERATOR = 24
+_MAX_DENOMINATOR = 5
+_SAMPLE_POOL = frozenset(
+    Fraction(n, q)
+    for n in range(-_MAX_NUMERATOR, _MAX_NUMERATOR + 1)
+    for q in range(1, _MAX_DENOMINATOR + 1)
+)
 
 CRITERION_SATISFIED = "criterion-satisfied"
 VERIFIED_ON_SAMPLES = "verified-on-samples"
@@ -129,15 +144,24 @@ def sample_points(curve: NodalCurve, extra_per_component: int = 5, seed: int = S
 
     The pseudo-random points avoid marked points and repeats within a
     component. Identical arguments give an identical tuple, so witness
-    order and every downstream report are reproducible.
+    order and every downstream report are reproducible. They are drawn
+    from the finite pool ``n/q`` with ``|n| <= 24``, ``1 <= q <= 5``, so
+    a request that is negative or exceeds a component's free share of
+    the pool raises ``ValueError`` instead of drawing forever.
     """
     rng = random.Random(seed)
     points = [CurvePoint.at_node(k) for k in range(len(curve.nodes))]
     for comp in curve.components:
         taken = {p.coord for p in comp.marked_points if not p.is_infinity}
+        free = len(_SAMPLE_POOL - taken)
+        if not 0 <= extra_per_component <= free:
+            raise ValueError(
+                f"component {comp.name} takes 0..{free} extra sample points, "
+                f"{extra_per_component} requested"
+            )
         chosen: list[Fraction] = []
         while len(chosen) < extra_per_component:
-            candidate = Fraction(rng.randint(-24, 24), rng.randint(1, 5))
+            candidate = Fraction(rng.randint(-_MAX_NUMERATOR, _MAX_NUMERATOR), rng.randint(1, _MAX_DENOMINATOR))
             if candidate in taken or candidate in chosen:
                 continue
             chosen.append(candidate)
@@ -162,10 +186,10 @@ class AmpleVerdict:
 
 def globally_generated(bundle: LineBundle, extra_samples: int = 5, seed: int = SAMPLE_SEED) -> AmpleVerdict:
     """Criterion: min degree >= 2. Direct mode: no sample point where
-    every section vanishes."""
+    every section vanishes. A bundle without sections fails outright."""
     space = section_basis(bundle)
     if len(space.basis) < 1:
-        raise ValueError("bundle has no sections at all")
+        return AmpleVerdict(FAILED, "no global sections (h0 = 0)", 0)
     samples = sample_points(bundle.curve, extra_samples, seed)
     witness = None
     for x in samples:
@@ -180,34 +204,32 @@ def globally_generated(bundle: LineBundle, extra_samples: int = 5, seed: int = S
     return AmpleVerdict(status, None, len(samples))
 
 
-def separates_points(bundle: LineBundle, x: CurvePoint, y: CurvePoint) -> bool:
+def separates_points(space: SectionSpace, x: CurvePoint, y: CurvePoint) -> bool:
     """Whether sections map x and y to distinct projective points.
 
     Equivalent statement: the 2 x h0 matrix of basis evaluations has
     rank 2, i.e. restriction to the two points is onto.
     """
-    space = section_basis(bundle)
     if len(space.basis) < 2:
         raise ValueError("need at least two sections to separate points")
-    _check_point(bundle.curve, x)
-    _check_point(bundle.curve, y)
+    _check_point(space.bundle.curve, x)
+    _check_point(space.bundle.curve, y)
     if x == y:
         raise ValueError("the two points must be distinct")
     matrix = MatrixQ.from_rows([_evaluation_vector(space, x), _evaluation_vector(space, y)])
     return rank(matrix) == 2
 
 
-def separates_jets(bundle: LineBundle, x: CurvePoint) -> bool:
+def separates_jets(space: SectionSpace, x: CurvePoint) -> bool:
     """Whether sections surject onto first-order data at x.
 
     At a smooth point this pairs the evaluation row with the jet row.
     At a node the test is branch-local: each branch pairs the node value
     with the derivative along that branch, and both branches must pass.
     """
-    space = section_basis(bundle)
     if len(space.basis) < 2:
         raise ValueError("need at least two sections to separate jets")
-    _check_point(bundle.curve, x)
+    _check_point(space.bundle.curve, x)
     if x.is_node:
         branches = (0, 1) if x.branch is None else (x.branch,)
         for b in branches:
@@ -226,11 +248,12 @@ def very_ample(bundle: LineBundle, extra_samples: int = 5, seed: int = SAMPLE_SE
     pairs, then jets at every sample point (branch by branch at nodes).
 
     ``samples_checked`` counts pair tests plus jet tests, node branches
-    individually.
+    individually. A bundle with fewer than two sections fails outright,
+    after no tests.
     """
     space = section_basis(bundle)
     if len(space.basis) < 2:
-        raise ValueError("very ampleness needs at least two sections")
+        return AmpleVerdict(FAILED, f"fewer than two global sections (h0 = {len(space.basis)})", 0)
     samples = sample_points(bundle.curve, extra_samples, seed)
     checked = 0
     witness = None
@@ -239,7 +262,7 @@ def very_ample(bundle: LineBundle, extra_samples: int = 5, seed: int = SAMPLE_SE
             break
         for j in range(i + 1, len(samples)):
             checked += 1
-            if not separates_points(bundle, samples[i], samples[j]):
+            if not separates_points(space, samples[i], samples[j]):
                 witness = f"sections do not separate {samples[i]} and {samples[j]}"
                 break
     if witness is None:
@@ -248,7 +271,7 @@ def very_ample(bundle: LineBundle, extra_samples: int = 5, seed: int = SAMPLE_SE
                 done = False
                 for b in (0, 1):
                     checked += 1
-                    if not separates_jets(bundle, CurvePoint.at_node(x.node, branch=b)):
+                    if not separates_jets(space, CurvePoint.at_node(x.node, branch=b)):
                         witness = f"jet test fails on branch {b} of {x}"
                         done = True
                         break
@@ -256,7 +279,7 @@ def very_ample(bundle: LineBundle, extra_samples: int = 5, seed: int = SAMPLE_SE
                     break
             else:
                 checked += 1
-                if not separates_jets(bundle, x):
+                if not separates_jets(space, x):
                     witness = f"jet test fails at {x}"
                     break
     if witness is not None:
@@ -266,28 +289,26 @@ def very_ample(bundle: LineBundle, extra_samples: int = 5, seed: int = SAMPLE_SE
     return AmpleVerdict(status, None, checked)
 
 
-def embed_point(bundle: LineBundle, x: CurvePoint) -> VectorQ:
+def embed_point(space: SectionSpace, x: CurvePoint) -> VectorQ:
     """Projective coordinates of x under the canonical section basis.
 
     Node points evaluate through branch 0 by default; branch 1 returns
     the same projective point, rescaled by the inverse gluing scalar.
     """
-    space = section_basis(bundle)
-    _check_point(bundle.curve, x)
+    _check_point(space.bundle.curve, x)
     values = _evaluation_vector(space, x)
     if all(v == 0 for v in values):
         raise ValueError(f"every section vanishes at {x}; the bundle is not globally generated there")
     return values
 
 
-def node_images_consistent(bundle: LineBundle) -> bool:
+def node_images_consistent(space: SectionSpace) -> bool:
     """Exact branch bookkeeping check at every node.
 
     The basis evaluation vector through branch a must equal the gluing
     scalar times the vector through branch b, entry by entry.
     """
-    space = section_basis(bundle)
-    for k, glue in enumerate(bundle.gluings):
+    for k, glue in enumerate(space.bundle.gluings):
         via_a = _evaluation_vector(space, CurvePoint.at_node(k), branch=0)
         via_b = _evaluation_vector(space, CurvePoint.at_node(k), branch=1)
         if any(a != glue * b for a, b in zip(via_a, via_b)):
@@ -306,43 +327,44 @@ def multiplication_map(bundle: LineBundle, m: int) -> MatrixQ:
 
     Columns follow ``sym_monomials(h0, m)``; each column is the product
     of the chosen basis sections, expressed in the canonical basis of
-    the target. Surjectivity is ``rank == h0(L^m)``. A product that
-    failed to lie in the target span would mean the gluing bookkeeping
-    is broken, and raises.
+    the target. Surjectivity is ``rank == h0(L^m)``.
+
+    Each product is first checked exactly against every node constraint
+    of ``L^m``. Once it is known to be a global section, its coordinates
+    are its entries at the target space's free columns, where the target
+    basis is the identity. A product failing the check would mean the
+    gluing bookkeeping is broken, and raises ``ArithmeticError`` rather
+    than reading off coordinates that do not reproduce it.
     """
     if m < 1:
         raise ValueError("multiplication maps are defined for m >= 1")
     space = section_basis(bundle)
     target = power(bundle, m)
     target_space = section_basis(target)
-    target_cols = [flatten_section(target, s) for s in target_space.basis]
-    products = []
+    columns = []
     for mono in sym_monomials(len(space.basis), m):
         s = space.basis[mono[0]]
         for idx in mono[1:]:
             s = multiply_sections(s, space.basis[idx])
-        products.append(flatten_section(target, s))
-    basis_matrix = MatrixQ.from_columns(target_cols, rows=sum(block_widths(target)))
-    coords = solve_many(basis_matrix, products)
-    columns = []
-    for mono, c in zip(sym_monomials(len(space.basis), m), coords):
-        if c is None:
+        if not section_satisfies_gluing(target, s):
             raise ArithmeticError(
                 f"product for monomial {mono} is not a global section of the target; "
                 "gluing bookkeeping is broken"
             )
-        columns.append(c)
+        flat = flatten_section(target, s)
+        columns.append(tuple(flat[c] for c in target_space.free_columns))
     return MatrixQ.from_columns(columns, rows=len(target_space.basis))
 
 
-def quadric_ideal(bundle: LineBundle) -> tuple[VectorQ, ...]:
+def quadric_ideal(m2: MatrixQ) -> tuple[VectorQ, ...]:
     """Canonical basis of quadrics through the embedded curve.
 
-    Coefficient vectors over ``sym_monomials(h0, 2)``; the kernel of the
-    m = 2 multiplication map. For an h0-dimensional section space the
-    count is ``C(h0 + 1, 2) - rank``.
+    Takes the m = 2 multiplication map, so a caller that also reports
+    the map builds it once. Coefficient vectors over
+    ``sym_monomials(h0, 2)``; the kernel of that map. For an
+    h0-dimensional section space the count is ``C(h0 + 1, 2) - rank``.
     """
-    return tuple(kernel_basis(multiplication_map(bundle, 2)))
+    return tuple(kernel_basis(m2))
 
 
 def quadric_value(quadric, coords) -> Fraction:
@@ -359,11 +381,11 @@ def quadric_value(quadric, coords) -> Fraction:
     return acc
 
 
-def cone_point(bundle: LineBundle, x: CurvePoint, scale=1) -> VectorQ:
+def cone_point(space: SectionSpace, x: CurvePoint, scale=1) -> VectorQ:
     """A point of the affine cone over the embedded curve: a scalar
     multiple of the section-basis evaluation vector."""
     s = as_scalar(scale)
-    return tuple(s * v for v in embed_point(bundle, x))
+    return tuple(s * v for v in embed_point(space, x))
 
 
 def cone_jacobian_rank(quadrics, coords) -> int:

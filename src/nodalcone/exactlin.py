@@ -6,9 +6,9 @@ result is exact and canonical. ``MatrixQ`` is a small immutable dense
 matrix over it. Elimination is gcd-normalized rational Gaussian
 elimination (Fraction re-reduces after every operation), with a fixed
 pivot rule: leftmost column first and, within a column, the first
-nonzero row from the top. That rule makes ranks, echelon forms, kernel
-bases and solutions bit-identical across runs, which golden values in
-the test-suite rely on.
+nonzero row from the top. That rule makes ranks, echelon forms and
+kernel bases bit-identical across runs, which golden values in the
+test-suite rely on.
 
 No floating point is used anywhere in this package; floats are rejected
 at the boundary.
@@ -144,17 +144,12 @@ class MatrixQ:
         return f"MatrixQ({self.rows}x{self.cols}: {body})"
 
 
-def _forward_eliminate(rows: list[list[Fraction]], pivot_cols: int) -> list[int]:
-    """In-place forward elimination; returns the pivot column indices.
-
-    Pivot search is restricted to the first ``pivot_cols`` columns so the
-    same routine serves plain matrices and augmented solve blocks. Row
-    operations always apply to the full row width.
-    """
+def _forward_eliminate(rows: list[list[Fraction]]) -> list[int]:
+    """In-place forward elimination; returns the pivot column indices."""
     pivots: list[int] = []
     piv_r = 0
     nrows = len(rows)
-    for col in range(pivot_cols):
+    for col in range(len(rows[0]) if rows else 0):
         if piv_r == nrows:
             break
         sel = None
@@ -196,7 +191,7 @@ def _back_substitute(rows: list[list[Fraction]], pivots: list[int]) -> None:
 def rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:
     """Reduced row echelon form together with the pivot column indices."""
     rows = m.row_lists()
-    pivots = _forward_eliminate(rows, m.cols)
+    pivots = _forward_eliminate(rows)
     _back_substitute(rows, pivots)
     return MatrixQ.from_rows(rows, cols=m.cols), tuple(pivots)
 
@@ -204,7 +199,7 @@ def rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:
 def rank(m: MatrixQ) -> int:
     """Exact rank. Forward elimination only; cheaper than full rref."""
     rows = m.row_lists()
-    return len(_forward_eliminate(rows, m.cols))
+    return len(_forward_eliminate(rows))
 
 
 def kernel_basis(m: MatrixQ) -> list[VectorQ]:
@@ -216,55 +211,28 @@ def kernel_basis(m: MatrixQ) -> list[VectorQ]:
     function of the matrix alone, so callers can treat basis order as
     part of the contract.
     """
-    reduced, pivots = rref(m)
+    return kernel_from_rref(*rref(m))
+
+
+def free_columns(reduced: MatrixQ, pivots: Sequence[int]) -> tuple[int, ...]:
+    """Column indices of a reduced echelon form that carry no pivot."""
     pivot_set = set(pivots)
+    return tuple(c for c in range(reduced.cols) if c not in pivot_set)
+
+
+def kernel_from_rref(reduced: MatrixQ, pivots: Sequence[int]) -> list[VectorQ]:
+    """The canonical kernel basis of :func:`kernel_basis`, read off an
+    rref already computed.
+
+    The basis restricted to the free columns is the identity, so the
+    coordinates of any kernel vector in this basis are its entries at
+    the free columns.
+    """
     basis: list[VectorQ] = []
-    for free in range(m.cols):
-        if free in pivot_set:
-            continue
-        v = [_ZERO] * m.cols
+    for free in free_columns(reduced, pivots):
+        v = [_ZERO] * reduced.cols
         v[free] = _ONE
         for r, pc in enumerate(pivots):
             v[pc] = -reduced.at(r, free)
         basis.append(tuple(v))
     return basis
-
-
-def solve_many(m: MatrixQ, rhs_columns: Sequence[Sequence]) -> list[VectorQ | None]:
-    """Solve ``m x = rhs`` for several right-hand sides with one elimination.
-
-    Returns, per column, either the canonical solution (free variables
-    set to zero) or ``None`` when that column is inconsistent.
-    """
-    k = len(rhs_columns)
-    cols_exact = []
-    for col in rhs_columns:
-        vals = [as_scalar(e) for e in col]
-        if len(vals) != m.rows:
-            raise ValueError(f"rhs length {len(vals)} does not match {m.rows} rows")
-        cols_exact.append(vals)
-    aug = [list(m.row(i)) + [cols_exact[j][i] for j in range(k)] for i in range(m.rows)]
-    pivots = _forward_eliminate(aug, m.cols)
-    _back_substitute(aug, pivots)
-    out: list[VectorQ | None] = []
-    nrank = len(pivots)
-    for j in range(k):
-        consistent = all(aug[r][m.cols + j] == 0 for r in range(nrank, m.rows))
-        if not consistent:
-            out.append(None)
-            continue
-        x = [_ZERO] * m.cols
-        for r, pc in enumerate(pivots):
-            x[pc] = aug[r][m.cols + j]
-        out.append(tuple(x))
-    return out
-
-
-def solve(m: MatrixQ, rhs: Sequence) -> VectorQ | None:
-    """Canonical solution of ``m x = rhs`` or None when inconsistent.
-
-    Canonical means: free variables are zero, pivot variables carry the
-    reduced right-hand side, so the 1x2 system ``2x + 4y = 6`` solves
-    to ``(3, 0)``.
-    """
-    return solve_many(m, [rhs])[0]

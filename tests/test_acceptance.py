@@ -105,14 +105,15 @@ def test_criterion_03_very_ample():
         jets = 2 * len(curve.nodes) + (len(samples) - len(curve.nodes))
         assert pairs >= 50
         assert verdict.samples_checked == pairs + jets == 174
+        space = section_basis(bundle)
         # the jet tests again, spelled out branch by branch
         for k in range(len(curve.nodes)):
             for branch in (0, 1):
-                assert separates_jets(bundle, CurvePoint.at_node(k, branch=branch))
+                assert separates_jets(space, CurvePoint.at_node(k, branch=branch))
         # a direct slice of the pair tests
         for i in range(10):
             for j in range(i + 1, 10):
-                assert separates_points(bundle, samples[i], samples[j])
+                assert separates_points(space, samples[i], samples[j])
 
 
 @criterion(4, "t0 = 10m for m = 1..5, t1 = 10|m| for m = -1..-5, formula = direct off 0")
@@ -170,12 +171,13 @@ def test_criterion_07_projective_normality_degree_two():
     m2 = multiplication_map(bundle, 2)
     assert (m2.cols, m2.rows) == (55, 20)
     assert rank(m2) == 20
-    quadrics = quadric_ideal(bundle)
+    quadrics = quadric_ideal(m2)
     assert len(quadrics) == 35
     points = sample_points(curve, extra_per_component=8)[:25]
     assert len(points) == 25
+    space = section_basis(bundle)
     for x in points:
-        coords = embed_point(bundle, x)
+        coords = embed_point(space, x)
         for q in quadrics:
             assert quadric_value(q, coords) == 0
 
@@ -185,9 +187,10 @@ def test_criterion_08_node_image_consistency():
     curve = paper_example_curve()
     for degrees in ((3, 3, 3), (4, 3, 3), (4, 4, 3)):
         bundle = line_bundle(curve, degrees)
+        space = section_basis(bundle)
         for k, glue in enumerate(bundle.gluings):
-            via_a = embed_point(bundle, CurvePoint.at_node(k, branch=0))
-            via_b = embed_point(bundle, CurvePoint.at_node(k, branch=1))
+            via_a = embed_point(space, CurvePoint.at_node(k, branch=0))
+            via_b = embed_point(space, CurvePoint.at_node(k, branch=1))
             assert via_a == tuple(glue * v for v in via_b)
 
 

@@ -252,6 +252,43 @@ def test_main_verify_ok(capsys):
     assert statuses["multiplication-m2-surjective"] == "ok"
 
 
+def test_main_verify_with_too_few_sections(tmp_path, capsys):
+    # two lines meeting in four points, multidegree (1, 1): genus 3, h0 = 0
+    doc = {
+        "components": [
+            {"name": "A", "points": ["0", "1", "2", "3"]},
+            {"name": "B", "points": ["0", "1", "2", "3"]},
+        ],
+        "nodes": [{"a": f"A.{k}", "b": f"B.{k}"} for k in range(4)],
+        "bundle": {"multidegree": [1, 1], "gluings": ["2", "3", "5", "7"]},
+    }
+    path = tmp_path / "h0.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--json"]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    statuses = {c["name"]: c["status"] for c in json.loads(captured.out)["sections"]["verify"]["checks"]}
+    assert statuses["riemann-roch"] == "ok"
+    assert statuses["globally-generated"] == statuses["very-ample"] == "FAIL"
+    assert statuses["randomized-serre"] == "ok"  # the checks after the verdicts still ran
+    assert main(["ample", str(path), "--json"]) == EXIT_OK
+    body = json.loads(capsys.readouterr().out)["sections"]["ample"]
+    assert body["very_ample"] == {
+        "status": "failed",
+        "witness": "fewer than two global sections (h0 = 0)",
+        "samples_checked": 0,
+    }
+
+
+def test_main_rejects_bad_sample_counts(capsys):
+    for command in ("ample", "embed", "ideal", "verify"):
+        for samples in ("-3", "1000"):
+            assert main([command, str(PAPER_SPEC), "--samples", samples]) == EXIT_INPUT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith("error[samples]: ")
+
+
 def test_main_rejects_bad_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     doc = json.loads(MINIMAL)

@@ -6,12 +6,17 @@ from fractions import Fraction
 
 import pytest
 import sympy
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import random_curve
+import nodalcone.embedding as embedding
+from conftest import random_bundle, random_curve
 from nodalcone.bundles import (
+    Section,
     flatten_section,
     h0,
     line_bundle,
+    multiply_sections,
     power,
     section_basis,
     trivial_bundle,
@@ -19,6 +24,7 @@ from nodalcone.bundles import (
 from nodalcone.curve import paper_example_curve
 from nodalcone.embedding import (
     CRITERION_SATISFIED,
+    AmpleVerdict,
     FAILED,
     SAMPLE_SEED,
     VERIFIED_ON_SAMPLES,
@@ -49,13 +55,13 @@ def test_curve_point_display():
 
 
 def test_point_validation(paper_curve):
-    b = line_bundle(paper_curve, (4, 3, 3))
+    space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
     with pytest.raises(ValueError):
-        embed_point(b, CurvePoint.smooth("C1", F(0)))  # marked point, not smooth
+        embed_point(space, CurvePoint.smooth("C1", F(0)))  # marked point, not smooth
     with pytest.raises(ValueError):
-        embed_point(b, CurvePoint.at_node(7))
+        embed_point(space, CurvePoint.at_node(7))
     with pytest.raises(ValueError):
-        embed_point(b, CurvePoint.at_node(0, branch=2))
+        embed_point(space, CurvePoint.at_node(0, branch=2))
 
 
 def test_sample_points_deterministic(paper_curve):
@@ -71,6 +77,15 @@ def test_sample_points_deterministic(paper_curve):
         assert (x.component, x.coord.coord) not in marked
     assert len(sample_points(paper_curve, extra_per_component=2)) == 3 + 3 * 2
     assert sample_points(paper_curve, seed=SAMPLE_SEED + 1) != a
+
+
+def test_sample_points_bounded_by_free_pool(paper_curve):
+    # the pool n/q, |n| <= 24, 1 <= q <= 5, has 169 values; C2 marks 0, 1, 2 in it
+    assert len(sample_points(paper_curve, extra_per_component=166)) == 3 + 3 * 166
+    with pytest.raises(ValueError, match=r"C2 takes 0\.\.166 extra sample points, 167 requested"):
+        sample_points(paper_curve, extra_per_component=167)
+    with pytest.raises(ValueError, match=r"C1 takes 0\.\.167 extra sample points, -1 requested"):
+        sample_points(paper_curve, extra_per_component=-1)
 
 
 def test_globally_generated_verdicts(paper_curve):
@@ -89,6 +104,15 @@ def test_globally_generated_failure_witness(paper_curve):
     v = globally_generated(line_bundle(paper_curve, (-1, 3, 3)))
     assert v.status == FAILED
     assert v.witness == "all sections vanish at node:0"
+
+
+def test_positivity_verdicts_with_too_few_sections(paper_curve):
+    none = line_bundle(paper_curve, (-1, -1, -1))
+    assert h0(none) == 0
+    assert globally_generated(none) == AmpleVerdict(FAILED, "no global sections (h0 = 0)", 0)
+    one = trivial_bundle(paper_curve)
+    assert very_ample(one) == AmpleVerdict(FAILED, "fewer than two global sections (h0 = 1)", 0)
+    assert very_ample(none).witness == "fewer than two global sections (h0 = 0)"
 
 
 def test_very_ample_on_reference_bundles(paper_curve):
@@ -112,15 +136,17 @@ def test_very_ample_failure_modes(paper_curve):
 
 
 def test_separates_points_basics(paper_curve):
-    b = line_bundle(paper_curve, (4, 3, 3))
-    assert separates_points(b, CurvePoint.at_node(0), CurvePoint.at_node(1))
-    assert separates_points(b, CurvePoint.smooth("C1", F(5)), CurvePoint.smooth("C2", F(5)))
-    weak = line_bundle(paper_curve, (1, 1, 1))
+    space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
+    assert separates_points(space, CurvePoint.at_node(0), CurvePoint.at_node(1))
+    assert separates_points(space, CurvePoint.smooth("C1", F(5)), CurvePoint.smooth("C2", F(5)))
+    weak = section_basis(line_bundle(paper_curve, (1, 1, 1)))
     assert not separates_points(weak, CurvePoint.at_node(1), CurvePoint.at_node(2))
     with pytest.raises(ValueError):
-        separates_points(b, CurvePoint.at_node(0), CurvePoint.at_node(0))
+        separates_points(space, CurvePoint.at_node(0), CurvePoint.at_node(0))
     with pytest.raises(ValueError):
-        separates_points(trivial_bundle(paper_curve), CurvePoint.at_node(0), CurvePoint.at_node(1))
+        separates_points(
+            section_basis(trivial_bundle(paper_curve)), CurvePoint.at_node(0), CurvePoint.at_node(1)
+        )
 
 
 def test_separates_points_agrees_with_projective_comparison(paper_curve):
@@ -132,22 +158,22 @@ def test_separates_points_agrees_with_projective_comparison(paper_curve):
         return tuple(v / lead for v in vec)
 
     for degrees in ((4, 3, 3), (1, 1, 1)):
-        b = line_bundle(paper_curve, degrees)
+        space = section_basis(line_bundle(paper_curve, degrees))
         samples = sample_points(paper_curve, extra_per_component=2)
         for i in range(len(samples)):
             for j in range(i + 1, len(samples)):
-                direct = separates_points(b, samples[i], samples[j])
-                proj = normalized(embed_point(b, samples[i])) != normalized(
-                    embed_point(b, samples[j])
+                direct = separates_points(space, samples[i], samples[j])
+                proj = normalized(embed_point(space, samples[i])) != normalized(
+                    embed_point(space, samples[j])
                 )
                 assert direct == proj
 
 
 def test_separates_jets(paper_curve):
-    strong = line_bundle(paper_curve, (4, 3, 3))
+    strong = section_basis(line_bundle(paper_curve, (4, 3, 3)))
     for k in range(3):
         assert separates_jets(strong, CurvePoint.at_node(k))
-    weak = line_bundle(paper_curve, (2, 2, 2))
+    weak = section_basis(line_bundle(paper_curve, (2, 2, 2)))
     assert not separates_jets(weak, CurvePoint.at_node(1, branch=1))
     assert not separates_jets(weak, CurvePoint.at_node(1))  # both branches must pass
     assert separates_jets(strong, CurvePoint.smooth("C2", F(7, 3)))
@@ -156,22 +182,23 @@ def test_separates_jets(paper_curve):
 def test_embed_point_branches_differ_by_gluing_scalar(paper_curve):
     for degrees in ((3, 3, 3), (4, 3, 3), (4, 4, 3)):
         b = line_bundle(paper_curve, degrees)
+        space = section_basis(b)
         for k, glue in enumerate(b.gluings):
-            via_a = embed_point(b, CurvePoint.at_node(k, branch=0))
-            via_b = embed_point(b, CurvePoint.at_node(k, branch=1))
+            via_a = embed_point(space, CurvePoint.at_node(k, branch=0))
+            via_b = embed_point(space, CurvePoint.at_node(k, branch=1))
             assert via_a == tuple(glue * v for v in via_b)
-        assert node_images_consistent(b)
+        assert node_images_consistent(space)
 
 
 def test_node_images_consistent_with_nontrivial_gluings(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3), (F(2), F(-3, 4), F(5, 7)))
-    assert node_images_consistent(b)
+    assert node_images_consistent(section_basis(b))
 
 
 def test_embed_point_zero_vector_raises(paper_curve):
     b = line_bundle(paper_curve, (-1, 3, 3))
     with pytest.raises(ValueError):
-        embed_point(b, CurvePoint.at_node(0))
+        embed_point(section_basis(b), CurvePoint.at_node(0))
 
 
 def test_sym_monomials_order_and_count():
@@ -203,25 +230,59 @@ def test_multiplication_map_m2_rank_against_sympy(paper_curve):
     assert sm.rank() == 20
 
 
+def _assert_columns_reconstruct_products(bundle, m):
+    """Every column of the m-th multiplication map, taken as coordinates
+    in the canonical basis of L^m, sums back to its product exactly."""
+    space = section_basis(bundle)
+    target_bundle = power(bundle, m)
+    target = [flatten_section(target_bundle, s) for s in section_basis(target_bundle).basis]
+    matrix = multiplication_map(bundle, m)
+    monos = sym_monomials(len(space.basis), m)
+    assert (matrix.rows, matrix.cols) == (len(target), len(monos))
+    for col, mono in enumerate(monos):
+        product = space.basis[mono[0]]
+        for idx in mono[1:]:
+            product = multiply_sections(product, space.basis[idx])
+        expected = flatten_section(target_bundle, product)
+        combo = [F(0)] * len(expected)
+        for c, flat in zip(matrix.column(col), target):
+            if c:
+                combo = [acc + c * v for acc, v in zip(combo, flat)]
+        assert tuple(combo) == expected
+
+
 def test_multiplication_map_columns_reconstruct_products(paper_curve):
     """Column coordinates really express each product in the target basis."""
-    b = line_bundle(paper_curve, (4, 3, 3))
-    space = section_basis(b)
-    square = power(b, 2)
-    target = section_basis(square)
-    m2 = multiplication_map(b, 2)
-    monos = sym_monomials(10, 2)
-    from nodalcone.bundles import multiply_sections
+    for degrees in ((4, 3, 3), (3, 3, 3), (4, 4, 4)):
+        for m in (2, 3):
+            _assert_columns_reconstruct_products(line_bundle(paper_curve, degrees), m)
 
-    for col in (0, 13, 37, 54):
-        i, j = monos[col]
-        prod = flatten_section(square, multiply_sections(space.basis[i], space.basis[j]))
-        coords = m2.column(col)
-        combo = [F(0)] * len(prod)
-        for c, sec in zip(coords, target.basis):
-            flat = flatten_section(square, sec)
-            combo = [acc + c * v for acc, v in zip(combo, flat)]
-        assert tuple(combo) == prod
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=1, max_value=3))
+def test_multiplication_map_columns_reconstruct_products_random(seed, m):
+    rng = random.Random(seed)
+    curve = random_curve(rng, max_components=3, max_nodes=3)
+    _assert_columns_reconstruct_products(random_bundle(rng, curve, degree_range=(-1, 3)), m)
+
+
+def test_multiplication_map_rejects_product_off_the_gluing(paper_curve, monkeypatch):
+    """A product that breaks a node constraint raises instead of being
+    read off the free columns."""
+    calls = []
+
+    def broken(a, b):
+        product = multiply_sections(a, b)
+        calls.append(None)
+        if len(calls) != 5:
+            return product
+        # shifting C1's constant term moves its value at both of C1's nodes
+        first = (product.coeffs[0][0] + 1,) + product.coeffs[0][1:]
+        return Section((first,) + product.coeffs[1:])
+
+    monkeypatch.setattr(embedding, "multiply_sections", broken)
+    with pytest.raises(ArithmeticError, match=r"monomial \(0, 4\) is not a global section"):
+        multiplication_map(line_bundle(paper_curve, (4, 3, 3)), 2)
 
 
 def test_multiplication_map_m3_surjective(paper_curve):
@@ -233,17 +294,18 @@ def test_multiplication_map_m3_surjective(paper_curve):
 
 def test_quadric_ideal_frozen_count(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
-    quadrics = quadric_ideal(b)
+    quadrics = quadric_ideal(multiplication_map(b, 2))
     assert len(quadrics) == 55 - 20
 
 
 def test_quadrics_vanish_on_embedded_samples(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
-    quadrics = quadric_ideal(b)
+    quadrics = quadric_ideal(multiplication_map(b, 2))
     samples = sample_points(paper_curve)  # 3 nodes + 15 smooth points
     assert len(samples) == 18
+    space = section_basis(b)
     for x in samples:
-        coords = embed_point(b, x)
+        coords = embed_point(space, x)
         for q in quadrics:
             assert quadric_value(q, coords) == 0
 
@@ -266,11 +328,12 @@ def test_cone_jacobian_rank_hand_example():
 
 def test_cone_jacobian_ranks_frozen(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
-    quadrics = quadric_ideal(b)
-    smooth = cone_point(b, CurvePoint.smooth("C1", F(5)))
+    quadrics = quadric_ideal(multiplication_map(b, 2))
+    space = section_basis(b)
+    smooth = cone_point(space, CurvePoint.smooth("C1", F(5)))
     assert cone_jacobian_rank(quadrics, smooth) == 8
     node_ranks = tuple(
-        cone_jacobian_rank(quadrics, cone_point(b, CurvePoint.at_node(k))) for k in range(3)
+        cone_jacobian_rank(quadrics, cone_point(space, CurvePoint.at_node(k))) for k in range(3)
     )
     assert node_ranks == (7, 6, 7)
     assert all(r <= 7 for r in node_ranks)
@@ -280,10 +343,11 @@ def test_cone_jacobian_ranks_frozen(paper_curve):
 
 def test_cone_jacobian_rank_scale_invariant(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
-    quadrics = quadric_ideal(b)
+    quadrics = quadric_ideal(multiplication_map(b, 2))
+    space = section_basis(b)
     x = CurvePoint.smooth("C2", F(-4, 3))
-    assert cone_jacobian_rank(quadrics, cone_point(b, x)) == cone_jacobian_rank(
-        quadrics, cone_point(b, x, scale=F(7, 2))
+    assert cone_jacobian_rank(quadrics, cone_point(space, x)) == cone_jacobian_rank(
+        quadrics, cone_point(space, x, scale=F(7, 2))
     )
 
 

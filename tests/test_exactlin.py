@@ -9,7 +9,15 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nodalcone.exactlin import MatrixQ, as_scalar, kernel_basis, rank, rref, solve, solve_many
+from nodalcone.exactlin import (
+    MatrixQ,
+    as_scalar,
+    free_columns,
+    kernel_basis,
+    kernel_from_rref,
+    rank,
+    rref,
+)
 
 F = Fraction
 
@@ -94,35 +102,6 @@ def test_kernel_canonical_form():
     ]
 
 
-def test_solve_prefers_zero_free_variables():
-    m = MatrixQ.from_rows([[2, 4]])
-    assert solve(m, (F(6),)) == (F(3), F(0))
-
-
-def test_solve_inconsistent_returns_none():
-    m = MatrixQ.from_rows([[1, 1], [1, 1]])
-    assert solve(m, (F(1), F(2))) is None
-
-
-def test_solve_identity():
-    m = MatrixQ.identity(3)
-    rhs = (F(5), F(-1), F(1, 3))
-    assert solve(m, rhs) == rhs
-
-
-def test_solve_many_mixed():
-    m = MatrixQ.from_rows([[1, 0], [1, 0]])
-    results = solve_many(m, [(F(2), F(2)), (F(1), F(0))])
-    assert results[0] == (F(2), F(0))
-    assert results[1] is None
-
-
-def test_solve_shape_mismatch_raises():
-    m = MatrixQ.identity(2)
-    with pytest.raises(ValueError):
-        solve(m, (F(1),))
-
-
 def _random_matrix(rng, max_dim=6):
     r = rng.randint(1, max_dim)
     c = rng.randint(1, max_dim)
@@ -202,10 +181,14 @@ def test_rref_is_idempotent(m):
 
 
 @settings(max_examples=60, deadline=None)
-@given(matrices(), st.lists(fractions_st, min_size=1, max_size=5))
-def test_solve_recovers_consistent_systems(m, coeffs):
-    vec = tuple((coeffs * m.cols)[: m.cols])
-    rhs = m.mul_vec(vec)
-    found = solve(m, rhs)
-    assert found is not None
-    assert m.mul_vec(found) == rhs
+@given(matrices())
+def test_kernel_basis_is_identity_on_free_columns(m):
+    """The invariant coordinate readoff relies on: a kernel vector's
+    coordinates in the canonical basis are its free-column entries."""
+    reduced, pivots = rref(m)
+    free = free_columns(reduced, pivots)
+    basis = kernel_basis(m)
+    assert basis == kernel_from_rref(reduced, pivots)
+    assert [tuple(v[c] for c in free) for v in basis] == [
+        tuple(F(int(i == j)) for j in range(len(free))) for i in range(len(free))
+    ]
