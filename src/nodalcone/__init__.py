@@ -34,6 +34,8 @@ from .bundles import (
     RiemannRochReport,
     Section,
     SectionSpace,
+    branch_value_matrix,
+    cohomology,
     component_h0,
     component_h1,
     dual,

@@ -15,10 +15,25 @@ j), and gluing scalar g,
 
     value of the i-th polynomial at p  =  g * value of the j-th at q.
 
-Stacking these rows gives the gluing matrix; the section space is its
+Stacking these rows gives the gluing matrix G; the section space is its
 kernel and ``h1`` comes from its corank plus the classical line-bundle
 contributions of the components. Both are exact integers computed over
 Fraction arithmetic, never estimated.
+
+Only the rank of G enters ``h0`` and ``h1``, and G factors as ``A * E``:
+E evaluates each component's polynomial at its marked points (the
+branch values), A forms ``value at p - g * value at q`` per node. So
+rank G is the rank of A on the image of E, and that image splits by
+component. On a component of degree ``d >= n - 1`` with n marked
+points, evaluation is onto all n values: Lagrange interpolation at the
+affine points, and with a point at infinity, fix the leading coefficient
+to its value there and interpolate the rest in degree ``<= d - 1``
+through the ``n - 1 <= d`` affine points. Its image is spanned by unit
+vectors, each of which A sends to a nonzero multiple of one node's unit
+column. A component of degree ``0 <= d < n - 1`` keeps its block of G,
+and one of negative degree contributes nothing. The branch-value matrix
+collects these columns: the same rank as G from at most ``2 * #nodes``
+columns of small entries, however large the degrees.
 
 The dualizing bundle is realized concretely: on a component whose
 branch points are D, a section of it is the differential
@@ -179,11 +194,38 @@ def gluing_matrix(bundle: LineBundle) -> MatrixQ:
     zero, so a branch landing there simply contributes nothing; for a
     self-node both contributions land in the same block.
     """
+    return _node_matrix(bundle, frozenset())
+
+
+def branch_value_matrix(bundle: LineBundle) -> MatrixQ:
+    """A matrix with the rank of the gluing matrix and at most
+    ``2 * #nodes`` columns.
+
+    A component whose degree is at least its number of marked points
+    minus one contributes one unit column per marked point, set in the
+    row of the node that point belongs to; every other component keeps
+    its gluing-matrix block. See the module docstring for why the rank
+    is unchanged.
+    """
+    onto = frozenset(
+        i
+        for i, (comp, d) in enumerate(zip(bundle.curve.components, bundle.multidegree))
+        if d >= 0 and d >= len(comp.marked_points) - 1
+    )
+    return _node_matrix(bundle, onto)
+
+
+def _node_matrix(bundle: LineBundle, onto: frozenset[int]) -> MatrixQ:
+    """Node rows over the component blocks; a component in ``onto`` gets
+    one unit column per marked point instead of its coefficient block."""
     curve = bundle.curve
     problems = validate(curve)
     if problems:
         raise ValueError("invalid curve: " + "; ".join(problems))
-    widths = block_widths(bundle)
+    widths = tuple(
+        len(comp.marked_points) if i in onto else w
+        for i, (comp, w) in enumerate(zip(curve.components, block_widths(bundle)))
+    )
     offsets = _block_offsets(widths)
     total = sum(widths)
     rows = []
@@ -193,9 +235,12 @@ def gluing_matrix(bundle: LineBundle) -> MatrixQ:
             ci = curve.component_index(branch[0])
             if widths[ci] == 0:
                 continue
+            base = offsets[ci]
+            if ci in onto:
+                row[base + branch[1]] = _ONE
+                continue
             point = curve.components[ci].marked_points[branch[1]]
             ev = evaluation_row(bundle.multidegree[ci], point)
-            base = offsets[ci]
             for k, val in enumerate(ev):
                 row[base + k] += sign_scale * val
         rows.append(row)
@@ -277,21 +322,39 @@ def section_basis(bundle: LineBundle) -> SectionSpace:
     )
 
 
+def cohomology(bundle: LineBundle) -> tuple[int, int]:
+    """``(h0, h1)`` from one rank of the branch-value matrix.
+
+    The normalization exact sequence gives
+    ``h0 = sum_i h0(O(d_i)) - rank`` and
+    ``h1 = (#nodes - rank) + sum_i h1(O(d_i))``, where rank is that of
+    the gluing matrix, equal to the branch-value matrix's.
+    """
+    r = rank(branch_value_matrix(bundle))
+    return (
+        sum(block_widths(bundle)) - r,
+        len(bundle.curve.nodes) - r + sum(component_h1(d) for d in bundle.multidegree),
+    )
+
+
 def h0(bundle: LineBundle) -> int:
-    """dim of global sections: total coefficient slots minus gluing rank."""
-    matrix = gluing_matrix(bundle)
-    return matrix.cols - rank(matrix)
+    """dim of global sections: total coefficient slots minus the rank of
+    the gluing matrix, taken from the branch-value matrix.
+
+    The two ranks agree because a component of degree ``d >= n - 1``
+    reaches every tuple of values at its n marked points (at infinity
+    the value is the leading coefficient, fixed first, and the rest is
+    interpolated through the affine points), so its block may be
+    replaced by unit columns.
+    """
+    return cohomology(bundle)[0]
 
 
 def h1_direct(bundle: LineBundle) -> int:
-    """First cohomology, computed rather than inferred from a formula.
-
-    The normalization exact sequence gives
-    ``h1 = (#nodes - rank of the gluing matrix) + sum_i h1(O(d_i))``.
-    """
-    matrix = gluing_matrix(bundle)
-    corank = matrix.rows - rank(matrix)
-    return corank + sum(component_h1(d) for d in bundle.multidegree)
+    """First cohomology, computed rather than inferred from a formula:
+    ``(#nodes - rank) + sum_i h1(O(d_i))``, with the gluing rank taken
+    from the branch-value matrix (the same rank; see ``h0``)."""
+    return cohomology(bundle)[1]
 
 
 def evaluate_section(curve: NodalCurve, section: Section, component_name: str, p: PointOnLine) -> Fraction:
@@ -442,9 +505,10 @@ def riemann_roch_report(bundle: LineBundle) -> RiemannRochReport:
     """h0, h1, degree and genus, with the Euler-characteristic identity."""
     from .curve import arithmetic_genus
 
+    h0_value, h1_value = cohomology(bundle)
     return RiemannRochReport(
-        h0=h0(bundle),
-        h1=h1_direct(bundle),
+        h0=h0_value,
+        h1=h1_value,
         degree=bundle.degree(),
         genus=arithmetic_genus(bundle.curve),
     )

@@ -26,20 +26,18 @@ from fractions import Fraction
 from . import __version__
 from .bundles import (
     LineBundle,
+    block_widths,
     dual,
     dualizing_bundle,
     flatten_section,
-    gluing_matrix,
     h0,
-    h1_direct,
     power,
     riemann_roch_report,
     section_basis,
     section_satisfies_gluing,
     serre_duality_check,
-    tensor,
 )
-from .cone import DIRECT, FORMULA, graded_report, t0_dim, t1_dim
+from .cone import graded_report
 from .curve import (
     Component,
     INFINITY,
@@ -463,7 +461,7 @@ def run_verify(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int, m
         f"{len(space.basis)} basis sections satisfy every node constraint exactly",
     )
     flat = MatrixQ.from_rows(
-        [flatten_section(bundle, s) for s in space.basis], cols=gluing_matrix(bundle).cols
+        [flatten_section(bundle, s) for s in space.basis], cols=sum(block_widths(bundle))
     )
     flat_rank = rank(flat)
     check(
@@ -526,31 +524,20 @@ def run_verify(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int, m
         serre_ok = serre_duality_check(bundle) and serre_duality_check(power(bundle, 2)) and serre_duality_check(dual(bundle))
         check("serre-duality", serre_ok, "h1 matches h0 of the dual twist for the bundle, its square and its inverse")
 
-        mismatched = []
-        weight0 = None
-        for m in range(m_min, m_max + 1):
-            t0f = t0_dim(curve, bundle, m, FORMULA)
-            t0d = t0_dim(curve, bundle, m, DIRECT)
-            t1f = t1_dim(curve, bundle, m, FORMULA)
-            t1d = t1_dim(curve, bundle, m, DIRECT)
-            if m == 0:
-                weight0 = (t0f, t0d, t1f, t1d)
-                continue
-            if t0f != t0d or t1f != t1d:
-                mismatched.append(m)
+        entries = graded_report(curve, bundle, m_min, m_max).entries
+        mismatched = [e.m for e in entries if e.m != 0 and e.discrepancy]
         check(
             "deformation-formula-vs-direct",
             not mismatched,
             f"weights {m_min}..{m_max} excluding 0"
             + (f"; mismatches at {mismatched}" if mismatched else ", all agree"),
         )
-        if weight0 is not None:
-            t0f, t0d, t1f, t1d = weight0
-            info(
-                "deformation-weight-0",
-                f"formula t0 {t0f} / t1 {t1f}; direct t0 {t0d} / t1 {t1d}. "
-                "Report-only: the closed form is a generic-gluing claim.",
-            )
+        w0 = next(e for e in entries if e.m == 0)
+        info(
+            "deformation-weight-0",
+            f"formula t0 {w0.t0_formula} / t1 {w0.t1_formula}; direct t0 {w0.t0_direct} / t1 {w0.t1_direct}. "
+            "Report-only: the closed form is a generic-gluing claim.",
+        )
     else:
         skip("dualizing-h0-equals-genus", "marked point at infinity")
         skip("serre-duality", "marked point at infinity")

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundles import LineBundle, h0, h1_direct, power, tangent_bundle, tensor
+from .bundles import LineBundle, cohomology, h0, h1_direct, power, tangent_bundle, tensor
 from .curve import NodalCurve, arithmetic_genus
 
 SMOOTHING = "smoothing"
@@ -109,14 +109,18 @@ def graded_report(curve: NodalCurve, bundle: LineBundle, m_min: int, m_max: int)
 
     Requires ``m_min <= 0 <= m_max`` so the table always shows all three
     regimes. Formula and direct values are both present in every row;
-    nothing is reconciled silently.
+    nothing is reconciled silently. The tangent bundle is built once, and
+    each weight's twist once, with both direct values from one rank.
     """
     if not m_min <= 0 <= m_max:
         raise ValueError("range must contain 0: need m_min <= 0 <= m_max")
     if bundle.curve != curve:
         raise ValueError("bundle lives on a different curve")
+    tangent = tangent_bundle(curve)
     entries = []
     for m in range(m_min, m_max + 1):
+        bundle_m = power(bundle, m)
+        t0_direct, t1_direct = cohomology(tensor(tangent, bundle_m))
         if m < 0:
             classification = SMOOTHING
         elif m == 0:
@@ -127,10 +131,10 @@ def graded_report(curve: NodalCurve, bundle: LineBundle, m_min: int, m_max: int)
             WeightEntry(
                 m=m,
                 t0_formula=t0_dim(curve, bundle, m, FORMULA),
-                t0_direct=t0_dim(curve, bundle, m, DIRECT),
+                t0_direct=t0_direct,
                 t1_formula=t1_dim(curve, bundle, m, FORMULA),
-                t1_direct=t1_dim(curve, bundle, m, DIRECT),
-                hilbert=h0(power(bundle, m)),
+                t1_direct=t1_direct,
+                hilbert=h0(bundle_m),
                 classification=classification,
                 euler_note=_EULER_NOTE if m == 0 else None,
             )

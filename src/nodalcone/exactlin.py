@@ -29,8 +29,11 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
     """Coerce an int, a ``"p"`` / ``"p/q"`` string, or a Fraction.
 
     Floats are rejected: silently converting one would smuggle a binary
-    rounding error into an exact computation.
+    rounding error into an exact computation. A value that is exactly a
+    Fraction is returned as it is, since Fractions are immutable.
     """
+    if type(value) is Fraction:
+        return value
     if isinstance(value, float):
         raise TypeError("floats are not exact; pass int, str or Fraction")
     return Fraction(value)

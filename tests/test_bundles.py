@@ -4,12 +4,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import flip_node, random_bundle, random_curve
 from nodalcone.bundles import (
     LineBundle,
     Section,
     block_widths,
+    branch_value_matrix,
+    cohomology,
     component_h0,
     component_h1,
     dual,
@@ -37,6 +41,9 @@ from nodalcone.bundles import (
 )
 from nodalcone.curve import (
     INFINITY,
+    Component,
+    NodalCurve,
+    NodeGluing,
     affine_point,
     arithmetic_genus,
     normalize,
@@ -317,3 +324,74 @@ def test_h0_matches_degree_for_ample_range(paper_curve):
         b = line_bundle(paper_curve, degrees)
         assert h1_direct(b) == 0
         assert h0(b) == sum(degrees)
+
+
+def _curve_with_infinity(rng):
+    """Connected curve whose components may carry a point at infinity
+    (``random_curve`` is affine-only), with self-nodes on about a third
+    of its components, so a node can have both branches in one block."""
+    k = rng.randint(1, 4)
+    edges = [(rng.randrange(j), j) for j in range(1, k)]
+    edges += [(i, i) for i in range(k) if rng.random() < 1 / 3]
+    edges += [(rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(0, 2))]
+    counts = [0] * k
+    refs = []
+    for a, b in edges:
+        refs.append(((f"C{a + 1}", counts[a]), (f"C{b + 1}", counts[b] + (a == b))))
+        counts[a] += 1
+        counts[b] += 1
+    components = []
+    for i in range(k):
+        den = rng.randint(1, 3)
+        pts = [affine_point(F(n, den)) for n in rng.sample(range(-8, 9), counts[i])]
+        if pts and rng.random() < 0.5:
+            pts[rng.randrange(len(pts))] = INFINITY
+        components.append(Component(f"C{i + 1}", tuple(pts)))
+    return NodalCurve(tuple(components), tuple(NodeGluing(a, b) for a, b in refs))
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=-6, max_value=6))
+def test_branch_value_matrix_has_the_gluing_rank(seed, m):
+    rng = random.Random(seed)
+    curve = _curve_with_infinity(rng)
+    nonzero = [x for x in range(-5, 6) if x != 0]
+    base = LineBundle(
+        curve,
+        tuple(rng.randint(-3, 8) for _ in curve.components),
+        tuple(F(rng.choice(nonzero), rng.randint(1, 3)) for _ in curve.nodes),
+    )
+    for bundle in (base, power(base, m)):
+        reduced = branch_value_matrix(bundle)
+        full = gluing_matrix(bundle)
+        assert reduced.rows == full.rows == len(curve.nodes)
+        assert reduced.cols <= 2 * len(curve.nodes)
+        full_rank = rank(full)
+        assert rank(reduced) == full_rank
+        assert cohomology(bundle) == (
+            full.cols - full_rank,
+            full.rows - full_rank + sum(component_h1(d) for d in bundle.multidegree),
+        )
+
+
+def test_branch_value_matrix_unit_and_kept_columns(paper_curve):
+    # every degree reaches all branch values: one unit column per marked
+    # point (C1: 0, 1; C2: 0, 1, 2; C3: 0), a 1 in its node's row
+    m = branch_value_matrix(line_bundle(paper_curve, (4, 2, 0)))
+    assert [m.row(k) for k in range(3)] == [
+        tuple(F(x) for x in (1, 0, 0, 0, 0, 1)),
+        tuple(F(x) for x in (0, 1, 0, 1, 0, 0)),
+        tuple(F(x) for x in (0, 0, 1, 0, 1, 0)),  # self-node: both in C2
+    ]
+    # degree 1 on C2 (three points) keeps its gluing block; C3 at -1 drops out
+    short = line_bundle(paper_curve, (1, 1, -1))
+    m = branch_value_matrix(short)
+    assert m.cols == 2 + 2
+    assert [m.row(k)[2:] for k in range(3)] == [gluing_matrix(short).row(k)[2:] for k in range(3)]
+    assert rank(m) == rank(gluing_matrix(short))
+
+
+def test_branch_value_matrix_validates_the_curve(paper_curve):
+    without_self_node = NodalCurve(paper_curve.components, paper_curve.nodes[:2])
+    with pytest.raises(ValueError):
+        branch_value_matrix(LineBundle(without_self_node, (1, 1, 1), (F(1), F(1))))

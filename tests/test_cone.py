@@ -1,10 +1,11 @@
 """Graded deformation table of the affine cone."""
 
+import random
 from fractions import Fraction
 
 import pytest
 
-from conftest import random_curve
+from conftest import random_bundle, random_curve
 from nodalcone.bundles import h0, h1_direct, line_bundle, trivial_bundle
 from nodalcone.cone import (
     DIRECT,
@@ -19,7 +20,7 @@ from nodalcone.cone import (
     t0_dim,
     t1_dim,
 )
-from nodalcone.curve import paper_example_curve
+from nodalcone.curve import arithmetic_genus, paper_example_curve
 
 F = Fraction
 
@@ -42,8 +43,6 @@ def test_deformation_bundle_twists(paper_curve):
 
 
 def test_deformation_bundle_rejects_foreign_curve(paper_curve):
-    import random
-
     other = random_curve(random.Random(3))
     b = trivial_bundle(other)
     with pytest.raises(ValueError):
@@ -136,3 +135,17 @@ def test_weight_entry_discrepancy_property():
     differ = WeightEntry(t0_formula=10, t0_direct=11, **base)
     assert not same.discrepancy
     assert differ.discrepancy
+
+
+def test_direct_values_satisfy_riemann_roch_at_every_weight_and_genus():
+    # deg T = 2 - 2g, so chi(F_m) = D m + 2 - 2g + 1 - g = D m + 3 - 3g
+    rng = random.Random(3303)
+    genera = set()
+    for _ in range(40):
+        curve = random_curve(rng)
+        bundle = random_bundle(rng, curve)
+        g = arithmetic_genus(curve)
+        genera.add(g)
+        for e in graded_report(curve, bundle, -3, 3).entries:
+            assert e.t0_direct - e.t1_direct == bundle.degree() * e.m + 3 - 3 * g, (curve, bundle, e)
+    assert genera == {0, 1, 2, 3, 4}

@@ -26,6 +26,13 @@ def test_as_scalar_accepts_exact_values():
     assert as_scalar(3) == F(3)
     assert as_scalar(F(1, 2)) == F(1, 2)
     assert isinstance(as_scalar(7), F)
+    half = F(1, 2)
+    assert as_scalar(half) is half  # passed through, not rebuilt
+
+    class Tagged(F):
+        pass
+
+    assert type(as_scalar(Tagged(1, 3))) is F
 
 
 def test_as_scalar_rejects_floats():
