@@ -15,7 +15,6 @@ from .curve import (
     DualGraph,
     INFINITY,
     InvalidCurveError,
-    MobiusTransform,
     NodalCurve,
     NodeGluing,
     PointOnLine,
@@ -24,8 +23,6 @@ from .curve import (
     betti_1,
     dual_graph,
     jacobian_dimension,
-    mobius_from_triple,
-    normalize,
     paper_example_curve,
     validate,
 )

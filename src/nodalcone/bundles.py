@@ -36,13 +36,18 @@ collects these columns: the same rank as G from at most ``2 * #nodes``
 columns of small entries, however large the degrees.
 
 The dualizing bundle is realized concretely: on a component whose
-branch points are D, a section of it is the differential
-``f(t) dt / prod_{p in D} (t - p)`` with ``deg f <= |D| - 2``, and the
-node constraints say that residues at the two branches of each node sum
-to zero. Written in the trivialization above, that makes the gluing
-scalar at a node with branches (i, p), (j, q) equal to ``-c_p / c_q``
-where ``c_p = prod_{p' in D_i, p' != p} (p - p')``. This requires every
-marked point to be affine; normalize with the affine-safe style first.
+branch points are D, with A the affine ones among them, a section of it
+is the differential ``f(t) dt / prod_{p in A} (t - p)`` with
+``deg f <= |D| - 2``, and the node constraints say that residues at the
+two branches of each node sum to zero. The residue at an affine p is
+``f(p) / c_p`` with ``c_p = prod_{p' in A, p' != p} (p - p')``. When
+infinity is in D, ``|A| = |D| - 1``; in the chart ``u = 1/t`` the
+differential is ``-f(1/u) u^(|A| - 2) du / prod_{p in A} (1 - p u)``,
+whose ``du / u`` coefficient is ``-a_{|A|-1}``: minus the value at
+infinity in the trivialization above, so ``c_inf = -1``. (Without a
+point at infinity, ``deg f <= |A| - 2`` leaves no pole there.) Either
+way a residue is the value divided by its cofactor, so the gluing
+scalar at a node with branches (i, p), (j, q) is ``-c_p / c_q``.
 """
 
 from __future__ import annotations
@@ -443,31 +448,27 @@ def power(bundle: LineBundle, m: int) -> LineBundle:
 def dualizing_bundle(curve: NodalCurve) -> LineBundle:
     """The dualizing sheaf as an explicit line bundle.
 
-    Sections on a component with branch points D are differentials
-    ``f(t) dt / prod_{p in D}(t - p)``, ``deg f <= |D| - 2``, glued by
-    the residue condition; see the module docstring for the resulting
-    degree-(|D| - 2) trivialization and the ``-c_p / c_q`` scalars.
-    Marked points must all be affine.
+    Sections on a component with branch points D, A the affine ones,
+    are differentials ``f(t) dt / prod_{p in A}(t - p)``,
+    ``deg f <= |D| - 2``, glued by the residue condition; see the module
+    docstring for the resulting degree-(|D| - 2) trivialization, the
+    ``-c_p / c_q`` scalars and the cofactor ``c_inf = -1`` of a branch
+    at infinity.
     """
     problems = validate(curve)
     if problems:
         raise ValueError("invalid curve: " + "; ".join(problems))
-    for comp in curve.components:
-        for p in comp.marked_points:
-            if p.is_infinity:
-                raise ValueError(
-                    f"component {comp.name} has a marked point at infinity; "
-                    "normalize with the affine-safe style first"
-                )
     multidegree = tuple(len(comp.marked_points) - 2 for comp in curve.components)
 
     def cofactor(component_index: int, point_index: int) -> Fraction:
         comp = curve.components[component_index]
-        p = comp.marked_points[point_index].coord
+        p = comp.marked_points[point_index]
+        if p.is_infinity:
+            return -_ONE
         acc = _ONE
         for k, other in enumerate(comp.marked_points):
-            if k != point_index:
-                acc *= p - other.coord
+            if k != point_index and not other.is_infinity:
+                acc *= p.coord - other.coord
         return acc
 
     gluings = []
@@ -514,7 +515,7 @@ def riemann_roch_report(bundle: LineBundle) -> RiemannRochReport:
     )
 
 
-def serre_duality_check(bundle: LineBundle) -> bool:
-    """Exact check that h1 of the bundle equals h0 of (dualizing (x) dual)."""
-    omega = dualizing_bundle(bundle.curve)
+def serre_duality_check(bundle: LineBundle, omega: LineBundle) -> bool:
+    """Exact check that h1 of the bundle equals h0 of (omega (x) dual),
+    with ``omega`` the curve's dualizing bundle, built once by the caller."""
     return h1_direct(bundle) == h0(tensor(omega, dual(bundle)))

@@ -256,154 +256,6 @@ def jacobian_dimension(curve: NodalCurve) -> int:
     return betti_1(dual_graph(curve))
 
 
-@dataclass(frozen=True)
-class MobiusTransform:
-    """Fractional-linear map ``t -> (a t + b) / (c t + d)`` with ``ad - bc != 0``."""
-
-    a: Fraction
-    b: Fraction
-    c: Fraction
-    d: Fraction
-
-    def __post_init__(self) -> None:
-        for field in ("a", "b", "c", "d"):
-            v = getattr(self, field)
-            if not isinstance(v, Fraction):
-                object.__setattr__(self, field, as_scalar(v))
-        if self.determinant() == 0:
-            raise ValueError("degenerate transform: ad - bc = 0")
-
-    def determinant(self) -> Fraction:
-        return self.a * self.d - self.b * self.c
-
-    def apply(self, p: PointOnLine) -> PointOnLine:
-        if p.is_infinity:
-            if self.c == 0:
-                return INFINITY
-            return PointOnLine(self.a / self.c)
-        denom = self.c * p.coord + self.d
-        if denom == 0:
-            return INFINITY
-        return PointOnLine((self.a * p.coord + self.b) / denom)
-
-    def compose(self, other: "MobiusTransform") -> "MobiusTransform":
-        """``self`` after ``other``: matrix product of the coefficient matrices."""
-        return MobiusTransform(
-            self.a * other.a + self.b * other.c,
-            self.a * other.b + self.b * other.d,
-            self.c * other.a + self.d * other.c,
-            self.c * other.b + self.d * other.d,
-        )
-
-    def inverse(self) -> "MobiusTransform":
-        return MobiusTransform(self.d, -self.b, -self.c, self.a)
-
-    @classmethod
-    def identity(cls) -> "MobiusTransform":
-        return cls(Fraction(1), Fraction(0), Fraction(0), Fraction(1))
-
-
-def _projective(p: PointOnLine) -> tuple[Fraction, Fraction]:
-    if p.is_infinity:
-        return Fraction(1), Fraction(0)
-    return p.coord, Fraction(1)
-
-
-def mobius_from_triple(p1: PointOnLine, p2: PointOnLine, p3: PointOnLine) -> MobiusTransform:
-    """The unique transform sending ``(p1, p2, p3)`` to ``(0, 1, inf)``.
-
-    Points may include infinity; they must be pairwise distinct. Written
-    projectively the cross-ratio formula has no special cases.
-    """
-    if p1 == p2 or p1 == p3 or p2 == p3:
-        raise ValueError("points must be pairwise distinct")
-    x1, y1 = _projective(p1)
-    x2, y2 = _projective(p2)
-    x3, y3 = _projective(p3)
-    k1 = x2 * y3 - x3 * y2
-    k2 = x2 * y1 - x1 * y2
-    return MobiusTransform(y1 * k1, -x1 * k1, y3 * k2, -x3 * k2)
-
-
-PAPER_STYLE = "paper"
-AFFINE_SAFE_STYLE = "affine-safe"
-
-# Canonical marked-point targets by count. None stands for infinity.
-_TARGETS = {
-    PAPER_STYLE: {0: (), 1: (0,), 2: (0, None), 3: (0, 1, None)},
-    AFFINE_SAFE_STYLE: {0: (), 1: (0,), 2: (0, 1), 3: (0, 1, 2)},
-}
-
-
-def _target_points(style: str, count: int) -> tuple[PointOnLine, ...]:
-    raw = _TARGETS[style][count]
-    return tuple(INFINITY if v is None else affine_point(v) for v in raw)
-
-
-def _transform_to(points: tuple[PointOnLine, ...], targets: tuple[PointOnLine, ...]) -> MobiusTransform:
-    """A transform carrying ``points`` to ``targets`` elementwise.
-
-    For three points the transform is unique; for fewer, a fixed choice
-    is made so normalization stays deterministic.
-    """
-    n = len(points)
-    if n == 0:
-        return MobiusTransform.identity()
-    if n == 1:
-        (p,) = points
-        # target is always 0
-        if p.is_infinity:
-            return MobiusTransform(Fraction(0), Fraction(1), Fraction(1), Fraction(0))
-        return MobiusTransform(Fraction(1), -p.coord, Fraction(0), Fraction(1))
-    if n == 2:
-        p, q = points
-        if targets[1].is_infinity:
-            # (p, q) -> (0, inf)
-            if p.is_infinity:
-                return MobiusTransform(Fraction(0), Fraction(1), Fraction(1), -q.coord)
-            if q.is_infinity:
-                return MobiusTransform(Fraction(1), -p.coord, Fraction(0), Fraction(1))
-            return MobiusTransform(Fraction(1), -p.coord, Fraction(1), -q.coord)
-        # (p, q) -> (0, 1)
-        if p.is_infinity:
-            return MobiusTransform(Fraction(0), Fraction(1), Fraction(1), Fraction(1) - q.coord)
-        if q.is_infinity:
-            return MobiusTransform(Fraction(1), -p.coord, Fraction(1), Fraction(1) - p.coord)
-        return MobiusTransform(Fraction(1), -p.coord, Fraction(0), q.coord - p.coord)
-    if n == 3:
-        to_standard = mobius_from_triple(*points)
-        target_to_standard = mobius_from_triple(*targets)
-        return target_to_standard.inverse().compose(to_standard)
-    raise ValueError("no canonical coordinates for a component with more than 3 marked points")
-
-
-def normalize(curve: NodalCurve, style: str = AFFINE_SAFE_STYLE) -> NodalCurve:
-    """Move every component's marked points to canonical coordinates.
-
-    Styles: ``"paper"`` uses (0), (0, inf), (0, 1, inf); ``"affine-safe"``
-    uses (0), (0, 1), (0, 1, 2) and so never places a marked point at
-    infinity, which the dualizing-bundle construction requires. Node
-    structure is untouched. A curve already in target coordinates comes
-    back unchanged.
-    """
-    if style not in _TARGETS:
-        raise ValueError(f"unknown normalization style {style!r}")
-    _require_valid(curve)
-    for comp in curve.components:
-        if len(comp.marked_points) > 3:
-            raise ValueError(
-                f"component {comp.name} has {len(comp.marked_points)} marked points; "
-                "no canonical coordinates beyond 3"
-            )
-    new_components = []
-    for comp in curve.components:
-        targets = _target_points(style, len(comp.marked_points))
-        transform = _transform_to(comp.marked_points, targets)
-        moved = tuple(transform.apply(p) for p in comp.marked_points)
-        new_components.append(Component(comp.name, moved))
-    return NodalCurve(tuple(new_components), curve.nodes)
-
-
 def paper_example_curve() -> NodalCurve:
     """The reference curve used across the docs and test-suite.
 

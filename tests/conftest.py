@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from nodalcone.bundles import LineBundle
-from nodalcone.curve import Component, NodalCurve, NodeGluing, affine_point, paper_example_curve
+from nodalcone.curve import INFINITY, Component, NodalCurve, NodeGluing, affine_point, paper_example_curve
 
 
 @pytest.fixture
@@ -43,6 +43,30 @@ def random_curve(rng, max_components=4, max_nodes=4):
         NodeGluing((f"C{a + 1}", ia), (f"C{b + 1}", ib)) for a, ia, b, ib in node_refs
     )
     return NodalCurve(tuple(components), nodes)
+
+
+def curve_with_infinity(rng):
+    """Connected curve whose components may carry a point at infinity
+    (``random_curve`` is affine-only), with self-nodes on about a third
+    of its components, so a node can have both branches in one block."""
+    k = rng.randint(1, 4)
+    edges = [(rng.randrange(j), j) for j in range(1, k)]
+    edges += [(i, i) for i in range(k) if rng.random() < 1 / 3]
+    edges += [(rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(0, 2))]
+    counts = [0] * k
+    refs = []
+    for a, b in edges:
+        refs.append(((f"C{a + 1}", counts[a]), (f"C{b + 1}", counts[b] + (a == b))))
+        counts[a] += 1
+        counts[b] += 1
+    components = []
+    for i in range(k):
+        den = rng.randint(1, 3)
+        pts = [affine_point(Fraction(n, den)) for n in rng.sample(range(-8, 9), counts[i])]
+        if pts and rng.random() < 0.5:
+            pts[rng.randrange(len(pts))] = INFINITY
+        components.append(Component(f"C{i + 1}", tuple(pts)))
+    return NodalCurve(tuple(components), tuple(NodeGluing(a, b) for a, b in refs))
 
 
 def random_bundle(rng, curve, degree_range=(-4, 4)):

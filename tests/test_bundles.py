@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import flip_node, random_bundle, random_curve
+from conftest import curve_with_infinity, flip_node, random_bundle, random_curve
 from nodalcone.bundles import (
     LineBundle,
     Section,
@@ -46,7 +46,6 @@ from nodalcone.curve import (
     NodeGluing,
     affine_point,
     arithmetic_genus,
-    normalize,
     paper_example_curve,
 )
 from nodalcone.exactlin import MatrixQ, rank
@@ -223,10 +222,80 @@ def test_tangent_bundle_weight_zero_values(paper_curve):
     assert h1_direct(theta) == 1
 
 
-def test_dualizing_bundle_requires_affine_points(paper_curve):
-    moved = normalize(paper_curve, style="paper")
-    with pytest.raises(ValueError):
-        dualizing_bundle(moved)
+def test_dualizing_bundle_on_paper_curve_at_infinity(paper_curve):
+    # the reference curve with C1's points 0, 1 moved to 0, inf (t -> t / (1 - t))
+    # and C2's 0, 1, 2 to 0, 1, inf (t -> t / (2 - t)); C3 and the nodes stay
+    c1 = Component("C1", (affine_point(0), INFINITY))
+    c2 = Component("C2", (affine_point(0), affine_point(1), INFINITY))
+    moved = NodalCurve((c1, c2, paper_curve.components[2]), paper_curve.nodes)
+    omega = dualizing_bundle(moved)
+    assert omega.multidegree == (0, 1, -1)
+    # cofactors: C1: c_0 = 1, c_inf = -1; C2: c_0 = 0 - 1, c_1 = 1 - 0, c_inf = -1;
+    # C3: c_0 = 1. Node scalars -c_p / c_q: -1/1, -(-1)/1, -(-1)/(-1)
+    assert omega.gluings == (F(-1), F(1), F(-1))
+    # a constant a on C1 and b_0 + b_1 t on C2: a = 0, a = b_0 + b_1, b_0 = -b_1,
+    # so one section, b (1 - t) dt / (t (t - 1)) = -b dt / t on C2
+    assert h0(omega) == 1 == arithmetic_genus(moved)
+    assert h1_direct(omega) == 1
+    # the two curves are isomorphic, so every power of omega has the same cohomology
+    affine_omega = dualizing_bundle(paper_curve)
+    for k in range(-3, 4):
+        assert cohomology(power(omega, k)) == cohomology(power(affine_omega, k)), k
+
+
+def test_dualizing_bundle_of_nodal_cubic_at_zero_and_infinity():
+    # one line with its points 0 and inf glued: omega is trivial, spanned by
+    # dt / t, whose residues +1 at 0 and -1 at inf cancel at the node
+    cubic = NodalCurve((Component("C1", (affine_point(0), INFINITY)),), (NodeGluing(("C1", 0), ("C1", 1)),))
+    assert dualizing_bundle(cubic) == trivial_bundle(cubic)
+    assert cohomology(dualizing_bundle(cubic)) == (1, 1)
+
+
+def test_dualizing_bundle_with_infinity_randomized():
+    rng = random.Random(1777)
+    genera = set()
+    with_infinity = 0
+    for _ in range(60):
+        curve = curve_with_infinity(rng)
+        genus = arithmetic_genus(curve)
+        genera.add(genus)
+        with_infinity += any(p.is_infinity for c in curve.components for p in c.marked_points)
+        omega = dualizing_bundle(curve)
+        assert omega.degree() == 2 * genus - 2
+        assert cohomology(omega) == (genus, 1), curve
+        for _ in range(3):
+            bundle = random_bundle(rng, curve)
+            assert serre_duality_check(bundle, omega), (curve, bundle)
+    assert set(range(5)) <= genera
+    assert with_infinity >= 30
+
+
+def _send_a_point_to_infinity(rng, curve):
+    """The same curve in new coordinates: on each component with marked
+    points, ``t -> 1 / (t - p)`` for one of them, p, which goes to infinity
+    while the others stay affine and distinct."""
+    components = []
+    for comp in curve.components:
+        if comp.marked_points:
+            p = rng.choice(comp.marked_points).coord
+            comp = Component(
+                comp.name,
+                tuple(INFINITY if q.coord == p else affine_point(1 / (q.coord - p)) for q in comp.marked_points),
+            )
+        components.append(comp)
+    return NodalCurve(tuple(components), curve.nodes)
+
+
+def test_dualizing_bundle_powers_agree_across_charts():
+    # omega is intrinsic, so moving points to infinity must not change the
+    # cohomology of any of its powers, the tangent bundle (k = -1) included
+    rng = random.Random(6161)
+    for _ in range(30):
+        curve = random_curve(rng)
+        moved = _send_a_point_to_infinity(rng, curve)
+        omega, moved_omega = dualizing_bundle(curve), dualizing_bundle(moved)
+        for k in range(-2, 3):
+            assert cohomology(power(moved_omega, k)) == cohomology(power(omega, k)), (curve, k)
 
 
 def test_riemann_roch_on_reference_bundles(paper_curve):
@@ -254,7 +323,7 @@ def test_serre_duality_randomized():
     for _ in range(25):
         curve = random_curve(rng)
         bundle = random_bundle(rng, curve)
-        assert serre_duality_check(bundle), (curve, bundle)
+        assert serre_duality_check(bundle, dualizing_bundle(curve)), (curve, bundle)
         checked += 1
     assert checked >= 20
 
@@ -326,35 +395,11 @@ def test_h0_matches_degree_for_ample_range(paper_curve):
         assert h0(b) == sum(degrees)
 
 
-def _curve_with_infinity(rng):
-    """Connected curve whose components may carry a point at infinity
-    (``random_curve`` is affine-only), with self-nodes on about a third
-    of its components, so a node can have both branches in one block."""
-    k = rng.randint(1, 4)
-    edges = [(rng.randrange(j), j) for j in range(1, k)]
-    edges += [(i, i) for i in range(k) if rng.random() < 1 / 3]
-    edges += [(rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(0, 2))]
-    counts = [0] * k
-    refs = []
-    for a, b in edges:
-        refs.append(((f"C{a + 1}", counts[a]), (f"C{b + 1}", counts[b] + (a == b))))
-        counts[a] += 1
-        counts[b] += 1
-    components = []
-    for i in range(k):
-        den = rng.randint(1, 3)
-        pts = [affine_point(F(n, den)) for n in rng.sample(range(-8, 9), counts[i])]
-        if pts and rng.random() < 0.5:
-            pts[rng.randrange(len(pts))] = INFINITY
-        components.append(Component(f"C{i + 1}", tuple(pts)))
-    return NodalCurve(tuple(components), tuple(NodeGluing(a, b) for a, b in refs))
-
-
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=-6, max_value=6))
 def test_branch_value_matrix_has_the_gluing_rank(seed, m):
     rng = random.Random(seed)
-    curve = _curve_with_infinity(rng)
+    curve = curve_with_infinity(rng)
     nonzero = [x for x in range(-5, 6) if x != 0]
     base = LineBundle(
         curve,

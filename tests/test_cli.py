@@ -1,13 +1,19 @@
 """CLI spec parsing, subcommands, exit codes, deterministic output."""
 
+import contextlib
+import copy
 import hashlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nodalcone.cli import (
     EXIT_CHECK_FAILED,
@@ -23,6 +29,7 @@ from nodalcone.cli import (
     parse_spec,
     serialize_spec,
 )
+from nodalcone.bundles import dualizing_bundle
 from nodalcone.curve import arithmetic_genus
 
 F = Fraction
@@ -231,6 +238,18 @@ def test_main_deform_json(capsys):
     assert entries[1]["discrepancy"] is False
 
 
+def test_main_ideal_reports_a_node_without_an_image(tmp_path, capsys):
+    # C3 at degree -3 forces every section to vanish at node 0 (C1.0 ~ C3.0)
+    doc = json.loads(PAPER_SPEC.read_text())
+    doc["bundle"]["multidegree"] = [4, 3, -3]
+    path = tmp_path / "neg.json"
+    path.write_text(json.dumps(doc))
+    assert main(["ideal", str(path), "--json"]) == EXIT_OK
+    probe = json.loads(capsys.readouterr().out)["sections"]["ideal"]["singularity_probe"]
+    assert probe["node_ranks"][0] is None
+    assert all(isinstance(r, int) for r in probe["node_ranks"][1:])
+
+
 def test_main_deform_equals_range_spelling(capsys):
     assert main(["deform", str(PAPER_SPEC), "--json", "--range=-1:1"]) == EXIT_OK
     body = json.loads(capsys.readouterr().out)["sections"]["deform"]
@@ -281,6 +300,24 @@ def test_main_verify_with_too_few_sections(tmp_path, capsys):
     }
 
 
+def test_main_verify_without_sections_at_high_degree(tmp_path, capsys):
+    # two lines meeting in eight points, multidegree (3, 3): genus 7 and no
+    # sections, so no sample point has an image for the quadric check
+    doc = {
+        "components": [{"name": name, "points": [str(k) for k in range(8)]} for name in "AB"],
+        "nodes": [{"a": f"A.{k}", "b": f"B.{k}"} for k in range(8)],
+        "bundle": {"multidegree": [3, 3], "gluings": ["2", "3", "5", "7", "11", "13", "17", "19"]},
+    }
+    path = tmp_path / "g7.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--json", "--samples", "1"]) == EXIT_CHECK_FAILED
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    checks = {c["name"]: c for c in json.loads(captured.out)["sections"]["verify"]["checks"]}
+    assert checks["very-ample"]["status"] == "FAIL"
+    assert checks["quadrics-vanish-on-curve"]["detail"].endswith("at 0 points, 0 nonzero values")
+
+
 def test_main_rejects_bad_sample_counts(capsys):
     for command in ("ample", "embed", "ideal", "verify"):
         for samples in ("-3", "1000"):
@@ -305,21 +342,101 @@ def test_main_missing_file(capsys):
     assert "cannot read" in capsys.readouterr().err
 
 
-def test_main_deform_rejects_infinity_points(tmp_path, capsys):
-    doc = {
-        "components": [
-            {"name": "A", "points": ["0", "inf"]},
-            {"name": "B", "points": ["0", "1"]},
-        ],
-        "nodes": [{"a": "A.0", "b": "B.0"}, {"a": "A.1", "b": "B.1"}],
-        "bundle": {"multidegree": [2, 2]},
-    }
+INFINITY_SPEC = {
+    "components": [
+        {"name": "A", "points": ["0", "inf"]},
+        {"name": "B", "points": ["0", "1"]},
+    ],
+    "nodes": [{"a": "A.0", "b": "B.0"}, {"a": "A.1", "b": "B.1"}],
+    "bundle": {"multidegree": [2, 2]},
+}
+
+
+def test_main_deform_accepts_infinity_points(tmp_path, capsys):
     path = tmp_path / "inf.json"
+    path.write_text(json.dumps(INFINITY_SPEC))
+    assert main(["deform", str(path), "--json", "--range", "-4:4"]) == EXIT_OK
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    entries = json.loads(captured.out)["sections"]["deform"]["entries"]
+    assert [e["m"] for e in entries] == list(range(-4, 5))
+    for e in entries:  # Riemann-Roch for T (x) L^m: D = 4, g = 1
+        assert e["t0_direct"] - e["t1_direct"] == 4 * e["m"] + 3 - 3 * 1
+    assert main(["deform", str(path)]) == EXIT_OK
+
+
+def test_main_runs_every_check_with_infinity_points(tmp_path, capsys):
+    path = tmp_path / "inf.json"
+    path.write_text(json.dumps(INFINITY_SPEC))
+    assert main(["sections", str(path), "--json"]) == EXIT_OK
+    assert json.loads(capsys.readouterr().out)["sections"]["sections"]["serre_duality"] is True
+    assert main(["verify", str(path), "--json"]) == EXIT_OK
+    checks = json.loads(capsys.readouterr().out)["sections"]["verify"]["checks"]
+    statuses = {c["name"]: c["status"] for c in checks}
+    # genus 1 and degree 4: the closed form holds at every nonzero weight
+    for name in ("dualizing-h0-equals-genus", "serre-duality", "deformation-formula-vs-direct", "randomized-serre"):
+        assert statuses[name] == "ok", name
+    assert statuses["deformation-weight-0"] == "info"
+    assert not any("infinity" in c["detail"] for c in checks)
+
+
+OFF_GENUS_ONE = {
+    # two lines meeting once, one of the branches at infinity
+    0: {
+        "components": [{"name": "A", "points": ["inf"]}, {"name": "B", "points": ["0"]}],
+        "nodes": [{"a": "A.0", "b": "B.0"}],
+        "bundle": {"multidegree": [1, 1]},
+    },
+    # two lines meeting in three points, multidegree (3, 3)
+    2: {
+        "components": [{"name": name, "points": ["0", "1", "2"]} for name in "AB"],
+        "nodes": [{"a": f"A.{k}", "b": f"B.{k}"} for k in range(3)],
+        "bundle": {"multidegree": [3, 3]},
+    },
+}
+
+
+@pytest.mark.parametrize("genus", sorted(OFF_GENUS_ONE))
+def test_main_verify_skips_the_closed_form_off_genus_one(genus, tmp_path, capsys):
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(OFF_GENUS_ONE[genus]))
+    assert main(["verify", str(path), "--json"]) == EXIT_OK
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["sections"]["verify"]["checks"]}
+    assert checks["deformation-formula-vs-direct"]["status"] == "skip"
+    assert f"genus {genus}" in checks["deformation-formula-vs-direct"]["detail"]
+    assert checks["dualizing-h0-equals-genus"]["status"] == "ok"
+
+
+def test_main_deform_paper_curve_in_coordinates_zero_one_infinity(tmp_path, capsys):
+    # C1's points 0, 1 moved to 0, inf and C2's 0, 1, 2 to 0, 1, inf: an
+    # isomorphic curve, and (4, 3, 3) fixes every h0 and h1 of the twists
+    doc = json.loads(PAPER_SPEC.read_text())
+    doc["components"][0]["points"] = ["0", "inf"]
+    doc["components"][1]["points"] = ["0", "1", "inf"]
+    path = tmp_path / "paper-inf.json"
     path.write_text(json.dumps(doc))
-    assert main(["sections", str(path)]) == EXIT_OK  # sections still fine
-    capsys.readouterr()
-    assert main(["deform", str(path)]) == EXIT_INPUT_ERROR
-    assert "error[infinity]" in capsys.readouterr().err
+    tables = []
+    for spec in (PAPER_SPEC, path):
+        assert main(["deform", str(spec), "--json", "--range", "-4:4"]) == EXIT_OK
+        tables.append(json.loads(capsys.readouterr().out)["sections"]["deform"])
+    assert tables[0] == tables[1]
+
+
+def test_verify_builds_the_dualizing_bundle_twice(monkeypatch, capsys):
+    from nodalcone import bundles, cli
+
+    calls = []
+
+    def counting(curve):
+        calls.append(curve)
+        return dualizing_bundle(curve)
+
+    monkeypatch.setattr(bundles, "dualizing_bundle", counting)
+    monkeypatch.setattr(cli, "dualizing_bundle", counting)
+    assert main(["verify", str(PAPER_SPEC), "--json"]) == EXIT_OK
+    # once for the duality checks, once for graded_report's tangent bundle;
+    # not once per Serre duality check (14 of them)
+    assert len(calls) == 2
 
 
 def test_exit_code_constants():
@@ -358,3 +475,82 @@ def test_json_output_matches_pinned_digest(command, name, monkeypatch, capsys):
     assert main([command, f"curves/{name}", *PINNED_FLAGS[command]]) == EXIT_OK
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED_STDOUT[(command, name)]
+
+
+SPEC_DOCS = [json.loads(p.read_text()) for p in sorted((REPO / "curves").glob("*.json"))]
+FUZZ_VALUES = ["1/0", "x", "", 5, 1.5, None, True, [], {}]
+
+
+@st.composite
+def mutated_spec(draw):
+    """A checked-in spec after up to three well-typed edits (a point moved
+    or sent to infinity, a degree in -3..6, a gluing scalar, a node end
+    rewired or a node dropped), then, one time in three, one field set to
+    a value of the wrong kind or a top-level key dropped."""
+    doc = copy.deepcopy(draw(st.sampled_from(SPEC_DOCS)))
+    comps, nodes, bundle = doc["components"], doc["nodes"], doc["bundle"]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(st.sampled_from(["inf", "inf", "point", "degree", "degree", "gluing", "branch", "node"]))
+        if kind in ("inf", "point"):
+            points = draw(st.sampled_from(comps))["points"]
+            value = "inf" if kind == "inf" else draw(st.sampled_from(["0", "1", "-1/2", "5", "7/3"]))
+            points[draw(st.integers(0, len(points) - 1))] = value
+        elif kind == "degree":
+            bundle["multidegree"][draw(st.integers(0, len(comps) - 1))] = draw(st.integers(-3, 6))
+        elif kind == "gluing":
+            bundle["gluings"][draw(st.integers(0, len(nodes) - 1))] = draw(st.sampled_from(["2", "-1/3", "0", 3]))
+        elif kind == "branch":
+            end = draw(st.sampled_from(["a", "b"]))
+            draw(st.sampled_from(nodes))[end] = draw(st.sampled_from(["C1.0", "C2.2", "C3.0", "C9.0", "C1.9", "C1", ".0"]))
+        elif len(nodes) > 1:
+            nodes.pop(draw(st.integers(0, len(nodes) - 1)))
+            bundle["gluings"].pop()
+    if draw(st.integers(0, 2)) == 0:
+        value = draw(st.sampled_from(FUZZ_VALUES))
+        field = draw(st.sampled_from(["point", "degree", "gluing", "node", "key"]))
+        if field == "point":
+            draw(st.sampled_from(comps))["points"][0] = value
+        elif field == "degree":
+            bundle["multidegree"][0] = value
+        elif field == "gluing":
+            bundle["gluings"][0] = value
+        elif field == "node":
+            nodes[0]["a"] = value
+        else:
+            key = draw(st.sampled_from(["components", "nodes", "bundle"]))
+            if draw(st.booleans()):
+                del doc[key]
+            else:
+                doc[key] = value
+    return doc
+
+
+@st.composite
+def fuzz_argv(draw):
+    command = draw(st.sampled_from(["info", "sections", "ample", "embed", "ideal", "deform", "verify"]))
+    flags = ["--json"] if draw(st.booleans()) else []
+    if command == "sections" and draw(st.booleans()):
+        flags.append("--basis")
+    if command in ("ample", "embed", "ideal", "verify"):
+        flags += ["--samples", str(draw(st.integers(0, 2))), "--seed", str(draw(st.integers(0, 9)))]
+    if command in ("deform", "verify"):
+        flags += ["--range", f"{draw(st.integers(-6, 0))}:{draw(st.integers(0, 6))}"]
+    return command, flags
+
+
+@settings(max_examples=60, deadline=None)
+@given(mutated_spec(), fuzz_argv())
+def test_main_fuzz_exits_cleanly(doc, argv):
+    # hypothesis rules out function-scoped fixtures, so no tmp_path or capsys
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "spec.json"
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([argv[0], str(path), *argv[1]])
+    assert code in (EXIT_OK, EXIT_CHECK_FAILED, EXIT_INPUT_ERROR)
+    if code == EXIT_INPUT_ERROR:
+        assert err.getvalue().startswith("error")
+        assert out.getvalue() == ""
+    else:
+        assert err.getvalue() == "" and out.getvalue()

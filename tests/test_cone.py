@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_bundle, random_curve
+from conftest import curve_with_infinity, random_bundle, random_curve
 from nodalcone.bundles import h0, h1_direct, line_bundle, trivial_bundle
 from nodalcone.cone import (
     DIRECT,
@@ -149,3 +149,16 @@ def test_direct_values_satisfy_riemann_roch_at_every_weight_and_genus():
         for e in graded_report(curve, bundle, -3, 3).entries:
             assert e.t0_direct - e.t1_direct == bundle.degree() * e.m + 3 - 3 * g, (curve, bundle, e)
     assert genera == {0, 1, 2, 3, 4}
+
+
+def test_direct_values_satisfy_riemann_roch_with_points_at_infinity():
+    rng = random.Random(3304)
+    genera = set()
+    for _ in range(40):
+        curve = curve_with_infinity(rng)
+        bundle = random_bundle(rng, curve)
+        g = arithmetic_genus(curve)
+        genera.add(g)
+        for e in graded_report(curve, bundle, -3, 3).entries:
+            assert e.t0_direct - e.t1_direct == bundle.degree() * e.m + 3 - 3 * g, (curve, bundle, e)
+    assert set(range(5)) <= genera

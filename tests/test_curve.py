@@ -1,18 +1,15 @@
-"""Curve assembly, validation, graph invariants, Mobius normalization."""
+"""Curve assembly, validation, graph invariants."""
 
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import random_curve
 from nodalcone.curve import (
     INFINITY,
     Component,
     InvalidCurveError,
-    MobiusTransform,
     NodalCurve,
     NodeGluing,
     PointOnLine,
@@ -21,8 +18,6 @@ from nodalcone.curve import (
     betti_1,
     dual_graph,
     jacobian_dimension,
-    mobius_from_triple,
-    normalize,
     paper_example_curve,
     validate,
 )
@@ -172,123 +167,3 @@ def test_component_lookup(paper_curve):
         paper_curve.component("C9")
     p = paper_curve.branch_point(("C2", 2))
     assert p.coord == F(2)
-
-
-def test_mobius_from_triple_standard():
-    t = mobius_from_triple(affine_point(F(1)), affine_point(F(2)), affine_point(F(3)))
-    assert t.apply(affine_point(F(1))) == affine_point(F(0))
-    assert t.apply(affine_point(F(2))) == affine_point(F(1))
-    assert t.apply(affine_point(F(3))).is_infinity
-
-
-def test_mobius_from_triple_with_infinity():
-    t = mobius_from_triple(INFINITY, affine_point(F(0)), affine_point(F(1)))
-    assert t.apply(INFINITY) == affine_point(F(0))
-    assert t.apply(affine_point(F(0))) == affine_point(F(1))
-    assert t.apply(affine_point(F(1))).is_infinity
-
-
-def test_mobius_requires_distinct_points():
-    with pytest.raises(ValueError):
-        mobius_from_triple(affine_point(F(1)), affine_point(F(1)), affine_point(F(2)))
-
-
-def test_mobius_identity_and_compose():
-    ident = MobiusTransform.identity()
-    assert ident.apply(affine_point(F(7, 3))) == affine_point(F(7, 3))
-    t = MobiusTransform(F(2), F(1), F(0), F(1))  # z -> 2z + 1
-    assert t.apply(affine_point(F(3))) == affine_point(F(7))
-    assert t.inverse().compose(t).apply(affine_point(F(5))) == affine_point(F(5))
-
-
-def test_mobius_degenerate_rejected():
-    with pytest.raises(ValueError):
-        MobiusTransform(F(1), F(2), F(2), F(4))
-
-
-points_st = st.one_of(
-    st.just(INFINITY),
-    st.builds(affine_point, st.fractions(min_value=-9, max_value=9, max_denominator=4)),
-)
-
-
-@settings(max_examples=80, deadline=None)
-@given(st.tuples(points_st, points_st, points_st))
-def test_mobius_triple_property(triple):
-    p, q, r = triple
-    if len({str(p), str(q), str(r)}) < 3:
-        with pytest.raises(ValueError):
-            mobius_from_triple(p, q, r)
-        return
-    t = mobius_from_triple(p, q, r)
-    assert t.apply(p) == affine_point(F(0))
-    assert t.apply(q) == affine_point(F(1))
-    assert t.apply(r).is_infinity
-    back = t.inverse()
-    assert back.apply(affine_point(F(0))) == p
-    assert back.apply(affine_point(F(1))) == q
-    assert back.apply(INFINITY) == r
-
-
-def test_normalize_paper_style(paper_curve):
-    fixed = normalize(paper_curve, style="paper")
-    coords = [tuple(str(p) for p in c.marked_points) for c in fixed.components]
-    assert coords == [("0", "inf"), ("0", "1", "inf"), ("0",)]
-    assert fixed.nodes == paper_curve.nodes
-    assert arithmetic_genus(fixed) == 1
-
-
-def test_normalize_affine_safe_style(paper_curve):
-    fixed = normalize(paper_curve, style="affine-safe")
-    coords = [tuple(str(p) for p in c.marked_points) for c in fixed.components]
-    assert coords == [("0", "1"), ("0", "1", "2"), ("0",)]
-    # the reference curve is already in affine-safe position
-    assert fixed == paper_curve
-
-
-def test_normalize_moves_shifted_curve_to_affine_safe():
-    c1 = Component("C1", (affine_point(F(5)), affine_point(F(7))))
-    c2 = Component("C2", (affine_point(F(1, 2)), affine_point(F(3)), affine_point(F(9))))
-    c3 = Component("C3", (affine_point(F(4)),))
-    curve = NodalCurve(
-        (c1, c2, c3),
-        (
-            NodeGluing(("C1", 0), ("C3", 0)),
-            NodeGluing(("C1", 1), ("C2", 1)),
-            NodeGluing(("C2", 0), ("C2", 2)),
-        ),
-    )
-    fixed = normalize(curve, style="affine-safe")
-    coords = [tuple(str(p) for p in c.marked_points) for c in fixed.components]
-    assert coords == [("0", "1"), ("0", "1", "2"), ("0",)]
-    assert arithmetic_genus(fixed) == arithmetic_genus(curve)
-
-
-def test_normalize_rejects_unknown_style(paper_curve):
-    with pytest.raises(ValueError):
-        normalize(paper_curve, style="projective")
-
-
-def test_normalize_rejects_many_points():
-    pts = tuple(affine_point(F(i)) for i in range(4))
-    c = Component("C1", pts)
-    curve = NodalCurve(
-        (c,), (NodeGluing(("C1", 0), ("C1", 1)), NodeGluing(("C1", 2), ("C1", 3)))
-    )
-    with pytest.raises(ValueError):
-        normalize(curve, style="paper")
-
-
-def test_normalize_preserves_invariants_on_random_curves():
-    rng = random.Random(777)
-    checked = 0
-    for _ in range(40):
-        curve = random_curve(rng)
-        if any(len(c.marked_points) > 3 for c in curve.components):
-            continue
-        fixed = normalize(curve, style="affine-safe")
-        assert validate(fixed) == []
-        assert arithmetic_genus(fixed) == arithmetic_genus(curve)
-        assert fixed.nodes == curve.nodes
-        checked += 1
-    assert checked >= 10
