@@ -55,7 +55,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .curve import NodalCurve, PointOnLine, validate
+from .curve import NodalCurve, PointOnLine
 from .exactlin import MatrixQ, VectorQ, as_scalar, free_columns, kernel_from_rref, rank, rref
 
 _ZERO = Fraction(0)
@@ -224,9 +224,6 @@ def _node_matrix(bundle: LineBundle, onto: frozenset[int]) -> MatrixQ:
     """Node rows over the component blocks; a component in ``onto`` gets
     one unit column per marked point instead of its coefficient block."""
     curve = bundle.curve
-    problems = validate(curve)
-    if problems:
-        raise ValueError("invalid curve: " + "; ".join(problems))
     widths = tuple(
         len(comp.marked_points) if i in onto else w
         for i, (comp, w) in enumerate(zip(curve.components, block_widths(bundle)))
@@ -455,9 +452,6 @@ def dualizing_bundle(curve: NodalCurve) -> LineBundle:
     ``-c_p / c_q`` scalars and the cofactor ``c_inf = -1`` of a branch
     at infinity.
     """
-    problems = validate(curve)
-    if problems:
-        raise ValueError("invalid curve: " + "; ".join(problems))
     multidegree = tuple(len(comp.marked_points) - 2 for comp in curve.components)
 
     def cofactor(component_index: int, point_index: int) -> Fraction:

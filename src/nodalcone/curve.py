@@ -9,9 +9,10 @@ must be distinct marked points. The dual graph has one vertex per
 component and one edge per node (a self-node becomes a loop), and the
 arithmetic genus is ``#nodes - #components + 1`` for connected curves.
 
-Validation is data, not control flow: ``validate`` returns a list of
-violation strings and the derived quantities raise only when handed a
-curve that fails it.
+A curve is valid by construction: ``NodalCurve`` runs ``validate``,
+which returns the list of violation strings, and raises
+``InvalidCurveError`` with all of them when the list is not empty. So
+the derived quantities never check the curve again.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .exactlin import as_scalar
 
 
 class InvalidCurveError(ValueError):
-    """Raised when a derived quantity is asked of an invalid curve."""
+    """Raised when a ``NodalCurve`` is built from data that fails ``validate``."""
 
 
 @dataclass(frozen=True)
@@ -94,6 +95,9 @@ class NodalCurve:
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
         object.__setattr__(self, "nodes", tuple(self.nodes))
+        problems = validate(self)
+        if problems:
+            raise InvalidCurveError("; ".join(problems))
 
     def component_index(self, name: str) -> int:
         for i, comp in enumerate(self.components):
@@ -211,25 +215,14 @@ def validate(curve: NodalCurve) -> list[str]:
                         f"marked point {comp.name}[{idx}] (coordinate {p}) "
                         f"is attached to {n} node branches; exactly one is allowed"
                     )
-        graph = DualGraph(
-            tuple(c.name for c in curve.components),
-            tuple((n.branch_a[0], n.branch_b[0]) for n in curve.nodes),
-        )
-        if graph.connected_component_count() > 1:
+        if dual_graph(curve).connected_component_count() > 1:
             problems.append("curve is not connected")
 
     return problems
 
 
-def _require_valid(curve: NodalCurve) -> None:
-    problems = validate(curve)
-    if problems:
-        raise InvalidCurveError("; ".join(problems))
-
-
 def dual_graph(curve: NodalCurve) -> DualGraph:
-    """Dual graph of a valid curve: one vertex per component, one edge per node."""
-    _require_valid(curve)
+    """Dual graph: one vertex per component, one edge per node."""
     return DualGraph(
         tuple(c.name for c in curve.components),
         tuple((n.branch_a[0], n.branch_b[0]) for n in curve.nodes),
@@ -237,8 +230,7 @@ def dual_graph(curve: NodalCurve) -> DualGraph:
 
 
 def arithmetic_genus(curve: NodalCurve) -> int:
-    """``#nodes - #components + 1`` for a valid connected curve."""
-    _require_valid(curve)
+    """``#nodes - #components + 1``; every curve is connected."""
     return len(curve.nodes) - len(curve.components) + 1
 
 

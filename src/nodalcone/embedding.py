@@ -8,9 +8,9 @@ a deterministic sample set: every node, plus seeded pseudo-random
 affine points on each component. Random sampling can only ever refute;
 the criterion is what certifies.
 
-Point-level tests (separation of points and jets, embedding
-coordinates, node bookkeeping) take the section space their caller
-holds, so a bundle is eliminated once however many points are tested.
+Every check takes the section space its caller holds (the verdicts,
+the point-level tests, node bookkeeping and the multiplication map),
+so a bundle is eliminated once however many checks and points use it.
 
 The multiplication map Sym^m H0(L) -> H0(L^m) is assembled in the
 canonical section bases on both sides, monomials ordered graded-lex
@@ -33,7 +33,6 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 from .bundles import (
-    LineBundle,
     SectionSpace,
     flatten_section,
     multiply_sections,
@@ -184,13 +183,12 @@ class AmpleVerdict:
     samples_checked: int
 
 
-def globally_generated(bundle: LineBundle, extra_samples: int = 5, seed: int = SAMPLE_SEED) -> AmpleVerdict:
+def globally_generated(space: SectionSpace, extra_samples: int = 5, seed: int = SAMPLE_SEED) -> AmpleVerdict:
     """Criterion: min degree >= 2. Direct mode: no sample point where
     every section vanishes. A bundle without sections fails outright."""
-    space = section_basis(bundle)
     if len(space.basis) < 1:
         return AmpleVerdict(FAILED, "no global sections (h0 = 0)", 0)
-    samples = sample_points(bundle.curve, extra_samples, seed)
+    samples = sample_points(space.bundle.curve, extra_samples, seed)
     witness = None
     for x in samples:
         values = _evaluation_vector(space, x)
@@ -199,7 +197,7 @@ def globally_generated(bundle: LineBundle, extra_samples: int = 5, seed: int = S
             break
     if witness is not None:
         return AmpleVerdict(FAILED, witness, len(samples))
-    criterion = min(bundle.multidegree) >= 2
+    criterion = min(space.bundle.multidegree) >= 2
     status = CRITERION_SATISFIED if criterion else VERIFIED_ON_SAMPLES
     return AmpleVerdict(status, None, len(samples))
 
@@ -243,7 +241,7 @@ def separates_jets(space: SectionSpace, x: CurvePoint) -> bool:
     return rank(matrix) == 2
 
 
-def very_ample(bundle: LineBundle, extra_samples: int = 5, seed: int = SAMPLE_SEED) -> AmpleVerdict:
+def very_ample(space: SectionSpace, extra_samples: int = 5, seed: int = SAMPLE_SEED) -> AmpleVerdict:
     """Criterion: min degree >= 3. Direct mode: separation of all sample
     pairs, then jets at every sample point (branch by branch at nodes).
 
@@ -251,10 +249,9 @@ def very_ample(bundle: LineBundle, extra_samples: int = 5, seed: int = SAMPLE_SE
     individually. A bundle with fewer than two sections fails outright,
     after no tests.
     """
-    space = section_basis(bundle)
     if len(space.basis) < 2:
         return AmpleVerdict(FAILED, f"fewer than two global sections (h0 = {len(space.basis)})", 0)
-    samples = sample_points(bundle.curve, extra_samples, seed)
+    samples = sample_points(space.bundle.curve, extra_samples, seed)
     checked = 0
     witness = None
     for i in range(len(samples)):
@@ -284,7 +281,7 @@ def very_ample(bundle: LineBundle, extra_samples: int = 5, seed: int = SAMPLE_SE
                     break
     if witness is not None:
         return AmpleVerdict(FAILED, witness, checked)
-    criterion = min(bundle.multidegree) >= 3
+    criterion = min(space.bundle.multidegree) >= 3
     status = CRITERION_SATISFIED if criterion else VERIFIED_ON_SAMPLES
     return AmpleVerdict(status, None, checked)
 
@@ -306,14 +303,10 @@ def node_images_consistent(space: SectionSpace) -> bool:
     """Exact branch bookkeeping check at every node.
 
     The basis evaluation vector through branch a must equal the gluing
-    scalar times the vector through branch b, entry by entry.
+    scalar times the vector through branch b, entry by entry: every
+    basis section satisfies every node constraint.
     """
-    for k, glue in enumerate(space.bundle.gluings):
-        via_a = _evaluation_vector(space, CurvePoint.at_node(k), branch=0)
-        via_b = _evaluation_vector(space, CurvePoint.at_node(k), branch=1)
-        if any(a != glue * b for a, b in zip(via_a, via_b)):
-            return False
-    return True
+    return all(section_satisfies_gluing(space.bundle, s) for s in space.basis)
 
 
 def sym_monomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
@@ -322,8 +315,9 @@ def sym_monomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations_with_replacement(range(n), m))
 
 
-def multiplication_map(bundle: LineBundle, m: int) -> MatrixQ:
-    """Matrix of Sym^m H0(L) -> H0(L^m) in the canonical bases.
+def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
+    """Matrix of Sym^m H0(L) -> H0(L^m) in the canonical bases, with L
+    the bundle of ``space``.
 
     Columns follow ``sym_monomials(h0, m)``; each column is the product
     of the chosen basis sections, expressed in the canonical basis of
@@ -338,8 +332,7 @@ def multiplication_map(bundle: LineBundle, m: int) -> MatrixQ:
     """
     if m < 1:
         raise ValueError("multiplication maps are defined for m >= 1")
-    space = section_basis(bundle)
-    target = power(bundle, m)
+    target = power(space.bundle, m)
     target_space = section_basis(target)
     columns = []
     for mono in sym_monomials(len(space.basis), m):

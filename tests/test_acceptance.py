@@ -97,7 +97,7 @@ def test_criterion_03_very_ample():
     curve = paper_example_curve()
     for degrees in ((4, 3, 3), (3, 3, 3)):
         bundle = line_bundle(curve, degrees)
-        verdict = very_ample(bundle, extra_samples=5)
+        verdict = very_ample(section_basis(bundle), extra_samples=5)
         assert verdict.status == CRITERION_SATISFIED
         assert verdict.witness is None
         samples = sample_points(curve, extra_per_component=5)
@@ -168,7 +168,7 @@ def test_criterion_06_serre_duality_randomized():
 def test_criterion_07_projective_normality_degree_two():
     curve = paper_example_curve()
     bundle = line_bundle(curve, (4, 3, 3))
-    m2 = multiplication_map(bundle, 2)
+    m2 = multiplication_map(section_basis(bundle), 2)
     assert (m2.cols, m2.rows) == (55, 20)
     assert rank(m2) == 20
     quadrics = quadric_ideal(m2)

@@ -42,6 +42,7 @@ from nodalcone.bundles import (
 from nodalcone.curve import (
     INFINITY,
     Component,
+    InvalidCurveError,
     NodalCurve,
     NodeGluing,
     affine_point,
@@ -437,6 +438,7 @@ def test_branch_value_matrix_unit_and_kept_columns(paper_curve):
 
 
 def test_branch_value_matrix_validates_the_curve(paper_curve):
-    without_self_node = NodalCurve(paper_curve.components, paper_curve.nodes[:2])
-    with pytest.raises(ValueError):
-        branch_value_matrix(LineBundle(without_self_node, (1, 1, 1), (F(1), F(1))))
+    # a curve without its self-node cannot be built, so no bundle reaches
+    # the matrix builders with C2's points 0 and 2 unattached
+    with pytest.raises(InvalidCurveError, match=r"marked point C2\[0\] \(coordinate 0\) is not attached"):
+        NodalCurve(paper_curve.components, paper_curve.nodes[:2])

@@ -20,7 +20,6 @@ from nodalcone.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     SpecError,
-    build_bundle,
     build_curve,
     fmt_exact,
     main,
@@ -29,8 +28,8 @@ from nodalcone.cli import (
     parse_spec,
     serialize_spec,
 )
-from nodalcone.bundles import dualizing_bundle
-from nodalcone.curve import arithmetic_genus
+from nodalcone.bundles import LineBundle, dualizing_bundle, section_basis
+from nodalcone.curve import arithmetic_genus, validate
 
 F = Fraction
 
@@ -81,14 +80,15 @@ def test_parse_spec_minimal():
     spec = parse_spec(MINIMAL)
     curve = build_curve(spec)
     assert arithmetic_genus(curve) == 1
-    bundle = build_bundle(spec)
+    bundle = LineBundle(curve, spec.multidegree, spec.gluings)
     assert bundle.multidegree == (2, 2)
     assert bundle.gluings == (F(1), F(3, 2))
 
 
 def test_parse_spec_defaults_gluings_to_one():
     text = MINIMAL.replace(', "gluings": ["1", "3/2"]', "")
-    bundle = build_bundle(parse_spec(text))
+    spec = parse_spec(text)
+    bundle = LineBundle(build_curve(spec), spec.multidegree, spec.gluings)
     assert bundle.gluings == (F(1), F(1))
 
 
@@ -102,7 +102,7 @@ def test_paper_spec_file_parses():
     spec = parse_spec(PAPER_SPEC.read_text())
     curve = build_curve(spec)
     assert arithmetic_genus(curve) == 1
-    assert build_bundle(spec).multidegree == (4, 3, 3)
+    assert LineBundle(curve, spec.multidegree, spec.gluings).multidegree == (4, 3, 3)
 
 
 def test_diagnostic_code_syntax():
@@ -407,6 +407,24 @@ def test_main_verify_skips_the_closed_form_off_genus_one(genus, tmp_path, capsys
     assert checks["dualizing-h0-equals-genus"]["status"] == "ok"
 
 
+def test_main_verify_skips_the_closed_form_when_not_very_ample(tmp_path, capsys):
+    # the paper curve with multidegree (-2, 0, 2): genus 1, but the bundle
+    # is not very ample, so the closed form does not apply at any weight
+    doc = json.loads(PAPER_SPEC.read_text())
+    doc["bundle"]["multidegree"] = [-2, 0, 2]
+    path = tmp_path / "not-ample.json"
+    path.write_text(json.dumps(doc))
+    assert main(["verify", str(path), "--json"]) == EXIT_CHECK_FAILED
+    checks = {c["name"]: c for c in json.loads(capsys.readouterr().out)["sections"]["verify"]["checks"]}
+    assert checks["very-ample"]["status"] == "FAIL"
+    assert checks["deformation-formula-vs-direct"] == {
+        "name": "deformation-formula-vs-direct",
+        "status": "skip",
+        "detail": "the closed form assumes a very ample bundle",
+    }
+    assert [name for name, c in checks.items() if c["status"] == "FAIL"] == ["globally-generated", "very-ample"]
+
+
 def test_main_deform_paper_curve_in_coordinates_zero_one_infinity(tmp_path, capsys):
     # C1's points 0, 1 moved to 0, inf and C2's 0, 1, 2 to 0, 1, inf: an
     # isomorphic curve, and (4, 3, 3) fixes every h0 and h1 of the twists
@@ -437,6 +455,40 @@ def test_verify_builds_the_dualizing_bundle_twice(monkeypatch, capsys):
     # once for the duality checks, once for graded_report's tangent bundle;
     # not once per Serre duality check (14 of them)
     assert len(calls) == 2
+
+
+@pytest.mark.parametrize("command", ["verify", "ideal"])
+def test_one_section_basis_per_bundle(command, monkeypatch, capsys):
+    from nodalcone import bundles, cli, embedding
+
+    calls = []
+
+    def counting(bundle):
+        calls.append(bundle)
+        return section_basis(bundle)
+
+    for module in (bundles, cli, embedding):
+        monkeypatch.setattr(module, "section_basis", counting)
+    assert main([command, str(PAPER_SPEC), "--json"]) == EXIT_OK
+    # L, L^2 and L^3 for the multiplication maps, each eliminated once
+    assert [b.multidegree for b in calls] == [(4, 3, 3), (8, 6, 6), (12, 9, 9)]
+
+
+def test_deform_validates_the_curve_at_most_three_times(monkeypatch, capsys):
+    from nodalcone import bundles, cli, cone, curve, embedding
+
+    calls = []
+
+    def counting(c):
+        calls.append(c)
+        return validate(c)
+
+    # patch the name in every layer, bound there or not, so a re-check anywhere counts
+    for module in (curve, bundles, embedding, cone, cli):
+        monkeypatch.setattr(module, "validate", counting, raising=False)
+    assert main(["deform", str(PAPER_SPEC), "--json", "--range", "-12:12"]) == EXIT_OK
+    # the curve is checked when it is built, not again per matrix
+    assert 1 <= len(calls) <= 3
 
 
 def test_exit_code_constants():

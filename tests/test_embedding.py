@@ -95,13 +95,13 @@ def test_globally_generated_verdicts(paper_curve):
         (1, 1, 1): (VERIFIED_ON_SAMPLES, None),
     }
     for degrees, (status, witness) in cases.items():
-        v = globally_generated(line_bundle(paper_curve, degrees))
+        v = globally_generated(section_basis(line_bundle(paper_curve, degrees)))
         assert (v.status, v.witness) == (status, witness)
         assert v.samples_checked == 18
 
 
 def test_globally_generated_failure_witness(paper_curve):
-    v = globally_generated(line_bundle(paper_curve, (-1, 3, 3)))
+    v = globally_generated(section_basis(line_bundle(paper_curve, (-1, 3, 3))))
     assert v.status == FAILED
     assert v.witness == "all sections vanish at node:0"
 
@@ -109,15 +109,15 @@ def test_globally_generated_failure_witness(paper_curve):
 def test_positivity_verdicts_with_too_few_sections(paper_curve):
     none = line_bundle(paper_curve, (-1, -1, -1))
     assert h0(none) == 0
-    assert globally_generated(none) == AmpleVerdict(FAILED, "no global sections (h0 = 0)", 0)
+    assert globally_generated(section_basis(none)) == AmpleVerdict(FAILED, "no global sections (h0 = 0)", 0)
     one = trivial_bundle(paper_curve)
-    assert very_ample(one) == AmpleVerdict(FAILED, "fewer than two global sections (h0 = 1)", 0)
-    assert very_ample(none).witness == "fewer than two global sections (h0 = 0)"
+    assert very_ample(section_basis(one)) == AmpleVerdict(FAILED, "fewer than two global sections (h0 = 1)", 0)
+    assert very_ample(section_basis(none)).witness == "fewer than two global sections (h0 = 0)"
 
 
 def test_very_ample_on_reference_bundles(paper_curve):
     for degrees in ((4, 3, 3), (3, 3, 3)):
-        v = very_ample(line_bundle(paper_curve, degrees))
+        v = very_ample(section_basis(line_bundle(paper_curve, degrees)))
         assert v.status == CRITERION_SATISFIED
         assert v.witness is None
         # 18 samples: C(18, 2) pairs plus 3 x 2 node-branch jets plus 15 smooth jets
@@ -125,11 +125,11 @@ def test_very_ample_on_reference_bundles(paper_curve):
 
 
 def test_very_ample_failure_modes(paper_curve):
-    v = very_ample(line_bundle(paper_curve, (1, 1, 1)))
+    v = very_ample(section_basis(line_bundle(paper_curve, (1, 1, 1))))
     assert v.status == FAILED
     assert v.witness == "sections do not separate node:1 and node:2"
 
-    v = very_ample(line_bundle(paper_curve, (2, 2, 2)))
+    v = very_ample(section_basis(line_bundle(paper_curve, (2, 2, 2))))
     assert v.status == FAILED
     assert v.witness == "jet test fails on branch 1 of node:1"
     assert v.samples_checked == 157  # all 153 pairs pass, fourth jet test fails
@@ -209,21 +209,21 @@ def test_sym_monomials_order_and_count():
 
 def test_multiplication_map_degree_one_is_identity(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
-    assert multiplication_map(b, 1) == MatrixQ.identity(10)
+    assert multiplication_map(section_basis(b), 1) == MatrixQ.identity(10)
     with pytest.raises(ValueError):
-        multiplication_map(b, 0)
+        multiplication_map(section_basis(b), 0)
 
 
 def test_multiplication_map_m2_frozen_shape_and_rank(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
-    m2 = multiplication_map(b, 2)
+    m2 = multiplication_map(section_basis(b), 2)
     assert (m2.rows, m2.cols) == (20, 55)
     assert rank(m2) == 20  # surjective onto the degree-2 part
 
 
 def test_multiplication_map_m2_rank_against_sympy(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
-    m2 = multiplication_map(b, 2)
+    m2 = multiplication_map(section_basis(b), 2)
     sm = sympy.Matrix(
         m2.rows, m2.cols, [sympy.Rational(x) for row in m2.row_lists() for x in row]
     )
@@ -236,7 +236,7 @@ def _assert_columns_reconstruct_products(bundle, m):
     space = section_basis(bundle)
     target_bundle = power(bundle, m)
     target = [flatten_section(target_bundle, s) for s in section_basis(target_bundle).basis]
-    matrix = multiplication_map(bundle, m)
+    matrix = multiplication_map(space, m)
     monos = sym_monomials(len(space.basis), m)
     assert (matrix.rows, matrix.cols) == (len(target), len(monos))
     for col, mono in enumerate(monos):
@@ -282,28 +282,28 @@ def test_multiplication_map_rejects_product_off_the_gluing(paper_curve, monkeypa
 
     monkeypatch.setattr(embedding, "multiply_sections", broken)
     with pytest.raises(ArithmeticError, match=r"monomial \(0, 4\) is not a global section"):
-        multiplication_map(line_bundle(paper_curve, (4, 3, 3)), 2)
+        multiplication_map(section_basis(line_bundle(paper_curve, (4, 3, 3))), 2)
 
 
 def test_multiplication_map_m3_surjective(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
-    m3 = multiplication_map(b, 3)
+    m3 = multiplication_map(section_basis(b), 3)
     assert (m3.rows, m3.cols) == (30, 220)
     assert rank(m3) == 30
 
 
 def test_quadric_ideal_frozen_count(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
-    quadrics = quadric_ideal(multiplication_map(b, 2))
+    quadrics = quadric_ideal(multiplication_map(section_basis(b), 2))
     assert len(quadrics) == 55 - 20
 
 
 def test_quadrics_vanish_on_embedded_samples(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
-    quadrics = quadric_ideal(multiplication_map(b, 2))
+    space = section_basis(b)
+    quadrics = quadric_ideal(multiplication_map(space, 2))
     samples = sample_points(paper_curve)  # 3 nodes + 15 smooth points
     assert len(samples) == 18
-    space = section_basis(b)
     for x in samples:
         coords = embed_point(space, x)
         for q in quadrics:
@@ -328,8 +328,8 @@ def test_cone_jacobian_rank_hand_example():
 
 def test_cone_jacobian_ranks_frozen(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
-    quadrics = quadric_ideal(multiplication_map(b, 2))
     space = section_basis(b)
+    quadrics = quadric_ideal(multiplication_map(space, 2))
     smooth = cone_point(space, CurvePoint.smooth("C1", F(5)))
     assert cone_jacobian_rank(quadrics, smooth) == 8
     node_ranks = tuple(
@@ -343,8 +343,8 @@ def test_cone_jacobian_ranks_frozen(paper_curve):
 
 def test_cone_jacobian_rank_scale_invariant(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
-    quadrics = quadric_ideal(multiplication_map(b, 2))
     space = section_basis(b)
+    quadrics = quadric_ideal(multiplication_map(space, 2))
     x = CurvePoint.smooth("C2", F(-4, 3))
     assert cone_jacobian_rank(quadrics, cone_point(space, x)) == cone_jacobian_rank(
         quadrics, cone_point(space, x, scale=F(7, 2))
@@ -368,7 +368,7 @@ def test_very_ample_holds_for_min_degree_three_random_curves():
             continue
         degrees = tuple(3 for _ in curve.components)
         b = line_bundle(curve, degrees)
-        v = very_ample(b, extra_samples=2)
+        v = very_ample(section_basis(b), extra_samples=2)
         assert v.status == CRITERION_SATISFIED
         assert v.witness is None
         checked += 1
