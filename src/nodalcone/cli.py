@@ -26,6 +26,7 @@ from fractions import Fraction
 from . import __version__
 from .bundles import (
     LineBundle,
+    SectionSpace,
     block_widths,
     dual,
     dualizing_bundle,
@@ -85,12 +86,14 @@ class SpecError(Exception):
 
 @dataclass(frozen=True)
 class CurveSpec:
-    """Parsed curve + bundle description, already in exact form."""
+    """Parsed curve + bundle description, already in exact form, with
+    the curve that ``components`` and ``nodes`` build."""
 
     components: tuple[tuple[str, tuple[PointOnLine, ...]], ...]
     nodes: tuple[NodeGluing, ...]
     multidegree: tuple[int, ...]
     gluings: tuple[Fraction, ...]
+    curve: NodalCurve
 
 
 def parse_coordinate(text) -> PointOnLine:
@@ -218,10 +221,10 @@ def parse_spec(text: str) -> CurveSpec:
         _expect(g != 0, "gluing", f"gluing scalar at node {k} must be nonzero")
 
     try:
-        NodalCurve(tuple(Component(name, pts) for name, pts in components), tuple(nodes))
+        curve = NodalCurve(tuple(Component(name, pts) for name, pts in components), tuple(nodes))
     except InvalidCurveError as exc:
         raise SpecError("invariant", str(exc))
-    return CurveSpec(tuple(components), tuple(nodes), tuple(raw_degrees), gluings)
+    return CurveSpec(tuple(components), tuple(nodes), tuple(raw_degrees), gluings, curve)
 
 
 def serialize_spec(spec: CurveSpec) -> str:
@@ -240,13 +243,6 @@ def serialize_spec(spec: CurveSpec) -> str:
         },
     }
     return json.dumps(doc, indent=2) + "\n"
-
-
-def build_curve(spec: CurveSpec) -> NodalCurve:
-    return NodalCurve(
-        tuple(Component(name, pts) for name, pts in spec.components),
-        spec.nodes,
-    )
 
 
 def fmt_exact(value: Fraction):
@@ -339,20 +335,25 @@ def run_embed(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) ->
     }
 
 
+def _multiplication_maps(space: SectionSpace) -> tuple[dict, dict, tuple]:
+    """Shape and rank of the m = 2 and m = 3 multiplication maps of
+    ``space``, and the quadrics: the kernel at m = 2, whose count gives
+    its rank without a second elimination."""
+    m2 = multiplication_map(space, 2)
+    quadrics = quadric_ideal(m2)
+    m3 = multiplication_map(space, 3)
+
+    def shape(m: MatrixQ, r: int) -> dict:
+        return {"source": m.cols, "target": m.rows, "rank": r, "surjective": r == m.rows}
+
+    return shape(m2, m2.cols - len(quadrics)), shape(m3, rank(m3)), quadrics
+
+
 def run_ideal(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) -> dict:
     space = section_basis(bundle)
     n = len(space.basis)
-    m2 = multiplication_map(space, 2)
-    quadrics = quadric_ideal(m2)
-    rank2 = m2.cols - len(quadrics)
-    m3 = multiplication_map(space, 3)
-    rank3 = rank(m3)
-    out = {
-        "h0": n,
-        "m2": {"source": m2.cols, "target": m2.rows, "rank": rank2, "surjective": rank2 == m2.rows},
-        "m3": {"source": m3.cols, "target": m3.rows, "rank": rank3, "surjective": rank3 == m3.rows},
-        "quadric_count": len(quadrics),
-    }
+    m2, m3, quadrics = _multiplication_maps(space)
+    out = {"h0": n, "m2": m2, "m3": m3, "quadric_count": len(quadrics)}
     probe: dict = {
         "note": (
             "ranks of the Jacobian of the degree-2 ideal part only; the quadrics "
@@ -470,21 +471,13 @@ def run_verify(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int, m
     check("very-ample", va.status != FAILED, f"{va.status} after {va.samples_checked} tests")
 
     if min(bundle.multidegree) >= 3:
-        m2 = multiplication_map(space, 2)
-        quadrics = quadric_ideal(m2)
-        r2 = m2.cols - len(quadrics)
-        check(
-            "multiplication-m2-surjective",
-            r2 == m2.rows,
-            f"rank {r2} of a {m2.rows} x {m2.cols} matrix",
-        )
-        m3 = multiplication_map(space, 3)
-        r3 = rank(m3)
-        check(
-            "multiplication-m3-surjective",
-            r3 == m3.rows,
-            f"rank {r3} of a {m3.rows} x {m3.cols} matrix",
-        )
+        m2, m3, quadrics = _multiplication_maps(space)
+        for m, doc in ((2, m2), (3, m3)):
+            check(
+                f"multiplication-m{m}-surjective",
+                doc["surjective"],
+                f"rank {doc['rank']} of a {doc['target']} x {doc['source']} matrix",
+            )
         failures = 0
         tested = 0
         for x in sample_points(curve, samples, seed):
@@ -659,7 +652,7 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_INPUT_ERROR
     try:
         spec = parse_spec(raw.decode("utf-8"))
-        curve = build_curve(spec)
+        curve = spec.curve
         bundle = LineBundle(curve, spec.multidegree, spec.gluings)
         if hasattr(args, "samples"):
             try:

@@ -1,12 +1,13 @@
 """Projective embedding checks for line bundles on nodal curves.
 
-Everything here reduces to exact ranks of small evaluation matrices.
 Global generation and very ampleness each have two modes: a degree
 criterion on the multidegree (min degree 2, respectively 3) and a
-direct mode that tests separation of points and of first-order jets on
-a deterministic sample set: every node, plus seeded pseudo-random
-affine points on each component. Random sampling can only ever refute;
-the criterion is what certifies.
+direct mode on a deterministic sample set: every node, plus seeded
+pseudo-random affine points on each component. A direct test asks for
+a nonzero evaluation row (generation) or for two independent rows,
+point against point or value against jet (separation); exact 2 x 2
+minors decide independence, without a rank. Random sampling can only
+ever refute; the criterion is what certifies.
 
 Every check takes the section space its caller holds (the verdicts,
 the point-level tests, node bookkeeping and the multiplication map),
@@ -30,7 +31,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import chain, combinations, combinations_with_replacement
 
 from .bundles import (
     SectionSpace,
@@ -202,6 +203,29 @@ def globally_generated(space: SectionSpace, extra_samples: int = 5, seed: int = 
     return AmpleVerdict(status, None, len(samples))
 
 
+def _independent(u: VectorQ, v: VectorQ) -> bool:
+    """Whether the 2 x n matrix with rows u and v has rank 2: u is
+    nonzero and v is not a multiple of u, i.e. some minor
+    ``u[k] v[j] - u[j] v[k]`` is nonzero, k the first nonzero entry of
+    u. O(n) exact products, no division."""
+    k = next((i for i, a in enumerate(u) if a != 0), None)
+    if k is None:
+        return False
+    uk, vk = u[k], v[k]
+    return any(uk * b != a * vk for a, b in zip(u, v))
+
+
+def _jet_tests(space: SectionSpace, x: CurvePoint):
+    """Yield ``(witness, value row, jet row)`` for each first-order test
+    at x: one at a smooth point, one per branch at a node without a
+    branch selector, and the selected branch's at a node with one."""
+    if not x.is_node:
+        yield f"jet test fails at {x}", _evaluation_vector(space, x), _jet_vector(space, x)
+        return
+    for b in (0, 1) if x.branch is None else (x.branch,):
+        yield f"jet test fails on branch {b} of {x}", _evaluation_vector(space, x, b), _jet_vector(space, x, b)
+
+
 def separates_points(space: SectionSpace, x: CurvePoint, y: CurvePoint) -> bool:
     """Whether sections map x and y to distinct projective points.
 
@@ -214,73 +238,42 @@ def separates_points(space: SectionSpace, x: CurvePoint, y: CurvePoint) -> bool:
     _check_point(space.bundle.curve, y)
     if x == y:
         raise ValueError("the two points must be distinct")
-    matrix = MatrixQ.from_rows([_evaluation_vector(space, x), _evaluation_vector(space, y)])
-    return rank(matrix) == 2
+    return _independent(_evaluation_vector(space, x), _evaluation_vector(space, y))
 
 
 def separates_jets(space: SectionSpace, x: CurvePoint) -> bool:
-    """Whether sections surject onto first-order data at x.
-
-    At a smooth point this pairs the evaluation row with the jet row.
-    At a node the test is branch-local: each branch pairs the node value
-    with the derivative along that branch, and both branches must pass.
+    """Whether sections surject onto first-order data at x: the value
+    row and the jet row are independent. At a node the test is
+    branch-local, and both branches must pass unless x selects one.
     """
     if len(space.basis) < 2:
         raise ValueError("need at least two sections to separate jets")
     _check_point(space.bundle.curve, x)
-    if x.is_node:
-        branches = (0, 1) if x.branch is None else (x.branch,)
-        for b in branches:
-            matrix = MatrixQ.from_rows(
-                [_evaluation_vector(space, x, branch=b), _jet_vector(space, x, branch=b)]
-            )
-            if rank(matrix) != 2:
-                return False
-        return True
-    matrix = MatrixQ.from_rows([_evaluation_vector(space, x), _jet_vector(space, x)])
-    return rank(matrix) == 2
+    return all(_independent(u, v) for _, u, v in _jet_tests(space, x))
 
 
 def very_ample(space: SectionSpace, extra_samples: int = 5, seed: int = SAMPLE_SEED) -> AmpleVerdict:
     """Criterion: min degree >= 3. Direct mode: separation of all sample
-    pairs, then jets at every sample point (branch by branch at nodes).
+    pairs, each sample evaluated once, then jets at every sample point
+    (branch by branch at nodes), as one ordered stream of tests.
 
-    ``samples_checked`` counts pair tests plus jet tests, node branches
-    individually. A bundle with fewer than two sections fails outright,
-    after no tests.
+    The witness is the first failing test; ``samples_checked`` counts
+    the tests run up to it, node branches individually. A bundle with
+    fewer than two sections fails outright, after no tests.
     """
     if len(space.basis) < 2:
         return AmpleVerdict(FAILED, f"fewer than two global sections (h0 = {len(space.basis)})", 0)
     samples = sample_points(space.bundle.curve, extra_samples, seed)
+    values = [_evaluation_vector(space, x) for x in samples]
+    pairs = (
+        (f"sections do not separate {samples[i]} and {samples[j]}", values[i], values[j])
+        for i, j in combinations(range(len(samples)), 2)
+    )
+    jets = (test for x in samples for test in _jet_tests(space, x))
     checked = 0
-    witness = None
-    for i in range(len(samples)):
-        if witness:
-            break
-        for j in range(i + 1, len(samples)):
-            checked += 1
-            if not separates_points(space, samples[i], samples[j]):
-                witness = f"sections do not separate {samples[i]} and {samples[j]}"
-                break
-    if witness is None:
-        for x in samples:
-            if x.is_node:
-                done = False
-                for b in (0, 1):
-                    checked += 1
-                    if not separates_jets(space, CurvePoint.at_node(x.node, branch=b)):
-                        witness = f"jet test fails on branch {b} of {x}"
-                        done = True
-                        break
-                if done:
-                    break
-            else:
-                checked += 1
-                if not separates_jets(space, x):
-                    witness = f"jet test fails at {x}"
-                    break
-    if witness is not None:
-        return AmpleVerdict(FAILED, witness, checked)
+    for checked, (witness, u, v) in enumerate(chain(pairs, jets), start=1):
+        if not _independent(u, v):
+            return AmpleVerdict(FAILED, witness, checked)
     criterion = min(space.bundle.multidegree) >= 3
     status = CRITERION_SATISFIED if criterion else VERIFIED_ON_SAMPLES
     return AmpleVerdict(status, None, checked)

@@ -20,7 +20,6 @@ from nodalcone.cli import (
     EXIT_INPUT_ERROR,
     EXIT_OK,
     SpecError,
-    build_curve,
     fmt_exact,
     main,
     parse_coordinate,
@@ -78,7 +77,7 @@ def test_parse_scalar_forms():
 
 def test_parse_spec_minimal():
     spec = parse_spec(MINIMAL)
-    curve = build_curve(spec)
+    curve = spec.curve
     assert arithmetic_genus(curve) == 1
     bundle = LineBundle(curve, spec.multidegree, spec.gluings)
     assert bundle.multidegree == (2, 2)
@@ -88,7 +87,7 @@ def test_parse_spec_minimal():
 def test_parse_spec_defaults_gluings_to_one():
     text = MINIMAL.replace(', "gluings": ["1", "3/2"]', "")
     spec = parse_spec(text)
-    bundle = LineBundle(build_curve(spec), spec.multidegree, spec.gluings)
+    bundle = LineBundle(spec.curve, spec.multidegree, spec.gluings)
     assert bundle.gluings == (F(1), F(1))
 
 
@@ -100,7 +99,7 @@ def test_roundtrip_through_serializer():
 
 def test_paper_spec_file_parses():
     spec = parse_spec(PAPER_SPEC.read_text())
-    curve = build_curve(spec)
+    curve = spec.curve
     assert arithmetic_genus(curve) == 1
     assert LineBundle(curve, spec.multidegree, spec.gluings).multidegree == (4, 3, 3)
 
@@ -474,7 +473,7 @@ def test_one_section_basis_per_bundle(command, monkeypatch, capsys):
     assert [b.multidegree for b in calls] == [(4, 3, 3), (8, 6, 6), (12, 9, 9)]
 
 
-def test_deform_validates_the_curve_at_most_three_times(monkeypatch, capsys):
+def test_deform_validates_the_curve_once(monkeypatch, capsys):
     from nodalcone import bundles, cli, cone, curve, embedding
 
     calls = []
@@ -487,8 +486,8 @@ def test_deform_validates_the_curve_at_most_three_times(monkeypatch, capsys):
     for module in (curve, bundles, embedding, cone, cli):
         monkeypatch.setattr(module, "validate", counting, raising=False)
     assert main(["deform", str(PAPER_SPEC), "--json", "--range", "-12:12"]) == EXIT_OK
-    # the curve is checked when it is built, not again per matrix
-    assert 1 <= len(calls) <= 3
+    # the curve is checked when parse_spec builds it, not again per command or matrix
+    assert len(calls) == 1
 
 
 def test_exit_code_constants():

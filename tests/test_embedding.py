@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nodalcone.embedding as embedding
-from conftest import random_bundle, random_curve
+from conftest import curve_with_infinity, random_bundle, random_curve
 from nodalcone.bundles import (
     Section,
     flatten_section,
@@ -373,3 +373,94 @@ def test_very_ample_holds_for_min_degree_three_random_curves():
         assert v.witness is None
         checked += 1
     assert checked >= 5
+
+
+def _very_ample_by_rank(space, extra_samples, seed):
+    """Reference: every pair re-evaluated and tested by the rank of a
+    2 x h0 matrix, then the jet tests by rank, node branches one by one."""
+    if len(space.basis) < 2:
+        return FAILED, f"fewer than two global sections (h0 = {len(space.basis)})", 0
+    samples = sample_points(space.bundle.curve, extra_samples, seed)
+
+    def independent(u, v):
+        return rank(MatrixQ.from_rows([u, v])) == 2
+
+    checked = 0
+    for i in range(len(samples)):
+        for j in range(i + 1, len(samples)):
+            checked += 1
+            u = embedding._evaluation_vector(space, samples[i])
+            v = embedding._evaluation_vector(space, samples[j])
+            if not independent(u, v):
+                return FAILED, f"sections do not separate {samples[i]} and {samples[j]}", checked
+    for x in samples:
+        for b in (0, 1) if x.is_node else (None,):
+            checked += 1
+            if not independent(embedding._evaluation_vector(space, x, b), embedding._jet_vector(space, x, b)):
+                where = f"on branch {b} of {x}" if x.is_node else f"at {x}"
+                return FAILED, f"jet test fails {where}", checked
+    status = CRITERION_SATISFIED if min(space.bundle.multidegree) >= 3 else VERIFIED_ON_SAMPLES
+    return status, None, checked
+
+
+def test_very_ample_matches_the_pairwise_rank_reference():
+    """Same status, witness and count as the rank-based pairwise loop, on
+    curves with points at infinity and self-nodes, degrees -1..4; the
+    sweep reaches failures at pairs, failures at jets and passes."""
+    rng = random.Random(1105)
+    outcomes = set()
+    for _ in range(300):
+        curve = curve_with_infinity(rng)
+        space = section_basis(random_bundle(rng, curve, degree_range=(-1, 4)))
+        extra, seed = rng.randint(0, 2), rng.randrange(100)
+        v = very_ample(space, extra_samples=extra, seed=seed)
+        assert (v.status, v.witness, v.samples_checked) == _very_ample_by_rank(space, extra, seed)
+        outcomes.add(v.witness.split(" ")[0] if v.witness else "pass")
+    assert {"sections", "jet", "pass"} <= outcomes
+
+
+_ROWS = st.integers(min_value=1, max_value=5).flatmap(
+    lambda n: st.tuples(*[st.lists(st.integers(-3, 3), min_size=n, max_size=n)] * 2)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    _ROWS,
+    st.sampled_from(["zero-u", "zero-v", "equal", "multiple", "free"]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=4),
+)
+def test_independent_is_rank_two(rows, shape, scale):
+    u, v = ([F(a) for a in row] for row in rows)
+    zero = [F(0)] * len(u)
+    u, v = {
+        "zero-u": (zero, v),
+        "zero-v": (u, zero),
+        "equal": (u, u),
+        "multiple": (u, [scale * a for a in u]),
+        "free": (u, v),
+    }[shape]
+    assert embedding._independent(tuple(u), tuple(v)) == (rank(MatrixQ.from_rows([u, v])) == 2)
+
+
+def test_very_ample_evaluates_each_sample_once_and_takes_no_rank(paper_curve, monkeypatch):
+    """The paper curve of curves/paper-x.json at (4, 3, 3): one evaluation
+    per sample for all 153 pair tests, one per smooth jet and one per node
+    branch, and no rank. The rank-per-pair loop takes 327 and 174."""
+    space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
+    counts = {"rank": 0, "evaluation": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(embedding, "rank", counted("rank", rank))
+    monkeypatch.setattr(embedding, "_evaluation_vector", counted("evaluation", embedding._evaluation_vector))
+    v = very_ample(space)
+    assert (v.status, v.samples_checked) == (CRITERION_SATISFIED, 153 + 6 + 15)
+    samples = sample_points(paper_curve)
+    assert counts["rank"] == 0
+    assert counts["evaluation"] <= 2 * len(samples) + len(paper_curve.nodes)
