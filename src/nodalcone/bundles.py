@@ -54,8 +54,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate
 
-from .curve import NodalCurve, PointOnLine
+from .curve import NodalCurve, PointOnLine, Site
 from .exactlin import MatrixQ, VectorQ, as_scalar, free_columns, kernel_from_rref, rank, rref
 
 _ZERO = Fraction(0)
@@ -182,15 +183,6 @@ def block_widths(bundle: LineBundle) -> tuple[int, ...]:
     return tuple(max(0, d + 1) for d in bundle.multidegree)
 
 
-def _block_offsets(widths: tuple[int, ...]) -> tuple[int, ...]:
-    offsets = []
-    total = 0
-    for w in widths:
-        offsets.append(total)
-        total += w
-    return tuple(offsets)
-
-
 def gluing_matrix(bundle: LineBundle) -> MatrixQ:
     """One row per node over the concatenated coefficient blocks.
 
@@ -221,30 +213,28 @@ def branch_value_matrix(bundle: LineBundle) -> MatrixQ:
 
 
 def _node_matrix(bundle: LineBundle, onto: frozenset[int]) -> MatrixQ:
-    """Node rows over the component blocks; a component in ``onto`` gets
-    one unit column per marked point instead of its coefficient block."""
+    """Node rows over the component blocks, at the branch sites of
+    ``curve.sites``; a component in ``onto`` gets one unit column per
+    marked point instead of its coefficient block."""
     curve = bundle.curve
     widths = tuple(
         len(comp.marked_points) if i in onto else w
         for i, (comp, w) in enumerate(zip(curve.components, block_widths(bundle)))
     )
-    offsets = _block_offsets(widths)
-    total = sum(widths)
+    offsets = tuple(accumulate(widths, initial=0))
+    total = offsets[-1]
     rows = []
-    for node, glue in zip(curve.nodes, bundle.gluings):
+    for sites, glue in zip(curve.sites, bundle.gluings):
         row = [_ZERO] * total
-        for branch, sign_scale in ((node.branch_a, _ONE), (node.branch_b, -glue)):
-            ci = curve.component_index(branch[0])
+        for (ci, k, point), sign_scale in zip(sites, (_ONE, -glue)):
             if widths[ci] == 0:
                 continue
             base = offsets[ci]
             if ci in onto:
-                row[base + branch[1]] = _ONE
+                row[base + k] = _ONE
                 continue
-            point = curve.components[ci].marked_points[branch[1]]
-            ev = evaluation_row(bundle.multidegree[ci], point)
-            for k, val in enumerate(ev):
-                row[base + k] += sign_scale * val
+            for j, val in enumerate(evaluation_row(bundle.multidegree[ci], point)):
+                row[base + j] += sign_scale * val
         rows.append(row)
     return MatrixQ.from_rows(rows, cols=total)
 
@@ -396,13 +386,9 @@ def multiply_sections(a: Section, b: Section) -> Section:
 
 
 def section_satisfies_gluing(bundle: LineBundle, section: Section) -> bool:
-    """Exact check of every node constraint for one section."""
-    curve = bundle.curve
-    for node, glue in zip(curve.nodes, bundle.gluings):
-        ia = curve.component_index(node.branch_a[0])
-        ib = curve.component_index(node.branch_b[0])
-        pa = curve.components[ia].marked_points[node.branch_a[1]]
-        pb = curve.components[ib].marked_points[node.branch_b[1]]
+    """Exact check of every node constraint for one section, at the
+    branch sites of ``curve.sites``."""
+    for ((ia, _, pa), (ib, _, pb)), glue in zip(bundle.curve.sites, bundle.gluings):
         if poly_value(section.coeffs[ia], pa) != glue * poly_value(section.coeffs[ib], pb):
             return False
     return True
@@ -450,27 +436,21 @@ def dualizing_bundle(curve: NodalCurve) -> LineBundle:
     ``deg f <= |D| - 2``, glued by the residue condition; see the module
     docstring for the resulting degree-(|D| - 2) trivialization, the
     ``-c_p / c_q`` scalars and the cofactor ``c_inf = -1`` of a branch
-    at infinity.
+    at infinity, each taken at a branch site of ``curve.sites``.
     """
     multidegree = tuple(len(comp.marked_points) - 2 for comp in curve.components)
 
-    def cofactor(component_index: int, point_index: int) -> Fraction:
-        comp = curve.components[component_index]
-        p = comp.marked_points[point_index]
+    def cofactor(site: Site) -> Fraction:
+        ci, k, p = site
         if p.is_infinity:
             return -_ONE
         acc = _ONE
-        for k, other in enumerate(comp.marked_points):
-            if k != point_index and not other.is_infinity:
+        for j, other in enumerate(curve.components[ci].marked_points):
+            if j != k and not other.is_infinity:
                 acc *= p.coord - other.coord
         return acc
 
-    gluings = []
-    for node in curve.nodes:
-        ia = curve.component_index(node.branch_a[0])
-        ib = curve.component_index(node.branch_b[0])
-        gluings.append(-cofactor(ia, node.branch_a[1]) / cofactor(ib, node.branch_b[1]))
-    return LineBundle(curve, multidegree, tuple(gluings))
+    return LineBundle(curve, multidegree, tuple(-cofactor(a) / cofactor(b) for a, b in curve.sites))
 
 
 def tangent_bundle(curve: NodalCurve) -> LineBundle:

@@ -12,12 +12,13 @@ arithmetic genus is ``#nodes - #components + 1`` for connected curves.
 A curve is valid by construction: ``NodalCurve`` runs ``validate``,
 which returns the list of violation strings, and raises
 ``InvalidCurveError`` with all of them when the list is not empty. So
-the derived quantities never check the curve again.
+the derived quantities never check the curve again, and every node
+branch is resolved once, in ``NodalCurve.sites``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .exactlin import as_scalar
@@ -58,6 +59,7 @@ def affine_point(value) -> PointOnLine:
 
 
 Branch = tuple[str, int]
+Site = tuple[int, int, PointOnLine]
 
 
 @dataclass(frozen=True)
@@ -89,8 +91,16 @@ class NodeGluing:
 
 @dataclass(frozen=True)
 class NodalCurve:
+    """Components and node gluings, checked by ``validate`` on construction.
+
+    ``sites`` is derived once ``validate`` accepts, never passed: per node,
+    the ``(component index, marked-point index, point)`` of branch a, then
+    of branch b. It takes no part in equality, hash or repr.
+    """
+
     components: tuple[Component, ...]
     nodes: tuple[NodeGluing, ...] = ()
+    sites: tuple[tuple[Site, Site], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "components", tuple(self.components))
@@ -98,6 +108,11 @@ class NodalCurve:
         problems = validate(self)
         if problems:
             raise InvalidCurveError("; ".join(problems))
+        sites = tuple(
+            tuple((self.component_index(c), k, self.branch_point((c, k))) for c, k in (n.branch_a, n.branch_b))
+            for n in self.nodes
+        )
+        object.__setattr__(self, "sites", sites)
 
     def component_index(self, name: str) -> int:
         for i, comp in enumerate(self.components):

@@ -113,29 +113,25 @@ def _check_point(curve: NodalCurve, x: CurvePoint) -> None:
         )
 
 
-def _branch_site(curve: NodalCurve, x: CurvePoint, branch: int | None = None) -> tuple[int, PointOnLine]:
+def _branch_site(curve: NodalCurve, x: CurvePoint) -> tuple[int, PointOnLine]:
     """Component index and coordinate where a point is evaluated.
 
-    For node points the branch selector picks the trivialization; the
-    explicit argument overrides the one stored on the point.
+    A node point is read off ``curve.sites`` at the branch it selects,
+    branch 0 when it selects none, in that branch's trivialization.
     """
     if x.is_node:
-        node = curve.nodes[x.node]
-        use = branch if branch is not None else (x.branch if x.branch is not None else 0)
-        ref = node.branch_a if use == 0 else node.branch_b
-        return curve.component_index(ref[0]), curve.branch_point(ref)
+        ci, _, point = curve.sites[x.node][x.branch or 0]
+        return ci, point
     return curve.component_index(x.component), x.coord
 
 
-def _evaluation_vector(space: SectionSpace, x: CurvePoint, branch: int | None = None) -> VectorQ:
-    curve = space.bundle.curve
-    ci, point = _branch_site(curve, x, branch)
+def _evaluation_vector(space: SectionSpace, x: CurvePoint) -> VectorQ:
+    ci, point = _branch_site(space.bundle.curve, x)
     return tuple(poly_value(s.coeffs[ci], point) for s in space.basis)
 
 
-def _jet_vector(space: SectionSpace, x: CurvePoint, branch: int | None = None) -> VectorQ:
-    curve = space.bundle.curve
-    ci, point = _branch_site(curve, x, branch)
+def _jet_vector(space: SectionSpace, x: CurvePoint) -> VectorQ:
+    ci, point = _branch_site(space.bundle.curve, x)
     return tuple(poly_jet(s.coeffs[ci], point) for s in space.basis)
 
 
@@ -223,7 +219,8 @@ def _jet_tests(space: SectionSpace, x: CurvePoint):
         yield f"jet test fails at {x}", _evaluation_vector(space, x), _jet_vector(space, x)
         return
     for b in (0, 1) if x.branch is None else (x.branch,):
-        yield f"jet test fails on branch {b} of {x}", _evaluation_vector(space, x, b), _jet_vector(space, x, b)
+        at = CurvePoint.at_node(x.node, b)
+        yield f"jet test fails on branch {b} of {x}", _evaluation_vector(space, at), _jet_vector(space, at)
 
 
 def separates_points(space: SectionSpace, x: CurvePoint, y: CurvePoint) -> bool:
@@ -314,7 +311,10 @@ def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
 
     Columns follow ``sym_monomials(h0, m)``; each column is the product
     of the chosen basis sections, expressed in the canonical basis of
-    the target. Surjectivity is ``rank == h0(L^m)``.
+    the target. Surjectivity is ``rank == h0(L^m)``. The degree-(m - 1)
+    products are built once and held; each column's product is one more
+    multiplication of its prefix, so the degree-m products are never
+    all held at once.
 
     Each product is first checked exactly against every node constraint
     of ``L^m``. Once it is known to be a global section, its coordinates
@@ -327,11 +327,13 @@ def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
         raise ValueError("multiplication maps are defined for m >= 1")
     target = power(space.bundle, m)
     target_space = section_basis(target)
+    basis = space.basis
+    prefixes = {(i,): s for i, s in enumerate(basis)}
+    for j in range(2, m):
+        prefixes = {p: multiply_sections(prefixes[p[:-1]], basis[p[-1]]) for p in sym_monomials(len(basis), j)}
     columns = []
-    for mono in sym_monomials(len(space.basis), m):
-        s = space.basis[mono[0]]
-        for idx in mono[1:]:
-            s = multiply_sections(s, space.basis[idx])
+    for mono in sym_monomials(len(basis), m):
+        s = multiply_sections(prefixes[mono[:-1]], basis[mono[-1]]) if m > 1 else basis[mono[0]]
         if not section_satisfies_gluing(target, s):
             raise ArithmeticError(
                 f"product for monomial {mono} is not a global section of the target; "

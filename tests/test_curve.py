@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import random_curve
+from conftest import curve_with_infinity, random_curve
 from nodalcone.curve import (
     INFINITY,
     Component,
@@ -164,3 +164,32 @@ def test_component_lookup(paper_curve):
         paper_curve.component("C9")
     p = paper_curve.branch_point(("C2", 2))
     assert p.coord == F(2)
+
+
+def test_sites_resolve_every_branch_by_name():
+    """``sites`` agrees with the name-based lookup for both branches of
+    every node, on affine curves and on curves with points at infinity
+    and self-nodes, and leaves equality, hash and repr to the data."""
+    rng = random.Random(2718)
+    curves = [random_curve(rng) for _ in range(40)] + [curve_with_infinity(rng) for _ in range(40)]
+    assert any(INFINITY in c.marked_points for curve in curves for c in curve.components)
+    assert any(n.branch_a[0] == n.branch_b[0] for curve in curves for n in curve.nodes)
+    for curve in curves:
+        assert len(curve.sites) == len(curve.nodes)
+        for node, sites in zip(curve.nodes, curve.sites):
+            expected = tuple(
+                (curve.component_index(name), k, curve.branch_point((name, k)))
+                for name, k in (node.branch_a, node.branch_b)
+            )
+            assert sites == expected
+        twin = NodalCurve(curve.components, curve.nodes)
+        assert twin == curve and hash(twin) == hash(curve)
+        assert twin.sites == curve.sites
+        assert "sites" not in repr(curve)
+
+
+def test_sites_is_not_a_constructor_argument(paper_curve):
+    with pytest.raises(TypeError):
+        NodalCurve(paper_curve.components, paper_curve.nodes, paper_curve.sites)
+    with pytest.raises(TypeError):
+        NodalCurve(paper_curve.components, paper_curve.nodes, sites=paper_curve.sites)

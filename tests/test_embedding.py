@@ -266,6 +266,26 @@ def test_multiplication_map_columns_reconstruct_products_random(seed, m):
     _assert_columns_reconstruct_products(random_bundle(rng, curve, degree_range=(-1, 3)), m)
 
 
+def test_multiplication_map_builds_each_product_once(paper_curve, monkeypatch):
+    """At m = 3 on the paper curve at (4, 3, 3) (h0 = 10) each of the 55
+    degree-2 products is built once and each of the 220 columns is one
+    more multiplication: at most 10 + 55 + 220 calls, where multiplying
+    every monomial out from scratch takes 55 + 2 * 220 = 440. Column
+    order and values are checked by ``_assert_columns_reconstruct_products``."""
+    calls = []
+
+    def counted(a, b):
+        calls.append(None)
+        return multiply_sections(a, b)
+
+    monkeypatch.setattr(embedding, "multiply_sections", counted)
+    space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
+    assert len(space.basis) == 10
+    m3 = multiplication_map(space, 3)
+    assert (m3.rows, m3.cols) == (30, 220)
+    assert len(calls) <= 10 + 55 + 220
+
+
 def test_multiplication_map_rejects_product_off_the_gluing(paper_curve, monkeypatch):
     """A product that breaks a node constraint raises instead of being
     read off the free columns."""
@@ -396,7 +416,8 @@ def _very_ample_by_rank(space, extra_samples, seed):
     for x in samples:
         for b in (0, 1) if x.is_node else (None,):
             checked += 1
-            if not independent(embedding._evaluation_vector(space, x, b), embedding._jet_vector(space, x, b)):
+            at = CurvePoint.at_node(x.node, b) if x.is_node else x
+            if not independent(embedding._evaluation_vector(space, at), embedding._jet_vector(space, at)):
                 where = f"on branch {b} of {x}" if x.is_node else f"at {x}"
                 return FAILED, f"jet test fails {where}", checked
     status = CRITERION_SATISFIED if min(space.bundle.multidegree) >= 3 else VERIFIED_ON_SAMPLES
