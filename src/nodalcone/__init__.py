@@ -3,8 +3,10 @@
 Build curves out of marked projective lines and node gluings, compute
 section spaces of line bundles as kernels of an exact gluing matrix,
 check projective embeddings, and tabulate the graded deformation
-dimensions of the affine cone over the embedded curve. All arithmetic
-is over ``fractions.Fraction``; results are exact and deterministic.
+dimensions of the affine cone over the embedded curve. Arithmetic is
+over ``fractions.Fraction``, apart from section products and node
+checks, which run on integer numerators over a common denominator;
+results are exact and deterministic.
 """
 
 __version__ = "0.1.0"

@@ -20,6 +20,14 @@ kernel and ``h1`` comes from its corank plus the classical line-bundle
 contributions of the components. Both are exact integers computed over
 Fraction arithmetic, never estimated.
 
+Products of sections and the node check run on a section's integer
+form instead: per component, its integer numerators over one common
+positive denominator (``_integral``). Convolution then needs no gcd at
+each step. The node check clears the denominators of the branch
+coordinates and of the gluing scalar by homogeneous Horner (``_glues``),
+so it compares integers and stays exact. ``multiply_sections`` and
+``section_satisfies_gluing`` are thin wrappers over these helpers.
+
 Only the rank of G enters ``h0`` and ``h1``, and G factors as ``A * E``:
 E evaluates each component's polynomial at its marked points (the
 branch values), A forms ``value at p - g * value at q`` per node. So
@@ -55,6 +63,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import accumulate
+from math import lcm
 
 from .curve import NodalCurve, PointOnLine, Site
 from .exactlin import MatrixQ, VectorQ, as_scalar, free_columns, kernel_from_rref, rank, rref
@@ -366,30 +375,77 @@ def multiply_sections(a: Section, b: Section) -> Section:
 
     A section of L' times a section of L'' lies in L' (x) L''; blocks
     multiply by convolution and a zero (empty) factor block collapses
-    the product block to empty.
+    the product block to empty. The convolution runs on the integer
+    forms of the two factors (see ``_integral``).
     """
     if len(a.coeffs) != len(b.coeffs):
         raise ValueError("sections live on curves with different component counts")
-    blocks = []
-    for x, y in zip(a.coeffs, b.coeffs):
-        if not x or not y:
-            blocks.append(())
-            continue
-        out = [_ZERO] * (len(x) + len(y) - 1)
-        for i, xi in enumerate(x):
-            if xi == 0:
-                continue
-            for j, yj in enumerate(y):
-                out[i + j] += xi * yj
-        blocks.append(tuple(out))
-    return Section(tuple(blocks))
+    blocks, den = _convolve(_integral(a), _integral(b))
+    return Section(tuple(tuple(Fraction(c, den) for c in block) for block in blocks))
 
 
 def section_satisfies_gluing(bundle: LineBundle, section: Section) -> bool:
     """Exact check of every node constraint for one section, at the
-    branch sites of ``curve.sites``."""
-    for ((ia, _, pa), (ib, _, pb)), glue in zip(bundle.curve.sites, bundle.gluings):
-        if poly_value(section.coeffs[ia], pa) != glue * poly_value(section.coeffs[ib], pb):
+    branch sites of ``curve.sites``, on its integer form (see ``_glues``)."""
+    return _glues(bundle, _integral(section)[0])
+
+
+_IntegralForm = tuple[tuple[tuple[int, ...], ...], int]
+
+
+def _integral(section: Section) -> _IntegralForm:
+    """A section as ``(blocks, den)``: per component a tuple of integer
+    numerators over one common positive denominator, the lcm of the
+    coefficients' denominators, so ``coeff == Fraction(numerator, den)``
+    for every coefficient."""
+    den = lcm(*(c.denominator for block in section.coeffs for c in block))
+    blocks = tuple(tuple(c.numerator * (den // c.denominator) for c in block) for block in section.coeffs)
+    return blocks, den
+
+
+def _convolve(a: _IntegralForm, b: _IntegralForm) -> _IntegralForm:
+    """Componentwise product of two integer-form sections: blocks
+    convolve over the integers, an empty factor block gives an empty
+    block, and the denominators multiply."""
+    (a_blocks, a_den), (b_blocks, b_den) = a, b
+    blocks = []
+    for x, y in zip(a_blocks, b_blocks):
+        if not x or not y:
+            blocks.append(())
+            continue
+        out = [0] * (len(x) + len(y) - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    out[i + j] += xi * yj
+        blocks.append(tuple(out))
+    return tuple(blocks), a_den * b_den
+
+
+def _glues(bundle: LineBundle, blocks: tuple[tuple[int, ...], ...]) -> bool:
+    """Exact node check on the integer numerators of a section.
+
+    At an affine branch ``p = a/b`` (``b > 0``) a block ``c_0..c_d`` has
+    the value ``H / S`` over the common denominator, with
+    ``H = sum_k c_k a^k b^(d-k)`` by homogeneous Horner and ``S = b^d``.
+    At infinity ``H = c_d`` and ``S = 1``; an empty block has ``H = 0``,
+    ``S = 1``. The node constraint ``H_a / S_a = g H_b / S_b`` is then
+    ``H_a S_b g.denominator == g.numerator H_b S_a``: every factor is an
+    integer, the common denominator cancels, and nothing is rounded.
+    """
+    for sites, g in zip(bundle.curve.sites, bundle.gluings):
+        scaled = []
+        for ci, _, p in sites:
+            block = blocks[ci]
+            h, s = (block[-1] if block else 0), 1
+            if not p.is_infinity:
+                a, b = p.coord.numerator, p.coord.denominator
+                for c in block[-2::-1]:
+                    s *= b
+                    h = h * a + c * s
+            scaled.append((h, s))
+        (h_a, s_a), (h_b, s_b) = scaled
+        if h_a * s_b * g.denominator != g.numerator * h_b * s_a:
             return False
     return True
 

@@ -18,6 +18,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import random
 import sys
 from dataclasses import dataclass
@@ -688,10 +689,17 @@ def main(argv: list[str] | None = None) -> int:
         "input": {"path": args.spec, "sha256": hashlib.sha256(raw).hexdigest()},
         "sections": {args.command: body},
     }
-    if args.json:
-        print(json.dumps(document, indent=2))
-    else:
-        print(_render_text(args.command, body), end="")
+    try:
+        if args.json:
+            print(json.dumps(document, indent=2))
+        else:
+            print(_render_text(args.command, body), end="")
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader has gone (e.g. `| head -1`). As the `signal` docs advise,
+        # point stdout at devnull so the flush at interpreter exit cannot raise
+        # again, and keep the exit code the command computed.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     if args.command == "verify" and not body["passed"]:
         return EXIT_CHECK_FAILED
     return EXIT_OK

@@ -19,6 +19,9 @@ over basis indices. No system is solved: the target basis is the
 identity on the free columns of the target's gluing rref, so a
 product's coordinates are its entries at those columns, valid once an
 exact node-by-node check has shown the product is a global section.
+Products and that check run on integer numerators over a common
+denominator (see ``bundles``); only the entries read off become
+Fractions.
 Its kernel at m = 2 is the space of quadrics through the embedded
 curve; the rank of their Jacobian at points of the affine cone is
 exposed as a probe. The probe is a heuristic: it reflects the quadrics
@@ -35,8 +38,9 @@ from itertools import chain, combinations, combinations_with_replacement
 
 from .bundles import (
     SectionSpace,
-    flatten_section,
-    multiply_sections,
+    _convolve,
+    _glues,
+    _integral,
     poly_jet,
     poly_value,
     power,
@@ -316,10 +320,14 @@ def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
     multiplication of its prefix, so the degree-m products are never
     all held at once.
 
-    Each product is first checked exactly against every node constraint
-    of ``L^m``. Once it is known to be a global section, its coordinates
+    The basis is converted once to integer numerators over one common
+    denominator per section, and a product multiplies numerators and
+    denominators apart. Each product is first checked exactly against
+    every node constraint of ``L^m``, on integers with every denominator
+    cleared. Once it is known to be a global section, its coordinates
     are its entries at the target space's free columns, where the target
-    basis is the identity. A product failing the check would mean the
+    basis is the identity, each read off as ``Fraction(numerator,
+    denominator)``. A product failing the check would mean the
     gluing bookkeeping is broken, and raises ``ArithmeticError`` rather
     than reading off coordinates that do not reproduce it.
     """
@@ -327,20 +335,23 @@ def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
         raise ValueError("multiplication maps are defined for m >= 1")
     target = power(space.bundle, m)
     target_space = section_basis(target)
-    basis = space.basis
+    basis = [_integral(s) for s in space.basis]
     prefixes = {(i,): s for i, s in enumerate(basis)}
     for j in range(2, m):
-        prefixes = {p: multiply_sections(prefixes[p[:-1]], basis[p[-1]]) for p in sym_monomials(len(basis), j)}
+        prefixes = {p: _convolve(prefixes[p[:-1]], basis[p[-1]]) for p in sym_monomials(len(basis), j)}
     columns = []
     for mono in sym_monomials(len(basis), m):
-        s = multiply_sections(prefixes[mono[:-1]], basis[mono[-1]]) if m > 1 else basis[mono[0]]
-        if not section_satisfies_gluing(target, s):
+        blocks, den = _convolve(prefixes[mono[:-1]], basis[mono[-1]]) if m > 1 else basis[mono[0]]
+        if not _glues(target, blocks):
             raise ArithmeticError(
                 f"product for monomial {mono} is not a global section of the target; "
                 "gluing bookkeeping is broken"
             )
-        flat = flatten_section(target, s)
-        columns.append(tuple(flat[c] for c in target_space.free_columns))
+        # a product's blocks have the target's widths: m*d + 1, or empty for d < 0
+        flat = tuple(chain.from_iterable(blocks))
+        entries = (flat[c] for c in target_space.free_columns)
+        # most entries are zero; they share one Fraction instead of one each
+        columns.append(tuple(Fraction(n, den) if n else _ZERO for n in entries))
     return MatrixQ.from_columns(columns, rows=len(target_space.basis))
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from nodalcone.bundles import LineBundle
+from nodalcone.bundles import LineBundle, Section
 from nodalcone.curve import INFINITY, Component, NodalCurve, NodeGluing, affine_point, paper_example_curve
 
 
@@ -86,3 +86,42 @@ def flip_node(bundle, k):
     gluings = list(bundle.gluings)
     gluings[k] = 1 / gluings[k]
     return LineBundle(flipped_curve, bundle.multidegree, tuple(gluings))
+
+
+def reference_product(a, b):
+    """Componentwise product by Fraction convolution, an empty factor
+    block collapsing the product block: the reference that
+    ``bundles.multiply_sections`` and the multiplication map must match."""
+    blocks = []
+    for x, y in zip(a.coeffs, b.coeffs):
+        if not x or not y:
+            blocks.append(())
+            continue
+        out = [Fraction(0)] * (len(x) + len(y) - 1)
+        for i, xi in enumerate(x):
+            if xi == 0:
+                continue
+            for j, yj in enumerate(y):
+                out[i + j] += xi * yj
+        blocks.append(tuple(out))
+    return Section(tuple(blocks))
+
+
+def reference_satisfies_gluing(bundle, section):
+    """Every node constraint by Fraction Horner at both branches: the
+    reference for ``bundles.section_satisfies_gluing``."""
+
+    def value(block, point):
+        if not block:
+            return Fraction(0)
+        if point.is_infinity:
+            return block[-1]
+        acc = Fraction(0)
+        for c in reversed(block):
+            acc = acc * point.coord + c
+        return acc
+
+    for ((ia, _, pa), (ib, _, pb)), glue in zip(bundle.curve.sites, bundle.gluings):
+        if value(section.coeffs[ia], pa) != glue * value(section.coeffs[ib], pb):
+            return False
+    return True

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import curve_with_infinity, flip_node, random_bundle, random_curve
+from conftest import (
+    curve_with_infinity,
+    flip_node,
+    random_bundle,
+    random_curve,
+    reference_product,
+    reference_satisfies_gluing,
+)
 from nodalcone.bundles import (
     LineBundle,
     Section,
@@ -185,6 +192,60 @@ def test_products_of_sections_glue_in_the_square(paper_curve):
         for j in (1, 5, 9):
             prod = multiply_sections(basis[i], basis[j])
             assert section_satisfies_gluing(square, prod)
+
+
+def _scaled(rng, section):
+    """The section times ``odd / (2k)``, a factor that is never an
+    integer, so a nonzero section gets non-integer coefficients."""
+    q = F(2 * rng.randint(0, 4) + 1, 2 * rng.randint(1, 3))
+    return Section(tuple(tuple(c * q for c in block) for block in section.coeffs))
+
+
+def _perturbed_at_node(rng, bundle, section):
+    """The section with the coefficient read at one branch of a random
+    node (the leading one at infinity, else the constant term) moved by
+    a non-integer amount, which breaks that node's constraint unless
+    the other branch moves with it; ``None`` when the branch lies on a
+    negative-degree component or the curve has no node."""
+    if not bundle.curve.nodes:
+        return None
+    ci, _, point = bundle.curve.sites[rng.randrange(len(bundle.curve.nodes))][rng.randrange(2)]
+    block = section.coeffs[ci]
+    if not block:
+        return None
+    k = len(block) - 1 if point.is_infinity else 0
+    shifted = block[:k] + (block[k] + F(1, rng.randint(2, 5)),) + block[k + 1 :]
+    return Section(section.coeffs[:ci] + (shifted,) + section.coeffs[ci + 1 :])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_integer_kernels_match_the_fraction_references(seed, with_infinity):
+    """``multiply_sections`` and ``section_satisfies_gluing`` run on the
+    integer form of a section; they must equal the Fraction convolution
+    and the Fraction-Horner node check. The curves have fractional
+    coordinates, ``inf`` branches and self-nodes, the gluings have
+    denominators, and the sections are scaled basis sections, their
+    products, and both perturbed at one node."""
+    rng = random.Random(seed)
+    curve = curve_with_infinity(rng) if with_infinity else random_curve(rng, max_components=3, max_nodes=3)
+    bundle = random_bundle(rng, curve, degree_range=(-1, 3))
+    square = power(bundle, 2)
+    basis = [_scaled(rng, s) for s in section_basis(bundle).basis]
+    cases = [(bundle, s) for s in basis]
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            product = multiply_sections(a, b)
+            assert product == reference_product(a, b)
+            assert reference_satisfies_gluing(square, product)
+            cases.append((square, product))
+    for target, s in list(cases):
+        off = _perturbed_at_node(rng, target, s)
+        if off is not None:
+            cases.append((target, off))
+            assert multiply_sections(off, basis[0]) == reference_product(off, basis[0])
+    for target, s in cases:
+        assert section_satisfies_gluing(target, s) == reference_satisfies_gluing(target, s)
 
 
 def test_tensor_dual_power_algebra(paper_curve):

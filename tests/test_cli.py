@@ -503,6 +503,19 @@ def test_verify_json_is_byte_identical_across_processes():
     assert first.stdout  # nonempty
 
 
+def test_verify_json_into_a_closed_pipe_exits_cleanly():
+    """``verify --json | head -1``: the reader is gone before the
+    document is written. The read end is closed before the child has
+    computed anything, so its write always meets a closed pipe."""
+    cmd = [sys.executable, "-m", "nodalcone", "verify", str(PAPER_SPEC), "--json"]
+    child = subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE, cwd=REPO)
+    child.stdout.close()
+    stderr = child.stderr.read()
+    child.stderr.close()
+    assert child.wait() == 0
+    assert b"Traceback" not in stderr
+
+
 # stdout sha256 of each invocation, run from the repository root on the
 # checked-in specs, as recorded before h0/h1 moved to the branch-value rank
 # and graded_report to one twist per weight.

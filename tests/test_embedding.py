@@ -10,13 +10,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import nodalcone.embedding as embedding
-from conftest import curve_with_infinity, random_bundle, random_curve
+from conftest import curve_with_infinity, random_bundle, random_curve, reference_product
 from nodalcone.bundles import (
-    Section,
     flatten_section,
     h0,
     line_bundle,
-    multiply_sections,
     power,
     section_basis,
     trivial_bundle,
@@ -242,7 +240,7 @@ def _assert_columns_reconstruct_products(bundle, m):
     for col, mono in enumerate(monos):
         product = space.basis[mono[0]]
         for idx in mono[1:]:
-            product = multiply_sections(product, space.basis[idx])
+            product = reference_product(product, space.basis[idx])
         expected = flatten_section(target_bundle, product)
         combo = [F(0)] * len(expected)
         for c, flat in zip(matrix.column(col), target):
@@ -273,12 +271,13 @@ def test_multiplication_map_builds_each_product_once(paper_curve, monkeypatch):
     every monomial out from scratch takes 55 + 2 * 220 = 440. Column
     order and values are checked by ``_assert_columns_reconstruct_products``."""
     calls = []
+    convolve = embedding._convolve
 
     def counted(a, b):
         calls.append(None)
-        return multiply_sections(a, b)
+        return convolve(a, b)
 
-    monkeypatch.setattr(embedding, "multiply_sections", counted)
+    monkeypatch.setattr(embedding, "_convolve", counted)
     space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
     assert len(space.basis) == 10
     m3 = multiplication_map(space, 3)
@@ -290,17 +289,18 @@ def test_multiplication_map_rejects_product_off_the_gluing(paper_curve, monkeypa
     """A product that breaks a node constraint raises instead of being
     read off the free columns."""
     calls = []
+    convolve = embedding._convolve
 
     def broken(a, b):
-        product = multiply_sections(a, b)
+        blocks, den = convolve(a, b)
         calls.append(None)
         if len(calls) != 5:
-            return product
-        # shifting C1's constant term moves its value at both of C1's nodes
-        first = (product.coeffs[0][0] + 1,) + product.coeffs[0][1:]
-        return Section((first,) + product.coeffs[1:])
+            return blocks, den
+        # shifting C1's constant term by 1 moves its value at both of C1's nodes
+        first = (blocks[0][0] + den,) + blocks[0][1:]
+        return (first,) + blocks[1:], den
 
-    monkeypatch.setattr(embedding, "multiply_sections", broken)
+    monkeypatch.setattr(embedding, "_convolve", broken)
     with pytest.raises(ArithmeticError, match=r"monomial \(0, 4\) is not a global section"):
         multiplication_map(section_basis(line_bundle(paper_curve, (4, 3, 3))), 2)
 
