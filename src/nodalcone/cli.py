@@ -121,7 +121,7 @@ def _parse_branch(text) -> tuple[str, int]:
     if not isinstance(text, str) or "." not in text:
         raise SpecError("reference", f"node branches look like 'C1.0', got {text!r}")
     name, _, idx = text.rpartition(".")
-    if not name or not idx.isdigit():
+    if not name or not idx.isdecimal():
         raise SpecError("reference", f"node branches look like 'C1.0', got {text!r}")
     return name, int(idx)
 
@@ -142,6 +142,8 @@ def parse_spec(text: str) -> CurveSpec:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SpecError("syntax", f"not valid JSON: {exc}")
+    except RecursionError:
+        raise SpecError("syntax", "not valid JSON: nested too deeply")
     _expect(isinstance(data, dict), "schema", "top level must be a JSON object")
     _expect("components" in data, "schema", "missing 'components'")
     _expect("bundle" in data, "schema", "missing 'bundle'")

@@ -366,17 +366,21 @@ def quadric_ideal(m2: MatrixQ) -> tuple[VectorQ, ...]:
     return tuple(kernel_basis(m2))
 
 
-def quadric_value(quadric, coords) -> Fraction:
-    """Value of a quadric coefficient vector at affine coordinates."""
-    values = [as_scalar(c) for c in coords]
-    n = len(values)
+def _terms(quadric, n: int) -> list[tuple[Fraction, int, int]]:
+    """The nonzero terms ``(c, i, j)`` of a quadric coefficient vector
+    over ``sym_monomials(n, 2)``, after checking its length."""
     monos = sym_monomials(n, 2)
     if len(quadric) != len(monos):
         raise ValueError(f"quadric length {len(quadric)} does not match {len(monos)} monomials")
+    return [(as_scalar(c), i, j) for c, (i, j) in zip(quadric, monos) if c]
+
+
+def quadric_value(quadric, coords) -> Fraction:
+    """Value of a quadric coefficient vector at affine coordinates."""
+    values = [as_scalar(c) for c in coords]
     acc = _ZERO
-    for coeff, (i, j) in zip(quadric, monos):
-        if coeff != 0:
-            acc += as_scalar(coeff) * values[i] * values[j]
+    for c, i, j in _terms(quadric, len(values)):
+        acc += c * values[i] * values[j]
     return acc
 
 
@@ -396,16 +400,10 @@ def cone_jacobian_rank(quadrics, coords) -> int:
     """
     values = [as_scalar(c) for c in coords]
     n = len(values)
-    monos = sym_monomials(n, 2)
     rows = []
     for q in quadrics:
-        if len(q) != len(monos):
-            raise ValueError(f"quadric length {len(q)} does not match {len(monos)} monomials")
         grad = [_ZERO] * n
-        for coeff, (i, j) in zip(q, monos):
-            if coeff == 0:
-                continue
-            c = as_scalar(coeff)
+        for c, i, j in _terms(q, n):
             if i == j:
                 grad[i] += 2 * c * values[i]
             else:

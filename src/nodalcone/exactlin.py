@@ -1,14 +1,19 @@
-"""Dense exact linear algebra over the rational numbers.
+"""Exact linear algebra over the rational numbers.
 
 The scalar type is :class:`fractions.Fraction`: arbitrary precision,
 always in lowest terms with a positive denominator, so every arithmetic
 result is exact and canonical. ``MatrixQ`` is a small immutable dense
-matrix over it. Elimination is gcd-normalized rational Gaussian
-elimination (Fraction re-reduces after every operation), with a fixed
-pivot rule: leftmost column first and, within a column, the first
+matrix over it. Elimination is rational Gaussian elimination with a
+fixed pivot rule: leftmost column first and, within a column, the first
 nonzero row from the top. That rule makes ranks, echelon forms and
 kernel bases bit-identical across runs, which golden values in the
 test-suite rely on.
+
+The matrices this package eliminates are mostly zeros, so a row update
+touches only the pivot row's nonzero entries, and only in rows whose
+entry in the pivot column is nonzero; scaling the pivot row skips its
+zeros too. A skipped entry would have been left as it is, so the pivot
+rule, and with it every result, is the same as dense elimination's.
 
 No floating point is used anywhere in this package; floats are rejected
 at the boundary.
@@ -87,14 +92,6 @@ class MatrixQ:
             rows = 0
         return cls(rows, len(data), [data[j][i] for i in range(rows) for j in range(len(data))])
 
-    @classmethod
-    def zeros(cls, rows: int, cols: int) -> "MatrixQ":
-        return cls(rows, cols, [_ZERO] * (rows * cols))
-
-    @classmethod
-    def identity(cls, n: int) -> "MatrixQ":
-        return cls(n, n, [_ONE if i == j else _ZERO for i in range(n) for j in range(n)])
-
     def at(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self.cols} matrix")
@@ -104,31 +101,6 @@ class MatrixQ:
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} outside {self.rows}x{self.cols} matrix")
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def column(self, j: int) -> VectorQ:
-        if not 0 <= j < self.cols:
-            raise IndexError(f"column {j} outside {self.rows}x{self.cols} matrix")
-        return tuple(self.entries[i * self.cols + j] for i in range(self.rows))
-
-    def transpose(self) -> "MatrixQ":
-        return MatrixQ(
-            self.cols,
-            self.rows,
-            [self.entries[i * self.cols + j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
-    def mul_vec(self, vec: Sequence) -> VectorQ:
-        v = [as_scalar(e) for e in vec]
-        if len(v) != self.cols:
-            raise ValueError(f"vector length {len(v)} does not match {self.cols} columns")
-        out = []
-        for i in range(self.rows):
-            base = i * self.cols
-            acc = _ZERO
-            for j in range(self.cols):
-                acc += self.entries[base + j] * v[j]
-            out.append(acc)
-        return tuple(out)
 
     def row_lists(self) -> list[list[Fraction]]:
         """Mutable copy of the rows, for elimination working storage."""
@@ -145,6 +117,22 @@ class MatrixQ:
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
         return f"MatrixQ({self.rows}x{self.cols}: {body})"
+
+
+def _clear(rows: list[list[Fraction]], targets: range, prow: list[Fraction], col: int) -> None:
+    """Subtract multiples of the pivot row ``prow`` (pivot 1 at ``col``)
+    from each target row, so that its entry at ``col`` becomes zero.
+
+    Only the pivot row's nonzero entries are visited, in rows whose
+    entry at ``col`` is nonzero; every other entry would stay as it is.
+    """
+    support = [(j, b) for j, b in enumerate(prow) if b]
+    for r in targets:
+        cur = rows[r]
+        f = cur[col]
+        if f:
+            for j, b in support:
+                cur[j] -= f * b
 
 
 def _forward_eliminate(rows: list[list[Fraction]]) -> list[int]:
@@ -168,13 +156,10 @@ def _forward_eliminate(rows: list[list[Fraction]]) -> list[int]:
         pivot = prow[col]
         if pivot != 1:
             inv = _ONE / pivot
-            prow = [e * inv for e in prow]
-            rows[piv_r] = prow
-        for r in range(piv_r + 1, nrows):
-            f = rows[r][col]
-            if f:
-                cur = rows[r]
-                rows[r] = [a - f * b for a, b in zip(cur, prow)]
+            for j, e in enumerate(prow):
+                if e:
+                    prow[j] = e * inv
+        _clear(rows, range(piv_r + 1, nrows), prow, col)
         pivots.append(col)
         piv_r += 1
     return pivots
@@ -182,13 +167,7 @@ def _forward_eliminate(rows: list[list[Fraction]]) -> list[int]:
 
 def _back_substitute(rows: list[list[Fraction]], pivots: list[int]) -> None:
     for r in range(len(pivots) - 1, -1, -1):
-        col = pivots[r]
-        prow = rows[r]
-        for rr in range(r):
-            f = rows[rr][col]
-            if f:
-                cur = rows[rr]
-                rows[rr] = [a - f * b for a, b in zip(cur, prow)]
+        _clear(rows, range(r), rows[r], pivots[r])
 
 
 def rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:

@@ -106,6 +106,8 @@ def test_paper_spec_file_parses():
 
 def test_diagnostic_code_syntax():
     assert code_of("{not json") == "syntax"
+    # deeper than the nesting json.loads accepts on any supported Python
+    assert code_of("[" * 100_000 + "]" * 100_000) == "syntax"
 
 
 def test_diagnostic_code_schema():
@@ -134,6 +136,9 @@ def test_diagnostic_code_reference():
     assert code_of(json.dumps(doc)) == "reference"
     doc = json.loads(MINIMAL)
     doc["nodes"][0]["a"] = "A.9"
+    assert code_of(json.dumps(doc)) == "reference"
+    doc = json.loads(MINIMAL)
+    doc["nodes"][0]["a"] = "A.\u00b2"
     assert code_of(json.dumps(doc)) == "reference"
 
 
@@ -565,7 +570,7 @@ def mutated_spec(draw):
             bundle["gluings"][draw(st.integers(0, len(nodes) - 1))] = draw(st.sampled_from(["2", "-1/3", "0", 3]))
         elif kind == "branch":
             end = draw(st.sampled_from(["a", "b"]))
-            draw(st.sampled_from(nodes))[end] = draw(st.sampled_from(["C1.0", "C2.2", "C3.0", "C9.0", "C1.9", "C1", ".0"]))
+            draw(st.sampled_from(nodes))[end] = draw(st.sampled_from(["C1.0", "C2.2", "C3.0", "C9.0", "C1.9", "C1", ".0", "C1.\u00b2"]))
         elif len(nodes) > 1:
             nodes.pop(draw(st.integers(0, len(nodes) - 1)))
             bundle["gluings"].pop()

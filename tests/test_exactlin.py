@@ -100,13 +100,17 @@ def test_vandermonde_rank_with_determinant_oracle():
 def test_kernel_canonical_form():
     m = MatrixQ.from_rows([[1, 2]])
     assert kernel_basis(m) == [(F(-2), F(1))]
-    z = MatrixQ.zeros(2, 3)
+    z = MatrixQ.from_rows([[0, 0, 0], [0, 0, 0]])
     basis = kernel_basis(z)
     assert basis == [
         (F(1), F(0), F(0)),
         (F(0), F(1), F(0)),
         (F(0), F(0), F(1)),
     ]
+
+
+def _mul_vec(m, vec):
+    return tuple(sum((a * b for a, b in zip(row, vec)), F(0)) for row in m.row_lists())
 
 
 def _random_matrix(rng, max_dim=6):
@@ -127,7 +131,7 @@ def test_rank_and_kernel_against_sympy():
         basis = kernel_basis(m)
         assert len(basis) == len(sm.nullspace())
         for vec in basis:
-            assert m.mul_vec(vec) == tuple([F(0)] * m.rows)
+            assert _mul_vec(m, vec) == tuple([F(0)] * m.rows)
 
 
 def test_point_evaluation_rank_invariant():
@@ -159,6 +163,41 @@ def matrices(draw, max_dim=5):
     return MatrixQ.from_rows(entries)
 
 
+@st.composite
+def sparse_matrices(draw, max_rows=8, max_cols=12):
+    """Matrices with at least 60% zero entries. Some rows are replaced by
+    a combination of earlier rows, and so reduce to zero, wherever that
+    keeps the zeros at 60%."""
+    r = draw(st.integers(min_value=1, max_value=max_rows))
+    c = draw(st.integers(min_value=1, max_value=max_cols))
+    budget = (r * c * 2) // 5
+    cells = draw(st.lists(st.integers(0, r * c - 1), unique=True, max_size=budget))
+    rows = [[F(0)] * c for _ in range(r)]
+    for cell in cells:
+        rows[cell // c][cell % c] = draw(fractions_st.filter(bool))
+    for i in range(1, r):
+        if draw(st.booleans()):
+            a, b = draw(fractions_st), draw(fractions_st)
+            s, t = draw(st.integers(0, i - 1)), draw(st.integers(0, i - 1))
+            row = [a * x + b * y for x, y in zip(rows[s], rows[t])]
+            others = sum(bool(e) for k, other in enumerate(rows) if k != i for e in other)
+            if others + sum(map(bool, row)) <= budget:
+                rows[i] = row
+    return MatrixQ.from_rows(rows)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_matrices())
+def test_rref_of_sparse_matrices_against_sympy(m):
+    assert 5 * sum(e == 0 for e in m.entries) >= 3 * m.rows * m.cols
+    sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(e.numerator, e.denominator) for e in m.entries])
+    s_reduced, s_pivots = sm.rref()
+    reduced, pivots = rref(m)
+    assert pivots == s_pivots
+    assert reduced.entries == tuple(F(int(e.p), int(e.q)) for e in s_reduced)
+    assert rank(m) == len(s_pivots)
+
+
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_nullity(m):
@@ -168,7 +207,7 @@ def test_rank_nullity(m):
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_equals_transpose_rank(m):
-    assert rank(m) == rank(m.transpose())
+    assert rank(m) == rank(MatrixQ.from_columns(m.row_lists()))
 
 
 @settings(max_examples=60, deadline=None)
@@ -176,7 +215,7 @@ def test_rank_equals_transpose_rank(m):
 def test_kernel_vectors_annihilate(m):
     zero = tuple([F(0)] * m.rows)
     for vec in kernel_basis(m):
-        assert m.mul_vec(vec) == zero
+        assert _mul_vec(m, vec) == zero
 
 
 @settings(max_examples=60, deadline=None)
