@@ -4,9 +4,12 @@ Build curves out of marked projective lines and node gluings, compute
 section spaces of line bundles as kernels of an exact gluing matrix,
 check projective embeddings, and tabulate the graded deformation
 dimensions of the affine cone over the embedded curve. Arithmetic is
-over ``fractions.Fraction``, apart from section products and node
-checks, which run on integer numerators over a common denominator;
-results are exact and deterministic.
+over ``fractions.Fraction``, apart from the section values, jets and
+separation tests, the section products and the node checks. These run
+on integer numerators over a common denominator; clearing a positive
+denominator changes neither which values are zero nor which 2 x 2
+minors vanish, so the verdicts are the same. Results are exact and
+deterministic.
 """
 
 __version__ = "0.1.0"
@@ -39,12 +42,10 @@ from .bundles import (
     component_h1,
     dual,
     dualizing_bundle,
-    evaluate_section,
     evaluation_row,
     gluing_matrix,
     h0,
     h1_direct,
-    jet_row,
     line_bundle,
     multiply_sections,
     power,

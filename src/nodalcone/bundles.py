@@ -20,12 +20,15 @@ kernel and ``h1`` comes from its corank plus the classical line-bundle
 contributions of the components. Both are exact integers computed over
 Fraction arithmetic, never estimated.
 
-Products of sections and the node check run on a section's integer
-form instead: per component, its integer numerators over one common
-positive denominator (``_integral``). Convolution then needs no gcd at
-each step. The node check clears the denominators of the branch
-coordinates and of the gluing scalar by homogeneous Horner (``_glues``),
-so it compares integers and stays exact. ``multiply_sections`` and
+Every value of a section is taken on its integer form instead: per
+component, its integer numerators over one common positive denominator
+(``_integral``), built once per section space
+(``SectionSpace.integral_basis``). Values and jets come from homogeneous
+Horner, which clears the denominator of the point (``_value``,
+``_jet``), so a value is an integer over a positive one. Products
+convolve the numerators with no gcd at each step (``_convolve``), and
+the node check compares integers after also clearing the gluing
+scalar's denominator (``_glues``). ``multiply_sections`` and
 ``section_satisfies_gluing`` are thin wrappers over these helpers.
 
 Only the rank of G enters ``h0`` and ``h1``, and G factors as ``A * E``:
@@ -62,6 +65,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import accumulate
 from math import lcm
 
@@ -140,51 +144,6 @@ def evaluation_row(d: int, p: PointOnLine) -> VectorQ:
         out.append(acc)
         acc = acc * p.coord
     return tuple(out)
-
-
-def jet_row(d: int, p: PointOnLine) -> VectorQ:
-    """Row of the first-order jet functional at p on degree <= d polynomials.
-
-    Affine p: the formal derivative, ``(0, 1, 2p, ..., d p^{d-1})``.
-    Infinity: in the chart u = 1/t a section reads ``sum a_k u^{d-k}``,
-    whose derivative at u = 0 is ``a_{d-1}``, so the row selects that
-    coefficient. Degree 0 bundles have no first-order data, hence d >= 1.
-    """
-    if d <= 0:
-        raise ValueError("jet rows need degree at least 1")
-    if p.is_infinity:
-        return tuple(_ONE if k == d - 1 else _ZERO for k in range(d + 1))
-    out = [_ZERO]
-    power = _ONE
-    for k in range(1, d + 1):
-        out.append(k * power)
-        power = power * p.coord
-    return tuple(out)
-
-
-def poly_value(coeffs: VectorQ, p: PointOnLine) -> Fraction:
-    """Value of a coefficient vector at p; an empty block is the zero section."""
-    if not coeffs:
-        return _ZERO
-    if p.is_infinity:
-        return coeffs[-1]
-    acc = _ZERO
-    for c in reversed(coeffs):
-        acc = acc * p.coord + c
-    return acc
-
-
-def poly_jet(coeffs: VectorQ, p: PointOnLine) -> Fraction:
-    """First-order jet of a coefficient vector at p; zero when the block
-    has no degree-1 data (length < 2)."""
-    if len(coeffs) < 2:
-        return _ZERO
-    if p.is_infinity:
-        return coeffs[-2]
-    acc = _ZERO
-    for k in range(len(coeffs) - 1, 0, -1):
-        acc = acc * p.coord + k * coeffs[k]
-    return acc
 
 
 def block_widths(bundle: LineBundle) -> tuple[int, ...]:
@@ -270,11 +229,20 @@ class SectionSpace:
     columns of the gluing matrix's rref, in the flattened block layout:
     the basis restricted to them is the identity, so a global section's
     coordinates in this basis are its flattened entries there.
+
+    ``integral_basis`` is the basis in integer form (``_integral`` of
+    each section), built on first use and then kept: a space that is
+    never evaluated or multiplied never converts it. It is not a field,
+    so equality and hashing see only the three fields.
     """
 
     bundle: LineBundle
     basis: tuple[Section, ...]
     free_columns: tuple[int, ...]
+
+    @cached_property
+    def integral_basis(self) -> tuple[_IntegralForm, ...]:
+        return tuple(_integral(s) for s in self.basis)
 
 
 def section_from_vector(bundle: LineBundle, vec) -> Section:
@@ -358,18 +326,6 @@ def h1_direct(bundle: LineBundle) -> int:
     return cohomology(bundle)[1]
 
 
-def evaluate_section(curve: NodalCurve, section: Section, component_name: str, p: PointOnLine) -> Fraction:
-    """Value of a section on one component, in that component's trivialization."""
-    idx = curve.component_index(component_name)
-    block = section.coeffs[idx]
-    if not block:
-        raise ValueError(
-            f"component {component_name} carries negative degree; "
-            "the section has no coefficients there"
-        )
-    return poly_value(block, p)
-
-
 def multiply_sections(a: Section, b: Section) -> Section:
     """Componentwise polynomial product.
 
@@ -422,29 +378,48 @@ def _convolve(a: _IntegralForm, b: _IntegralForm) -> _IntegralForm:
     return tuple(blocks), a_den * b_den
 
 
+def _value(block: tuple[int, ...], p: PointOnLine) -> tuple[int, int]:
+    """Value of an integer block at p as ``(h, s)``: the value over the
+    section's common denominator is ``h / s``, with ``s > 0``.
+
+    At an affine ``p = a/b`` (``b > 0``) a block ``c_0..c_d`` gives
+    ``h = sum_k c_k a^k b^(d-k)`` by homogeneous Horner and ``s = b^d``.
+    At infinity ``h = c_d`` and ``s = 1``; an empty block has ``h = 0``,
+    ``s = 1``. So s depends only on p and the block's length.
+    """
+    h, s = (block[-1] if block else 0), 1
+    if not p.is_infinity:
+        a, b = p.coord.numerator, p.coord.denominator
+        for c in block[-2::-1]:
+            s *= b
+            h = h * a + c * s
+    return h, s
+
+
+def _jet(block: tuple[int, ...], p: PointOnLine) -> tuple[int, int]:
+    """First-order jet of an integer block at p as ``(h, s)``, like
+    ``_value``: the coefficient ``c_{d-1}`` at infinity (in the chart
+    ``u = 1/t`` a section reads ``sum c_k u^(d-k)``), the value of the
+    derivative ``(c_1, 2 c_2, ..., d c_d)`` at an affine p, and zero on
+    a block with no degree-1 data (length < 2)."""
+    if len(block) < 2:
+        return 0, 1
+    if p.is_infinity:
+        return block[-2], 1
+    return _value(tuple(k * c for k, c in enumerate(block))[1:], p)
+
+
 def _glues(bundle: LineBundle, blocks: tuple[tuple[int, ...], ...]) -> bool:
     """Exact node check on the integer numerators of a section.
 
-    At an affine branch ``p = a/b`` (``b > 0``) a block ``c_0..c_d`` has
-    the value ``H / S`` over the common denominator, with
-    ``H = sum_k c_k a^k b^(d-k)`` by homogeneous Horner and ``S = b^d``.
-    At infinity ``H = c_d`` and ``S = 1``; an empty block has ``H = 0``,
-    ``S = 1``. The node constraint ``H_a / S_a = g H_b / S_b`` is then
+    With the branch values ``H_a / S_a`` and ``H_b / S_b`` of ``_value``,
+    the node constraint ``H_a / S_a = g H_b / S_b`` is
     ``H_a S_b g.denominator == g.numerator H_b S_a``: every factor is an
     integer, the common denominator cancels, and nothing is rounded.
     """
-    for sites, g in zip(bundle.curve.sites, bundle.gluings):
-        scaled = []
-        for ci, _, p in sites:
-            block = blocks[ci]
-            h, s = (block[-1] if block else 0), 1
-            if not p.is_infinity:
-                a, b = p.coord.numerator, p.coord.denominator
-                for c in block[-2::-1]:
-                    s *= b
-                    h = h * a + c * s
-            scaled.append((h, s))
-        (h_a, s_a), (h_b, s_b) = scaled
+    for ((ia, _, pa), (ib, _, pb)), g in zip(bundle.curve.sites, bundle.gluings):
+        h_a, s_a = _value(blocks[ia], pa)
+        h_b, s_b = _value(blocks[ib], pb)
         if h_a * s_b * g.denominator != g.numerator * h_b * s_a:
             return False
     return True

@@ -3,7 +3,9 @@
 Curve specs are JSON: a list of named components with marked-point
 coordinates ("p", "p/q" or "inf"), a list of nodes referencing marked
 points as "<component>.<index>", and a bundle with a multidegree and
-optional gluing scalars (default 1 at every node). Reports print as
+optional gluing scalars ("p", "p/q" or a JSON integer; default 1 at
+every node). In "p" and "p/q", p is ASCII digits with an optional sign
+and q is ASCII digits; nothing else is a number. Reports print as
 plain text or, with --json, as a machine-readable document whose key
 order and exact values ("p/q" strings, never floats) are deterministic:
 the same spec and flags produce byte-identical output.
@@ -20,6 +22,7 @@ import hashlib
 import json
 import os
 import random
+import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -96,6 +99,17 @@ class CurveSpec:
     curve: NodalCurve
 
 
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
+def _rational(text: str) -> Fraction:
+    """``p`` or ``p/q`` in ASCII digits, p signed; else ``ValueError``.
+    ``Fraction`` alone takes exponents: "1e1000000" has a million digits."""
+    if not _RATIONAL.fullmatch(text):
+        raise ValueError(f"not 'p' or 'p/q': {text!r}")
+    return Fraction(text)
+
+
 def parse_coordinate(text) -> PointOnLine:
     if not isinstance(text, str):
         raise SpecError("coordinate", f"coordinates are strings, got {text!r}")
@@ -103,8 +117,8 @@ def parse_coordinate(text) -> PointOnLine:
     if raw == "inf":
         return INFINITY
     try:
-        return affine_point(raw)
-    except (ValueError, ZeroDivisionError, TypeError):
+        return affine_point(_rational(raw))
+    except (ValueError, ZeroDivisionError):
         raise SpecError("coordinate", f"cannot parse coordinate {text!r}; use 'p', 'p/q' or 'inf'")
 
 
@@ -112,7 +126,7 @@ def parse_scalar(text) -> Fraction:
     if isinstance(text, bool) or not isinstance(text, (str, int)):
         raise SpecError("gluing", f"gluing scalars are strings or integers, got {text!r}")
     try:
-        return Fraction(str(text).strip())
+        return _rational(str(text).strip())
     except (ValueError, ZeroDivisionError):
         raise SpecError("gluing", f"cannot parse gluing scalar {text!r}")
 
@@ -140,7 +154,7 @@ def parse_spec(text: str) -> CurveSpec:
     """
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # a JSONDecodeError, or an integer past the digit limit
         raise SpecError("syntax", f"not valid JSON: {exc}")
     except RecursionError:
         raise SpecError("syntax", "not valid JSON: nested too deeply")
@@ -229,16 +243,23 @@ def parse_spec(text: str) -> CurveSpec:
     return CurveSpec(tuple(components), tuple(nodes), tuple(raw_degrees), gluings, curve)
 
 
-def serialize_spec(spec: CurveSpec) -> str:
-    """Canonical JSON text; parse_spec(serialize_spec(s)) round-trips."""
-    doc = {
+def _layout(curve: NodalCurve) -> dict:
+    """A curve's components and nodes in the spec's JSON form."""
+    return {
         "components": [
-            {"name": name, "points": [str(p) for p in points]} for name, points in spec.components
+            {"name": c.name, "points": [str(p) for p in c.marked_points]} for c in curve.components
         ],
         "nodes": [
             {"a": f"{n.branch_a[0]}.{n.branch_a[1]}", "b": f"{n.branch_b[0]}.{n.branch_b[1]}"}
-            for n in spec.nodes
+            for n in curve.nodes
         ],
+    }
+
+
+def serialize_spec(spec: CurveSpec) -> str:
+    """Canonical JSON text; parse_spec(serialize_spec(s)) round-trips."""
+    doc = {
+        **_layout(spec.curve),
         "bundle": {
             "multidegree": list(spec.multidegree),
             "gluings": [str(g) for g in spec.gluings],
@@ -258,14 +279,7 @@ def fmt_exact(value: Fraction):
 def run_info(curve: NodalCurve, bundle: LineBundle) -> dict:
     graph = dual_graph(curve)
     return {
-        "components": [
-            {"name": c.name, "points": [str(p) for p in c.marked_points]}
-            for c in curve.components
-        ],
-        "nodes": [
-            {"a": f"{n.branch_a[0]}.{n.branch_a[1]}", "b": f"{n.branch_b[0]}.{n.branch_b[1]}"}
-            for n in curve.nodes
-        ],
+        **_layout(curve),
         "violations": validate(curve),
         "genus": arithmetic_genus(curve),
         "betti_1": betti_1(graph),

@@ -9,6 +9,17 @@ point against point or value against jet (separation); exact 2 x 2
 minors decide independence, without a rank. Random sampling can only
 ever refute; the criterion is what certifies.
 
+The rows are integers, read off the integer form of the basis that the
+section space keeps (see ``bundles``): entry j is the numerator ``h_j``
+of the value ``h_j / (s * den_j)``, where ``s > 0`` depends only on the
+point and the component's degree, so on no section, and ``den_j > 0``
+only on section j. So an integer row has the zero pattern of the
+rational row, and each 2 x 2 minor is the rational one times
+``s_u * s_v * den_j * den_k > 0``; jet rows scale the same way. The
+verdicts, witnesses and test counts are those of the rational rows,
+reached with no Fraction arithmetic. ``embed_point`` alone builds
+Fractions, ``Fraction(h, s * den)``, for exact coordinates.
+
 Every check takes the section space its caller holds (the verdicts,
 the point-level tests, node bookkeeping and the multiplication map),
 so a bundle is eliminated once however many checks and points use it.
@@ -36,17 +47,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 
-from .bundles import (
-    SectionSpace,
-    _convolve,
-    _glues,
-    _integral,
-    poly_jet,
-    poly_value,
-    power,
-    section_basis,
-    section_satisfies_gluing,
-)
+from .bundles import SectionSpace, _convolve, _glues, _jet, _value, power, section_basis
 from .curve import NodalCurve, PointOnLine, affine_point
 from .exactlin import MatrixQ, VectorQ, as_scalar, kernel_basis, rank
 
@@ -129,14 +130,17 @@ def _branch_site(curve: NodalCurve, x: CurvePoint) -> tuple[int, PointOnLine]:
     return curve.component_index(x.component), x.coord
 
 
-def _evaluation_vector(space: SectionSpace, x: CurvePoint) -> VectorQ:
+def _evaluation_vector(space: SectionSpace, x: CurvePoint) -> tuple[int, ...]:
+    """The basis values at x as integers, ``h_j`` of ``_value`` for
+    basis section j; the module docstring gives their scaling."""
     ci, point = _branch_site(space.bundle.curve, x)
-    return tuple(poly_value(s.coeffs[ci], point) for s in space.basis)
+    return tuple(_value(blocks[ci], point)[0] for blocks, _ in space.integral_basis)
 
 
-def _jet_vector(space: SectionSpace, x: CurvePoint) -> VectorQ:
+def _jet_vector(space: SectionSpace, x: CurvePoint) -> tuple[int, ...]:
+    """The basis jets at x as integers, ``h_j`` of ``_jet``."""
     ci, point = _branch_site(space.bundle.curve, x)
-    return tuple(poly_jet(s.coeffs[ci], point) for s in space.basis)
+    return tuple(_jet(blocks[ci], point)[0] for blocks, _ in space.integral_basis)
 
 
 def sample_points(curve: NodalCurve, extra_per_component: int = 5, seed: int = SAMPLE_SEED) -> tuple[CurvePoint, ...]:
@@ -190,14 +194,9 @@ def globally_generated(space: SectionSpace, extra_samples: int = 5, seed: int = 
     if len(space.basis) < 1:
         return AmpleVerdict(FAILED, "no global sections (h0 = 0)", 0)
     samples = sample_points(space.bundle.curve, extra_samples, seed)
-    witness = None
     for x in samples:
-        values = _evaluation_vector(space, x)
-        if all(v == 0 for v in values):
-            witness = f"all sections vanish at {x}"
-            break
-    if witness is not None:
-        return AmpleVerdict(FAILED, witness, len(samples))
+        if not any(_evaluation_vector(space, x)):
+            return AmpleVerdict(FAILED, f"all sections vanish at {x}", len(samples))
     criterion = min(space.bundle.multidegree) >= 2
     status = CRITERION_SATISFIED if criterion else VERIFIED_ON_SAMPLES
     return AmpleVerdict(status, None, len(samples))
@@ -285,12 +284,18 @@ def embed_point(space: SectionSpace, x: CurvePoint) -> VectorQ:
 
     Node points evaluate through branch 0 by default; branch 1 returns
     the same projective point, rescaled by the inverse gluing scalar.
+    Each coordinate is the exact value ``Fraction(h, s * den)`` of a
+    basis section (see ``bundles._value``).
     """
     _check_point(space.bundle.curve, x)
-    values = _evaluation_vector(space, x)
+    ci, point = _branch_site(space.bundle.curve, x)
+    values = []
+    for blocks, den in space.integral_basis:
+        h, s = _value(blocks[ci], point)
+        values.append(Fraction(h, s * den))
     if all(v == 0 for v in values):
         raise ValueError(f"every section vanishes at {x}; the bundle is not globally generated there")
-    return values
+    return tuple(values)
 
 
 def node_images_consistent(space: SectionSpace) -> bool:
@@ -300,7 +305,7 @@ def node_images_consistent(space: SectionSpace) -> bool:
     scalar times the vector through branch b, entry by entry: every
     basis section satisfies every node constraint.
     """
-    return all(section_satisfies_gluing(space.bundle, s) for s in space.basis)
+    return all(_glues(space.bundle, blocks) for blocks, _ in space.integral_basis)
 
 
 def sym_monomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
@@ -320,11 +325,11 @@ def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
     multiplication of its prefix, so the degree-m products are never
     all held at once.
 
-    The basis is converted once to integer numerators over one common
-    denominator per section, and a product multiplies numerators and
-    denominators apart. Each product is first checked exactly against
-    every node constraint of ``L^m``, on integers with every denominator
-    cleared. Once it is known to be a global section, its coordinates
+    The basis is read in the integer form the space keeps (numerators
+    over one common denominator per section), and a product multiplies
+    numerators and denominators apart. Each product is first checked
+    exactly against every node constraint of ``L^m``, on integers with
+    every denominator cleared. Once it is known to be a global section, its coordinates
     are its entries at the target space's free columns, where the target
     basis is the identity, each read off as ``Fraction(numerator,
     denominator)``. A product failing the check would mean the
@@ -335,7 +340,7 @@ def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
         raise ValueError("multiplication maps are defined for m >= 1")
     target = power(space.bundle, m)
     target_space = section_basis(target)
-    basis = [_integral(s) for s in space.basis]
+    basis = space.integral_basis
     prefixes = {(i,): s for i, s in enumerate(basis)}
     for j in range(2, m):
         prefixes = {p: _convolve(prefixes[p[:-1]], basis[p[-1]]) for p in sym_monomials(len(basis), j)}

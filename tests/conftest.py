@@ -107,21 +107,37 @@ def reference_product(a, b):
     return Section(tuple(blocks))
 
 
+def reference_value(block, point):
+    """Value of a Fraction coefficient block at a point by Fraction
+    Horner; the leading coefficient at infinity, zero on an empty block."""
+    if not block:
+        return Fraction(0)
+    if point.is_infinity:
+        return block[-1]
+    acc = Fraction(0)
+    for c in reversed(block):
+        acc = acc * point.coord + c
+    return acc
+
+
+def reference_jet(block, point):
+    """First-order jet of a Fraction coefficient block by Fraction Horner
+    on the derivative; ``a_{d-1}`` at infinity, zero on a block of
+    length < 2."""
+    if len(block) < 2:
+        return Fraction(0)
+    if point.is_infinity:
+        return block[-2]
+    acc = Fraction(0)
+    for k in range(len(block) - 1, 0, -1):
+        acc = acc * point.coord + k * block[k]
+    return acc
+
+
 def reference_satisfies_gluing(bundle, section):
     """Every node constraint by Fraction Horner at both branches: the
     reference for ``bundles.section_satisfies_gluing``."""
-
-    def value(block, point):
-        if not block:
-            return Fraction(0)
-        if point.is_infinity:
-            return block[-1]
-        acc = Fraction(0)
-        for c in reversed(block):
-            acc = acc * point.coord + c
-        return acc
-
     for ((ia, _, pa), (ib, _, pb)), glue in zip(bundle.curve.sites, bundle.gluings):
-        if value(section.coeffs[ia], pa) != glue * value(section.coeffs[ib], pb):
+        if reference_value(section.coeffs[ia], pa) != glue * reference_value(section.coeffs[ib], pb):
             return False
     return True

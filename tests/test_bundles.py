@@ -12,10 +12,15 @@ from conftest import (
     flip_node,
     random_bundle,
     random_curve,
+    reference_jet,
     reference_product,
     reference_satisfies_gluing,
+    reference_value,
 )
 from nodalcone.bundles import (
+    _integral,
+    _jet,
+    _value,
     LineBundle,
     Section,
     block_widths,
@@ -25,17 +30,13 @@ from nodalcone.bundles import (
     component_h1,
     dual,
     dualizing_bundle,
-    evaluate_section,
     evaluation_row,
     flatten_section,
     gluing_matrix,
     h0,
     h1_direct,
-    jet_row,
     line_bundle,
     multiply_sections,
-    poly_jet,
-    poly_value,
     power,
     riemann_roch_report,
     section_basis,
@@ -56,6 +57,7 @@ from nodalcone.curve import (
     arithmetic_genus,
     paper_example_curve,
 )
+from nodalcone.embedding import sample_points
 from nodalcone.exactlin import MatrixQ, rank
 
 F = Fraction
@@ -74,20 +76,23 @@ def test_evaluation_row_affine_and_infinity():
         evaluation_row(-1, affine_point(F(0)))
 
 
-def test_jet_row_affine_and_infinity():
-    t = F(5, 2)
-    assert jet_row(3, affine_point(t)) == (F(0), F(1), 2 * t, 3 * t * t)
-    assert jet_row(2, INFINITY) == (F(0), F(1), F(0))
-    with pytest.raises(ValueError):
-        jet_row(0, affine_point(F(1)))
-
-
 def test_poly_value_and_jet():
-    coeffs = (F(1), F(0), F(2))  # 1 + 2 t^2
-    assert poly_value(coeffs, affine_point(F(3))) == F(19)
-    assert poly_value(coeffs, INFINITY) == F(2)
-    assert poly_value((), affine_point(F(3))) == F(0)
-    assert poly_jet(coeffs, affine_point(F(3))) == F(12)
+    block = (1, 0, 2)  # 1 + 2 t^2, integer numerators over denominator 1
+    assert _value(block, affine_point(F(3))) == (19, 1)
+    assert _value(block, INFINITY) == (2, 1)
+    assert _value((), affine_point(F(3))) == (0, 1)
+    assert _jet(block, affine_point(F(3))) == (12, 1)
+    # at p = a/b the denominator b^d is cleared: h / s is the value
+    assert _value(block, affine_point(F(3, 2))) == (22, 4)  # 11/2
+    assert _value(block, affine_point(F(-1, 2))) == (6, 4)  # 3/2
+    assert _jet(block, affine_point(F(3, 2))) == (12, 2)  # 4 t = 6
+    assert _jet(block, INFINITY) == (0, 1)  # a_{d-1}
+    assert _jet((1, 7, 2), INFINITY) == (7, 1)
+    # a length-1 block is a constant: its value everywhere, no jet
+    assert _value((5,), affine_point(F(3, 2))) == (5, 1)
+    assert _value((5,), INFINITY) == (5, 1)
+    assert _jet((5,), affine_point(F(3, 2))) == (0, 1)
+    assert _jet((), INFINITY) == (0, 1)
 
 
 def test_bundle_validation(paper_curve):
@@ -167,15 +172,6 @@ def test_section_from_vector_roundtrip(paper_curve):
         section_from_vector(b, (F(1),))
 
 
-def test_evaluate_section(paper_curve):
-    b = line_bundle(paper_curve, (1, 0, -1))
-    s = Section(((F(1), F(2)), (F(7),), ()))
-    assert evaluate_section(paper_curve, s, "C1", affine_point(F(3))) == F(7)
-    assert evaluate_section(paper_curve, s, "C2", affine_point(F(9))) == F(7)
-    with pytest.raises(ValueError):
-        evaluate_section(paper_curve, s, "C3", affine_point(F(0)))
-
-
 def test_multiply_sections_is_polynomial_product():
     a = Section(((F(1), F(1)), ()))
     b = Section(((F(2), F(0), F(1)), (F(3),)))
@@ -246,6 +242,42 @@ def test_integer_kernels_match_the_fraction_references(seed, with_infinity):
             assert multiply_sections(off, basis[0]) == reference_product(off, basis[0])
     for target, s in cases:
         assert section_satisfies_gluing(target, s) == reference_satisfies_gluing(target, s)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_integer_values_and_jets_match_fraction_horner(seed):
+    """``Fraction(h, s * den)`` from ``_value`` and ``_jet`` on the
+    integer form is the Fraction-Horner value and jet, at every marked
+    point (``inf`` included) and sample point of each component, for the
+    basis sections, scaled ones, and a random section with fractional
+    coefficients, on bundles with negative degrees."""
+    rng = random.Random(seed)
+    curve = curve_with_infinity(rng)
+    bundle = random_bundle(rng, curve, degree_range=(-2, 4))
+    space = section_basis(bundle)
+    assert space.integral_basis == tuple(_integral(s) for s in space.basis)
+    sections = list(space.basis) + [_scaled(rng, s) for s in space.basis]
+    sections.append(
+        Section(
+            tuple(
+                tuple(F(rng.randint(-9, 9), rng.randint(1, 6)) for _ in range(w))
+                for w in block_widths(bundle)
+            )
+        )
+    )
+    points = [list(comp.marked_points) for comp in curve.components]
+    for x in sample_points(curve, 2, seed):
+        if not x.is_node:
+            points[curve.component_index(x.component)].append(x.coord)
+    for section in sections:
+        blocks, den = _integral(section)
+        for ci, block in enumerate(section.coeffs):
+            for p in points[ci]:
+                h, s = _value(blocks[ci], p)
+                assert s > 0 and F(h, s * den) == reference_value(block, p)
+                h, s = _jet(blocks[ci], p)
+                assert s > 0 and F(h, s * den) == reference_jet(block, p)
 
 
 def test_tensor_dual_power_algebra(paper_curve):

@@ -66,13 +66,23 @@ def test_parse_coordinate_forms():
         parse_coordinate(1.5)
     with pytest.raises(SpecError):
         parse_coordinate("1/0")
+    # only sign, ASCII digits and one '/': an exponent would expand into a
+    # million-digit integer, and decimals, underscores and other digits
+    # are outside the documented forms
+    for text in ("1e1000000", "0.5", "1_000", "\u0663", "1/-2", "+-1", "1/2/3"):
+        with pytest.raises(SpecError):
+            parse_coordinate(text)
 
 
 def test_parse_scalar_forms():
     assert parse_scalar("3/2") == F(3, 2)
     assert parse_scalar(4) == F(4)
+    assert parse_scalar(" -7/3 ") == F(-7, 3)
     with pytest.raises(SpecError):
         parse_scalar(0.25)
+    for text in ("1e1000000", "0.5", "1_000", "\u0663", "1/0"):
+        with pytest.raises(SpecError):
+            parse_scalar(text)
 
 
 def test_parse_spec_minimal():
@@ -108,6 +118,11 @@ def test_diagnostic_code_syntax():
     assert code_of("{not json") == "syntax"
     # deeper than the nesting json.loads accepts on any supported Python
     assert code_of("[" * 100_000 + "]" * 100_000) == "syntax"
+    # past the int string-conversion limit json.loads raises a plain
+    # ValueError; json.dumps cannot write such an int, so the text is raw
+    huge = MINIMAL.replace('"multidegree": [2, 2]', '"multidegree": [' + "7" * 5000 + ", 2]")
+    assert huge != MINIMAL
+    assert code_of(huge) == "syntax"
 
 
 def test_diagnostic_code_schema():
@@ -341,6 +356,23 @@ def test_main_rejects_bad_spec(tmp_path, capsys):
     assert err.startswith("error[invariant]")
 
 
+def test_main_rejects_numbers_that_expand(tmp_path, capsys):
+    """A few bytes of exponent or a JSON integer past the digit limit end
+    in a diagnostic, not in a hang or a traceback."""
+    paper = json.loads(PAPER_SPEC.read_text())
+    point, gluing = copy.deepcopy(paper), copy.deepcopy(paper)
+    point["components"][1]["points"][2] = "1e1000000"
+    gluing["bundle"]["gluings"][1] = "1e1000000"
+    texts = [json.dumps(point), json.dumps(gluing), PAPER_SPEC.read_text().replace("[4, 3, 3]", f"[{'4' * 5000}, 3, 3]")]
+    for text, command, code in zip(texts, ("verify", "verify", "info"), ("coordinate", "gluing", "syntax")):
+        spec = tmp_path / "spec.json"
+        spec.write_text(text)
+        assert main([command, str(spec)]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error[{code}]: ")
+
+
 def test_main_missing_file(capsys):
     assert main(["info", "/no/such/file.json"]) == EXIT_INPUT_ERROR
     assert "cannot read" in capsys.readouterr().err
@@ -547,7 +579,7 @@ def test_json_output_matches_pinned_digest(command, name, monkeypatch, capsys):
 
 
 SPEC_DOCS = [json.loads(p.read_text()) for p in sorted((REPO / "curves").glob("*.json"))]
-FUZZ_VALUES = ["1/0", "x", "", 5, 1.5, None, True, [], {}]
+FUZZ_VALUES = ["1/0", "x", "", "1e999999", 5, 1.5, None, True, [], {}]
 
 
 @st.composite

@@ -9,8 +9,16 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nodalcone.bundles as bundles
 import nodalcone.embedding as embedding
-from conftest import curve_with_infinity, random_bundle, random_curve, reference_product
+from conftest import (
+    curve_with_infinity,
+    random_bundle,
+    random_curve,
+    reference_jet,
+    reference_product,
+    reference_value,
+)
 from nodalcone.bundles import (
     flatten_section,
     h0,
@@ -398,9 +406,44 @@ def test_very_ample_holds_for_min_degree_three_random_curves():
     assert checked >= 5
 
 
+def _reference_row(space, functional, x):
+    """``reference_value`` or ``reference_jet`` of every basis section at
+    x, from its Fraction coefficients, node points on their branch."""
+    curve = space.bundle.curve
+    if x.is_node:
+        ci, _, point = curve.sites[x.node][x.branch or 0]
+    else:
+        ci, point = curve.component_index(x.component), x.coord
+    return [functional(s.coeffs[ci], point) for s in space.basis]
+
+
+def test_embed_point_is_the_fraction_value():
+    """Exact coordinates, not just the projective point: the Fraction
+    values of the basis at every node branch and sample point, on curves
+    with fractional coordinates, ``inf`` branches and self-nodes."""
+    rng = random.Random(2024)
+    tested = 0
+    for _ in range(60):
+        curve = curve_with_infinity(rng)
+        space = section_basis(random_bundle(rng, curve, degree_range=(-1, 4)))
+        samples = sample_points(curve, 2, rng.randrange(100))
+        points = [CurvePoint.at_node(x.node, b) for x in samples if x.is_node for b in (0, 1)]
+        points += [x for x in samples if not x.is_node]
+        for x in points:
+            expected = tuple(_reference_row(space, reference_value, x))
+            if any(expected):
+                assert embed_point(space, x) == expected
+                tested += any(v.denominator > 1 for v in expected)
+            else:
+                with pytest.raises(ValueError):
+                    embed_point(space, x)
+    assert tested > 50
+
+
 def _very_ample_by_rank(space, extra_samples, seed):
-    """Reference: every pair re-evaluated and tested by the rank of a
-    2 x h0 matrix, then the jet tests by rank, node branches one by one."""
+    """Reference: every pair re-evaluated from the Fraction coefficients
+    and tested by the rank of a 2 x h0 matrix, then the jet tests by
+    rank, node branches one by one."""
     if len(space.basis) < 2:
         return FAILED, f"fewer than two global sections (h0 = {len(space.basis)})", 0
     samples = sample_points(space.bundle.curve, extra_samples, seed)
@@ -412,15 +455,15 @@ def _very_ample_by_rank(space, extra_samples, seed):
     for i in range(len(samples)):
         for j in range(i + 1, len(samples)):
             checked += 1
-            u = embedding._evaluation_vector(space, samples[i])
-            v = embedding._evaluation_vector(space, samples[j])
+            u = _reference_row(space, reference_value, samples[i])
+            v = _reference_row(space, reference_value, samples[j])
             if not independent(u, v):
                 return FAILED, f"sections do not separate {samples[i]} and {samples[j]}", checked
     for x in samples:
         for b in (0, 1) if x.is_node else (None,):
             checked += 1
             at = CurvePoint.at_node(x.node, b) if x.is_node else x
-            if not independent(embedding._evaluation_vector(space, at), embedding._jet_vector(space, at)):
+            if not independent(_reference_row(space, reference_value, at), _reference_row(space, reference_jet, at)):
                 where = f"on branch {b} of {x}" if x.is_node else f"at {x}"
                 return FAILED, f"jet test fails {where}", checked
     status = CRITERION_SATISFIED if min(space.bundle.multidegree) >= 3 else VERIFIED_ON_SAMPLES
@@ -488,3 +531,30 @@ def test_very_ample_evaluates_each_sample_once_and_takes_no_rank(paper_curve, mo
     samples = sample_points(paper_curve)
     assert counts["rank"] == 0
     assert counts["evaluation"] <= 2 * len(samples) + len(paper_curve.nodes)
+
+def test_section_space_converts_its_basis_once_and_only_when_evaluated(paper_curve, monkeypatch):
+    """The integer form of the basis is built on the first evaluation and
+    kept for every later check; the target spaces of the multiplication
+    maps are never evaluated and never convert theirs. It is not a field:
+    equality and hashing are those of a space that never converted."""
+    converted = []
+    original = bundles._integral
+
+    def counted(section):
+        converted.append(section)
+        return original(section)
+
+    monkeypatch.setattr(bundles, "_integral", counted)
+    bundle = line_bundle(paper_curve, (4, 3, 3))
+    space = section_basis(bundle)
+    assert "integral_basis" not in vars(space) and converted == []
+    globally_generated(space)
+    very_ample(space)
+    node_images_consistent(space)
+    embed_point(space, CurvePoint.smooth("C1", F(5)))
+    multiplication_map(space, 2)
+    multiplication_map(space, 3)
+    assert converted == list(space.basis)
+    fresh = section_basis(bundle)
+    assert "integral_basis" not in vars(fresh)
+    assert space == fresh and hash(space) == hash(fresh)
