@@ -5,10 +5,11 @@ section spaces of line bundles as kernels of an exact gluing matrix,
 check projective embeddings, and tabulate the graded deformation
 dimensions of the affine cone over the embedded curve. Arithmetic is
 over ``fractions.Fraction``, apart from the section values, jets and
-separation tests, the section products and the node checks. These run
-on integer numerators over a common denominator; clearing a positive
-denominator changes neither which values are zero nor which 2 x 2
-minors vanish, so the verdicts are the same. Results are exact and
+separation tests, the section products, the node checks and the
+quadrics' vanishing check and Jacobian probe. These run on integer
+numerators over a common denominator; clearing a positive denominator
+changes neither which values or 2 x 2 minors vanish nor a Jacobian's
+rank, so the verdicts are the same. Results are exact and
 deterministic.
 """
 

@@ -60,14 +60,15 @@ from .embedding import (
     FAILED,
     SAMPLE_SEED,
     CurvePoint,
-    cone_jacobian_rank,
-    cone_point,
+    _cone_vector,
+    _jacobian_rank,
+    _quadric_at,
+    _quadric_form,
     embed_point,
     globally_generated,
     multiplication_map,
     node_images_consistent,
     quadric_ideal,
-    quadric_value,
     sample_points,
     very_ample,
 )
@@ -353,10 +354,10 @@ def run_embed(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) ->
 
 def _multiplication_maps(space: SectionSpace) -> tuple[dict, dict, tuple]:
     """Shape and rank of the m = 2 and m = 3 multiplication maps of
-    ``space``, and the quadrics: the kernel at m = 2, whose count gives
-    its rank without a second elimination."""
+    ``space``, and the quadrics in integer form: the kernel at m = 2,
+    whose count gives its rank without a second elimination."""
     m2 = multiplication_map(space, 2)
-    quadrics = quadric_ideal(m2)
+    quadrics = tuple(_quadric_form(q, len(space.basis)) for q in quadric_ideal(m2))
     m3 = multiplication_map(space, 3)
 
     def shape(m: MatrixQ, r: int) -> dict:
@@ -376,15 +377,12 @@ def run_ideal(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) ->
             "are not known to generate the whole ideal, so this probes candidate "
             "singular points without proving smoothness"
         ),
-        "vertex_rank": cone_jacobian_rank(quadrics, [0] * n),
+        "vertex_rank": _jacobian_rank(quadrics, (0,) * n),
     }
 
     def point_rank(x: CurvePoint) -> int | None:
-        try:
-            coords = cone_point(space, x)
-        except ValueError:  # every section vanishes at x: it has no image
-            return None
-        return cone_jacobian_rank(quadrics, coords)
+        coords = _cone_vector(space, x)  # all zero where x has no image
+        return _jacobian_rank(quadrics, coords) if any(coords) else None
 
     probe["node_ranks"] = [point_rank(CurvePoint.at_node(k)) for k in range(len(curve.nodes))]
     smooth = [x for x in sample_points(curve, samples, seed) if not x.is_node]
@@ -496,21 +494,13 @@ def run_verify(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int, m
                 doc["surjective"],
                 f"rank {doc['rank']} of a {doc['target']} x {doc['source']} matrix",
             )
-        failures = 0
-        tested = 0
-        for x in sample_points(curve, samples, seed):
-            try:
-                coords = embed_point(space, x)
-            except ValueError:  # every section vanishes at x: it has no image to test
-                continue
-            for q in quadrics:
-                tested += 1
-                if quadric_value(q, coords) != 0:
-                    failures += 1
+        # a point where every section vanishes has no image to test
+        images = [v for v in (_cone_vector(space, x) for x in sample_points(curve, samples, seed)) if any(v)]
+        failures = sum(1 for v in images for q in quadrics if _quadric_at(q, v))
         check(
             "quadrics-vanish-on-curve",
             failures == 0,
-            f"{len(quadrics)} quadrics at {tested // max(1, len(quadrics))} points, {failures} nonzero values",
+            f"{len(quadrics)} quadrics at {len(images) if quadrics else 0} points, {failures} nonzero values",
         )
     else:
         skip("multiplication-m2-surjective", "multidegree below the very-ampleness criterion")
@@ -616,6 +606,8 @@ def _parse_range(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"ranges look like '-3:3', got {text!r}")
     if not lo <= 0 <= hi:
         raise argparse.ArgumentTypeError(f"range must contain 0, got {text!r}")
+    if max(-lo, hi) > 1000:  # a weight's cost grows with it: refuse before any work
+        raise argparse.ArgumentTypeError(f"range endpoints must lie in -1000..1000, got {text!r}")
     return lo, hi
 
 

@@ -37,7 +37,12 @@ Its kernel at m = 2 is the space of quadrics through the embedded
 curve; the rank of their Jacobian at points of the affine cone is
 exposed as a probe. The probe is a heuristic: it reflects the quadrics
 alone, which are not known here to generate the full ideal, so no
-smoothness verdict is derived from it.
+smoothness verdict is derived from it. Each quadric is converted once
+into its nonzero terms over the integers (``_quadric_form``), and one
+evaluator and one Jacobian read them at a point's integer cone
+coordinates, ``embed_point`` times a positive factor. A quadric is
+homogeneous, so positive rescalings of it and of the point change
+neither which values vanish nor the Jacobian's rank.
 """
 
 from __future__ import annotations
@@ -46,6 +51,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
+from math import lcm
 
 from .bundles import SectionSpace, _convolve, _glues, _jet, _value, power, section_basis
 from .curve import NodalCurve, PointOnLine, affine_point
@@ -344,8 +350,9 @@ def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
     prefixes = {(i,): s for i, s in enumerate(basis)}
     for j in range(2, m):
         prefixes = {p: _convolve(prefixes[p[:-1]], basis[p[-1]]) for p in sym_monomials(len(basis), j)}
-    columns = []
-    for mono in sym_monomials(len(basis), m):
+    monos = sym_monomials(len(basis), m)
+    rows = [[] for _ in target_space.free_columns]
+    for mono in monos:
         blocks, den = _convolve(prefixes[mono[:-1]], basis[mono[-1]]) if m > 1 else basis[mono[0]]
         if not _glues(target, blocks):
             raise ArithmeticError(
@@ -354,10 +361,10 @@ def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
             )
         # a product's blocks have the target's widths: m*d + 1, or empty for d < 0
         flat = tuple(chain.from_iterable(blocks))
-        entries = (flat[c] for c in target_space.free_columns)
-        # most entries are zero; they share one Fraction instead of one each
-        columns.append(tuple(Fraction(n, den) if n else _ZERO for n in entries))
-    return MatrixQ.from_columns(columns, rows=len(target_space.basis))
+        for row, c in zip(rows, target_space.free_columns):
+            # most entries are zero; they share one Fraction instead of one each
+            row.append(Fraction(flat[c], den) if flat[c] else _ZERO)
+    return MatrixQ.from_rows(rows, cols=len(monos))
 
 
 def quadric_ideal(m2: MatrixQ) -> tuple[VectorQ, ...]:
@@ -371,29 +378,52 @@ def quadric_ideal(m2: MatrixQ) -> tuple[VectorQ, ...]:
     return tuple(kernel_basis(m2))
 
 
-def _terms(quadric, n: int) -> list[tuple[Fraction, int, int]]:
-    """The nonzero terms ``(c, i, j)`` of a quadric coefficient vector
-    over ``sym_monomials(n, 2)``, after checking its length."""
+_QuadricForm = tuple[tuple[tuple[int, int, int], ...], int]
+
+
+def _quadric_form(quadric, n: int) -> _QuadricForm:
+    """A quadric vector over ``sym_monomials(n, 2)``, length checked, as
+    ``(terms, den)``: ``sum c x_i x_j / den`` over the nonzero terms
+    ``(c, i, j)``, c an integer and den the lcm of the denominators."""
     monos = sym_monomials(n, 2)
     if len(quadric) != len(monos):
         raise ValueError(f"quadric length {len(quadric)} does not match {len(monos)} monomials")
-    return [(as_scalar(c), i, j) for c, (i, j) in zip(quadric, monos) if c]
+    coeffs = [as_scalar(c) for c in quadric]
+    den = lcm(*(c.denominator for c in coeffs))
+    return tuple((c.numerator * (den // c.denominator), i, j) for c, (i, j) in zip(coeffs, monos) if c), den
+
+
+def _quadric_at(form: _QuadricForm, x) -> int | Fraction:
+    """The value of a quadric form at x, times its denominator."""
+    return sum(c * x[i] * x[j] for c, i, j in form[0])
+
+
+def _jacobian_rank(forms, x) -> int:
+    """Rank of the quadric forms' gradients at x, each times its form's
+    denominator; a square term ``c x_i^2`` adds ``c x_i`` twice."""
+    rows = []
+    for terms, _ in forms:
+        grad = [0] * len(x)
+        for c, i, j in terms:
+            grad[i] += c * x[j]
+            grad[j] += c * x[i]
+        rows.append(grad)
+    return rank(MatrixQ.from_rows(rows, cols=len(x)))
+
+
+def _cone_vector(space: SectionSpace, x: CurvePoint) -> tuple[int, ...]:
+    """The ``h_j`` of ``_evaluation_vector`` over one common denominator:
+    ``embed_point`` times ``s * lcm(den_j) > 0``, or all zero where x
+    has no image."""
+    den = lcm(*(d for _, d in space.integral_basis))
+    return tuple(h * (den // d) for h, (_, d) in zip(_evaluation_vector(space, x), space.integral_basis))
 
 
 def quadric_value(quadric, coords) -> Fraction:
     """Value of a quadric coefficient vector at affine coordinates."""
     values = [as_scalar(c) for c in coords]
-    acc = _ZERO
-    for c, i, j in _terms(quadric, len(values)):
-        acc += c * values[i] * values[j]
-    return acc
-
-
-def cone_point(space: SectionSpace, x: CurvePoint, scale=1) -> VectorQ:
-    """A point of the affine cone over the embedded curve: a scalar
-    multiple of the section-basis evaluation vector."""
-    s = as_scalar(scale)
-    return tuple(s * v for v in embed_point(space, x))
+    form = _quadric_form(quadric, len(values))
+    return Fraction(_quadric_at(form, values), form[1])
 
 
 def cone_jacobian_rank(quadrics, coords) -> int:
@@ -404,15 +434,4 @@ def cone_jacobian_rank(quadrics, coords) -> int:
     candidate singular points but proves nothing about smoothness.
     """
     values = [as_scalar(c) for c in coords]
-    n = len(values)
-    rows = []
-    for q in quadrics:
-        grad = [_ZERO] * n
-        for c, i, j in _terms(q, n):
-            if i == j:
-                grad[i] += 2 * c * values[i]
-            else:
-                grad[i] += c * values[j]
-                grad[j] += c * values[i]
-        rows.append(grad)
-    return rank(MatrixQ.from_rows(rows, cols=n))
+    return _jacobian_rank([_quadric_form(q, len(values)) for q in quadrics], values)

@@ -78,20 +78,6 @@ class MatrixQ:
             cols = 0
         return cls(len(data), cols, [e for r in data for e in r])
 
-    @classmethod
-    def from_columns(cls, columns: Sequence[Sequence], rows: int | None = None) -> "MatrixQ":
-        data = [list(c) for c in columns]
-        if data:
-            height = len(data[0])
-            if any(len(c) != height for c in data):
-                raise ValueError("columns must all have the same length")
-            if rows is not None and rows != height:
-                raise ValueError(f"rows={rows} does not match column length {height}")
-            rows = height
-        elif rows is None:
-            rows = 0
-        return cls(rows, len(data), [data[j][i] for i in range(rows) for j in range(len(data))])
-
     def at(self, i: int, j: int) -> Fraction:
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self.cols} matrix")

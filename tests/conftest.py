@@ -1,11 +1,13 @@
 """Shared fixtures and seeded generators for randomized suites."""
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
 
 import pytest
 
 from nodalcone.bundles import LineBundle, Section
 from nodalcone.curve import INFINITY, Component, NodalCurve, NodeGluing, affine_point, paper_example_curve
+from nodalcone.exactlin import MatrixQ, rank
 
 
 @pytest.fixture
@@ -141,3 +143,40 @@ def reference_satisfies_gluing(bundle, section):
         if reference_value(section.coeffs[ia], pa) != glue * reference_value(section.coeffs[ib], pb):
             return False
     return True
+
+
+def _reference_terms(quadric, n):
+    """The nonzero terms ``(c, i, j)`` of a Fraction quadric vector over
+    the graded-lex degree-2 monomials in n variables."""
+    monos = tuple(combinations_with_replacement(range(n), 2))
+    assert len(quadric) == len(monos)
+    return [(Fraction(c), i, j) for c, (i, j) in zip(quadric, monos) if c]
+
+
+def reference_quadric_value(quadric, coords):
+    """Value of a dense quadric vector at rational coordinates, summed
+    term by term in Fractions: the reference for
+    ``embedding.quadric_value`` and the integer quadric form."""
+    values = [Fraction(c) for c in coords]
+    acc = Fraction(0)
+    for c, i, j in _reference_terms(quadric, len(values)):
+        acc += c * values[i] * values[j]
+    return acc
+
+
+def reference_jacobian_rank(quadrics, coords):
+    """Rank of the Fraction gradients of dense quadric vectors at
+    rational coordinates: the reference for ``cone_jacobian_rank``."""
+    values = [Fraction(c) for c in coords]
+    n = len(values)
+    rows = []
+    for q in quadrics:
+        grad = [Fraction(0)] * n
+        for c, i, j in _reference_terms(q, n):
+            if i == j:
+                grad[i] += 2 * c * values[i]
+            else:
+                grad[i] += c * values[j]
+                grad[j] += c * values[i]
+        rows.append(grad)
+    return rank(MatrixQ.from_rows(rows, cols=n))

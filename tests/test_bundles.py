@@ -158,8 +158,8 @@ def test_basis_sections_satisfy_gluing_exactly(paper_curve):
     space = section_basis(b)
     for s in space.basis:
         assert section_satisfies_gluing(b, s)
-    columns = [flatten_section(b, s) for s in space.basis]
-    assert rank(MatrixQ.from_columns(columns, rows=13)) == 10
+    rows = [flatten_section(b, s) for s in space.basis]
+    assert rank(MatrixQ.from_rows(rows, cols=13)) == 10
 
 
 def test_section_from_vector_roundtrip(paper_curve):

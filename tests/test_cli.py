@@ -15,12 +15,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import nodalcone.cli as cli
 from nodalcone.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
     EXIT_OK,
     SpecError,
     fmt_exact,
+    _parse_range,
     main,
     parse_coordinate,
     parse_scalar,
@@ -279,6 +281,27 @@ def test_main_range_must_contain_zero():
     with pytest.raises(SystemExit) as err:
         main(["deform", str(PAPER_SPEC), "--range", "1:3"])
     assert err.value.code == 2
+
+
+def test_main_range_endpoints_are_bounded():
+    """An endpoint past 1000 is refused while the arguments are parsed,
+    before any weight is computed, so even 10^9 returns at once."""
+    assert _parse_range("-1000:1000") == (-1000, 1000)
+    for command, text in (("deform", "0:1000000000"), ("deform", "-1001:0"), ("verify", "0:1001")):
+        with pytest.raises(SystemExit) as err:
+            main([command, str(PAPER_SPEC), "--range", text])
+        assert err.value.code == 2
+
+
+@pytest.mark.parametrize("command", ["ideal", "verify"])
+def test_quadrics_converted_once_per_command(command, monkeypatch, capsys):
+    """Each of the 35 quadrics on the paper curve is turned into its
+    integer form once, however many points the command tests it at."""
+    calls = []
+    convert = cli._quadric_form
+    monkeypatch.setattr(cli, "_quadric_form", lambda q, n: calls.append(q) or convert(q, n))
+    assert main([command, str(PAPER_SPEC), "--json"]) == EXIT_OK
+    assert len(calls) == 35
 
 
 def test_main_verify_ok(capsys):
@@ -554,9 +577,17 @@ def test_verify_json_into_a_closed_pipe_exits_cleanly():
 
 
 # stdout sha256 of each invocation, run from the repository root on the
-# checked-in specs, as recorded before h0/h1 moved to the branch-value rank
-# and graded_report to one twist per weight.
+# checked-in specs. The deform and sections digests were recorded before
+# h0/h1 moved to the branch-value rank and graded_report to one twist per
+# weight; the embed and ideal digests before the quadrics moved to their
+# integer form.
 PINNED_STDOUT = {
+    ("embed", "paper-x-333.json"): "943460b1258555403d7de42e993c07105ac5e2632b8031500cd08d26d71f2dea",
+    ("ideal", "paper-x-333.json"): "71ed144ebf189f17ea677d0a057125396fb43d5b78256cfd413b55a8630b5f50",
+    ("embed", "paper-x-443.json"): "0b38a7039a4cf59f90569f34631aba24e7e7b4b5273f4c12827a39511af0c551",
+    ("ideal", "paper-x-443.json"): "a9fc10c4fe1fb2562fbbbf2d793be8fb5adfc93d62e018ddf1d7fcb8f6d22ac2",
+    ("embed", "paper-x.json"): "683e22180502c71977c5ac88aa3f3630d83e09a5a1c51c2619a4181d381e7689",
+    ("ideal", "paper-x.json"): "812decdacf0be4d803a61c0170c9f43c328f42e325d048bfbcdc917a4ae00aa6",
     ("deform", "paper-x-333.json"): "07899e8e5decaa5bcdfa7ab8dd2807a777f8c8f3d0ce7c5eab6ed3280807ea2c",
     ("sections", "paper-x-333.json"): "384c144bf02940ad9c1f64ce4118baddd2f67b342097cd5b186b5afa6e23549c",
     ("deform", "paper-x-443.json"): "e697632c5aa4c673a5773d41b80c1ba1292dba9eb142d050153ec9ab03580ef0",
@@ -564,7 +595,12 @@ PINNED_STDOUT = {
     ("deform", "paper-x.json"): "e4c93e6f5fb3e70dcdde893124c58807731631573f2efe4f368e8e1fbcb61f03",
     ("sections", "paper-x.json"): "92dd04265533d3594ab4741dc27c4badcfd29e3bd7c641959ea13f6e1371e88d",
 }
-PINNED_FLAGS = {"deform": ["--json", "--range", "-12:12"], "sections": ["--json", "--basis"]}
+PINNED_FLAGS = {
+    "deform": ["--json", "--range", "-12:12"],
+    "sections": ["--json", "--basis"],
+    "embed": ["--json"],
+    "ideal": ["--json"],
+}
 
 
 @pytest.mark.parametrize("command,name", sorted(PINNED_STDOUT))

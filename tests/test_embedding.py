@@ -15,8 +15,10 @@ from conftest import (
     curve_with_infinity,
     random_bundle,
     random_curve,
+    reference_jacobian_rank,
     reference_jet,
     reference_product,
+    reference_quadric_value,
     reference_value,
 )
 from nodalcone.bundles import (
@@ -36,7 +38,6 @@ from nodalcone.embedding import (
     VERIFIED_ON_SAMPLES,
     CurvePoint,
     cone_jacobian_rank,
-    cone_point,
     embed_point,
     globally_generated,
     multiplication_map,
@@ -361,10 +362,10 @@ def test_cone_jacobian_ranks_frozen(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
     space = section_basis(b)
     quadrics = quadric_ideal(multiplication_map(space, 2))
-    smooth = cone_point(space, CurvePoint.smooth("C1", F(5)))
+    smooth = embed_point(space, CurvePoint.smooth("C1", F(5)))
     assert cone_jacobian_rank(quadrics, smooth) == 8
     node_ranks = tuple(
-        cone_jacobian_rank(quadrics, cone_point(space, CurvePoint.at_node(k))) for k in range(3)
+        cone_jacobian_rank(quadrics, embed_point(space, CurvePoint.at_node(k))) for k in range(3)
     )
     assert node_ranks == (7, 6, 7)
     assert all(r <= 7 for r in node_ranks)
@@ -377,9 +378,51 @@ def test_cone_jacobian_rank_scale_invariant(paper_curve):
     space = section_basis(b)
     quadrics = quadric_ideal(multiplication_map(space, 2))
     x = CurvePoint.smooth("C2", F(-4, 3))
-    assert cone_jacobian_rank(quadrics, cone_point(space, x)) == cone_jacobian_rank(
-        quadrics, cone_point(space, x, scale=F(7, 2))
+    coords = embed_point(space, x)
+    assert cone_jacobian_rank(quadrics, coords) == cone_jacobian_rank(
+        quadrics, tuple(F(7, 2) * v for v in coords)
     )
+
+
+_COEFFS = st.one_of(st.just(F(0)), st.builds(F, st.integers(-6, 6), st.integers(1, 6)))
+
+
+@st.composite
+def _quadrics_at_a_point(draw):
+    """Dense quadric vectors in n <= 5 variables with fractional and zero
+    coefficients, a point with zero and fractional coordinates, and a
+    positive rescaling factor."""
+    n = draw(st.integers(1, 5))
+    width = n * (n + 1) // 2
+    quadrics = draw(st.lists(st.tuples(*[_COEFFS] * width), max_size=6))
+    point = draw(st.tuples(*[_COEFFS] * n))
+    scale = draw(st.builds(F, st.integers(1, 9), st.integers(1, 9)))
+    return quadrics, point, scale
+
+
+@settings(max_examples=120, deadline=None)
+@given(_quadrics_at_a_point())
+def test_quadric_form_matches_the_dense_fraction_reference(case):
+    """The integer form's value, with the denominators of the quadric and
+    of the point cleared, is the dense Fraction value scaled by both;
+    its Jacobian rank on the integer point is the dense one; and the
+    public wrappers give the dense results, before and after rescaling."""
+    quadrics, point, scale = case
+    n = len(point)
+    den = math.lcm(*(v.denominator for v in point))
+    x = tuple(int(v * den) for v in point)
+    scaled = tuple(scale * v for v in point)
+    forms = [embedding._quadric_form(q, n) for q in quadrics]
+    for q, form in zip(quadrics, forms):
+        assert all(type(c) is int and c for c, _, _ in form[0]) and form[1] > 0
+        value = reference_quadric_value(q, point)
+        assert embedding._quadric_at(form, x) == value * form[1] * den**2
+        assert quadric_value(q, point) == value
+        assert quadric_value(q, scaled) == value * scale**2
+    expected = reference_jacobian_rank(quadrics, point)
+    assert embedding._jacobian_rank(forms, x) == expected
+    assert cone_jacobian_rank(quadrics, point) == expected
+    assert cone_jacobian_rank(quadrics, scaled) == expected
 
 
 def test_very_ample_holds_for_min_degree_three_random_curves():
@@ -420,7 +463,9 @@ def _reference_row(space, functional, x):
 def test_embed_point_is_the_fraction_value():
     """Exact coordinates, not just the projective point: the Fraction
     values of the basis at every node branch and sample point, on curves
-    with fractional coordinates, ``inf`` branches and self-nodes."""
+    with fractional coordinates, ``inf`` branches and self-nodes. The
+    integer cone coordinates the quadric checks read are those values
+    times one positive factor, and all zero where there is no image."""
     rng = random.Random(2024)
     tested = 0
     for _ in range(60):
@@ -431,10 +476,14 @@ def test_embed_point_is_the_fraction_value():
         points += [x for x in samples if not x.is_node]
         for x in points:
             expected = tuple(_reference_row(space, reference_value, x))
+            cone = embedding._cone_vector(space, x)
             if any(expected):
                 assert embed_point(space, x) == expected
                 tested += any(v.denominator > 1 for v in expected)
+                factor = next(c / v for c, v in zip(cone, expected) if v)
+                assert factor > 0 and cone == tuple(factor * v for v in expected)
             else:
+                assert not any(cone)
                 with pytest.raises(ValueError):
                     embed_point(space, x)
     assert tested > 50

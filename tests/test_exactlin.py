@@ -52,7 +52,7 @@ def test_empty_shapes():
     assert (m.rows, m.cols) == (0, 3)
     assert rank(m) == 0
     assert len(kernel_basis(m)) == 3
-    n = MatrixQ.from_columns([], rows=2)
+    n = MatrixQ.from_rows([[], []])
     assert (n.rows, n.cols) == (2, 0)
     assert kernel_basis(n) == []
 
@@ -207,7 +207,7 @@ def test_rank_nullity(m):
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_equals_transpose_rank(m):
-    assert rank(m) == rank(MatrixQ.from_columns(m.row_lists()))
+    assert rank(m) == rank(MatrixQ.from_rows(list(zip(*m.row_lists())), cols=m.rows))
 
 
 @settings(max_examples=60, deadline=None)
