@@ -9,7 +9,9 @@ separation tests, the section products, the node checks and the
 quadrics' vanishing check and Jacobian probe. These run on integer
 numerators over a common denominator; clearing a positive denominator
 changes neither which values or 2 x 2 minors vanish nor a Jacobian's
-rank, so the verdicts are the same. Results are exact and
+rank, so the verdicts are the same. The m = 3 multiplication map's
+rank is taken mod one fixed prime where that proves the map onto,
+and over Q from the same integers where it does not. Results are exact and
 deterministic.
 """
 

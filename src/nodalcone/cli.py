@@ -62,6 +62,7 @@ from .embedding import (
     CurvePoint,
     _cone_vector,
     _jacobian_rank,
+    _product_matrix,
     _quadric_at,
     _quadric_form,
     embed_point,
@@ -72,7 +73,7 @@ from .embedding import (
     sample_points,
     very_ample,
 )
-from .exactlin import MatrixQ, rank
+from .exactlin import MatrixQ, certified_rank, rank
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -355,15 +356,19 @@ def run_embed(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) ->
 def _multiplication_maps(space: SectionSpace) -> tuple[dict, dict, tuple]:
     """Shape and rank of the m = 2 and m = 3 multiplication maps of
     ``space``, and the quadrics in integer form: the kernel at m = 2,
-    whose count gives its rank without a second elimination."""
+    whose count gives its rank without a second elimination. The m = 3
+    map stays the integer matrix of ``_product_matrix``, each column the
+    rational one times its ``den > 0``, so its rank is the map's;
+    ``certified_rank`` takes it mod one prime, and over Q on a shortfall."""
     m2 = multiplication_map(space, 2)
     quadrics = tuple(_quadric_form(q, len(space.basis)) for q in quadric_ideal(m2))
-    m3 = multiplication_map(space, 3)
+    m3, dens = _product_matrix(space, 3)
 
-    def shape(m: MatrixQ, r: int) -> dict:
-        return {"source": m.cols, "target": m.rows, "rank": r, "surjective": r == m.rows}
+    def shape(source: int, target: int, r: int) -> dict:
+        return {"source": source, "target": target, "rank": r, "surjective": r == target}
 
-    return shape(m2, m2.cols - len(quadrics)), shape(m3, rank(m3)), quadrics
+    m3_shape = shape(len(dens), len(m3), certified_rank(m3, len(dens)))
+    return shape(m2.cols, m2.rows, m2.cols - len(quadrics)), m3_shape, quadrics
 
 
 def run_ideal(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) -> dict:

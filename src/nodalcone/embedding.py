@@ -31,8 +31,13 @@ identity on the free columns of the target's gluing rref, so a
 product's coordinates are its entries at those columns, valid once an
 exact node-by-node check has shown the product is a global section.
 Products and that check run on integer numerators over a common
-denominator (see ``bundles``); only the entries read off become
-Fractions.
+denominator (see ``bundles``), into one integer matrix per map
+(``_product_matrix``). ``multiplication_map`` makes Fractions of its
+entries. A caller after a rank alone can keep the integers: column j
+is the rational column times ``den_j > 0``, so the rank is the same,
+and ``exactlin.certified_rank`` takes it modulo one prime, which
+certifies that the map is onto and never decides a shortfall (that
+falls back to the exact rank of the same integers).
 Its kernel at m = 2 is the space of quadrics through the embedded
 curve; the rank of their Jacobian at points of the affine cone is
 exposed as a probe. The probe is a heuristic: it reflects the quadrics
@@ -320,39 +325,35 @@ def sym_monomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations_with_replacement(range(n), m))
 
 
-def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
-    """Matrix of Sym^m H0(L) -> H0(L^m) in the canonical bases, with L
-    the bundle of ``space``.
+def _product_matrix(space: SectionSpace, m: int) -> tuple[list[list[int]], list[int]]:
+    """The matrix of Sym^m H0(L) -> H0(L^m) over the integers, as
+    ``(rows, dens)``: one row per basis section of the target, one
+    column per monomial of ``sym_monomials(h0, m)``, and entry (i, j)
+    of the map is ``Fraction(rows[i][j], dens[j])`` with ``dens[j] > 0``.
 
-    Columns follow ``sym_monomials(h0, m)``; each column is the product
-    of the chosen basis sections, expressed in the canonical basis of
-    the target. Surjectivity is ``rank == h0(L^m)``. The degree-(m - 1)
-    products are built once and held; each column's product is one more
-    multiplication of its prefix, so the degree-m products are never
-    all held at once.
-
-    The basis is read in the integer form the space keeps (numerators
-    over one common denominator per section), and a product multiplies
-    numerators and denominators apart. Each product is first checked
-    exactly against every node constraint of ``L^m``, on integers with
-    every denominator cleared. Once it is known to be a global section, its coordinates
-    are its entries at the target space's free columns, where the target
-    basis is the identity, each read off as ``Fraction(numerator,
-    denominator)``. A product failing the check would mean the
-    gluing bookkeeping is broken, and raises ``ArithmeticError`` rather
-    than reading off coordinates that do not reproduce it.
+    The degree-(m - 1) products are built once and held; each column's
+    product is one more multiplication of its prefix, so the degree-m
+    products are never all held at once. A product multiplies the
+    numerators and the denominators of the integer basis apart. It is
+    first checked exactly against every node constraint of ``L^m``, on
+    integers with every denominator cleared. Once it is known to be a
+    global section, its coordinates are its entries at the target
+    space's free columns, where the target basis is the identity. A
+    product failing the check would mean the gluing bookkeeping is
+    broken, and raises ``ArithmeticError`` rather than reading off
+    coordinates that do not reproduce it.
     """
     if m < 1:
         raise ValueError("multiplication maps are defined for m >= 1")
     target = power(space.bundle, m)
-    target_space = section_basis(target)
+    free = section_basis(target).free_columns
     basis = space.integral_basis
     prefixes = {(i,): s for i, s in enumerate(basis)}
     for j in range(2, m):
         prefixes = {p: _convolve(prefixes[p[:-1]], basis[p[-1]]) for p in sym_monomials(len(basis), j)}
-    monos = sym_monomials(len(basis), m)
-    rows = [[] for _ in target_space.free_columns]
-    for mono in monos:
+    rows = [[] for _ in free]
+    dens = []
+    for mono in sym_monomials(len(basis), m):
         blocks, den = _convolve(prefixes[mono[:-1]], basis[mono[-1]]) if m > 1 else basis[mono[0]]
         if not _glues(target, blocks):
             raise ArithmeticError(
@@ -361,10 +362,25 @@ def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
             )
         # a product's blocks have the target's widths: m*d + 1, or empty for d < 0
         flat = tuple(chain.from_iterable(blocks))
-        for row, c in zip(rows, target_space.free_columns):
-            # most entries are zero; they share one Fraction instead of one each
-            row.append(Fraction(flat[c], den) if flat[c] else _ZERO)
-    return MatrixQ.from_rows(rows, cols=len(monos))
+        for row, c in zip(rows, free):
+            row.append(flat[c])
+        dens.append(den)
+    return rows, dens
+
+
+def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
+    """Matrix of Sym^m H0(L) -> H0(L^m) in the canonical bases, with L
+    the bundle of ``space``.
+
+    Columns follow ``sym_monomials(h0, m)``; each column is the product
+    of the chosen basis sections, expressed in the canonical basis of
+    the target, read off ``_product_matrix``. Surjectivity is
+    ``rank == h0(L^m)``.
+    """
+    rows, dens = _product_matrix(space, m)
+    # most entries are zero; they share one Fraction instead of one each
+    entries = [[Fraction(h, d) if h else _ZERO for h, d in zip(row, dens)] for row in rows]
+    return MatrixQ.from_rows(entries, cols=len(dens))
 
 
 def quadric_ideal(m2: MatrixQ) -> tuple[VectorQ, ...]:

@@ -1,4 +1,4 @@
-"""Exact linear algebra over the rational numbers.
+"""Exact linear algebra over the rational numbers, with ranks certified mod p.
 
 The scalar type is :class:`fractions.Fraction`: arbitrary precision,
 always in lowest terms with a positive denominator, so every arithmetic
@@ -15,6 +15,15 @@ entry in the pivot column is nonzero; scaling the pivot row skips its
 zeros too. A skipped entry would have been left as it is, so the pivot
 rule, and with it every result, is the same as dense elimination's.
 
+``certified_rank`` takes the rank of an integer matrix modulo the
+fixed prime ``PRIME`` first, with the same elimination and pivot rule
+over Z/p. Reduction mod p can only lose rank, so ``rank_p <= rank_Q``,
+and ``rank_Q`` is at most the number of rows: a ``rank_p`` equal to
+that number proves ``rank_Q`` equal to it. A shorter ``rank_p`` may be
+a loss to the prime, so it never decides a shortfall; the rank is then
+taken over Q from the same integers. The result is the exact rank
+either way, and the same on every run.
+
 No floating point is used anywhere in this package; floats are rejected
 at the boundary.
 """
@@ -28,6 +37,10 @@ VectorQ = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
+
+# the modulus of certified_rank: fixed, so every run eliminates alike;
+# at 31 bits a product of two residues fits in 62
+PRIME = 2**31 - 1
 
 
 def as_scalar(value: int | str | Fraction) -> Fraction:
@@ -105,9 +118,10 @@ class MatrixQ:
         return f"MatrixQ({self.rows}x{self.cols}: {body})"
 
 
-def _clear(rows: list[list[Fraction]], targets: range, prow: list[Fraction], col: int) -> None:
+def _clear(rows: list[list], targets: range, prow: list, col: int, p: int = 0) -> None:
     """Subtract multiples of the pivot row ``prow`` (pivot 1 at ``col``)
-    from each target row, so that its entry at ``col`` becomes zero.
+    from each target row, so that its entry at ``col`` becomes zero;
+    modulo p when p is nonzero.
 
     Only the pivot row's nonzero entries are visited, in rows whose
     entry at ``col`` is nonzero; every other entry would stay as it is.
@@ -116,13 +130,23 @@ def _clear(rows: list[list[Fraction]], targets: range, prow: list[Fraction], col
     for r in targets:
         cur = rows[r]
         f = cur[col]
-        if f:
+        if not f:
+            continue
+        if p:
+            for j, b in support:
+                cur[j] = (cur[j] - f * b) % p
+        else:
             for j, b in support:
                 cur[j] -= f * b
 
 
-def _forward_eliminate(rows: list[list[Fraction]]) -> list[int]:
-    """In-place forward elimination; returns the pivot column indices."""
+def _forward_eliminate(rows: list[list], p: int = 0) -> list[int]:
+    """In-place forward elimination; returns the pivot column indices.
+
+    Over Q when p is 0; over Z/p when p is a prime and every entry is a
+    residue in ``0..p-1``. Integer entries are exact over Q too: they
+    become Fractions at the first division.
+    """
     pivots: list[int] = []
     piv_r = 0
     nrows = len(rows)
@@ -141,11 +165,11 @@ def _forward_eliminate(rows: list[list[Fraction]]) -> list[int]:
         prow = rows[piv_r]
         pivot = prow[col]
         if pivot != 1:
-            inv = _ONE / pivot
+            inv = pow(pivot, -1, p) if p else _ONE / pivot
             for j, e in enumerate(prow):
                 if e:
-                    prow[j] = e * inv
-        _clear(rows, range(piv_r + 1, nrows), prow, col)
+                    prow[j] = e * inv % p if p else e * inv
+        _clear(rows, range(piv_r + 1, nrows), prow, col, p)
         pivots.append(col)
         piv_r += 1
     return pivots
@@ -168,6 +192,17 @@ def rank(m: MatrixQ) -> int:
     """Exact rank. Forward elimination only; cheaper than full rref."""
     rows = m.row_lists()
     return len(_forward_eliminate(rows))
+
+
+def certified_rank(rows: Sequence[Sequence[int]], cols: int) -> int:
+    """Exact rank of an integer matrix: its rank mod ``PRIME`` where that
+    equals the number of rows, which certifies it (see the module
+    docstring), and otherwise its rank over Q."""
+    if any(len(r) != cols for r in rows):
+        raise ValueError(f"rows must all have length {cols}")
+    if len(_forward_eliminate([[e % PRIME for e in r] for r in rows], PRIME)) == len(rows):
+        return len(rows)
+    return len(_forward_eliminate([list(r) for r in rows]))
 
 
 def kernel_basis(m: MatrixQ) -> list[VectorQ]:

@@ -29,7 +29,7 @@ from nodalcone.cli import (
     parse_spec,
     serialize_spec,
 )
-from nodalcone.bundles import LineBundle, dualizing_bundle, section_basis
+from nodalcone.bundles import LineBundle, dualizing_bundle, power, section_basis
 from nodalcone.curve import arithmetic_genus, validate
 
 F = Fraction
@@ -302,6 +302,100 @@ def test_quadrics_converted_once_per_command(command, monkeypatch, capsys):
     monkeypatch.setattr(cli, "_quadric_form", lambda q, n: calls.append(q) or convert(q, n))
     assert main([command, str(PAPER_SPEC), "--json"]) == EXIT_OK
     assert len(calls) == 35
+
+
+def _record_eliminations(monkeypatch):
+    """Record ``(modulus, rows, width)`` of every elimination, 0 standing
+    for Q, and ``(rows, cols)`` of every MatrixQ built."""
+    from nodalcone import exactlin
+
+    eliminations, matrices = [], []
+    eliminate, init = exactlin._forward_eliminate, exactlin.MatrixQ.__init__
+
+    def counting_eliminate(rows, p=0):
+        eliminations.append((p, len(rows), len(rows[0]) if rows else 0))
+        return eliminate(rows, p)
+
+    def counting_init(self, rows, cols, entries):
+        matrices.append((rows, cols))
+        init(self, rows, cols, entries)
+
+    monkeypatch.setattr(exactlin, "_forward_eliminate", counting_eliminate)
+    monkeypatch.setattr(exactlin.MatrixQ, "__init__", counting_init)
+    return eliminations, matrices
+
+
+def _paper_curve_at(k: int) -> str:
+    doc = json.loads(PAPER_SPEC.read_text())
+    doc["bundle"]["multidegree"] = [k, k, k]
+    return json.dumps(doc, indent=2) + "\n"
+
+
+M3_GUARD_SPECS = [f"curves/{p.name}" for p in sorted((REPO / "curves").glob("*.json"))] + [
+    f"ladder:{k}" for k in range(3, 7)
+]
+
+
+@pytest.mark.parametrize("command", ["ideal", "verify"])
+@pytest.mark.parametrize("spec", M3_GUARD_SPECS)
+def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys):
+    """On the shipped curves and the (k,k,k) ladder the m = 3 rank is
+    certified mod PRIME: no elimination over Q of the map, and the map
+    never becomes a MatrixQ; only m = 2 goes through
+    ``multiplication_map``."""
+    from nodalcone.exactlin import PRIME
+
+    if spec.startswith("ladder:"):
+        path = tmp_path / "ladder.json"
+        path.write_text(_paper_curve_at(int(spec.split(":")[1])))
+    else:
+        path = REPO / spec
+    parsed = parse_spec(path.read_text())
+    bundle = LineBundle(parsed.curve, parsed.multidegree, parsed.gluings)
+    h0 = len(section_basis(bundle).basis)
+    m3 = (len(section_basis(power(bundle, 3)).basis), h0 * (h0 + 1) * (h0 + 2) // 6)
+    degrees = []
+    build = cli.multiplication_map
+    monkeypatch.setattr(cli, "multiplication_map", lambda space, m: degrees.append(m) or build(space, m))
+    eliminations, matrices = _record_eliminations(monkeypatch)
+    assert main([command, str(path), "--json"]) == EXIT_OK
+    assert degrees == [2]
+    assert (PRIME, *m3) in eliminations
+    assert (0, *m3) not in eliminations
+    assert m3 not in matrices and m3[::-1] not in matrices
+
+
+# two lines, a self-node on A: degree 1 there cannot separate its branches
+SHORT_M3_SPEC = """
+{
+  "components": [
+    {"name": "A", "points": ["0", "1", "2"]},
+    {"name": "B", "points": ["0"]}
+  ],
+  "nodes": [
+    {"a": "A.0", "b": "B.0"},
+    {"a": "A.1", "b": "A.2"}
+  ],
+  "bundle": {"multidegree": [1, 3], "gluings": ["1", "1"]}
+}
+"""
+
+
+def test_ideal_takes_a_short_m3_rank_over_q(tmp_path, monkeypatch, capsys):
+    """rank 10 of 12 mod PRIME certifies nothing, so the rank printed is
+    the exact rank of the same integer columns."""
+    from nodalcone.exactlin import PRIME
+
+    path = tmp_path / "short.json"
+    path.write_text(SHORT_M3_SPEC)
+    eliminations, matrices = _record_eliminations(monkeypatch)
+    assert main(["ideal", str(path), "--json"]) == EXIT_OK
+    body = json.loads(capsys.readouterr().out)["sections"]["ideal"]
+    assert body["m3"] == {"source": 20, "target": 12, "rank": 10, "surjective": False}
+    assert (PRIME, 12, 20) in eliminations and (0, 12, 20) in eliminations
+    assert (12, 20) not in matrices
+    assert main(["ideal", str(path)]) == EXIT_OK
+    assert "m3:\n  source: 20\n  target: 12\n  rank: 10\n  surjective: False\n" in capsys.readouterr().out
 
 
 def test_main_verify_ok(capsys):
@@ -612,6 +706,24 @@ def test_json_output_matches_pinned_digest(command, name, monkeypatch, capsys):
     assert main([command, f"curves/{name}", *PINNED_FLAGS[command]]) == EXIT_OK
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED_STDOUT[(command, name)]
+
+
+# stdout sha256 of ``ideal --json`` on the paper curve at (k,k,k), the
+# spec written as ``paper-x-k<k>.json`` by ``_paper_curve_at`` and run
+# from its directory; recorded while the m = 3 rank was still taken over Q.
+PINNED_IDEAL_AT = {
+    7: "9fb2cef8884436109591afb451a67037f0a465974624530743c837bac41fc444",
+    8: "f6bd2cbb978b21fc0df221585bba062c8743f49b5e3b21cea0d6d40332769bc3",
+}
+
+
+@pytest.mark.parametrize("k", sorted(PINNED_IDEAL_AT))
+def test_ideal_at_large_degree_matches_pinned_digest(k, tmp_path, monkeypatch, capsys):
+    name = f"paper-x-k{k}.json"
+    (tmp_path / name).write_text(_paper_curve_at(k))
+    monkeypatch.chdir(tmp_path)
+    assert main(["ideal", name, "--json"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_IDEAL_AT[k]
 
 
 SPEC_DOCS = [json.loads(p.read_text()) for p in sorted((REPO / "curves").glob("*.json"))]

@@ -9,9 +9,12 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from nodalcone import exactlin
 from nodalcone.exactlin import (
+    PRIME,
     MatrixQ,
     as_scalar,
+    certified_rank,
     free_columns,
     kernel_basis,
     kernel_from_rref,
@@ -238,3 +241,75 @@ def test_kernel_basis_is_identity_on_free_columns(m):
     assert [tuple(v[c] for c in free) for v in basis] == [
         tuple(F(int(i == j)) for j in range(len(free))) for i in range(len(free))
     ]
+
+
+def _exact_rank(rows, cols):
+    return rank(MatrixQ.from_rows(rows, cols=cols))
+
+
+@st.composite
+def integer_matrices(draw, max_dim=6):
+    """Integer matrices whose reduction mod PRIME is often short of full
+    rank: entries are small, or multiples of PRIME, or small plus a
+    multiple of PRIME; and a row may be a multiple of an earlier row plus
+    PRIME times a vector, so it is dependent mod PRIME but, as a rule,
+    not over Q."""
+    r = draw(st.integers(min_value=0, max_value=max_dim))
+    c = draw(st.integers(min_value=0, max_value=max_dim))
+    small = st.integers(-3, 3)
+    entry = st.one_of(small, small.map(lambda k: k * PRIME), st.tuples(small, small).map(lambda t: t[0] + t[1] * PRIME))
+    rows = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    for i in range(1, r):
+        if draw(st.booleans()):
+            j, a = draw(st.integers(0, i - 1)), draw(small)
+            rows[i] = [a * x + draw(small) * PRIME for x in rows[j]]
+    return rows, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(integer_matrices())
+def test_certified_rank_equals_the_exact_rank(matrix):
+    rows, cols = matrix
+    assert certified_rank(rows, cols) == _exact_rank(rows, cols)
+
+
+def test_certified_rank_falls_back_on_every_shortfall(monkeypatch):
+    exact_runs = []
+    eliminate = exactlin._forward_eliminate
+
+    def counting(rows, p=0):
+        if not p:
+            exact_runs.append(len(rows))
+        return eliminate(rows, p)
+
+    monkeypatch.setattr(exactlin, "_forward_eliminate", counting)
+    # full rank mod p: certified, no elimination over Q
+    assert certified_rank([[1, 2, 3], [0, 1, PRIME + 4]], 3) == 2
+    assert exact_runs == []
+    # det = PRIME: rank 1 mod p, rank 2 over Q
+    assert certified_rank([[1, 1], [1, 1 + PRIME]], 2) == 2
+    # rank 1 mod p and over Q: short, so only the exact rank may say so
+    assert certified_rank([[1, 1], [2, 2]], 2) == 1
+    assert certified_rank([[PRIME, 0]], 2) == 1
+    assert exact_runs == [2, 2, 1]
+
+
+def test_certified_rank_of_empty_and_ragged_shapes():
+    assert certified_rank([], 0) == 0
+    assert certified_rank([], 4) == 0
+    assert certified_rank([[], []], 0) == 0
+    with pytest.raises(ValueError):
+        certified_rank([[1, 0], [0, 1], [1, 1]], 1)
+
+
+def test_elimination_mod_p_follows_the_pivot_rule():
+    rows = [[0, 2, 4, 1], [0, 1, 2, 5], [3, 0, 0, 6]]
+    modular = [[e % PRIME for e in r] for r in rows]
+    exact = [[F(e) for e in r] for r in rows]
+    assert exactlin._forward_eliminate(modular, PRIME) == exactlin._forward_eliminate(exact) == [0, 1, 3]
+    # the same row swaps, scalings and updates: here every exact entry is
+    # an integer in 0..PRIME-1, so the residues equal it
+    assert modular == exact == [[1, 0, 0, 2], [0, 1, 2, 5], [0, 0, 0, 1]]
+    halves = [[2, 1], [0, 3]]
+    assert exactlin._forward_eliminate(halves, PRIME) == [0, 1]
+    assert halves == [[1, pow(2, -1, PRIME)], [0, 1]]
