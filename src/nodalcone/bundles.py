@@ -27,8 +27,9 @@ component, its integer numerators over one common positive denominator
 Horner, which clears the denominator of the point (``_value``,
 ``_jet``), so a value is an integer over a positive one. Products
 convolve the numerators with no gcd at each step (``_convolve``), and
-the node check compares integers after also clearing the gluing
-scalar's denominator (``_glues``). ``multiply_sections`` and
+the node check dots each branch's block with an integer row, built
+once per bundle, that also clears the gluing scalar's denominator
+(``_node_rows``, ``_glues``). ``multiply_sections`` and
 ``section_satisfies_gluing`` are thin wrappers over these helpers.
 
 Only the rank of G enters ``h0`` and ``h1``, and G factors as ``A * E``:
@@ -68,6 +69,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
+from operator import mul
 
 from .curve import NodalCurve, PointOnLine, Site
 from .exactlin import MatrixQ, VectorQ, as_scalar, free_columns, kernel_from_rref, rank, rref
@@ -342,8 +344,12 @@ def multiply_sections(a: Section, b: Section) -> Section:
 
 def section_satisfies_gluing(bundle: LineBundle, section: Section) -> bool:
     """Exact check of every node constraint for one section, at the
-    branch sites of ``curve.sites``, on its integer form (see ``_glues``)."""
-    return _glues(bundle, _integral(section)[0])
+    branch sites of ``curve.sites``, on its integer form (see ``_glues``).
+    Each block must have the bundle's width or be empty."""
+    widths = block_widths(bundle)
+    if len(section.coeffs) != len(widths) or any(len(b) not in (0, w) for b, w in zip(section.coeffs, widths)):
+        raise ValueError("section blocks do not fit the bundle's widths")
+    return _glues(_node_rows(bundle), _integral(section)[0])
 
 
 _IntegralForm = tuple[tuple[tuple[int, ...], ...], int]
@@ -409,18 +415,51 @@ def _jet(block: tuple[int, ...], p: PointOnLine) -> tuple[int, int]:
     return _value(tuple(k * c for k, c in enumerate(block))[1:], p)
 
 
-def _glues(bundle: LineBundle, blocks: tuple[tuple[int, ...], ...]) -> bool:
-    """Exact node check on the integer numerators of a section.
+_NodeRows = tuple[tuple[int, tuple[int, ...], int, tuple[int, ...]], ...]
 
-    With the branch values ``H_a / S_a`` and ``H_b / S_b`` of ``_value``,
-    the node constraint ``H_a / S_a = g H_b / S_b`` is
-    ``H_a S_b g.denominator == g.numerator H_b S_a``: every factor is an
-    integer, the common denominator cancels, and nothing is rounded.
+
+def _homogeneous_row(width: int, p: PointOnLine) -> tuple[tuple[int, ...], int]:
+    """``(row, s)`` with ``row . block`` the ``h`` of ``_value(block, p)``
+    for every block of length ``width``, and s its ``s``: the row is
+    ``a^k b^(width-1-k)`` at ``p = a/b``, a unit at the last slot at
+    infinity, and empty for width 0. A dot product stops at the shorter
+    side, so the row stops at its last nonzero entry: at 0 it has one."""
+    if width == 0:
+        return (), 1
+    if p.is_infinity:
+        return (0,) * (width - 1) + (1,), 1
+    a, b = p.coord.numerator, p.coord.denominator
+    return tuple(a**k * b ** (width - 1 - k) for k in range(width if a else 1)), b ** (width - 1)
+
+
+def _node_rows(bundle: LineBundle) -> _NodeRows:
+    """One ``(ia, row_a, ib, row_b)`` per node, the components and the
+    integer rows of its two branches, for ``_glues``.
+
+    With a section's branch values ``H_a / S_a`` and ``H_b / S_b`` from
+    ``_value``, the node constraint ``H_a / S_a = g H_b / S_b`` is
+    ``H_a S_b g.denominator == g.numerator H_b S_a``. ``S`` depends only
+    on the branch point and the bundle's block width there, so each side
+    is a fixed integer row dotted with the block: the ``_homogeneous_row``
+    times the other branch's S and g's denominator, or its numerator.
+    Every factor is an integer, the common denominator cancels, and
+    nothing is rounded.
     """
+    widths = block_widths(bundle)
+    out = []
     for ((ia, _, pa), (ib, _, pb)), g in zip(bundle.curve.sites, bundle.gluings):
-        h_a, s_a = _value(blocks[ia], pa)
-        h_b, s_b = _value(blocks[ib], pb)
-        if h_a * s_b * g.denominator != g.numerator * h_b * s_a:
+        row_a, s_a = _homogeneous_row(widths[ia], pa)
+        row_b, s_b = _homogeneous_row(widths[ib], pb)
+        out.append((ia, tuple(e * s_b * g.denominator for e in row_a), ib, tuple(e * s_a * g.numerator for e in row_b)))
+    return tuple(out)
+
+
+def _glues(node_rows: _NodeRows, blocks: tuple[tuple[int, ...], ...]) -> bool:
+    """Exact check of every node constraint on the integer numerators of
+    a section, each block of the bundle's width or empty (the zero
+    polynomial), against the bundle's ``_node_rows``."""
+    for ia, row_a, ib, row_b in node_rows:
+        if sum(map(mul, row_a, blocks[ia])) != sum(map(mul, row_b, blocks[ib])):
             return False
     return True
 

@@ -64,12 +64,10 @@ from .embedding import (
     _jacobian_rank,
     _product_matrix,
     _quadric_at,
-    _quadric_form,
+    _quadric_forms,
     embed_point,
     globally_generated,
-    multiplication_map,
     node_images_consistent,
-    quadric_ideal,
     sample_points,
     very_ample,
 )
@@ -356,19 +354,21 @@ def run_embed(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) ->
 def _multiplication_maps(space: SectionSpace) -> tuple[dict, dict, tuple]:
     """Shape and rank of the m = 2 and m = 3 multiplication maps of
     ``space``, and the quadrics in integer form: the kernel at m = 2,
-    whose count gives its rank without a second elimination. The m = 3
-    map stays the integer matrix of ``_product_matrix``, each column the
-    rational one times its ``den > 0``, so its rank is the map's;
-    ``certified_rank`` takes it mod one prime, and over Q on a shortfall."""
-    m2 = multiplication_map(space, 2)
-    quadrics = tuple(_quadric_form(q, len(space.basis)) for q in quadric_ideal(m2))
-    m3, dens = _product_matrix(space, 3)
+    whose count gives its rank without a second elimination. Both maps
+    stay the integer matrices of ``_product_matrix``, each column the
+    rational one times its ``den > 0``, so kernel and rank are the map's.
+    ``_quadric_forms`` takes the m = 2 kernel by ``certified_kernel``,
+    and ``certified_rank`` the m = 3 rank mod one prime, each falling
+    back to Q from the same integers where the prime does not prove it."""
+    m2, dens2 = _product_matrix(space, 2)
+    quadrics = _quadric_forms(m2, dens2, len(space.basis))
+    m3, dens3 = _product_matrix(space, 3)
 
     def shape(source: int, target: int, r: int) -> dict:
         return {"source": source, "target": target, "rank": r, "surjective": r == target}
 
-    m3_shape = shape(len(dens), len(m3), certified_rank(m3, len(dens)))
-    return shape(m2.cols, m2.rows, m2.cols - len(quadrics)), m3_shape, quadrics
+    m3_shape = shape(len(dens3), len(m3), certified_rank(m3, len(dens3)))
+    return shape(len(dens2), len(m2), len(dens2) - len(quadrics)), m3_shape, quadrics
 
 
 def run_ideal(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) -> dict:

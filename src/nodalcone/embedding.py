@@ -33,21 +33,30 @@ exact node-by-node check has shown the product is a global section.
 Products and that check run on integer numerators over a common
 denominator (see ``bundles``), into one integer matrix per map
 (``_product_matrix``). ``multiplication_map`` makes Fractions of its
-entries. A caller after a rank alone can keep the integers: column j
-is the rational column times ``den_j > 0``, so the rank is the same,
-and ``exactlin.certified_rank`` takes it modulo one prime, which
-certifies that the map is onto and never decides a shortfall (that
-falls back to the exact rank of the same integers).
+entries. A caller after a rank or a kernel can keep the integers:
+column j is the rational column times ``den_j > 0``, so the rank is
+the same, and ``exactlin.certified_rank`` takes it modulo one prime,
+which certifies that the map is onto and never decides a shortfall
+(that falls back to the exact rank of the same integers).
 Its kernel at m = 2 is the space of quadrics through the embedded
-curve; the rank of their Jacobian at points of the affine cone is
+curve. ``exactlin.certified_kernel`` finds it from the integer map,
+mod primes, lifted and checked over Z, or else over Q, so it is the
+canonical basis of ``kernel_basis``: a vector w of the integer map
+gives the rational kernel vector with entries ``den_j * w_j`` up to a
+positive factor (``_scaled_kernel``). ``_quadric_forms`` keeps each
+quadric as its nonzero terms ``(den_j * w_j, i, j)`` over the integers,
+and ``quadric_ideal`` turns the same vectors into Fractions.
+The rank of the quadrics' Jacobian at points of the affine cone is
 exposed as a probe. The probe is a heuristic: it reflects the quadrics
 alone, which are not known here to generate the full ideal, so no
-smoothness verdict is derived from it. Each quadric is converted once
-into its nonzero terms over the integers (``_quadric_form``), and one
-evaluator and one Jacobian read them at a point's integer cone
-coordinates, ``embed_point`` times a positive factor. A quadric is
-homogeneous, so positive rescalings of it and of the point change
-neither which values vanish nor the Jacobian's rank.
+smoothness verdict is derived from it. One evaluator and one Jacobian
+read the integer quadrics at a point's integer cone coordinates,
+``embed_point`` times a positive factor. A quadric is homogeneous, so
+positive rescalings of it and of the point change neither which values
+vanish nor the Jacobian's rank. That rank is the number of columns
+minus the dimension of the gradients' ``certified_kernel``: a rank mod
+p only bounds it from below, and the checked kernel bounds it from
+above, so a short rank is as certain as a full one.
 """
 
 from __future__ import annotations
@@ -58,9 +67,9 @@ from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from math import lcm
 
-from .bundles import SectionSpace, _convolve, _glues, _jet, _value, power, section_basis
+from .bundles import SectionSpace, _convolve, _glues, _jet, _node_rows, _value, power, section_basis
 from .curve import NodalCurve, PointOnLine, affine_point
-from .exactlin import MatrixQ, VectorQ, as_scalar, kernel_basis, rank
+from .exactlin import MatrixQ, VectorQ, as_scalar, certified_kernel
 
 _ZERO = Fraction(0)
 
@@ -316,7 +325,8 @@ def node_images_consistent(space: SectionSpace) -> bool:
     scalar times the vector through branch b, entry by entry: every
     basis section satisfies every node constraint.
     """
-    return all(_glues(space.bundle, blocks) for blocks, _ in space.integral_basis)
+    node_rows = _node_rows(space.bundle)
+    return all(_glues(node_rows, blocks) for blocks, _ in space.integral_basis)
 
 
 def sym_monomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
@@ -347,6 +357,7 @@ def _product_matrix(space: SectionSpace, m: int) -> tuple[list[list[int]], list[
         raise ValueError("multiplication maps are defined for m >= 1")
     target = power(space.bundle, m)
     free = section_basis(target).free_columns
+    node_rows = _node_rows(target)
     basis = space.integral_basis
     prefixes = {(i,): s for i, s in enumerate(basis)}
     for j in range(2, m):
@@ -355,7 +366,7 @@ def _product_matrix(space: SectionSpace, m: int) -> tuple[list[list[int]], list[
     dens = []
     for mono in sym_monomials(len(basis), m):
         blocks, den = _convolve(prefixes[mono[:-1]], basis[mono[-1]]) if m > 1 else basis[mono[0]]
-        if not _glues(target, blocks):
+        if not _glues(node_rows, blocks):
             raise ArithmeticError(
                 f"product for monomial {mono} is not a global section of the target; "
                 "gluing bookkeeping is broken"
@@ -388,13 +399,49 @@ def quadric_ideal(m2: MatrixQ) -> tuple[VectorQ, ...]:
 
     Takes the m = 2 multiplication map, so a caller that also reports
     the map builds it once. Coefficient vectors over
-    ``sym_monomials(h0, 2)``; the kernel of that map. For an
-    h0-dimensional section space the count is ``C(h0 + 1, 2) - rank``.
+    ``sym_monomials(h0, 2)``; the kernel of that map, equal to
+    ``kernel_basis(m2)``. For an h0-dimensional section space the count
+    is ``C(h0 + 1, 2) - rank``. Each column is cleared of its
+    denominators by their lcm, and the kernel of those integers comes
+    from ``_scaled_kernel`` (see the module docstring).
     """
-    return tuple(kernel_basis(m2))
+    dens = [lcm(*(m2.at(i, j).denominator for i in range(m2.rows))) for j in range(m2.cols)]
+    rows = [[e.numerator * (d // e.denominator) for e, d in zip(m2.row(i), dens)] for i in range(m2.rows)]
+    basis = []
+    for terms, den in _scaled_kernel(rows, dens):
+        v = [_ZERO] * m2.cols
+        for j, c in terms:
+            v[j] = Fraction(c, den)
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def _scaled_kernel(rows, dens):
+    """The canonical kernel basis of the map with entry (i, j)
+    ``rows[i][j] / dens[j]``, every ``dens[j] > 0``, each vector as its
+    nonzero entries ``(j, u_j)`` over a positive integer den: the vector
+    is ``u / den``.
+
+    The integer matrix is the map times ``diag(dens)``, so each vector w
+    of its ``certified_kernel`` gives the map's kernel vector
+    ``u_j = dens[j] * w[j]``; den is u's entry at the free column, its
+    last nonzero one, where the canonical vector has a unit.
+    """
+    for w in certified_kernel(rows, len(dens)):
+        terms = [(j, dens[j] * c) for j, c in enumerate(w) if c]
+        yield terms, terms[-1][1]
 
 
 _QuadricForm = tuple[tuple[tuple[int, int, int], ...], int]
+
+
+def _quadric_forms(rows, dens, n: int) -> tuple[_QuadricForm, ...]:
+    """The quadrics through the curve in integer form, from the integer
+    m = 2 map ``_product_matrix(space, 2)`` of an n-dimensional space:
+    the vectors of ``quadric_ideal``, each as its nonzero terms over a
+    positive denominator (see ``_quadric_form``)."""
+    monos = sym_monomials(n, 2)
+    return tuple((tuple((c, *monos[j]) for j, c in terms), den) for terms, den in _scaled_kernel(rows, dens))
 
 
 def _quadric_form(quadric, n: int) -> _QuadricForm:
@@ -415,8 +462,11 @@ def _quadric_at(form: _QuadricForm, x) -> int | Fraction:
 
 
 def _jacobian_rank(forms, x) -> int:
-    """Rank of the quadric forms' gradients at x, each times its form's
-    denominator; a square term ``c x_i^2`` adds ``c x_i`` twice."""
+    """Rank of the quadric forms' gradients at an integer point x, each
+    times its form's denominator; a square term ``c x_i^2`` adds
+    ``c x_i`` twice. The rank is ``len(x)`` minus the dimension of the
+    gradients' ``certified_kernel``, so it is exact: a rank mod p alone
+    would only bound it from below."""
     rows = []
     for terms, _ in forms:
         grad = [0] * len(x)
@@ -424,7 +474,7 @@ def _jacobian_rank(forms, x) -> int:
             grad[i] += c * x[j]
             grad[j] += c * x[i]
         rows.append(grad)
-    return rank(MatrixQ.from_rows(rows, cols=len(x)))
+    return len(x) - len(certified_kernel(rows, len(x)))
 
 
 def _cone_vector(space: SectionSpace, x: CurvePoint) -> tuple[int, ...]:
@@ -448,6 +498,11 @@ def cone_jacobian_rank(quadrics, coords) -> int:
     Heuristic singularity probe: it sees only the quadrics handed in
     (normally the degree-2 part of the ideal), so a rank drop locates
     candidate singular points but proves nothing about smoothness.
+    The coordinates are cleared of their denominators by their lcm and
+    each quadric by ``_quadric_form``, positive factors that leave the
+    rank alone, and ``_jacobian_rank`` takes it over the integers.
     """
     values = [as_scalar(c) for c in coords]
-    return _jacobian_rank([_quadric_form(q, len(values)) for q in quadrics], values)
+    den = lcm(*(v.denominator for v in values))
+    x = [v.numerator * (den // v.denominator) for v in values]
+    return _jacobian_rank([_quadric_form(q, len(x)) for q in quadrics], x)

@@ -1,4 +1,5 @@
-"""Exact linear algebra over the rational numbers, with ranks certified mod p.
+"""Exact linear algebra over the rational numbers, with ranks and kernels
+of integer matrices found mod primes and certified.
 
 The scalar type is :class:`fractions.Fraction`: arbitrary precision,
 always in lowest terms with a positive denominator, so every arithmetic
@@ -24,13 +25,35 @@ a loss to the prime, so it never decides a shortfall; the rank is then
 taken over Q from the same integers. The result is the exact rank
 either way, and the same on every run.
 
+``certified_kernel`` finds the canonical kernel basis of an integer
+matrix on one elimination path: the residues mod each of the fixed
+``PRIMES`` in turn go through ``_forward_eliminate`` and
+``_back_substitute``; the kernel entries of the primes that share the
+best pivot columns so far are combined by the Chinese remainder
+theorem; and each is lifted to a rational by Wang's reconstruction
+with bound ``isqrt(M / 2)``, M the product of those primes (``_lift``).
+A prime may lose rank or move a pivot, and a lift may be wrong; nothing
+is trusted until every lifted vector w, cleared to integers, has
+``rows . w == 0`` exactly over Z. The check reads only the nonzero
+entries of the columns where w is nonzero. That check proves the result
+canonical. Each vector has a unit at its free column f and is
+supported on f and the pivots left of f, so column f is a combination
+of earlier columns and is free over Q too. Every free column mod p is
+then free over Q, so rank_Q <= rank_p, while rank_p <= rank_Q always:
+the free columns are the same, and the vector with a unit at f, zero
+at every other free column and in the kernel is unique. So a checked
+result is exactly ``kernel_basis``'s. Where no prime gets through, the
+kernel is the rref over Q of the same integers.
+
 No floating point is used anywhere in this package; floats are rejected
 at the boundary.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from math import gcd, isqrt, lcm
 from typing import Iterable, Sequence
 
 VectorQ = tuple[Fraction, ...]
@@ -38,9 +61,12 @@ VectorQ = tuple[Fraction, ...]
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
-# the modulus of certified_rank: fixed, so every run eliminates alike;
-# at 31 bits a product of two residues fits in 62
-PRIME = 2**31 - 1
+# the moduli of certified_kernel, 2^31 - 1 and the next five primes below
+# it, written out so that none is searched for at import: fixed, so every
+# run eliminates alike; at 31 bits a product of two residues fits in 62
+PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
+# the modulus of certified_rank
+PRIME = PRIMES[0]
 
 
 def as_scalar(value: int | str | Fraction) -> Fraction:
@@ -175,9 +201,11 @@ def _forward_eliminate(rows: list[list], p: int = 0) -> list[int]:
     return pivots
 
 
-def _back_substitute(rows: list[list[Fraction]], pivots: list[int]) -> None:
+def _back_substitute(rows: list[list], pivots: list[int], p: int = 0) -> None:
+    """In-place back substitution after ``_forward_eliminate`` with the
+    same modulus, which leaves the reduced echelon form."""
     for r in range(len(pivots) - 1, -1, -1):
-        _clear(rows, range(r), rows[r], pivots[r])
+        _clear(rows, range(r), rows[r], pivots[r], p)
 
 
 def rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:
@@ -205,6 +233,109 @@ def certified_rank(rows: Sequence[Sequence[int]], cols: int) -> int:
     return len(_forward_eliminate([list(r) for r in rows]))
 
 
+def _lift(x: int, modulus: int, bound: int) -> tuple[int, int] | None:
+    """Wang's rational reconstruction: ``(n, d)`` with ``n = x d`` mod
+    ``modulus``, ``|n| <= bound``, ``0 < d <= bound`` and ``gcd(n, d) = 1``,
+    or None where there is none. Unique when ``2 bound^2 < modulus``."""
+    if x <= bound:
+        return x, 1
+    if modulus - x <= bound:
+        return x - modulus, 1
+    r0, r1, t0, t1 = modulus, x, 0, 1
+    while r1 > bound:
+        q = r0 // r1
+        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
+    if t1 < 0:
+        r1, t1 = -r1, -t1
+    if t1 > bound or gcd(r1, t1) != 1:
+        return None
+    return r1, t1
+
+
+def _integer_vector(cols: int, free: int, pivots: Sequence[int], entries: Sequence[tuple[int, int]]) -> list[int]:
+    """The kernel vector with a unit at ``free`` and ``n / d`` at
+    ``pivots[r]`` for the r-th of ``entries``, times the lcm of the d."""
+    den = lcm(*(d for _, d in entries))
+    w = [0] * cols
+    w[free] = den
+    for (n, d), pc in zip(entries, pivots):
+        w[pc] = n * (den // d)
+    return w
+
+
+def _free(cols: int, pivots: Sequence[int]) -> list[int]:
+    pivot_set = set(pivots)
+    return [c for c in range(cols) if c not in pivot_set]
+
+
+def _lifted_basis(columns, nrows: int, pivots: list[int], lifts: list[int], modulus: int) -> list[tuple[int, ...]] | None:
+    """The kernel vectors that ``lifts`` (their entries mod ``modulus``,
+    in ``certified_kernel``'s order) lift to, if every entry lifts and
+    every vector ``w`` is in the kernel over Z; else None. The product
+    reads ``columns``, the nonzero ``(row, entry)`` of each column of the
+    matrix, at the vector's support: its free column and the pivots left
+    of it."""
+    cols = len(columns)
+    bound = isqrt(modulus // 2)
+    basis = []
+    at = 0
+    for f in _free(cols, pivots):
+        k = bisect_left(pivots, f)
+        entries = [_lift(x, modulus, bound) for x in lifts[at : at + k]]
+        at += k
+        if None in entries:
+            return None
+        w = _integer_vector(cols, f, pivots, entries)
+        total = [0] * nrows
+        for j in pivots[:k] + [f]:
+            c = w[j]
+            if c:
+                for i, a in columns[j]:
+                    total[i] += a * c
+        if any(total):
+            return None
+        basis.append(tuple(w))
+    return basis
+
+
+def certified_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[int, ...]]:
+    """The canonical kernel basis of an integer matrix, in the order of
+    ``kernel_basis``, each vector times the lcm of its denominators:
+    integers whose last nonzero entry is that lcm, at the vector's free
+    column. Found mod the ``PRIMES`` and checked over Z, or else taken
+    over Q from the same integers; see the module docstring."""
+    if any(len(r) != cols for r in rows):
+        raise ValueError(f"rows must all have length {cols}")
+    columns = [[(i, r[j]) for i, r in enumerate(rows) if r[j]] for j in range(cols)]
+    known: list[int] | None = None
+    for p in PRIMES:
+        reduced = [[e % p for e in r] for r in rows]
+        pivots = _forward_eliminate(reduced, p)
+        _back_substitute(reduced, pivots, p)
+        # entry r of free column f's vector, for each pivot r left of f
+        residues = [-reduced[r][f] % p for f in _free(cols, pivots) for r in range(bisect_left(pivots, f))]
+        if pivots == known:
+            inv = pow(modulus, -1, p)
+            lifts = [x + modulus * ((y - x) * inv % p) for x, y in zip(lifts, residues)]
+            modulus *= p
+        elif known is None or (-len(pivots), pivots) < (-len(known), known):
+            # the first prime, or one whose pivots beat every earlier prime's
+            known, lifts, modulus = pivots, residues, p
+        else:
+            continue
+        basis = _lifted_basis(columns, len(rows), pivots, lifts, modulus)
+        if basis is not None:
+            return basis
+    reduced = [list(r) for r in rows]
+    pivots = _forward_eliminate(reduced)
+    _back_substitute(reduced, pivots)
+    basis = []
+    for f in _free(cols, pivots):
+        entries = [(-reduced[r][f]).as_integer_ratio() for r in range(bisect_left(pivots, f))]
+        basis.append(tuple(_integer_vector(cols, f, pivots, entries)))
+    return basis
+
+
 def kernel_basis(m: MatrixQ) -> list[VectorQ]:
     """Canonical basis of the right kernel.
 
@@ -219,8 +350,7 @@ def kernel_basis(m: MatrixQ) -> list[VectorQ]:
 
 def free_columns(reduced: MatrixQ, pivots: Sequence[int]) -> tuple[int, ...]:
     """Column indices of a reduced echelon form that carry no pivot."""
-    pivot_set = set(pivots)
-    return tuple(c for c in range(reduced.cols) if c not in pivot_set)
+    return tuple(_free(reduced.cols, pivots))
 
 
 def kernel_from_rref(reduced: MatrixQ, pivots: Sequence[int]) -> list[VectorQ]:

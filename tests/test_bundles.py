@@ -17,6 +17,7 @@ from conftest import (
     reference_satisfies_gluing,
     reference_value,
 )
+import nodalcone.bundles as bundles
 from nodalcone.bundles import (
     _integral,
     _jet,
@@ -188,6 +189,43 @@ def test_products_of_sections_glue_in_the_square(paper_curve):
         for j in (1, 5, 9):
             prod = multiply_sections(basis[i], basis[j])
             assert section_satisfies_gluing(square, prod)
+
+
+def test_node_rows_decide_like_fraction_horner_on_moved_products(paper_curve):
+    """On the paper curve at (4, 3, 3), each product of two basis
+    sections glues in the square, and each copy with one coefficient
+    moved by 1/2 glues exactly when the Fraction-Horner check says so:
+    a move on C3 away from its constant term, the only coefficient its
+    node at 0 reads, keeps a global section, and every other move breaks
+    one. The node rows are built once for the square."""
+    bundle = line_bundle(paper_curve, (4, 3, 3))
+    square = power(bundle, 2)
+    basis = section_basis(bundle).basis
+    node_rows = bundles._node_rows(square)
+    verdicts = set()
+    for i, a in enumerate(basis):
+        for b in basis[i:]:
+            product = multiply_sections(a, b)
+            assert section_satisfies_gluing(square, product)
+            for ci, block in enumerate(product.coeffs):
+                for k in range(len(block)):
+                    moved = block[:k] + (block[k] + F(1, 2),) + block[k + 1 :]
+                    s = Section(product.coeffs[:ci] + (moved,) + product.coeffs[ci + 1 :])
+                    verdict = bundles._glues(node_rows, _integral(s)[0])
+                    assert verdict == reference_satisfies_gluing(square, s) == (ci == 2 and k > 0)
+                    verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+def test_section_satisfies_gluing_needs_the_bundle_widths(paper_curve):
+    """A block is the bundle's width or empty; anything else raises
+    instead of being read at the wrong degree."""
+    bundle = line_bundle(paper_curve, (1, 0, 0))
+    assert section_satisfies_gluing(bundle, Section(((), (), ())))
+    assert section_satisfies_gluing(bundle, Section(((F(1), F(0)), (F(1),), (F(1),))))
+    for coeffs in (((F(1),), (F(1),), (F(1),)), ((F(1), F(0)), (F(1),))):
+        with pytest.raises(ValueError):
+            section_satisfies_gluing(bundle, Section(coeffs))
 
 
 def _scaled(rng, section):

@@ -293,17 +293,6 @@ def test_main_range_endpoints_are_bounded():
         assert err.value.code == 2
 
 
-@pytest.mark.parametrize("command", ["ideal", "verify"])
-def test_quadrics_converted_once_per_command(command, monkeypatch, capsys):
-    """Each of the 35 quadrics on the paper curve is turned into its
-    integer form once, however many points the command tests it at."""
-    calls = []
-    convert = cli._quadric_form
-    monkeypatch.setattr(cli, "_quadric_form", lambda q, n: calls.append(q) or convert(q, n))
-    assert main([command, str(PAPER_SPEC), "--json"]) == EXIT_OK
-    assert len(calls) == 35
-
-
 def _record_eliminations(monkeypatch):
     """Record ``(modulus, rows, width)`` of every elimination, 0 standing
     for Q, and ``(rows, cols)`` of every MatrixQ built."""
@@ -336,33 +325,101 @@ M3_GUARD_SPECS = [f"curves/{p.name}" for p in sorted((REPO / "curves").glob("*.j
 ]
 
 
-@pytest.mark.parametrize("command", ["ideal", "verify"])
-@pytest.mark.parametrize("spec", M3_GUARD_SPECS)
-def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys):
-    """On the shipped curves and the (k,k,k) ladder the m = 3 rank is
-    certified mod PRIME: no elimination over Q of the map, and the map
-    never becomes a MatrixQ; only m = 2 goes through
-    ``multiplication_map``."""
-    from nodalcone.exactlin import PRIME
-
+def _guard_spec(spec: str, tmp_path: Path) -> tuple[Path, LineBundle]:
+    """The file of an ``M3_GUARD_SPECS`` entry and its bundle."""
     if spec.startswith("ladder:"):
         path = tmp_path / "ladder.json"
         path.write_text(_paper_curve_at(int(spec.split(":")[1])))
     else:
         path = REPO / spec
     parsed = parse_spec(path.read_text())
-    bundle = LineBundle(parsed.curve, parsed.multidegree, parsed.gluings)
+    return path, LineBundle(parsed.curve, parsed.multidegree, parsed.gluings)
+
+
+@pytest.mark.parametrize("command", ["ideal", "verify"])
+def test_quadrics_converted_once_per_command(command, tmp_path, monkeypatch, capsys):
+    """On the shipped curves and the (k,k,k) ladder for k = 3..6, the
+    quadrics are put in integer form once per command, straight from the
+    integer m = 2 map, however many points the command tests them at;
+    the dense Fraction conversion ``_quadric_form`` never runs. They are
+    as many as the exact kernel of the rational map has vectors."""
+    from nodalcone import embedding
+    from nodalcone.exactlin import kernel_basis
+
+    forms, dense = [], []
+    build = cli._quadric_forms
+    monkeypatch.setattr(cli, "_quadric_forms", lambda rows, dens, n: forms.append(build(rows, dens, n)) or forms[-1])
+    monkeypatch.setattr(embedding, "_quadric_form", lambda q, n: dense.append(q))
+    for spec in M3_GUARD_SPECS:
+        path, bundle = _guard_spec(spec, tmp_path)
+        expected = len(kernel_basis(embedding.multiplication_map(section_basis(bundle), 2)))
+        forms.clear()
+        assert main([command, str(path), "--json"]) == EXIT_OK
+        body = json.loads(capsys.readouterr().out)["sections"][command]
+        assert [len(f) for f in forms] == [expected]
+        if command == "ideal":
+            assert body["quadric_count"] == expected
+    assert dense == []
+
+
+@pytest.mark.parametrize("command", ["ideal", "verify"])
+@pytest.mark.parametrize("spec", M3_GUARD_SPECS)
+def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys):
+    """On the shipped curves and the (k,k,k) ladder neither multiplication
+    map becomes a MatrixQ, either way round, or is eliminated over Q:
+    the m = 3 rank is certified mod PRIME, and the m = 2 kernel is
+    eliminated mod PRIME and checked over Z. So is the kernel of every
+    gradient matrix of ``ideal``'s probe, one row per quadric."""
+    from nodalcone.exactlin import PRIME
+
+    path, bundle = _guard_spec(spec, tmp_path)
     h0 = len(section_basis(bundle).basis)
+    m2 = (len(section_basis(power(bundle, 2)).basis), h0 * (h0 + 1) // 2)
     m3 = (len(section_basis(power(bundle, 3)).basis), h0 * (h0 + 1) * (h0 + 2) // 6)
-    degrees = []
-    build = cli.multiplication_map
-    monkeypatch.setattr(cli, "multiplication_map", lambda space, m: degrees.append(m) or build(space, m))
     eliminations, matrices = _record_eliminations(monkeypatch)
     assert main([command, str(path), "--json"]) == EXIT_OK
-    assert degrees == [2]
-    assert (PRIME, *m3) in eliminations
-    assert (0, *m3) not in eliminations
-    assert m3 not in matrices and m3[::-1] not in matrices
+    body = json.loads(capsys.readouterr().out)["sections"][command]
+    shapes = [m2, m3]
+    if command == "ideal":
+        shapes.append((body["quadric_count"], h0))
+    for shape in shapes:
+        assert (PRIME, *shape) in eliminations
+        assert (0, *shape) not in eliminations
+        assert shape not in matrices and shape[::-1] not in matrices
+
+
+# the paper curve at (3, 3, 3) with C2's branch of the node C1.1 - C2.1
+# moved to a coordinate of 61 digits over 60
+BIG_COORDINATE = "-" + "9" * 30 + "1" * 31 + "/" + "7" * 60
+
+# stdout sha256 of ``ideal --json`` and ``ideal`` on that spec, written
+# as ``big-coordinates.json`` and run from its directory; recorded while
+# the quadrics and the probe's ranks were still taken over Q
+PINNED_BIG_COORDINATES = {
+    True: "bb096539062f4ee9cf5e4badb504c83ccbf73577f3e0500d474dde990a6c94bc",
+    False: "a2029692a76716d95a2391cd4faa3f4c0d20a5fd425486c5107c8bcaa60984b8",
+}
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+def test_ideal_with_huge_coordinates_falls_back_to_q(as_json, tmp_path, monkeypatch, capsys):
+    """Cone coordinates far too big to lift from the six primes: the
+    probe's gradient kernels and the m = 2 kernel fall back to Q from
+    the same integers, and the output is the one pinned before the
+    modular kernel existed."""
+    from nodalcone.exactlin import PRIMES
+
+    doc = json.loads(_paper_curve_at(3))
+    doc["components"][1]["points"][1] = BIG_COORDINATE
+    (tmp_path / "big-coordinates.json").write_text(json.dumps(doc, indent=2) + "\n")
+    monkeypatch.chdir(tmp_path)
+    eliminations, _ = _record_eliminations(monkeypatch)
+    assert main(["ideal", "big-coordinates.json", *(["--json"] if as_json else [])]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_BIG_COORDINATES[as_json]
+    gradients, m2 = (27, 9), (18, 45)
+    for shape in (gradients, m2):
+        assert [p for p in PRIMES if (p, *shape) in eliminations] == list(PRIMES)
+        assert (0, *shape) in eliminations
 
 
 # two lines, a self-node on A: degree 1 there cannot separate its branches

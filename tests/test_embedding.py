@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 
 import nodalcone.bundles as bundles
 import nodalcone.embedding as embedding
+import nodalcone.exactlin as exactlin
 from conftest import (
     curve_with_infinity,
     random_bundle,
@@ -315,6 +317,32 @@ def test_multiplication_map_rejects_product_off_the_gluing(paper_curve, monkeypa
         multiplication_map(section_basis(line_bundle(paper_curve, (4, 3, 3))), 2)
 
 
+@pytest.mark.parametrize("m, k", [(2, 0), (2, 54), (3, 7), (3, 219)])
+def test_product_matrix_raises_on_one_corrupted_coefficient(paper_curve, monkeypatch, m, k):
+    """The k-th column's product on the paper curve at (4, 3, 3), its
+    leading coefficient on C2 moved by one, no longer takes the same
+    value at the two branches of the self-node of C2 at 0 and 2, and
+    ``_product_matrix`` raises for its monomial. At m = 3 the 55
+    degree-2 prefixes are multiplied first."""
+    calls = []
+    convolve = embedding._convolve
+    target = (55 if m == 3 else 0) + k + 1
+
+    def broken(a, b):
+        blocks, den = convolve(a, b)
+        calls.append(None)
+        if len(calls) != target:
+            return blocks, den
+        c2 = blocks[1][:-1] + (blocks[1][-1] + den,)
+        return (blocks[0], c2, blocks[2]), den
+
+    monkeypatch.setattr(embedding, "_convolve", broken)
+    space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
+    mono = sym_monomials(10, m)[k]
+    with pytest.raises(ArithmeticError, match=rf"monomial {re.escape(str(mono))} is not a global section"):
+        embedding._product_matrix(space, m)
+
+
 def test_multiplication_map_m3_surjective(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
     m3 = multiplication_map(section_basis(b), 3)
@@ -562,9 +590,10 @@ def test_independent_is_rank_two(rows, shape, scale):
 def test_very_ample_evaluates_each_sample_once_and_takes_no_rank(paper_curve, monkeypatch):
     """The paper curve of curves/paper-x.json at (4, 3, 3): one evaluation
     per sample for all 153 pair tests, one per smooth jet and one per node
-    branch, and no rank. The rank-per-pair loop takes 327 and 174."""
+    branch, and no elimination, so no rank of any kind. The rank-per-pair
+    loop takes 327 evaluations and 174 ranks."""
     space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
-    counts = {"rank": 0, "evaluation": 0}
+    counts = {"elimination": 0, "evaluation": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -573,12 +602,12 @@ def test_very_ample_evaluates_each_sample_once_and_takes_no_rank(paper_curve, mo
 
         return wrapper
 
-    monkeypatch.setattr(embedding, "rank", counted("rank", rank))
+    monkeypatch.setattr(exactlin, "_forward_eliminate", counted("elimination", exactlin._forward_eliminate))
     monkeypatch.setattr(embedding, "_evaluation_vector", counted("evaluation", embedding._evaluation_vector))
     v = very_ample(space)
     assert (v.status, v.samples_checked) == (CRITERION_SATISFIED, 153 + 6 + 15)
     samples = sample_points(paper_curve)
-    assert counts["rank"] == 0
+    assert counts["elimination"] == 0
     assert counts["evaluation"] <= 2 * len(samples) + len(paper_curve.nodes)
 
 def test_section_space_converts_its_basis_once_and_only_when_evaluated(paper_curve, monkeypatch):

@@ -1,6 +1,9 @@
 """Exact rational linear algebra: golden examples, properties, sympy cross-check."""
 
+import ast
+import inspect
 import itertools
+import math
 import random
 from fractions import Fraction
 
@@ -12,8 +15,10 @@ from hypothesis import strategies as st
 from nodalcone import exactlin
 from nodalcone.exactlin import (
     PRIME,
+    PRIMES,
     MatrixQ,
     as_scalar,
+    certified_kernel,
     certified_rank,
     free_columns,
     kernel_basis,
@@ -313,3 +318,160 @@ def test_elimination_mod_p_follows_the_pivot_rule():
     halves = [[2, 1], [0, 3]]
     assert exactlin._forward_eliminate(halves, PRIME) == [0, 1]
     assert halves == [[1, pow(2, -1, PRIME)], [0, 1]]
+
+
+def _integer_kernel(rows, cols):
+    """``kernel_basis`` over Q, each vector times the lcm of its
+    denominators: what ``certified_kernel`` must return."""
+    out = []
+    for v in kernel_basis(MatrixQ.from_rows(rows, cols=cols)):
+        den = math.lcm(*(e.denominator for e in v))
+        out.append(tuple(int(e * den) for e in v))
+    return out
+
+
+def _record_moduli(monkeypatch):
+    """The modulus of every elimination, 0 standing for Q."""
+    moduli = []
+    eliminate = exactlin._forward_eliminate
+
+    def counting(rows, p=0):
+        moduli.append(p)
+        return eliminate(rows, p)
+
+    monkeypatch.setattr(exactlin, "_forward_eliminate", counting)
+    return moduli
+
+
+@st.composite
+def hard_integer_matrices(draw, max_dim=5):
+    """Integer matrices built to be hard for the modular kernel: entries
+    that are small, multiples of a prime of ``PRIMES``, small plus such a
+    multiple, of 20 to 45 bits (so that the kernel needs two or three
+    primes to lift), or, in a matrix of at most three rows, of 200 bits
+    (too big for all six); and rows that are a multiple of an earlier
+    row plus a prime of ``PRIMES`` times a vector, so dependent mod that
+    prime only and with pivots that differ between primes."""
+    r = draw(st.integers(min_value=0, max_value=max_dim))
+    c = draw(st.integers(min_value=0, max_value=max_dim + 1))
+    small = st.integers(-3, 3)
+    prime = st.sampled_from(PRIMES)
+    kinds = [
+        small,
+        st.tuples(small, prime).map(lambda t: t[0] * t[1]),
+        st.tuples(small, small, prime).map(lambda t: t[0] + t[1] * t[2]),
+        st.integers(2**20, 2**45).flatmap(lambda b: st.sampled_from([b, -b, 0])),
+    ]
+    if r <= 3:
+        kinds.append(st.integers(2**199, 2**200))
+    entry = st.one_of(*kinds)
+    rows = [[draw(entry) for _ in range(c)] for _ in range(r)]
+    for i in range(1, r):
+        if draw(st.booleans()):
+            j, a, p = draw(st.integers(0, i - 1)), draw(small), draw(prime)
+            rows[i] = [a * x + draw(small) * p for x in rows[j]]
+    return rows, c
+
+
+@settings(max_examples=200, deadline=None)
+@given(hard_integer_matrices())
+def test_certified_kernel_equals_the_exact_kernel(matrix):
+    rows, cols = matrix
+    assert certified_kernel(rows, cols) == _integer_kernel(rows, cols)
+
+
+def test_certified_kernel_lifts_from_as_many_primes_as_it_needs(monkeypatch):
+    """The kernel of ``[[a, b]]`` is ``(-b/a, 1)``: a and b of 20 bits
+    lift from two primes, of 40 bits from three, and of 100 bits from
+    none of the six, so the kernel is taken over Q."""
+    moduli = _record_moduli(monkeypatch)
+    for bits, primes in ((20, 2), (40, 3), (100, 6)):
+        a, b = 2**bits + 7, 2**bits - 3
+        moduli.clear()
+        assert certified_kernel([[a, b]], 2) == [(-b, a)]
+        assert moduli == list(PRIMES[:primes]) + ([0] if primes == 6 else [])
+
+
+def test_certified_kernel_passes_over_a_prime_that_loses_rank(monkeypatch):
+    """``[[1, 1], [1, 1 + PRIME]]`` has rank 1 mod PRIME, where the
+    kernel vector (-1, 1) lifts but fails the check over Z; the next
+    prime has both pivots, so the kernel is empty. In
+    ``[[1, 1, 5], [1, 1 + p, 12]]``, p the second prime, the kernel
+    vector has denominator p: the first prime cannot lift it, the second
+    loses the pivot at column 1 and is passed over, and the first,
+    third and fourth together lift it."""
+    rows = [[1, 1, 5], [1, 1 + PRIMES[1], 12]]
+    expected = _integer_kernel(rows, 3)
+    assert expected == [(7 - 5 * PRIMES[1], -7, PRIMES[1])]
+    moduli = _record_moduli(monkeypatch)
+    assert certified_kernel([[1, 1], [1, 1 + PRIME]], 2) == []
+    assert moduli == list(PRIMES[:2])
+    moduli.clear()
+    assert certified_kernel(rows, 3) == expected
+    assert moduli == list(PRIMES[:4])
+
+
+def test_certified_kernel_rejects_a_wrong_lift(monkeypatch):
+    """A lift moved off by one is caught by the check over Z at every
+    prime; the kernel then comes from Q, unchanged."""
+    rows = [[1, 2, 3, 4], [2, 3, 5, 7], [0, 0, 1, 1]]
+    expected = certified_kernel(rows, 4)
+    assert expected == _integer_kernel(rows, 4) != []
+    lift = exactlin._lift
+
+    def wrong(x, modulus, bound):
+        n, d = lift(x, modulus, bound)
+        return n + 1, d
+
+    monkeypatch.setattr(exactlin, "_lift", wrong)
+    moduli = _record_moduli(monkeypatch)
+    assert certified_kernel(rows, 4) == expected
+    assert moduli == [*PRIMES, 0]
+
+
+def test_certified_kernel_of_empty_and_ragged_shapes():
+    assert certified_kernel([], 0) == []
+    assert certified_kernel([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    assert certified_kernel([[0, 0], [0, 0]], 2) == [(1, 0), (0, 1)]
+    assert certified_kernel([[], []], 0) == []
+    assert certified_kernel([[2, 4]], 2) == [(-2, 1)]
+    with pytest.raises(ValueError):
+        certified_kernel([[1, 0], [0]], 2)
+
+
+def test_lift_is_wang_reconstruction():
+    """``_lift`` finds the one ``n/d`` in lowest terms with
+    ``|n|, d <= bound`` and ``n = x d`` mod M, where ``2 bound^2 < M``,
+    and None where there is none: every residue of three small moduli
+    against a search, and fractions of 30 bits mod two primes."""
+    for modulus, bound in ((101, 7), (211, 10), (1009, 22)):
+        assert 2 * bound**2 < modulus
+        for x in range(modulus):
+            found = [
+                (n, d)
+                for d in range(1, bound + 1)
+                for n in range(-bound, bound + 1)
+                if math.gcd(n, d) == 1 and (n - x * d) % modulus == 0
+            ]
+            assert exactlin._lift(x, modulus, bound) == (found[0] if found else None)
+    modulus = PRIMES[0] * PRIMES[1]
+    bound = math.isqrt(modulus // 2)
+    for n, d in ((0, 1), (-5, 1), (3, 7), (-bound, bound - 1), (bound, 1), (2**30 - 35, 2**30 + 1)):
+        assert math.gcd(n, d) == 1
+        assert exactlin._lift(n * pow(d, -1, modulus) % modulus, modulus, bound) == (n, d)
+
+
+def test_primes_are_distinct_31_bit_literals():
+    """Six distinct primes below 2^31, 2^31 - 1 first, written out in the
+    source so that none is searched for at import."""
+    assert len(set(PRIMES)) == len(PRIMES) == 6
+    assert PRIMES[0] == PRIME == 2**31 - 1
+    assert all(sympy.isprime(p) and 2**30 < p < 2**31 for p in PRIMES)
+    tree = ast.parse(inspect.getsource(exactlin))
+    (value,) = [
+        node.value
+        for node in tree.body
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["PRIMES"]
+    ]
+    assert isinstance(value, ast.Tuple)
+    assert [e.value for e in value.elts if isinstance(e, ast.Constant)] == list(PRIMES)
