@@ -17,7 +17,6 @@ larger than a component's pool of sample coordinates).
 
 from __future__ import annotations
 
-import argparse
 import hashlib
 import json
 import os
@@ -26,6 +25,7 @@ import re
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from types import SimpleNamespace
 
 from . import __version__
 from .bundles import (
@@ -604,61 +604,135 @@ def _render_plain(value, indent: int) -> list[str]:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    """A weight range 'a:b' with a <= 0 <= b, else ``ValueError``."""
     try:
         lo_text, hi_text = text.split(":", 1)
         lo, hi = int(lo_text), int(hi_text)
     except ValueError:
-        raise argparse.ArgumentTypeError(f"ranges look like '-3:3', got {text!r}")
+        raise ValueError(f"ranges look like '-3:3', got {text!r}") from None
     if not lo <= 0 <= hi:
-        raise argparse.ArgumentTypeError(f"range must contain 0, got {text!r}")
+        raise ValueError(f"range must contain 0, got {text!r}")
     if max(-lo, hi) > 1000:  # a weight's cost grows with it: refuse before any work
-        raise argparse.ArgumentTypeError(f"range endpoints must lie in -1000..1000, got {text!r}")
+        raise ValueError(f"range endpoints must lie in -1000..1000, got {text!r}")
     return lo, hi
 
 
-def build_parser() -> argparse.ArgumentParser:
+# The command line: each subcommand's help and options after ``spec``,
+# in help order, as (name, dest, converter, default, help); a converter
+# of None makes a flag that stores True. ``_parse_argv`` and
+# ``build_parser`` both read this table.
+_JSON = ("--json", "json", None, False, "machine-readable output")
+_SAMPLING = (
+    ("--samples", "samples", int, 5, "extra sample points per component"),
+    ("--seed", "seed", int, SAMPLE_SEED, "sampling seed"),
+)
+
+
+def _weights(default: tuple[int, int]) -> tuple:
+    return ("--range", "weight_range", _parse_range, default, "weight range 'a:b' containing 0")
+
+
+_COMMANDS = {
+    "info": ("curve structure, genus, dual graph", (_JSON,)),
+    "sections": (
+        "h0/h1 and duality checks for the bundle",
+        (_JSON, ("--basis", "basis", None, False, "include the section basis")),
+    ),
+    "ample": ("global generation and very ampleness verdicts", (_JSON, *_SAMPLING)),
+    "embed": ("projective coordinates of sample points", (_JSON, *_SAMPLING)),
+    "ideal": ("multiplication maps, quadrics, singularity probe", (_JSON, *_SAMPLING)),
+    "deform": ("graded deformation table of the affine cone", (_JSON, _weights((-5, 5)))),
+    "verify": ("run every check and exit nonzero on failure", (_JSON, *_SAMPLING, _weights((-3, 3)))),
+}
+
+
+def _parse_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace ``build_parser().parse_args(argv)`` returns, read
+    off ``_COMMANDS`` for the plain grammar: a subcommand first, then one
+    spec not starting with '-', and each of the subcommand's options at
+    most once, by its full name, as ``--opt value`` (the value not
+    starting with '-') or ``--opt=value``, every value converting. Any
+    other argv gives None: help, an abbreviation, a repeat, '--', a
+    missing spec or a bad value is argparse's to parse or refuse."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    options = {option[0]: option for option in _COMMANDS[argv[0]][1]}
+    values = {"command": argv[0], **{dest: default for _, dest, _, default, _ in options.values()}}
+    spec = None
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            if spec is not None:
+                return None
+            spec = token
+            continue
+        name, equals, text = token.partition("=")
+        option = options.pop(name, None)  # popped, so a repeat is unknown
+        if option is None:
+            return None
+        _, dest, convert, _, _ = option
+        if convert is None:
+            if equals:
+                return None
+            values[dest] = True
+            continue
+        if not equals:
+            text = next(tokens, "-")  # a missing value defers like a dashed one
+            if text.startswith("-"):
+                return None
+        try:
+            values[dest] = convert(text)
+        except ValueError:
+            return None
+    if spec is None:
+        return None
+    return SimpleNamespace(spec=spec, **values)
+
+
+def build_parser():
+    """The argparse parser for ``_COMMANDS``; ``main`` builds it only for
+    the argv ``_parse_argv`` leaves to it, so argparse writes every help
+    text and usage error."""
+    import argparse
+
+    def weights(text: str) -> tuple[int, int]:  # argparse prints this error's text as it is
+        try:
+            return _parse_range(text)
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+
     parser = argparse.ArgumentParser(
         prog="nodalcone",
         description="Exact section spaces, embeddings and cone deformations for nodal curves of projective lines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add(name: str, help_text: str) -> argparse.ArgumentParser:
-        p = sub.add_parser(name, help=help_text)
+    for command, (help_text, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
         p.add_argument("spec", help="path to a JSON curve spec")
-        p.add_argument("--json", action="store_true", help="machine-readable output")
-        return p
-
-    add("info", "curve structure, genus, dual graph")
-    p = add("sections", "h0/h1 and duality checks for the bundle")
-    p.add_argument("--basis", action="store_true", help="include the section basis")
-    for name, help_text in (
-        ("ample", "global generation and very ampleness verdicts"),
-        ("embed", "projective coordinates of sample points"),
-        ("ideal", "multiplication maps, quadrics, singularity probe"),
-    ):
-        p = add(name, help_text)
-        p.add_argument("--samples", type=int, default=5, help="extra sample points per component")
-        p.add_argument("--seed", type=int, default=SAMPLE_SEED, help="sampling seed")
-    p = add("deform", "graded deformation table of the affine cone")
-    p.add_argument("--range", type=_parse_range, default=(-5, 5), dest="weight_range", help="weight range 'a:b' containing 0")
-    p = add("verify", "run every check and exit nonzero on failure")
-    p.add_argument("--samples", type=int, default=5, help="extra sample points per component")
-    p.add_argument("--seed", type=int, default=SAMPLE_SEED, help="sampling seed")
-    p.add_argument("--range", type=_parse_range, default=(-3, 3), dest="weight_range", help="weight range 'a:b' containing 0")
+        for name, dest, convert, default, help_text in options:
+            if convert is None:
+                kind = {"action": "store_true"}
+            else:
+                kind = {"type": weights if convert is _parse_range else convert}
+            p.add_argument(name, dest=dest, default=default, help=help_text, **kind)
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    # argparse reads a leading '-' in '--range -3:3' as a new option; fold
-    # the value into '--range=-3:3' so both spellings work.
+def _fold_range(argv: list[str]) -> list[str]:
+    """argv with its first '--range VALUE' written '--range=VALUE'.
+    argparse reads a leading '-' in '--range -3:3' as a new option, so
+    the fold makes both spellings work."""
     for i, token in enumerate(argv[:-1]):
         if token == "--range":
-            argv[i : i + 2] = ["--range=" + argv[i + 1]]
-            break
-    parser = build_parser()
-    args = parser.parse_args(argv)
+            return [*argv[:i], "--range=" + argv[i + 1], *argv[i + 2 :]]
+    return argv
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = _fold_range(list(sys.argv[1:] if argv is None else argv))
+    args = _parse_argv(argv)
+    if args is None:
+        args = build_parser().parse_args(argv)
     try:
         with open(args.spec, "rb") as fh:
             raw = fh.read()

@@ -67,9 +67,9 @@ from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from math import lcm
 
-from .bundles import SectionSpace, _convolve, _glues, _jet, _node_rows, _value, power, section_basis
+from .bundles import SectionSpace, _convolve, _glues, _jet, _node_rows, _value, gluing_matrix, power
 from .curve import NodalCurve, PointOnLine, affine_point
-from .exactlin import MatrixQ, VectorQ, as_scalar, certified_kernel
+from .exactlin import MatrixQ, VectorQ, as_scalar, certified_kernel, free_columns, rref
 
 _ZERO = Fraction(0)
 
@@ -356,7 +356,7 @@ def _product_matrix(space: SectionSpace, m: int) -> tuple[list[list[int]], list[
     if m < 1:
         raise ValueError("multiplication maps are defined for m >= 1")
     target = power(space.bundle, m)
-    free = section_basis(target).free_columns
+    free = free_columns(*rref(gluing_matrix(target)))
     node_rows = _node_rows(target)
     basis = space.integral_basis
     prefixes = {(i,): s for i, s in enumerate(basis)}

@@ -5,6 +5,7 @@ import copy
 import hashlib
 import io
 import json
+import os
 import subprocess
 import sys
 import tempfile
@@ -12,7 +13,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nodalcone.cli as cli
@@ -29,7 +30,7 @@ from nodalcone.cli import (
     parse_spec,
     serialize_spec,
 )
-from nodalcone.bundles import LineBundle, dualizing_bundle, power, section_basis
+from nodalcone.bundles import LineBundle, dualizing_bundle, gluing_matrix, power, section_basis
 from nodalcone.curve import arithmetic_genus, validate
 
 F = Fraction
@@ -669,19 +670,28 @@ def test_verify_builds_the_dualizing_bundle_twice(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "ideal"])
 def test_one_section_basis_per_bundle(command, monkeypatch, capsys):
+    """L's section basis is built once. L^2 and L^3 need only the free
+    columns of their gluing rref, so no basis is built for them."""
     from nodalcone import bundles, cli, embedding
 
-    calls = []
+    bases, eliminated = [], []
 
-    def counting(bundle):
-        calls.append(bundle)
+    def counting_basis(bundle):
+        bases.append(bundle.multidegree)
         return section_basis(bundle)
 
-    for module in (bundles, cli, embedding):
-        monkeypatch.setattr(module, "section_basis", counting)
+    def counting_gluing(bundle):
+        eliminated.append(bundle.multidegree)
+        return gluing_matrix(bundle)
+
+    for module in (bundles, cli):
+        monkeypatch.setattr(module, "section_basis", counting_basis)
+    for module in (bundles, embedding):
+        monkeypatch.setattr(module, "gluing_matrix", counting_gluing)
     assert main([command, str(PAPER_SPEC), "--json"]) == EXIT_OK
+    assert bases == [(4, 3, 3)]
     # L, L^2 and L^3 for the multiplication maps, each eliminated once
-    assert [b.multidegree for b in calls] == [(4, 3, 3), (8, 6, 6), (12, 9, 9)]
+    assert eliminated == [(4, 3, 3), (8, 6, 6), (12, 9, 9)]
 
 
 def test_deform_validates_the_curve_once(monkeypatch, capsys):
@@ -860,3 +870,128 @@ def test_main_fuzz_exits_cleanly(doc, argv):
         assert out.getvalue() == ""
     else:
         assert err.getvalue() == "" and out.getvalue()
+
+
+# ------------------------------------------------------------ command line
+
+SUBCOMMANDS = ["info", "sections", "ample", "embed", "ideal", "deform", "verify"]
+OPTION_NAMES = ["--json", "--basis", "--samples", "--seed", "--range"]
+GOOD_VALUES = ["2", "-1", "0:4", "-3:3"]
+BAD_VALUES = ["x", "", "1:3", "0:1001"]
+ODD_TOKENS = ["", "-", "-5", "x.json", "--json=1", "--basis=", "--js", "-h", "--help", "--", "bogus", "1:3", "--seed"]
+
+
+def _one_in(draw, n: int) -> bool:
+    return draw(st.integers(0, n - 1)) == 0
+
+
+@st.composite
+def cli_argv(draw):
+    """A subcommand (or not), options in both spellings with good and
+    bad values, repeats, and odd tokens put anywhere: specs '', '-' and
+    '-5', abbreviations, help, '--'. Options, values and tokens are
+    drawn so that many argv parse; one spec is put in three times out
+    of four."""
+    head = draw(st.sampled_from([*SUBCOMMANDS, "bogus", "--help", "x.json"]))
+    own = [option[0] for option in cli._COMMANDS.get(head, ("", ()))[1]]
+    names = draw(st.lists(st.sampled_from(own), unique=True)) if own else []
+    if _one_in(draw, 4):  # a repeat, or another subcommand's option
+        names.insert(draw(st.integers(0, len(names))), draw(st.sampled_from(OPTION_NAMES)))
+    argv = [head]
+    for name in names:
+        if name in ("--json", "--basis"):
+            argv.append(name)
+            continue
+        value = draw(st.sampled_from(BAD_VALUES if _one_in(draw, 4) else GOOD_VALUES))
+        argv += [name, value] if draw(st.booleans()) else [f"{name}={value}"]
+    if _one_in(draw, 3):
+        argv.insert(draw(st.integers(1, len(argv))), draw(st.sampled_from(ODD_TOKENS)))
+    if not _one_in(draw, 4):
+        argv.insert(draw(st.integers(1, len(argv))), "x.json")
+    return argv
+
+
+def _argparse_namespace(argv):
+    """``vars`` of argparse's namespace for argv, or None where it exits."""
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            return vars(cli.build_parser().parse_args(argv))
+        except SystemExit:
+            return None
+
+
+@settings(max_examples=500, deadline=None)
+@given(cli_argv())
+@example(["deform", "x.json", "--range", "-3:3"])
+@example(["verify", "x.json", "--seed", "-1", "--range=-3:3"])
+@example(["ample", "x.json", "--samples", "2", "--samples", "0"])
+@example(["info", "x.json", "--json=1"])
+@example(["deform", "--range=1:3", "x.json"])
+def test_parse_argv_agrees_with_argparse(argv):
+    """The walk returns argparse's namespace or defers to it, on argv as
+    given and after the '--range' fold ``main`` applies."""
+    for tokens in (argv, cli._fold_range(argv)):
+        parsed = cli._parse_argv(tokens)
+        assert parsed is None or vars(parsed) == _argparse_namespace(tokens), tokens
+
+
+@settings(max_examples=60, deadline=None)
+@given(fuzz_argv())
+def test_parse_argv_takes_the_benchmark_and_fuzz_argv(argv):
+    """Every argv shape of perfbench/run.py's workloads and of
+    ``fuzz_argv`` takes the walk, so argparse is never built for them."""
+    shapes = [
+        ["verify", "spec.json", "--json"],
+        ["ideal", "spec.json", "--json"],
+        ["sections", "spec.json", "--json", "--basis"],
+        ["deform", "spec.json", "--json", "--range", "-12:12"],
+        [argv[0], "spec.json", *argv[1]],
+    ]
+    for shape in shapes:
+        tokens = cli._fold_range(shape)
+        parsed = cli._parse_argv(tokens)
+        assert parsed is not None and vars(parsed) == _argparse_namespace(tokens), shape
+
+
+CLI_USAGE = json.loads((REPO / "tests" / "cli_usage.json").read_text())
+
+
+@pytest.mark.skipif(
+    "%d.%d" % sys.version_info[:2] != CLI_USAGE["python"],
+    reason=f"argparse's wording differs between Python versions; the bytes were recorded under {CLI_USAGE['python']}",
+)
+@pytest.mark.parametrize("case", CLI_USAGE["cases"], ids=lambda case: " ".join(case["argv"]) or "no arguments")
+def test_help_and_usage_errors_are_pinned(case, monkeypatch, capsys):
+    """Help texts and usage errors, byte for byte as recorded in
+    ``cli_usage.json``: at 80 columns, run from the repository root."""
+    monkeypatch.setenv("COLUMNS", str(CLI_USAGE["columns"]))
+    monkeypatch.chdir(REPO)
+    try:
+        code = main(list(case["argv"]))
+    except SystemExit as exc:
+        code = exc.code
+    out, err = capsys.readouterr()
+    assert (code, out, err) == (case["exit"], case["stdout"], case["stderr"])
+
+
+def _run_python(*args):
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO / "src"), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=REPO, env=env)
+
+
+def test_plain_argv_imports_neither_argparse_nor_locale():
+    script = (
+        "import contextlib, io, sys\n"
+        "from nodalcone.cli import main\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [main(['deform', 'curves/paper-x.json', '--json']),\n"
+        "             main(['sections', 'curves/paper-x.json', '--basis'])]\n"
+        "print(codes, sorted({'argparse', 'locale'} & set(sys.modules)))\n"
+    )
+    done = _run_python("-c", script)
+    assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0] []\n", "")
+
+
+def test_module_help_exits_zero():
+    done = _run_python("-m", "nodalcone", "--help")
+    assert done.returncode == 0 and done.stdout.startswith("usage: nodalcone")
