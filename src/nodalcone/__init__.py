@@ -41,7 +41,6 @@ from .bundles import (
     RiemannRochReport,
     Section,
     SectionSpace,
-    branch_value_matrix,
     cohomology,
     component_h0,
     component_h1,

@@ -32,20 +32,20 @@ once per bundle, that also clears the gluing scalar's denominator
 (``_node_rows``, ``_glues``). ``multiply_sections`` and
 ``section_satisfies_gluing`` are thin wrappers over these helpers.
 
-Only the rank of G enters ``h0`` and ``h1``, and G factors as ``A * E``:
-E evaluates each component's polynomial at its marked points (the
-branch values), A forms ``value at p - g * value at q`` per node. So
-rank G is the rank of A on the image of E, and that image splits by
-component. On a component of degree ``d >= n - 1`` with n marked
-points, evaluation is onto all n values: Lagrange interpolation at the
-affine points, and with a point at infinity, fix the leading coefficient
-to its value there and interpolate the rest in degree ``<= d - 1``
-through the ``n - 1 <= d`` affine points. Its image is spanned by unit
-vectors, each of which A sends to a nonzero multiple of one node's unit
-column. A component of degree ``0 <= d < n - 1`` keeps its block of G,
-and one of negative degree contributes nothing. The branch-value matrix
-collects these columns: the same rank as G from at most ``2 * #nodes``
-columns of small entries, however large the degrees.
+Only the rank of G enters ``h0`` and ``h1``, and it is mostly read off
+the multidegree. Call a component of degree ``d >= max(0, n - 1)``, with
+n marked points, *onto*: its polynomials reach every tuple of values at
+those points (Lagrange interpolation at the affine points; with a point
+at infinity, fix the leading coefficient to its value there and
+interpolate the rest in degree ``<= d - 1`` through the ``n - 1 <= d``
+affine points). Call a node *covered* when a branch of it lies on an
+onto component. Then the column space of G holds the unit vector of
+each covered node's row, so rank G is the number of covered nodes plus
+the rank of the residual block R: G without those rows. In R the onto
+components' columns are zero and negative degrees have none, so R is
+the rows of the uncovered nodes with a branch on a component of degree
+``0 <= d < n - 1``, over those components' blocks. Away from small
+degrees R has no rows, and no elimination runs at all.
 
 The dualizing bundle is realized concretely: on a component whose
 branch points are D, with A the affine ones among them, a section of it
@@ -71,7 +71,7 @@ from itertools import accumulate
 from math import lcm
 from operator import mul
 
-from .curve import NodalCurve, PointOnLine, Site
+from .curve import NodalCurve, PointOnLine, Site, arithmetic_genus
 from .exactlin import MatrixQ, VectorQ, as_scalar, free_columns, kernel_from_rref, rank, rref
 
 _ZERO = Fraction(0)
@@ -161,52 +161,36 @@ def gluing_matrix(bundle: LineBundle) -> MatrixQ:
     zero, so a branch landing there simply contributes nothing; for a
     self-node both contributions land in the same block.
     """
-    return _node_matrix(bundle, frozenset())
+    return _node_matrix(bundle, range(len(bundle.curve.nodes)), range(len(bundle.multidegree)))
 
 
-def branch_value_matrix(bundle: LineBundle) -> MatrixQ:
-    """A matrix with the rank of the gluing matrix and at most
-    ``2 * #nodes`` columns.
-
-    A component whose degree is at least its number of marked points
-    minus one contributes one unit column per marked point, set in the
-    row of the node that point belongs to; every other component keeps
-    its gluing-matrix block. See the module docstring for why the rank
-    is unchanged.
-    """
-    onto = frozenset(
-        i
-        for i, (comp, d) in enumerate(zip(bundle.curve.components, bundle.multidegree))
-        if d >= 0 and d >= len(comp.marked_points) - 1
-    )
-    return _node_matrix(bundle, onto)
-
-
-def _node_matrix(bundle: LineBundle, onto: frozenset[int]) -> MatrixQ:
-    """Node rows over the component blocks, at the branch sites of
-    ``curve.sites``; a component in ``onto`` gets one unit column per
-    marked point instead of its coefficient block."""
-    curve = bundle.curve
-    widths = tuple(
-        len(comp.marked_points) if i in onto else w
-        for i, (comp, w) in enumerate(zip(curve.components, block_widths(bundle)))
-    )
+def _node_matrix(bundle: LineBundle, nodes: range | list[int], kept: range | set[int]) -> MatrixQ:
+    """The rows of ``nodes``, at the branch sites of ``curve.sites``, over
+    the coefficient blocks of the ``kept`` components only."""
+    widths = tuple(w if i in kept else 0 for i, w in enumerate(block_widths(bundle)))
     offsets = tuple(accumulate(widths, initial=0))
-    total = offsets[-1]
     rows = []
-    for sites, glue in zip(curve.sites, bundle.gluings):
-        row = [_ZERO] * total
-        for (ci, k, point), sign_scale in zip(sites, (_ONE, -glue)):
-            if widths[ci] == 0:
-                continue
-            base = offsets[ci]
-            if ci in onto:
-                row[base + k] = _ONE
-                continue
-            for j, val in enumerate(evaluation_row(bundle.multidegree[ci], point)):
-                row[base + j] += sign_scale * val
+    for node in nodes:
+        row = [_ZERO] * offsets[-1]
+        for (ci, _, point), scale in zip(bundle.curve.sites[node], (_ONE, -bundle.gluings[node])):
+            if widths[ci]:
+                for j, val in enumerate(evaluation_row(bundle.multidegree[ci], point), offsets[ci]):
+                    row[j] += scale * val
         rows.append(row)
-    return MatrixQ.from_rows(rows, cols=total)
+    return MatrixQ.from_rows(rows, cols=offsets[-1])
+
+
+def _gluing_rank(bundle: LineBundle) -> int:
+    """Rank of the gluing matrix: the covered nodes plus the rank of the
+    residual block, eliminated only when it has rows (see the module
+    docstring)."""
+    curve = bundle.curve
+    degrees = bundle.multidegree
+    onto = {i for i, comp in enumerate(curve.components) if degrees[i] >= max(0, len(comp.marked_points) - 1)}
+    kept = {i for i, d in enumerate(degrees) if d >= 0} - onto
+    covered = [any(ci in onto for ci, _, _ in sites) for sites in curve.sites]
+    residual = [k for k, sites in enumerate(curve.sites) if not covered[k] and any(ci in kept for ci, _, _ in sites)]
+    return sum(covered) + (rank(_node_matrix(bundle, residual, kept)) if residual else 0)
 
 
 @dataclass(frozen=True)
@@ -294,14 +278,15 @@ def section_basis(bundle: LineBundle) -> SectionSpace:
 
 
 def cohomology(bundle: LineBundle) -> tuple[int, int]:
-    """``(h0, h1)`` from one rank of the branch-value matrix.
+    """``(h0, h1)`` from the rank of the gluing matrix.
 
     The normalization exact sequence gives
     ``h0 = sum_i h0(O(d_i)) - rank`` and
-    ``h1 = (#nodes - rank) + sum_i h1(O(d_i))``, where rank is that of
-    the gluing matrix, equal to the branch-value matrix's.
+    ``h1 = (#nodes - rank) + sum_i h1(O(d_i))``. The rank is the number
+    of covered nodes plus the rank of the residual block, which is
+    eliminated only when it has rows (see the module docstring).
     """
-    r = rank(branch_value_matrix(bundle))
+    r = _gluing_rank(bundle)
     return (
         sum(block_widths(bundle)) - r,
         len(bundle.curve.nodes) - r + sum(component_h1(d) for d in bundle.multidegree),
@@ -310,21 +295,16 @@ def cohomology(bundle: LineBundle) -> tuple[int, int]:
 
 def h0(bundle: LineBundle) -> int:
     """dim of global sections: total coefficient slots minus the rank of
-    the gluing matrix, taken from the branch-value matrix.
-
-    The two ranks agree because a component of degree ``d >= n - 1``
-    reaches every tuple of values at its n marked points (at infinity
-    the value is the leading coefficient, fixed first, and the rest is
-    interpolated through the affine points), so its block may be
-    replaced by unit columns.
-    """
+    the gluing matrix, counted as in ``cohomology``: each node with a
+    branch on a component that reaches all its branch values adds one,
+    and only the residual block is eliminated."""
     return cohomology(bundle)[0]
 
 
 def h1_direct(bundle: LineBundle) -> int:
     """First cohomology, computed rather than inferred from a formula:
-    ``(#nodes - rank) + sum_i h1(O(d_i))``, with the gluing rank taken
-    from the branch-value matrix (the same rank; see ``h0``)."""
+    ``(#nodes - rank) + sum_i h1(O(d_i))``, with the gluing rank counted
+    as in ``cohomology``."""
     return cohomology(bundle)[1]
 
 
@@ -548,8 +528,6 @@ class RiemannRochReport:
 
 def riemann_roch_report(bundle: LineBundle) -> RiemannRochReport:
     """h0, h1, degree and genus, with the Euler-characteristic identity."""
-    from .curve import arithmetic_genus
-
     h0_value, h1_value = cohomology(bundle)
     return RiemannRochReport(
         h0=h0_value,

@@ -65,6 +65,7 @@ from .embedding import (
     _product_matrix,
     _quadric_at,
     _quadric_forms,
+    check_sample_count,
     embed_point,
     globally_generated,
     node_images_consistent,
@@ -745,7 +746,7 @@ def main(argv: list[str] | None = None) -> int:
         bundle = LineBundle(curve, spec.multidegree, spec.gluings)
         if hasattr(args, "samples"):
             try:
-                sample_points(curve, args.samples, args.seed)
+                check_sample_count(curve, args.samples)
             except ValueError as exc:
                 raise SpecError("samples", str(exc))
         if args.command == "info":

@@ -163,26 +163,35 @@ def _jet_vector(space: SectionSpace, x: CurvePoint) -> tuple[int, ...]:
     return tuple(_jet(blocks[ci], point)[0] for blocks, _ in space.integral_basis)
 
 
+def check_sample_count(curve: NodalCurve, extra_per_component: int) -> None:
+    """Raise ``ValueError`` unless every component has
+    ``extra_per_component`` free points in the sample pool: the pool is
+    ``n/q`` with ``|n| <= 24``, ``1 <= q <= 5``, less the component's
+    affine marked points. Nothing is drawn."""
+    for comp in curve.components:
+        free = len(_SAMPLE_POOL - {p.coord for p in comp.marked_points if not p.is_infinity})
+        if not 0 <= extra_per_component <= free:
+            raise ValueError(
+                f"component {comp.name} takes 0..{free} extra sample points, "
+                f"{extra_per_component} requested"
+            )
+
+
 def sample_points(curve: NodalCurve, extra_per_component: int = 5, seed: int = SAMPLE_SEED) -> tuple[CurvePoint, ...]:
     """Deterministic sample set: all nodes, then seeded affine points.
 
     The pseudo-random points avoid marked points and repeats within a
     component. Identical arguments give an identical tuple, so witness
     order and every downstream report are reproducible. They are drawn
-    from the finite pool ``n/q`` with ``|n| <= 24``, ``1 <= q <= 5``, so
-    a request that is negative or exceeds a component's free share of
-    the pool raises ``ValueError`` instead of drawing forever.
+    from a finite pool, so a request that is negative or exceeds a
+    component's free share of it raises ``ValueError`` from
+    ``check_sample_count`` instead of drawing forever.
     """
+    check_sample_count(curve, extra_per_component)
     rng = random.Random(seed)
     points = [CurvePoint.at_node(k) for k in range(len(curve.nodes))]
     for comp in curve.components:
         taken = {p.coord for p in comp.marked_points if not p.is_infinity}
-        free = len(_SAMPLE_POOL - taken)
-        if not 0 <= extra_per_component <= free:
-            raise ValueError(
-                f"component {comp.name} takes 0..{free} extra sample points, "
-                f"{extra_per_component} requested"
-            )
         chosen: list[Fraction] = []
         while len(chosen) < extra_per_component:
             candidate = Fraction(rng.randint(-_MAX_NUMERATOR, _MAX_NUMERATOR), rng.randint(1, _MAX_DENOMINATOR))

@@ -25,7 +25,6 @@ from nodalcone.bundles import (
     LineBundle,
     Section,
     block_widths,
-    branch_value_matrix,
     cohomology,
     component_h0,
     component_h1,
@@ -529,7 +528,7 @@ def test_h0_matches_degree_for_ample_range(paper_curve):
 
 @settings(max_examples=80, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.integers(min_value=-6, max_value=6))
-def test_branch_value_matrix_has_the_gluing_rank(seed, m):
+def test_cohomology_has_the_gluing_rank(seed, m):
     rng = random.Random(seed)
     curve = curve_with_infinity(rng)
     nonzero = [x for x in range(-5, 6) if x != 0]
@@ -538,34 +537,59 @@ def test_branch_value_matrix_has_the_gluing_rank(seed, m):
         tuple(rng.randint(-3, 8) for _ in curve.components),
         tuple(F(rng.choice(nonzero), rng.randint(1, 3)) for _ in curve.nodes),
     )
-    for bundle in (base, power(base, m)):
-        reduced = branch_value_matrix(bundle)
+    # the twist deform computes, whose scalars are cofactor ratios
+    twist = tensor(tangent_bundle(curve), power(base, m))
+    for bundle in (base, power(base, m), twist):
         full = gluing_matrix(bundle)
-        assert reduced.rows == full.rows == len(curve.nodes)
-        assert reduced.cols <= 2 * len(curve.nodes)
         full_rank = rank(full)
-        assert rank(reduced) == full_rank
         assert cohomology(bundle) == (
             full.cols - full_rank,
             full.rows - full_rank + sum(component_h1(d) for d in bundle.multidegree),
         )
 
 
-def test_branch_value_matrix_unit_and_kept_columns(paper_curve):
-    # every degree reaches all branch values: one unit column per marked
-    # point (C1: 0, 1; C2: 0, 1, 2; C3: 0), a 1 in its node's row
-    m = branch_value_matrix(line_bundle(paper_curve, (4, 2, 0)))
-    assert [m.row(k) for k in range(3)] == [
-        tuple(F(x) for x in (1, 0, 0, 0, 0, 1)),
-        tuple(F(x) for x in (0, 1, 0, 1, 0, 0)),
-        tuple(F(x) for x in (0, 0, 1, 0, 1, 0)),  # self-node: both in C2
-    ]
-    # degree 1 on C2 (three points) keeps its gluing block; C3 at -1 drops out
+def _counting_rank(monkeypatch):
+    """Patch the elimination ``cohomology`` runs; return the list of the
+    matrices it is handed."""
+    seen = []
+
+    def counting(m):
+        seen.append(m)
+        return rank(m)
+
+    monkeypatch.setattr(bundles, "rank", counting)
+    return seen
+
+
+def test_gluing_rank_splits_covered_nodes_and_residual(paper_curve, monkeypatch):
+    # nodes: C1[0]-C3[0], C1[1]-C2[1], and C2's self-node C2[0]-C2[2]
+    seen = _counting_rank(monkeypatch)
+    # every component reaches all its branch values: 3 nodes covered
+    full = line_bundle(paper_curve, (4, 2, 0))
+    assert cohomology(full) == (5 + 3 + 1 - 3, 0)
+    assert seen == [] and rank(gluing_matrix(full)) == 3
+    # C1 at degree 1 covers its two nodes; C2 at degree 1 < 3 - 1 leaves
+    # its self-node to a 1 x 2 residual over C2's block; C3 at -1 drops out
     short = line_bundle(paper_curve, (1, 1, -1))
-    m = branch_value_matrix(short)
-    assert m.cols == 2 + 2
-    assert [m.row(k)[2:] for k in range(3)] == [gluing_matrix(short).row(k)[2:] for k in range(3)]
-    assert rank(m) == rank(gluing_matrix(short))
+    h0_value, _ = cohomology(short)
+    [residual] = seen
+    assert (residual.rows, residual.cols) == (1, 2)
+    assert residual.row(0) == gluing_matrix(short).row(2)[2:4]
+    assert rank(residual) == rank(gluing_matrix(short)) - 2
+    assert h0_value == 4 - 2 - rank(residual)
+
+
+def test_onto_or_negative_components_run_no_elimination(monkeypatch):
+    seen = _counting_rank(monkeypatch)
+    rng = random.Random(5)
+    for _ in range(40):
+        curve = curve_with_infinity(rng)
+        degrees = tuple(
+            rng.choice((rng.randint(-4, -1), len(c.marked_points) - 1 + rng.randint(0, 3))) for c in curve.components
+        )
+        bundle = LineBundle(curve, degrees, random_bundle(rng, curve).gluings)
+        assert cohomology(bundle)[0] == gluing_matrix(bundle).cols - rank(gluing_matrix(bundle))
+    assert seen == []
 
 
 def test_branch_value_matrix_validates_the_curve(paper_curve):

@@ -521,6 +521,18 @@ def test_main_rejects_bad_sample_counts(capsys):
             assert captured.err.startswith("error[samples]: ")
 
 
+def test_main_checks_the_sample_count_without_drawing(monkeypatch, capsys):
+    # `ample` draws its samples inside `embedding`, so a draw through the
+    # name bound in `cli` can only come from the `--samples` check
+    def no_draw(*args):
+        raise AssertionError("cli drew the sample points")
+
+    monkeypatch.setattr(cli, "sample_points", no_draw)
+    assert main(["ample", str(PAPER_SPEC), "--samples", "3"]) == EXIT_OK
+    assert main(["ample", str(PAPER_SPEC), "--samples", "1000"]) == EXIT_INPUT_ERROR
+    assert capsys.readouterr().err.startswith("error[samples]: ")
+
+
 def test_main_rejects_bad_spec(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     doc = json.loads(MINIMAL)
@@ -709,6 +721,23 @@ def test_deform_validates_the_curve_once(monkeypatch, capsys):
     assert main(["deform", str(PAPER_SPEC), "--json", "--range", "-12:12"]) == EXIT_OK
     # the curve is checked when parse_spec builds it, not again per command or matrix
     assert len(calls) == 1
+
+
+def test_deform_eliminates_only_the_residual_blocks(monkeypatch, capsys):
+    from nodalcone import bundles, exactlin
+
+    shapes = []
+
+    def counting(m):
+        shapes.append((m.rows, m.cols))
+        return exactlin.rank(m)
+
+    monkeypatch.setattr(bundles, "rank", counting)
+    assert main(["deform", str(PAPER_SPEC), "--json", "--range", "-12:12"]) == EXIT_OK
+    # F_m has degrees (4m, 3m - 1, 3m + 1): every component is onto or
+    # negative except at m = 0, where C1 at degree 0 leaves its node with
+    # C2 uncovered; L^0 leaves C1-C2 and C2's self-node over C1 and C2
+    assert shapes == [(1, 1), (2, 2)]
 
 
 def test_exit_code_constants():
