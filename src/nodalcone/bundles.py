@@ -16,9 +16,9 @@ j), and gluing scalar g,
     value of the i-th polynomial at p  =  g * value of the j-th at q.
 
 Stacking these rows gives the gluing matrix G; the section space is its
-kernel and ``h1`` comes from its corank plus the classical line-bundle
-contributions of the components. Both are exact integers computed over
-Fraction arithmetic, never estimated.
+kernel, computed over Fraction arithmetic, and ``h1`` comes from its
+corank plus the classical line-bundle contributions of the components.
+Both are exact, never estimated.
 
 Every value of a section is taken on its integer form instead: per
 component, its integer numerators over one common positive denominator
@@ -44,7 +44,10 @@ each covered node's row, so rank G is the number of covered nodes plus
 the rank of the residual block R: G without those rows. In R the onto
 components' columns are zero and negative degrees have none, so R is
 the rows of the uncovered nodes with a branch on a component of degree
-``0 <= d < n - 1``, over those components' blocks. Away from small
+``0 <= d < n - 1``, over those components' blocks. R is built from the
+integer rows of ``_node_rows``: node k's row ``row_a s_b g.den - row_b
+s_a g.num`` is ``s_a s_b g.den != 0`` times G's row, so R's rank is
+unchanged, and ``exactlin.certified_rank`` takes it. Away from small
 degrees R has no rows, and no elimination runs at all.
 
 The dualizing bundle is realized concretely: on a component whose
@@ -70,9 +73,10 @@ from functools import cached_property
 from itertools import accumulate
 from math import lcm
 from operator import mul
+from typing import Callable
 
 from .curve import NodalCurve, PointOnLine, Site, arithmetic_genus
-from .exactlin import MatrixQ, VectorQ, as_scalar, free_columns, kernel_from_rref, rank, rref
+from .exactlin import MatrixQ, VectorQ, as_scalar, certified_rank, free_columns, kernel_from_rref, rank, rref
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -161,18 +165,12 @@ def gluing_matrix(bundle: LineBundle) -> MatrixQ:
     zero, so a branch landing there simply contributes nothing; for a
     self-node both contributions land in the same block.
     """
-    return _node_matrix(bundle, range(len(bundle.curve.nodes)), range(len(bundle.multidegree)))
-
-
-def _node_matrix(bundle: LineBundle, nodes: range | list[int], kept: range | set[int]) -> MatrixQ:
-    """The rows of ``nodes``, at the branch sites of ``curve.sites``, over
-    the coefficient blocks of the ``kept`` components only."""
-    widths = tuple(w if i in kept else 0 for i, w in enumerate(block_widths(bundle)))
+    widths = block_widths(bundle)
     offsets = tuple(accumulate(widths, initial=0))
     rows = []
-    for node in nodes:
+    for sites, g in zip(bundle.curve.sites, bundle.gluings):
         row = [_ZERO] * offsets[-1]
-        for (ci, _, point), scale in zip(bundle.curve.sites[node], (_ONE, -bundle.gluings[node])):
+        for (ci, _, point), scale in zip(sites, (_ONE, -g)):
             if widths[ci]:
                 for j, val in enumerate(evaluation_row(bundle.multidegree[ci], point), offsets[ci]):
                     row[j] += scale * val
@@ -180,17 +178,31 @@ def _node_matrix(bundle: LineBundle, nodes: range | list[int], kept: range | set
     return MatrixQ.from_rows(rows, cols=offsets[-1])
 
 
-def _gluing_rank(bundle: LineBundle) -> int:
-    """Rank of the gluing matrix: the covered nodes plus the rank of the
-    residual block, eliminated only when it has rows (see the module
-    docstring)."""
-    curve = bundle.curve
-    degrees = bundle.multidegree
-    onto = {i for i, comp in enumerate(curve.components) if degrees[i] >= max(0, len(comp.marked_points) - 1)}
-    kept = {i for i, d in enumerate(degrees) if d >= 0} - onto
-    covered = [any(ci in onto for ci, _, _ in sites) for sites in curve.sites]
-    residual = [k for k, sites in enumerate(curve.sites) if not covered[k] and any(ci in kept for ci, _, _ in sites)]
-    return sum(covered) + (rank(_node_matrix(bundle, residual, kept)) if residual else 0)
+def _cohomology_of(curve: NodalCurve, degrees: tuple[int, ...], gluing: Callable[[int], Fraction]) -> tuple[int, int]:
+    """``cohomology`` of the bundle of multidegree ``degrees`` and scalar
+    ``gluing(k)`` at node k, with no ``LineBundle`` built. The gluing rank
+    is the covered nodes plus the certified rank of the residual block in
+    integer rows, over the blocks of the components neither onto nor
+    negative (see the module docstring); ``gluing`` is asked only for its
+    rows."""
+    onto = [d >= max(0, len(c.marked_points) - 1) for d, c in zip(degrees, curve.components)]
+    widths = [0 if up else max(0, d + 1) for up, d in zip(onto, degrees)]
+    offsets = tuple(accumulate(widths, initial=0))
+    r, rows = 0, []
+    for k, sites in enumerate(curve.sites):
+        ia, ib = sites[0][0], sites[1][0]
+        if onto[ia] or onto[ib]:
+            r += 1
+        elif widths[ia] or widths[ib]:
+            _, row_a, _, row_b = _node_row(widths, sites, gluing(k))
+            row = [0] * offsets[-1]
+            for j, e in enumerate(row_a, offsets[ia]):
+                row[j] += e
+            for j, e in enumerate(row_b, offsets[ib]):
+                row[j] -= e
+            rows.append(row)
+    r += certified_rank(rows, offsets[-1]) if rows else 0
+    return sum(max(0, d + 1) for d in degrees) - r, len(curve.nodes) - r + sum(component_h1(d) for d in degrees)
 
 
 @dataclass(frozen=True)
@@ -265,6 +277,13 @@ def flatten_section(bundle: LineBundle, section: Section) -> VectorQ:
     return tuple(flat)
 
 
+def basis_rank(space: SectionSpace) -> int:
+    """Rank of the basis sections stacked in the bundle's block layout,
+    ``len(space.basis)`` exactly when they are independent."""
+    bundle = space.bundle
+    return rank(MatrixQ.from_rows([flatten_section(bundle, s) for s in space.basis], cols=sum(block_widths(bundle))))
+
+
 def section_basis(bundle: LineBundle) -> SectionSpace:
     """Canonical basis of global sections: kernel of the gluing matrix,
     from one rref whose free columns the space keeps."""
@@ -283,14 +302,10 @@ def cohomology(bundle: LineBundle) -> tuple[int, int]:
     The normalization exact sequence gives
     ``h0 = sum_i h0(O(d_i)) - rank`` and
     ``h1 = (#nodes - rank) + sum_i h1(O(d_i))``. The rank is the number
-    of covered nodes plus the rank of the residual block, which is
-    eliminated only when it has rows (see the module docstring).
+    of covered nodes plus the certified rank of the residual block,
+    taken only when it has rows (see the module docstring).
     """
-    r = _gluing_rank(bundle)
-    return (
-        sum(block_widths(bundle)) - r,
-        len(bundle.curve.nodes) - r + sum(component_h1(d) for d in bundle.multidegree),
-    )
+    return _cohomology_of(bundle.curve, bundle.multidegree, bundle.gluings.__getitem__)
 
 
 def h0(bundle: LineBundle) -> int:
@@ -395,7 +410,8 @@ def _jet(block: tuple[int, ...], p: PointOnLine) -> tuple[int, int]:
     return _value(tuple(k * c for k, c in enumerate(block))[1:], p)
 
 
-_NodeRows = tuple[tuple[int, tuple[int, ...], int, tuple[int, ...]], ...]
+_NodeRow = tuple[int, tuple[int, ...], int, tuple[int, ...]]
+_NodeRows = tuple[_NodeRow, ...]
 
 
 def _homogeneous_row(width: int, p: PointOnLine) -> tuple[tuple[int, ...], int]:
@@ -426,12 +442,15 @@ def _node_rows(bundle: LineBundle) -> _NodeRows:
     nothing is rounded.
     """
     widths = block_widths(bundle)
-    out = []
-    for ((ia, _, pa), (ib, _, pb)), g in zip(bundle.curve.sites, bundle.gluings):
-        row_a, s_a = _homogeneous_row(widths[ia], pa)
-        row_b, s_b = _homogeneous_row(widths[ib], pb)
-        out.append((ia, tuple(e * s_b * g.denominator for e in row_a), ib, tuple(e * s_a * g.numerator for e in row_b)))
-    return tuple(out)
+    return tuple(_node_row(widths, sites, g) for sites, g in zip(bundle.curve.sites, bundle.gluings))
+
+
+def _node_row(widths, sites: tuple[Site, Site], g: Fraction) -> _NodeRow:
+    """One node's entry of ``_node_rows``, over blocks of ``widths``."""
+    (ia, _, pa), (ib, _, pb) = sites
+    row_a, s_a = _homogeneous_row(widths[ia], pa)
+    row_b, s_b = _homogeneous_row(widths[ib], pb)
+    return ia, tuple(e * s_b * g.denominator for e in row_a), ib, tuple(e * s_a * g.numerator for e in row_b)
 
 
 def _glues(node_rows: _NodeRows, blocks: tuple[tuple[int, ...], ...]) -> bool:

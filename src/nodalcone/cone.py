@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .bundles import LineBundle, cohomology, h0, h1_direct, power, tangent_bundle, tensor
+from .bundles import LineBundle, _cohomology_of, h0, h1_direct, power, tangent_bundle, tensor
 from .curve import NodalCurve, arithmetic_genus
 
 SMOOTHING = "smoothing"
@@ -109,8 +109,10 @@ def graded_report(curve: NodalCurve, bundle: LineBundle, m_min: int, m_max: int)
 
     Requires ``m_min <= 0 <= m_max`` so the table always shows all three
     regimes. Formula and direct values are both present in every row;
-    nothing is reconciled silently. The tangent bundle is built once, and
-    each weight's twist once, with both direct values from one rank.
+    nothing is reconciled silently. The tangent bundle is built once.
+    No bundle is built per weight: F_m has multidegree ``t + m l`` and
+    scalar ``t_k g_k^m`` at node k, L^m has ``m l`` and ``g_k^m``, and
+    the scalars are taken only at the nodes whose rows are eliminated.
     """
     if not m_min <= 0 <= m_max:
         raise ValueError("range must contain 0: need m_min <= 0 <= m_max")
@@ -119,8 +121,9 @@ def graded_report(curve: NodalCurve, bundle: LineBundle, m_min: int, m_max: int)
     tangent = tangent_bundle(curve)
     entries = []
     for m in range(m_min, m_max + 1):
-        bundle_m = power(bundle, m)
-        t0_direct, t1_direct = cohomology(tensor(tangent, bundle_m))
+        degrees = tuple(d * m for d in bundle.multidegree)
+        twist = tuple(t + d for t, d in zip(tangent.multidegree, degrees))
+        t0_direct, t1_direct = _cohomology_of(curve, twist, lambda k: tangent.gluings[k] * bundle.gluings[k] ** m)
         if m < 0:
             classification = SMOOTHING
         elif m == 0:
@@ -134,7 +137,7 @@ def graded_report(curve: NodalCurve, bundle: LineBundle, m_min: int, m_max: int)
                 t0_direct=t0_direct,
                 t1_formula=t1_dim(curve, bundle, m, FORMULA),
                 t1_direct=t1_direct,
-                hilbert=h0(bundle_m),
+                hilbert=_cohomology_of(curve, degrees, lambda k: bundle.gluings[k] ** m)[0],
                 classification=classification,
                 euler_note=_EULER_NOTE if m == 0 else None,
             )

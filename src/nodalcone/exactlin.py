@@ -19,11 +19,12 @@ rule, and with it every result, is the same as dense elimination's.
 ``certified_rank`` takes the rank of an integer matrix modulo the
 fixed prime ``PRIME`` first, with the same elimination and pivot rule
 over Z/p. Reduction mod p can only lose rank, so ``rank_p <= rank_Q``,
-and ``rank_Q`` is at most the number of rows: a ``rank_p`` equal to
-that number proves ``rank_Q`` equal to it. A shorter ``rank_p`` may be
-a loss to the prime, so it never decides a shortfall; the rank is then
-taken over Q from the same integers. The result is the exact rank
-either way, and the same on every run.
+and ``rank_Q`` is at most ``min(rows, cols)``: a ``rank_p`` equal to
+that bound proves ``rank_Q`` equal to it, for a tall matrix as for a
+wide one. A shorter ``rank_p`` may be a loss to the prime, so it never
+decides a shortfall; the rank is then taken over Q from the same
+integers. The result is the exact rank either way, and the same on
+every run.
 
 ``certified_kernel`` finds the canonical kernel basis of an integer
 matrix on one elimination path: the residues mod each of the fixed
@@ -224,12 +225,14 @@ def rank(m: MatrixQ) -> int:
 
 def certified_rank(rows: Sequence[Sequence[int]], cols: int) -> int:
     """Exact rank of an integer matrix: its rank mod ``PRIME`` where that
-    equals the number of rows, which certifies it (see the module
-    docstring), and otherwise its rank over Q."""
+    equals ``min(rows, cols)``, which certifies it, since
+    ``rank_p <= rank_Q <= min(rows, cols)`` (see the module docstring),
+    and otherwise its rank over Q."""
     if any(len(r) != cols for r in rows):
         raise ValueError(f"rows must all have length {cols}")
-    if len(_forward_eliminate([[e % PRIME for e in r] for r in rows], PRIME)) == len(rows):
-        return len(rows)
+    full = min(len(rows), cols)
+    if len(_forward_eliminate([[e % PRIME for e in r] for r in rows], PRIME)) == full:
+        return full
     return len(_forward_eliminate([list(r) for r in rows]))
 
 

@@ -58,7 +58,7 @@ from nodalcone.curve import (
     paper_example_curve,
 )
 from nodalcone.embedding import sample_points
-from nodalcone.exactlin import MatrixQ, rank
+from nodalcone.exactlin import MatrixQ, certified_rank, rank
 
 F = Fraction
 
@@ -550,14 +550,14 @@ def test_cohomology_has_the_gluing_rank(seed, m):
 
 def _counting_rank(monkeypatch):
     """Patch the elimination ``cohomology`` runs; return the list of the
-    matrices it is handed."""
+    integer residual blocks it is handed, as ``(rows, cols)``."""
     seen = []
 
-    def counting(m):
-        seen.append(m)
-        return rank(m)
+    def counting(rows, cols):
+        seen.append((rows, cols))
+        return certified_rank(rows, cols)
 
-    monkeypatch.setattr(bundles, "rank", counting)
+    monkeypatch.setattr(bundles, "certified_rank", counting)
     return seen
 
 
@@ -572,11 +572,17 @@ def test_gluing_rank_splits_covered_nodes_and_residual(paper_curve, monkeypatch)
     # its self-node to a 1 x 2 residual over C2's block; C3 at -1 drops out
     short = line_bundle(paper_curve, (1, 1, -1))
     h0_value, _ = cohomology(short)
-    [residual] = seen
-    assert (residual.rows, residual.cols) == (1, 2)
-    assert residual.row(0) == gluing_matrix(short).row(2)[2:4]
-    assert rank(residual) == rank(gluing_matrix(short)) - 2
-    assert h0_value == 4 - 2 - rank(residual)
+    [(residual, cols)] = seen
+    assert (len(residual), cols) == (1, 2)
+    # an integer row, a nonzero multiple of the gluing matrix's row there
+    g_row = gluing_matrix(short).row(2)[2:4]
+    [row] = residual
+    assert all(type(e) is int for e in row)
+    j = next(j for j, e in enumerate(g_row) if e)
+    scale = F(row[j]) / g_row[j]
+    assert scale != 0 and tuple(row) == tuple(scale * e for e in g_row)
+    assert certified_rank(residual, cols) == rank(gluing_matrix(short)) - 2
+    assert h0_value == 4 - 2 - certified_rank(residual, cols)
 
 
 def test_onto_or_negative_components_run_no_elimination(monkeypatch):

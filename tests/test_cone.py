@@ -4,9 +4,22 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import curve_with_infinity, random_bundle, random_curve
-from nodalcone.bundles import h0, h1_direct, line_bundle, trivial_bundle
+from nodalcone.bundles import (
+    cohomology,
+    component_h1,
+    gluing_matrix,
+    h0,
+    h1_direct,
+    line_bundle,
+    power,
+    tangent_bundle,
+    tensor,
+    trivial_bundle,
+)
 from nodalcone.cone import (
     DIRECT,
     EMBEDDING_SLOT,
@@ -21,8 +34,33 @@ from nodalcone.cone import (
     t1_dim,
 )
 from nodalcone.curve import arithmetic_genus, paper_example_curve
+from nodalcone.exactlin import rank
 
 F = Fraction
+
+
+def _fraction_cohomology(bundle):
+    """``(h0, h1)`` from the rank of the whole gluing matrix over Q."""
+    full = gluing_matrix(bundle)
+    r = rank(full)
+    return full.cols - r, full.rows - r + sum(component_h1(d) for d in bundle.multidegree)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1))
+def test_graded_report_matches_the_bundle_by_bundle_cohomology(seed):
+    # small degrees, so components of degree 0 <= d < n - 1 leave residual
+    # rows at many weights, with scalars t_k g_k^m up to |m| = 8
+    rng = random.Random(seed)
+    curve = curve_with_infinity(rng)
+    bundle = random_bundle(rng, curve, (-2, 2))
+    tangent = tangent_bundle(curve)
+    entries = graded_report(curve, bundle, -8, 8).entries
+    assert [e.m for e in entries] == list(range(-8, 9))
+    for e in entries:
+        twist = tensor(tangent, power(bundle, e.m))
+        assert (e.t0_direct, e.t1_direct) == cohomology(twist) == _fraction_cohomology(twist)
+        assert e.hilbert == h0(power(bundle, e.m)) == _fraction_cohomology(power(bundle, e.m))[0]
 
 
 def test_hilbert_function_values(paper_curve):

@@ -297,6 +297,16 @@ def test_certified_rank_falls_back_on_every_shortfall(monkeypatch):
     assert certified_rank([[1, 1], [2, 2]], 2) == 1
     assert certified_rank([[PRIME, 0]], 2) == 1
     assert exact_runs == [2, 2, 1]
+    # tall: rank mod p equal to the column count is certified, no elimination over Q
+    assert certified_rank([[1], [2]], 1) == 1
+    assert certified_rank([[1, 0], [0, 1], [1, 1]], 2) == 2
+    assert exact_runs == [2, 2, 1]
+    # tall, short mod p only: rank 1 mod p, rank 2 over Q; rank 0 mod p, 1 over Q
+    assert certified_rank([[1, 1], [1, 1 + PRIME], [2, 2]], 2) == 2
+    assert certified_rank([[0], [PRIME]], 1) == 1
+    # tall and short over Q too
+    assert certified_rank([[1, 1], [2, 2], [3, 3]], 2) == 1
+    assert exact_runs == [2, 2, 1, 3, 2, 3]
 
 
 def test_certified_rank_of_empty_and_ragged_shapes():
