@@ -67,46 +67,43 @@ scalar at a node with branches (i, p), (j, q) is ``-c_p / c_q``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
 from operator import mul
-from typing import Callable
+from typing import Callable, NamedTuple
 
-from .curve import NodalCurve, PointOnLine, Site, arithmetic_genus
+from .curve import NodalCurve, PointOnLine, Site, Value, _set, arithmetic_genus
 from .exactlin import MatrixQ, VectorQ, as_scalar, certified_rank, free_columns, kernel_from_rref, rank, rref
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-@dataclass(frozen=True)
-class LineBundle:
+class LineBundle(Value):
     """Multidegree plus one nonzero gluing scalar per node of the curve."""
 
-    curve: NodalCurve
-    multidegree: tuple[int, ...]
-    gluings: tuple[Fraction, ...]
+    __slots__ = _fields = ("curve", "multidegree", "gluings")
 
-    def __post_init__(self) -> None:
-        degrees = tuple(int(d) for d in self.multidegree)
-        object.__setattr__(self, "multidegree", degrees)
-        scalars = tuple(as_scalar(g) for g in self.gluings)
-        object.__setattr__(self, "gluings", scalars)
-        if len(degrees) != len(self.curve.components):
+    def __init__(self, curve: NodalCurve, multidegree: tuple[int, ...], gluings: tuple[Fraction, ...]) -> None:
+        degrees = tuple(int(d) for d in multidegree)
+        scalars = tuple(as_scalar(g) for g in gluings)
+        if len(degrees) != len(curve.components):
             raise ValueError(
                 f"multidegree has {len(degrees)} entries for "
-                f"{len(self.curve.components)} components"
+                f"{len(curve.components)} components"
             )
-        if len(scalars) != len(self.curve.nodes):
+        if len(scalars) != len(curve.nodes):
             raise ValueError(
-                f"{len(scalars)} gluing scalars for {len(self.curve.nodes)} nodes"
+                f"{len(scalars)} gluing scalars for {len(curve.nodes)} nodes"
             )
         for k, g in enumerate(scalars):
             if g == 0:
                 raise ValueError(f"gluing scalar at node {k} is zero")
+        _set(self, "curve", curve)
+        _set(self, "multidegree", degrees)
+        _set(self, "gluings", scalars)
 
     def degree(self) -> int:
         return sum(self.multidegree)
@@ -205,20 +202,16 @@ def _cohomology_of(curve: NodalCurve, degrees: tuple[int, ...], gluing: Callable
     return sum(max(0, d + 1) for d in degrees) - r, len(curve.nodes) - r + sum(component_h1(d) for d in degrees)
 
 
-@dataclass(frozen=True)
-class Section:
+class Section(Value):
     """Per-component coefficient vectors; empty vector = zero polynomial."""
 
-    coeffs: tuple[VectorQ, ...]
+    __slots__ = _fields = ("coeffs",)
 
-    def __post_init__(self) -> None:
-        object.__setattr__(
-            self, "coeffs", tuple(tuple(as_scalar(c) for c in block) for block in self.coeffs)
-        )
+    def __init__(self, coeffs: tuple[VectorQ, ...]) -> None:
+        _set(self, "coeffs", tuple(tuple(as_scalar(c) for c in block) for block in coeffs))
 
 
-@dataclass(frozen=True)
-class SectionSpace:
+class SectionSpace(Value):
     """A bundle together with the canonical basis of its global sections.
 
     Basis order is the canonical kernel order of the gluing matrix, so
@@ -234,9 +227,10 @@ class SectionSpace:
     so equality and hashing see only the three fields.
     """
 
-    bundle: LineBundle
-    basis: tuple[Section, ...]
-    free_columns: tuple[int, ...]
+    _fields = ("bundle", "basis", "free_columns")
+
+    def __init__(self, bundle: LineBundle, basis: tuple[Section, ...], free_columns: tuple[int, ...]) -> None:
+        vars(self).update(bundle=bundle, basis=basis, free_columns=free_columns)
 
     @cached_property
     def integral_basis(self) -> tuple[_IntegralForm, ...]:
@@ -505,21 +499,25 @@ def dualizing_bundle(curve: NodalCurve) -> LineBundle:
     ``deg f <= |D| - 2``, glued by the residue condition; see the module
     docstring for the resulting degree-(|D| - 2) trivialization, the
     ``-c_p / c_q`` scalars and the cofactor ``c_inf = -1`` of a branch
-    at infinity, each taken at a branch site of ``curve.sites``.
+    at infinity, each taken at a branch site of ``curve.sites`` as an
+    integer numerator over a positive denominator.
     """
     multidegree = tuple(len(comp.marked_points) - 2 for comp in curve.components)
 
-    def cofactor(site: Site) -> Fraction:
+    def cofactor(site: Site) -> tuple[int, int]:
         ci, k, p = site
         if p.is_infinity:
-            return -_ONE
-        acc = _ONE
+            return -1, 1
+        a, b = p.coord.numerator, p.coord.denominator
+        num = den = 1
         for j, other in enumerate(curve.components[ci].marked_points):
             if j != k and not other.is_infinity:
-                acc *= p.coord - other.coord
-        return acc
+                num *= a * other.coord.denominator - other.coord.numerator * b
+                den *= b * other.coord.denominator
+        return num, den
 
-    return LineBundle(curve, multidegree, tuple(-cofactor(a) / cofactor(b) for a, b in curve.sites))
+    cofactors = (cofactor(a) + cofactor(b) for a, b in curve.sites)
+    return LineBundle(curve, multidegree, tuple(Fraction(-na * db, da * nb) for na, da, nb, db in cofactors))
 
 
 def tangent_bundle(curve: NodalCurve) -> LineBundle:
@@ -533,8 +531,7 @@ def tangent_bundle(curve: NodalCurve) -> LineBundle:
     return dual(dualizing_bundle(curve))
 
 
-@dataclass(frozen=True)
-class RiemannRochReport:
+class RiemannRochReport(NamedTuple):
     h0: int
     h1: int
     degree: int
@@ -547,13 +544,7 @@ class RiemannRochReport:
 
 def riemann_roch_report(bundle: LineBundle) -> RiemannRochReport:
     """h0, h1, degree and genus, with the Euler-characteristic identity."""
-    h0_value, h1_value = cohomology(bundle)
-    return RiemannRochReport(
-        h0=h0_value,
-        h1=h1_value,
-        degree=bundle.degree(),
-        genus=arithmetic_genus(bundle.curve),
-    )
+    return RiemannRochReport(*cohomology(bundle), bundle.degree(), arithmetic_genus(bundle.curve))
 
 
 def serre_duality_check(bundle: LineBundle, omega: LineBundle) -> bool:

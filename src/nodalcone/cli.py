@@ -23,9 +23,9 @@ import os
 import random
 import re
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from . import __version__
 from .bundles import (
@@ -88,16 +88,16 @@ class SpecError(Exception):
         self.message = message
 
 
-@dataclass(frozen=True)
-class CurveSpec:
-    """Parsed curve + bundle description, already in exact form, with
-    the curve that ``components`` and ``nodes`` build."""
+class CurveSpec(NamedTuple):
+    """Parsed curve + bundle description, already in exact form;
+    ``components`` and ``nodes`` read the curve's."""
 
-    components: tuple[tuple[str, tuple[PointOnLine, ...]], ...]
-    nodes: tuple[NodeGluing, ...]
+    curve: NodalCurve
     multidegree: tuple[int, ...]
     gluings: tuple[Fraction, ...]
-    curve: NodalCurve
+
+    components = property(lambda self: self.curve.components)
+    nodes = property(lambda self: self.curve.nodes)
 
 
 _RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
@@ -179,8 +179,7 @@ def parse_spec(text: str) -> CurveSpec:
         )
         raw_points = entry.get("points", [])
         _expect(isinstance(raw_points, list), "schema", f"component {entry['name']}: 'points' must be a list")
-        points = tuple(parse_coordinate(p) for p in raw_points)
-        components.append((entry["name"], points))
+        components.append(Component(entry["name"], tuple(parse_coordinate(p) for p in raw_points)))
 
     raw_nodes = data.get("nodes", [])
     _expect(isinstance(raw_nodes, list), "schema", "'nodes' must be a list")
@@ -193,7 +192,7 @@ def parse_spec(text: str) -> CurveSpec:
         )
         nodes.append(NodeGluing(_parse_branch(entry["a"]), _parse_branch(entry["b"])))
 
-    point_counts = {name: len(pts) for name, pts in components}
+    point_counts = {c.name: len(c.marked_points) for c in components}
     for k, node in enumerate(nodes):
         for label, (cname, idx) in (("a", node.branch_a), ("b", node.branch_b)):
             _expect(
@@ -238,10 +237,10 @@ def parse_spec(text: str) -> CurveSpec:
         _expect(g != 0, "gluing", f"gluing scalar at node {k} must be nonzero")
 
     try:
-        curve = NodalCurve(tuple(Component(name, pts) for name, pts in components), tuple(nodes))
+        curve = NodalCurve(components, nodes)
     except InvalidCurveError as exc:
         raise SpecError("invariant", str(exc))
-    return CurveSpec(tuple(components), tuple(nodes), tuple(raw_degrees), gluings, curve)
+    return CurveSpec(curve, tuple(raw_degrees), gluings)
 
 
 def _layout(curve: NodalCurve) -> dict:
@@ -298,10 +297,7 @@ def run_info(curve: NodalCurve, bundle: LineBundle) -> dict:
 def run_sections(curve: NodalCurve, bundle: LineBundle, with_basis: bool) -> dict:
     report = riemann_roch_report(bundle)
     out = {
-        "h0": report.h0,
-        "h1": report.h1,
-        "degree": report.degree,
-        "genus": report.genus,
+        **report._asdict(),
         "riemann_roch_balanced": report.balanced,
         "serre_duality": report.h1 == h0(tensor(dualizing_bundle(curve), dual(bundle))),
     }
@@ -317,19 +313,11 @@ def run_sections(curve: NodalCurve, bundle: LineBundle, with_basis: bool) -> dic
     return out
 
 
-def _verdict_dict(verdict) -> dict:
-    return {
-        "status": verdict.status,
-        "witness": verdict.witness,
-        "samples_checked": verdict.samples_checked,
-    }
-
-
 def run_ample(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) -> dict:
     space = section_basis(bundle)
     return {
-        "globally_generated": _verdict_dict(globally_generated(space, samples, seed)),
-        "very_ample": _verdict_dict(very_ample(space, samples, seed)),
+        "globally_generated": globally_generated(space, samples, seed)._asdict(),
+        "very_ample": very_ample(space, samples, seed)._asdict(),
     }
 
 

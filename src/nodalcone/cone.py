@@ -24,7 +24,7 @@ slot, positive weights deform the embedding.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .bundles import LineBundle, _cohomology_of, h0, h1_direct, power, tangent_bundle, tensor
 from .curve import NodalCurve, arithmetic_genus
@@ -81,8 +81,7 @@ def t1_dim(curve: NodalCurve, bundle: LineBundle, m: int, mode: str = DIRECT) ->
     return h1_direct(deformation_bundle(curve, bundle, m))
 
 
-@dataclass(frozen=True)
-class WeightEntry:
+class WeightEntry(NamedTuple):
     m: int
     t0_formula: int
     t0_direct: int
@@ -97,8 +96,7 @@ class WeightEntry:
         return self.t0_formula != self.t0_direct or self.t1_formula != self.t1_direct
 
 
-@dataclass(frozen=True)
-class GradedReport:
+class GradedReport(NamedTuple):
     curve_id: str
     bundle_id: str
     entries: tuple[WeightEntry, ...]

@@ -18,29 +18,60 @@ branch is resolved once, in ``NodalCurve.sites``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .exactlin import as_scalar
+
+_set = object.__setattr__
 
 
 class InvalidCurveError(ValueError):
     """Raised when a ``NodalCurve`` is built from data that fails ``validate``."""
 
 
-@dataclass(frozen=True)
-class PointOnLine:
+class Value:
+    """Base of the immutable values, compared, hashed and shown by the
+    attributes named in ``_fields``: ``__reduce__`` is the constructor
+    call that rebuilds a value from them, for pickling and copying too.
+    Assigning or deleting an attribute raises ``AttributeError``, so
+    ``__init__`` sets them with ``object.__setattr__``."""
+
+    __slots__ = ()
+    _fields: tuple[str, ...]
+
+    def __reduce__(self) -> tuple:
+        return type(self), tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self.__reduce__() == other.__reduce__()
+
+    def __hash__(self) -> int:
+        return hash(self.__reduce__())
+
+    def __repr__(self) -> str:
+        return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class PointOnLine(Value):
     """A point of the projective line: an affine rational coordinate or infinity.
 
     ``coord`` is the affine coordinate; ``None`` encodes the point at
     infinity.
     """
 
-    coord: Fraction | None = None
+    __slots__ = _fields = ("coord",)
 
-    def __post_init__(self) -> None:
-        if self.coord is not None and not isinstance(self.coord, Fraction):
-            object.__setattr__(self, "coord", as_scalar(self.coord))
+    def __init__(self, coord: Fraction | int | str | None = None) -> None:
+        _set(self, "coord", None if coord is None else as_scalar(coord))
 
     @property
     def is_infinity(self) -> bool:
@@ -62,35 +93,31 @@ Branch = tuple[str, int]
 Site = tuple[int, int, PointOnLine]
 
 
-@dataclass(frozen=True)
-class Component:
+class Component(Value):
     """A projective line with an ordered tuple of marked points."""
 
-    name: str
-    marked_points: tuple[PointOnLine, ...] = ()
+    __slots__ = _fields = ("name", "marked_points")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "marked_points", tuple(self.marked_points))
+    def __init__(self, name: str, marked_points: tuple[PointOnLine, ...] = ()) -> None:
+        _set(self, "name", name)
+        _set(self, "marked_points", tuple(marked_points))
 
 
-@dataclass(frozen=True)
-class NodeGluing:
+class NodeGluing(Value):
     """Ordered identification of two marked-point branches.
 
     Branch order matters downstream: gluing constraints read
     "value on branch_a equals scalar times value on branch_b".
     """
 
-    branch_a: Branch
-    branch_b: Branch
+    __slots__ = _fields = ("branch_a", "branch_b")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "branch_a", (self.branch_a[0], int(self.branch_a[1])))
-        object.__setattr__(self, "branch_b", (self.branch_b[0], int(self.branch_b[1])))
+    def __init__(self, branch_a: Branch, branch_b: Branch) -> None:
+        _set(self, "branch_a", (branch_a[0], int(branch_a[1])))
+        _set(self, "branch_b", (branch_b[0], int(branch_b[1])))
 
 
-@dataclass(frozen=True)
-class NodalCurve:
+class NodalCurve(Value):
     """Components and node gluings, checked by ``validate`` on construction.
 
     ``sites`` is derived once ``validate`` accepts, never passed: per node,
@@ -98,13 +125,12 @@ class NodalCurve:
     of branch b. It takes no part in equality, hash or repr.
     """
 
-    components: tuple[Component, ...]
-    nodes: tuple[NodeGluing, ...] = ()
-    sites: tuple[tuple[Site, Site], ...] = field(init=False, repr=False, compare=False)
+    __slots__ = ("components", "nodes", "sites")
+    _fields = ("components", "nodes")
 
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "components", tuple(self.components))
-        object.__setattr__(self, "nodes", tuple(self.nodes))
+    def __init__(self, components: tuple[Component, ...], nodes: tuple[NodeGluing, ...] = ()) -> None:
+        _set(self, "components", tuple(components))
+        _set(self, "nodes", tuple(nodes))
         problems = validate(self)
         if problems:
             raise InvalidCurveError("; ".join(problems))
@@ -112,7 +138,7 @@ class NodalCurve:
             tuple((self.component_index(c), k, self.branch_point((c, k))) for c, k in (n.branch_a, n.branch_b))
             for n in self.nodes
         )
-        object.__setattr__(self, "sites", sites)
+        _set(self, "sites", sites)
 
     def component_index(self, name: str) -> int:
         for i, comp in enumerate(self.components):
@@ -129,8 +155,7 @@ class NodalCurve:
         return comp.marked_points[branch[1]]
 
 
-@dataclass(frozen=True)
-class DualGraph:
+class DualGraph(NamedTuple):
     """Vertices are component names; one edge per node, loops allowed."""
 
     vertices: tuple[str, ...]

@@ -62,10 +62,10 @@ above, so a short rank is as certain as a full one.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations, combinations_with_replacement
 from math import lcm
+from typing import NamedTuple
 
 from .bundles import SectionSpace, _convolve, _glues, _jet, _node_rows, _value, gluing_matrix, power
 from .curve import NodalCurve, PointOnLine, affine_point
@@ -87,8 +87,7 @@ VERIFIED_ON_SAMPLES = "verified-on-samples"
 FAILED = "failed"
 
 
-@dataclass(frozen=True)
-class CurvePoint:
+class CurvePoint(NamedTuple):
     """A closed point of the curve: smooth on a named component, or a node.
 
     Smooth points must not sit at marked points (those are the nodes);
@@ -202,8 +201,7 @@ def sample_points(curve: NodalCurve, extra_per_component: int = 5, seed: int = S
     return tuple(points)
 
 
-@dataclass(frozen=True)
-class AmpleVerdict:
+class AmpleVerdict(NamedTuple):
     """Outcome of a positivity check.
 
     ``status`` is one of criterion-satisfied, verified-on-samples or

@@ -90,6 +90,25 @@ def flip_node(bundle, k):
     return LineBundle(flipped_curve, bundle.multidegree, tuple(gluings))
 
 
+def reference_dualizing_gluings(curve):
+    """The dualizing bundle's gluing scalars ``-c_p / c_q`` with every
+    cofactor ``c_p = prod (p - p')`` over the other affine marked points
+    taken in Fraction arithmetic, ``c_inf = -1``: the reference for
+    ``bundles.dualizing_bundle``."""
+
+    def cofactor(site):
+        ci, k, p = site
+        if p.is_infinity:
+            return Fraction(-1)
+        acc = Fraction(1)
+        for j, other in enumerate(curve.components[ci].marked_points):
+            if j != k and not other.is_infinity:
+                acc *= p.coord - other.coord
+        return acc
+
+    return tuple(-cofactor(a) / cofactor(b) for a, b in curve.sites)
+
+
 def reference_product(a, b):
     """Componentwise product by Fraction convolution, an empty factor
     block collapsing the product block: the reference that

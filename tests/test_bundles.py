@@ -12,6 +12,7 @@ from conftest import (
     flip_node,
     random_bundle,
     random_curve,
+    reference_dualizing_gluings,
     reference_jet,
     reference_product,
     reference_satisfies_gluing,
@@ -392,6 +393,7 @@ def test_dualizing_bundle_with_infinity_randomized():
         genera.add(genus)
         with_infinity += any(p.is_infinity for c in curve.components for p in c.marked_points)
         omega = dualizing_bundle(curve)
+        assert omega.gluings == reference_dualizing_gluings(curve), curve
         assert omega.degree() == 2 * genus - 2
         assert cohomology(omega) == (genus, 1), curve
         for _ in range(3):

@@ -1008,14 +1008,17 @@ def _run_python(*args):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True, cwd=REPO, env=env)
 
 
-def test_plain_argv_imports_neither_argparse_nor_locale():
+def test_plain_argv_skips_argparse_locale_and_dataclasses():
+    """Neither parsing a plain argv nor the value types load these; the
+    last four are what ``dataclasses`` would pull in."""
     script = (
         "import contextlib, io, sys\n"
         "from nodalcone.cli import main\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [main(['deform', 'curves/paper-x.json', '--json']),\n"
         "             main(['sections', 'curves/paper-x.json', '--basis'])]\n"
-        "print(codes, sorted({'argparse', 'locale'} & set(sys.modules)))\n"
+        "unused = {'argparse', 'locale', 'dataclasses', 'inspect', 'ast', 'dis', 'tokenize'}\n"
+        "print(codes, sorted(unused & set(sys.modules)))\n"
     )
     done = _run_python("-c", script)
     assert (done.returncode, done.stdout, done.stderr) == (0, "[0, 0] []\n", "")
