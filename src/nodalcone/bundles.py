@@ -21,14 +21,15 @@ corank plus the classical line-bundle contributions of the components.
 Both are exact, never estimated.
 
 Every value of a section is taken on its integer form instead: per
-component, its integer numerators over one common positive denominator
-(``_integral``), built once per section space
-(``SectionSpace.integral_basis``). Values and jets come from homogeneous
-Horner, which clears the denominator of the point (``_value``,
-``_jet``), so a value is an integer over a positive one. Products
-convolve the numerators with no gcd at each step (``_convolve``), and
-the node check dots each branch's block with an integer row, built
-once per bundle, that also clears the gluing scalar's denominator
+component, its nonzero terms ``(k, c)``, numerator c of ``t^k`` over one
+common positive denominator (``_integral``), built once per section
+space (``SectionSpace.integral_basis``); a canonical basis has few. A
+value or a jet is the terms dotted with an integer row of the point that
+clears its denominator (``_homogeneous_row``, ``_jet_row``), an integer
+over a positive one. The one product routine multiplies terms with no
+gcd at each step and drops those that cancel (``_multiply``), and the
+node check dots each branch's terms with an integer row, built once per
+bundle, that also clears the gluing scalar's denominator
 (``_node_rows``, ``_glues``). ``multiply_sections`` and
 ``section_satisfies_gluing`` are thin wrappers over these helpers.
 
@@ -71,7 +72,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from operator import mul
 from typing import Callable, NamedTuple
 
 from .curve import NodalCurve, PointOnLine, Site, Value, _set, arithmetic_genus
@@ -321,14 +321,15 @@ def multiply_sections(a: Section, b: Section) -> Section:
     """Componentwise polynomial product.
 
     A section of L' times a section of L'' lies in L' (x) L''; blocks
-    multiply by convolution and a zero (empty) factor block collapses
-    the product block to empty. The convolution runs on the integer
-    forms of the two factors (see ``_integral``).
+    multiply as polynomials and a zero (empty) factor block collapses
+    the product block to empty. The product is ``_multiply`` of the
+    integer forms of the two factors (see ``_integral``).
     """
     if len(a.coeffs) != len(b.coeffs):
         raise ValueError("sections live on curves with different component counts")
-    blocks, den = _convolve(_integral(a), _integral(b))
-    return Section(tuple(tuple(Fraction(c, den) for c in block) for block in blocks))
+    blocks, den = _multiply(_integral(a), _integral(b))
+    widths = (len(x) + len(y) - 1 if x and y else 0 for x, y in zip(a.coeffs, b.coeffs))
+    return Section(tuple(tuple(Fraction(t.get(k, 0), den) for k in range(w)) for w, t in zip(widths, map(dict, blocks))))
 
 
 def section_satisfies_gluing(bundle: LineBundle, section: Section) -> bool:
@@ -341,67 +342,47 @@ def section_satisfies_gluing(bundle: LineBundle, section: Section) -> bool:
     return _glues(_node_rows(bundle), _integral(section)[0])
 
 
-_IntegralForm = tuple[tuple[tuple[int, ...], ...], int]
+_Terms = tuple[tuple[int, int], ...]
+_IntegralForm = tuple[tuple[_Terms, ...], int]
 
 
 def _integral(section: Section) -> _IntegralForm:
-    """A section as ``(blocks, den)``: per component a tuple of integer
-    numerators over one common positive denominator, the lcm of the
-    coefficients' denominators, so ``coeff == Fraction(numerator, den)``
-    for every coefficient."""
+    """A section as ``(blocks, den)``: per component the nonzero terms
+    ``(k, c)`` in ascending k over one common positive denominator, the
+    lcm of the coefficients' denominators, so the coefficient of ``t^k``
+    is ``Fraction(c, den)`` and every other coefficient is zero."""
     den = lcm(*(c.denominator for block in section.coeffs for c in block))
-    blocks = tuple(tuple(c.numerator * (den // c.denominator) for c in block) for block in section.coeffs)
+    blocks = tuple(
+        tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(block) if c) for block in section.coeffs
+    )
     return blocks, den
 
 
-def _convolve(a: _IntegralForm, b: _IntegralForm) -> _IntegralForm:
-    """Componentwise product of two integer-form sections: blocks
-    convolve over the integers, an empty factor block gives an empty
-    block, and the denominators multiply."""
+def _multiply(a: _IntegralForm, b: _IntegralForm) -> _IntegralForm:
+    """Componentwise product of two integer forms: each block pair's terms
+    multiply out, cancelled terms are dropped, and the denominators
+    multiply. A factor without terms (zero, or a negative degree) gives none."""
     (a_blocks, a_den), (b_blocks, b_den) = a, b
     blocks = []
     for x, y in zip(a_blocks, b_blocks):
-        if not x or not y:
+        if not (x and y):
             blocks.append(())
             continue
-        out = [0] * (len(x) + len(y) - 1)
-        for i, xi in enumerate(x):
-            if xi:
-                for j, yj in enumerate(y):
-                    out[i + j] += xi * yj
-        blocks.append(tuple(out))
+        if len(y) == 1:
+            [(j, yj)] = y
+            blocks.append(tuple((i + j, xi * yj) for i, xi in x))
+            continue
+        out: dict[int, int] = {}
+        for i, xi in x:
+            for j, yj in y:
+                out[i + j] = out.get(i + j, 0) + xi * yj
+        blocks.append(tuple((k, c) for k, c in sorted(out.items()) if c))
     return tuple(blocks), a_den * b_den
 
 
-def _value(block: tuple[int, ...], p: PointOnLine) -> tuple[int, int]:
-    """Value of an integer block at p as ``(h, s)``: the value over the
-    section's common denominator is ``h / s``, with ``s > 0``.
-
-    At an affine ``p = a/b`` (``b > 0``) a block ``c_0..c_d`` gives
-    ``h = sum_k c_k a^k b^(d-k)`` by homogeneous Horner and ``s = b^d``.
-    At infinity ``h = c_d`` and ``s = 1``; an empty block has ``h = 0``,
-    ``s = 1``. So s depends only on p and the block's length.
-    """
-    h, s = (block[-1] if block else 0), 1
-    if not p.is_infinity:
-        a, b = p.coord.numerator, p.coord.denominator
-        for c in block[-2::-1]:
-            s *= b
-            h = h * a + c * s
-    return h, s
-
-
-def _jet(block: tuple[int, ...], p: PointOnLine) -> tuple[int, int]:
-    """First-order jet of an integer block at p as ``(h, s)``, like
-    ``_value``: the coefficient ``c_{d-1}`` at infinity (in the chart
-    ``u = 1/t`` a section reads ``sum c_k u^(d-k)``), the value of the
-    derivative ``(c_1, 2 c_2, ..., d c_d)`` at an affine p, and zero on
-    a block with no degree-1 data (length < 2)."""
-    if len(block) < 2:
-        return 0, 1
-    if p.is_infinity:
-        return block[-2], 1
-    return _value(tuple(k * c for k, c in enumerate(block))[1:], p)
+def _dot(terms: _Terms, row: tuple[int, ...]) -> int:
+    """``row . block`` for the block with these terms."""
+    return sum(c * row[k] for k, c in terms)
 
 
 _NodeRow = tuple[int, tuple[int, ...], int, tuple[int, ...]]
@@ -409,17 +390,29 @@ _NodeRows = tuple[_NodeRow, ...]
 
 
 def _homogeneous_row(width: int, p: PointOnLine) -> tuple[tuple[int, ...], int]:
-    """``(row, s)`` with ``row . block`` the ``h`` of ``_value(block, p)``
-    for every block of length ``width``, and s its ``s``: the row is
-    ``a^k b^(width-1-k)`` at ``p = a/b``, a unit at the last slot at
-    infinity, and empty for width 0. A dot product stops at the shorter
-    side, so the row stops at its last nonzero entry: at 0 it has one."""
+    """``(row, s)`` with ``row . block / s`` the value at p of every block
+    of length ``width``: ``a^k b^(width-1-k)`` over ``b^(width-1)`` at
+    ``p = a/b``, ``b > 0``; a unit at the last slot over 1 at infinity;
+    empty over 1 for width 0. So s depends only on p and the width."""
     if width == 0:
         return (), 1
     if p.is_infinity:
         return (0,) * (width - 1) + (1,), 1
     a, b = p.coord.numerator, p.coord.denominator
-    return tuple(a**k * b ** (width - 1 - k) for k in range(width if a else 1)), b ** (width - 1)
+    return tuple(a**k * b ** (width - 1 - k) for k in range(width)), b ** (width - 1)
+
+
+def _jet_row(width: int, p: PointOnLine) -> tuple[tuple[int, ...], int]:
+    """``(row, s)`` like ``_homogeneous_row`` for the first-order jet: the
+    derivative's value at an affine p, the coefficient of ``t^(width-2)``
+    at infinity (the chart ``u = 1/t`` reads ``sum c_k u^(d-k)``), and
+    zero with no degree-1 data (width < 2)."""
+    if width < 2:
+        return (0,) * width, 1
+    if p.is_infinity:
+        return (0,) * (width - 2) + (1, 0), 1
+    row, s = _homogeneous_row(width - 1, p)
+    return (0,) + tuple(k * e for k, e in enumerate(row, 1)), s
 
 
 def _node_rows(bundle: LineBundle) -> _NodeRows:
@@ -427,13 +420,13 @@ def _node_rows(bundle: LineBundle) -> _NodeRows:
     integer rows of its two branches, for ``_glues``.
 
     With a section's branch values ``H_a / S_a`` and ``H_b / S_b`` from
-    ``_value``, the node constraint ``H_a / S_a = g H_b / S_b`` is
-    ``H_a S_b g.denominator == g.numerator H_b S_a``. ``S`` depends only
-    on the branch point and the bundle's block width there, so each side
-    is a fixed integer row dotted with the block: the ``_homogeneous_row``
-    times the other branch's S and g's denominator, or its numerator.
-    Every factor is an integer, the common denominator cancels, and
-    nothing is rounded.
+    ``_homogeneous_row``, the node constraint ``H_a / S_a = g H_b / S_b``
+    is ``H_a S_b g.denominator == g.numerator H_b S_a``. ``S`` depends
+    only on the branch point and the bundle's block width there, so each
+    side is a fixed integer row dotted with the block: the
+    ``_homogeneous_row`` times the other branch's S and g's denominator,
+    or its numerator. Every factor is an integer, the common denominator
+    cancels, and nothing is rounded.
     """
     widths = block_widths(bundle)
     return tuple(_node_row(widths, sites, g) for sites, g in zip(bundle.curve.sites, bundle.gluings))
@@ -447,12 +440,12 @@ def _node_row(widths, sites: tuple[Site, Site], g: Fraction) -> _NodeRow:
     return ia, tuple(e * s_b * g.denominator for e in row_a), ib, tuple(e * s_a * g.numerator for e in row_b)
 
 
-def _glues(node_rows: _NodeRows, blocks: tuple[tuple[int, ...], ...]) -> bool:
-    """Exact check of every node constraint on the integer numerators of
-    a section, each block of the bundle's width or empty (the zero
-    polynomial), against the bundle's ``_node_rows``."""
+def _glues(node_rows: _NodeRows, blocks: tuple[_Terms, ...]) -> bool:
+    """Exact check of every node constraint on the integer form of a
+    section, each block's terms within the bundle's width, against the
+    bundle's ``_node_rows``."""
     for ia, row_a, ib, row_b in node_rows:
-        if sum(map(mul, row_a, blocks[ia])) != sum(map(mul, row_b, blocks[ib])):
+        if _dot(blocks[ia], row_a) != _dot(blocks[ib], row_b):
             return False
     return True
 

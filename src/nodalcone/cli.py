@@ -72,7 +72,8 @@ from .embedding import (
     sample_points,
     very_ample,
 )
-from .exactlin import certified_rank
+from .exactlin import _dense_rows, certified_rank_of_columns
+from .jsontext import json_text
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -265,7 +266,7 @@ def serialize_spec(spec: CurveSpec) -> str:
             "gluings": [str(g) for g in spec.gluings],
         },
     }
-    return json.dumps(doc, indent=2) + "\n"
+    return json_text(doc) + "\n"
 
 
 def fmt_exact(value: Fraction):
@@ -346,18 +347,19 @@ def _multiplication_maps(space: SectionSpace) -> tuple[dict, dict, tuple]:
     whose count gives its rank without a second elimination. Both maps
     stay the integer matrices of ``_product_matrix``, each column the
     rational one times its ``den > 0``, so kernel and rank are the map's.
-    ``_quadric_forms`` takes the m = 2 kernel by ``certified_kernel``,
-    and ``certified_rank`` the m = 3 rank mod one prime, each falling
-    back to Q from the same integers where the prime does not prove it."""
-    m2, dens2 = _product_matrix(space, 2)
-    quadrics = _quadric_forms(m2, dens2, len(space.basis))
-    m3, dens3 = _product_matrix(space, 3)
+    ``_quadric_forms`` takes the m = 2 kernel by ``certified_kernel``
+    from its dense rows, and ``certified_rank_of_columns`` the m = 3 rank
+    mod one prime from its sparse columns, each falling back to Q from
+    the same integers where the prime does not prove it."""
+    columns2, dens2, target2 = _product_matrix(space, 2)
+    quadrics = _quadric_forms(_dense_rows(columns2, target2), dens2, len(space.basis))
+    columns3, dens3, target3 = _product_matrix(space, 3)
 
     def shape(source: int, target: int, r: int) -> dict:
         return {"source": source, "target": target, "rank": r, "surjective": r == target}
 
-    m3_shape = shape(len(dens3), len(m3), certified_rank(m3, len(dens3)))
-    return shape(len(dens2), len(m2), len(dens2) - len(quadrics)), m3_shape, quadrics
+    m3_shape = shape(len(dens3), target3, certified_rank_of_columns(columns3, target3))
+    return shape(len(dens2), target2, len(dens2) - len(quadrics)), m3_shape, quadrics
 
 
 def run_ideal(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) -> dict:
@@ -765,7 +767,7 @@ def main(argv: list[str] | None = None) -> int:
     }
     try:
         if args.json:
-            print(json.dumps(document, indent=2))
+            print(json_text(document))
         else:
             print(_render_text(args.command, body), end="")
         sys.stdout.flush()

@@ -28,24 +28,28 @@ The multiplication map Sym^m H0(L) -> H0(L^m) is assembled in the
 canonical section bases on both sides, monomials ordered graded-lex
 over basis indices. No system is solved: the target basis is the
 identity on the free columns of the target's gluing rref, so a
-product's coordinates are its entries at those columns, valid once an
+product's coordinates are its terms at those columns, valid once an
 exact node-by-node check has shown the product is a global section.
-Products and that check run on integer numerators over a common
-denominator (see ``bundles``), into one integer matrix per map
-(``_product_matrix``). ``multiplication_map`` makes Fractions of its
-entries. A caller after a rank or a kernel can keep the integers:
-column j is the rational column times ``den_j > 0``, so the rank is
-the same, and ``exactlin.certified_rank`` takes it modulo one prime,
-which certifies that the map is onto and never decides a shortfall
-(that falls back to the exact rank of the same integers).
-Its kernel at m = 2 is the space of quadrics through the embedded
-curve. ``exactlin.certified_kernel`` finds it from the integer map,
-mod primes, lifted and checked over Z, or else over Q, so it is the
+Products and that check run on the sparse integer terms of the basis
+(see ``bundles``, whose ``_multiply`` is the one product routine), into
+one integer matrix per map, kept as each monomial's nonzero
+``(row, entry)`` pairs (``_product_matrix``): most products are zero.
+``multiplication_map`` makes Fractions of its entries. A caller after a
+rank or a kernel can keep the integers: column j is the rational column
+times ``den_j > 0``, so the rank is the same, and
+``exactlin.certified_rank_of_columns`` takes it on the sparse columns
+modulo one prime; as ``rank_p <= rank_Q <= min(rows, cols)``, that
+certifies that the map is onto and never decides a shortfall (that
+falls back to the exact rank of the same integers). Its kernel at m = 2
+is the space of quadrics through the embedded curve.
+``exactlin.certified_kernel`` finds it from the map's dense rows, mod
+primes, lifted and checked over Z, or else over Q, so it is the
 canonical basis of ``kernel_basis``: a vector w of the integer map
 gives the rational kernel vector with entries ``den_j * w_j`` up to a
-positive factor (``_scaled_kernel``). ``_quadric_forms`` keeps each
-quadric as its nonzero terms ``(den_j * w_j, i, j)`` over the integers,
-and ``quadric_ideal`` turns the same vectors into Fractions.
+positive factor (``_scaled_kernel``).
+``_quadric_forms`` keeps each quadric as its nonzero terms
+``(den_j * w_j, i, j)`` over the integers, and ``quadric_ideal`` turns
+the same vectors into Fractions.
 The rank of the quadrics' Jacobian at points of the affine cone is
 exposed as a probe. The probe is a heuristic: it reflects the quadrics
 alone, which are not known here to generate the full ideal, so no
@@ -63,13 +67,14 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import chain, combinations, combinations_with_replacement
+from itertools import accumulate, chain, combinations, combinations_with_replacement
 from math import lcm
 from typing import NamedTuple
 
-from .bundles import SectionSpace, _convolve, _glues, _jet, _node_rows, _value, gluing_matrix, power
+from .bundles import SectionSpace, _dot, _glues, _homogeneous_row, _jet_row, _multiply, _node_rows, block_widths
+from .bundles import gluing_matrix, power
 from .curve import NodalCurve, PointOnLine, affine_point
-from .exactlin import MatrixQ, VectorQ, as_scalar, certified_kernel, free_columns, rref
+from .exactlin import MatrixQ, VectorQ, _dense_rows, as_scalar, certified_kernel, free_columns, rref
 
 _ZERO = Fraction(0)
 
@@ -150,16 +155,18 @@ def _branch_site(curve: NodalCurve, x: CurvePoint) -> tuple[int, PointOnLine]:
 
 
 def _evaluation_vector(space: SectionSpace, x: CurvePoint) -> tuple[int, ...]:
-    """The basis values at x as integers, ``h_j`` of ``_value`` for
-    basis section j; the module docstring gives their scaling."""
+    """The basis values at x as integers, ``h_j`` of ``_homogeneous_row``
+    for basis section j; the module docstring gives their scaling."""
     ci, point = _branch_site(space.bundle.curve, x)
-    return tuple(_value(blocks[ci], point)[0] for blocks, _ in space.integral_basis)
+    row, _ = _homogeneous_row(block_widths(space.bundle)[ci], point)
+    return tuple(_dot(blocks[ci], row) for blocks, _ in space.integral_basis)
 
 
 def _jet_vector(space: SectionSpace, x: CurvePoint) -> tuple[int, ...]:
-    """The basis jets at x as integers, ``h_j`` of ``_jet``."""
+    """The basis jets at x as integers, ``h_j`` of ``_jet_row``."""
     ci, point = _branch_site(space.bundle.curve, x)
-    return tuple(_jet(blocks[ci], point)[0] for blocks, _ in space.integral_basis)
+    row, _ = _jet_row(block_widths(space.bundle)[ci], point)
+    return tuple(_dot(blocks[ci], row) for blocks, _ in space.integral_basis)
 
 
 def check_sample_count(curve: NodalCurve, extra_per_component: int) -> None:
@@ -312,14 +319,12 @@ def embed_point(space: SectionSpace, x: CurvePoint) -> VectorQ:
     Node points evaluate through branch 0 by default; branch 1 returns
     the same projective point, rescaled by the inverse gluing scalar.
     Each coordinate is the exact value ``Fraction(h, s * den)`` of a
-    basis section (see ``bundles._value``).
+    basis section (see ``bundles._homogeneous_row``).
     """
     _check_point(space.bundle.curve, x)
     ci, point = _branch_site(space.bundle.curve, x)
-    values = []
-    for blocks, den in space.integral_basis:
-        h, s = _value(blocks[ci], point)
-        values.append(Fraction(h, s * den))
+    row, s = _homogeneous_row(block_widths(space.bundle)[ci], point)
+    values = [Fraction(_dot(blocks[ci], row), s * den) for blocks, den in space.integral_basis]
     if all(v == 0 for v in values):
         raise ValueError(f"every section vanishes at {x}; the bundle is not globally generated there")
     return tuple(values)
@@ -342,48 +347,47 @@ def sym_monomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations_with_replacement(range(n), m))
 
 
-def _product_matrix(space: SectionSpace, m: int) -> tuple[list[list[int]], list[int]]:
+def _product_matrix(space: SectionSpace, m: int) -> tuple[list[tuple[tuple[int, int], ...]], list[int], int]:
     """The matrix of Sym^m H0(L) -> H0(L^m) over the integers, as
-    ``(rows, dens)``: one row per basis section of the target, one
-    column per monomial of ``sym_monomials(h0, m)``, and entry (i, j)
-    of the map is ``Fraction(rows[i][j], dens[j])`` with ``dens[j] > 0``.
+    ``(columns, dens, rows)``: for each monomial of
+    ``sym_monomials(h0, m)`` the nonzero entries ``(i, h)`` of its
+    column, where entry (i, j) of the map is ``Fraction(h, dens[j])``
+    with ``dens[j] > 0``; and the number of rows, the target's h0.
 
     The degree-(m - 1) products are built once and held; each column's
-    product is one more multiplication of its prefix, so the degree-m
-    products are never all held at once. A product multiplies the
-    numerators and the denominators of the integer basis apart. It is
+    product is one more ``_multiply`` of its prefix, so the degree-m
+    products are never all held at once. Each product, zero or not, is
     first checked exactly against every node constraint of ``L^m``, on
-    integers with every denominator cleared. Once it is known to be a
-    global section, its coordinates are its entries at the target
-    space's free columns, where the target basis is the identity. A
-    product failing the check would mean the gluing bookkeeping is
-    broken, and raises ``ArithmeticError`` rather than reading off
-    coordinates that do not reproduce it.
+    integers. Once it is known to be a global section, its coordinates are
+    its terms at the target's free columns, where the target basis is the
+    identity. A product failing the check would mean the gluing
+    bookkeeping is broken, and raises ``ArithmeticError`` rather than
+    reading off coordinates that do not reproduce it.
     """
     if m < 1:
         raise ValueError("multiplication maps are defined for m >= 1")
     target = power(space.bundle, m)
     free = free_columns(*rref(gluing_matrix(target)))
     node_rows = _node_rows(target)
+    offsets = tuple(accumulate(block_widths(target), initial=0))
+    row_of = {c: i for i, c in enumerate(free)}  # the target row of each free column
     basis = space.integral_basis
     prefixes = {(i,): s for i, s in enumerate(basis)}
     for j in range(2, m):
-        prefixes = {p: _convolve(prefixes[p[:-1]], basis[p[-1]]) for p in sym_monomials(len(basis), j)}
-    rows = [[] for _ in free]
-    dens = []
+        prefixes = {p: _multiply(prefixes[p[:-1]], basis[p[-1]]) for p in sym_monomials(len(basis), j)}
+    columns, dens = [], []
     for mono in sym_monomials(len(basis), m):
-        blocks, den = _convolve(prefixes[mono[:-1]], basis[mono[-1]]) if m > 1 else basis[mono[0]]
+        blocks, den = _multiply(prefixes[mono[:-1]], basis[mono[-1]]) if m > 1 else basis[mono[0]]
         if not _glues(node_rows, blocks):
             raise ArithmeticError(
                 f"product for monomial {mono} is not a global section of the target; "
                 "gluing bookkeeping is broken"
             )
-        # a product's blocks have the target's widths: m*d + 1, or empty for d < 0
-        flat = tuple(chain.from_iterable(blocks))
-        for row, c in zip(rows, free):
-            row.append(flat[c])
+        column = ((row_of[at + k], c) for at, terms in zip(offsets, blocks) for k, c in terms if at + k in row_of)
+        # a tuple, not a list: the many zero products then share the empty tuple, and m3 holds less memory
+        columns.append(tuple(column))
         dens.append(den)
-    return rows, dens
+    return columns, dens, len(free)
 
 
 def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
@@ -395,9 +399,9 @@ def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
     the target, read off ``_product_matrix``. Surjectivity is
     ``rank == h0(L^m)``.
     """
-    rows, dens = _product_matrix(space, m)
+    columns, dens, rows = _product_matrix(space, m)
     # most entries are zero; they share one Fraction instead of one each
-    entries = [[Fraction(h, d) if h else _ZERO for h, d in zip(row, dens)] for row in rows]
+    entries = [[Fraction(h, d) if h else _ZERO for h, d in zip(row, dens)] for row in _dense_rows(columns, rows)]
     return MatrixQ.from_rows(entries, cols=len(dens))
 
 

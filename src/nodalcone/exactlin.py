@@ -16,15 +16,18 @@ entry in the pivot column is nonzero; scaling the pivot row skips its
 zeros too. A skipped entry would have been left as it is, so the pivot
 rule, and with it every result, is the same as dense elimination's.
 
-``certified_rank`` takes the rank of an integer matrix modulo the
-fixed prime ``PRIME`` first, with the same elimination and pivot rule
-over Z/p. Reduction mod p can only lose rank, so ``rank_p <= rank_Q``,
-and ``rank_Q`` is at most ``min(rows, cols)``: a ``rank_p`` equal to
-that bound proves ``rank_Q`` equal to it, for a tall matrix as for a
-wide one. A shorter ``rank_p`` may be a loss to the prime, so it never
-decides a shortfall; the rank is then taken over Q from the same
-integers. The result is the exact rank either way, and the same on
-every run.
+``certified_rank_of_columns`` takes the rank of an integer matrix, given
+as the nonzero ``(row, entry)`` pairs of each column, modulo the fixed
+prime ``PRIME`` first: column by column, in any order, since the rank
+does not depend on it, with no row built, zero columns skipped, and a
+stop at ``min(rows, cols)`` pivots. Reduction mod p can only lose rank,
+so ``rank_p <= rank_Q``, and ``rank_Q`` is at most ``min(rows, cols)``:
+a ``rank_p`` equal to that bound proves ``rank_Q`` equal to it, for a
+tall matrix as for a wide one. A shorter ``rank_p`` may be a loss to
+the prime, so it never decides a shortfall; the rank is then taken over
+Q from the same integers, as dense rows. The result is the exact rank
+either way, and the same on every run. ``certified_rank`` takes dense
+rows.
 
 ``certified_kernel`` finds the canonical kernel basis of an integer
 matrix on one elimination path: the residues mod each of the fixed
@@ -223,17 +226,62 @@ def rank(m: MatrixQ) -> int:
     return len(_forward_eliminate(rows))
 
 
+def _columns(rows: Sequence[Sequence[int]], cols: int) -> list[list[tuple[int, int]]]:
+    """The nonzero ``(row, entry)`` pairs of each column of a dense matrix."""
+    return [[(i, r[j]) for i, r in enumerate(rows) if r[j]] for j in range(cols)]
+
+
+def _dense_rows(columns: Sequence[Sequence[tuple[int, int]]], rows: int) -> list[list[int]]:
+    """The dense rows of the matrix with these sparse columns."""
+    out = [[0] * len(columns) for _ in range(rows)]
+    for j, column in enumerate(columns):
+        for i, e in column:
+            out[i][j] = e
+    return out
+
+
+def _rank_mod_prime(columns: Sequence[Sequence[tuple[int, int]]], rows: int, stop: int) -> int:
+    """The rank mod ``PRIME`` of the matrix with these sparse columns,
+    counted up to ``stop``; shortest columns first, as the cheapest to
+    reduce. A pivot keeps its column's tail past the pivot row, scaled to
+    a unit there; a column reduced down to a row without one becomes one."""
+    pivots: dict[int, list[tuple[int, int]]] = {}
+    for column in sorted(filter(None, columns), key=len):
+        if len(pivots) == stop:
+            break
+        v = [0] * rows
+        for i, e in column:
+            v[i] = e % PRIME
+        for i in range(min(i for i, _ in column), rows):
+            f = v[i]
+            if not f:
+                continue
+            tail = pivots.get(i)
+            if tail is None:
+                inv = pow(f, -1, PRIME)
+                pivots[i] = [(j, v[j] * inv % PRIME) for j in range(i + 1, rows) if v[j]]
+                break
+            for j, x in tail:
+                v[j] = (v[j] - f * x) % PRIME
+    return len(pivots)
+
+
+def certified_rank_of_columns(columns: Sequence[Sequence[tuple[int, int]]], rows: int) -> int:
+    """Exact rank of the integer matrix with ``rows`` rows and these
+    columns, each its nonzero ``(row, entry)`` pairs: its rank mod
+    ``PRIME`` where that equals ``min(rows, cols)``, which certifies it
+    (see the module docstring), and otherwise its rank over Q."""
+    full = min(rows, len(columns))
+    if _rank_mod_prime(columns, rows, full) == full:
+        return full
+    return len(_forward_eliminate(_dense_rows(columns, rows)))
+
+
 def certified_rank(rows: Sequence[Sequence[int]], cols: int) -> int:
-    """Exact rank of an integer matrix: its rank mod ``PRIME`` where that
-    equals ``min(rows, cols)``, which certifies it, since
-    ``rank_p <= rank_Q <= min(rows, cols)`` (see the module docstring),
-    and otherwise its rank over Q."""
+    """``certified_rank_of_columns`` of an integer matrix given as dense rows."""
     if any(len(r) != cols for r in rows):
         raise ValueError(f"rows must all have length {cols}")
-    full = min(len(rows), cols)
-    if len(_forward_eliminate([[e % PRIME for e in r] for r in rows], PRIME)) == full:
-        return full
-    return len(_forward_eliminate([list(r) for r in rows]))
+    return certified_rank_of_columns(_columns(rows, cols), len(rows))
 
 
 def _lift(x: int, modulus: int, bound: int) -> tuple[int, int] | None:
@@ -309,7 +357,7 @@ def certified_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[int
     over Q from the same integers; see the module docstring."""
     if any(len(r) != cols for r in rows):
         raise ValueError(f"rows must all have length {cols}")
-    columns = [[(i, r[j]) for i, r in enumerate(rows) if r[j]] for j in range(cols)]
+    columns = _columns(rows, cols)
     known: list[int] | None = None
     for p in PRIMES:
         reduced = [[e % p for e in r] for r in rows]

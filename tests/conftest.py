@@ -128,6 +128,27 @@ def reference_product(a, b):
     return Section(tuple(blocks))
 
 
+def reference_convolve(a, b):
+    """Componentwise product of two dense integer forms ``(blocks, den)``,
+    each block every integer numerator over den: blocks convolve over the
+    integers, an empty factor block gives an empty block, and the
+    denominators multiply. The dense product that ``bundles._multiply``
+    replaced, kept as its reference."""
+    (a_blocks, a_den), (b_blocks, b_den) = a, b
+    blocks = []
+    for x, y in zip(a_blocks, b_blocks):
+        if not x or not y:
+            blocks.append(())
+            continue
+        out = [0] * (len(x) + len(y) - 1)
+        for i, xi in enumerate(x):
+            if xi:
+                for j, yj in enumerate(y):
+                    out[i + j] += xi * yj
+        blocks.append(tuple(out))
+    return tuple(blocks), a_den * b_den
+
+
 def reference_value(block, point):
     """Value of a Fraction coefficient block at a point by Fraction
     Horner; the leading coefficient at infinity, zero on an empty block."""

@@ -12,6 +12,7 @@ from conftest import (
     flip_node,
     random_bundle,
     random_curve,
+    reference_convolve,
     reference_dualizing_gluings,
     reference_jet,
     reference_product,
@@ -20,9 +21,11 @@ from conftest import (
 )
 import nodalcone.bundles as bundles
 from nodalcone.bundles import (
+    _dot,
+    _homogeneous_row,
     _integral,
-    _jet,
-    _value,
+    _jet_row,
+    _multiply,
     LineBundle,
     Section,
     block_widths,
@@ -77,6 +80,20 @@ def test_evaluation_row_affine_and_infinity():
         evaluation_row(-1, affine_point(F(0)))
 
 
+def _value(block, p):
+    """``(h, s)`` of a dense integer block at p: its nonzero terms dotted
+    with ``_homogeneous_row``, and that row's s."""
+    row, s = _homogeneous_row(len(block), p)
+    return _dot([(k, c) for k, c in enumerate(block) if c], row), s
+
+
+def _jet(block, p):
+    """``(h, s)`` of the first-order jet of a dense integer block at p,
+    from ``_jet_row`` like ``_value``."""
+    row, s = _jet_row(len(block), p)
+    return _dot([(k, c) for k, c in enumerate(block) if c], row), s
+
+
 def test_poly_value_and_jet():
     block = (1, 0, 2)  # 1 + 2 t^2, integer numerators over denominator 1
     assert _value(block, affine_point(F(3))) == (19, 1)
@@ -94,6 +111,11 @@ def test_poly_value_and_jet():
     assert _value((5,), INFINITY) == (5, 1)
     assert _jet((5,), affine_point(F(3, 2))) == (0, 1)
     assert _jet((), INFINITY) == (0, 1)
+    # at 0 the rows keep their full width, so every term is read
+    assert _value(block, affine_point(F(0))) == (1, 1)
+    assert _value((0, 0, 2), affine_point(F(0, 1))) == (0, 1)
+    assert _jet((1, 7, 2), affine_point(F(0))) == (7, 1)
+    assert _jet((1, 0, 2), affine_point(F(0))) == (0, 1)
 
 
 def test_bundle_validation(paper_curve):
@@ -179,6 +201,61 @@ def test_multiply_sections_is_polynomial_product():
     prod = multiply_sections(a, b)
     # (1 + t)(2 + t^2) = 2 + 2t + t^2 + t^3; empty times anything collapses
     assert prod.coeffs == ((F(2), F(2), F(1), F(1)), ())
+
+
+# a dense integer block: empty (a negative degree) or up to five
+# numerators, often zero or negative, so that products cancel
+_dense_blocks = st.one_of(
+    st.just(()),
+    st.lists(st.integers(-3, 3), min_size=1, max_size=5).map(tuple),
+    st.lists(st.sampled_from([0, 0, 1, -1, 7, -10**20]), min_size=1, max_size=5).map(tuple),
+)
+
+
+def _sparse(form):
+    """The sparse integer form of a dense one ``(blocks, den)``."""
+    blocks, den = form
+    return tuple(tuple((k, c) for k, c in enumerate(block) if c) for block in blocks), den
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n: st.tuples(
+            st.tuples(st.lists(_dense_blocks, min_size=n, max_size=n), st.integers(1, 6)),
+            st.tuples(st.lists(_dense_blocks, min_size=n, max_size=n), st.integers(1, 6)),
+        )
+    )
+)
+def test_sparse_product_matches_the_dense_convolution(factors):
+    """``_multiply`` on sparse terms is the dense convolution of
+    ``reference_convolve``, read as Fractions: every coefficient of the
+    dense product is the sparse product's term at that exponent over its
+    denominator, or zero where it has none. Its terms are nonzero, in
+    ascending order and inside the dense block, and a block with an
+    empty or all-zero factor has none."""
+    (a_blocks, a_den), (b_blocks, b_den) = factors
+    a, b = (tuple(a_blocks), a_den), (tuple(b_blocks), b_den)
+    dense, den = reference_convolve(a, b)
+    sparse, sparse_den = _multiply(_sparse(a), _sparse(b))
+    assert sparse_den == den == a_den * b_den
+    for x, y, block, terms in zip(a[0], b[0], dense, sparse):
+        exponents = [k for k, _ in terms]
+        assert exponents == sorted(set(exponents)) and all(c for _, c in terms)
+        assert all(k < len(block) for k in exponents)
+        by_exponent = dict(terms)
+        assert [F(by_exponent.get(k, 0), sparse_den) for k in range(len(block))] == [F(c, den) for c in block]
+        if not any(x) or not any(y):
+            assert terms == ()
+
+
+def test_sparse_product_drops_cancelled_terms():
+    """(1 + t)(1 - t) = 1 - t^2 and (t + t^2)(t - t^2) = t^2 - t^4: the
+    middle terms cancel and are left out; a zero factor block or an
+    empty one gives no terms."""
+    a = (((0, 1), (1, 1)), ((1, 1), (2, 1)), (), ((0, 2),)), 3
+    b = (((0, 1), (1, -1)), ((1, 1), (2, -1)), ((0, 5),), ()), 2
+    assert _multiply(a, b) == ((((0, 1), (2, -1)), ((2, 1), (4, -1)), (), ()), 6)
 
 
 def test_products_of_sections_glue_in_the_square(paper_curve):
@@ -285,8 +362,9 @@ def test_integer_kernels_match_the_fraction_references(seed, with_infinity):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_integer_values_and_jets_match_fraction_horner(seed):
-    """``Fraction(h, s * den)`` from ``_value`` and ``_jet`` on the
-    integer form is the Fraction-Horner value and jet, at every marked
+    """``Fraction(h, s * den)``, h the integer form's terms dotted with
+    ``_homogeneous_row`` or ``_jet_row`` and s that row's, is the
+    Fraction-Horner value and jet, at every marked
     point (``inf`` included) and sample point of each component, for the
     basis sections, scaled ones, and a random section with fractional
     coefficients, on bundles with negative degrees."""
@@ -312,10 +390,10 @@ def test_integer_values_and_jets_match_fraction_horner(seed):
         blocks, den = _integral(section)
         for ci, block in enumerate(section.coeffs):
             for p in points[ci]:
-                h, s = _value(blocks[ci], p)
-                assert s > 0 and F(h, s * den) == reference_value(block, p)
-                h, s = _jet(blocks[ci], p)
-                assert s > 0 and F(h, s * den) == reference_jet(block, p)
+                row, s = _homogeneous_row(len(block), p)
+                assert s > 0 and F(_dot(blocks[ci], row), s * den) == reference_value(block, p)
+                row, s = _jet_row(len(block), p)
+                assert s > 0 and F(_dot(blocks[ci], row), s * den) == reference_jet(block, p)
 
 
 def test_tensor_dual_power_algebra(paper_curve):

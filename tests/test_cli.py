@@ -11,6 +11,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 from hypothesis import example, given, settings
@@ -32,6 +33,7 @@ from nodalcone.cli import (
 )
 from nodalcone.bundles import LineBundle, dualizing_bundle, gluing_matrix, power, section_basis
 from nodalcone.curve import arithmetic_genus, validate
+from nodalcone.jsontext import json_text
 
 F = Fraction
 
@@ -108,6 +110,45 @@ def test_roundtrip_through_serializer():
     spec = parse_spec(MINIMAL)
     again = parse_spec(serialize_spec(spec))
     assert again == spec
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+# what a document holds: text with escapes and non-ASCII, ints of any size
+# and sign, booleans, None, and lists, tuples, named tuples and dicts of them
+_documents = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-(10**40), 10**40) | st.text(),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=4).map(tuple)
+    | st.tuples(inner, inner).map(lambda t: _Pair(*t))
+    | st.dictionaries(st.text(max_size=6), inner, max_size=4),
+    max_leaves=30,
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_documents)
+@example({"a": [], "b": {}, "c": ["", "\u00e9\n\"\\", ["\ud800"]], "d": (True, False, None, -0, 2**70)})
+def test_json_writer_matches_json_dumps_with_indent(document):
+    """``jsontext.json_text`` writes the bytes of ``json.dumps(..., indent=2)``."""
+    assert json_text(document) == json.dumps(document, indent=2)
+
+
+def test_json_writer_refuses_what_json_cannot_write_exactly():
+    """Floats, sets, Fractions and dict keys that are not str raise
+    ``TypeError``, like any other type; ``json`` would write the float
+    and turn the int key into a string."""
+    for value in (0.5, {1, 2}, F(1, 2), b"x", [1, {"k": 0.25}], {1: "a"}, {None: 1}):
+        with pytest.raises(TypeError):
+            json_text(value)
+
+
+def test_serialized_spec_is_the_json_dumps_text():
+    spec = parse_spec(PAPER_SPEC.read_text())
+    assert serialize_spec(spec) == json.dumps(json.loads(serialize_spec(spec)), indent=2) + "\n"
 
 
 def test_paper_spec_file_parses():
@@ -295,24 +336,38 @@ def test_main_range_endpoints_are_bounded():
 
 
 def _record_eliminations(monkeypatch):
-    """Record ``(modulus, rows, width)`` of every elimination, 0 standing
-    for Q, and ``(rows, cols)`` of every MatrixQ built."""
-    from nodalcone import exactlin
+    """Record ``(modulus, rows, width)`` of every elimination of dense
+    rows, 0 standing for Q, ``(rows, cols)`` of every rank taken mod
+    PRIME on sparse columns, of every matrix whose dense rows are built
+    from sparse columns, and of every MatrixQ built."""
+    from nodalcone import embedding, exactlin
 
-    eliminations, matrices = [], []
-    eliminate, init = exactlin._forward_eliminate, exactlin.MatrixQ.__init__
+    eliminations, column_ranks, dense, matrices = [], [], [], []
+    eliminate, by_columns, to_rows = exactlin._forward_eliminate, exactlin._rank_mod_prime, exactlin._dense_rows
+    init = exactlin.MatrixQ.__init__
 
     def counting_eliminate(rows, p=0):
         eliminations.append((p, len(rows), len(rows[0]) if rows else 0))
         return eliminate(rows, p)
+
+    def counting_by_columns(columns, rows, stop):
+        column_ranks.append((rows, len(columns)))
+        return by_columns(columns, rows, stop)
+
+    def counting_to_rows(columns, rows):
+        dense.append((rows, len(columns)))
+        return to_rows(columns, rows)
 
     def counting_init(self, rows, cols, entries):
         matrices.append((rows, cols))
         init(self, rows, cols, entries)
 
     monkeypatch.setattr(exactlin, "_forward_eliminate", counting_eliminate)
+    monkeypatch.setattr(exactlin, "_rank_mod_prime", counting_by_columns)
+    for module in (exactlin, embedding, cli):
+        monkeypatch.setattr(module, "_dense_rows", counting_to_rows)
     monkeypatch.setattr(exactlin.MatrixQ, "__init__", counting_init)
-    return eliminations, matrices
+    return eliminations, column_ranks, dense, matrices
 
 
 def _paper_curve_at(k: int) -> str:
@@ -368,25 +423,30 @@ def test_quadrics_converted_once_per_command(command, tmp_path, monkeypatch, cap
 def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys):
     """On the shipped curves and the (k,k,k) ladder neither multiplication
     map becomes a MatrixQ, either way round, or is eliminated over Q:
-    the m = 3 rank is certified mod PRIME, and the m = 2 kernel is
-    eliminated mod PRIME and checked over Z. So is the kernel of every
-    gradient matrix of ``ideal``'s probe, one row per quadric."""
+    the m = 3 rank is certified mod PRIME on its sparse columns, and m3
+    is never built as dense rows; the m = 2 kernel is eliminated mod
+    PRIME and checked over Z. So is the kernel of every gradient matrix
+    of ``ideal``'s probe, one row per quadric."""
     from nodalcone.exactlin import PRIME
 
     path, bundle = _guard_spec(spec, tmp_path)
     h0 = len(section_basis(bundle).basis)
     m2 = (len(section_basis(power(bundle, 2)).basis), h0 * (h0 + 1) // 2)
     m3 = (len(section_basis(power(bundle, 3)).basis), h0 * (h0 + 1) * (h0 + 2) // 6)
-    eliminations, matrices = _record_eliminations(monkeypatch)
+    eliminations, column_ranks, dense, matrices = _record_eliminations(monkeypatch)
     assert main([command, str(path), "--json"]) == EXIT_OK
     body = json.loads(capsys.readouterr().out)["sections"][command]
-    shapes = [m2, m3]
+    shapes = [m2]
     if command == "ideal":
         shapes.append((body["quadric_count"], h0))
-    for shape in shapes:
-        assert (PRIME, *shape) in eliminations
+    for shape in shapes + [m3]:
         assert (0, *shape) not in eliminations
         assert shape not in matrices and shape[::-1] not in matrices
+    for shape in shapes:
+        assert (PRIME, *shape) in eliminations
+    assert m3 in column_ranks
+    assert (PRIME, *m3) not in eliminations
+    assert m3 not in dense
 
 
 # the paper curve at (3, 3, 3) with C2's branch of the node C1.1 - C2.1
@@ -414,7 +474,7 @@ def test_ideal_with_huge_coordinates_falls_back_to_q(as_json, tmp_path, monkeypa
     doc["components"][1]["points"][1] = BIG_COORDINATE
     (tmp_path / "big-coordinates.json").write_text(json.dumps(doc, indent=2) + "\n")
     monkeypatch.chdir(tmp_path)
-    eliminations, _ = _record_eliminations(monkeypatch)
+    eliminations, *_ = _record_eliminations(monkeypatch)
     assert main(["ideal", "big-coordinates.json", *(["--json"] if as_json else [])]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_BIG_COORDINATES[as_json]
     gradients, m2 = (27, 9), (18, 45)
@@ -440,17 +500,19 @@ SHORT_M3_SPEC = """
 
 
 def test_ideal_takes_a_short_m3_rank_over_q(tmp_path, monkeypatch, capsys):
-    """rank 10 of 12 mod PRIME certifies nothing, so the rank printed is
-    the exact rank of the same integer columns."""
+    """rank 10 of 12 mod PRIME on the sparse columns certifies nothing,
+    so the rank printed is the exact rank of the same integers, taken
+    over Q from their dense rows."""
     from nodalcone.exactlin import PRIME
 
     path = tmp_path / "short.json"
     path.write_text(SHORT_M3_SPEC)
-    eliminations, matrices = _record_eliminations(monkeypatch)
+    eliminations, column_ranks, dense, matrices = _record_eliminations(monkeypatch)
     assert main(["ideal", str(path), "--json"]) == EXIT_OK
     body = json.loads(capsys.readouterr().out)["sections"]["ideal"]
     assert body["m3"] == {"source": 20, "target": 12, "rank": 10, "surjective": False}
-    assert (PRIME, 12, 20) in eliminations and (0, 12, 20) in eliminations
+    assert (12, 20) in column_ranks and (0, 12, 20) in eliminations
+    assert (PRIME, 12, 20) not in eliminations and (12, 20) in dense
     assert (12, 20) not in matrices
     assert main(["ideal", str(path)]) == EXIT_OK
     assert "m3:\n  source: 20\n  target: 12\n  rank: 10\n  surjective: False\n" in capsys.readouterr().out

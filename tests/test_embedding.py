@@ -279,17 +279,18 @@ def test_multiplication_map_columns_reconstruct_products_random(seed, m):
 def test_multiplication_map_builds_each_product_once(paper_curve, monkeypatch):
     """At m = 3 on the paper curve at (4, 3, 3) (h0 = 10) each of the 55
     degree-2 products is built once and each of the 220 columns is one
-    more multiplication: at most 10 + 55 + 220 calls, where multiplying
-    every monomial out from scratch takes 55 + 2 * 220 = 440. Column
-    order and values are checked by ``_assert_columns_reconstruct_products``."""
+    more multiplication: at most 10 + 55 + 220 calls of the one product
+    routine, ``_multiply``, where multiplying every monomial out from
+    scratch takes 55 + 2 * 220 = 440. Column order and values are
+    checked by ``_assert_columns_reconstruct_products``."""
     calls = []
-    convolve = embedding._convolve
+    multiply = embedding._multiply
 
     def counted(a, b):
         calls.append(None)
-        return convolve(a, b)
+        return multiply(a, b)
 
-    monkeypatch.setattr(embedding, "_convolve", counted)
+    monkeypatch.setattr(embedding, "_multiply", counted)
     space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
     assert len(space.basis) == 10
     m3 = multiplication_map(space, 3)
@@ -297,22 +298,31 @@ def test_multiplication_map_builds_each_product_once(paper_curve, monkeypatch):
     assert len(calls) <= 10 + 55 + 220
 
 
+def _moved(form, ci, k, delta):
+    """An integer form with the numerator of ``t^k`` on component ci
+    moved by delta, its terms kept in order and free of zeros."""
+    blocks, den = form
+    terms = dict(blocks[ci])
+    terms[k] = terms.get(k, 0) + delta
+    block = tuple((j, c) for j, c in sorted(terms.items()) if c)
+    return blocks[:ci] + (block,) + blocks[ci + 1 :], den
+
+
 def test_multiplication_map_rejects_product_off_the_gluing(paper_curve, monkeypatch):
     """A product that breaks a node constraint raises instead of being
     read off the free columns."""
     calls = []
-    convolve = embedding._convolve
+    multiply = embedding._multiply
 
     def broken(a, b):
-        blocks, den = convolve(a, b)
+        product = multiply(a, b)
         calls.append(None)
         if len(calls) != 5:
-            return blocks, den
+            return product
         # shifting C1's constant term by 1 moves its value at both of C1's nodes
-        first = (blocks[0][0] + den,) + blocks[0][1:]
-        return (first,) + blocks[1:], den
+        return _moved(product, 0, 0, product[1])
 
-    monkeypatch.setattr(embedding, "_convolve", broken)
+    monkeypatch.setattr(embedding, "_multiply", broken)
     with pytest.raises(ArithmeticError, match=r"monomial \(0, 4\) is not a global section"):
         multiplication_map(section_basis(line_bundle(paper_curve, (4, 3, 3))), 2)
 
@@ -320,27 +330,27 @@ def test_multiplication_map_rejects_product_off_the_gluing(paper_curve, monkeypa
 @pytest.mark.parametrize("m, k", [(2, 0), (2, 54), (3, 7), (3, 219)])
 def test_product_matrix_raises_on_one_corrupted_coefficient(paper_curve, monkeypatch, m, k):
     """The k-th column's product on the paper curve at (4, 3, 3), its
-    leading coefficient on C2 moved by one, no longer takes the same
-    value at the two branches of the self-node of C2 at 0 and 2, and
-    ``_product_matrix`` raises for its monomial. At m = 3 the 55
-    degree-2 prefixes are multiplied first."""
+    leading coefficient on C2 (of degree 3m) moved by one, no longer
+    takes the same value at the two branches of the self-node of C2 at
+    0 and 2, and ``_product_matrix`` raises for its monomial. At m = 3
+    the 55 degree-2 prefixes are multiplied first."""
     calls = []
-    convolve = embedding._convolve
+    multiply = embedding._multiply
     target = (55 if m == 3 else 0) + k + 1
 
     def broken(a, b):
-        blocks, den = convolve(a, b)
+        product = multiply(a, b)
         calls.append(None)
         if len(calls) != target:
-            return blocks, den
-        c2 = blocks[1][:-1] + (blocks[1][-1] + den,)
-        return (blocks[0], c2, blocks[2]), den
+            return product
+        return _moved(product, 1, 3 * m, product[1])
 
-    monkeypatch.setattr(embedding, "_convolve", broken)
+    monkeypatch.setattr(embedding, "_multiply", broken)
     space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
     mono = sym_monomials(10, m)[k]
     with pytest.raises(ArithmeticError, match=rf"monomial {re.escape(str(mono))} is not a global section"):
         embedding._product_matrix(space, m)
+    assert len(calls) == target
 
 
 def test_multiplication_map_m3_surjective(paper_curve):

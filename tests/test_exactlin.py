@@ -20,6 +20,7 @@ from nodalcone.exactlin import (
     as_scalar,
     certified_kernel,
     certified_rank,
+    certified_rank_of_columns,
     free_columns,
     kernel_basis,
     kernel_from_rref,
@@ -315,6 +316,99 @@ def test_certified_rank_of_empty_and_ragged_shapes():
     assert certified_rank([[], []], 0) == 0
     with pytest.raises(ValueError):
         certified_rank([[1, 0], [0, 1], [1, 1]], 1)
+
+
+@st.composite
+def wide_or_tall_integer_matrices(draw):
+    """Wide integer matrices, at most 5 rows and up to 14 columns, some of
+    them zero, with entries as in ``integer_matrices`` and rows that are
+    dependent only mod PRIME; or their transposes, tall, whose columns are
+    dependent only mod PRIME. Returned as ``(rows, cols)``."""
+    r = draw(st.integers(min_value=0, max_value=5))
+    c = draw(st.integers(min_value=r, max_value=14))
+    small = st.integers(-3, 3)
+    entry = st.one_of(small, small.map(lambda k: k * PRIME), st.tuples(small, small).map(lambda t: t[0] + t[1] * PRIME))
+    zero = draw(st.sets(st.integers(0, c - 1))) if c else set()
+    rows = [[0 if j in zero else draw(entry) for j in range(c)] for _ in range(r)]
+    for i in range(1, r):
+        if draw(st.booleans()):
+            k, a = draw(st.integers(0, i - 1)), draw(small)
+            rows[i] = [a * x + draw(small) * PRIME for x in rows[k]]
+    if draw(st.booleans()):
+        return [[rows[i][j] for i in range(r)] for j in range(c)], r
+    return rows, c
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_or_tall_integer_matrices(), st.randoms(use_true_random=False))
+def test_rank_on_sparse_columns_equals_the_exact_rank(matrix, rng):
+    """``certified_rank_of_columns`` is the exact rank, with its columns
+    in any order. Its rank mod PRIME, counted up to ``min(rows, cols)``,
+    is that of the dense rows reduced mod PRIME, and exactly where it
+    falls short of that bound the rank is taken over Q, once."""
+    rows, cols = matrix
+    exact = _exact_rank(rows, cols)
+    full = min(len(rows), cols)
+    columns = exactlin._columns(rows, cols)
+    rng.shuffle(columns)
+    rank_p = exactlin._rank_mod_prime(columns, len(rows), full)
+    assert rank_p == min(full, len(exactlin._forward_eliminate([[e % PRIME for e in r] for r in rows], PRIME)))
+    moduli = []
+    eliminate = exactlin._forward_eliminate
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactlin, "_forward_eliminate", lambda r, p=0: moduli.append(p) or eliminate(r, p))
+        assert certified_rank_of_columns(columns, len(rows)) == exact
+    assert moduli == ([0] if rank_p < full else [])
+
+
+class _Unread(list):
+    """A column that fails if its entries are read."""
+
+    def __iter__(self):
+        raise AssertionError("column read after the rank was certified")
+
+
+def test_rank_on_sparse_columns_falls_back_on_every_shortfall(monkeypatch):
+    exact_runs, dense = [], []
+    eliminate, to_rows = exactlin._forward_eliminate, exactlin._dense_rows
+
+    def counting(rows, p=0):
+        if not p:
+            exact_runs.append(len(rows))
+        return eliminate(rows, p)
+
+    def counting_rows(columns, rows):
+        dense.append((rows, len(columns)))
+        return to_rows(columns, rows)
+
+    monkeypatch.setattr(exactlin, "_forward_eliminate", counting)
+    monkeypatch.setattr(exactlin, "_dense_rows", counting_rows)
+    # full rank mod p: certified, no dense rows and no elimination over Q;
+    # zero columns count for nothing
+    assert certified_rank_of_columns([[(0, 1)], [(0, 2), (1, 1)], [(0, 3), (1, PRIME + 4)]], 2) == 2
+    assert certified_rank_of_columns([[], [(1, 5)], [], [(0, 3)]], 2) == 2
+    # min(rows, cols) pivots end the elimination: the longest column is never read
+    assert certified_rank_of_columns([[(1, 1)], _Unread([(0, 1), (1, 1)]), [(0, 2)]], 2) == 2
+    assert exact_runs == [] and dense == []
+    # det = PRIME: rank 1 mod p, rank 2 over Q, in either column order
+    assert certified_rank_of_columns([[(0, 1), (1, 1)], [(0, 1), (1, 1 + PRIME)]], 2) == 2
+    assert certified_rank_of_columns([[(0, 1), (1, 1 + PRIME)], [(0, 1), (1, 1)]], 2) == 2
+    # rank 1 mod p and over Q: short, so only the exact rank may say so
+    assert certified_rank_of_columns([[(0, 1), (1, 2)], [(0, 2), (1, 4)], []], 2) == 1
+    assert certified_rank_of_columns([[(0, PRIME)], []], 1) == 1
+    assert exact_runs == [2, 2, 2, 1] and dense == [(2, 2), (2, 2), (2, 3), (1, 2)]
+    # tall: rank mod p equal to the column count is certified
+    assert certified_rank_of_columns([[(0, 1), (1, 2)]], 2) == 1
+    assert certified_rank_of_columns([[(0, 1), (2, 1)], [(1, 1), (2, 1)]], 3) == 2
+    assert exact_runs == [2, 2, 2, 1]
+    # tall, short mod p only; tall and short over Q too
+    assert certified_rank_of_columns([[(0, 1), (1, 1), (2, 2)], [(0, 1), (1, 1 + PRIME), (2, 2)]], 3) == 2
+    assert certified_rank_of_columns([[(1, PRIME)]], 2) == 1
+    assert certified_rank_of_columns([[(0, 1), (1, 2), (2, 3)], [(0, 1), (1, 2), (2, 3)]], 3) == 1
+    assert exact_runs == [2, 2, 2, 1, 3, 2, 3]
+    # no rows or no columns: rank 0, with nothing eliminated
+    assert certified_rank_of_columns([], 3) == certified_rank_of_columns([[], []], 0) == 0
+    assert exact_runs == [2, 2, 2, 1, 3, 2, 3]
 
 
 def test_elimination_mod_p_follows_the_pivot_rule():
