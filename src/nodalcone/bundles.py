@@ -16,9 +16,10 @@ j), and gluing scalar g,
     value of the i-th polynomial at p  =  g * value of the j-th at q.
 
 Stacking these rows gives the gluing matrix G; the section space is its
-kernel, computed over Fraction arithmetic, and ``h1`` comes from its
-corank plus the classical line-bundle contributions of the components.
-Both are exact, never estimated.
+kernel, and ``h1`` comes from its corank plus the classical line-bundle
+contributions of the components. Both are exact, never estimated. G's
+rows are ``_node_row``'s integer rows over their positive scales, and
+the kernel is read off their fraction-free elimination (``exactlin``).
 
 Every value of a section is taken on its integer form instead: per
 component, its nonzero terms ``(k, c)``, numerator c of ``t^k`` over one
@@ -75,7 +76,7 @@ from math import lcm
 from typing import Callable, NamedTuple
 
 from .curve import NodalCurve, PointOnLine, Site, Value, _set, arithmetic_genus
-from .exactlin import MatrixQ, VectorQ, as_scalar, certified_rank, free_columns, kernel_from_rref, rank, rref
+from .exactlin import MatrixQ, VectorQ, _integer_rows, _kernel_vectors, as_scalar, certified_rank, rank
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -160,18 +161,15 @@ def gluing_matrix(bundle: LineBundle) -> MatrixQ:
     The row is the branch-a evaluation minus the gluing scalar times the
     branch-b evaluation. Blocks of negative-degree components have width
     zero, so a branch landing there simply contributes nothing; for a
-    self-node both contributions land in the same block.
+    self-node both contributions land in the same block. It is built as
+    ``_node_row``'s integer row over that row's positive scale.
     """
     widths = block_widths(bundle)
     offsets = tuple(accumulate(widths, initial=0))
     rows = []
     for sites, g in zip(bundle.curve.sites, bundle.gluings):
-        row = [_ZERO] * offsets[-1]
-        for (ci, _, point), scale in zip(sites, (_ONE, -g)):
-            if widths[ci]:
-                for j, val in enumerate(evaluation_row(bundle.multidegree[ci], point), offsets[ci]):
-                    row[j] += scale * val
-        rows.append(row)
+        node = _node_row(widths, sites, g)
+        rows.append([Fraction(e, node[4]) if e else _ZERO for e in _flat_row(offsets, node)])
     return MatrixQ.from_rows(rows, cols=offsets[-1])
 
 
@@ -191,13 +189,7 @@ def _cohomology_of(curve: NodalCurve, degrees: tuple[int, ...], gluing: Callable
         if onto[ia] or onto[ib]:
             r += 1
         elif widths[ia] or widths[ib]:
-            _, row_a, _, row_b = _node_row(widths, sites, gluing(k))
-            row = [0] * offsets[-1]
-            for j, e in enumerate(row_a, offsets[ia]):
-                row[j] += e
-            for j, e in enumerate(row_b, offsets[ib]):
-                row[j] -= e
-            rows.append(row)
+            rows.append(_flat_row(offsets, _node_row(widths, sites, gluing(k))))
     r += certified_rank(rows, offsets[-1]) if rows else 0
     return sum(max(0, d + 1) for d in degrees) - r, len(curve.nodes) - r + sum(component_h1(d) for d in degrees)
 
@@ -280,14 +272,10 @@ def basis_rank(space: SectionSpace) -> int:
 
 def section_basis(bundle: LineBundle) -> SectionSpace:
     """Canonical basis of global sections: kernel of the gluing matrix,
-    from one rref whose free columns the space keeps."""
-    reduced, pivots = rref(gluing_matrix(bundle))
-    kernel = kernel_from_rref(reduced, pivots)
-    return SectionSpace(
-        bundle,
-        tuple(section_from_vector(bundle, v) for v in kernel),
-        free_columns(reduced, pivots),
-    )
+    with the free columns the space keeps, off its integer rows."""
+    g = gluing_matrix(bundle)
+    kernel = list(_kernel_vectors(_integer_rows(g), g.cols))
+    return SectionSpace(bundle, tuple(section_from_vector(bundle, v) for _, v in kernel), tuple(f for f, _ in kernel))
 
 
 def cohomology(bundle: LineBundle) -> tuple[int, int]:
@@ -385,7 +373,7 @@ def _dot(terms: _Terms, row: tuple[int, ...]) -> int:
     return sum(c * row[k] for k, c in terms)
 
 
-_NodeRow = tuple[int, tuple[int, ...], int, tuple[int, ...]]
+_NodeRow = tuple[int, tuple[int, ...], int, tuple[int, ...], int]
 _NodeRows = tuple[_NodeRow, ...]
 
 
@@ -416,8 +404,8 @@ def _jet_row(width: int, p: PointOnLine) -> tuple[tuple[int, ...], int]:
 
 
 def _node_rows(bundle: LineBundle) -> _NodeRows:
-    """One ``(ia, row_a, ib, row_b)`` per node, the components and the
-    integer rows of its two branches, for ``_glues``.
+    """One ``(ia, row_a, ib, row_b, S_a S_b g.denominator)`` per node:
+    the components and integer rows of its branches, for ``_glues``.
 
     With a section's branch values ``H_a / S_a`` and ``H_b / S_b`` from
     ``_homogeneous_row``, the node constraint ``H_a / S_a = g H_b / S_b``
@@ -437,14 +425,27 @@ def _node_row(widths, sites: tuple[Site, Site], g: Fraction) -> _NodeRow:
     (ia, _, pa), (ib, _, pb) = sites
     row_a, s_a = _homogeneous_row(widths[ia], pa)
     row_b, s_b = _homogeneous_row(widths[ib], pb)
-    return ia, tuple(e * s_b * g.denominator for e in row_a), ib, tuple(e * s_a * g.numerator for e in row_b)
+    scaled_a = tuple(e * s_b * g.denominator for e in row_a)
+    return ia, scaled_a, ib, tuple(e * s_a * g.numerator for e in row_b), s_a * s_b * g.denominator
+
+
+def _flat_row(offsets: tuple[int, ...], node: _NodeRow) -> list[int]:
+    """A ``_node_row`` over blocks at ``offsets``, ``row_a`` minus
+    ``row_b``: the node's row of G times its scale."""
+    ia, row_a, ib, row_b, _ = node
+    row = [0] * offsets[-1]
+    for j, e in enumerate(row_a, offsets[ia]):
+        row[j] += e
+    for j, e in enumerate(row_b, offsets[ib]):
+        row[j] -= e
+    return row
 
 
 def _glues(node_rows: _NodeRows, blocks: tuple[_Terms, ...]) -> bool:
     """Exact check of every node constraint on the integer form of a
     section, each block's terms within the bundle's width, against the
     bundle's ``_node_rows``."""
-    for ia, row_a, ib, row_b in node_rows:
+    for ia, row_a, ib, row_b, _ in node_rows:
         if _dot(blocks[ia], row_a) != _dot(blocks[ib], row_b):
             return False
     return True

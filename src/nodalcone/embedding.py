@@ -74,7 +74,7 @@ from typing import NamedTuple
 from .bundles import SectionSpace, _dot, _glues, _homogeneous_row, _jet_row, _multiply, _node_rows, block_widths
 from .bundles import gluing_matrix, power
 from .curve import NodalCurve, PointOnLine, affine_point
-from .exactlin import MatrixQ, VectorQ, _dense_rows, as_scalar, certified_kernel, free_columns, rref
+from .exactlin import MatrixQ, VectorQ, _dense_rows, _free_columns, as_scalar, certified_kernel
 
 _ZERO = Fraction(0)
 
@@ -367,7 +367,7 @@ def _product_matrix(space: SectionSpace, m: int) -> tuple[list[tuple[tuple[int, 
     if m < 1:
         raise ValueError("multiplication maps are defined for m >= 1")
     target = power(space.bundle, m)
-    free = free_columns(*rref(gluing_matrix(target)))
+    free = _free_columns(gluing_matrix(target))
     node_rows = _node_rows(target)
     offsets = tuple(accumulate(block_widths(target), initial=0))
     row_of = {c: i for i, c in enumerate(free)}  # the target row of each free column

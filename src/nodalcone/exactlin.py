@@ -4,17 +4,21 @@ of integer matrices found mod primes and certified.
 The scalar type is :class:`fractions.Fraction`: arbitrary precision,
 always in lowest terms with a positive denominator, so every arithmetic
 result is exact and canonical. ``MatrixQ`` is a small immutable dense
-matrix over it. Elimination is rational Gaussian elimination with a
-fixed pivot rule: leftmost column first and, within a column, the first
-nonzero row from the top. That rule makes ranks, echelon forms and
-kernel bases bit-identical across runs, which golden values in the
+matrix over it. Elimination over Q is fraction-free (Bareiss 1968): rows
+are cleared to integers, a row with entry f under the pivot a becomes
+``a' row - f' pivot_row`` (``a' / f' = a / f`` in lowest terms) divided
+by the gcd of its entries, and a reader divides a row by its pivot
+entry. Each integer row is a nonzero multiple of the row rational
+Gaussian elimination leaves, so pivots and results do not change. The
+pivot rule is fixed: leftmost column first and, within a column, the
+first nonzero row from the top. That rule makes ranks, echelon forms
+and kernel bases bit-identical across runs, which golden values in the
 test-suite rely on.
 
 The matrices this package eliminates are mostly zeros, so a row update
-touches only the pivot row's nonzero entries, and only in rows whose
-entry in the pivot column is nonzero; scaling the pivot row skips its
-zeros too. A skipped entry would have been left as it is, so the pivot
-rule, and with it every result, is the same as dense elimination's.
+subtracts only the pivot row's nonzero entries, and only in rows whose
+entry in the pivot column is nonzero. A skipped entry would have been
+left as it is, so every result is the same as dense elimination's.
 
 ``certified_rank_of_columns`` takes the rank of an integer matrix, given
 as the nonzero ``(row, entry)`` pairs of each column, modulo the fixed
@@ -57,8 +61,9 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from itertools import compress
 from math import gcd, isqrt, lcm
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 VectorQ = tuple[Fraction, ...]
 
@@ -132,7 +137,7 @@ class MatrixQ:
         return self.entries[i * self.cols : (i + 1) * self.cols]
 
     def row_lists(self) -> list[list[Fraction]]:
-        """Mutable copy of the rows, for elimination working storage."""
+        """Mutable copy of the rows."""
         return [list(self.row(i)) for i in range(self.rows)]
 
     def __eq__(self, other: object) -> bool:
@@ -148,34 +153,36 @@ class MatrixQ:
         return f"MatrixQ({self.rows}x{self.cols}: {body})"
 
 
-def _clear(rows: list[list], targets: range, prow: list, col: int, p: int = 0) -> None:
-    """Subtract multiples of the pivot row ``prow`` (pivot 1 at ``col``)
-    from each target row, so that its entry at ``col`` becomes zero;
-    modulo p when p is nonzero.
-
-    Only the pivot row's nonzero entries are visited, in rows whose
-    entry at ``col`` is nonzero; every other entry would stay as it is.
-    """
-    support = [(j, b) for j, b in enumerate(prow) if b]
-    for r in targets:
-        cur = rows[r]
-        f = cur[col]
-        if not f:
-            continue
-        if p:
-            for j, b in support:
-                cur[j] = (cur[j] - f * b) % p
-        else:
-            for j, b in support:
-                cur[j] -= f * b
+def _combine(row: list[int], terms: list[tuple[int, int, list[tuple[int, int]]]]) -> None:
+    """Clear an integer row at the pivots of ``terms``, each ``(a, f,
+    support)``: a pivot, the row's entry there and the pivot row's nonzero
+    ``(j, b)``, each pivot row zero at the others' pivots. Only the row's
+    nonzero entries are scaled and divided, found by a scan in C
+    (``compress``): a row can be long and mostly zero."""
+    lowest = []
+    for a, f, support in terms:
+        g = gcd(a, f) if a > 0 else -gcd(a, f)
+        lowest.append((a // g, f // g, support))
+    scale = lcm(*(a for a, _, _ in lowest))
+    if scale != 1:
+        for j in compress(range(len(row)), row):
+            row[j] *= scale
+    for a, f, support in lowest:
+        f *= scale // a
+        for j, b in support:
+            row[j] -= f * b
+    g = gcd(*compress(row, row))
+    if g > 1:
+        for j in compress(range(len(row)), row):
+            row[j] //= g
 
 
 def _forward_eliminate(rows: list[list], p: int = 0) -> list[int]:
     """In-place forward elimination; returns the pivot column indices.
 
-    Over Q when p is 0; over Z/p when p is a prime and every entry is a
-    residue in ``0..p-1``. Integer entries are exact over Q too: they
-    become Fractions at the first division.
+    Over Z/p when p is a prime and every entry is a residue in
+    ``0..p-1``, with unit pivots; over Q when p is 0 and every entry is
+    an integer, fraction-free (``_combine``).
     """
     pivots: list[int] = []
     piv_r = 0
@@ -194,12 +201,21 @@ def _forward_eliminate(rows: list[list], p: int = 0) -> list[int]:
             rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
         prow = rows[piv_r]
         pivot = prow[col]
-        if pivot != 1:
-            inv = pow(pivot, -1, p) if p else _ONE / pivot
+        if p and pivot != 1:
+            inv = pow(pivot, -1, p)
             for j, e in enumerate(prow):
                 if e:
-                    prow[j] = e * inv % p if p else e * inv
-        _clear(rows, range(piv_r + 1, nrows), prow, col, p)
+                    prow[j] = e * inv % p
+        support = [(j, b) for j, b in enumerate(prow) if b]
+        for cur in rows[piv_r + 1 :]:
+            f = cur[col]
+            if not f:
+                continue
+            if p:
+                for j, b in support:
+                    cur[j] = (cur[j] - f * b) % p
+            else:
+                _combine(cur, [(pivot, f, support)])
         pivots.append(col)
         piv_r += 1
     return pivots
@@ -207,23 +223,51 @@ def _forward_eliminate(rows: list[list], p: int = 0) -> list[int]:
 
 def _back_substitute(rows: list[list], pivots: list[int], p: int = 0) -> None:
     """In-place back substitution after ``_forward_eliminate`` with the
-    same modulus, which leaves the reduced echelon form."""
+    same modulus, which leaves the reduced echelon form, over Q up to a
+    nonzero factor per row. Each row, from the bottom up, is cleared
+    against all the reduced rows below at once (they are zero at each
+    other's pivots), so over Z it is scaled and made primitive once."""
+    below: list[tuple[int, int, list[tuple[int, int]]]] = []  # (pivot column, pivot, nonzero entries)
     for r in range(len(pivots) - 1, -1, -1):
-        _clear(rows, range(r), rows[r], pivots[r], p)
+        cur = rows[r]
+        terms = [(a, cur[pc], support) for pc, a, support in below if cur[pc]]
+        if p:
+            for _, f, support in terms:
+                for j, b in support:
+                    cur[j] = (cur[j] - f * b) % p
+        elif terms:
+            _combine(cur, terms)
+        below.append((pivots[r], cur[pivots[r]], [(j, b) for j, b in enumerate(cur) if b]))
+
+
+def _cleared(v: Sequence[Fraction]) -> list[int]:
+    """A rational vector times the lcm of its denominators."""
+    den = lcm(*(e.denominator for e in v))
+    return [e.numerator * (den // e.denominator) for e in v]
+
+
+def _integer_rows(m: MatrixQ) -> list[list[int]]:
+    """Each row of m cleared: m's pivots, reduced rows and kernel."""
+    return [_cleared(m.row(i)) for i in range(m.rows)]
 
 
 def rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:
     """Reduced row echelon form together with the pivot column indices."""
-    rows = m.row_lists()
+    rows = _integer_rows(m)
     pivots = _forward_eliminate(rows)
     _back_substitute(rows, pivots)
-    return MatrixQ.from_rows(rows, cols=m.cols), tuple(pivots)
+    reduced = [[Fraction(e, row[pc]) for e in row] for row, pc in zip(rows, pivots)]
+    return MatrixQ.from_rows(reduced + rows[len(pivots) :], cols=m.cols), tuple(pivots)
 
 
 def rank(m: MatrixQ) -> int:
     """Exact rank. Forward elimination only; cheaper than full rref."""
-    rows = m.row_lists()
-    return len(_forward_eliminate(rows))
+    return len(_forward_eliminate(_integer_rows(m)))
+
+
+def _free_columns(m: MatrixQ) -> list[int]:
+    """The columns of m that carry no pivot, by forward elimination."""
+    return _free(m.cols, _forward_eliminate(_integer_rows(m)))
 
 
 def _columns(rows: Sequence[Sequence[int]], cols: int) -> list[list[tuple[int, int]]]:
@@ -377,14 +421,7 @@ def certified_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[int
         basis = _lifted_basis(columns, len(rows), pivots, lifts, modulus)
         if basis is not None:
             return basis
-    reduced = [list(r) for r in rows]
-    pivots = _forward_eliminate(reduced)
-    _back_substitute(reduced, pivots)
-    basis = []
-    for f in _free(cols, pivots):
-        entries = [(-reduced[r][f]).as_integer_ratio() for r in range(bisect_left(pivots, f))]
-        basis.append(tuple(_integer_vector(cols, f, pivots, entries)))
-    return basis
+    return [tuple(_cleared(v)) for _, v in _kernel_vectors([list(r) for r in rows], cols)]
 
 
 def kernel_basis(m: MatrixQ) -> list[VectorQ]:
@@ -396,27 +433,19 @@ def kernel_basis(m: MatrixQ) -> list[VectorQ]:
     function of the matrix alone, so callers can treat basis order as
     part of the contract.
     """
-    return kernel_from_rref(*rref(m))
+    return [v for _, v in _kernel_vectors(_integer_rows(m), m.cols)]
 
 
-def free_columns(reduced: MatrixQ, pivots: Sequence[int]) -> tuple[int, ...]:
-    """Column indices of a reduced echelon form that carry no pivot."""
-    return tuple(_free(reduced.cols, pivots))
-
-
-def kernel_from_rref(reduced: MatrixQ, pivots: Sequence[int]) -> list[VectorQ]:
-    """The canonical kernel basis of :func:`kernel_basis`, read off an
-    rref already computed.
-
-    The basis restricted to the free columns is the identity, so the
-    coordinates of any kernel vector in this basis are its entries at
-    the free columns.
-    """
-    basis: list[VectorQ] = []
-    for free in free_columns(reduced, pivots):
-        v = [_ZERO] * reduced.cols
-        v[free] = _ONE
-        for r, pc in enumerate(pivots):
-            v[pc] = -reduced.at(r, free)
-        basis.append(tuple(v))
-    return basis
+def _kernel_vectors(rows: list[list[int]], cols: int) -> Iterator[tuple[int, VectorQ]]:
+    """``kernel_basis`` of integer rows, reduced in place, one vector at a
+    time with its free column f. The basis is the identity on the free
+    columns, so a kernel vector's coordinates are its entries there."""
+    pivots = _forward_eliminate(rows)
+    _back_substitute(rows, pivots)
+    for f in _free(cols, pivots):
+        v = [_ZERO] * cols
+        v[f] = _ONE
+        for row, pc in zip(rows, pivots):
+            if row[f]:
+                v[pc] = Fraction(-row[f], row[pc])
+        yield f, tuple(v)

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
-from nodalcone.bundles import LineBundle, Section
+from nodalcone.bundles import LineBundle, Section, block_widths, evaluation_row
 from nodalcone.curve import INFINITY, Component, NodalCurve, NodeGluing, affine_point, paper_example_curve
 from nodalcone.exactlin import MatrixQ, rank
 
@@ -220,3 +220,64 @@ def reference_jacobian_rank(quadrics, coords):
                 grad[j] += c * values[i]
         rows.append(grad)
     return rank(MatrixQ.from_rows(rows, cols=n))
+
+
+def reference_rref(m):
+    """Reduced row echelon form and pivot columns of a MatrixQ by rational
+    Gaussian elimination in Fractions: leftmost column first and, within
+    a column, the first nonzero row from the top; the pivot row scaled to
+    a unit pivot and cleared below, then every pivot column cleared above.
+    The elimination ``exactlin`` ran before it became fraction-free, kept
+    as the reference for ``rref``, ``rank`` and the kernels."""
+    rows = [list(m.row(i)) for i in range(m.rows)]
+    pivots = []
+    for col in range(m.cols):
+        top = len(pivots)
+        sel = next((r for r in range(top, m.rows) if rows[r][col]), None)
+        if sel is None:
+            continue
+        rows[top], rows[sel] = rows[sel], rows[top]
+        pivot = rows[top][col]
+        rows[top] = [e / pivot for e in rows[top]]
+        for r in range(top + 1, m.rows):
+            f = rows[r][col]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
+        pivots.append(col)
+    for top in reversed(range(len(pivots))):
+        for r in range(top):
+            f = rows[r][pivots[top]]
+            rows[r] = [x - f * y for x, y in zip(rows[r], rows[top])]
+    return MatrixQ.from_rows(rows, cols=m.cols), tuple(pivots)
+
+
+def reference_kernel(m):
+    """The canonical kernel basis read off ``reference_rref``: per free
+    column, ascending, a unit there and the negated reduced column at
+    the pivots."""
+    reduced, pivots = reference_rref(m)
+    basis = []
+    for free in (c for c in range(m.cols) if c not in pivots):
+        v = [Fraction(0)] * m.cols
+        v[free] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            v[pc] = -reduced.at(r, free)
+        basis.append(tuple(v))
+    return basis
+
+
+def reference_gluing_matrix(bundle):
+    """The gluing matrix summed in Fractions from ``evaluation_row``:
+    per node, the branch-a evaluation minus the gluing scalar times the
+    branch-b evaluation, each on its component's block. The reference
+    for ``bundles.gluing_matrix``, which builds it from integer rows."""
+    widths = block_widths(bundle)
+    offsets = [sum(widths[:i]) for i in range(len(widths) + 1)]
+    rows = []
+    for sites, g in zip(bundle.curve.sites, bundle.gluings):
+        row = [Fraction(0)] * offsets[-1]
+        for (ci, _, point), scale in zip(sites, (Fraction(1), -g)):
+            if widths[ci]:
+                for j, val in enumerate(evaluation_row(bundle.multidegree[ci], point), offsets[ci]):
+                    row[j] += scale * val
+        rows.append(row)
+    return MatrixQ.from_rows(rows, cols=offsets[-1])

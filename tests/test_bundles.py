@@ -14,9 +14,12 @@ from conftest import (
     random_curve,
     reference_convolve,
     reference_dualizing_gluings,
+    reference_gluing_matrix,
     reference_jet,
+    reference_kernel,
     reference_product,
     reference_satisfies_gluing,
+    reference_rref,
     reference_value,
 )
 import nodalcone.bundles as bundles
@@ -140,6 +143,36 @@ def test_gluing_matrix_shape_and_frozen_rows(paper_curve):
     assert m.row(2) == tuple(
         F(x) for x in (0, 0, 0, 0, 0, 0, -2, -4, -8, 0, 0, 0, 0)
     )
+
+
+def _assert_gluing_and_basis_match_the_reference(bundle):
+    """G, its kernel and its free columns against the Fraction references."""
+    g = reference_gluing_matrix(bundle)
+    assert gluing_matrix(bundle) == g
+    _, pivots = reference_rref(g)
+    space = section_basis(bundle)
+    assert space.free_columns == tuple(c for c in range(g.cols) if c not in pivots)
+    assert space.basis == tuple(section_from_vector(bundle, v) for v in reference_kernel(g))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
+def test_gluing_matrix_and_section_basis_match_the_fraction_reference(seed, with_infinity):
+    """G from integer node rows and the basis from its fraction-free
+    elimination equal G summed in Fractions and its rational kernel, on
+    curves with fractional coordinates, self-nodes and, with infinity,
+    branches at infinity; degrees from -3 to 6, gluings with denominators."""
+    rng = random.Random(seed)
+    curve = curve_with_infinity(rng) if with_infinity else random_curve(rng)
+    _assert_gluing_and_basis_match_the_reference(random_bundle(rng, curve, degree_range=(-3, 6)))
+
+
+def test_one_line_without_nodes_matches_the_fraction_reference():
+    """No node, so G has no rows: every coefficient is free, and a
+    negative degree leaves no column at all."""
+    line = NodalCurve((Component("L", ()),), ())
+    for d in range(-3, 5):
+        _assert_gluing_and_basis_match_the_reference(line_bundle(line, (d,)))
 
 
 def test_gluing_matrix_skips_empty_blocks(paper_curve):

@@ -768,6 +768,48 @@ def test_one_section_basis_per_bundle(command, monkeypatch, capsys):
     assert eliminated == [(4, 3, 3), (8, 6, 6), (12, 9, 9)]
 
 
+@pytest.mark.parametrize("command", [["sections", "--basis"], ["ideal"]])
+def test_eliminations_over_q_take_integer_rows(command, monkeypatch, capsys):
+    """On the paper curve at (4, 3, 3), the section basis and the free
+    columns of L^2 and L^3 are read off fraction-free eliminations: rref
+    never runs, the only MatrixQs built are the gluing matrices, one per
+    ``gluing_matrix`` call, and every elimination over Q gets rows of ints."""
+    import nodalcone
+    from nodalcone import bundles, embedding, exactlin
+
+    glued, matrices, over_q = [], [], []
+    build, init, eliminate = gluing_matrix, exactlin.MatrixQ.__init__, exactlin._forward_eliminate
+
+    def recording_gluing(bundle):
+        g = build(bundle)
+        glued.append((g.rows, g.cols))
+        return g
+
+    def recording_init(self, rows, cols, entries):
+        matrices.append((rows, cols))
+        init(self, rows, cols, entries)
+
+    def recording_eliminate(rows, p=0):
+        if not p:
+            over_q.append(all(type(e) is int for row in rows for e in row))
+        return eliminate(rows, p)
+
+    def no_rref(m):
+        raise AssertionError("rref called")
+
+    for module in (nodalcone, exactlin, bundles, embedding, cli):
+        monkeypatch.setattr(module, "rref", no_rref, raising=False)
+    for module in (bundles, embedding):
+        monkeypatch.setattr(module, "gluing_matrix", recording_gluing)
+    monkeypatch.setattr(exactlin.MatrixQ, "__init__", recording_init)
+    monkeypatch.setattr(exactlin, "_forward_eliminate", recording_eliminate)
+    assert main([command[0], str(PAPER_SPEC), "--json", *command[1:]]) == EXIT_OK
+    capsys.readouterr()
+    assert len(glued) == (1 if command[0] == "sections" else 3)
+    assert matrices == glued
+    assert over_q and all(over_q)
+
+
 def test_deform_validates_the_curve_once(monkeypatch, capsys):
     from nodalcone import bundles, cli, cone, curve, embedding
 

@@ -12,6 +12,7 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_kernel, reference_rref
 from nodalcone import exactlin
 from nodalcone.exactlin import (
     PRIME,
@@ -21,9 +22,7 @@ from nodalcone.exactlin import (
     certified_kernel,
     certified_rank,
     certified_rank_of_columns,
-    free_columns,
     kernel_basis,
-    kernel_from_rref,
     rank,
     rref,
 )
@@ -240,13 +239,81 @@ def test_rref_is_idempotent(m):
 def test_kernel_basis_is_identity_on_free_columns(m):
     """The invariant coordinate readoff relies on: a kernel vector's
     coordinates in the canonical basis are its free-column entries."""
-    reduced, pivots = rref(m)
-    free = free_columns(reduced, pivots)
+    _, pivots = rref(m)
+    free = tuple(c for c in range(m.cols) if c not in pivots)
     basis = kernel_basis(m)
-    assert basis == kernel_from_rref(reduced, pivots)
+    assert list(exactlin._kernel_vectors(exactlin._integer_rows(m), m.cols)) == list(zip(free, basis))
     assert [tuple(v[c] for c in free) for v in basis] == [
         tuple(F(int(i == j)) for j in range(len(free))) for i in range(len(free))
     ]
+
+
+@st.composite
+def awkward_matrices(draw):
+    """MatrixQs that stress fraction-free elimination: any shape up to
+    6 x 8, so wide and tall ones and 0 x n and n x 0; zero rows and zero
+    columns; entries that are small signed fractions, signed 60-digit
+    integers, fractions of two 60-digit integers, or small plus a small
+    multiple of PRIME; and rows that are a small multiple of an earlier
+    row plus PRIME times a vector, so dependent mod PRIME only."""
+    r = draw(st.integers(min_value=0, max_value=6))
+    c = draw(st.integers(min_value=0, max_value=8))
+    small = st.integers(-4, 4)
+    big = st.integers(10**59, 10**60 - 1).flatmap(lambda b: st.sampled_from([b, -b]))
+    entry = st.one_of(
+        st.fractions(min_value=-9, max_value=9, max_denominator=7),
+        big,
+        st.tuples(big, big).map(lambda t: F(t[0], abs(t[1]))),
+        st.tuples(small, small).map(lambda t: t[0] + t[1] * PRIME),
+    )
+    zero_rows = draw(st.sets(st.integers(0, r - 1))) if r else set()
+    zero_cols = draw(st.sets(st.integers(0, c - 1))) if c else set()
+    rows = [[0 if i in zero_rows or j in zero_cols else draw(entry) for j in range(c)] for i in range(r)]
+    for i in range(1, r):
+        if i not in zero_rows and draw(st.booleans()):
+            k, a = draw(st.integers(0, i - 1)), draw(small)
+            rows[i] = [a * x + (0 if j in zero_cols else draw(small) * PRIME) for j, x in enumerate(rows[k])]
+    return MatrixQ.from_rows(rows, cols=c)
+
+
+@settings(max_examples=200, deadline=None)
+@given(awkward_matrices())
+def test_fraction_free_elimination_equals_the_fraction_reference(m):
+    """``rref``, ``rank`` and ``kernel_basis`` eliminate integer rows with
+    no division; every result equals rational Gaussian elimination's."""
+    reduced, pivots = reference_rref(m)
+    assert rref(m) == (reduced, pivots)
+    assert rank(m) == len(pivots)
+    assert kernel_basis(m) == reference_kernel(m)
+
+
+@settings(max_examples=150, deadline=None)
+@given(awkward_matrices())
+def test_certified_kernel_over_q_equals_the_fraction_reference(m):
+    """With every lift refused, ``certified_kernel`` takes its kernel
+    over Q from the integer rows, fraction-free: the reference kernel,
+    each vector cleared by the lcm of its denominators."""
+    rows = []
+    for i in range(m.rows):
+        den = math.lcm(*(e.denominator for e in m.row(i)))
+        rows.append([int(e * den) for e in m.row(i)])
+    expected = []
+    for v in reference_kernel(m):
+        den = math.lcm(*(e.denominator for e in v))
+        expected.append(tuple(int(e * den) for e in v))
+    eliminate, moduli = exactlin._forward_eliminate, []
+
+    def integer_only(rows, p=0):
+        if not p:
+            assert all(type(e) is int for row in rows for e in row)
+        moduli.append(p)
+        return eliminate(rows, p)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactlin, "_lifted_basis", lambda *args: None)
+        patch.setattr(exactlin, "_forward_eliminate", integer_only)
+        assert certified_kernel(rows, m.cols) == expected
+    assert moduli == [*PRIMES, 0]
 
 
 def _exact_rank(rows, cols):
@@ -414,11 +481,16 @@ def test_rank_on_sparse_columns_falls_back_on_every_shortfall(monkeypatch):
 def test_elimination_mod_p_follows_the_pivot_rule():
     rows = [[0, 2, 4, 1], [0, 1, 2, 5], [3, 0, 0, 6]]
     modular = [[e % PRIME for e in r] for r in rows]
-    exact = [[F(e) for e in r] for r in rows]
-    assert exactlin._forward_eliminate(modular, PRIME) == exactlin._forward_eliminate(exact) == [0, 1, 3]
-    # the same row swaps, scalings and updates: here every exact entry is
-    # an integer in 0..PRIME-1, so the residues equal it
-    assert modular == exact == [[1, 0, 0, 2], [0, 1, 2, 5], [0, 0, 0, 1]]
+    exact = [list(r) for r in rows]
+    pivots = exactlin._forward_eliminate(exact)
+    assert exactlin._forward_eliminate(modular, PRIME) == pivots == [0, 1, 3]
+    # the same row swaps and updates: over Q each row is left an integer
+    # multiple of the echelon row, which dividing by its pivot entry
+    # recovers; here that row's entries are integers in 0..PRIME-1, so
+    # the residues equal them
+    assert exact == [[3, 0, 0, 6], [0, 1, 2, 5], [0, 0, 0, -1]]
+    assert modular == [[F(e, row[pc]) for e in row] for row, pc in zip(exact, pivots)]
+    assert modular == [[1, 0, 0, 2], [0, 1, 2, 5], [0, 0, 0, 1]]
     halves = [[2, 1], [0, 3]]
     assert exactlin._forward_eliminate(halves, PRIME) == [0, 1]
     assert halves == [[1, pow(2, -1, PRIME)], [0, 1]]
