@@ -444,9 +444,11 @@ def _flat_row(offsets: tuple[int, ...], node: _NodeRow) -> list[int]:
 def _glues(node_rows: _NodeRows, blocks: tuple[_Terms, ...]) -> bool:
     """Exact check of every node constraint on the integer form of a
     section, each block's terms within the bundle's width, against the
-    bundle's ``_node_rows``."""
+    bundle's ``_node_rows``. A node whose two branch blocks are both
+    empty reads ``0 == 0`` and is skipped."""
     for ia, row_a, ib, row_b, _ in node_rows:
-        if _dot(blocks[ia], row_a) != _dot(blocks[ib], row_b):
+        a, b = blocks[ia], blocks[ib]
+        if (a or b) and _dot(a, row_a) != _dot(b, row_b):
             return False
     return True
 

@@ -72,7 +72,7 @@ from .embedding import (
     sample_points,
     very_ample,
 )
-from .exactlin import _dense_rows, certified_rank_of_columns
+from .exactlin import certified_rank_of_columns
 from .jsontext import json_text
 
 EXIT_OK = 0
@@ -347,12 +347,13 @@ def _multiplication_maps(space: SectionSpace) -> tuple[dict, dict, tuple]:
     whose count gives its rank without a second elimination. Both maps
     stay the integer matrices of ``_product_matrix``, each column the
     rational one times its ``den > 0``, so kernel and rank are the map's.
-    ``_quadric_forms`` takes the m = 2 kernel by ``certified_kernel``
-    from its dense rows, and ``certified_rank_of_columns`` the m = 3 rank
-    mod one prime from its sparse columns, each falling back to Q from
-    the same integers where the prime does not prove it."""
+    Both are taken on the maps' sparse columns: ``_quadric_forms`` the
+    m = 2 kernel by ``certified_kernel_of_columns``, mod primes on the
+    nonzero columns, and ``certified_rank_of_columns`` the m = 3 rank mod
+    one prime, each falling back to Q from the same integers where the
+    primes do not prove it."""
     columns2, dens2, target2 = _product_matrix(space, 2)
-    quadrics = _quadric_forms(_dense_rows(columns2, target2), dens2, len(space.basis))
+    quadrics = _quadric_forms(columns2, dens2, target2, len(space.basis))
     columns3, dens3, target3 = _product_matrix(space, 3)
 
     def shape(source: int, target: int, r: int) -> dict:

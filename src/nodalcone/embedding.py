@@ -42,9 +42,11 @@ modulo one prime; as ``rank_p <= rank_Q <= min(rows, cols)``, that
 certifies that the map is onto and never decides a shortfall (that
 falls back to the exact rank of the same integers). Its kernel at m = 2
 is the space of quadrics through the embedded curve.
-``exactlin.certified_kernel`` finds it from the map's dense rows, mod
-primes, lifted and checked over Z, or else over Q, so it is the
-canonical basis of ``kernel_basis``: a vector w of the integer map
+``exactlin.certified_kernel_of_columns`` finds it from the same sparse
+columns, a zero product's monomial being a quadric by itself, and
+eliminates only the nonzero ones, mod primes, lifted and checked over Z,
+or else over Q, so it is the canonical basis of ``kernel_basis``: a
+vector w of the integer map
 gives the rational kernel vector with entries ``den_j * w_j`` up to a
 positive factor (``_scaled_kernel``).
 ``_quadric_forms`` keeps each quadric as its nonzero terms
@@ -58,7 +60,8 @@ read the integer quadrics at a point's integer cone coordinates,
 ``embed_point`` times a positive factor. A quadric is homogeneous, so
 positive rescalings of it and of the point change neither which values
 vanish nor the Jacobian's rank. That rank is the number of columns
-minus the dimension of the gradients' ``certified_kernel``: a rank mod
+minus the dimension of the gradients' ``certified_kernel_of_columns``,
+each column built straight from the quadric terms: a rank mod
 p only bounds it from below, and the checked kernel bounds it from
 above, so a short rank is as certain as a full one.
 """
@@ -74,7 +77,7 @@ from typing import NamedTuple
 from .bundles import SectionSpace, _dot, _glues, _homogeneous_row, _jet_row, _multiply, _node_rows, block_widths
 from .bundles import gluing_matrix, power
 from .curve import NodalCurve, PointOnLine, affine_point
-from .exactlin import MatrixQ, VectorQ, _dense_rows, _free_columns, as_scalar, certified_kernel
+from .exactlin import MatrixQ, VectorQ, _dense_rows, _free_columns, as_scalar, certified_kernel_of_columns
 
 _ZERO = Fraction(0)
 
@@ -416,10 +419,11 @@ def quadric_ideal(m2: MatrixQ) -> tuple[VectorQ, ...]:
     denominators by their lcm, and the kernel of those integers comes
     from ``_scaled_kernel`` (see the module docstring).
     """
-    dens = [lcm(*(m2.at(i, j).denominator for i in range(m2.rows))) for j in range(m2.cols)]
-    rows = [[e.numerator * (d // e.denominator) for e, d in zip(m2.row(i), dens)] for i in range(m2.rows)]
+    entries = [m2.entries[j :: m2.cols] for j in range(m2.cols)]
+    dens = [lcm(*(e.denominator for e in column)) for column in entries]
+    columns = [[(i, e.numerator * (d // e.denominator)) for i, e in enumerate(column) if e] for column, d in zip(entries, dens)]
     basis = []
-    for terms, den in _scaled_kernel(rows, dens):
+    for terms, den in _scaled_kernel(columns, dens, m2.rows):
         v = [_ZERO] * m2.cols
         for j, c in terms:
             v[j] = Fraction(c, den)
@@ -427,32 +431,32 @@ def quadric_ideal(m2: MatrixQ) -> tuple[VectorQ, ...]:
     return tuple(basis)
 
 
-def _scaled_kernel(rows, dens):
-    """The canonical kernel basis of the map with entry (i, j)
-    ``rows[i][j] / dens[j]``, every ``dens[j] > 0``, each vector as its
-    nonzero entries ``(j, u_j)`` over a positive integer den: the vector
-    is ``u / den``.
+def _scaled_kernel(columns, dens, rows: int):
+    """The canonical kernel basis of the map with ``rows`` rows and
+    entry (i, j) ``h / dens[j]`` for each ``(i, h)`` in ``columns[j]``,
+    every ``dens[j] > 0``, each vector as its nonzero entries ``(j, u_j)``
+    over a positive integer den: the vector is ``u / den``.
 
     The integer matrix is the map times ``diag(dens)``, so each vector w
-    of its ``certified_kernel`` gives the map's kernel vector
-    ``u_j = dens[j] * w[j]``; den is u's entry at the free column, its
-    last nonzero one, where the canonical vector has a unit.
+    of its ``certified_kernel_of_columns`` gives the map's kernel vector
+    ``u_j = dens[j] * w_j``; den is u's entry at the free column, its
+    last one, where the canonical vector has a unit.
     """
-    for w in certified_kernel(rows, len(dens)):
-        terms = [(j, dens[j] * c) for j, c in enumerate(w) if c]
+    for w in certified_kernel_of_columns(columns, rows):
+        terms = [(j, dens[j] * c) for j, c in w]
         yield terms, terms[-1][1]
 
 
 _QuadricForm = tuple[tuple[tuple[int, int, int], ...], int]
 
 
-def _quadric_forms(rows, dens, n: int) -> tuple[_QuadricForm, ...]:
+def _quadric_forms(columns, dens, rows: int, n: int) -> tuple[_QuadricForm, ...]:
     """The quadrics through the curve in integer form, from the integer
-    m = 2 map ``_product_matrix(space, 2)`` of an n-dimensional space:
-    the vectors of ``quadric_ideal``, each as its nonzero terms over a
-    positive denominator (see ``_quadric_form``)."""
+    m = 2 map ``(columns, dens, rows) = _product_matrix(space, 2)`` of an
+    n-dimensional space: the vectors of ``quadric_ideal``, each as its
+    nonzero terms over a positive denominator (see ``_quadric_form``)."""
     monos = sym_monomials(n, 2)
-    return tuple((tuple((c, *monos[j]) for j, c in terms), den) for terms, den in _scaled_kernel(rows, dens))
+    return tuple((tuple((c, *monos[j]) for j, c in terms), den) for terms, den in _scaled_kernel(columns, dens, rows))
 
 
 def _quadric_form(quadric, n: int) -> _QuadricForm:
@@ -476,16 +480,15 @@ def _jacobian_rank(forms, x) -> int:
     """Rank of the quadric forms' gradients at an integer point x, each
     times its form's denominator; a square term ``c x_i^2`` adds
     ``c x_i`` twice. The rank is ``len(x)`` minus the dimension of the
-    gradients' ``certified_kernel``, so it is exact: a rank mod p alone
-    would only bound it from below."""
-    rows = []
-    for terms, _ in forms:
-        grad = [0] * len(x)
+    kernel of the gradients' columns, each its nonzero ``(form, d/dx_i)``,
+    so it is exact: a rank mod p alone would only bound it from below."""
+    grads: list[dict[int, int]] = [{} for _ in x]
+    for q, (terms, _) in enumerate(forms):
         for c, i, j in terms:
-            grad[i] += c * x[j]
-            grad[j] += c * x[i]
-        rows.append(grad)
-    return len(x) - len(certified_kernel(rows, len(x)))
+            grads[i][q] = grads[i].get(q, 0) + c * x[j]
+            grads[j][q] = grads[j].get(q, 0) + c * x[i]
+    columns = [[(q, e) for q, e in grad.items() if e] for grad in grads]
+    return len(x) - len(certified_kernel_of_columns(columns, len(forms)))
 
 
 def _cone_vector(space: SectionSpace, x: CurvePoint) -> tuple[int, ...]:

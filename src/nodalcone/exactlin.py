@@ -33,25 +33,27 @@ Q from the same integers, as dense rows. The result is the exact rank
 either way, and the same on every run. ``certified_rank`` takes dense
 rows.
 
-``certified_kernel`` finds the canonical kernel basis of an integer
-matrix on one elimination path: the residues mod each of the fixed
-``PRIMES`` in turn go through ``_forward_eliminate`` and
-``_back_substitute``; the kernel entries of the primes that share the
-best pivot columns so far are combined by the Chinese remainder
-theorem; and each is lifted to a rational by Wang's reconstruction
-with bound ``isqrt(M / 2)``, M the product of those primes (``_lift``).
-A prime may lose rank or move a pivot, and a lift may be wrong; nothing
-is trusted until every lifted vector w, cleared to integers, has
-``rows . w == 0`` exactly over Z. The check reads only the nonzero
-entries of the columns where w is nonzero. That check proves the result
-canonical. Each vector has a unit at its free column f and is
-supported on f and the pivots left of f, so column f is a combination
-of earlier columns and is free over Q too. Every free column mod p is
-then free over Q, so rank_Q <= rank_p, while rank_p <= rank_Q always:
-the free columns are the same, and the vector with a unit at f, zero
-at every other free column and in the kernel is unique. So a checked
-result is exactly ``kernel_basis``'s. Where no prime gets through, the
-kernel is the rref over Q of the same integers.
+``certified_kernel_of_columns`` finds the canonical kernel basis of an
+integer matrix given by columns in the same way. A zero column is free,
+with the unit vector there, so only the nonzero columns are eliminated,
+on one path: their residues mod each of the fixed ``PRIMES`` in turn go
+through ``_forward_eliminate`` and ``_back_substitute``; the kernel
+entries of the primes that share the best pivot columns so far are
+combined by the Chinese remainder theorem; and each is lifted to a
+rational by Wang's reconstruction with bound ``isqrt(M / 2)``, M the
+product of those primes (``_lift``). A prime may lose rank or move a
+pivot, and a lift may be wrong; nothing is trusted until every lifted
+vector w, cleared to integers and kept as its nonzero ``(j, w_j)``, has
+``rows . w == 0`` exactly over Z, read off the columns at those j. That
+check proves the result canonical. Each vector has a unit at its free
+column f and is supported on f and the pivots left of f, so column f is
+a combination of earlier columns and is free over Q too. Every free
+column mod p is then free over Q, so rank_Q <= rank_p, while rank_p <=
+rank_Q always: the free columns are the same, and the vector with a unit
+at f, zero at every other free column and in the kernel is unique. So a
+checked result is exactly ``kernel_basis``'s. Where no prime gets
+through, the kernel is the rref over Q of the same nonzero columns.
+``certified_kernel`` takes dense rows and gives dense vectors.
 
 No floating point is used anywhere in this package; floats are rejected
 at the boundary.
@@ -347,68 +349,56 @@ def _lift(x: int, modulus: int, bound: int) -> tuple[int, int] | None:
     return r1, t1
 
 
-def _integer_vector(cols: int, free: int, pivots: Sequence[int], entries: Sequence[tuple[int, int]]) -> list[int]:
-    """The kernel vector with a unit at ``free`` and ``n / d`` at
-    ``pivots[r]`` for the r-th of ``entries``, times the lcm of the d."""
-    den = lcm(*(d for _, d in entries))
-    w = [0] * cols
-    w[free] = den
-    for (n, d), pc in zip(entries, pivots):
-        w[pc] = n * (den // d)
-    return w
-
-
 def _free(cols: int, pivots: Sequence[int]) -> list[int]:
     pivot_set = set(pivots)
     return [c for c in range(cols) if c not in pivot_set]
 
 
-def _lifted_basis(columns, nrows: int, pivots: list[int], lifts: list[int], modulus: int) -> list[tuple[int, ...]] | None:
+def _lifted_basis(columns, nrows: int, pivots: list[int], lifts: list[int], modulus: int) -> list[list[tuple[int, int]]] | None:
     """The kernel vectors that ``lifts`` (their entries mod ``modulus``,
-    in ``certified_kernel``'s order) lift to, if every entry lifts and
-    every vector ``w`` is in the kernel over Z; else None. The product
-    reads ``columns``, the nonzero ``(row, entry)`` of each column of the
-    matrix, at the vector's support: its free column and the pivots left
-    of it."""
-    cols = len(columns)
+    in ``certified_kernel_of_columns``'s order) lift to, each as its
+    nonzero ``(j, c)``, if every entry lifts and every vector is in the
+    kernel over Z; else None. The product reads ``columns``, the nonzero
+    ``(row, entry)`` of each column of the matrix, at the vector's
+    support: the pivots left of its free column, then that column."""
     bound = isqrt(modulus // 2)
     basis = []
     at = 0
-    for f in _free(cols, pivots):
+    for f in _free(len(columns), pivots):
         k = bisect_left(pivots, f)
         entries = [_lift(x, modulus, bound) for x in lifts[at : at + k]]
         at += k
         if None in entries:
             return None
-        w = _integer_vector(cols, f, pivots, entries)
+        den = lcm(*(d for _, d in entries))
+        w = [(pc, n * (den // d)) for (n, d), pc in zip(entries, pivots) if n] + [(f, den)]
         total = [0] * nrows
-        for j in pivots[:k] + [f]:
-            c = w[j]
-            if c:
-                for i, a in columns[j]:
-                    total[i] += a * c
+        for j, c in w:
+            for i, a in columns[j]:
+                total[i] += a * c
         if any(total):
             return None
-        basis.append(tuple(w))
+        basis.append(w)
     return basis
 
 
-def certified_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[int, ...]]:
-    """The canonical kernel basis of an integer matrix, in the order of
-    ``kernel_basis``, each vector times the lcm of its denominators:
-    integers whose last nonzero entry is that lcm, at the vector's free
-    column. Found mod the ``PRIMES`` and checked over Z, or else taken
-    over Q from the same integers; see the module docstring."""
-    if any(len(r) != cols for r in rows):
-        raise ValueError(f"rows must all have length {cols}")
-    columns = _columns(rows, cols)
+def certified_kernel_of_columns(columns: Sequence[Sequence[tuple[int, int]]], rows: int) -> list[list[tuple[int, int]]]:
+    """The canonical kernel basis of the integer matrix with ``rows`` rows
+    and these columns, each its nonzero ``(row, entry)`` pairs, in the
+    order of ``kernel_basis``: each vector times the lcm of its
+    denominators, as its nonzero ``(j, c)`` in ascending j, the last at
+    its free column. Found mod the ``PRIMES`` on the nonzero columns and
+    checked over Z, or else over Q; see the module docstring."""
+    nonzero = [j for j, column in enumerate(columns) if column]
+    kept = [columns[j] for j in nonzero]
+    dense = _dense_rows(kept, rows)
     known: list[int] | None = None
     for p in PRIMES:
-        reduced = [[e % p for e in r] for r in rows]
+        reduced = [[e % p for e in r] for r in dense]
         pivots = _forward_eliminate(reduced, p)
         _back_substitute(reduced, pivots, p)
         # entry r of free column f's vector, for each pivot r left of f
-        residues = [-reduced[r][f] % p for f in _free(cols, pivots) for r in range(bisect_left(pivots, f))]
+        residues = [-reduced[r][f] % p for f in _free(len(kept), pivots) for r in range(bisect_left(pivots, f))]
         if pivots == known:
             inv = pow(modulus, -1, p)
             lifts = [x + modulus * ((y - x) * inv % p) for x, y in zip(lifts, residues)]
@@ -418,10 +408,24 @@ def certified_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[int
             known, lifts, modulus = pivots, residues, p
         else:
             continue
-        basis = _lifted_basis(columns, len(rows), pivots, lifts, modulus)
-        if basis is not None:
-            return basis
-    return [tuple(_cleared(v)) for _, v in _kernel_vectors([list(r) for r in rows], cols)]
+        vectors = _lifted_basis(kept, rows, pivots, lifts, modulus)
+        if vectors is not None:
+            break
+    else:
+        vectors = [[(j, c) for j, c in enumerate(_cleared(v)) if c] for _, v in _kernel_vectors(dense, len(kept))]
+    basis = {j: [(j, 1)] for j, column in enumerate(columns) if not column}
+    for w in vectors:
+        basis[nonzero[w[-1][0]]] = [(nonzero[j], c) for j, c in w]
+    return [basis[f] for f in sorted(basis)]
+
+
+def certified_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[int, ...]]:
+    """``certified_kernel_of_columns`` of an integer matrix given as dense
+    rows, each vector dense: integers whose last nonzero entry is the lcm
+    of the rational vector's denominators, at its free column."""
+    if any(len(r) != cols for r in rows):
+        raise ValueError(f"rows must all have length {cols}")
+    return [tuple(dict(w).get(j, 0) for j in range(cols)) for w in certified_kernel_of_columns(_columns(rows, cols), len(rows))]
 
 
 def kernel_basis(m: MatrixQ) -> list[VectorQ]:

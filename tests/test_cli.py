@@ -364,7 +364,7 @@ def _record_eliminations(monkeypatch):
 
     monkeypatch.setattr(exactlin, "_forward_eliminate", counting_eliminate)
     monkeypatch.setattr(exactlin, "_rank_mod_prime", counting_by_columns)
-    for module in (exactlin, embedding, cli):
+    for module in (exactlin, embedding):
         monkeypatch.setattr(module, "_dense_rows", counting_to_rows)
     monkeypatch.setattr(exactlin.MatrixQ, "__init__", counting_init)
     return eliminations, column_ranks, dense, matrices
@@ -404,7 +404,12 @@ def test_quadrics_converted_once_per_command(command, tmp_path, monkeypatch, cap
 
     forms, dense = [], []
     build = cli._quadric_forms
-    monkeypatch.setattr(cli, "_quadric_forms", lambda rows, dens, n: forms.append(build(rows, dens, n)) or forms[-1])
+
+    def counting(columns, dens, rows, n):
+        forms.append(build(columns, dens, rows, n))
+        return forms[-1]
+
+    monkeypatch.setattr(cli, "_quadric_forms", counting)
     monkeypatch.setattr(embedding, "_quadric_form", lambda q, n: dense.append(q))
     for spec in M3_GUARD_SPECS:
         path, bundle = _guard_spec(spec, tmp_path)
@@ -425,25 +430,32 @@ def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys
     map becomes a MatrixQ, either way round, or is eliminated over Q:
     the m = 3 rank is certified mod PRIME on its sparse columns, and m3
     is never built as dense rows; the m = 2 kernel is eliminated mod
-    PRIME and checked over Z. So is the kernel of every gradient matrix
-    of ``ideal``'s probe, one row per quadric."""
+    PRIME on m2's nonzero columns only, never at its full width, and
+    checked over Z. So is the kernel of every gradient matrix of
+    ``ideal``'s probe, one row per quadric."""
+    from nodalcone.embedding import _product_matrix
     from nodalcone.exactlin import PRIME
 
     path, bundle = _guard_spec(spec, tmp_path)
-    h0 = len(section_basis(bundle).basis)
-    m2 = (len(section_basis(power(bundle, 2)).basis), h0 * (h0 + 1) // 2)
+    space = section_basis(bundle)
+    h0 = len(space.basis)
+    columns2, _, target2 = _product_matrix(space, 2)
+    m2 = (target2, h0 * (h0 + 1) // 2)
+    m2_nonzero = (target2, sum(1 for column in columns2 if column))
+    assert m2_nonzero[1] < m2[1]
     m3 = (len(section_basis(power(bundle, 3)).basis), h0 * (h0 + 1) * (h0 + 2) // 6)
     eliminations, column_ranks, dense, matrices = _record_eliminations(monkeypatch)
     assert main([command, str(path), "--json"]) == EXIT_OK
     body = json.loads(capsys.readouterr().out)["sections"][command]
-    shapes = [m2]
+    shapes = [m2_nonzero]
     if command == "ideal":
         shapes.append((body["quadric_count"], h0))
-    for shape in shapes + [m3]:
+    for shape in shapes + [m2, m3]:
         assert (0, *shape) not in eliminations
         assert shape not in matrices and shape[::-1] not in matrices
     for shape in shapes:
         assert (PRIME, *shape) in eliminations
+    assert (PRIME, *m2) not in eliminations
     assert m3 in column_ranks
     assert (PRIME, *m3) not in eliminations
     assert m3 not in dense
@@ -465,9 +477,9 @@ PINNED_BIG_COORDINATES = {
 @pytest.mark.parametrize("as_json", [True, False])
 def test_ideal_with_huge_coordinates_falls_back_to_q(as_json, tmp_path, monkeypatch, capsys):
     """Cone coordinates far too big to lift from the six primes: the
-    probe's gradient kernels and the m = 2 kernel fall back to Q from
-    the same integers, and the output is the one pinned before the
-    modular kernel existed."""
+    probe's gradient kernels and the m = 2 kernel, on the 30 nonzero of
+    m2's 45 columns, fall back to Q from the same integers, and the
+    output is the one pinned before the modular kernel existed."""
     from nodalcone.exactlin import PRIMES
 
     doc = json.loads(_paper_curve_at(3))
@@ -477,10 +489,11 @@ def test_ideal_with_huge_coordinates_falls_back_to_q(as_json, tmp_path, monkeypa
     eliminations, *_ = _record_eliminations(monkeypatch)
     assert main(["ideal", "big-coordinates.json", *(["--json"] if as_json else [])]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_BIG_COORDINATES[as_json]
-    gradients, m2 = (27, 9), (18, 45)
+    gradients, m2 = (27, 9), (18, 30)
     for shape in (gradients, m2):
         assert [p for p in PRIMES if (p, *shape) in eliminations] == list(PRIMES)
         assert (0, *shape) in eliminations
+    assert not [p for p in (0, *PRIMES) if (p, 18, 45) in eliminations]
 
 
 # two lines, a self-node on A: degree 1 there cannot separate its branches

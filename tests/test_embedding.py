@@ -279,23 +279,31 @@ def test_multiplication_map_columns_reconstruct_products_random(seed, m):
 def test_multiplication_map_builds_each_product_once(paper_curve, monkeypatch):
     """At m = 3 on the paper curve at (4, 3, 3) (h0 = 10) each of the 55
     degree-2 products is built once and each of the 220 columns is one
-    more multiplication: at most 10 + 55 + 220 calls of the one product
-    routine, ``_multiply``, where multiplying every monomial out from
-    scratch takes 55 + 2 * 220 = 440. Column order and values are
-    checked by ``_assert_columns_reconstruct_products``."""
-    calls = []
-    multiply = embedding._multiply
+    more multiplication: 55 + 220 calls of the one product routine,
+    ``_multiply``, where multiplying every monomial out from scratch
+    takes 55 + 2 * 220 = 440. Every one of the 220 products, the zero
+    ones too, is checked against the nodes once. Column order and
+    values are checked by ``_assert_columns_reconstruct_products``."""
+    calls, checked = [], []
+    multiply, glues = embedding._multiply, embedding._glues
 
     def counted(a, b):
         calls.append(None)
         return multiply(a, b)
 
+    def counted_check(node_rows, blocks):
+        checked.append(blocks)
+        return glues(node_rows, blocks)
+
     monkeypatch.setattr(embedding, "_multiply", counted)
+    monkeypatch.setattr(embedding, "_glues", counted_check)
     space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
     assert len(space.basis) == 10
     m3 = multiplication_map(space, 3)
     assert (m3.rows, m3.cols) == (30, 220)
-    assert len(calls) <= 10 + 55 + 220
+    assert len(calls) == 55 + 220
+    assert len(checked) == 220
+    assert any(not any(blocks) for blocks in checked)
 
 
 def _moved(form, ci, k, delta):
@@ -325,6 +333,33 @@ def test_multiplication_map_rejects_product_off_the_gluing(paper_curve, monkeypa
     monkeypatch.setattr(embedding, "_multiply", broken)
     with pytest.raises(ArithmeticError, match=r"monomial \(0, 4\) is not a global section"):
         multiplication_map(section_basis(line_bundle(paper_curve, (4, 3, 3))), 2)
+
+
+@pytest.mark.parametrize("k, ci", [(0, 0), (49, 2)])
+def test_product_matrix_raises_where_one_branch_block_is_empty(paper_curve, monkeypatch, k, ci):
+    """The m = 2 products of monomials (0, 0) and (7, 7) on the paper
+    curve at (4, 3, 3) live on C1 alone and on C3 alone: at the node
+    C1.0 - C3.0 one branch block is empty and the other is not. With the
+    constant term of the nonempty one moved by one, the value there no
+    longer matches the empty branch's zero, and ``_product_matrix``
+    raises for that monomial."""
+    calls = []
+    multiply = embedding._multiply
+
+    def broken(a, b):
+        product = multiply(a, b)
+        calls.append(None)
+        if len(calls) != k + 1:
+            return product
+        assert [bool(block) for block in product[0]] == [i == ci for i in range(3)]
+        return _moved(product, ci, 0, product[1])
+
+    monkeypatch.setattr(embedding, "_multiply", broken)
+    space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
+    mono = sym_monomials(10, 2)[k]
+    with pytest.raises(ArithmeticError, match=rf"monomial {re.escape(str(mono))} is not a global section"):
+        embedding._product_matrix(space, 2)
+    assert len(calls) == k + 1
 
 
 @pytest.mark.parametrize("m, k", [(2, 0), (2, 54), (3, 7), (3, 219)])

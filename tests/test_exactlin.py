@@ -20,6 +20,7 @@ from nodalcone.exactlin import (
     MatrixQ,
     as_scalar,
     certified_kernel,
+    certified_kernel_of_columns,
     certified_rank,
     certified_rank_of_columns,
     kernel_basis,
@@ -313,6 +314,78 @@ def test_certified_kernel_over_q_equals_the_fraction_reference(m):
         patch.setattr(exactlin, "_lifted_basis", lambda *args: None)
         patch.setattr(exactlin, "_forward_eliminate", integer_only)
         assert certified_kernel(rows, m.cols) == expected
+    assert moduli == [*PRIMES, 0]
+
+
+@st.composite
+def sparse_integer_matrices(draw):
+    """``awkward_matrices`` with each row cleared to integers, which keeps
+    the kernel, and the columns shuffled, so zero columns fall anywhere:
+    ``(m, columns)``, the shuffled integers as a MatrixQ and each of its
+    columns as the nonzero ``(row, entry)`` pairs, in shuffled order."""
+    m = draw(awkward_matrices())
+    rows = []
+    for i in range(m.rows):
+        den = math.lcm(*(e.denominator for e in m.row(i)))
+        rows.append([int(e * den) for e in m.row(i)])
+    order = draw(st.permutations(range(m.cols)))
+    rows = [[r[j] for j in order] for r in rows]
+    columns = [draw(st.permutations([(i, r[j]) for i, r in enumerate(rows) if r[j]])) for j in range(m.cols)]
+    return MatrixQ.from_rows(rows, cols=m.cols), columns
+
+
+def _sparse_reference_kernel(m):
+    """``reference_kernel`` with each vector cleared by the lcm of its
+    denominators, as its nonzero ``(j, c)``."""
+    out = []
+    for v in reference_kernel(m):
+        den = math.lcm(*(e.denominator for e in v))
+        out.append([(j, int(e * den)) for j, e in enumerate(v) if e])
+    return out
+
+
+def _eliminations_skip_zero_columns(patch, m, columns):
+    """Patch ``_forward_eliminate`` to require that every elimination gets
+    exactly m's nonzero columns, in order, reduced mod its prime or as
+    integers over Q; return the list of moduli it records."""
+    nonzero = [j for j, column in enumerate(columns) if column]
+    kept = [[m.at(i, j).numerator for j in nonzero] for i in range(m.rows)]
+    eliminate, moduli = exactlin._forward_eliminate, []
+
+    def counting(rows, p=0):
+        assert rows == ([[e % p for e in r] for r in kept] if p else kept)
+        assert p or all(type(e) is int for row in rows for e in row)
+        moduli.append(p)
+        return eliminate(rows, p)
+
+    patch.setattr(exactlin, "_forward_eliminate", counting)
+    return moduli
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_integer_matrices())
+def test_kernel_on_sparse_columns_equals_the_fraction_reference(matrix):
+    """``certified_kernel_of_columns`` gives the reference kernel, each
+    vector cleared and sparse, and no zero column enters an elimination:
+    a zero column is free, with its unit vector."""
+    m, columns = matrix
+    expected = _sparse_reference_kernel(m)
+    with pytest.MonkeyPatch.context() as patch:
+        moduli = _eliminations_skip_zero_columns(patch, m, columns)
+        assert certified_kernel_of_columns(columns, m.rows) == expected
+    assert moduli[0] == PRIME
+
+
+@settings(max_examples=100, deadline=None)
+@given(sparse_integer_matrices())
+def test_kernel_on_sparse_columns_over_q_equals_the_fraction_reference(matrix):
+    """With every lift refused, the kernel on sparse columns comes from
+    the elimination over Q of the nonzero columns alone, and is the same."""
+    m, columns = matrix
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactlin, "_lifted_basis", lambda *args: None)
+        moduli = _eliminations_skip_zero_columns(patch, m, columns)
+        assert certified_kernel_of_columns(columns, m.rows) == _sparse_reference_kernel(m)
     assert moduli == [*PRIMES, 0]
 
 
@@ -613,6 +686,9 @@ def test_certified_kernel_of_empty_and_ragged_shapes():
     assert certified_kernel([[2, 4]], 2) == [(-2, 1)]
     with pytest.raises(ValueError):
         certified_kernel([[1, 0], [0]], 2)
+    assert certified_kernel_of_columns([], 0) == certified_kernel_of_columns([], 2) == []
+    assert certified_kernel_of_columns([[], []], 0) == [[(0, 1)], [(1, 1)]]
+    assert certified_kernel_of_columns([[], [(0, 2)], [], [(0, 4)]], 1) == [[(0, 1)], [(2, 1)], [(1, -2), (3, 1)]]
 
 
 def test_lift_is_wang_reconstruction():
