@@ -55,6 +55,7 @@ from .bundles import (
     power,
     riemann_roch_report,
     section_basis,
+    section_satisfies_gluing,
     serre_duality_check,
     tangent_bundle,
     tensor,

@@ -19,12 +19,13 @@ Stacking these rows gives the gluing matrix G; the section space is its
 kernel, and ``h1`` comes from its corank plus the classical line-bundle
 contributions of the components. Both are exact, never estimated. G's
 rows are ``_node_row``'s integer rows over their positive scales, and
-the kernel is read off their fraction-free elimination (``exactlin``).
+the kernel is read off their fraction-free elimination (``exactlin``)
+as integer vectors over their last entry.
 
 Every value of a section is taken on its integer form instead: per
 component, its nonzero terms ``(k, c)``, numerator c of ``t^k`` over one
-common positive denominator (``_integral``), built once per section
-space (``SectionSpace.integral_basis``); a canonical basis has few. A
+common positive denominator (``_integral``), cut from each kernel vector
+(``SectionSpace.integral_basis``); a canonical basis has few. A
 value or a jet is the terms dotted with an integer row of the point that
 clears its denominator (``_homogeneous_row``, ``_jet_row``), an integer
 over a positive one. The one product routine multiplies terms with no
@@ -71,12 +72,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate
+from itertools import accumulate, pairwise
 from math import lcm
 from typing import Callable, NamedTuple
 
 from .curve import NodalCurve, PointOnLine, Site, Value, _set, arithmetic_genus
-from .exactlin import MatrixQ, VectorQ, _integer_rows, _kernel_vectors, as_scalar, certified_rank, rank
+from .exactlin import MatrixQ, VectorQ, _integer_rows, _kernel_vectors, _rational, as_scalar, certified_rank, rank
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -214,9 +215,9 @@ class SectionSpace(Value):
     coordinates in this basis are its flattened entries there.
 
     ``integral_basis`` is the basis in integer form (``_integral`` of
-    each section), built on first use and then kept: a space that is
-    never evaluated or multiplied never converts it. It is not a field,
-    so equality and hashing see only the three fields.
+    each section): ``section_basis`` sets it, and any other space derives
+    it on first use and then keeps it. It is not a field, so equality
+    and hashing see only the three fields.
     """
 
     _fields = ("bundle", "basis", "free_columns")
@@ -227,19 +228,6 @@ class SectionSpace(Value):
     @cached_property
     def integral_basis(self) -> tuple[_IntegralForm, ...]:
         return tuple(_integral(s) for s in self.basis)
-
-
-def section_from_vector(bundle: LineBundle, vec) -> Section:
-    widths = block_widths(bundle)
-    vals = tuple(as_scalar(v) for v in vec)
-    if len(vals) != sum(widths):
-        raise ValueError(f"vector length {len(vals)} does not match total width {sum(widths)}")
-    blocks = []
-    at = 0
-    for w in widths:
-        blocks.append(vals[at : at + w])
-        at += w
-    return Section(tuple(blocks))
 
 
 def flatten_section(bundle: LineBundle, section: Section) -> VectorQ:
@@ -272,10 +260,20 @@ def basis_rank(space: SectionSpace) -> int:
 
 def section_basis(bundle: LineBundle) -> SectionSpace:
     """Canonical basis of global sections: kernel of the gluing matrix,
-    with the free columns the space keeps, off its integer rows."""
+    off its integer rows, with the free columns the space keeps. Each
+    integer kernel vector is cut at the block offsets into its section
+    and its integer form, kept as ``integral_basis``."""
     g = gluing_matrix(bundle)
-    kernel = list(_kernel_vectors(_integer_rows(g), g.cols))
-    return SectionSpace(bundle, tuple(section_from_vector(bundle, v) for _, v in kernel), tuple(f for f, _ in kernel))
+    blocks = list(pairwise(accumulate(block_widths(bundle), initial=0)))
+    kernel = _kernel_vectors(_integer_rows(g), g.cols)
+    basis, integral = [], []
+    for w in kernel:
+        v = _rational(w, g.cols)
+        basis.append(Section(tuple(v[a:b] for a, b in blocks)))
+        integral.append((tuple(tuple((j - a, c) for j, c in w if a <= j < b) for a, b in blocks), w[-1][1]))
+    space = SectionSpace(bundle, tuple(basis), tuple(w[-1][0] for w in kernel))
+    vars(space)["integral_basis"] = tuple(integral)
+    return space
 
 
 def cohomology(bundle: LineBundle) -> tuple[int, int]:

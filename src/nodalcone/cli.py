@@ -257,18 +257,6 @@ def _layout(curve: NodalCurve) -> dict:
     }
 
 
-def serialize_spec(spec: CurveSpec) -> str:
-    """Canonical JSON text; parse_spec(serialize_spec(s)) round-trips."""
-    doc = {
-        **_layout(spec.curve),
-        "bundle": {
-            "multidegree": list(spec.multidegree),
-            "gluings": [str(g) for g in spec.gluings],
-        },
-    }
-    return json_text(doc) + "\n"
-
-
 def fmt_exact(value: Fraction):
     """Exact JSON value: plain int when integral, 'p/q' string otherwise."""
     return int(value) if value.denominator == 1 else str(value)

@@ -27,9 +27,10 @@ so a bundle is eliminated once however many checks and points use it.
 The multiplication map Sym^m H0(L) -> H0(L^m) is assembled in the
 canonical section bases on both sides, monomials ordered graded-lex
 over basis indices. No system is solved: the target basis is the
-identity on the free columns of the target's gluing rref, so a
-product's coordinates are its terms at those columns, valid once an
-exact node-by-node check has shown the product is a global section.
+identity on the free columns of the target's gluing rref, read off its
+integer node rows with no basis or gluing matrix built, so a product's
+coordinates are its terms at those columns, valid once an exact
+node-by-node check has shown the product is a global section.
 Products and that check run on the sparse integer terms of the basis
 (see ``bundles``, whose ``_multiply`` is the one product routine), into
 one integer matrix per map, kept as each monomial's nonzero
@@ -74,10 +75,10 @@ from itertools import accumulate, chain, combinations, combinations_with_replace
 from math import lcm
 from typing import NamedTuple
 
-from .bundles import SectionSpace, _dot, _glues, _homogeneous_row, _jet_row, _multiply, _node_rows, block_widths
-from .bundles import gluing_matrix, power
+from .bundles import SectionSpace, _dot, _flat_row, _glues, _homogeneous_row, _jet_row, _multiply, _node_rows
+from .bundles import block_widths, power
 from .curve import NodalCurve, PointOnLine, affine_point
-from .exactlin import MatrixQ, VectorQ, _dense_rows, _free_columns, as_scalar, certified_kernel_of_columns
+from .exactlin import MatrixQ, VectorQ, _dense_rows, _forward_eliminate, _free, as_scalar, certified_kernel_of_columns
 
 _ZERO = Fraction(0)
 
@@ -363,16 +364,18 @@ def _product_matrix(space: SectionSpace, m: int) -> tuple[list[tuple[tuple[int, 
     first checked exactly against every node constraint of ``L^m``, on
     integers. Once it is known to be a global section, its coordinates are
     its terms at the target's free columns, where the target basis is the
-    identity. A product failing the check would mean the gluing
-    bookkeeping is broken, and raises ``ArithmeticError`` rather than
-    reading off coordinates that do not reproduce it.
+    identity: those without a pivot in the target's ``_flat_row`` rows,
+    each G's row times a positive scale. A product failing the check
+    would mean the gluing bookkeeping is broken, and raises
+    ``ArithmeticError`` rather than reading off coordinates that do not
+    reproduce it.
     """
     if m < 1:
         raise ValueError("multiplication maps are defined for m >= 1")
     target = power(space.bundle, m)
-    free = _free_columns(gluing_matrix(target))
     node_rows = _node_rows(target)
     offsets = tuple(accumulate(block_widths(target), initial=0))
+    free = _free(offsets[-1], _forward_eliminate([_flat_row(offsets, node) for node in node_rows]))
     row_of = {c: i for i, c in enumerate(free)}  # the target row of each free column
     basis = space.integral_basis
     prefixes = {(i,): s for i, s in enumerate(basis)}

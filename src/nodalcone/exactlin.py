@@ -53,7 +53,15 @@ rank_Q always: the free columns are the same, and the vector with a unit
 at f, zero at every other free column and in the kernel is unique. So a
 checked result is exactly ``kernel_basis``'s. Where no prime gets
 through, the kernel is the rref over Q of the same nonzero columns.
-``certified_kernel`` takes dense rows and gives dense vectors.
+
+Every kernel has one form: each vector cleared by the lcm of its
+denominators, as its nonzero ``(j, c)`` in ascending j, the last at its
+free column, where c is that lcm. ``_kernel_vectors`` reads it over Q
+off reduced integer rows with no Fraction built: the Q fallback keeps
+it, ``kernel_basis`` is its Fraction view (``_rational``), and
+``bundles.section_basis`` cuts it into sections. The command line
+builds two ``MatrixQ``s only: ``section_basis``'s gluing matrix and
+``basis_rank``'s basis.
 
 No floating point is used anywhere in this package; floats are rejected
 at the boundary.
@@ -65,16 +73,15 @@ from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress
 from math import gcd, isqrt, lcm
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 VectorQ = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
-_ONE = Fraction(1)
 
-# the moduli of certified_kernel, 2^31 - 1 and the next five primes below
-# it, written out so that none is searched for at import: fixed, so every
-# run eliminates alike; at 31 bits a product of two residues fits in 62
+# the moduli of certified_kernel_of_columns, 2^31 - 1 and the next five
+# primes below it, written out so that none is searched for at import: fixed,
+# so every run eliminates alike; at 31 bits a product of two residues fits in 62
 PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
 # the modulus of certified_rank
 PRIME = PRIMES[0]
@@ -242,15 +249,11 @@ def _back_substitute(rows: list[list], pivots: list[int], p: int = 0) -> None:
         below.append((pivots[r], cur[pivots[r]], [(j, b) for j, b in enumerate(cur) if b]))
 
 
-def _cleared(v: Sequence[Fraction]) -> list[int]:
-    """A rational vector times the lcm of its denominators."""
-    den = lcm(*(e.denominator for e in v))
-    return [e.numerator * (den // e.denominator) for e in v]
-
-
 def _integer_rows(m: MatrixQ) -> list[list[int]]:
-    """Each row of m cleared: m's pivots, reduced rows and kernel."""
-    return [_cleared(m.row(i)) for i in range(m.rows)]
+    """Each row of m times the lcm of its denominators: m's pivots,
+    reduced rows and kernel."""
+    dens = [lcm(*(e.denominator for e in m.row(i))) for i in range(m.rows)]
+    return [[e.numerator * (d // e.denominator) for e in m.row(i)] for i, d in enumerate(dens)]
 
 
 def rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:
@@ -265,11 +268,6 @@ def rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:
 def rank(m: MatrixQ) -> int:
     """Exact rank. Forward elimination only; cheaper than full rref."""
     return len(_forward_eliminate(_integer_rows(m)))
-
-
-def _free_columns(m: MatrixQ) -> list[int]:
-    """The columns of m that carry no pivot, by forward elimination."""
-    return _free(m.cols, _forward_eliminate(_integer_rows(m)))
 
 
 def _columns(rows: Sequence[Sequence[int]], cols: int) -> list[list[tuple[int, int]]]:
@@ -412,20 +410,11 @@ def certified_kernel_of_columns(columns: Sequence[Sequence[tuple[int, int]]], ro
         if vectors is not None:
             break
     else:
-        vectors = [[(j, c) for j, c in enumerate(_cleared(v)) if c] for _, v in _kernel_vectors(dense, len(kept))]
+        vectors = _kernel_vectors(dense, len(kept))
     basis = {j: [(j, 1)] for j, column in enumerate(columns) if not column}
     for w in vectors:
         basis[nonzero[w[-1][0]]] = [(nonzero[j], c) for j, c in w]
     return [basis[f] for f in sorted(basis)]
-
-
-def certified_kernel(rows: Sequence[Sequence[int]], cols: int) -> list[tuple[int, ...]]:
-    """``certified_kernel_of_columns`` of an integer matrix given as dense
-    rows, each vector dense: integers whose last nonzero entry is the lcm
-    of the rational vector's denominators, at its free column."""
-    if any(len(r) != cols for r in rows):
-        raise ValueError(f"rows must all have length {cols}")
-    return [tuple(dict(w).get(j, 0) for j in range(cols)) for w in certified_kernel_of_columns(_columns(rows, cols), len(rows))]
 
 
 def kernel_basis(m: MatrixQ) -> list[VectorQ]:
@@ -437,19 +426,34 @@ def kernel_basis(m: MatrixQ) -> list[VectorQ]:
     function of the matrix alone, so callers can treat basis order as
     part of the contract.
     """
-    return [v for _, v in _kernel_vectors(_integer_rows(m), m.cols)]
+    return [_rational(w, m.cols) for w in _kernel_vectors(_integer_rows(m), m.cols)]
 
 
-def _kernel_vectors(rows: list[list[int]], cols: int) -> Iterator[tuple[int, VectorQ]]:
-    """``kernel_basis`` of integer rows, reduced in place, one vector at a
-    time with its free column f. The basis is the identity on the free
-    columns, so a kernel vector's coordinates are its entries there."""
+def _rational(w: list[tuple[int, int]], cols: int) -> VectorQ:
+    """A vector of ``_kernel_vectors`` as its ``cols`` Fractions, each
+    entry over the last."""
+    v = [_ZERO] * cols
+    for j, c in w:
+        v[j] = Fraction(c, w[-1][1])
+    return tuple(v)
+
+
+def _kernel_vectors(rows: list[list[int]], cols: int) -> list[list[tuple[int, int]]]:
+    """The canonical kernel basis of integer rows, reduced in place, as
+    ``certified_kernel_of_columns`` returns it: the vector at free column
+    f has ``-row[f] / row[pc]`` at each pivot pc left of f, in lowest
+    terms by a gcd, all over the (positive) lcm of the denominators,
+    which ends it at f."""
     pivots = _forward_eliminate(rows)
     _back_substitute(rows, pivots)
+    basis = []
     for f in _free(cols, pivots):
-        v = [_ZERO] * cols
-        v[f] = _ONE
-        for row, pc in zip(rows, pivots):
-            if row[f]:
-                v[pc] = Fraction(-row[f], row[pc])
-        yield f, tuple(v)
+        entries = []
+        for row, pc in zip(rows, pivots[: bisect_left(pivots, f)]):
+            e, a = row[f], row[pc]
+            if e:
+                g = gcd(e, a)
+                entries.append((pc, -e // g, a // g))
+        den = lcm(*(d for _, _, d in entries))
+        basis.append([(pc, n * (den // d)) for pc, n, d in entries] + [(f, den)])
+    return basis

@@ -47,7 +47,6 @@ from nodalcone.bundles import (
     power,
     riemann_roch_report,
     section_basis,
-    section_from_vector,
     section_satisfies_gluing,
     serre_duality_check,
     tangent_bundle,
@@ -146,13 +145,18 @@ def test_gluing_matrix_shape_and_frozen_rows(paper_curve):
 
 
 def _assert_gluing_and_basis_match_the_reference(bundle):
-    """G, its kernel and its free columns against the Fraction references."""
+    """G, its kernel and its free columns against the Fraction references:
+    each basis section is a reference kernel vector cut into the bundle's
+    blocks, and the kept integer form is ``_integral`` of it."""
     g = reference_gluing_matrix(bundle)
     assert gluing_matrix(bundle) == g
     _, pivots = reference_rref(g)
     space = section_basis(bundle)
     assert space.free_columns == tuple(c for c in range(g.cols) if c not in pivots)
-    assert space.basis == tuple(section_from_vector(bundle, v) for v in reference_kernel(g))
+    offsets = [sum(block_widths(bundle)[:i]) for i in range(len(bundle.multidegree) + 1)]
+    expected = tuple(Section(tuple(v[a:b] for a, b in zip(offsets, offsets[1:]))) for v in reference_kernel(g))
+    assert space.basis == expected
+    assert space.integral_basis == tuple(_integral(s) for s in expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -216,16 +220,6 @@ def test_basis_sections_satisfy_gluing_exactly(paper_curve):
         assert section_satisfies_gluing(b, s)
     rows = [flatten_section(b, s) for s in space.basis]
     assert rank(MatrixQ.from_rows(rows, cols=13)) == 10
-
-
-def test_section_from_vector_roundtrip(paper_curve):
-    b = line_bundle(paper_curve, (1, 0, -1))
-    vec = (F(1), F(2), F(7))
-    s = section_from_vector(b, vec)
-    assert s.coeffs == ((F(1), F(2)), (F(7),), ())
-    assert flatten_section(b, s) == vec
-    with pytest.raises(ValueError):
-        section_from_vector(b, (F(1),))
 
 
 def test_multiply_sections_is_polynomial_product():

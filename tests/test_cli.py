@@ -10,6 +10,7 @@ import subprocess
 import sys
 import tempfile
 from fractions import Fraction
+from itertools import accumulate
 from pathlib import Path
 from typing import NamedTuple
 
@@ -29,7 +30,6 @@ from nodalcone.cli import (
     parse_coordinate,
     parse_scalar,
     parse_spec,
-    serialize_spec,
 )
 from nodalcone.bundles import LineBundle, dualizing_bundle, gluing_matrix, power, section_basis
 from nodalcone.curve import arithmetic_genus, validate
@@ -106,12 +106,6 @@ def test_parse_spec_defaults_gluings_to_one():
     assert bundle.gluings == (F(1), F(1))
 
 
-def test_roundtrip_through_serializer():
-    spec = parse_spec(MINIMAL)
-    again = parse_spec(serialize_spec(spec))
-    assert again == spec
-
-
 class _Pair(NamedTuple):
     first: object
     second: object
@@ -144,11 +138,6 @@ def test_json_writer_refuses_what_json_cannot_write_exactly():
     for value in (0.5, {1, 2}, F(1, 2), b"x", [1, {"k": 0.25}], {1: "a"}, {None: 1}):
         with pytest.raises(TypeError):
             json_text(value)
-
-
-def test_serialized_spec_is_the_json_dumps_text():
-    spec = parse_spec(PAPER_SPEC.read_text())
-    assert serialize_spec(spec) == json.dumps(json.loads(serialize_spec(spec)), indent=2) + "\n"
 
 
 def test_paper_spec_file_parses():
@@ -757,35 +746,49 @@ def test_verify_builds_the_dualizing_bundle_twice(monkeypatch, capsys):
 
 @pytest.mark.parametrize("command", ["verify", "ideal"])
 def test_one_section_basis_per_bundle(command, monkeypatch, capsys):
-    """L's section basis is built once. L^2 and L^3 need only the free
-    columns of their gluing rref, so no basis is built for them."""
-    from nodalcone import bundles, cli, embedding
+    """L's section basis is built once, and its gluing matrix only there.
+    L^2 and L^3 need only the free columns of their gluing rref, so no
+    basis and no gluing matrix is built for them: each is eliminated
+    once, from its integer node rows."""
+    from nodalcone import bundles, cli, embedding, exactlin
 
-    bases, eliminated = [], []
+    bases, glued, eliminated = [], [], []
+    eliminate = exactlin._forward_eliminate
 
     def counting_basis(bundle):
         bases.append(bundle.multidegree)
         return section_basis(bundle)
 
     def counting_gluing(bundle):
-        eliminated.append(bundle.multidegree)
+        glued.append(bundle.multidegree)
         return gluing_matrix(bundle)
+
+    def counting_eliminate(rows, p=0):
+        eliminated.append([list(row) for row in rows])
+        return eliminate(rows, p)
 
     for module in (bundles, cli):
         monkeypatch.setattr(module, "section_basis", counting_basis)
-    for module in (bundles, embedding):
-        monkeypatch.setattr(module, "gluing_matrix", counting_gluing)
+    # in every layer, bound there or not, so a gluing matrix built anywhere counts
+    for module in (bundles, embedding, cli):
+        monkeypatch.setattr(module, "gluing_matrix", counting_gluing, raising=False)
+    monkeypatch.setattr(embedding, "_forward_eliminate", counting_eliminate)
     assert main([command, str(PAPER_SPEC), "--json"]) == EXIT_OK
-    assert bases == [(4, 3, 3)]
-    # L, L^2 and L^3 for the multiplication maps, each eliminated once
-    assert eliminated == [(4, 3, 3), (8, 6, 6), (12, 9, 9)]
+    assert bases == glued == [(4, 3, 3)]
+    spec = parse_spec(PAPER_SPEC.read_text())
+    expected = []
+    for m in (2, 3):
+        target = power(LineBundle(spec.curve, spec.multidegree, spec.gluings), m)
+        offsets = tuple(accumulate(bundles.block_widths(target), initial=0))
+        expected.append([bundles._flat_row(offsets, node) for node in bundles._node_rows(target)])
+    assert eliminated == expected
 
 
 @pytest.mark.parametrize("command", [["sections", "--basis"], ["ideal"]])
 def test_eliminations_over_q_take_integer_rows(command, monkeypatch, capsys):
     """On the paper curve at (4, 3, 3), the section basis and the free
     columns of L^2 and L^3 are read off fraction-free eliminations: rref
-    never runs, the only MatrixQs built are the gluing matrices, one per
+    never runs, the only MatrixQ built is L's gluing matrix, from the one
     ``gluing_matrix`` call, and every elimination over Q gets rows of ints."""
     import nodalcone
     from nodalcone import bundles, embedding, exactlin
@@ -812,14 +815,14 @@ def test_eliminations_over_q_take_integer_rows(command, monkeypatch, capsys):
 
     for module in (nodalcone, exactlin, bundles, embedding, cli):
         monkeypatch.setattr(module, "rref", no_rref, raising=False)
-    for module in (bundles, embedding):
-        monkeypatch.setattr(module, "gluing_matrix", recording_gluing)
+    for module in (bundles, embedding, cli):
+        monkeypatch.setattr(module, "gluing_matrix", recording_gluing, raising=False)
     monkeypatch.setattr(exactlin.MatrixQ, "__init__", recording_init)
-    monkeypatch.setattr(exactlin, "_forward_eliminate", recording_eliminate)
+    for module in (exactlin, embedding):
+        monkeypatch.setattr(module, "_forward_eliminate", recording_eliminate)
     assert main([command[0], str(PAPER_SPEC), "--json", *command[1:]]) == EXIT_OK
     capsys.readouterr()
-    assert len(glued) == (1 if command[0] == "sections" else 3)
-    assert matrices == glued
+    assert matrices == glued == [(3, 13)]
     assert over_q and all(over_q)
 
 

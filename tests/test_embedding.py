@@ -4,6 +4,7 @@ import math
 import random
 import re
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 import sympy
@@ -24,6 +25,7 @@ from conftest import (
     reference_value,
 )
 from nodalcone.bundles import (
+    SectionSpace,
     flatten_section,
     h0,
     line_bundle,
@@ -31,6 +33,7 @@ from nodalcone.bundles import (
     section_basis,
     trivial_bundle,
 )
+from nodalcone.cli import EXIT_OK, main
 from nodalcone.curve import paper_example_curve
 from nodalcone.embedding import (
     CRITERION_SATISFIED,
@@ -55,6 +58,8 @@ from nodalcone.embedding import (
 from nodalcone.exactlin import MatrixQ, rank
 
 F = Fraction
+
+PAPER_SPEC = Path(__file__).resolve().parents[1] / "curves" / "paper-x.json"
 
 
 def test_curve_point_display():
@@ -656,10 +661,11 @@ def test_very_ample_evaluates_each_sample_once_and_takes_no_rank(paper_curve, mo
     assert counts["evaluation"] <= 2 * len(samples) + len(paper_curve.nodes)
 
 def test_section_space_converts_its_basis_once_and_only_when_evaluated(paper_curve, monkeypatch):
-    """The integer form of the basis is built on the first evaluation and
-    kept for every later check; the target spaces of the multiplication
-    maps are never evaluated and never convert theirs. It is not a field:
-    equality and hashing are those of a space that never converted."""
+    """``section_basis`` keeps the integer form of the basis, cut from the
+    same kernel vectors, so no check converts a section: every command
+    that evaluates or multiplies runs ``_integral`` zero times. A space
+    rebuilt from its fields derives it on first use, once, and keeps it.
+    It is not a field: equality and hashing see the three fields only."""
     converted = []
     original = bundles._integral
 
@@ -670,14 +676,18 @@ def test_section_space_converts_its_basis_once_and_only_when_evaluated(paper_cur
     monkeypatch.setattr(bundles, "_integral", counted)
     bundle = line_bundle(paper_curve, (4, 3, 3))
     space = section_basis(bundle)
-    assert "integral_basis" not in vars(space) and converted == []
     globally_generated(space)
     very_ample(space)
     node_images_consistent(space)
     embed_point(space, CurvePoint.smooth("C1", F(5)))
     multiplication_map(space, 2)
     multiplication_map(space, 3)
-    assert converted == list(space.basis)
-    fresh = section_basis(bundle)
-    assert "integral_basis" not in vars(fresh)
-    assert space == fresh and hash(space) == hash(fresh)
+    for argv in (["sections", "--basis"], ["embed"], ["ideal"], ["verify"]):
+        assert main([argv[0], str(PAPER_SPEC), "--json", *argv[1:]]) == EXIT_OK
+    assert converted == []
+    assert space.integral_basis == tuple(original(s) for s in space.basis)
+    rebuilt = SectionSpace(space.bundle, space.basis, space.free_columns)
+    assert "integral_basis" not in vars(rebuilt)
+    assert rebuilt.integral_basis == space.integral_basis
+    assert rebuilt.integral_basis is rebuilt.integral_basis and converted == list(space.basis)
+    assert space == rebuilt and hash(space) == hash(rebuilt)

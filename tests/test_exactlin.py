@@ -19,7 +19,6 @@ from nodalcone.exactlin import (
     PRIMES,
     MatrixQ,
     as_scalar,
-    certified_kernel,
     certified_kernel_of_columns,
     certified_rank,
     certified_rank_of_columns,
@@ -243,7 +242,9 @@ def test_kernel_basis_is_identity_on_free_columns(m):
     _, pivots = rref(m)
     free = tuple(c for c in range(m.cols) if c not in pivots)
     basis = kernel_basis(m)
-    assert list(exactlin._kernel_vectors(exactlin._integer_rows(m), m.cols)) == list(zip(free, basis))
+    vectors = exactlin._kernel_vectors(exactlin._integer_rows(m), m.cols)
+    assert vectors == _sparse_reference_kernel(m)
+    assert [w[-1][0] for w in vectors] == list(free)
     assert [tuple(v[c] for c in free) for v in basis] == [
         tuple(F(int(i == j)) for j in range(len(free))) for i in range(len(free))
     ]
@@ -288,20 +289,34 @@ def test_fraction_free_elimination_equals_the_fraction_reference(m):
     assert kernel_basis(m) == reference_kernel(m)
 
 
+def _no_fraction(*args):
+    raise AssertionError("Fraction built")
+
+
+@settings(max_examples=200, deadline=None)
+@given(awkward_matrices())
+def test_integer_kernel_vectors_equal_the_cleared_fraction_reference(m):
+    """``_kernel_vectors`` reads the canonical kernel off the reduced
+    integer rows with no Fraction built: each ``reference_kernel`` vector
+    times the lcm of its denominators, as its nonzero ``(j, c)``, the
+    last at its free column. With every lift refused the certified kernel
+    returns these vectors as they are (next test)."""
+    rows = _cleared_rows(m)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(exactlin, "Fraction", _no_fraction)
+        vectors = exactlin._kernel_vectors(rows, m.cols)
+    assert vectors == _sparse_reference_kernel(m)
+
+
 @settings(max_examples=150, deadline=None)
 @given(awkward_matrices())
 def test_certified_kernel_over_q_equals_the_fraction_reference(m):
-    """With every lift refused, ``certified_kernel`` takes its kernel
-    over Q from the integer rows, fraction-free: the reference kernel,
-    each vector cleared by the lcm of its denominators."""
-    rows = []
-    for i in range(m.rows):
-        den = math.lcm(*(e.denominator for e in m.row(i)))
-        rows.append([int(e * den) for e in m.row(i)])
-    expected = []
-    for v in reference_kernel(m):
-        den = math.lcm(*(e.denominator for e in v))
-        expected.append(tuple(int(e * den) for e in v))
+    """With every lift refused, ``certified_kernel_of_columns`` takes its
+    kernel over Q from the integer rows, fraction-free, and keeps
+    ``_kernel_vectors`` as they come: the reference kernel, each vector
+    cleared by the lcm of its denominators, as its nonzero ``(j, c)``."""
+    rows = _cleared_rows(m)
+    expected = _sparse_reference_kernel(m)
     eliminate, moduli = exactlin._forward_eliminate, []
 
     def integer_only(rows, p=0):
@@ -313,7 +328,7 @@ def test_certified_kernel_over_q_equals_the_fraction_reference(m):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exactlin, "_lifted_basis", lambda *args: None)
         patch.setattr(exactlin, "_forward_eliminate", integer_only)
-        assert certified_kernel(rows, m.cols) == expected
+        assert _kernel_of_rows(rows, m.cols) == expected
     assert moduli == [*PRIMES, 0]
 
 
@@ -324,14 +339,20 @@ def sparse_integer_matrices(draw):
     ``(m, columns)``, the shuffled integers as a MatrixQ and each of its
     columns as the nonzero ``(row, entry)`` pairs, in shuffled order."""
     m = draw(awkward_matrices())
-    rows = []
-    for i in range(m.rows):
-        den = math.lcm(*(e.denominator for e in m.row(i)))
-        rows.append([int(e * den) for e in m.row(i)])
+    rows = _cleared_rows(m)
     order = draw(st.permutations(range(m.cols)))
     rows = [[r[j] for j in order] for r in rows]
     columns = [draw(st.permutations([(i, r[j]) for i, r in enumerate(rows) if r[j]])) for j in range(m.cols)]
     return MatrixQ.from_rows(rows, cols=m.cols), columns
+
+
+def _cleared_rows(m):
+    """The rows of a MatrixQ, each times the lcm of its denominators."""
+    rows = []
+    for i in range(m.rows):
+        den = math.lcm(*(e.denominator for e in m.row(i)))
+        rows.append([int(e * den) for e in m.row(i)])
+    return rows
 
 
 def _sparse_reference_kernel(m):
@@ -342,6 +363,12 @@ def _sparse_reference_kernel(m):
         den = math.lcm(*(e.denominator for e in v))
         out.append([(j, int(e * den)) for j, e in enumerate(v) if e])
     return out
+
+
+def _kernel_of_rows(rows, cols):
+    """``certified_kernel_of_columns`` of dense integer rows, read as
+    columns by ``_columns``."""
+    return certified_kernel_of_columns(exactlin._columns(rows, cols), len(rows))
 
 
 def _eliminations_skip_zero_columns(patch, m, columns):
@@ -571,11 +598,12 @@ def test_elimination_mod_p_follows_the_pivot_rule():
 
 def _integer_kernel(rows, cols):
     """``kernel_basis`` over Q, each vector times the lcm of its
-    denominators: what ``certified_kernel`` must return."""
+    denominators, as its nonzero ``(j, c)``: what
+    ``certified_kernel_of_columns`` must return."""
     out = []
     for v in kernel_basis(MatrixQ.from_rows(rows, cols=cols)):
         den = math.lcm(*(e.denominator for e in v))
-        out.append(tuple(int(e * den) for e in v))
+        out.append([(j, int(e * den)) for j, e in enumerate(v) if e])
     return out
 
 
@@ -626,7 +654,7 @@ def hard_integer_matrices(draw, max_dim=5):
 @given(hard_integer_matrices())
 def test_certified_kernel_equals_the_exact_kernel(matrix):
     rows, cols = matrix
-    assert certified_kernel(rows, cols) == _integer_kernel(rows, cols)
+    assert _kernel_of_rows(rows, cols) == _integer_kernel(rows, cols)
 
 
 def test_certified_kernel_lifts_from_as_many_primes_as_it_needs(monkeypatch):
@@ -637,7 +665,7 @@ def test_certified_kernel_lifts_from_as_many_primes_as_it_needs(monkeypatch):
     for bits, primes in ((20, 2), (40, 3), (100, 6)):
         a, b = 2**bits + 7, 2**bits - 3
         moduli.clear()
-        assert certified_kernel([[a, b]], 2) == [(-b, a)]
+        assert _kernel_of_rows([[a, b]], 2) == [[(0, -b), (1, a)]]
         assert moduli == list(PRIMES[:primes]) + ([0] if primes == 6 else [])
 
 
@@ -651,12 +679,12 @@ def test_certified_kernel_passes_over_a_prime_that_loses_rank(monkeypatch):
     third and fourth together lift it."""
     rows = [[1, 1, 5], [1, 1 + PRIMES[1], 12]]
     expected = _integer_kernel(rows, 3)
-    assert expected == [(7 - 5 * PRIMES[1], -7, PRIMES[1])]
+    assert expected == [[(0, 7 - 5 * PRIMES[1]), (1, -7), (2, PRIMES[1])]]
     moduli = _record_moduli(monkeypatch)
-    assert certified_kernel([[1, 1], [1, 1 + PRIME]], 2) == []
+    assert _kernel_of_rows([[1, 1], [1, 1 + PRIME]], 2) == []
     assert moduli == list(PRIMES[:2])
     moduli.clear()
-    assert certified_kernel(rows, 3) == expected
+    assert _kernel_of_rows(rows, 3) == expected
     assert moduli == list(PRIMES[:4])
 
 
@@ -664,7 +692,7 @@ def test_certified_kernel_rejects_a_wrong_lift(monkeypatch):
     """A lift moved off by one is caught by the check over Z at every
     prime; the kernel then comes from Q, unchanged."""
     rows = [[1, 2, 3, 4], [2, 3, 5, 7], [0, 0, 1, 1]]
-    expected = certified_kernel(rows, 4)
+    expected = _kernel_of_rows(rows, 4)
     assert expected == _integer_kernel(rows, 4) != []
     lift = exactlin._lift
 
@@ -674,18 +702,19 @@ def test_certified_kernel_rejects_a_wrong_lift(monkeypatch):
 
     monkeypatch.setattr(exactlin, "_lift", wrong)
     moduli = _record_moduli(monkeypatch)
-    assert certified_kernel(rows, 4) == expected
+    assert _kernel_of_rows(rows, 4) == expected
     assert moduli == [*PRIMES, 0]
 
 
 def test_certified_kernel_of_empty_and_ragged_shapes():
-    assert certified_kernel([], 0) == []
-    assert certified_kernel([], 3) == [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    assert certified_kernel([[0, 0], [0, 0]], 2) == [(1, 0), (0, 1)]
-    assert certified_kernel([[], []], 0) == []
-    assert certified_kernel([[2, 4]], 2) == [(-2, 1)]
-    with pytest.raises(ValueError):
-        certified_kernel([[1, 0], [0]], 2)
+    assert _kernel_of_rows([], 0) == []
+    assert _kernel_of_rows([], 3) == [[(0, 1)], [(1, 1)], [(2, 1)]]
+    assert _kernel_of_rows([[0, 0], [0, 0]], 2) == [[(0, 1)], [(1, 1)]]
+    assert _kernel_of_rows([[], []], 0) == []
+    assert _kernel_of_rows([[2, 4]], 2) == [[(0, -2), (1, 1)]]
+    # a short row has no entry to read in a later column
+    with pytest.raises(IndexError):
+        exactlin._columns([[1, 0], [0]], 2)
     assert certified_kernel_of_columns([], 0) == certified_kernel_of_columns([], 2) == []
     assert certified_kernel_of_columns([[], []], 0) == [[(0, 1)], [(1, 1)]]
     assert certified_kernel_of_columns([[], [(0, 2)], [], [(0, 4)]], 1) == [[(0, 1)], [(2, 1)], [(1, -2), (3, 1)]]
