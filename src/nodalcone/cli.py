@@ -62,9 +62,11 @@ from .embedding import (
     CurvePoint,
     _cone_vector,
     _jacobian_rank,
+    _probe_rank,
     _product_matrix,
     _quadric_at,
     _quadric_forms,
+    _samples,
     check_sample_count,
     embed_point,
     globally_generated,
@@ -339,10 +341,11 @@ def _multiplication_maps(space: SectionSpace) -> tuple[dict, dict, tuple]:
     m = 2 kernel by ``certified_kernel_of_columns``, mod primes on the
     nonzero columns, and ``certified_rank_of_columns`` the m = 3 rank mod
     one prime, each falling back to Q from the same integers where the
-    primes do not prove it."""
-    columns2, dens2, target2 = _product_matrix(space, 2)
+    primes do not prove it. The m = 2 products are the m = 3 prefixes."""
+    products2: dict = {}
+    columns2, dens2, target2 = _product_matrix(space, 2, products=products2)
     quadrics = _quadric_forms(columns2, dens2, target2, len(space.basis))
-    columns3, dens3, target3 = _product_matrix(space, 3)
+    columns3, dens3, target3 = _product_matrix(space, 3, prefixes=products2)
 
     def shape(source: int, target: int, r: int) -> dict:
         return {"source": source, "target": target, "rank": r, "surjective": r == target}
@@ -364,15 +367,10 @@ def run_ideal(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) ->
         ),
         "vertex_rank": _jacobian_rank(quadrics, (0,) * n),
     }
-
-    def point_rank(x: CurvePoint) -> int | None:
-        coords = _cone_vector(space, x)  # all zero where x has no image
-        return _jacobian_rank(quadrics, coords) if any(coords) else None
-
-    probe["node_ranks"] = [point_rank(CurvePoint.at_node(k)) for k in range(len(curve.nodes))]
-    smooth = [x for x in sample_points(curve, samples, seed) if not x.is_node]
-    if smooth:
-        probe["smooth_point_rank"] = point_rank(smooth[0])
+    probe["node_ranks"] = [_probe_rank(space, quadrics, CurvePoint.at_node(k)) for k in range(len(curve.nodes))]
+    smooth = next((x for x in _samples(curve, samples, seed) if not x.is_node), None)
+    if smooth is not None:
+        probe["smooth_point_rank"] = _probe_rank(space, quadrics, smooth)
     out["singularity_probe"] = probe
     return out
 

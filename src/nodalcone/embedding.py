@@ -35,6 +35,8 @@ Products and that check run on the sparse integer terms of the basis
 (see ``bundles``, whose ``_multiply`` is the one product routine), into
 one integer matrix per map, kept as each monomial's nonzero
 ``(row, entry)`` pairs (``_product_matrix``): most products are zero.
+A caller building both maps hands the m = 2 products to m = 3 as its
+prefixes, each still checked against its own target.
 ``multiplication_map`` makes Fractions of its entries. A caller after a
 rank or a kernel can keep the integers: column j is the rational column
 times ``den_j > 0``, so the rank is the same, and
@@ -60,11 +62,15 @@ smoothness verdict is derived from it. One evaluator and one Jacobian
 read the integer quadrics at a point's integer cone coordinates,
 ``embed_point`` times a positive factor. A quadric is homogeneous, so
 positive rescalings of it and of the point change neither which values
-vanish nor the Jacobian's rank. That rank is the number of columns
-minus the dimension of the gradients' ``certified_kernel_of_columns``,
-each column built straight from the quadric terms: a rank mod
-p only bounds it from below, and the checked kernel bounds it from
-above, so a short rank is as certain as a full one.
+vanish nor the Jacobian's rank. The gradients' columns are built
+straight from the quadric terms at the nonzero coordinates. Every
+quadric vanishes on the cone, so its gradient at a cone point x kills x
+(``grad q(x) . x = 2 q(x) = 0``) and the tangent jet of every branch
+through x (``_probe_rank``). Once each of those known vectors is shown
+to be in the kernel exactly over Z, ``rank_p <= rank_Q <= n - k``,
+with k their rank, so a rank mod p equal to ``n - k`` proves the rank
+with no kernel found; a shorter one is taken over Q from the same
+integers, never decided mod p (``_jacobian_rank``).
 """
 
 from __future__ import annotations
@@ -78,7 +84,8 @@ from typing import NamedTuple
 from .bundles import SectionSpace, _dot, _flat_row, _glues, _homogeneous_row, _jet_row, _multiply, _node_rows
 from .bundles import block_widths, power
 from .curve import NodalCurve, PointOnLine, affine_point
-from .exactlin import MatrixQ, VectorQ, _dense_rows, _forward_eliminate, _free, as_scalar, certified_kernel_of_columns
+from .exactlin import MatrixQ, VectorQ, _dense_rows, _forward_eliminate, _free, _kills, as_scalar, certified_kernel_of_columns
+from .exactlin import certified_rank, certified_rank_of_columns
 
 _ZERO = Fraction(0)
 
@@ -195,11 +202,17 @@ def sample_points(curve: NodalCurve, extra_per_component: int = 5, seed: int = S
     order and every downstream report are reproducible. They are drawn
     from a finite pool, so a request that is negative or exceeds a
     component's free share of it raises ``ValueError`` from
-    ``check_sample_count`` instead of drawing forever.
+    ``check_sample_count`` instead of drawing forever. The tuple is that
+    of ``_samples``, which draws a point only when it is read.
     """
+    return tuple(_samples(curve, extra_per_component, seed))
+
+
+def _samples(curve: NodalCurve, extra_per_component: int, seed: int):
+    """The points of ``sample_points`` in order, as a generator."""
     check_sample_count(curve, extra_per_component)
     rng = random.Random(seed)
-    points = [CurvePoint.at_node(k) for k in range(len(curve.nodes))]
+    yield from (CurvePoint.at_node(k) for k in range(len(curve.nodes)))
     for comp in curve.components:
         taken = {p.coord for p in comp.marked_points if not p.is_infinity}
         chosen: list[Fraction] = []
@@ -208,8 +221,7 @@ def sample_points(curve: NodalCurve, extra_per_component: int = 5, seed: int = S
             if candidate in taken or candidate in chosen:
                 continue
             chosen.append(candidate)
-            points.append(CurvePoint.smooth(comp.name, candidate))
-    return tuple(points)
+            yield CurvePoint.smooth(comp.name, candidate)
 
 
 class AmpleVerdict(NamedTuple):
@@ -351,7 +363,9 @@ def sym_monomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations_with_replacement(range(n), m))
 
 
-def _product_matrix(space: SectionSpace, m: int) -> tuple[list[tuple[tuple[int, int], ...]], list[int], int]:
+def _product_matrix(
+    space: SectionSpace, m: int, prefixes: dict | None = None, products: dict | None = None
+) -> tuple[list[tuple[tuple[int, int], ...]], list[int], int]:
     """The matrix of Sym^m H0(L) -> H0(L^m) over the integers, as
     ``(columns, dens, rows)``: for each monomial of
     ``sym_monomials(h0, m)`` the nonzero entries ``(i, h)`` of its
@@ -360,7 +374,10 @@ def _product_matrix(space: SectionSpace, m: int) -> tuple[list[tuple[tuple[int, 
 
     The degree-(m - 1) products are built once and held; each column's
     product is one more ``_multiply`` of its prefix, so the degree-m
-    products are never all held at once. Each product, zero or not, is
+    products are never all held at once, unless a ``products`` dict is
+    given: each checked product is then stored there by its monomial, for
+    a call at m + 1 to take as its ``prefixes`` instead of building them
+    again. Each product, zero or not, is
     first checked exactly against every node constraint of ``L^m``, on
     integers. Once it is known to be a global section, its coordinates are
     its terms at the target's free columns, where the target basis is the
@@ -378,17 +395,21 @@ def _product_matrix(space: SectionSpace, m: int) -> tuple[list[tuple[tuple[int, 
     free = _free(offsets[-1], _forward_eliminate([_flat_row(offsets, node) for node in node_rows]))
     row_of = {c: i for i, c in enumerate(free)}  # the target row of each free column
     basis = space.integral_basis
-    prefixes = {(i,): s for i, s in enumerate(basis)}
-    for j in range(2, m):
-        prefixes = {p: _multiply(prefixes[p[:-1]], basis[p[-1]]) for p in sym_monomials(len(basis), j)}
+    if prefixes is None:
+        prefixes = {(i,): s for i, s in enumerate(basis)}
+        for j in range(2, m):
+            prefixes = {p: _multiply(prefixes[p[:-1]], basis[p[-1]]) for p in sym_monomials(len(basis), j)}
     columns, dens = [], []
     for mono in sym_monomials(len(basis), m):
-        blocks, den = _multiply(prefixes[mono[:-1]], basis[mono[-1]]) if m > 1 else basis[mono[0]]
+        product = _multiply(prefixes[mono[:-1]], basis[mono[-1]]) if m > 1 else basis[mono[0]]
+        blocks, den = product
         if not _glues(node_rows, blocks):
             raise ArithmeticError(
                 f"product for monomial {mono} is not a global section of the target; "
                 "gluing bookkeeping is broken"
             )
+        if products is not None:
+            products[mono] = product
         column = ((row_of[at + k], c) for at, terms in zip(offsets, blocks) for k, c in terms if at + k in row_of)
         # a tuple, not a list: the many zero products then share the empty tuple, and m3 holds less memory
         columns.append(tuple(column))
@@ -479,27 +500,58 @@ def _quadric_at(form: _QuadricForm, x) -> int | Fraction:
     return sum(c * x[i] * x[j] for c, i, j in form[0])
 
 
-def _jacobian_rank(forms, x) -> int:
+def _jacobian_rank(forms, x, known=(), at: CurvePoint | None = None) -> int:
     """Rank of the quadric forms' gradients at an integer point x, each
-    times its form's denominator; a square term ``c x_i^2`` adds
-    ``c x_i`` twice. The rank is ``len(x)`` minus the dimension of the
-    kernel of the gradients' columns, each its nonzero ``(form, d/dx_i)``,
-    so it is exact: a rank mod p alone would only bound it from below."""
+    times its form's denominator, taken by ``certified_rank_of_columns``
+    on the nonzero columns, each its nonzero ``(form, d/dx_i)``. A term
+    ``c x_i x_j`` adds ``c x_j`` to column i only where ``x_j != 0``, so
+    a square term adds ``c x_i`` twice.
+
+    The vectors ``known`` are ones every gradient must kill: each is
+    checked to be in the kernel exactly over Z, else ``ArithmeticError``
+    names the point ``at``. With k their rank, ``rank_Q <= len(x) - k``,
+    the bound a rank mod p must reach to be certified; short of it the
+    rank is taken over Q from the same integers, never decided mod p."""
     grads: list[dict[int, int]] = [{} for _ in x]
     for q, (terms, _) in enumerate(forms):
         for c, i, j in terms:
-            grads[i][q] = grads[i].get(q, 0) + c * x[j]
-            grads[j][q] = grads[j].get(q, 0) + c * x[i]
+            if x[j]:
+                grads[i][q] = grads[i].get(q, 0) + c * x[j]
+            if x[i]:
+                grads[j][q] = grads[j].get(q, 0) + c * x[i]
     columns = [[(q, e) for q, e in grad.items() if e] for grad in grads]
-    return len(x) - len(certified_kernel_of_columns(columns, len(forms)))
+    for v in known:
+        if not _kills(columns, len(forms), [(j, c) for j, c in enumerate(v) if c]):
+            raise ArithmeticError(
+                f"a vector known to be in the kernel of the quadrics' Jacobian at {at} is not; "
+                "the cone point or a branch jet is broken"
+            )
+    bound = len(x) - certified_rank(known, len(x))
+    return certified_rank_of_columns([column for column in columns if column], len(forms), bound)
 
 
-def _cone_vector(space: SectionSpace, x: CurvePoint) -> tuple[int, ...]:
+def _cone_vector(space: SectionSpace, x: CurvePoint, vector=_evaluation_vector) -> tuple[int, ...]:
     """The ``h_j`` of ``_evaluation_vector`` over one common denominator:
     ``embed_point`` times ``s * lcm(den_j) > 0``, or all zero where x
-    has no image."""
+    has no image; with ``_jet_vector`` for ``vector``, the jets at x over
+    the same denominator."""
     den = lcm(*(d for _, d in space.integral_basis))
-    return tuple(h * (den // d) for h, (_, d) in zip(_evaluation_vector(space, x), space.integral_basis))
+    return tuple(h * (den // d) for h, (_, d) in zip(vector(space, x), space.integral_basis))
+
+
+def _probe_rank(space: SectionSpace, forms, x: CurvePoint) -> int | None:
+    """The rank of the quadric forms' Jacobian at the cone point of x,
+    or None where x has no image. Every quadric q vanishes on the cone,
+    so its gradient there kills the point (``grad q(x) . x = 2 q(x)``)
+    and the tangent jet of every branch through it: the cone vector and
+    the jets of both branches at a node, of the point itself elsewhere,
+    are ``_jacobian_rank``'s known vectors."""
+    coords = _cone_vector(space, x)
+    if not any(coords):
+        return None
+    branches = [CurvePoint.at_node(x.node, b) for b in (0, 1)] if x.is_node else [x]
+    known = [coords, *(_cone_vector(space, b, _jet_vector) for b in branches)]
+    return _jacobian_rank(forms, coords, known, x)
 
 
 def quadric_value(quadric, coords) -> Fraction:

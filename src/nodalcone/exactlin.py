@@ -24,14 +24,15 @@ left as it is, so every result is the same as dense elimination's.
 as the nonzero ``(row, entry)`` pairs of each column, modulo the fixed
 prime ``PRIME`` first: column by column, in any order, since the rank
 does not depend on it, with no row built, zero columns skipped, and a
-stop at ``min(rows, cols)`` pivots. Reduction mod p can only lose rank,
-so ``rank_p <= rank_Q``, and ``rank_Q`` is at most ``min(rows, cols)``:
-a ``rank_p`` equal to that bound proves ``rank_Q`` equal to it, for a
-tall matrix as for a wide one. A shorter ``rank_p`` may be a loss to
-the prime, so it never decides a shortfall; the rank is then taken over
-Q from the same integers, as dense rows. The result is the exact rank
-either way, and the same on every run. ``certified_rank`` takes dense
-rows.
+stop at ``min(rows, cols)`` pivots, or at a smaller upper bound on
+``rank_Q`` that the caller has proven (``embedding``'s probe does, from
+vectors known to be in the kernel). Reduction mod p can only lose rank,
+so ``rank_p <= rank_Q``, and ``rank_Q`` is at most that bound: a
+``rank_p`` equal to it proves ``rank_Q`` equal to it, for a tall matrix
+as for a wide one. A shorter ``rank_p`` may be a loss to the prime, so
+it never decides a shortfall; the rank is then taken over Q from the
+same integers, as dense rows. The result is the exact rank either way,
+and the same on every run. ``certified_rank`` takes dense rows.
 
 ``certified_kernel_of_columns`` finds the canonical kernel basis of an
 integer matrix given by columns in the same way. A zero column is free,
@@ -310,12 +311,13 @@ def _rank_mod_prime(columns: Sequence[Sequence[tuple[int, int]]], rows: int, sto
     return len(pivots)
 
 
-def certified_rank_of_columns(columns: Sequence[Sequence[tuple[int, int]]], rows: int) -> int:
+def certified_rank_of_columns(columns: Sequence[Sequence[tuple[int, int]]], rows: int, bound: int | None = None) -> int:
     """Exact rank of the integer matrix with ``rows`` rows and these
     columns, each its nonzero ``(row, entry)`` pairs: its rank mod
-    ``PRIME`` where that equals ``min(rows, cols)``, which certifies it
+    ``PRIME`` where that equals ``min(rows, cols)``, or ``bound`` if
+    smaller, a proven upper bound on the rank over Q, which certifies it
     (see the module docstring), and otherwise its rank over Q."""
-    full = min(rows, len(columns))
+    full = min(rows, len(columns)) if bound is None else min(rows, len(columns), bound)
     if _rank_mod_prime(columns, rows, full) == full:
         return full
     return len(_forward_eliminate(_dense_rows(columns, rows)))
@@ -370,14 +372,20 @@ def _lifted_basis(columns, nrows: int, pivots: list[int], lifts: list[int], modu
             return None
         den = lcm(*(d for _, d in entries))
         w = [(pc, n * (den // d)) for (n, d), pc in zip(entries, pivots) if n] + [(f, den)]
-        total = [0] * nrows
-        for j, c in w:
-            for i, a in columns[j]:
-                total[i] += a * c
-        if any(total):
+        if not _kills(columns, nrows, w):
             return None
         basis.append(w)
     return basis
+
+
+def _kills(columns, rows: int, w) -> bool:
+    """Whether the integer matrix with these sparse columns times the
+    vector with nonzero entries ``(j, w_j)`` is zero, exactly over Z."""
+    total = [0] * rows
+    for j, c in w:
+        for i, a in columns[j]:
+            total[i] += a * c
+    return not any(total)
 
 
 def certified_kernel_of_columns(columns: Sequence[Sequence[tuple[int, int]]], rows: int) -> list[list[tuple[int, int]]]:

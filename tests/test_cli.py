@@ -412,6 +412,12 @@ def test_quadrics_converted_once_per_command(command, tmp_path, monkeypatch, cap
     assert dense == []
 
 
+# the specs on which one point of ``ideal``'s probe, node 1 where C1
+# meets C2, needs the gradients' rank over Q, and that matrix's nonzero
+# columns: the quadrics cut out C2's whole plane there (ROADMAP item 1)
+PROBE_SHORTFALL = {"curves/paper-x-333.json": 6, "curves/paper-x.json": 7, "ladder:3": 6}
+
+
 @pytest.mark.parametrize("command", ["ideal", "verify"])
 @pytest.mark.parametrize("spec", M3_GUARD_SPECS)
 def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys):
@@ -420,8 +426,10 @@ def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys
     the m = 3 rank is certified mod PRIME on its sparse columns, and m3
     is never built as dense rows; the m = 2 kernel is eliminated mod
     PRIME on m2's nonzero columns only, never at its full width, and
-    checked over Z. So is the kernel of every gradient matrix of
-    ``ideal``'s probe, one row per quadric."""
+    checked over Z. Every gradient matrix of ``ideal``'s probe, one row
+    per quadric, is ranked mod PRIME on its sparse columns and never
+    eliminated, except where ``PROBE_SHORTFALL`` names the one matrix
+    whose rank mod PRIME falls short of its bound and is taken over Q."""
     from nodalcone.embedding import _product_matrix
     from nodalcone.exactlin import PRIME
 
@@ -436,18 +444,21 @@ def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys
     eliminations, column_ranks, dense, matrices = _record_eliminations(monkeypatch)
     assert main([command, str(path), "--json"]) == EXIT_OK
     body = json.loads(capsys.readouterr().out)["sections"][command]
-    shapes = [m2_nonzero]
-    if command == "ideal":
-        shapes.append((body["quadric_count"], h0))
-    for shape in shapes + [m2, m3]:
+    for shape in (m2_nonzero, m2, m3):
         assert (0, *shape) not in eliminations
         assert shape not in matrices and shape[::-1] not in matrices
-    for shape in shapes:
-        assert (PRIME, *shape) in eliminations
+    assert (PRIME, *m2_nonzero) in eliminations
     assert (PRIME, *m2) not in eliminations
     assert m3 in column_ranks
     assert (PRIME, *m3) not in eliminations
     assert m3 not in dense
+    if command == "ideal":
+        gradients = (body["quadric_count"], h0)  # the smooth sample's, every column nonzero
+        assert gradients in column_ranks
+        assert gradients not in matrices and gradients[::-1] not in matrices
+        probe = [e for e in eliminations if e[1] == gradients[0] and e[2] <= h0]
+        shortfall = [(0, gradients[0], PROBE_SHORTFALL[spec])] if spec in PROBE_SHORTFALL else []
+        assert probe == shortfall
 
 
 # the paper curve at (3, 3, 3) with C2's branch of the node C1.1 - C2.1
@@ -465,9 +476,11 @@ PINNED_BIG_COORDINATES = {
 
 @pytest.mark.parametrize("as_json", [True, False])
 def test_ideal_with_huge_coordinates_falls_back_to_q(as_json, tmp_path, monkeypatch, capsys):
-    """Cone coordinates far too big to lift from the six primes: the
-    probe's gradient kernels and the m = 2 kernel, on the 30 nonzero of
-    m2's 45 columns, fall back to Q from the same integers, and the
+    """Cone coordinates far too big to lift from the six primes: the m = 2
+    kernel, on the 30 nonzero of m2's 45 columns, falls back to Q from the
+    same integers after all six primes, and so does the one probe rank
+    its known kernel vectors do not certify, node 1's gradients on their
+    6 nonzero columns; no gradient matrix is eliminated mod a prime. The
     output is the one pinned before the modular kernel existed."""
     from nodalcone.exactlin import PRIMES
 
@@ -478,10 +491,10 @@ def test_ideal_with_huge_coordinates_falls_back_to_q(as_json, tmp_path, monkeypa
     eliminations, *_ = _record_eliminations(monkeypatch)
     assert main(["ideal", "big-coordinates.json", *(["--json"] if as_json else [])]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_BIG_COORDINATES[as_json]
-    gradients, m2 = (27, 9), (18, 30)
-    for shape in (gradients, m2):
-        assert [p for p in PRIMES if (p, *shape) in eliminations] == list(PRIMES)
-        assert (0, *shape) in eliminations
+    assert [e for e in eliminations if e[1] == 27] == [(0, 27, 6)]
+    m2 = (18, 30)
+    assert [p for p in PRIMES if (p, *m2) in eliminations] == list(PRIMES)
+    assert (0, *m2) in eliminations
     assert not [p for p in (0, *PRIMES) if (p, 18, 45) in eliminations]
 
 
@@ -518,6 +531,104 @@ def test_ideal_takes_a_short_m3_rank_over_q(tmp_path, monkeypatch, capsys):
     assert (12, 20) not in matrices
     assert main(["ideal", str(path)]) == EXIT_OK
     assert "m3:\n  source: 20\n  target: 12\n  rank: 10\n  surjective: False\n" in capsys.readouterr().out
+
+
+def _record_probe(monkeypatch):
+    """Wrap ``_jacobian_rank`` where ``embedding`` and ``cli`` call it and
+    record, for each call, the point it names (``vertex`` for none) and the
+    eliminations ``_record_eliminations`` records during it."""
+    from nodalcone import embedding
+
+    points = []
+    eliminations, *_ = _record_eliminations(monkeypatch)
+    jacobian = embedding._jacobian_rank
+
+    def recording(forms, x, known=(), at=None):
+        start = len(eliminations)
+        rank = jacobian(forms, x, known, at)
+        points.append(("vertex" if at is None else str(at), eliminations[start:]))
+        return rank
+
+    for module in (embedding, cli):
+        monkeypatch.setattr(module, "_jacobian_rank", recording)
+    return points
+
+
+@pytest.mark.parametrize("name", ["paper-x.json", "paper-x-333.json"])
+def test_probe_falls_back_to_q_at_one_node(name, monkeypatch, capsys):
+    """The probe's known kernel vectors certify the rank mod PRIME at the
+    vertex, the smooth sample and two of the three nodes. Node 1, where
+    C1 meets C2, is the one point whose rank mod PRIME falls short of its
+    bound by one: the quadrics vanish on C2's whole plane, so their
+    gradients there also kill a direction the bound does not know of
+    (ROADMAP item 1). Its rank alone is taken over Q, on the gradients'
+    nonzero columns, and no rank is found mod a prime by elimination."""
+    points = _record_probe(monkeypatch)
+    assert main(["ideal", str(REPO / "curves" / name), "--json"]) == EXIT_OK
+    body = json.loads(capsys.readouterr().out)["sections"]["ideal"]
+    assert [at for at, _ in points] == ["vertex", "node:0", "node:1", "node:2", "C1:24"]
+    q = body["quadric_count"]
+    assert [(at, e) for at, done in points for e in done] == [("node:1", (0, q, PROBE_SHORTFALL[f"curves/{name}"]))]
+    assert body["singularity_probe"]["node_ranks"][1] == body["h0"] - 4
+
+
+BIG_14 = {"multidegree": [14, 14, 14], "gluings": ["5/3", "-2/7", "3"]}
+
+
+@pytest.mark.parametrize("spec", [f"ladder:{k}" for k in range(4, 9)] + ["big:14"])
+def test_probe_ranks_are_certified_without_elimination(spec, tmp_path, monkeypatch, capsys):
+    """On the ladder at k = 4..8, and on the paper curve at (14,14,14)
+    with gluings with denominators and C2's second point at the 61-digit
+    ``BIG_COORDINATE``, every probe rank is certified mod PRIME by its
+    known kernel vectors: no gradient matrix is eliminated, mod a prime
+    or over Q."""
+    if spec == "big:14":
+        doc = json.loads(PAPER_SPEC.read_text())
+        doc["components"][1]["points"][1] = BIG_COORDINATE
+        doc["bundle"] = BIG_14
+        text = json.dumps(doc)
+    else:
+        text = _paper_curve_at(int(spec.split(":")[1]))
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    points = _record_probe(monkeypatch)
+    assert main(["ideal", str(path), "--json"]) == EXIT_OK
+    body = json.loads(capsys.readouterr().out)["sections"]["ideal"]
+    assert [at for at, _ in points] == ["vertex", "node:0", "node:1", "node:2", "C1:24"]
+    assert [e for _, done in points for e in done] == []
+    probe = body["singularity_probe"]
+    h0 = body["h0"]
+    assert probe["node_ranks"] == [h0 - 3] * 3 and probe["smooth_point_rank"] == h0 - 2
+
+
+@pytest.mark.parametrize("samples", [0, 1, 5])
+@pytest.mark.parametrize("seed", [1, 7, 1105])
+def test_ideal_reads_the_first_smooth_sample_only(samples, seed, monkeypatch, capsys):
+    """``ideal`` probes the first smooth point of ``_samples``, which is
+    the first smooth point of ``sample_points`` for the same arguments,
+    and draws no point after it; with no smooth samples there is no
+    ``smooth_point_rank``."""
+    from nodalcone import embedding
+
+    drawn = []
+    samples_of = embedding._samples
+
+    def counting(curve, extra, seed_):
+        for x in samples_of(curve, extra, seed_):
+            drawn.append(x)
+            yield x
+
+    monkeypatch.setattr(cli, "_samples", counting)
+    for path in sorted((REPO / "curves").glob("*.json")):
+        curve = parse_spec(path.read_text()).curve
+        smooth = [x for x in embedding.sample_points(curve, samples, seed) if not x.is_node]
+        first = next((x for x in samples_of(curve, samples, seed) if not x.is_node), None)
+        assert first == (smooth[0] if smooth else None)
+        drawn.clear()
+        assert main(["ideal", str(path), "--json", "--samples", str(samples), "--seed", str(seed)]) == EXIT_OK
+        probe = json.loads(capsys.readouterr().out)["sections"]["ideal"]["singularity_probe"]
+        assert [x for x in drawn if not x.is_node] == smooth[:1]
+        assert ("smooth_point_rank" in probe) == bool(smooth)
 
 
 def test_main_verify_ok(capsys):

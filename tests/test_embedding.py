@@ -462,6 +462,93 @@ def test_cone_jacobian_rank_scale_invariant(paper_curve):
     )
 
 
+def _probe_against_the_reference(space, seed):
+    """Check the probe's rank against ``reference_jacobian_rank`` at the
+    vertex, every node and two smooth samples per component: the rank
+    certified from known kernel vectors (``_probe_rank``), and the one
+    ``cone_jacobian_rank`` takes with none. Return the points whose
+    certified rank was taken over Q."""
+    curve = space.bundle.curve
+    n = len(space.basis)
+    forms = embedding._quadric_forms(*embedding._product_matrix(space, 2), n)
+    quadrics = quadric_ideal(multiplication_map(space, 2))
+    assert embedding._jacobian_rank(forms, (0,) * n) == reference_jacobian_rank(quadrics, (0,) * n) == 0
+    over_q = []
+    eliminate = exactlin._forward_eliminate
+    for x in sample_points(curve, 2, seed):
+        try:
+            coords = embed_point(space, x)
+        except ValueError:
+            assert embedding._probe_rank(space, forms, x) is None
+            continue
+        expected = reference_jacobian_rank(quadrics, coords)
+        moduli = []
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(exactlin, "_forward_eliminate", lambda r, p=0: moduli.append(p) or eliminate(r, p))
+            assert embedding._probe_rank(space, forms, x) == expected
+        if 0 in moduli:
+            over_q.append(str(x))
+        assert cone_jacobian_rank(quadrics, coords) == expected
+    return over_q
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(0, 10**6))
+def test_certified_probe_rank_matches_the_reference(seed):
+    """Very ample bundles of degree 3 or 4 on each component, on curves
+    with self-nodes and with marked points at infinity, whose jets are
+    read in the chart ``u = 1/t``: the probe's certified rank is the
+    rank of the Fraction gradients at every point."""
+    rng = random.Random(seed)
+    curve = curve_with_infinity(rng)
+    space = section_basis(random_bundle(rng, curve, degree_range=(3, 4)))
+    if very_ample(space, 2, seed).status == FAILED:
+        return
+    _probe_against_the_reference(space, seed)
+
+
+@pytest.mark.parametrize("degrees", [(3, 3, 3), (4, 3, 3)])
+def test_certified_probe_rank_falls_back_to_q_at_one_node(paper_curve, degrees):
+    """On the paper curve the known vectors certify every point but node
+    1, where C1 meets C2; there the rank is taken over Q, and it is the
+    reference rank too."""
+    space = section_basis(line_bundle(paper_curve, degrees))
+    assert _probe_against_the_reference(space, SAMPLE_SEED) == ["node:1"]
+
+
+@pytest.mark.parametrize("degrees, node", [((4, 3, 0), 0), ((3, 1, 3), 2), ((2, 2, 2), 2)])
+def test_certified_probe_rank_where_known_vectors_are_dependent(paper_curve, degrees, node):
+    """Below the very ampleness criterion a branch jet can vanish (degree
+    0) or the known vectors at a node can be dependent, so their rank,
+    not their count, bounds the gradients' rank: at the named node the
+    rank is above ``h0`` minus their count, and still the reference's."""
+    space = section_basis(line_bundle(paper_curve, degrees))
+    n = len(space.basis)
+    forms = embedding._quadric_forms(*embedding._product_matrix(space, 2), n)
+    # three known vectors at a node: the cone point and the two branch jets
+    assert embedding._probe_rank(space, forms, CurvePoint.at_node(node)) > n - 3
+    _probe_against_the_reference(space, SAMPLE_SEED)
+
+
+@pytest.mark.parametrize("mutated, point", [(0, "node:0"), (1, "node:0"), (None, "C1:24")])
+def test_probe_refuses_a_known_vector_off_the_kernel(monkeypatch, capsys, mutated, point):
+    """A branch jet moved off the gradients' kernel by a unit vector, on
+    branch 0 or 1 of every node or at every smooth point, fails the exact
+    check over Z: ``ideal`` raises ``ArithmeticError`` naming the first
+    point where it is read, and prints no rank."""
+    jet = embedding._jet_vector
+
+    def moved(space, x):
+        v = jet(space, x)
+        return (v[0] + 1, *v[1:]) if x.branch == mutated else v
+
+    monkeypatch.setattr(embedding, "_jet_vector", moved)
+    for as_json in (["--json"], []):
+        with pytest.raises(ArithmeticError, match=f"Jacobian at {point} is not"):
+            main(["ideal", str(PAPER_SPEC), *as_json])
+        assert capsys.readouterr().out == ""
+
+
 _COEFFS = st.one_of(st.just(F(0)), st.builds(F, st.integers(-6, 6), st.integers(1, 6)))
 
 

@@ -507,15 +507,18 @@ def wide_or_tall_integer_matrices(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(wide_or_tall_integer_matrices(), st.randoms(use_true_random=False))
-def test_rank_on_sparse_columns_equals_the_exact_rank(matrix, rng):
+@given(wide_or_tall_integer_matrices(), st.randoms(use_true_random=False), st.one_of(st.none(), st.integers(0, 2)))
+def test_rank_on_sparse_columns_equals_the_exact_rank(matrix, rng, slack):
     """``certified_rank_of_columns`` is the exact rank, with its columns
-    in any order. Its rank mod PRIME, counted up to ``min(rows, cols)``,
-    is that of the dense rows reduced mod PRIME, and exactly where it
-    falls short of that bound the rank is taken over Q, once."""
+    in any order, with or without a proven upper bound on the rank over
+    Q, here the exact rank plus ``slack``. Its rank mod PRIME, counted up
+    to ``min(rows, cols)`` or that bound if smaller, is that of the dense
+    rows reduced mod PRIME, and exactly where it falls short of the bound
+    the rank is taken over Q, once."""
     rows, cols = matrix
     exact = _exact_rank(rows, cols)
-    full = min(len(rows), cols)
+    bound = None if slack is None else exact + slack
+    full = min(len(rows), cols) if bound is None else min(len(rows), cols, bound)
     columns = exactlin._columns(rows, cols)
     rng.shuffle(columns)
     rank_p = exactlin._rank_mod_prime(columns, len(rows), full)
@@ -524,7 +527,7 @@ def test_rank_on_sparse_columns_equals_the_exact_rank(matrix, rng):
     eliminate = exactlin._forward_eliminate
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exactlin, "_forward_eliminate", lambda r, p=0: moduli.append(p) or eliminate(r, p))
-        assert certified_rank_of_columns(columns, len(rows)) == exact
+        assert certified_rank_of_columns(columns, len(rows), bound) == exact
     assert moduli == ([0] if rank_p < full else [])
 
 
