@@ -13,9 +13,8 @@ rank, so the verdicts are the same. The m = 3 multiplication map's
 rank is taken mod one fixed prime where that proves the map onto,
 and over Q from the same integers where it does not; so is each of the
 probe's Jacobian ranks, bounded by vectors checked exactly to be in its
-kernel. The quadrics are found mod fixed primes, lifted to rationals and
-kept only once checked exactly over the integers, else taken over Q.
-Results are exact and deterministic.
+kernel. The quadrics are the m = 2 map's kernel, taken over Q from the
+same integers. Results are exact and deterministic.
 """
 
 __version__ = "0.1.0"

@@ -338,10 +338,10 @@ def _multiplication_maps(space: SectionSpace) -> tuple[dict, dict, tuple]:
     stay the integer matrices of ``_product_matrix``, each column the
     rational one times its ``den > 0``, so kernel and rank are the map's.
     Both are taken on the maps' sparse columns: ``_quadric_forms`` the
-    m = 2 kernel by ``certified_kernel_of_columns``, mod primes on the
-    nonzero columns, and ``certified_rank_of_columns`` the m = 3 rank mod
-    one prime, each falling back to Q from the same integers where the
-    primes do not prove it. The m = 2 products are the m = 3 prefixes."""
+    m = 2 kernel by ``kernel_of_columns``, over Q on the nonzero columns,
+    and ``certified_rank_of_columns`` the m = 3 rank mod one prime,
+    falling back to Q from the same integers where the prime does not
+    prove it. The m = 2 products are the m = 3 prefixes."""
     products2: dict = {}
     columns2, dens2, target2 = _product_matrix(space, 2, products=products2)
     quadrics = _quadric_forms(columns2, dens2, target2, len(space.basis))

@@ -45,13 +45,12 @@ modulo one prime; as ``rank_p <= rank_Q <= min(rows, cols)``, that
 certifies that the map is onto and never decides a shortfall (that
 falls back to the exact rank of the same integers). Its kernel at m = 2
 is the space of quadrics through the embedded curve.
-``exactlin.certified_kernel_of_columns`` finds it from the same sparse
-columns, a zero product's monomial being a quadric by itself, and
-eliminates only the nonzero ones, mod primes, lifted and checked over Z,
-or else over Q, so it is the canonical basis of ``kernel_basis``: a
-vector w of the integer map
-gives the rational kernel vector with entries ``den_j * w_j`` up to a
-positive factor (``_scaled_kernel``).
+``exactlin.kernel_of_columns`` finds it from the same sparse columns, a
+zero product's monomial being a quadric by itself, and eliminates only
+the nonzero ones, over Q, so it is the canonical basis of
+``kernel_basis``: a vector w of the integer map gives the rational
+kernel vector with entries ``den_j * w_j`` up to a positive factor
+(``_scaled_kernel``).
 ``_quadric_forms`` keeps each quadric as its nonzero terms
 ``(den_j * w_j, i, j)`` over the integers, and ``quadric_ideal`` turns
 the same vectors into Fractions.
@@ -84,8 +83,8 @@ from typing import NamedTuple
 from .bundles import SectionSpace, _dot, _flat_row, _glues, _homogeneous_row, _jet_row, _multiply, _node_rows
 from .bundles import block_widths, power
 from .curve import NodalCurve, PointOnLine, affine_point
-from .exactlin import MatrixQ, VectorQ, _dense_rows, _forward_eliminate, _free, _kills, as_scalar, certified_kernel_of_columns
-from .exactlin import certified_rank, certified_rank_of_columns
+from .exactlin import MatrixQ, VectorQ, _dense_rows, _forward_eliminate, _free, _kills, as_scalar, certified_rank
+from .exactlin import certified_rank_of_columns, kernel_of_columns
 
 _ZERO = Fraction(0)
 
@@ -165,19 +164,13 @@ def _branch_site(curve: NodalCurve, x: CurvePoint) -> tuple[int, PointOnLine]:
     return curve.component_index(x.component), x.coord
 
 
-def _evaluation_vector(space: SectionSpace, x: CurvePoint) -> tuple[int, ...]:
-    """The basis values at x as integers, ``h_j`` of ``_homogeneous_row``
-    for basis section j; the module docstring gives their scaling."""
+def _branch_vector(space: SectionSpace, x: CurvePoint, row) -> tuple[int, ...]:
+    """The basis at x as integers, ``h_j`` for basis section j, read with
+    ``row``: its values with ``_homogeneous_row``, its jets with
+    ``_jet_row``; the module docstring gives their scaling."""
     ci, point = _branch_site(space.bundle.curve, x)
-    row, _ = _homogeneous_row(block_widths(space.bundle)[ci], point)
-    return tuple(_dot(blocks[ci], row) for blocks, _ in space.integral_basis)
-
-
-def _jet_vector(space: SectionSpace, x: CurvePoint) -> tuple[int, ...]:
-    """The basis jets at x as integers, ``h_j`` of ``_jet_row``."""
-    ci, point = _branch_site(space.bundle.curve, x)
-    row, _ = _jet_row(block_widths(space.bundle)[ci], point)
-    return tuple(_dot(blocks[ci], row) for blocks, _ in space.integral_basis)
+    weights, _ = row(block_widths(space.bundle)[ci], point)
+    return tuple(_dot(blocks[ci], weights) for blocks, _ in space.integral_basis)
 
 
 def check_sample_count(curve: NodalCurve, extra_per_component: int) -> None:
@@ -245,7 +238,7 @@ def globally_generated(space: SectionSpace, extra_samples: int = 5, seed: int = 
         return AmpleVerdict(FAILED, "no global sections (h0 = 0)", 0)
     samples = sample_points(space.bundle.curve, extra_samples, seed)
     for x in samples:
-        if not any(_evaluation_vector(space, x)):
+        if not any(_branch_vector(space, x, _homogeneous_row)):
             return AmpleVerdict(FAILED, f"all sections vanish at {x}", len(samples))
     criterion = min(space.bundle.multidegree) >= 2
     status = CRITERION_SATISFIED if criterion else VERIFIED_ON_SAMPLES
@@ -269,11 +262,11 @@ def _jet_tests(space: SectionSpace, x: CurvePoint):
     at x: one at a smooth point, one per branch at a node without a
     branch selector, and the selected branch's at a node with one."""
     if not x.is_node:
-        yield f"jet test fails at {x}", _evaluation_vector(space, x), _jet_vector(space, x)
+        yield f"jet test fails at {x}", _branch_vector(space, x, _homogeneous_row), _branch_vector(space, x, _jet_row)
         return
     for b in (0, 1) if x.branch is None else (x.branch,):
         at = CurvePoint.at_node(x.node, b)
-        yield f"jet test fails on branch {b} of {x}", _evaluation_vector(space, at), _jet_vector(space, at)
+        yield f"jet test fails on branch {b} of {x}", _branch_vector(space, at, _homogeneous_row), _branch_vector(space, at, _jet_row)
 
 
 def separates_points(space: SectionSpace, x: CurvePoint, y: CurvePoint) -> bool:
@@ -288,7 +281,7 @@ def separates_points(space: SectionSpace, x: CurvePoint, y: CurvePoint) -> bool:
     _check_point(space.bundle.curve, y)
     if x == y:
         raise ValueError("the two points must be distinct")
-    return _independent(_evaluation_vector(space, x), _evaluation_vector(space, y))
+    return _independent(_branch_vector(space, x, _homogeneous_row), _branch_vector(space, y, _homogeneous_row))
 
 
 def separates_jets(space: SectionSpace, x: CurvePoint) -> bool:
@@ -314,7 +307,7 @@ def very_ample(space: SectionSpace, extra_samples: int = 5, seed: int = SAMPLE_S
     if len(space.basis) < 2:
         return AmpleVerdict(FAILED, f"fewer than two global sections (h0 = {len(space.basis)})", 0)
     samples = sample_points(space.bundle.curve, extra_samples, seed)
-    values = [_evaluation_vector(space, x) for x in samples]
+    values = [_branch_vector(space, x, _homogeneous_row) for x in samples]
     pairs = (
         (f"sections do not separate {samples[i]} and {samples[j]}", values[i], values[j])
         for i, j in combinations(range(len(samples)), 2)
@@ -462,11 +455,11 @@ def _scaled_kernel(columns, dens, rows: int):
     over a positive integer den: the vector is ``u / den``.
 
     The integer matrix is the map times ``diag(dens)``, so each vector w
-    of its ``certified_kernel_of_columns`` gives the map's kernel vector
+    of its ``kernel_of_columns`` gives the map's kernel vector
     ``u_j = dens[j] * w_j``; den is u's entry at the free column, its
     last one, where the canonical vector has a unit.
     """
-    for w in certified_kernel_of_columns(columns, rows):
+    for w in kernel_of_columns(columns, rows):
         terms = [(j, dens[j] * c) for j, c in w]
         yield terms, terms[-1][1]
 
@@ -530,13 +523,13 @@ def _jacobian_rank(forms, x, known=(), at: CurvePoint | None = None) -> int:
     return certified_rank_of_columns([column for column in columns if column], len(forms), bound)
 
 
-def _cone_vector(space: SectionSpace, x: CurvePoint, vector=_evaluation_vector) -> tuple[int, ...]:
-    """The ``h_j`` of ``_evaluation_vector`` over one common denominator:
+def _cone_vector(space: SectionSpace, x: CurvePoint, row=_homogeneous_row) -> tuple[int, ...]:
+    """The ``h_j`` of ``_branch_vector`` over one common denominator:
     ``embed_point`` times ``s * lcm(den_j) > 0``, or all zero where x
-    has no image; with ``_jet_vector`` for ``vector``, the jets at x over
-    the same denominator."""
+    has no image; with ``_jet_row`` for ``row``, the jets at x over the
+    same denominator."""
     den = lcm(*(d for _, d in space.integral_basis))
-    return tuple(h * (den // d) for h, (_, d) in zip(vector(space, x), space.integral_basis))
+    return tuple(h * (den // d) for h, (_, d) in zip(_branch_vector(space, x, row), space.integral_basis))
 
 
 def _probe_rank(space: SectionSpace, forms, x: CurvePoint) -> int | None:
@@ -550,7 +543,7 @@ def _probe_rank(space: SectionSpace, forms, x: CurvePoint) -> int | None:
     if not any(coords):
         return None
     branches = [CurvePoint.at_node(x.node, b) for b in (0, 1)] if x.is_node else [x]
-    known = [coords, *(_cone_vector(space, b, _jet_vector) for b in branches)]
+    known = [coords, *(_cone_vector(space, b, _jet_row) for b in branches)]
     return _jacobian_rank(forms, coords, known, x)
 
 

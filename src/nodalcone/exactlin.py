@@ -1,5 +1,5 @@
-"""Exact linear algebra over the rational numbers, with ranks and kernels
-of integer matrices found mod primes and certified.
+"""Exact linear algebra over the rational numbers, with ranks of integer
+matrices found mod a prime and certified.
 
 The scalar type is :class:`fractions.Fraction`: arbitrary precision,
 always in lowest terms with a positive denominator, so every arithmetic
@@ -34,32 +34,17 @@ it never decides a shortfall; the rank is then taken over Q from the
 same integers, as dense rows. The result is the exact rank either way,
 and the same on every run. ``certified_rank`` takes dense rows.
 
-``certified_kernel_of_columns`` finds the canonical kernel basis of an
-integer matrix given by columns in the same way. A zero column is free,
-with the unit vector there, so only the nonzero columns are eliminated,
-on one path: their residues mod each of the fixed ``PRIMES`` in turn go
-through ``_forward_eliminate`` and ``_back_substitute``; the kernel
-entries of the primes that share the best pivot columns so far are
-combined by the Chinese remainder theorem; and each is lifted to a
-rational by Wang's reconstruction with bound ``isqrt(M / 2)``, M the
-product of those primes (``_lift``). A prime may lose rank or move a
-pivot, and a lift may be wrong; nothing is trusted until every lifted
-vector w, cleared to integers and kept as its nonzero ``(j, w_j)``, has
-``rows . w == 0`` exactly over Z, read off the columns at those j. That
-check proves the result canonical. Each vector has a unit at its free
-column f and is supported on f and the pivots left of f, so column f is
-a combination of earlier columns and is free over Q too. Every free
-column mod p is then free over Q, so rank_Q <= rank_p, while rank_p <=
-rank_Q always: the free columns are the same, and the vector with a unit
-at f, zero at every other free column and in the kernel is unique. So a
-checked result is exactly ``kernel_basis``'s. Where no prime gets
-through, the kernel is the rref over Q of the same nonzero columns.
+``kernel_of_columns`` finds the canonical kernel basis of an integer
+matrix given by columns in the same way. A zero column is free, with the
+unit vector there, so only the nonzero columns are eliminated, over Q,
+as dense integer rows. No prime is involved, so the result is exact by
+construction and is exactly ``kernel_basis``'s.
 
 Every kernel has one form: each vector cleared by the lcm of its
 denominators, as its nonzero ``(j, c)`` in ascending j, the last at its
 free column, where c is that lcm. ``_kernel_vectors`` reads it over Q
-off reduced integer rows with no Fraction built: the Q fallback keeps
-it, ``kernel_basis`` is its Fraction view (``_rational``), and
+off reduced integer rows with no Fraction built: ``kernel_of_columns``
+keeps it, ``kernel_basis`` is its Fraction view (``_rational``), and
 ``bundles.section_basis`` cuts it into sections. The command line
 builds two ``MatrixQ``s only: ``section_basis``'s gluing matrix and
 ``basis_rank``'s basis.
@@ -73,19 +58,16 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 VectorQ = tuple[Fraction, ...]
 
 _ZERO = Fraction(0)
 
-# the moduli of certified_kernel_of_columns, 2^31 - 1 and the next five
-# primes below it, written out so that none is searched for at import: fixed,
-# so every run eliminates alike; at 31 bits a product of two residues fits in 62
-PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
-# the modulus of certified_rank
-PRIME = PRIMES[0]
+# the modulus of certified_rank_of_columns, 2^31 - 1, written out so that it
+# is not searched for at import; at 31 bits a product of two residues fits in 62
+PRIME = 2147483647
 
 
 def as_scalar(value: int | str | Fraction) -> Fraction:
@@ -187,13 +169,9 @@ def _combine(row: list[int], terms: list[tuple[int, int, list[tuple[int, int]]]]
             row[j] //= g
 
 
-def _forward_eliminate(rows: list[list], p: int = 0) -> list[int]:
-    """In-place forward elimination; returns the pivot column indices.
-
-    Over Z/p when p is a prime and every entry is a residue in
-    ``0..p-1``, with unit pivots; over Q when p is 0 and every entry is
-    an integer, fraction-free (``_combine``).
-    """
+def _forward_eliminate(rows: list[list[int]]) -> list[int]:
+    """In-place forward elimination of integer rows over Q, fraction-free
+    (``_combine``); returns the pivot column indices."""
     pivots: list[int] = []
     piv_r = 0
     nrows = len(rows)
@@ -211,41 +189,27 @@ def _forward_eliminate(rows: list[list], p: int = 0) -> list[int]:
             rows[piv_r], rows[sel] = rows[sel], rows[piv_r]
         prow = rows[piv_r]
         pivot = prow[col]
-        if p and pivot != 1:
-            inv = pow(pivot, -1, p)
-            for j, e in enumerate(prow):
-                if e:
-                    prow[j] = e * inv % p
         support = [(j, b) for j, b in enumerate(prow) if b]
         for cur in rows[piv_r + 1 :]:
             f = cur[col]
-            if not f:
-                continue
-            if p:
-                for j, b in support:
-                    cur[j] = (cur[j] - f * b) % p
-            else:
+            if f:
                 _combine(cur, [(pivot, f, support)])
         pivots.append(col)
         piv_r += 1
     return pivots
 
 
-def _back_substitute(rows: list[list], pivots: list[int], p: int = 0) -> None:
-    """In-place back substitution after ``_forward_eliminate`` with the
-    same modulus, which leaves the reduced echelon form, over Q up to a
-    nonzero factor per row. Each row, from the bottom up, is cleared
-    against all the reduced rows below at once (they are zero at each
-    other's pivots), so over Z it is scaled and made primitive once."""
+def _back_substitute(rows: list[list[int]], pivots: list[int]) -> None:
+    """In-place back substitution after ``_forward_eliminate``, which
+    leaves the reduced echelon form up to a nonzero factor per row. Each
+    row, from the bottom up, is cleared against all the reduced rows below
+    at once (they are zero at each other's pivots), so it is scaled and
+    made primitive once."""
     below: list[tuple[int, int, list[tuple[int, int]]]] = []  # (pivot column, pivot, nonzero entries)
     for r in range(len(pivots) - 1, -1, -1):
         cur = rows[r]
         terms = [(a, cur[pc], support) for pc, a, support in below if cur[pc]]
-        if p:
-            for _, f, support in terms:
-                for j, b in support:
-                    cur[j] = (cur[j] - f * b) % p
-        elif terms:
+        if terms:
             _combine(cur, terms)
         below.append((pivots[r], cur[pivots[r]], [(j, b) for j, b in enumerate(cur) if b]))
 
@@ -330,52 +294,9 @@ def certified_rank(rows: Sequence[Sequence[int]], cols: int) -> int:
     return certified_rank_of_columns(_columns(rows, cols), len(rows))
 
 
-def _lift(x: int, modulus: int, bound: int) -> tuple[int, int] | None:
-    """Wang's rational reconstruction: ``(n, d)`` with ``n = x d`` mod
-    ``modulus``, ``|n| <= bound``, ``0 < d <= bound`` and ``gcd(n, d) = 1``,
-    or None where there is none. Unique when ``2 bound^2 < modulus``."""
-    if x <= bound:
-        return x, 1
-    if modulus - x <= bound:
-        return x - modulus, 1
-    r0, r1, t0, t1 = modulus, x, 0, 1
-    while r1 > bound:
-        q = r0 // r1
-        r0, r1, t0, t1 = r1, r0 - q * r1, t1, t0 - q * t1
-    if t1 < 0:
-        r1, t1 = -r1, -t1
-    if t1 > bound or gcd(r1, t1) != 1:
-        return None
-    return r1, t1
-
-
 def _free(cols: int, pivots: Sequence[int]) -> list[int]:
     pivot_set = set(pivots)
     return [c for c in range(cols) if c not in pivot_set]
-
-
-def _lifted_basis(columns, nrows: int, pivots: list[int], lifts: list[int], modulus: int) -> list[list[tuple[int, int]]] | None:
-    """The kernel vectors that ``lifts`` (their entries mod ``modulus``,
-    in ``certified_kernel_of_columns``'s order) lift to, each as its
-    nonzero ``(j, c)``, if every entry lifts and every vector is in the
-    kernel over Z; else None. The product reads ``columns``, the nonzero
-    ``(row, entry)`` of each column of the matrix, at the vector's
-    support: the pivots left of its free column, then that column."""
-    bound = isqrt(modulus // 2)
-    basis = []
-    at = 0
-    for f in _free(len(columns), pivots):
-        k = bisect_left(pivots, f)
-        entries = [_lift(x, modulus, bound) for x in lifts[at : at + k]]
-        at += k
-        if None in entries:
-            return None
-        den = lcm(*(d for _, d in entries))
-        w = [(pc, n * (den // d)) for (n, d), pc in zip(entries, pivots) if n] + [(f, den)]
-        if not _kills(columns, nrows, w):
-            return None
-        basis.append(w)
-    return basis
 
 
 def _kills(columns, rows: int, w) -> bool:
@@ -388,38 +309,16 @@ def _kills(columns, rows: int, w) -> bool:
     return not any(total)
 
 
-def certified_kernel_of_columns(columns: Sequence[Sequence[tuple[int, int]]], rows: int) -> list[list[tuple[int, int]]]:
+def kernel_of_columns(columns: Sequence[Sequence[tuple[int, int]]], rows: int) -> list[list[tuple[int, int]]]:
     """The canonical kernel basis of the integer matrix with ``rows`` rows
     and these columns, each its nonzero ``(row, entry)`` pairs, in the
     order of ``kernel_basis``: each vector times the lcm of its
     denominators, as its nonzero ``(j, c)`` in ascending j, the last at
-    its free column. Found mod the ``PRIMES`` on the nonzero columns and
-    checked over Z, or else over Q; see the module docstring."""
+    its free column. A zero column is free, with its unit vector; the
+    nonzero columns alone are eliminated over Q."""
     nonzero = [j for j, column in enumerate(columns) if column]
-    kept = [columns[j] for j in nonzero]
-    dense = _dense_rows(kept, rows)
-    known: list[int] | None = None
-    for p in PRIMES:
-        reduced = [[e % p for e in r] for r in dense]
-        pivots = _forward_eliminate(reduced, p)
-        _back_substitute(reduced, pivots, p)
-        # entry r of free column f's vector, for each pivot r left of f
-        residues = [-reduced[r][f] % p for f in _free(len(kept), pivots) for r in range(bisect_left(pivots, f))]
-        if pivots == known:
-            inv = pow(modulus, -1, p)
-            lifts = [x + modulus * ((y - x) * inv % p) for x, y in zip(lifts, residues)]
-            modulus *= p
-        elif known is None or (-len(pivots), pivots) < (-len(known), known):
-            # the first prime, or one whose pivots beat every earlier prime's
-            known, lifts, modulus = pivots, residues, p
-        else:
-            continue
-        vectors = _lifted_basis(kept, rows, pivots, lifts, modulus)
-        if vectors is not None:
-            break
-    else:
-        vectors = _kernel_vectors(dense, len(kept))
     basis = {j: [(j, 1)] for j, column in enumerate(columns) if not column}
+    vectors = _kernel_vectors(_dense_rows([columns[j] for j in nonzero], rows), len(nonzero)) if nonzero else []
     for w in vectors:
         basis[nonzero[w[-1][0]]] = [(nonzero[j], c) for j, c in w]
     return [basis[f] for f in sorted(basis)]
@@ -448,10 +347,10 @@ def _rational(w: list[tuple[int, int]], cols: int) -> VectorQ:
 
 def _kernel_vectors(rows: list[list[int]], cols: int) -> list[list[tuple[int, int]]]:
     """The canonical kernel basis of integer rows, reduced in place, as
-    ``certified_kernel_of_columns`` returns it: the vector at free column
-    f has ``-row[f] / row[pc]`` at each pivot pc left of f, in lowest
-    terms by a gcd, all over the (positive) lcm of the denominators,
-    which ends it at f."""
+    ``kernel_of_columns`` returns it: the vector at free column f has
+    ``-row[f] / row[pc]`` at each pivot pc left of f, in lowest terms by
+    a gcd, all over the (positive) lcm of the denominators, which ends it
+    at f."""
     pivots = _forward_eliminate(rows)
     _back_substitute(rows, pivots)
     basis = []

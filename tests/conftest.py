@@ -4,10 +4,12 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
 
 from nodalcone.bundles import LineBundle, Section, block_widths, evaluation_row
 from nodalcone.curve import INFINITY, Component, NodalCurve, NodeGluing, affine_point, paper_example_curve
-from nodalcone.exactlin import MatrixQ, rank
+from nodalcone.exactlin import PRIME, MatrixQ, rank
 
 
 @pytest.fixture
@@ -220,6 +222,14 @@ def reference_jacobian_rank(quadrics, coords):
                 grad[j] += c * values[i]
         rows.append(grad)
     return rank(MatrixQ.from_rows(rows, cols=n))
+
+
+def reference_rank_mod_prime(rows):
+    """Rank mod ``PRIME`` of integer rows, by sympy's ``DomainMatrix``
+    over ``GF(PRIME)``: the reference for ``exactlin._rank_mod_prime``."""
+    field = GF(PRIME)
+    shape = (len(rows), len(rows[0]) if rows else 0)
+    return DomainMatrix([[field(e) for e in r] for r in rows], shape, field).rank()
 
 
 def reference_rref(m):

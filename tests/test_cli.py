@@ -325,19 +325,20 @@ def test_main_range_endpoints_are_bounded():
 
 
 def _record_eliminations(monkeypatch):
-    """Record ``(modulus, rows, width)`` of every elimination of dense
-    rows, 0 standing for Q, ``(rows, cols)`` of every rank taken mod
-    PRIME on sparse columns, of every matrix whose dense rows are built
-    from sparse columns, and of every MatrixQ built."""
+    """Record ``(0, rows, width)`` of every elimination of dense rows, 0
+    the characteristic of Q, over which every one runs, ``(rows, cols)``
+    of every rank taken mod PRIME on sparse columns, of every matrix
+    whose dense rows are built from sparse columns, and of every MatrixQ
+    built."""
     from nodalcone import embedding, exactlin
 
     eliminations, column_ranks, dense, matrices = [], [], [], []
     eliminate, by_columns, to_rows = exactlin._forward_eliminate, exactlin._rank_mod_prime, exactlin._dense_rows
     init = exactlin.MatrixQ.__init__
 
-    def counting_eliminate(rows, p=0):
-        eliminations.append((p, len(rows), len(rows[0]) if rows else 0))
-        return eliminate(rows, p)
+    def counting_eliminate(rows):
+        eliminations.append((0, len(rows), len(rows[0]) if rows else 0))
+        return eliminate(rows)
 
     def counting_by_columns(columns, rows, stop):
         column_ranks.append((rows, len(columns)))
@@ -422,16 +423,15 @@ PROBE_SHORTFALL = {"curves/paper-x-333.json": 6, "curves/paper-x.json": 7, "ladd
 @pytest.mark.parametrize("spec", M3_GUARD_SPECS)
 def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys):
     """On the shipped curves and the (k,k,k) ladder neither multiplication
-    map becomes a MatrixQ, either way round, or is eliminated over Q:
-    the m = 3 rank is certified mod PRIME on its sparse columns, and m3
-    is never built as dense rows; the m = 2 kernel is eliminated mod
-    PRIME on m2's nonzero columns only, never at its full width, and
-    checked over Z. Every gradient matrix of ``ideal``'s probe, one row
-    per quadric, is ranked mod PRIME on its sparse columns and never
+    map becomes a MatrixQ, either way round. The m = 3 rank is certified
+    mod PRIME on its sparse columns, and m3 is never built as dense rows
+    or eliminated over Q. The m = 2 kernel is eliminated exactly once,
+    over Q, on m2's nonzero columns only, never at its full width and
+    never mod a prime. Every gradient matrix of ``ideal``'s probe, one
+    row per quadric, is ranked mod PRIME on its sparse columns and never
     eliminated, except where ``PROBE_SHORTFALL`` names the one matrix
     whose rank mod PRIME falls short of its bound and is taken over Q."""
     from nodalcone.embedding import _product_matrix
-    from nodalcone.exactlin import PRIME
 
     path, bundle = _guard_spec(spec, tmp_path)
     space = section_basis(bundle)
@@ -445,12 +445,12 @@ def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys
     assert main([command, str(path), "--json"]) == EXIT_OK
     body = json.loads(capsys.readouterr().out)["sections"][command]
     for shape in (m2_nonzero, m2, m3):
-        assert (0, *shape) not in eliminations
         assert shape not in matrices and shape[::-1] not in matrices
-    assert (PRIME, *m2_nonzero) in eliminations
-    assert (PRIME, *m2) not in eliminations
+    assert eliminations.count((0, *m2_nonzero)) == 1
+    assert m2_nonzero not in column_ranks
+    assert (0, *m2) not in eliminations and m2 not in column_ranks
     assert m3 in column_ranks
-    assert (PRIME, *m3) not in eliminations
+    assert (0, *m3) not in eliminations
     assert m3 not in dense
     if command == "ideal":
         gradients = (body["quadric_count"], h0)  # the smooth sample's, every column nonzero
@@ -476,14 +476,11 @@ PINNED_BIG_COORDINATES = {
 
 @pytest.mark.parametrize("as_json", [True, False])
 def test_ideal_with_huge_coordinates_falls_back_to_q(as_json, tmp_path, monkeypatch, capsys):
-    """Cone coordinates far too big to lift from the six primes: the m = 2
-    kernel, on the 30 nonzero of m2's 45 columns, falls back to Q from the
-    same integers after all six primes, and so does the one probe rank
-    its known kernel vectors do not certify, node 1's gradients on their
-    6 nonzero columns; no gradient matrix is eliminated mod a prime. The
-    output is the one pinned before the modular kernel existed."""
-    from nodalcone.exactlin import PRIMES
-
+    """Cone coordinates of 61 digits: the m = 2 kernel is taken over Q,
+    once, on the 30 nonzero of m2's 45 columns, and never at full width;
+    so is the one probe rank its known kernel vectors do not certify,
+    node 1's gradients on their 6 nonzero columns. The output is the one
+    pinned before any kernel or rank was found mod a prime."""
     doc = json.loads(_paper_curve_at(3))
     doc["components"][1]["points"][1] = BIG_COORDINATE
     (tmp_path / "big-coordinates.json").write_text(json.dumps(doc, indent=2) + "\n")
@@ -492,10 +489,8 @@ def test_ideal_with_huge_coordinates_falls_back_to_q(as_json, tmp_path, monkeypa
     assert main(["ideal", "big-coordinates.json", *(["--json"] if as_json else [])]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_BIG_COORDINATES[as_json]
     assert [e for e in eliminations if e[1] == 27] == [(0, 27, 6)]
-    m2 = (18, 30)
-    assert [p for p in PRIMES if (p, *m2) in eliminations] == list(PRIMES)
-    assert (0, *m2) in eliminations
-    assert not [p for p in (0, *PRIMES) if (p, 18, 45) in eliminations]
+    assert eliminations.count((0, 18, 30)) == 1
+    assert (0, 18, 45) not in eliminations
 
 
 # two lines, a self-node on A: degree 1 there cannot separate its branches
@@ -562,7 +557,7 @@ def test_probe_falls_back_to_q_at_one_node(name, monkeypatch, capsys):
     bound by one: the quadrics vanish on C2's whole plane, so their
     gradients there also kill a direction the bound does not know of
     (ROADMAP item 1). Its rank alone is taken over Q, on the gradients'
-    nonzero columns, and no rank is found mod a prime by elimination."""
+    nonzero columns, and no other probe matrix is eliminated."""
     points = _record_probe(monkeypatch)
     assert main(["ideal", str(REPO / "curves" / name), "--json"]) == EXIT_OK
     body = json.loads(capsys.readouterr().out)["sections"]["ideal"]
@@ -580,8 +575,7 @@ def test_probe_ranks_are_certified_without_elimination(spec, tmp_path, monkeypat
     """On the ladder at k = 4..8, and on the paper curve at (14,14,14)
     with gluings with denominators and C2's second point at the 61-digit
     ``BIG_COORDINATE``, every probe rank is certified mod PRIME by its
-    known kernel vectors: no gradient matrix is eliminated, mod a prime
-    or over Q."""
+    known kernel vectors: no gradient matrix is eliminated."""
     if spec == "big:14":
         doc = json.loads(PAPER_SPEC.read_text())
         doc["components"][1]["points"][1] = BIG_COORDINATE
@@ -874,9 +868,9 @@ def test_one_section_basis_per_bundle(command, monkeypatch, capsys):
         glued.append(bundle.multidegree)
         return gluing_matrix(bundle)
 
-    def counting_eliminate(rows, p=0):
+    def counting_eliminate(rows):
         eliminated.append([list(row) for row in rows])
-        return eliminate(rows, p)
+        return eliminate(rows)
 
     for module in (bundles, cli):
         monkeypatch.setattr(module, "section_basis", counting_basis)
@@ -916,10 +910,9 @@ def test_eliminations_over_q_take_integer_rows(command, monkeypatch, capsys):
         matrices.append((rows, cols))
         init(self, rows, cols, entries)
 
-    def recording_eliminate(rows, p=0):
-        if not p:
-            over_q.append(all(type(e) is int for row in rows for e in row))
-        return eliminate(rows, p)
+    def recording_eliminate(rows):
+        over_q.append(all(type(e) is int for row in rows for e in row))
+        return eliminate(rows)
 
     def no_rref(m):
         raise AssertionError("rref called")

@@ -26,6 +26,8 @@ from conftest import (
 )
 from nodalcone.bundles import (
     SectionSpace,
+    _homogeneous_row,
+    _jet_row,
     flatten_section,
     h0,
     line_bundle,
@@ -482,11 +484,11 @@ def _probe_against_the_reference(space, seed):
             assert embedding._probe_rank(space, forms, x) is None
             continue
         expected = reference_jacobian_rank(quadrics, coords)
-        moduli = []
+        runs = []
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(exactlin, "_forward_eliminate", lambda r, p=0: moduli.append(p) or eliminate(r, p))
+            patch.setattr(exactlin, "_forward_eliminate", lambda r: runs.append(len(r)) or eliminate(r))
             assert embedding._probe_rank(space, forms, x) == expected
-        if 0 in moduli:
+        if runs:
             over_q.append(str(x))
         assert cone_jacobian_rank(quadrics, coords) == expected
     return over_q
@@ -536,13 +538,13 @@ def test_probe_refuses_a_known_vector_off_the_kernel(monkeypatch, capsys, mutate
     branch 0 or 1 of every node or at every smooth point, fails the exact
     check over Z: ``ideal`` raises ``ArithmeticError`` naming the first
     point where it is read, and prints no rank."""
-    jet = embedding._jet_vector
+    vector = embedding._branch_vector
 
-    def moved(space, x):
-        v = jet(space, x)
-        return (v[0] + 1, *v[1:]) if x.branch == mutated else v
+    def moved(space, x, row):
+        v = vector(space, x, row)
+        return (v[0] + 1, *v[1:]) if row is _jet_row and x.branch == mutated else v
 
-    monkeypatch.setattr(embedding, "_jet_vector", moved)
+    monkeypatch.setattr(embedding, "_branch_vector", moved)
     for as_json in (["--json"], []):
         with pytest.raises(ArithmeticError, match=f"Jacobian at {point} is not"):
             main(["ideal", str(PAPER_SPEC), *as_json])
@@ -739,8 +741,15 @@ def test_very_ample_evaluates_each_sample_once_and_takes_no_rank(paper_curve, mo
 
         return wrapper
 
+    vector = embedding._branch_vector
+
+    def evaluated(space, x, row):
+        if row is _homogeneous_row:
+            counts["evaluation"] += 1
+        return vector(space, x, row)
+
     monkeypatch.setattr(exactlin, "_forward_eliminate", counted("elimination", exactlin._forward_eliminate))
-    monkeypatch.setattr(embedding, "_evaluation_vector", counted("evaluation", embedding._evaluation_vector))
+    monkeypatch.setattr(embedding, "_branch_vector", evaluated)
     v = very_ample(space)
     assert (v.status, v.samples_checked) == (CRITERION_SATISFIED, 153 + 6 + 15)
     samples = sample_points(paper_curve)

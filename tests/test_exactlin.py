@@ -12,22 +12,25 @@ import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import reference_kernel, reference_rref
+from conftest import reference_kernel, reference_rank_mod_prime, reference_rref
 from nodalcone import exactlin
 from nodalcone.exactlin import (
     PRIME,
-    PRIMES,
     MatrixQ,
     as_scalar,
-    certified_kernel_of_columns,
     certified_rank,
     certified_rank_of_columns,
     kernel_basis,
+    kernel_of_columns,
     rank,
     rref,
 )
 
 F = Fraction
+
+# six 31-bit primes, 2^31 - 1 and the next five below it: hostile inputs
+# are built as multiples of them, or as rows dependent mod one of them only
+PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563, 2147483549)
 
 
 def test_as_scalar_accepts_exact_values():
@@ -299,37 +302,13 @@ def test_integer_kernel_vectors_equal_the_cleared_fraction_reference(m):
     """``_kernel_vectors`` reads the canonical kernel off the reduced
     integer rows with no Fraction built: each ``reference_kernel`` vector
     times the lcm of its denominators, as its nonzero ``(j, c)``, the
-    last at its free column. With every lift refused the certified kernel
-    returns these vectors as they are (next test)."""
+    last at its free column. ``kernel_of_columns`` returns these vectors
+    as they are."""
     rows = _cleared_rows(m)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(exactlin, "Fraction", _no_fraction)
         vectors = exactlin._kernel_vectors(rows, m.cols)
     assert vectors == _sparse_reference_kernel(m)
-
-
-@settings(max_examples=150, deadline=None)
-@given(awkward_matrices())
-def test_certified_kernel_over_q_equals_the_fraction_reference(m):
-    """With every lift refused, ``certified_kernel_of_columns`` takes its
-    kernel over Q from the integer rows, fraction-free, and keeps
-    ``_kernel_vectors`` as they come: the reference kernel, each vector
-    cleared by the lcm of its denominators, as its nonzero ``(j, c)``."""
-    rows = _cleared_rows(m)
-    expected = _sparse_reference_kernel(m)
-    eliminate, moduli = exactlin._forward_eliminate, []
-
-    def integer_only(rows, p=0):
-        if not p:
-            assert all(type(e) is int for row in rows for e in row)
-        moduli.append(p)
-        return eliminate(rows, p)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exactlin, "_lifted_basis", lambda *args: None)
-        patch.setattr(exactlin, "_forward_eliminate", integer_only)
-        assert _kernel_of_rows(rows, m.cols) == expected
-    assert moduli == [*PRIMES, 0]
 
 
 @st.composite
@@ -366,54 +345,42 @@ def _sparse_reference_kernel(m):
 
 
 def _kernel_of_rows(rows, cols):
-    """``certified_kernel_of_columns`` of dense integer rows, read as
-    columns by ``_columns``."""
-    return certified_kernel_of_columns(exactlin._columns(rows, cols), len(rows))
+    """``kernel_of_columns`` of dense integer rows, read as columns by
+    ``_columns``."""
+    return kernel_of_columns(exactlin._columns(rows, cols), len(rows))
 
 
 def _eliminations_skip_zero_columns(patch, m, columns):
     """Patch ``_forward_eliminate`` to require that every elimination gets
-    exactly m's nonzero columns, in order, reduced mod its prime or as
-    integers over Q; return the list of moduli it records."""
+    exactly m's nonzero columns, in order, as integer rows; return the
+    list it appends to, one entry per elimination."""
     nonzero = [j for j, column in enumerate(columns) if column]
     kept = [[m.at(i, j).numerator for j in nonzero] for i in range(m.rows)]
-    eliminate, moduli = exactlin._forward_eliminate, []
+    eliminate, runs = exactlin._forward_eliminate, []
 
-    def counting(rows, p=0):
-        assert rows == ([[e % p for e in r] for r in kept] if p else kept)
-        assert p or all(type(e) is int for row in rows for e in row)
-        moduli.append(p)
-        return eliminate(rows, p)
+    def counting(rows):
+        assert rows == kept
+        assert all(type(e) is int for row in rows for e in row)
+        runs.append(len(rows))
+        return eliminate(rows)
 
     patch.setattr(exactlin, "_forward_eliminate", counting)
-    return moduli
+    return runs
 
 
 @settings(max_examples=150, deadline=None)
 @given(sparse_integer_matrices())
 def test_kernel_on_sparse_columns_equals_the_fraction_reference(matrix):
-    """``certified_kernel_of_columns`` gives the reference kernel, each
-    vector cleared and sparse, and no zero column enters an elimination:
-    a zero column is free, with its unit vector."""
+    """``kernel_of_columns`` gives the reference kernel, each vector
+    cleared and sparse, from one elimination over Q of the nonzero
+    columns alone, and none where every column is zero: a zero column is
+    free, with its unit vector."""
     m, columns = matrix
     expected = _sparse_reference_kernel(m)
     with pytest.MonkeyPatch.context() as patch:
-        moduli = _eliminations_skip_zero_columns(patch, m, columns)
-        assert certified_kernel_of_columns(columns, m.rows) == expected
-    assert moduli[0] == PRIME
-
-
-@settings(max_examples=100, deadline=None)
-@given(sparse_integer_matrices())
-def test_kernel_on_sparse_columns_over_q_equals_the_fraction_reference(matrix):
-    """With every lift refused, the kernel on sparse columns comes from
-    the elimination over Q of the nonzero columns alone, and is the same."""
-    m, columns = matrix
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exactlin, "_lifted_basis", lambda *args: None)
-        moduli = _eliminations_skip_zero_columns(patch, m, columns)
-        assert certified_kernel_of_columns(columns, m.rows) == _sparse_reference_kernel(m)
-    assert moduli == [*PRIMES, 0]
+        runs = _eliminations_skip_zero_columns(patch, m, columns)
+        assert kernel_of_columns(columns, m.rows) == expected
+    assert len(runs) == (1 if any(columns) else 0)
 
 
 def _exact_rank(rows, cols):
@@ -450,10 +417,9 @@ def test_certified_rank_falls_back_on_every_shortfall(monkeypatch):
     exact_runs = []
     eliminate = exactlin._forward_eliminate
 
-    def counting(rows, p=0):
-        if not p:
-            exact_runs.append(len(rows))
-        return eliminate(rows, p)
+    def counting(rows):
+        exact_runs.append(len(rows))
+        return eliminate(rows)
 
     monkeypatch.setattr(exactlin, "_forward_eliminate", counting)
     # full rank mod p: certified, no elimination over Q
@@ -512,9 +478,9 @@ def test_rank_on_sparse_columns_equals_the_exact_rank(matrix, rng, slack):
     """``certified_rank_of_columns`` is the exact rank, with its columns
     in any order, with or without a proven upper bound on the rank over
     Q, here the exact rank plus ``slack``. Its rank mod PRIME, counted up
-    to ``min(rows, cols)`` or that bound if smaller, is that of the dense
-    rows reduced mod PRIME, and exactly where it falls short of the bound
-    the rank is taken over Q, once."""
+    to ``min(rows, cols)`` or that bound if smaller, is sympy's over
+    ``GF(PRIME)``, and exactly where it falls short of the bound the rank
+    is taken over Q, once."""
     rows, cols = matrix
     exact = _exact_rank(rows, cols)
     bound = None if slack is None else exact + slack
@@ -522,13 +488,13 @@ def test_rank_on_sparse_columns_equals_the_exact_rank(matrix, rng, slack):
     columns = exactlin._columns(rows, cols)
     rng.shuffle(columns)
     rank_p = exactlin._rank_mod_prime(columns, len(rows), full)
-    assert rank_p == min(full, len(exactlin._forward_eliminate([[e % PRIME for e in r] for r in rows], PRIME)))
-    moduli = []
+    assert rank_p == min(full, reference_rank_mod_prime(rows))
+    runs = []
     eliminate = exactlin._forward_eliminate
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(exactlin, "_forward_eliminate", lambda r, p=0: moduli.append(p) or eliminate(r, p))
+        patch.setattr(exactlin, "_forward_eliminate", lambda r: runs.append(len(r)) or eliminate(r))
         assert certified_rank_of_columns(columns, len(rows), bound) == exact
-    assert moduli == ([0] if rank_p < full else [])
+    assert len(runs) == (1 if rank_p < full else 0)
 
 
 class _Unread(list):
@@ -542,10 +508,9 @@ def test_rank_on_sparse_columns_falls_back_on_every_shortfall(monkeypatch):
     exact_runs, dense = [], []
     eliminate, to_rows = exactlin._forward_eliminate, exactlin._dense_rows
 
-    def counting(rows, p=0):
-        if not p:
-            exact_runs.append(len(rows))
-        return eliminate(rows, p)
+    def counting(rows):
+        exact_runs.append(len(rows))
+        return eliminate(rows)
 
     def counting_rows(columns, rows):
         dense.append((rows, len(columns)))
@@ -561,6 +526,7 @@ def test_rank_on_sparse_columns_falls_back_on_every_shortfall(monkeypatch):
     assert certified_rank_of_columns([[(1, 1)], _Unread([(0, 1), (1, 1)]), [(0, 2)]], 2) == 2
     assert exact_runs == [] and dense == []
     # det = PRIME: rank 1 mod p, rank 2 over Q, in either column order
+    assert reference_rank_mod_prime([[1, 1], [1, 1 + PRIME]]) == 1
     assert certified_rank_of_columns([[(0, 1), (1, 1)], [(0, 1), (1, 1 + PRIME)]], 2) == 2
     assert certified_rank_of_columns([[(0, 1), (1, 1 + PRIME)], [(0, 1), (1, 1)]], 2) == 2
     # rank 1 mod p and over Q: short, so only the exact rank may say so
@@ -582,27 +548,20 @@ def test_rank_on_sparse_columns_falls_back_on_every_shortfall(monkeypatch):
 
 
 def test_elimination_mod_p_follows_the_pivot_rule():
+    """Forward elimination over Q swaps the first nonzero row of the
+    leftmost column up and leaves each row an integer multiple of the
+    echelon row, which dividing by its pivot entry recovers."""
     rows = [[0, 2, 4, 1], [0, 1, 2, 5], [3, 0, 0, 6]]
-    modular = [[e % PRIME for e in r] for r in rows]
-    exact = [list(r) for r in rows]
-    pivots = exactlin._forward_eliminate(exact)
-    assert exactlin._forward_eliminate(modular, PRIME) == pivots == [0, 1, 3]
-    # the same row swaps and updates: over Q each row is left an integer
-    # multiple of the echelon row, which dividing by its pivot entry
-    # recovers; here that row's entries are integers in 0..PRIME-1, so
-    # the residues equal them
-    assert exact == [[3, 0, 0, 6], [0, 1, 2, 5], [0, 0, 0, -1]]
-    assert modular == [[F(e, row[pc]) for e in row] for row, pc in zip(exact, pivots)]
-    assert modular == [[1, 0, 0, 2], [0, 1, 2, 5], [0, 0, 0, 1]]
-    halves = [[2, 1], [0, 3]]
-    assert exactlin._forward_eliminate(halves, PRIME) == [0, 1]
-    assert halves == [[1, pow(2, -1, PRIME)], [0, 1]]
+    pivots = exactlin._forward_eliminate(rows)
+    assert pivots == [0, 1, 3]
+    assert rows == [[3, 0, 0, 6], [0, 1, 2, 5], [0, 0, 0, -1]]
+    assert [[F(e, row[pc]) for e in row] for row, pc in zip(rows, pivots)] == [[1, 0, 0, 2], [0, 1, 2, 5], [0, 0, 0, 1]]
 
 
 def _integer_kernel(rows, cols):
     """``kernel_basis`` over Q, each vector times the lcm of its
-    denominators, as its nonzero ``(j, c)``: what
-    ``certified_kernel_of_columns`` must return."""
+    denominators, as its nonzero ``(j, c)``: what ``kernel_of_columns``
+    must return."""
     out = []
     for v in kernel_basis(MatrixQ.from_rows(rows, cols=cols)):
         den = math.lcm(*(e.denominator for e in v))
@@ -610,26 +569,12 @@ def _integer_kernel(rows, cols):
     return out
 
 
-def _record_moduli(monkeypatch):
-    """The modulus of every elimination, 0 standing for Q."""
-    moduli = []
-    eliminate = exactlin._forward_eliminate
-
-    def counting(rows, p=0):
-        moduli.append(p)
-        return eliminate(rows, p)
-
-    monkeypatch.setattr(exactlin, "_forward_eliminate", counting)
-    return moduli
-
-
 @st.composite
 def hard_integer_matrices(draw, max_dim=5):
-    """Integer matrices built to be hard for the modular kernel: entries
-    that are small, multiples of a prime of ``PRIMES``, small plus such a
-    multiple, of 20 to 45 bits (so that the kernel needs two or three
-    primes to lift), or, in a matrix of at most three rows, of 200 bits
-    (too big for all six); and rows that are a multiple of an earlier
+    """Integer matrices that would be hard for a kernel found mod primes:
+    entries that are small, multiples of a prime of ``PRIMES``, small
+    plus such a multiple, of 20 to 45 bits, or, in a matrix of at most
+    three rows, of 200 bits; and rows that are a multiple of an earlier
     row plus a prime of ``PRIMES`` times a vector, so dependent mod that
     prime only and with pivots that differ between primes."""
     r = draw(st.integers(min_value=0, max_value=max_dim))
@@ -660,53 +605,15 @@ def test_certified_kernel_equals_the_exact_kernel(matrix):
     assert _kernel_of_rows(rows, cols) == _integer_kernel(rows, cols)
 
 
-def test_certified_kernel_lifts_from_as_many_primes_as_it_needs(monkeypatch):
-    """The kernel of ``[[a, b]]`` is ``(-b/a, 1)``: a and b of 20 bits
-    lift from two primes, of 40 bits from three, and of 100 bits from
-    none of the six, so the kernel is taken over Q."""
-    moduli = _record_moduli(monkeypatch)
-    for bits, primes in ((20, 2), (40, 3), (100, 6)):
-        a, b = 2**bits + 7, 2**bits - 3
-        moduli.clear()
-        assert _kernel_of_rows([[a, b]], 2) == [[(0, -b), (1, a)]]
-        assert moduli == list(PRIMES[:primes]) + ([0] if primes == 6 else [])
-
-
-def test_certified_kernel_passes_over_a_prime_that_loses_rank(monkeypatch):
-    """``[[1, 1], [1, 1 + PRIME]]`` has rank 1 mod PRIME, where the
-    kernel vector (-1, 1) lifts but fails the check over Z; the next
-    prime has both pivots, so the kernel is empty. In
-    ``[[1, 1, 5], [1, 1 + p, 12]]``, p the second prime, the kernel
-    vector has denominator p: the first prime cannot lift it, the second
-    loses the pivot at column 1 and is passed over, and the first,
-    third and fourth together lift it."""
-    rows = [[1, 1, 5], [1, 1 + PRIMES[1], 12]]
-    expected = _integer_kernel(rows, 3)
-    assert expected == [[(0, 7 - 5 * PRIMES[1]), (1, -7), (2, PRIMES[1])]]
-    moduli = _record_moduli(monkeypatch)
+def test_certified_kernel_passes_over_a_prime_that_loses_rank():
+    """``[[1, 1], [1, 1 + PRIME]]`` has rank 1 mod PRIME and rank 2 over
+    Q, so its kernel is empty. In ``[[1, 1, 5], [1, 1 + p, 12]]``, p the
+    second of ``PRIMES``, the pivot at column 1 is lost mod p, and the
+    kernel vector has denominator p."""
     assert _kernel_of_rows([[1, 1], [1, 1 + PRIME]], 2) == []
-    assert moduli == list(PRIMES[:2])
-    moduli.clear()
-    assert _kernel_of_rows(rows, 3) == expected
-    assert moduli == list(PRIMES[:4])
-
-
-def test_certified_kernel_rejects_a_wrong_lift(monkeypatch):
-    """A lift moved off by one is caught by the check over Z at every
-    prime; the kernel then comes from Q, unchanged."""
-    rows = [[1, 2, 3, 4], [2, 3, 5, 7], [0, 0, 1, 1]]
-    expected = _kernel_of_rows(rows, 4)
-    assert expected == _integer_kernel(rows, 4) != []
-    lift = exactlin._lift
-
-    def wrong(x, modulus, bound):
-        n, d = lift(x, modulus, bound)
-        return n + 1, d
-
-    monkeypatch.setattr(exactlin, "_lift", wrong)
-    moduli = _record_moduli(monkeypatch)
-    assert _kernel_of_rows(rows, 4) == expected
-    assert moduli == [*PRIMES, 0]
+    rows = [[1, 1, 5], [1, 1 + PRIMES[1], 12]]
+    expected = [[(0, 7 - 5 * PRIMES[1]), (1, -7), (2, PRIMES[1])]]
+    assert _kernel_of_rows(rows, 3) == _integer_kernel(rows, 3) == expected
 
 
 def test_certified_kernel_of_empty_and_ragged_shapes():
@@ -718,44 +625,20 @@ def test_certified_kernel_of_empty_and_ragged_shapes():
     # a short row has no entry to read in a later column
     with pytest.raises(IndexError):
         exactlin._columns([[1, 0], [0]], 2)
-    assert certified_kernel_of_columns([], 0) == certified_kernel_of_columns([], 2) == []
-    assert certified_kernel_of_columns([[], []], 0) == [[(0, 1)], [(1, 1)]]
-    assert certified_kernel_of_columns([[], [(0, 2)], [], [(0, 4)]], 1) == [[(0, 1)], [(2, 1)], [(1, -2), (3, 1)]]
-
-
-def test_lift_is_wang_reconstruction():
-    """``_lift`` finds the one ``n/d`` in lowest terms with
-    ``|n|, d <= bound`` and ``n = x d`` mod M, where ``2 bound^2 < M``,
-    and None where there is none: every residue of three small moduli
-    against a search, and fractions of 30 bits mod two primes."""
-    for modulus, bound in ((101, 7), (211, 10), (1009, 22)):
-        assert 2 * bound**2 < modulus
-        for x in range(modulus):
-            found = [
-                (n, d)
-                for d in range(1, bound + 1)
-                for n in range(-bound, bound + 1)
-                if math.gcd(n, d) == 1 and (n - x * d) % modulus == 0
-            ]
-            assert exactlin._lift(x, modulus, bound) == (found[0] if found else None)
-    modulus = PRIMES[0] * PRIMES[1]
-    bound = math.isqrt(modulus // 2)
-    for n, d in ((0, 1), (-5, 1), (3, 7), (-bound, bound - 1), (bound, 1), (2**30 - 35, 2**30 + 1)):
-        assert math.gcd(n, d) == 1
-        assert exactlin._lift(n * pow(d, -1, modulus) % modulus, modulus, bound) == (n, d)
+    assert kernel_of_columns([], 0) == kernel_of_columns([], 2) == []
+    assert kernel_of_columns([[], []], 0) == [[(0, 1)], [(1, 1)]]
+    assert kernel_of_columns([[], [(0, 2)], [], [(0, 4)]], 1) == [[(0, 1)], [(2, 1)], [(1, -2), (3, 1)]]
 
 
 def test_primes_are_distinct_31_bit_literals():
-    """Six distinct primes below 2^31, 2^31 - 1 first, written out in the
-    source so that none is searched for at import."""
-    assert len(set(PRIMES)) == len(PRIMES) == 6
-    assert PRIMES[0] == PRIME == 2**31 - 1
-    assert all(sympy.isprime(p) and 2**30 < p < 2**31 for p in PRIMES)
+    """The one modulus, ``PRIME``, is the prime 2^31 - 1, written out in
+    the source so that it is not searched for at import."""
+    assert PRIME == 2**31 - 1
+    assert sympy.isprime(PRIME)
     tree = ast.parse(inspect.getsource(exactlin))
     (value,) = [
         node.value
         for node in tree.body
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["PRIMES"]
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets if isinstance(t, ast.Name)] == ["PRIME"]
     ]
-    assert isinstance(value, ast.Tuple)
-    assert [e.value for e in value.elts if isinstance(e, ast.Constant)] == list(PRIMES)
+    assert isinstance(value, ast.Constant) and value.value == PRIME
