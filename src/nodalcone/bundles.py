@@ -41,10 +41,12 @@ n marked points, *onto*: its polynomials reach every tuple of values at
 those points (Lagrange interpolation at the affine points; with a point
 at infinity, fix the leading coefficient to its value there and
 interpolate the rest in degree ``<= d - 1`` through the ``n - 1 <= d``
-affine points). Call a node *covered* when a branch of it lies on an
-onto component. Then the column space of G holds the unit vector of
-each covered node's row, so rank G is the number of covered nodes plus
-the rank of the residual block R: G without those rows. In R the onto
+affine points). The curve derives each component's threshold
+``max(0, n - 1)`` once, as ``NodalCurve.onto_thresholds``. Call a node
+*covered* when a branch of it lies on an onto component. Then the
+column space of G holds the unit vector of each covered node's row, so
+rank G is the number of covered nodes plus the rank of the residual
+block R: G without those rows. In R the onto
 components' columns are zero and negative degrees have none, so R is
 the rows of the uncovered nodes with a branch on a component of degree
 ``0 <= d < n - 1``, over those components' blocks. R is built from the
@@ -179,20 +181,32 @@ def _cohomology_of(curve: NodalCurve, degrees: tuple[int, ...], gluing: Callable
     ``gluing(k)`` at node k, with no ``LineBundle`` built. The gluing rank
     is the covered nodes plus the certified rank of the residual block in
     integer rows, over the blocks of the components neither onto nor
-    negative (see the module docstring); ``gluing`` is asked only for its
-    rows."""
-    onto = [d >= max(0, len(c.marked_points) - 1) for d, c in zip(degrees, curve.components)]
-    widths = [0 if up else max(0, d + 1) for up, d in zip(onto, degrees)]
-    offsets = tuple(accumulate(widths, initial=0))
-    r, rows = 0, []
-    for k, sites in enumerate(curve.sites):
-        ia, ib = sites[0][0], sites[1][0]
-        if onto[ia] or onto[ib]:
+    negative (see the module docstring). One pass over the components
+    counts the slots and the ``h1(O(d_i))``, and one over the nodes counts
+    the covered ones; the block offsets and the rows are built, and
+    ``gluing`` asked, only at the nodes with a row."""
+    slots = h1 = 0
+    widths = []  # per component its width in the residual block, None if onto
+    for d, threshold in zip(degrees, curve.onto_thresholds):
+        if d < 0:
+            h1 += component_h1(d)
+            widths.append(0)
+        else:
+            slots += d + 1
+            widths.append(None if d >= threshold else d + 1)
+    r, residual = 0, []
+    for k, ((ia, _, _), (ib, _, _)) in enumerate(curve.sites):
+        wa, wb = widths[ia], widths[ib]
+        if wa is None or wb is None:
             r += 1
-        elif widths[ia] or widths[ib]:
-            rows.append(_flat_row(offsets, _node_row(widths, sites, gluing(k))))
-    r += certified_rank(rows, offsets[-1]) if rows else 0
-    return sum(max(0, d + 1) for d in degrees) - r, len(curve.nodes) - r + sum(component_h1(d) for d in degrees)
+        elif wa or wb:
+            residual.append(k)
+    if residual:
+        widths = [w or 0 for w in widths]
+        offsets = tuple(accumulate(widths, initial=0))
+        rows = [_flat_row(offsets, _node_row(widths, curve.sites[k], gluing(k))) for k in residual]
+        r += certified_rank(rows, offsets[-1])
+    return slots - r, len(curve.nodes) - r + h1
 
 
 class Section(Value):

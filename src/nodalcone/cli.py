@@ -103,15 +103,19 @@ class CurveSpec(NamedTuple):
     nodes = property(lambda self: self.curve.nodes)
 
 
-_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 
 def _rational(text: str) -> Fraction:
-    """``p`` or ``p/q`` in ASCII digits, p signed; else ``ValueError``.
-    ``Fraction`` alone takes exponents: "1e1000000" has a million digits."""
-    if not _RATIONAL.fullmatch(text):
+    """``p`` or ``p/q`` in ASCII digits, p signed; else ``ValueError``,
+    also past ``int``'s digit limit. Built from the match's two groups, so
+    the text is parsed once. ``Fraction`` alone takes exponents:
+    "1e1000000" has a million digits."""
+    match = _RATIONAL.fullmatch(text)
+    if not match:
         raise ValueError(f"not 'p' or 'p/q': {text!r}")
-    return Fraction(text)
+    p, q = match.groups()
+    return Fraction(int(p)) if q is None else Fraction(int(p), int(q))
 
 
 def parse_coordinate(text) -> PointOnLine:
@@ -144,9 +148,11 @@ def _parse_branch(text) -> tuple[str, int]:
     return name, int(idx)
 
 
-def _expect(condition: bool, code: str, message: str) -> None:
+def _expect(condition: bool, code: str, message: str, *args) -> None:
+    """Reject unless ``condition``, with ``message.format(*args)``: a spec
+    that passes formats none of the messages it is checked against."""
     if not condition:
-        raise SpecError(code, message)
+        raise SpecError(code, message.format(*args))
 
 
 def parse_spec(text: str) -> CurveSpec:
@@ -181,7 +187,7 @@ def parse_spec(text: str) -> CurveSpec:
             "each component needs a nonempty string 'name'",
         )
         raw_points = entry.get("points", [])
-        _expect(isinstance(raw_points, list), "schema", f"component {entry['name']}: 'points' must be a list")
+        _expect(isinstance(raw_points, list), "schema", "component {}: 'points' must be a list", entry["name"])
         components.append(Component(entry["name"], tuple(parse_coordinate(p) for p in raw_points)))
 
     raw_nodes = data.get("nodes", [])
@@ -198,16 +204,12 @@ def parse_spec(text: str) -> CurveSpec:
     point_counts = {c.name: len(c.marked_points) for c in components}
     for k, node in enumerate(nodes):
         for label, (cname, idx) in (("a", node.branch_a), ("b", node.branch_b)):
-            _expect(
-                cname in point_counts,
-                "reference",
-                f"node {k}: branch {label} references unknown component {cname!r}",
-            )
+            _expect(cname in point_counts, "reference", "node {}: branch {} references unknown component {!r}", k, label, cname)
             _expect(
                 0 <= idx < point_counts[cname],
                 "reference",
-                f"node {k}: branch {label} references marked point {idx} "
-                f"outside component {cname}",
+                "node {}: branch {} references marked point {} outside component {}",
+                k, label, idx, cname,
             )
 
     bundle_data = data["bundle"]
@@ -215,29 +217,22 @@ def parse_spec(text: str) -> CurveSpec:
     raw_degrees = bundle_data.get("multidegree")
     _expect(isinstance(raw_degrees, list), "schema", "'bundle.multidegree' must be a list")
     for d in raw_degrees:
-        _expect(
-            isinstance(d, int) and not isinstance(d, bool),
-            "schema",
-            f"multidegree entries are integers, got {d!r}",
-        )
+        _expect(isinstance(d, int) and not isinstance(d, bool), "schema", "multidegree entries are integers, got {!r}", d)
     _expect(
         len(raw_degrees) == len(components),
         "shape",
-        f"multidegree has {len(raw_degrees)} entries for {len(components)} components",
+        "multidegree has {} entries for {} components",
+        len(raw_degrees), len(components),
     )
     raw_gluings = bundle_data.get("gluings")
     if raw_gluings is None:
         gluings = tuple(Fraction(1) for _ in nodes)
     else:
         _expect(isinstance(raw_gluings, list), "schema", "'bundle.gluings' must be a list")
-        _expect(
-            len(raw_gluings) == len(nodes),
-            "shape",
-            f"{len(raw_gluings)} gluing scalars for {len(nodes)} nodes",
-        )
+        _expect(len(raw_gluings) == len(nodes), "shape", "{} gluing scalars for {} nodes", len(raw_gluings), len(nodes))
         gluings = tuple(parse_scalar(g) for g in raw_gluings)
     for k, g in enumerate(gluings):
-        _expect(g != 0, "gluing", f"gluing scalar at node {k} must be nonzero")
+        _expect(g != 0, "gluing", "gluing scalar at node {} must be nonzero", k)
 
     try:
         curve = NodalCurve(components, nodes)

@@ -63,12 +63,16 @@ def _check_mode(mode: str) -> None:
         raise ValueError(f"mode must be {FORMULA!r} or {DIRECT!r}, got {mode!r}")
 
 
+def _formula(total: int, m: int) -> tuple[int, int]:
+    """The closed form's ``(t0, t1)`` at weight m for a bundle of degree ``total``."""
+    return total * m if m >= 1 else 0, -total * m if m <= -1 else 0
+
+
 def t0_dim(curve: NodalCurve, bundle: LineBundle, m: int, mode: str = DIRECT) -> int:
     """Weight-m first-order automorphism dimension of the cone."""
     _check_mode(mode)
     if mode == FORMULA:
-        total = bundle.degree()
-        return total * m if m >= 1 else 0
+        return _formula(bundle.degree(), m)[0]
     return h0(deformation_bundle(curve, bundle, m))
 
 
@@ -76,8 +80,7 @@ def t1_dim(curve: NodalCurve, bundle: LineBundle, m: int, mode: str = DIRECT) ->
     """Weight-m first-order deformation dimension of the cone."""
     _check_mode(mode)
     if mode == FORMULA:
-        total = bundle.degree()
-        return -total * m if m <= -1 else 0
+        return _formula(bundle.degree(), m)[1]
     return h1_direct(deformation_bundle(curve, bundle, m))
 
 
@@ -107,21 +110,24 @@ def graded_report(curve: NodalCurve, bundle: LineBundle, m_min: int, m_max: int)
 
     Requires ``m_min <= 0 <= m_max`` so the table always shows all three
     regimes. Formula and direct values are both present in every row;
-    nothing is reconciled silently. The tangent bundle is built once.
-    No bundle is built per weight: F_m has multidegree ``t + m l`` and
-    scalar ``t_k g_k^m`` at node k, L^m has ``m l`` and ``g_k^m``, and
-    the scalars are taken only at the nodes whose rows are eliminated.
+    nothing is reconciled silently. The tangent bundle is built once, and
+    the bundle's total degree read once. No bundle is built per weight:
+    F_m has multidegree ``t + m l`` and scalar ``t_k g_k^m`` at node k,
+    L^m has ``m l`` and ``g_k^m``, and the scalars are taken only at the
+    nodes whose rows are eliminated.
     """
     if not m_min <= 0 <= m_max:
         raise ValueError("range must contain 0: need m_min <= 0 <= m_max")
     if bundle.curve != curve:
         raise ValueError("bundle lives on a different curve")
     tangent = tangent_bundle(curve)
+    total = bundle.degree()
     entries = []
     for m in range(m_min, m_max + 1):
         degrees = tuple(d * m for d in bundle.multidegree)
         twist = tuple(t + d for t, d in zip(tangent.multidegree, degrees))
         t0_direct, t1_direct = _cohomology_of(curve, twist, lambda k: tangent.gluings[k] * bundle.gluings[k] ** m)
+        t0_formula, t1_formula = _formula(total, m)
         if m < 0:
             classification = SMOOTHING
         elif m == 0:
@@ -131,9 +137,9 @@ def graded_report(curve: NodalCurve, bundle: LineBundle, m_min: int, m_max: int)
         entries.append(
             WeightEntry(
                 m=m,
-                t0_formula=t0_dim(curve, bundle, m, FORMULA),
+                t0_formula=t0_formula,
                 t0_direct=t0_direct,
-                t1_formula=t1_dim(curve, bundle, m, FORMULA),
+                t1_formula=t1_formula,
                 t1_direct=t1_direct,
                 hilbert=_cohomology_of(curve, degrees, lambda k: bundle.gluings[k] ** m)[0],
                 classification=classification,
@@ -142,5 +148,5 @@ def graded_report(curve: NodalCurve, bundle: LineBundle, m_min: int, m_max: int)
         )
     genus = arithmetic_genus(curve)
     curve_id = f"curve[{len(curve.components)} components, {len(curve.nodes)} nodes, genus {genus}]"
-    bundle_id = f"bundle[multidegree {bundle.multidegree}, total degree {bundle.degree()}]"
+    bundle_id = f"bundle[multidegree {bundle.multidegree}, total degree {total}]"
     return GradedReport(curve_id, bundle_id, tuple(entries))

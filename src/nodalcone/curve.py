@@ -13,7 +13,13 @@ A curve is valid by construction: ``NodalCurve`` runs ``validate``,
 which returns the list of violation strings, and raises
 ``InvalidCurveError`` with all of them when the list is not empty. So
 the derived quantities never check the curve again, and every node
-branch is resolved once, in ``NodalCurve.sites``.
+branch is resolved once, in ``NodalCurve.sites``. Both ``validate`` and
+``sites`` resolve a component name through one dict from each name to
+the index of its first component, built once per curve. Each
+component's onto threshold ``max(0, n - 1)``, with n its marked points,
+is derived once too, in ``NodalCurve.onto_thresholds``: the least degree
+at which its polynomials reach every tuple of values at those points
+(see ``bundles``).
 """
 
 from __future__ import annotations
@@ -120,31 +126,39 @@ class NodeGluing(Value):
 class NodalCurve(Value):
     """Components and node gluings, checked by ``validate`` on construction.
 
-    ``sites`` is derived once ``validate`` accepts, never passed: per node,
-    the ``(component index, marked-point index, point)`` of branch a, then
-    of branch b. It takes no part in equality, hash or repr.
+    Derived, never passed, and no part of equality, hash or repr:
+    ``sites``, once ``validate`` accepts, per node the ``(component index,
+    marked-point index, point)`` of branch a, then of branch b; and
+    ``onto_thresholds``, per component ``max(0, n - 1)`` for its n marked
+    points. Names resolve through ``_index``, each name's first component.
     """
 
-    __slots__ = ("components", "nodes", "sites")
+    __slots__ = ("components", "nodes", "sites", "onto_thresholds", "_index")
     _fields = ("components", "nodes")
 
     def __init__(self, components: tuple[Component, ...], nodes: tuple[NodeGluing, ...] = ()) -> None:
         _set(self, "components", tuple(components))
         _set(self, "nodes", tuple(nodes))
+        index: dict[str, int] = {}
+        for i, comp in enumerate(self.components):
+            index.setdefault(comp.name, i)
+        _set(self, "_index", index)
         problems = validate(self)
         if problems:
             raise InvalidCurveError("; ".join(problems))
+        comps = self.components
         sites = tuple(
-            tuple((self.component_index(c), k, self.branch_point((c, k))) for c, k in (n.branch_a, n.branch_b))
+            tuple((index[c], k, comps[index[c]].marked_points[k]) for c, k in (n.branch_a, n.branch_b))
             for n in self.nodes
         )
         _set(self, "sites", sites)
+        _set(self, "onto_thresholds", tuple(max(0, len(c.marked_points) - 1) for c in comps))
 
     def component_index(self, name: str) -> int:
-        for i, comp in enumerate(self.components):
-            if comp.name == name:
-                return i
-        raise KeyError(f"no component named {name!r}")
+        i = self._index.get(name)
+        if i is None:
+            raise KeyError(f"no component named {name!r}")
+        return i
 
     def component(self, name: str) -> Component:
         return self.components[self.component_index(name)]
@@ -197,34 +211,36 @@ def validate(curve: NodalCurve) -> list[str]:
     graph. Connectedness is only assessed once the references resolve.
     """
     problems: list[str] = []
+    index = curve._index
 
-    seen_names: set[str] = set()
-    for comp in curve.components:
-        if comp.name in seen_names:
+    for i, comp in enumerate(curve.components):
+        if index[comp.name] != i:
             problems.append(f"duplicate component name {comp.name!r}")
-        seen_names.add(comp.name)
 
     for comp in curve.components:
-        seen_pts: set[PointOnLine] = set()
-        for idx, p in enumerate(comp.marked_points):
-            if p in seen_pts:
+        # keyed on the lowest-terms pair, not the point: hashing a Fraction
+        # takes a modular inverse
+        seen_pts: set[tuple[int, int] | None] = set()
+        for p in comp.marked_points:
+            key = None if p.coord is None else (p.coord.numerator, p.coord.denominator)
+            if key in seen_pts:
                 problems.append(
                     f"component {comp.name}: marked point {p} appears more than once"
                 )
-            seen_pts.add(p)
+            seen_pts.add(key)
 
-    names = {comp.name for comp in curve.components}
     refs_ok = True
     usage: dict[Branch, int] = {}
     for k, node in enumerate(curve.nodes):
         node_ok = True
         for label, branch in (("a", node.branch_a), ("b", node.branch_b)):
             cname, idx = branch
-            if cname not in names:
+            ci = index.get(cname)
+            if ci is None:
                 problems.append(f"node {k}: branch {label} references unknown component {cname!r}")
                 node_ok = False
                 continue
-            comp = curve.component(cname)
+            comp = curve.components[ci]
             if not 0 <= idx < len(comp.marked_points):
                 problems.append(
                     f"node {k}: branch {label} references marked point index {idx} "

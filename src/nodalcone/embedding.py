@@ -260,13 +260,16 @@ def _independent(u: VectorQ, v: VectorQ) -> bool:
 def _jet_tests(space: SectionSpace, x: CurvePoint):
     """Yield ``(witness, value row, jet row)`` for each first-order test
     at x: one at a smooth point, one per branch at a node without a
-    branch selector, and the selected branch's at a node with one."""
+    branch selector, and the selected branch's at a node with one. A
+    witness is a ``(template, arguments)`` pair, formatted only for a
+    test that fails."""
     if not x.is_node:
-        yield f"jet test fails at {x}", _branch_vector(space, x, _homogeneous_row), _branch_vector(space, x, _jet_row)
+        yield ("jet test fails at {}", (x,)), _branch_vector(space, x, _homogeneous_row), _branch_vector(space, x, _jet_row)
         return
     for b in (0, 1) if x.branch is None else (x.branch,):
         at = CurvePoint.at_node(x.node, b)
-        yield f"jet test fails on branch {b} of {x}", _branch_vector(space, at, _homogeneous_row), _branch_vector(space, at, _jet_row)
+        witness = ("jet test fails on branch {} of {}", (b, x))
+        yield witness, _branch_vector(space, at, _homogeneous_row), _branch_vector(space, at, _jet_row)
 
 
 def separates_points(space: SectionSpace, x: CurvePoint, y: CurvePoint) -> bool:
@@ -300,23 +303,24 @@ def very_ample(space: SectionSpace, extra_samples: int = 5, seed: int = SAMPLE_S
     pairs, each sample evaluated once, then jets at every sample point
     (branch by branch at nodes), as one ordered stream of tests.
 
-    The witness is the first failing test; ``samples_checked`` counts
-    the tests run up to it, node branches individually. A bundle with
-    fewer than two sections fails outright, after no tests.
+    The witness is the first failing test, formatted only once it fails;
+    ``samples_checked`` counts the tests run up to it, node branches
+    individually. A bundle with fewer than two sections fails outright,
+    after no tests.
     """
     if len(space.basis) < 2:
         return AmpleVerdict(FAILED, f"fewer than two global sections (h0 = {len(space.basis)})", 0)
     samples = sample_points(space.bundle.curve, extra_samples, seed)
     values = [_branch_vector(space, x, _homogeneous_row) for x in samples]
     pairs = (
-        (f"sections do not separate {samples[i]} and {samples[j]}", values[i], values[j])
+        (("sections do not separate {} and {}", (samples[i], samples[j])), values[i], values[j])
         for i, j in combinations(range(len(samples)), 2)
     )
     jets = (test for x in samples for test in _jet_tests(space, x))
     checked = 0
-    for checked, (witness, u, v) in enumerate(chain(pairs, jets), start=1):
+    for checked, ((template, args), u, v) in enumerate(chain(pairs, jets), start=1):
         if not _independent(u, v):
-            return AmpleVerdict(FAILED, witness, checked)
+            return AmpleVerdict(FAILED, template.format(*args), checked)
     criterion = min(space.bundle.multidegree) >= 3
     status = CRITERION_SATISFIED if criterion else VERIFIED_ON_SAMPLES
     return AmpleVerdict(status, None, checked)

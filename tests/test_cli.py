@@ -90,6 +90,95 @@ def test_parse_scalar_forms():
             parse_scalar(text)
 
 
+_DIGITS = st.text(alphabet="0123456789", min_size=1, max_size=60)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.sampled_from(("", "+", "-")), _DIGITS, st.none() | _DIGITS)
+@example("-", "0", "3")
+@example("+", "007", "0014")
+@example("", "0", "0")
+def test_rational_equals_fraction_on_the_grammar(sign, p, q):
+    """``_rational`` builds from its match's groups what ``Fraction`` parses
+    from the text: sign, leading zeros, -0/3, up to 60 digits each side,
+    and ``ZeroDivisionError`` on a zero denominator."""
+    text = sign + p + ("" if q is None else "/" + q)
+    try:
+        expected = Fraction(text)
+    except ZeroDivisionError:
+        with pytest.raises(ZeroDivisionError):
+            cli._rational(text)
+        return
+    got = cli._rational(text)
+    assert type(got) is Fraction and got == expected
+    assert (got.numerator, got.denominator) == (expected.numerator, expected.denominator)
+
+
+def test_main_rejects_numbers_past_the_digit_limit(tmp_path, capsys):
+    """A coordinate or gluing with 5000 digits in its numerator or its
+    denominator is past ``int``'s digit limit: a diagnostic and exit 2,
+    with nothing on stdout and no traceback."""
+    paper = json.loads(PAPER_SPEC.read_text())
+    big = "7" * 5000
+    for text in (big, "-" + big + "/3", "1/" + big):
+        point, gluing = copy.deepcopy(paper), copy.deepcopy(paper)
+        point["components"][1]["points"][2] = text
+        gluing["bundle"]["gluings"][1] = text
+        for doc, code in ((point, "coordinate"), (gluing, "gluing")):
+            spec = tmp_path / "spec.json"
+            spec.write_text(json.dumps(doc))
+            assert main(["sections", str(spec), "--json"]) == EXIT_INPUT_ERROR
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err.startswith(f"error[{code}]: ")
+            assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "points, shown",
+    [(["1/2", "2/4"], "1/2"), (["0", "-0/3"], "0"), (["inf", "inf"], "inf")],
+)
+def test_marked_points_equal_as_rationals_are_duplicates(points, shown):
+    doc = json.loads(MINIMAL)
+    doc["components"][0]["points"] = points
+    with pytest.raises(SpecError) as err:
+        parse_spec(json.dumps(doc))
+    assert err.value.code == "invariant"
+    assert f"component A: marked point {shown} appears more than once" in err.value.message
+
+
+def _edited(path, value):
+    doc = json.loads(MINIMAL)
+    *keys, last = path
+    target = doc
+    for key in keys:
+        target = target[key]
+    target[last] = value
+    return json.dumps(doc)
+
+
+@pytest.mark.parametrize(
+    "path, value, code, message",
+    [
+        (("components", 0, "points"), "0", "schema", "component A: 'points' must be a list"),
+        (("components", 0), {"name": "A{0}", "points": "0"}, "schema", "component A{0}: 'points' must be a list"),
+        (("nodes", 1, "b"), "C.0", "reference", "node 1: branch b references unknown component 'C'"),
+        (("nodes", 0, "a"), "A.7", "reference", "node 0: branch a references marked point 7 outside component A"),
+        (("bundle", "multidegree"), [2, 1.5], "schema", "multidegree entries are integers, got 1.5"),
+        (("bundle", "multidegree"), ["2", 2], "schema", "multidegree entries are integers, got '2'"),
+        (("bundle", "multidegree"), [True, 2], "schema", "multidegree entries are integers, got True"),
+        (("bundle", "multidegree"), [2], "shape", "multidegree has 1 entries for 2 components"),
+        (("bundle", "gluings"), ["1"], "shape", "1 gluing scalars for 2 nodes"),
+        (("bundle", "gluings"), ["1", "0/7"], "gluing", "gluing scalar at node 1 must be nonzero"),
+    ],
+)
+def test_parse_spec_messages_name_the_offending_entry(path, value, code, message):
+    # each message is formatted only once its check fails, from the entry it names
+    with pytest.raises(SpecError) as err:
+        parse_spec(_edited(path, value))
+    assert (err.value.code, err.value.message) == (code, message)
+
+
 def test_parse_spec_minimal():
     spec = parse_spec(MINIMAL)
     curve = spec.curve

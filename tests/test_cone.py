@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 
 from conftest import curve_with_infinity, random_bundle, random_curve
 from nodalcone.bundles import (
+    LineBundle,
+    _cohomology_of,
     cohomology,
     component_h1,
     gluing_matrix,
@@ -33,7 +35,7 @@ from nodalcone.cone import (
     t0_dim,
     t1_dim,
 )
-from nodalcone.curve import arithmetic_genus, paper_example_curve
+from nodalcone.curve import INFINITY, Component, NodalCurve, NodeGluing, affine_point, arithmetic_genus, paper_example_curve
 from nodalcone.exactlin import rank
 
 F = Fraction
@@ -61,6 +63,89 @@ def test_graded_report_matches_the_bundle_by_bundle_cohomology(seed):
         twist = tensor(tangent, power(bundle, e.m))
         assert (e.t0_direct, e.t1_direct) == cohomology(twist) == _fraction_cohomology(twist)
         assert e.hilbert == h0(power(bundle, e.m)) == _fraction_cohomology(power(bundle, e.m))[0]
+
+
+_COORDINATES = sorted({F(p, q) for p in range(-6, 7) for q in (1, 2, 3)})
+
+
+def _sweep_curve(rng):
+    """A connected curve of 1-6 lines in the regimes of the random specs
+    ``deform`` sweeps: leaves with one marked point, self-nodes, and a
+    point at infinity on about a quarter of the lines."""
+    n = rng.randint(1, 6)
+    edges = [(rng.randrange(i), i) for i in range(1, n)]
+    for _ in range(rng.randint(0, 3)):
+        a = rng.randrange(n)
+        edges.append((a, a) if rng.random() < 0.4 else (a, rng.randrange(n)))
+    counts = [0] * n
+    refs = []
+    for a, b in edges:
+        refs.append(((f"L{a}", counts[a]), (f"L{b}", counts[b] + (a == b))))
+        counts[a] += 1
+        counts[b] += 1
+    components = []
+    for i in range(n):
+        pts = [affine_point(x) for x in rng.sample(_COORDINATES, counts[i])]
+        if pts and rng.random() < 0.25:
+            pts[rng.randrange(len(pts))] = INFINITY
+        components.append(Component(f"L{i}", tuple(pts)))
+    return NodalCurve(tuple(components), tuple(NodeGluing(a, b) for a, b in refs))
+
+
+def test_cohomology_of_matches_the_fraction_oracle_on_sweep_regimes():
+    """``_cohomology_of`` on F_m and L^m, with the scalars ``graded_report``
+    hands it, equals the rank of the whole gluing matrix over Q at every
+    weight -12..12, for bundles of degrees -3..6 with a degree-0 line, on
+    a lone line without marked points and on random curves."""
+    rng = random.Random(1974)
+    curves = [NodalCurve((Component("L0", ()),))] + [_sweep_curve(rng) for _ in range(30)]
+    assert {0, 1} <= {len(c.marked_points) for curve in curves for c in curve.components}
+    assert any(n.branch_a[0] == n.branch_b[0] for curve in curves for n in curve.nodes)
+    assert any(INFINITY in c.marked_points for curve in curves for c in curve.components)
+    nonzero = [x for x in range(-5, 6) if x != 0]
+    for curve in curves:
+        degrees = [rng.randint(-3, 6) for _ in curve.components]
+        degrees[rng.randrange(len(degrees))] = 0
+        bundle = LineBundle(curve, degrees, tuple(F(rng.choice(nonzero), rng.randint(1, 3)) for _ in curve.nodes))
+        tangent = tangent_bundle(curve)
+        for m in range(-12, 13):
+            twist = tensor(tangent, power(bundle, m))
+            assert _cohomology_of(
+                curve, twist.multidegree, lambda k: tangent.gluings[k] * bundle.gluings[k] ** m
+            ) == _fraction_cohomology(twist)
+            assert _cohomology_of(
+                curve, power(bundle, m).multidegree, lambda k: bundle.gluings[k] ** m
+            ) == _fraction_cohomology(power(bundle, m))
+
+
+def test_weights_with_every_line_negative_or_onto_run_no_elimination(monkeypatch):
+    from nodalcone import bundles
+    from nodalcone.exactlin import certified_rank
+
+    calls = []
+
+    def counting(rows, cols):
+        calls.append((len(rows), cols))
+        return certified_rank(rows, cols)
+
+    monkeypatch.setattr(bundles, "certified_rank", counting)
+    rng = random.Random(2718)
+    quiet = 0
+    for _ in range(30):
+        curve = _sweep_curve(rng)
+        bundle = LineBundle(curve, [rng.randint(-3, 6) for _ in curve.components], (F(2),) * len(curve.nodes))
+        tangent = tangent_bundle(curve)
+        thresholds = [max(0, len(c.marked_points) - 1) for c in curve.components]
+        for m in range(-12, 13):
+            degrees = tuple(t + m * d for t, d in zip(tangent.multidegree, bundle.multidegree))
+            if all(d < 0 or d >= n for d, n in zip(degrees, thresholds)):
+                quiet += 1
+                _cohomology_of(curve, degrees, lambda k: tangent.gluings[k] * bundle.gluings[k] ** m)
+    assert quiet > 100 and calls == []
+    # and a line of degree 0 <= d < n - 1 does eliminate its uncovered nodes
+    paper = paper_example_curve()
+    _cohomology_of(paper, (0, 0, 0), lambda k: F(1))
+    assert calls == [(2, 2)]
 
 
 def test_hilbert_function_values(paper_curve):

@@ -72,9 +72,30 @@ def test_point_display():
 
 
 def test_validate_duplicate_marked_point():
-    c = Component("C1", (affine_point(F(1)), affine_point(F(1))))
-    with pytest.raises(InvalidCurveError, match="C1: marked point 1 appears more than once"):
-        NodalCurve((c,), (NodeGluing(("C1", 0), ("C1", 1)),))
+    # equal as rationals, written differently: 2/4 is 1/2, -0/3 is 0, and
+    # two infinities are one point
+    for pair, shown in (
+        ((affine_point(F(1)), affine_point(F(1))), "1"),
+        ((PointOnLine("1/2"), PointOnLine("2/4")), "1/2"),
+        ((PointOnLine("0"), PointOnLine("-0/3")), "0"),
+        ((INFINITY, PointOnLine(None)), "inf"),
+    ):
+        c = Component("C1", pair)
+        with pytest.raises(InvalidCurveError, match=f"C1: marked point {shown} appears more than once"):
+            NodalCurve((c,), (NodeGluing(("C1", 0), ("C1", 1)),))
+
+
+def test_validate_resolves_a_repeated_name_to_its_first_component():
+    first = Component("C1", (affine_point(F(0)),))
+    second = Component("C1", (affine_point(F(0)), affine_point(F(1)), affine_point(F(2))))
+    with pytest.raises(InvalidCurveError) as err:
+        NodalCurve((first, second), (NodeGluing(("C1", 0), ("C1", 2)),))
+    assert str(err.value) == "; ".join(
+        [
+            "duplicate component name 'C1'",
+            "node 0: branch b references marked point index 2 outside component C1 (which has 1)",
+        ]
+    )
 
 
 def test_validate_unknown_component_reference():
@@ -168,10 +189,13 @@ def test_component_lookup(paper_curve):
 
 def test_sites_resolve_every_branch_by_name():
     """``sites`` agrees with the name-based lookup for both branches of
-    every node, on affine curves and on curves with points at infinity
-    and self-nodes, and leaves equality, hash and repr to the data."""
+    every node, and ``onto_thresholds`` is ``max(0, n - 1)`` per line, on
+    affine curves, on curves with points at infinity and self-nodes, and
+    on a lone line without marked points; both leave equality, hash and
+    repr to the data."""
     rng = random.Random(2718)
     curves = [random_curve(rng) for _ in range(40)] + [curve_with_infinity(rng) for _ in range(40)]
+    curves.append(NodalCurve((Component("C1", ()),)))
     assert any(INFINITY in c.marked_points for curve in curves for c in curve.components)
     assert any(n.branch_a[0] == n.branch_b[0] for curve in curves for n in curve.nodes)
     for curve in curves:
@@ -182,10 +206,11 @@ def test_sites_resolve_every_branch_by_name():
                 for name, k in (node.branch_a, node.branch_b)
             )
             assert sites == expected
+        assert curve.onto_thresholds == tuple(max(0, len(c.marked_points) - 1) for c in curve.components)
         twin = NodalCurve(curve.components, curve.nodes)
         assert twin == curve and hash(twin) == hash(curve)
-        assert twin.sites == curve.sites
-        assert "sites" not in repr(curve)
+        assert twin.sites == curve.sites and twin.onto_thresholds == curve.onto_thresholds
+        assert "sites" not in repr(curve) and "onto_thresholds" not in repr(curve)
 
 
 def test_sites_is_not_a_constructor_argument(paper_curve):
@@ -193,3 +218,5 @@ def test_sites_is_not_a_constructor_argument(paper_curve):
         NodalCurve(paper_curve.components, paper_curve.nodes, paper_curve.sites)
     with pytest.raises(TypeError):
         NodalCurve(paper_curve.components, paper_curve.nodes, sites=paper_curve.sites)
+    with pytest.raises(TypeError):
+        NodalCurve(paper_curve.components, paper_curve.nodes, onto_thresholds=paper_curve.onto_thresholds)
