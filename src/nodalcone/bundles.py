@@ -22,13 +22,16 @@ rows are ``_node_row``'s integer rows over their positive scales, and
 the kernel is read off their fraction-free elimination (``exactlin``)
 as integer vectors over their last entry.
 
-Every value of a section is taken on its integer form instead: per
-component, its nonzero terms ``(k, c)``, numerator c of ``t^k`` over one
-common positive denominator (``_integral``), cut from each kernel vector
-(``SectionSpace.integral_basis``); a canonical basis has few. A
-value or a jet is the terms dotted with an integer row of the point that
-clears its denominator (``_homogeneous_row``, ``_jet_row``), an integer
-over a positive one. The one product routine multiplies terms with no
+A section space stores its basis in integer form only: per component,
+the nonzero terms ``(k, c)``, numerator c of ``t^k`` over one common
+positive denominator, cut from each kernel vector
+(``SectionSpace.integral_basis``); a canonical basis has few terms.
+``_integral`` is the one step from a Fraction ``Section`` to that form
+and ``_section`` the one step back, taken only where a ``Section`` is
+read (``SectionSpace.basis``, ``multiply_sections``). A value or a jet
+is the terms dotted with an integer row of the point that clears its
+denominator (``_homogeneous_row``, ``_jet_row``), an integer over a
+positive one. The one product routine multiplies terms with no
 gcd at each step and drops those that cancel (``_multiply``), and the
 node check dots each branch's terms with an integer row, built once per
 bundle, that also clears the gluing scalar's denominator
@@ -79,7 +82,7 @@ from math import lcm
 from typing import Callable, NamedTuple
 
 from .curve import NodalCurve, PointOnLine, Site, Value, _set, arithmetic_genus
-from .exactlin import MatrixQ, VectorQ, _integer_rows, _kernel_vectors, _rational, as_scalar, certified_rank, rank
+from .exactlin import MatrixQ, VectorQ, _integer_rows, _kernel_vectors, as_scalar, certified_rank, rank
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -138,19 +141,14 @@ def evaluation_row(d: int, p: PointOnLine) -> VectorQ:
     """Row of the evaluation functional on degree <= d polynomials.
 
     Affine p gives ``(1, p, p^2, ..., p^d)``; infinity selects the
-    leading coefficient. Negative d has no coefficient slots at all, so
+    leading coefficient. It is ``_homogeneous_row``'s row over its s, as
+    Fractions. Negative d has no coefficient slots at all, so
     it is a caller error rather than an empty row.
     """
     if d < 0:
         raise ValueError("no evaluation row on a negative-degree component")
-    if p.is_infinity:
-        return tuple(_ZERO for _ in range(d)) + (_ONE,)
-    acc = _ONE
-    out = []
-    for _ in range(d + 1):
-        out.append(acc)
-        acc = acc * p.coord
-    return tuple(out)
+    row, s = _homogeneous_row(d + 1, p)
+    return tuple(Fraction(e, s) if e else _ZERO for e in row)
 
 
 def block_widths(bundle: LineBundle) -> tuple[int, ...]:
@@ -219,75 +217,59 @@ class Section(Value):
 
 
 class SectionSpace(Value):
-    """A bundle together with the canonical basis of its global sections.
+    """A bundle and the canonical basis of its global sections, stored in
+    integer form only: ``integral_basis`` holds each section's ``_integral``
+    form, cut from a kernel vector of the gluing matrix. Basis order is the
+    canonical kernel order, so it is deterministic and forms part of
+    downstream contracts (embedding coordinates, monomial indexing).
 
-    Basis order is the canonical kernel order of the gluing matrix, so
-    it is deterministic and forms part of downstream contracts (embedding
-    coordinates, monomial indexing). ``free_columns`` are the free
-    columns of the gluing matrix's rref, in the flattened block layout:
-    the basis restricted to them is the identity, so a global section's
-    coordinates in this basis are its flattened entries there.
-
-    ``integral_basis`` is the basis in integer form (``_integral`` of
-    each section): ``section_basis`` sets it, and any other space derives
-    it on first use and then keeps it. It is not a field, so equality
-    and hashing see only the three fields.
+    Derived on first read, then kept, and not fields (equality and hashing
+    see the two fields only): ``basis``, the Fraction ``Section``s
+    (``_section``), and ``free_columns``, the free columns of the gluing
+    matrix's rref in the flattened block layout, each section's last
+    nonzero slot. The basis restricted to them is the identity.
     """
 
-    _fields = ("bundle", "basis", "free_columns")
+    _fields = ("bundle", "integral_basis")
 
-    def __init__(self, bundle: LineBundle, basis: tuple[Section, ...], free_columns: tuple[int, ...]) -> None:
-        vars(self).update(bundle=bundle, basis=basis, free_columns=free_columns)
+    def __init__(self, bundle: LineBundle, integral_basis: tuple[_IntegralForm, ...]) -> None:
+        vars(self).update(bundle=bundle, integral_basis=integral_basis)
 
     @cached_property
-    def integral_basis(self) -> tuple[_IntegralForm, ...]:
-        return tuple(_integral(s) for s in self.basis)
+    def basis(self) -> tuple[Section, ...]:
+        widths = block_widths(self.bundle)
+        return tuple(_section(form, widths) for form in self.integral_basis)
 
-
-def flatten_section(bundle: LineBundle, section: Section) -> VectorQ:
-    """Concatenated coefficient vector in the bundle's block layout.
-
-    Zero blocks (empty vectors) pad out to the bundle's width, which is
-    what lets products of sections with collapsed blocks re-enter linear
-    algebra at the correct shape.
-    """
-    widths = block_widths(bundle)
-    if len(section.coeffs) != len(widths):
-        raise ValueError("section has the wrong number of component blocks")
-    flat: list[Fraction] = []
-    for w, block in zip(widths, section.coeffs):
-        if len(block) == w:
-            flat.extend(block)
-        elif len(block) == 0:
-            flat.extend([_ZERO] * w)
-        else:
-            raise ValueError(f"block of length {len(block)} does not fit width {w}")
-    return tuple(flat)
+    @cached_property
+    def free_columns(self) -> tuple[int, ...]:
+        offsets = tuple(accumulate(block_widths(self.bundle), initial=0))
+        return tuple(
+            max(a + terms[-1][0] for a, terms in zip(offsets, blocks) if terms) for blocks, _ in self.integral_basis
+        )
 
 
 def basis_rank(space: SectionSpace) -> int:
     """Rank of the basis sections stacked in the bundle's block layout,
-    ``len(space.basis)`` exactly when they are independent."""
-    bundle = space.bundle
-    return rank(MatrixQ.from_rows([flatten_section(bundle, s) for s in space.basis], cols=sum(block_widths(bundle))))
+    ``len(space.integral_basis)`` exactly when they are independent. Each
+    row is an integer form's numerators: its section times a positive
+    denominator, which leaves the rank unchanged."""
+    widths = block_widths(space.bundle)
+    rows = [
+        [t.get(k, 0) for w, t in zip(widths, map(dict, blocks)) for k in range(w)] for blocks, _ in space.integral_basis
+    ]
+    return rank(MatrixQ.from_rows(rows, cols=sum(widths)))
 
 
 def section_basis(bundle: LineBundle) -> SectionSpace:
     """Canonical basis of global sections: kernel of the gluing matrix,
-    off its integer rows, with the free columns the space keeps. Each
-    integer kernel vector is cut at the block offsets into its section
-    and its integer form, kept as ``integral_basis``."""
+    off its integer rows. Each integer kernel vector is cut at the block
+    offsets into its integer form; no ``Section`` is built."""
     g = gluing_matrix(bundle)
     blocks = list(pairwise(accumulate(block_widths(bundle), initial=0)))
     kernel = _kernel_vectors(_integer_rows(g), g.cols)
-    basis, integral = [], []
-    for w in kernel:
-        v = _rational(w, g.cols)
-        basis.append(Section(tuple(v[a:b] for a, b in blocks)))
-        integral.append((tuple(tuple((j - a, c) for j, c in w if a <= j < b) for a, b in blocks), w[-1][1]))
-    space = SectionSpace(bundle, tuple(basis), tuple(w[-1][0] for w in kernel))
-    vars(space)["integral_basis"] = tuple(integral)
-    return space
+    return SectionSpace(
+        bundle, tuple((tuple(tuple((j - a, c) for j, c in w if a <= j < b) for a, b in blocks), w[-1][1]) for w in kernel)
+    )
 
 
 def cohomology(bundle: LineBundle) -> tuple[int, int]:
@@ -327,9 +309,8 @@ def multiply_sections(a: Section, b: Section) -> Section:
     """
     if len(a.coeffs) != len(b.coeffs):
         raise ValueError("sections live on curves with different component counts")
-    blocks, den = _multiply(_integral(a), _integral(b))
     widths = (len(x) + len(y) - 1 if x and y else 0 for x, y in zip(a.coeffs, b.coeffs))
-    return Section(tuple(tuple(Fraction(t.get(k, 0), den) for k in range(w)) for w, t in zip(widths, map(dict, blocks))))
+    return _section(_multiply(_integral(a), _integral(b)), widths)
 
 
 def section_satisfies_gluing(bundle: LineBundle, section: Section) -> bool:
@@ -356,6 +337,16 @@ def _integral(section: Section) -> _IntegralForm:
         tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(block) if c) for block in section.coeffs
     )
     return blocks, den
+
+
+def _section(form: _IntegralForm, widths) -> Section:
+    """The ``Section`` of an integer form, its blocks of ``widths``: the
+    one step back from ``_integral``. A Fraction is built for each term
+    only, and every other coefficient is one shared zero."""
+    blocks, den = form
+    return Section(
+        tuple(tuple(Fraction(t[k], den) if k in t else _ZERO for k in range(w)) for w, t in zip(widths, map(dict, blocks)))
+    )
 
 
 def _multiply(a: _IntegralForm, b: _IntegralForm) -> _IntegralForm:

@@ -5,10 +5,11 @@ coordinates ("p", "p/q" or "inf"), a list of nodes referencing marked
 points as "<component>.<index>", and a bundle with a multidegree and
 optional gluing scalars ("p", "p/q" or a JSON integer; default 1 at
 every node). In "p" and "p/q", p is ASCII digits with an optional sign
-and q is ASCII digits; nothing else is a number. Reports print as
-plain text or, with --json, as a machine-readable document whose key
-order and exact values ("p/q" strings, never floats) are deterministic:
-the same spec and flags produce byte-identical output.
+and q is ASCII digits, as is a node branch's index; nothing else is a
+number. Reports print as plain text or, with --json, as a
+machine-readable document whose key order and exact values ("p/q"
+strings, never floats) are deterministic: the same spec and flags
+produce byte-identical output.
 
 Exit codes: 0 success, 1 a verification check failed, 2 malformed input
 or usage error (including a ``--samples`` count that is negative or
@@ -54,6 +55,8 @@ from .curve import (
     betti_1,
     dual_graph,
     jacobian_dimension,
+    name_index,
+    reference_problems,
     validate,
 )
 from .embedding import (
@@ -140,12 +143,16 @@ def parse_scalar(text) -> Fraction:
 
 
 def _parse_branch(text) -> tuple[str, int]:
-    if not isinstance(text, str) or "." not in text:
-        raise SpecError("reference", f"node branches look like 'C1.0', got {text!r}")
-    name, _, idx = text.rpartition(".")
-    if not name or not idx.isdecimal():
-        raise SpecError("reference", f"node branches look like 'C1.0', got {text!r}")
-    return name, int(idx)
+    """``<component>.<index>``, the index in ASCII digits as numbers are;
+    an index past ``int``'s digit limit is an ``error[reference]`` too."""
+    if isinstance(text, str):
+        name, _, idx = text.rpartition(".")
+        if name and idx.isdigit() and idx.isascii():
+            try:
+                return name, int(idx)
+            except ValueError:
+                raise SpecError("reference", f"node branch on {name!r} has a {len(idx)}-digit index, past the digit limit")
+    raise SpecError("reference", f"node branches look like 'C1.0', got {text!r}")
 
 
 def _expect(condition: bool, code: str, message: str, *args) -> None:
@@ -201,16 +208,11 @@ def parse_spec(text: str) -> CurveSpec:
         )
         nodes.append(NodeGluing(_parse_branch(entry["a"]), _parse_branch(entry["b"])))
 
-    point_counts = {c.name: len(c.marked_points) for c in components}
+    index = name_index(components)
     for k, node in enumerate(nodes):
-        for label, (cname, idx) in (("a", node.branch_a), ("b", node.branch_b)):
-            _expect(cname in point_counts, "reference", "node {}: branch {} references unknown component {!r}", k, label, cname)
-            _expect(
-                0 <= idx < point_counts[cname],
-                "reference",
-                "node {}: branch {} references marked point {} outside component {}",
-                k, label, idx, cname,
-            )
+        found = reference_problems(components, index, k, node)
+        if found:
+            raise SpecError("reference", found[0])
 
     bundle_data = data["bundle"]
     _expect(isinstance(bundle_data, dict), "schema", "'bundle' must be an object")
@@ -309,7 +311,7 @@ def run_ample(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) ->
 
 def run_embed(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) -> dict:
     space = section_basis(bundle)
-    n = len(space.basis)
+    n = len(space.integral_basis)
     points_out = []
     for x in sample_points(curve, samples, seed):
         entry: dict = {"point": str(x)}
@@ -339,7 +341,7 @@ def _multiplication_maps(space: SectionSpace) -> tuple[dict, dict, tuple]:
     prove it. The m = 2 products are the m = 3 prefixes."""
     products2: dict = {}
     columns2, dens2, target2 = _product_matrix(space, 2, products=products2)
-    quadrics = _quadric_forms(columns2, dens2, target2, len(space.basis))
+    quadrics = _quadric_forms(columns2, dens2, target2, len(space.integral_basis))
     columns3, dens3, target3 = _product_matrix(space, 3, prefixes=products2)
 
     def shape(source: int, target: int, r: int) -> dict:
@@ -351,7 +353,7 @@ def _multiplication_maps(space: SectionSpace) -> tuple[dict, dict, tuple]:
 
 def run_ideal(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) -> dict:
     space = section_basis(bundle)
-    n = len(space.basis)
+    n = len(space.integral_basis)
     m2, m3, quadrics = _multiplication_maps(space)
     out = {"h0": n, "m2": m2, "m3": m3, "quadric_count": len(quadrics)}
     probe: dict = {
@@ -438,19 +440,12 @@ def run_verify(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int, m
         check(f"riemann-roch-{label}", tw.balanced, f"h0 {tw.h0}, h1 {tw.h1}, degree {tw.degree}")
 
     space = section_basis(bundle)
+    n = len(space.integral_basis)
     # node_images_consistent is exactly this basis node check; both rows report it
     basis_glues = node_images_consistent(space)
-    check(
-        "basis-gluing-exact",
-        basis_glues,
-        f"{len(space.basis)} basis sections satisfy every node constraint exactly",
-    )
+    check("basis-gluing-exact", basis_glues, f"{n} basis sections satisfy every node constraint exactly")
     flat_rank = basis_rank(space)
-    check(
-        "basis-independent",
-        flat_rank == len(space.basis),
-        f"rank {flat_rank} of {len(space.basis)} stacked sections",
-    )
+    check("basis-independent", flat_rank == n, f"rank {flat_rank} of {n} stacked sections")
     check(
         "node-image-consistency",
         basis_glues,

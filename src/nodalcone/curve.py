@@ -15,7 +15,9 @@ which returns the list of violation strings, and raises
 the derived quantities never check the curve again, and every node
 branch is resolved once, in ``NodalCurve.sites``. Both ``validate`` and
 ``sites`` resolve a component name through one dict from each name to
-the index of its first component, built once per curve. Each
+the index of its first component (``name_index``), built once per curve;
+``reference_problems`` is the one rule, with its messages, that a node
+branch resolves, for ``validate`` and the command line's parser. Each
 component's onto threshold ``max(0, n - 1)``, with n its marked points,
 is derived once too, in ``NodalCurve.onto_thresholds``: the least degree
 at which its polynomials reach every tuple of values at those points
@@ -139,9 +141,7 @@ class NodalCurve(Value):
     def __init__(self, components: tuple[Component, ...], nodes: tuple[NodeGluing, ...] = ()) -> None:
         _set(self, "components", tuple(components))
         _set(self, "nodes", tuple(nodes))
-        index: dict[str, int] = {}
-        for i, comp in enumerate(self.components):
-            index.setdefault(comp.name, i)
+        index = name_index(self.components)
         _set(self, "_index", index)
         problems = validate(self)
         if problems:
@@ -202,6 +202,29 @@ class DualGraph(NamedTuple):
         return count
 
 
+def name_index(components) -> dict[str, int]:
+    """Each component name to the index of its first component."""
+    return {c.name: i for i, c in reversed(tuple(enumerate(components)))}
+
+
+def reference_problems(components, index: dict[str, int], k: int, node: NodeGluing) -> list[str]:
+    """Why node k's branches do not resolve, empty when both do: each
+    must name a component, its first by that name (``index``), and the
+    index of one of its marked points."""
+    problems = []
+    for label, (cname, idx) in (("a", node.branch_a), ("b", node.branch_b)):
+        ci = index.get(cname)
+        if ci is None:
+            problems.append(f"node {k}: branch {label} references unknown component {cname!r}")
+            continue
+        n = len(components[ci].marked_points)
+        if not 0 <= idx < n:
+            problems.append(
+                f"node {k}: branch {label} references marked point index {idx} outside component {cname} (which has {n})"
+            )
+    return problems
+
+
 def validate(curve: NodalCurve) -> list[str]:
     """All structural violations, as human-readable strings.
 
@@ -232,22 +255,9 @@ def validate(curve: NodalCurve) -> list[str]:
     refs_ok = True
     usage: dict[Branch, int] = {}
     for k, node in enumerate(curve.nodes):
-        node_ok = True
-        for label, branch in (("a", node.branch_a), ("b", node.branch_b)):
-            cname, idx = branch
-            ci = index.get(cname)
-            if ci is None:
-                problems.append(f"node {k}: branch {label} references unknown component {cname!r}")
-                node_ok = False
-                continue
-            comp = curve.components[ci]
-            if not 0 <= idx < len(comp.marked_points):
-                problems.append(
-                    f"node {k}: branch {label} references marked point index {idx} "
-                    f"outside component {cname} (which has {len(comp.marked_points)})"
-                )
-                node_ok = False
-        if not node_ok:
+        found = reference_problems(curve.components, index, k, node)
+        if found:
+            problems.extend(found)
             refs_ok = False
             continue
         if node.branch_a == node.branch_b:

@@ -234,7 +234,7 @@ class AmpleVerdict(NamedTuple):
 def globally_generated(space: SectionSpace, extra_samples: int = 5, seed: int = SAMPLE_SEED) -> AmpleVerdict:
     """Criterion: min degree >= 2. Direct mode: no sample point where
     every section vanishes. A bundle without sections fails outright."""
-    if len(space.basis) < 1:
+    if len(space.integral_basis) < 1:
         return AmpleVerdict(FAILED, "no global sections (h0 = 0)", 0)
     samples = sample_points(space.bundle.curve, extra_samples, seed)
     for x in samples:
@@ -278,7 +278,7 @@ def separates_points(space: SectionSpace, x: CurvePoint, y: CurvePoint) -> bool:
     Equivalent statement: the 2 x h0 matrix of basis evaluations has
     rank 2, i.e. restriction to the two points is onto.
     """
-    if len(space.basis) < 2:
+    if len(space.integral_basis) < 2:
         raise ValueError("need at least two sections to separate points")
     _check_point(space.bundle.curve, x)
     _check_point(space.bundle.curve, y)
@@ -292,7 +292,7 @@ def separates_jets(space: SectionSpace, x: CurvePoint) -> bool:
     row and the jet row are independent. At a node the test is
     branch-local, and both branches must pass unless x selects one.
     """
-    if len(space.basis) < 2:
+    if len(space.integral_basis) < 2:
         raise ValueError("need at least two sections to separate jets")
     _check_point(space.bundle.curve, x)
     return all(_independent(u, v) for _, u, v in _jet_tests(space, x))
@@ -308,8 +308,8 @@ def very_ample(space: SectionSpace, extra_samples: int = 5, seed: int = SAMPLE_S
     individually. A bundle with fewer than two sections fails outright,
     after no tests.
     """
-    if len(space.basis) < 2:
-        return AmpleVerdict(FAILED, f"fewer than two global sections (h0 = {len(space.basis)})", 0)
+    if len(space.integral_basis) < 2:
+        return AmpleVerdict(FAILED, f"fewer than two global sections (h0 = {len(space.integral_basis)})", 0)
     samples = sample_points(space.bundle.curve, extra_samples, seed)
     values = [_branch_vector(space, x, _homogeneous_row) for x in samples]
     pairs = (

@@ -45,9 +45,9 @@ denominators, as its nonzero ``(j, c)`` in ascending j, the last at its
 free column, where c is that lcm. ``_kernel_vectors`` reads it over Q
 off reduced integer rows with no Fraction built: ``kernel_of_columns``
 keeps it, ``kernel_basis`` is its Fraction view (``_rational``), and
-``bundles.section_basis`` cuts it into sections. The command line
-builds two ``MatrixQ``s only: ``section_basis``'s gluing matrix and
-``basis_rank``'s basis.
+``bundles.section_basis`` cuts it into integer sections. The command
+line builds two ``MatrixQ``s only: ``section_basis``'s gluing matrix and
+``basis_rank``'s stack of the integer basis.
 
 No floating point is used anywhere in this package; floats are rejected
 at the boundary.

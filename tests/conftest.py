@@ -7,7 +7,7 @@ import pytest
 from sympy import GF
 from sympy.polys.matrices import DomainMatrix
 
-from nodalcone.bundles import LineBundle, Section, block_widths, evaluation_row
+from nodalcone.bundles import LineBundle, Section, block_widths
 from nodalcone.curve import INFINITY, Component, NodalCurve, NodeGluing, affine_point, paper_example_curve
 from nodalcone.exactlin import PRIME, MatrixQ, rank
 
@@ -275,8 +275,27 @@ def reference_kernel(m):
     return basis
 
 
+def reference_evaluation_row(d, p):
+    """``(1, p, ..., p^d)`` by repeated Fraction products at affine p, the
+    unit at the leading coefficient at infinity: the reference that
+    ``bundles.evaluation_row`` must match."""
+    if p.is_infinity:
+        return (Fraction(0),) * d + (Fraction(1),)
+    return tuple(p.coord**k for k in range(d + 1))
+
+
+def reference_flatten(bundle, section):
+    """A section's coefficient blocks concatenated in the bundle's block
+    layout, an empty block padded with zeros to its width."""
+    flat = []
+    for w, block in zip(block_widths(bundle), section.coeffs):
+        assert len(block) in (0, w)
+        flat.extend(block or [Fraction(0)] * w)
+    return tuple(flat)
+
+
 def reference_gluing_matrix(bundle):
-    """The gluing matrix summed in Fractions from ``evaluation_row``:
+    """The gluing matrix summed in Fractions from ``reference_evaluation_row``:
     per node, the branch-a evaluation minus the gluing scalar times the
     branch-b evaluation, each on its component's block. The reference
     for ``bundles.gluing_matrix``, which builds it from integer rows."""
@@ -287,7 +306,7 @@ def reference_gluing_matrix(bundle):
         row = [Fraction(0)] * offsets[-1]
         for (ci, _, point), scale in zip(sites, (Fraction(1), -g)):
             if widths[ci]:
-                for j, val in enumerate(evaluation_row(bundle.multidegree[ci], point), offsets[ci]):
+                for j, val in enumerate(reference_evaluation_row(bundle.multidegree[ci], point), offsets[ci]):
                     row[j] += scale * val
         rows.append(row)
     return MatrixQ.from_rows(rows, cols=offsets[-1])

@@ -14,6 +14,8 @@ from conftest import (
     random_curve,
     reference_convolve,
     reference_dualizing_gluings,
+    reference_evaluation_row,
+    reference_flatten,
     reference_gluing_matrix,
     reference_jet,
     reference_kernel,
@@ -31,6 +33,8 @@ from nodalcone.bundles import (
     _multiply,
     LineBundle,
     Section,
+    SectionSpace,
+    basis_rank,
     block_widths,
     cohomology,
     component_h0,
@@ -38,7 +42,6 @@ from nodalcone.bundles import (
     dual,
     dualizing_bundle,
     evaluation_row,
-    flatten_section,
     gluing_matrix,
     h0,
     h1_direct,
@@ -80,6 +83,18 @@ def test_evaluation_row_affine_and_infinity():
     assert evaluation_row(0, INFINITY) == (F(1),)
     with pytest.raises(ValueError):
         evaluation_row(-1, affine_point(F(0)))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(min_value=0, max_value=8), st.none() | st.fractions(max_denominator=10**6))
+def test_evaluation_row_equals_the_power_reference(d, coord):
+    """``evaluation_row`` from the homogeneous integer row equals the
+    powers of the point in Fractions, at infinity and affine points with
+    signs, zero and large denominators."""
+    p = INFINITY if coord is None else affine_point(coord)
+    row = evaluation_row(d, p)
+    assert row == reference_evaluation_row(d, p)
+    assert all(type(e) is Fraction for e in row)
 
 
 def _value(block, p):
@@ -146,17 +161,24 @@ def test_gluing_matrix_shape_and_frozen_rows(paper_curve):
 
 def _assert_gluing_and_basis_match_the_reference(bundle):
     """G, its kernel and its free columns against the Fraction references:
-    each basis section is a reference kernel vector cut into the bundle's
-    blocks, and the kept integer form is ``_integral`` of it."""
+    the stored integer form is ``_integral`` of a reference kernel vector
+    cut into the bundle's blocks, the derived ``basis`` is those sections
+    and ``free_columns`` the reference's. ``basis_rank`` is h0, also with
+    a section repeated and one scaled by a negative integer appended."""
     g = reference_gluing_matrix(bundle)
     assert gluing_matrix(bundle) == g
     _, pivots = reference_rref(g)
     space = section_basis(bundle)
-    assert space.free_columns == tuple(c for c in range(g.cols) if c not in pivots)
     offsets = [sum(block_widths(bundle)[:i]) for i in range(len(bundle.multidegree) + 1)]
     expected = tuple(Section(tuple(v[a:b] for a, b in zip(offsets, offsets[1:]))) for v in reference_kernel(g))
-    assert space.basis == expected
     assert space.integral_basis == tuple(_integral(s) for s in expected)
+    assert space.basis == expected
+    assert space.free_columns == tuple(c for c in range(g.cols) if c not in pivots)
+    assert basis_rank(space) == len(expected)
+    if expected:
+        (blocks, den), *_ = space.integral_basis
+        forms = space.integral_basis + ((tuple(tuple((k, -3 * c) for k, c in b) for b in blocks), den),)
+        assert basis_rank(SectionSpace(bundle, forms + forms[-2:])) == len(expected)
 
 
 @settings(max_examples=100, deadline=None)
@@ -218,7 +240,7 @@ def test_basis_sections_satisfy_gluing_exactly(paper_curve):
     space = section_basis(b)
     for s in space.basis:
         assert section_satisfies_gluing(b, s)
-    rows = [flatten_section(b, s) for s in space.basis]
+    rows = [reference_flatten(b, s) for s in space.basis]
     assert rank(MatrixQ.from_rows(rows, cols=13)) == 10
 
 

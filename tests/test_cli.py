@@ -116,22 +116,28 @@ def test_rational_equals_fraction_on_the_grammar(sign, p, q):
 
 def test_main_rejects_numbers_past_the_digit_limit(tmp_path, capsys):
     """A coordinate or gluing with 5000 digits in its numerator or its
-    denominator is past ``int``'s digit limit: a diagnostic and exit 2,
-    with nothing on stdout and no traceback."""
+    denominator, or a node branch index with 5000 digits, is past
+    ``int``'s digit limit: a diagnostic and exit 2, with nothing on
+    stdout and no traceback."""
     paper = json.loads(PAPER_SPEC.read_text())
     big = "7" * 5000
+    cases = []
     for text in (big, "-" + big + "/3", "1/" + big):
         point, gluing = copy.deepcopy(paper), copy.deepcopy(paper)
         point["components"][1]["points"][2] = text
         gluing["bundle"]["gluings"][1] = text
-        for doc, code in ((point, "coordinate"), (gluing, "gluing")):
-            spec = tmp_path / "spec.json"
-            spec.write_text(json.dumps(doc))
-            assert main(["sections", str(spec), "--json"]) == EXIT_INPUT_ERROR
-            captured = capsys.readouterr()
-            assert captured.out == ""
-            assert captured.err.startswith(f"error[{code}]: ")
-            assert "Traceback" not in captured.err
+        cases += [(point, "coordinate"), (gluing, "gluing")]
+    branch = copy.deepcopy(paper)
+    branch["nodes"][1]["b"] = "C2." + big
+    cases.append((branch, "reference"))
+    for doc, code in cases:
+        spec = tmp_path / "spec.json"
+        spec.write_text(json.dumps(doc))
+        assert main(["sections", str(spec), "--json"]) == EXIT_INPUT_ERROR
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error[{code}]: ")
+        assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize(
@@ -163,13 +169,14 @@ def _edited(path, value):
         (("components", 0, "points"), "0", "schema", "component A: 'points' must be a list"),
         (("components", 0), {"name": "A{0}", "points": "0"}, "schema", "component A{0}: 'points' must be a list"),
         (("nodes", 1, "b"), "C.0", "reference", "node 1: branch b references unknown component 'C'"),
-        (("nodes", 0, "a"), "A.7", "reference", "node 0: branch a references marked point 7 outside component A"),
+        (("nodes", 0, "a"), "A.7", "reference", "node 0: branch a references marked point index 7 outside component A (which has 2)"),
         (("bundle", "multidegree"), [2, 1.5], "schema", "multidegree entries are integers, got 1.5"),
         (("bundle", "multidegree"), ["2", 2], "schema", "multidegree entries are integers, got '2'"),
         (("bundle", "multidegree"), [True, 2], "schema", "multidegree entries are integers, got True"),
         (("bundle", "multidegree"), [2], "shape", "multidegree has 1 entries for 2 components"),
         (("bundle", "gluings"), ["1"], "shape", "1 gluing scalars for 2 nodes"),
         (("bundle", "gluings"), ["1", "0/7"], "gluing", "gluing scalar at node 1 must be nonzero"),
+        (("nodes", 1, "a"), "A.2", "reference", "node 1: branch a references marked point index 2 outside component A (which has 2)"),
     ],
 )
 def test_parse_spec_messages_name_the_offending_entry(path, value, code, message):
@@ -274,9 +281,10 @@ def test_diagnostic_code_reference():
     doc = json.loads(MINIMAL)
     doc["nodes"][0]["a"] = "A.9"
     assert code_of(json.dumps(doc)) == "reference"
-    doc = json.loads(MINIMAL)
-    doc["nodes"][0]["a"] = "A.\u00b2"
-    assert code_of(json.dumps(doc)) == "reference"
+    for text in ("A.\u00b2", "A.\u0660", "A.\uff10", "A.+0", "A.0_0", "A. 0"):
+        doc = json.loads(MINIMAL)
+        doc["nodes"][0]["a"] = text
+        assert code_of(json.dumps(doc)) == "reference"
 
 
 def test_diagnostic_code_gluing():

@@ -106,8 +106,9 @@ def test_validate_unknown_component_reference():
 
 def test_validate_marked_point_index_out_of_range():
     c = Component("C1", (affine_point(F(0)), affine_point(F(1))))
-    with pytest.raises(InvalidCurveError, match="outside component"):
-        NodalCurve((c,), (NodeGluing(("C1", 0), ("C1", 5)),))
+    for idx in (5, 2, -1):
+        with pytest.raises(InvalidCurveError, match=f"index {idx} outside component C1 \\(which has 2\\)"):
+            NodalCurve((c,), (NodeGluing(("C1", 0), ("C1", idx)),))
 
 
 def test_validate_branch_glued_to_itself():

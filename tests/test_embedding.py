@@ -18,6 +18,7 @@ from conftest import (
     curve_with_infinity,
     random_bundle,
     random_curve,
+    reference_flatten,
     reference_jacobian_rank,
     reference_jet,
     reference_product,
@@ -28,7 +29,6 @@ from nodalcone.bundles import (
     SectionSpace,
     _homogeneous_row,
     _jet_row,
-    flatten_section,
     h0,
     line_bundle,
     power,
@@ -252,7 +252,7 @@ def _assert_columns_reconstruct_products(bundle, m):
     in the canonical basis of L^m, sums back to its product exactly."""
     space = section_basis(bundle)
     target_bundle = power(bundle, m)
-    target = [flatten_section(target_bundle, s) for s in section_basis(target_bundle).basis]
+    target = [reference_flatten(target_bundle, s) for s in section_basis(target_bundle).basis]
     matrix = multiplication_map(space, m)
     monos = sym_monomials(len(space.basis), m)
     assert (matrix.rows, matrix.cols) == (len(target), len(monos))
@@ -260,7 +260,7 @@ def _assert_columns_reconstruct_products(bundle, m):
         product = space.basis[mono[0]]
         for idx in mono[1:]:
             product = reference_product(product, space.basis[idx])
-        expected = flatten_section(target_bundle, product)
+        expected = reference_flatten(target_bundle, product)
         combo = [F(0)] * len(expected)
         for c, flat in zip((matrix.at(r, col) for r in range(matrix.rows)), target):
             if c:
@@ -756,34 +756,48 @@ def test_very_ample_evaluates_each_sample_once_and_takes_no_rank(paper_curve, mo
     assert counts["elimination"] == 0
     assert counts["evaluation"] <= 2 * len(samples) + len(paper_curve.nodes)
 
-def test_section_space_converts_its_basis_once_and_only_when_evaluated(paper_curve, monkeypatch):
-    """``section_basis`` keeps the integer form of the basis, cut from the
-    same kernel vectors, so no check converts a section: every command
-    that evaluates or multiplies runs ``_integral`` zero times. A space
-    rebuilt from its fields derives it on first use, once, and keeps it.
-    It is not a field: equality and hashing see the three fields only."""
-    converted = []
-    original = bundles._integral
+@pytest.mark.parametrize(
+    "argv, built",
+    [(["sections", "--basis"], 10)] + [([command], 0) for command in ("sections", "embed", "ample", "ideal", "deform", "verify")],
+)
+def test_only_sections_basis_builds_fraction_sections(argv, built, monkeypatch):
+    """A section space stores the integer form only, and the checks read
+    it: of the commands on the paper curve, only ``sections --basis``
+    builds ``Section``s, one per basis section (h0 = 10), and no command
+    converts a section back (``_integral``)."""
+    counts = {"Section": 0, "_integral": 0}
+    init, integral = bundles.Section.__init__, bundles._integral
 
-    def counted(section):
-        converted.append(section)
-        return original(section)
+    def counted_init(self, coeffs):
+        counts["Section"] += 1
+        init(self, coeffs)
 
-    monkeypatch.setattr(bundles, "_integral", counted)
-    bundle = line_bundle(paper_curve, (4, 3, 3))
-    space = section_basis(bundle)
-    globally_generated(space)
-    very_ample(space)
-    node_images_consistent(space)
-    embed_point(space, CurvePoint.smooth("C1", F(5)))
-    multiplication_map(space, 2)
-    multiplication_map(space, 3)
-    for argv in (["sections", "--basis"], ["embed"], ["ideal"], ["verify"]):
-        assert main([argv[0], str(PAPER_SPEC), "--json", *argv[1:]]) == EXIT_OK
-    assert converted == []
-    assert space.integral_basis == tuple(original(s) for s in space.basis)
-    rebuilt = SectionSpace(space.bundle, space.basis, space.free_columns)
-    assert "integral_basis" not in vars(rebuilt)
-    assert rebuilt.integral_basis == space.integral_basis
-    assert rebuilt.integral_basis is rebuilt.integral_basis and converted == list(space.basis)
-    assert space == rebuilt and hash(space) == hash(rebuilt)
+    def counted_integral(section):
+        counts["_integral"] += 1
+        return integral(section)
+
+    monkeypatch.setattr(bundles.Section, "__init__", counted_init)
+    monkeypatch.setattr(bundles, "_integral", counted_integral)
+    assert main([argv[0], str(PAPER_SPEC), "--json", *argv[1:]]) == EXIT_OK
+    assert counts == {"Section": built, "_integral": 0}
+
+
+def test_section_space_is_its_bundle_and_integer_basis(paper_curve):
+    """``basis`` and ``free_columns`` are derived on first read and then
+    kept, and are not fields: a space rebuilt from the bundle and the
+    integer basis equals and hashes like the original and derives the
+    same values. No library check reads either."""
+    space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
+    rebuilt = SectionSpace(space.bundle, space.integral_basis)
+    assert rebuilt == space and hash(rebuilt) == hash(space)
+    globally_generated(rebuilt)
+    very_ample(rebuilt)
+    node_images_consistent(rebuilt)
+    embed_point(rebuilt, CurvePoint.smooth("C1", F(5)))
+    multiplication_map(rebuilt, 2)
+    multiplication_map(rebuilt, 3)
+    assert "basis" not in vars(rebuilt) and "free_columns" not in vars(rebuilt)
+    assert rebuilt.basis == space.basis and rebuilt.free_columns == space.free_columns
+    assert rebuilt.basis is rebuilt.basis and rebuilt.free_columns is rebuilt.free_columns
+    assert len(space.basis) == 10 and space.free_columns == (2, 3, 4, 5, 7, 8, 9, 10, 11, 12)
+    assert repr(rebuilt).startswith("SectionSpace(bundle=") and ", integral_basis=(" in repr(rebuilt)

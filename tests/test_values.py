@@ -38,7 +38,7 @@ VALUES = [
     (DualGraph, dict(vertices=("A", "B"), edges=(("A", "B"),)), "edges", (("A", "B"), ("B", "B"))),
     (LineBundle, dict(curve=CURVE, multidegree=(4, 3, 3), gluings=(F(1), F(2), F(1))), "gluings", (F(1),) * 3),
     (Section, dict(coeffs=((F(1), F(2)), ())), "coeffs", ((F(1), F(3)), ())),
-    (SectionSpace, dict(bundle=BUNDLE, basis=(), free_columns=()), "free_columns", (0,)),
+    (SectionSpace, dict(bundle=BUNDLE, integral_basis=()), "integral_basis", (((((0, 1),), (), ()), 1),)),
     (RiemannRochReport, dict(h0=10, h1=0, degree=10, genus=1), "h1", 1),
     (CurvePoint, dict(component="C1", coord=affine_point(5), node=None, branch=None), "coord", INFINITY),
     (AmpleVerdict, dict(status=FAILED, witness="all sections vanish at node:0", samples_checked=3), "samples_checked", 4),
