@@ -35,8 +35,12 @@ positive one. The one product routine multiplies terms with no
 gcd at each step and drops those that cancel (``_multiply``), and the
 node check dots each branch's terms with an integer row, built once per
 bundle, that also clears the gluing scalar's denominator
-(``_node_rows``, ``_glues``). ``multiply_sections`` and
-``section_satisfies_gluing`` are thin wrappers over these helpers.
+(``_node_rows``, ``_glues``). ``_node_row`` takes the scalar as an
+integer pair ``(num, den)``, ``den != 0``, and each branch's
+``_homogeneous_row`` from a memo keyed by (component, marked-point
+index, width) that its caller creates: one per bundle, or one per
+``cone.graded_report``, shared by every weight. ``multiply_sections``
+and ``section_satisfies_gluing`` are thin wrappers over these helpers.
 
 Only the rank of G enters ``h0`` and ``h1``, and it is mostly read off
 the multidegree. Call a component of degree ``d >= max(0, n - 1)``, with
@@ -53,10 +57,13 @@ block R: G without those rows. In R the onto
 components' columns are zero and negative degrees have none, so R is
 the rows of the uncovered nodes with a branch on a component of degree
 ``0 <= d < n - 1``, over those components' blocks. R is built from the
-integer rows of ``_node_rows``: node k's row ``row_a s_b g.den - row_b
-s_a g.num`` is ``s_a s_b g.den != 0`` times G's row, so R's rank is
-unchanged, and ``exactlin.certified_rank`` takes it. Away from small
-degrees R has no rows, and no elimination runs at all.
+integer rows of ``_node_row``, with node k's scalar an integer pair
+``(num, den)``: its row ``row_a s_b den - row_b s_a num`` is
+``s_a s_b den != 0`` times G's row, so R's rank is unchanged, and
+``exactlin.certified_rank`` takes it. Any pair for the scalar will do,
+``(c num, c den)`` for every nonzero c: so no gcd is taken, and a
+denominator may be negative. Away from small degrees R has no rows,
+and no elimination runs at all.
 
 The dualizing bundle is realized concretely: on a component whose
 branch points are D, with A the affine ones among them, a section of it
@@ -79,7 +86,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, pairwise
 from math import lcm
-from typing import Callable, NamedTuple
+from typing import Callable, NamedTuple, Sequence
 
 from .curve import NodalCurve, PointOnLine, Site, Value, _set, arithmetic_genus
 from .exactlin import MatrixQ, VectorQ, _integer_rows, _kernel_vectors, as_scalar, certified_rank, rank
@@ -156,6 +163,11 @@ def block_widths(bundle: LineBundle) -> tuple[int, ...]:
     return tuple(max(0, d + 1) for d in bundle.multidegree)
 
 
+def _scalar_pairs(bundle: LineBundle) -> list[tuple[int, int]]:
+    """Each node's gluing scalar as its ``(numerator, denominator)``."""
+    return [(g.numerator, g.denominator) for g in bundle.gluings]
+
+
 def gluing_matrix(bundle: LineBundle) -> MatrixQ:
     """One row per node over the concatenated coefficient blocks.
 
@@ -167,22 +179,26 @@ def gluing_matrix(bundle: LineBundle) -> MatrixQ:
     """
     widths = block_widths(bundle)
     offsets = tuple(accumulate(widths, initial=0))
-    rows = []
-    for sites, g in zip(bundle.curve.sites, bundle.gluings):
-        node = _node_row(widths, sites, g)
+    rows, memo = [], {}
+    for sites, g in zip(bundle.curve.sites, _scalar_pairs(bundle)):
+        node = _node_row(widths, sites, g, memo)
         rows.append([Fraction(e, node[4]) if e else _ZERO for e in _flat_row(offsets, node)])
     return MatrixQ.from_rows(rows, cols=offsets[-1])
 
 
-def _cohomology_of(curve: NodalCurve, degrees: tuple[int, ...], gluing: Callable[[int], Fraction]) -> tuple[int, int]:
+def _cohomology_of(
+    curve: NodalCurve, degrees: Sequence[int], scalar: Callable[[int], tuple[int, int]], rows: _RowMemo
+) -> tuple[int, int]:
     """``cohomology`` of the bundle of multidegree ``degrees`` and scalar
-    ``gluing(k)`` at node k, with no ``LineBundle`` built. The gluing rank
-    is the covered nodes plus the certified rank of the residual block in
-    integer rows, over the blocks of the components neither onto nor
-    negative (see the module docstring). One pass over the components
-    counts the slots and the ``h1(O(d_i))``, and one over the nodes counts
-    the covered ones; the block offsets and the rows are built, and
-    ``gluing`` asked, only at the nodes with a row."""
+    ``num / den`` at node k, ``scalar(k) == (num, den)`` with ``den != 0``,
+    with no ``LineBundle`` built. The gluing rank is the covered nodes plus
+    the certified rank of the residual block in integer rows, over the
+    blocks of the components neither onto nor negative (see the module
+    docstring), which a common factor of a pair leaves unchanged. One
+    pass over the components counts the slots and the ``h1(O(d_i))``,
+    and one over the nodes counts the covered ones; the block offsets and
+    the rows are built, and ``scalar`` asked, only at the nodes with a
+    row, each branch row from the caller's memo ``rows`` (``_node_row``)."""
     slots = h1 = 0
     widths = []  # per component its width in the residual block, None if onto
     for d, threshold in zip(degrees, curve.onto_thresholds):
@@ -202,8 +218,8 @@ def _cohomology_of(curve: NodalCurve, degrees: tuple[int, ...], gluing: Callable
     if residual:
         widths = [w or 0 for w in widths]
         offsets = tuple(accumulate(widths, initial=0))
-        rows = [_flat_row(offsets, _node_row(widths, curve.sites[k], gluing(k))) for k in residual]
-        r += certified_rank(rows, offsets[-1])
+        node_rows = [_flat_row(offsets, _node_row(widths, curve.sites[k], scalar(k), rows)) for k in residual]
+        r += certified_rank(node_rows, offsets[-1])
     return slots - r, len(curve.nodes) - r + h1
 
 
@@ -279,9 +295,10 @@ def cohomology(bundle: LineBundle) -> tuple[int, int]:
     ``h0 = sum_i h0(O(d_i)) - rank`` and
     ``h1 = (#nodes - rank) + sum_i h1(O(d_i))``. The rank is the number
     of covered nodes plus the certified rank of the residual block,
-    taken only when it has rows (see the module docstring).
+    taken only when it has rows (see the module docstring): this is
+    ``_cohomology_of`` on the bundle's scalar pairs, with a memo of its own.
     """
-    return _cohomology_of(bundle.curve, bundle.multidegree, bundle.gluings.__getitem__)
+    return _cohomology_of(bundle.curve, bundle.multidegree, _scalar_pairs(bundle).__getitem__, {})
 
 
 def h0(bundle: LineBundle) -> int:
@@ -378,6 +395,7 @@ def _dot(terms: _Terms, row: tuple[int, ...]) -> int:
 
 _NodeRow = tuple[int, tuple[int, ...], int, tuple[int, ...], int]
 _NodeRows = tuple[_NodeRow, ...]
+_RowMemo = dict[tuple[int, int, int], tuple[tuple[int, ...], int]]  # (component, marked point, width) -> row, s
 
 
 def _homogeneous_row(width: int, p: PointOnLine) -> tuple[tuple[int, ...], int]:
@@ -419,17 +437,32 @@ def _node_rows(bundle: LineBundle) -> _NodeRows:
     or its numerator. Every factor is an integer, the common denominator
     cancels, and nothing is rounded.
     """
-    widths = block_widths(bundle)
-    return tuple(_node_row(widths, sites, g) for sites, g in zip(bundle.curve.sites, bundle.gluings))
+    widths, memo = block_widths(bundle), {}
+    return tuple(_node_row(widths, sites, g, memo) for sites, g in zip(bundle.curve.sites, _scalar_pairs(bundle)))
 
 
-def _node_row(widths, sites: tuple[Site, Site], g: Fraction) -> _NodeRow:
-    """One node's entry of ``_node_rows``, over blocks of ``widths``."""
-    (ia, _, pa), (ib, _, pb) = sites
-    row_a, s_a = _homogeneous_row(widths[ia], pa)
-    row_b, s_b = _homogeneous_row(widths[ib], pb)
-    scaled_a = tuple(e * s_b * g.denominator for e in row_a)
-    return ia, scaled_a, ib, tuple(e * s_a * g.numerator for e in row_b), s_a * s_b * g.denominator
+def _node_row(widths, sites: tuple[Site, Site], g: tuple[int, int], rows: _RowMemo) -> _NodeRow:
+    """One node's entry of ``_node_rows``, over blocks of ``widths``, for
+    the scalar ``num / den`` given as ``g = (num, den)``, ``den != 0``.
+    Each branch's ``_homogeneous_row`` is read from the memo ``rows``,
+    keyed by (component, marked-point index, width), and built there on
+    first use."""
+    num, den = g
+    row_a, s_a = _branch_row(rows, widths, sites[0])
+    row_b, s_b = _branch_row(rows, widths, sites[1])
+    scaled_a = tuple(e * s_b * den for e in row_a)
+    return sites[0][0], scaled_a, sites[1][0], tuple(e * s_a * num for e in row_b), s_a * s_b * den
+
+
+def _branch_row(rows: _RowMemo, widths, site: Site) -> tuple[tuple[int, ...], int]:
+    """``_homogeneous_row`` of the branch at ``site`` over its component's
+    width, from the memo ``rows`` or built into it."""
+    ci, k, p = site
+    key = ci, k, widths[ci]
+    row = rows.get(key)
+    if row is None:
+        row = rows[key] = _homogeneous_row(widths[ci], p)
+    return row
 
 
 def _flat_row(offsets: tuple[int, ...], node: _NodeRow) -> list[int]:
@@ -499,8 +532,16 @@ def dualizing_bundle(curve: NodalCurve) -> LineBundle:
     docstring for the resulting degree-(|D| - 2) trivialization, the
     ``-c_p / c_q`` scalars and the cofactor ``c_inf = -1`` of a branch
     at infinity, each taken at a branch site of ``curve.sites`` as an
-    integer numerator over a positive denominator.
+    integer numerator over a positive denominator (``_dualizing_pairs``).
     """
+    degrees, scalars = _dualizing_pairs(curve)
+    return LineBundle(curve, degrees, tuple(Fraction(n, d) for n, d in scalars))
+
+
+def _dualizing_pairs(curve: NodalCurve) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """The dualizing bundle's multidegree, and its scalar ``-c_p / c_q``
+    at each node as the integer pair ``(-num_p den_q, den_p num_q)`` of
+    the two cofactors' numerators and denominators, with no gcd taken."""
     multidegree = tuple(len(comp.marked_points) - 2 for comp in curve.components)
 
     def cofactor(site: Site) -> tuple[int, int]:
@@ -516,7 +557,7 @@ def dualizing_bundle(curve: NodalCurve) -> LineBundle:
         return num, den
 
     cofactors = (cofactor(a) + cofactor(b) for a, b in curve.sites)
-    return LineBundle(curve, multidegree, tuple(Fraction(-na * db, da * nb) for na, da, nb, db in cofactors))
+    return multidegree, [(-na * db, da * nb) for na, da, nb, db in cofactors]
 
 
 def tangent_bundle(curve: NodalCurve) -> LineBundle:
@@ -525,9 +566,18 @@ def tangent_bundle(curve: NodalCurve) -> LineBundle:
     For these curves the dualizing bundle has degree ``2 p_a - 2``; its
     inverse is what the deformation theory of the cone tensors against.
     This package takes that inverse as the definition of the tangent
-    bundle.
+    bundle, built from ``_tangent_pairs``.
     """
-    return dual(dualizing_bundle(curve))
+    degrees, scalars = _tangent_pairs(curve)
+    return LineBundle(curve, degrees, tuple(Fraction(n, d) for n, d in scalars))
+
+
+def _tangent_pairs(curve: NodalCurve) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
+    """The tangent bundle's multidegree, and its scalars as integer pairs
+    (a denominator may be negative): ``_dualizing_pairs`` with the degrees
+    negated and each pair inverted, so no Fraction is built."""
+    degrees, scalars = _dualizing_pairs(curve)
+    return tuple(-d for d in degrees), [(d, n) for n, d in scalars]
 
 
 class RiemannRochReport(NamedTuple):

@@ -521,6 +521,7 @@ def test_dualizing_bundle_with_infinity_randomized():
         with_infinity += any(p.is_infinity for c in curve.components for p in c.marked_points)
         omega = dualizing_bundle(curve)
         assert omega.gluings == reference_dualizing_gluings(curve), curve
+        assert tangent_bundle(curve) == dual(omega), curve
         assert omega.degree() == 2 * genus - 2
         assert cohomology(omega) == (genus, 1), curve
         for _ in range(3):

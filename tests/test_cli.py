@@ -932,18 +932,25 @@ def test_main_deform_paper_curve_in_coordinates_zero_one_infinity(tmp_path, caps
 def test_verify_builds_the_dualizing_bundle_twice(monkeypatch, capsys):
     from nodalcone import bundles, cli
 
-    calls = []
+    calls, pairs = [], []
+    dualizing_pairs = bundles._dualizing_pairs
 
     def counting(curve):
         calls.append(curve)
         return dualizing_bundle(curve)
 
+    def counting_pairs(curve):
+        pairs.append(curve)
+        return dualizing_pairs(curve)
+
     monkeypatch.setattr(bundles, "dualizing_bundle", counting)
     monkeypatch.setattr(cli, "dualizing_bundle", counting)
+    monkeypatch.setattr(bundles, "_dualizing_pairs", counting_pairs)
     assert main(["verify", str(PAPER_SPEC), "--json"]) == EXIT_OK
-    # once for the duality checks, once for graded_report's tangent bundle;
-    # not once per Serre duality check (14 of them)
-    assert len(calls) == 2
+    # the bundle once, for the duality checks, and not once per Serre duality
+    # check (14 of them); its cofactors once more, as graded_report's tangent
+    # scalars, with no bundle built
+    assert len(calls) == 1 and len(pairs) == 2
 
 
 @pytest.mark.parametrize("command", ["verify", "ideal"])

@@ -1,6 +1,7 @@
 """Graded deformation table of the affine cone."""
 
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -11,6 +12,8 @@ from conftest import curve_with_infinity, random_bundle, random_curve
 from nodalcone.bundles import (
     LineBundle,
     _cohomology_of,
+    _scalar_pairs,
+    _tangent_pairs,
     cohomology,
     component_h1,
     gluing_matrix,
@@ -29,6 +32,7 @@ from nodalcone.cone import (
     FORMULA,
     SMOOTHING,
     WeightEntry,
+    _power,
     deformation_bundle,
     graded_report,
     hilbert_function,
@@ -93,10 +97,11 @@ def _sweep_curve(rng):
 
 
 def test_cohomology_of_matches_the_fraction_oracle_on_sweep_regimes():
-    """``_cohomology_of`` on F_m and L^m, with the scalars ``graded_report``
-    hands it, equals the rank of the whole gluing matrix over Q at every
-    weight -12..12, for bundles of degrees -3..6 with a degree-0 line, on
-    a lone line without marked points and on random curves."""
+    """``_cohomology_of`` on F_m and L^m, with the integer pairs
+    ``graded_report`` hands it and one row memo for every call, equals the
+    rank of the whole gluing matrix over Q at every weight -12..12, for
+    bundles of degrees -3..6 with a degree-0 line, on a lone line without
+    marked points and on random curves."""
     rng = random.Random(1974)
     curves = [NodalCurve((Component("L0", ()),))] + [_sweep_curve(rng) for _ in range(30)]
     assert {0, 1} <= {len(c.marked_points) for curve in curves for c in curve.components}
@@ -108,14 +113,104 @@ def test_cohomology_of_matches_the_fraction_oracle_on_sweep_regimes():
         degrees[rng.randrange(len(degrees))] = 0
         bundle = LineBundle(curve, degrees, tuple(F(rng.choice(nonzero), rng.randint(1, 3)) for _ in curve.nodes))
         tangent = tangent_bundle(curve)
+        t, g = _tangent_pairs(curve)[1], _scalar_pairs(bundle)
+        rows = {}
         for m in range(-12, 13):
             twist = tensor(tangent, power(bundle, m))
             assert _cohomology_of(
-                curve, twist.multidegree, lambda k: tangent.gluings[k] * bundle.gluings[k] ** m
+                curve, twist.multidegree, lambda k: _power(g[k], m, t[k]), rows
             ) == _fraction_cohomology(twist)
             assert _cohomology_of(
-                curve, power(bundle, m).multidegree, lambda k: bundle.gluings[k] ** m
+                curve, power(bundle, m).multidegree, lambda k: _power(g[k], m), rows
             ) == _fraction_cohomology(power(bundle, m))
+
+
+def test_cohomology_of_is_free_of_the_pairs_scale():
+    """A pair ``(c num, c den)`` is the same scalar for every nonzero c,
+    and ``_cohomology_of`` gives the same ``(h0, h1)`` for c in -3, 1, 7 as
+    for the reduced pair, on the sweep regimes at every weight -12..12,
+    negative scalars at odd negative weights among them; 30-digit
+    numerators and denominators equal the rank over Q."""
+    rng = random.Random(1979)
+    big = 10**29
+    handed = []
+
+    def scaled(c, pair):
+        handed.append(pair)
+        return c * pair[0], c * pair[1]
+
+    for draw in range(30):
+        curve = _sweep_curve(rng)
+        degrees = [rng.randint(-3, 6) for _ in curve.components]
+        degrees[rng.randrange(len(degrees))] = 0
+        if draw % 3:
+            scalars = [F(rng.choice([-5, -3, -2, 2, 3, 5]), rng.randint(1, 3)) for _ in curve.nodes]
+        else:
+            scalars = [
+                F(rng.choice([-1, 1]) * rng.randrange(big, 10 * big), rng.randrange(big, 10 * big)) for _ in curve.nodes
+            ]
+        bundle = LineBundle(curve, degrees, scalars)
+        tangent = tangent_bundle(curve)
+        t, g = _tangent_pairs(curve)[1], _scalar_pairs(bundle)
+        for m in range(-12, 13):
+            twist = tensor(tangent, power(bundle, m))
+            for degs, scalar, oracle in (
+                (twist.multidegree, lambda k: _power(g[k], m, t[k]), twist),
+                (power(bundle, m).multidegree, lambda k: _power(g[k], m), power(bundle, m)),
+            ):
+                reduced = _cohomology_of(curve, degs, _scalar_pairs(oracle).__getitem__, {})
+                assert reduced == _fraction_cohomology(oracle)
+                for c in (-3, 1, 7):
+                    assert _cohomology_of(curve, degs, lambda k: scaled(c, scalar(k)), {}) == reduced
+    # denominators below zero, from negative scalars at odd negative weights
+    assert sum(den < 0 for _, den in handed) > 100
+    assert any(abs(num) >= 10**29 <= abs(den) for num, den in handed)
+
+
+def test_graded_report_builds_each_branch_row_once_and_no_fraction_power(monkeypatch):
+    """One ``graded_report`` on a spec with a degree-0 line builds the
+    ``_homogeneous_row`` of each (component, marked point, width) its
+    residual blocks use exactly once, across F_m, L^m and every weight,
+    and takes no Fraction power, at -3..3 and at -12..12."""
+    from nodalcone import bundles
+
+    curve = paper_example_curve()
+    bundle = LineBundle(curve, (0, 1, 2), (F(5, 3), F(-2, 7), F(3)))
+    tangent = tangent_bundle(curve)
+    thresholds = [max(0, len(c.marked_points) - 1) for c in curve.components]
+    built, powers = [], []
+    homogeneous_row, fraction_pow = bundles._homogeneous_row, F.__pow__
+
+    def counting_row(width, p):
+        built.append((width, p))
+        return homogeneous_row(width, p)
+
+    def counting_pow(a, b, *rest):
+        powers.append((a, b))
+        return fraction_pow(a, b, *rest)
+
+    for lo, hi in ((-3, 3), (-12, 12)):
+        expected = set()
+        for m in range(lo, hi + 1):
+            for degrees in (
+                [a + m * d for a, d in zip(tangent.multidegree, bundle.multidegree)],
+                [m * d for d in bundle.multidegree],
+            ):
+                widths = [None if d >= n else max(0, d + 1) for d, n in zip(degrees, thresholds)]
+                for (ia, ka, _), (ib, kb, _) in curve.sites:
+                    if None not in (widths[ia], widths[ib]) and (widths[ia] or widths[ib]):
+                        expected |= {(ia, ka, widths[ia]), (ib, kb, widths[ib])}
+        built.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(bundles, "_homogeneous_row", counting_row)
+            patch.setattr(F, "__pow__", counting_pow)
+            entries = graded_report(curve, bundle, lo, hi).entries
+        assert len(built) == len(expected) > 0 and powers == []
+        assert Counter(built) == Counter((w, curve.components[i].marked_points[k]) for i, k, w in expected)
+        for e in entries:
+            twist = tensor(tangent, power(bundle, e.m))
+            assert (e.t0_direct, e.t1_direct) == _fraction_cohomology(twist)
+            assert e.hilbert == _fraction_cohomology(power(bundle, e.m))[0]
 
 
 def test_weights_with_every_line_negative_or_onto_run_no_elimination(monkeypatch):
@@ -135,16 +230,17 @@ def test_weights_with_every_line_negative_or_onto_run_no_elimination(monkeypatch
         curve = _sweep_curve(rng)
         bundle = LineBundle(curve, [rng.randint(-3, 6) for _ in curve.components], (F(2),) * len(curve.nodes))
         tangent = tangent_bundle(curve)
+        t, g = _tangent_pairs(curve)[1], _scalar_pairs(bundle)
         thresholds = [max(0, len(c.marked_points) - 1) for c in curve.components]
         for m in range(-12, 13):
-            degrees = tuple(t + m * d for t, d in zip(tangent.multidegree, bundle.multidegree))
+            degrees = tuple(a + m * d for a, d in zip(tangent.multidegree, bundle.multidegree))
             if all(d < 0 or d >= n for d, n in zip(degrees, thresholds)):
                 quiet += 1
-                _cohomology_of(curve, degrees, lambda k: tangent.gluings[k] * bundle.gluings[k] ** m)
+                _cohomology_of(curve, degrees, lambda k: _power(g[k], m, t[k]), {})
     assert quiet > 100 and calls == []
     # and a line of degree 0 <= d < n - 1 does eliminate its uncovered nodes
     paper = paper_example_curve()
-    _cohomology_of(paper, (0, 0, 0), lambda k: F(1))
+    _cohomology_of(paper, (0, 0, 0), lambda k: (1, 1), {})
     assert calls == [(2, 2)]
 
 
