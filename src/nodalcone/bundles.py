@@ -9,6 +9,16 @@ empty vector. The trivialization at infinity is the standard one for
 the chart ``u = 1/t``: evaluation at infinity reads off the leading
 coefficient ``a_d`` and the first-order jet there reads off ``a_{d-1}``.
 
+A ``LineBundle`` stores each gluing scalar once, as an integer pair:
+``pairs[k] == (num, den)`` is ``num / den`` at node k, both nonzero.
+Any pair for the scalar will do, ``(c num, c den)`` for every nonzero
+c, so no gcd is taken and a denominator may be negative. ``tensor``,
+``dual`` and ``power`` are pair arithmetic through the one pair power
+``_power``, and ``dualizing_bundle`` builds its pairs from the cofactors.
+Every computation below reads ``pairs``; ``LineBundle.gluings``, the
+reduced Fractions, is built only where it is read, and is what
+equality, hashing, repr and pickling see.
+
 A global section must satisfy one linear constraint per node: with the
 node's branches at marked points p (on component i) and q (on component
 j), and gluing scalar g,
@@ -18,7 +28,7 @@ j), and gluing scalar g,
 Stacking these rows gives the gluing matrix G; the section space is its
 kernel, and ``h1`` comes from its corank plus the classical line-bundle
 contributions of the components. Both are exact, never estimated. G's
-rows are ``_node_row``'s integer rows over their positive scales, and
+rows are ``_node_row``'s integer rows over their scales, and
 the kernel is read off their fraction-free elimination (``exactlin``)
 as integer vectors over their last entry.
 
@@ -35,11 +45,10 @@ positive one. The one product routine multiplies terms with no
 gcd at each step and drops those that cancel (``_multiply``), and the
 node check dots each branch's terms with an integer row, built once per
 bundle, that also clears the gluing scalar's denominator
-(``_node_rows``, ``_glues``). ``_node_row`` takes the scalar as an
-integer pair ``(num, den)``, ``den != 0``, and each branch's
-``_homogeneous_row`` from a memo keyed by (component, marked-point
-index, width) that its caller creates: one per bundle, or one per
-``cone.graded_report``, shared by every weight. ``multiply_sections``
+(``_node_rows``, ``_glues``). ``_node_row`` takes the scalar's pair,
+and each branch's ``_homogeneous_row`` from a memo keyed by
+(component, marked-point index, width) that its caller creates: one per
+bundle, or one per ``cone.graded_report``, shared by every weight. ``multiply_sections``
 and ``section_satisfies_gluing`` are thin wrappers over these helpers.
 
 Only the rank of G enters ``h0`` and ``h1``, and it is mostly read off
@@ -57,13 +66,11 @@ block R: G without those rows. In R the onto
 components' columns are zero and negative degrees have none, so R is
 the rows of the uncovered nodes with a branch on a component of degree
 ``0 <= d < n - 1``, over those components' blocks. R is built from the
-integer rows of ``_node_row``, with node k's scalar an integer pair
-``(num, den)``: its row ``row_a s_b den - row_b s_a num`` is
-``s_a s_b den != 0`` times G's row, so R's rank is unchanged, and
-``exactlin.certified_rank`` takes it. Any pair for the scalar will do,
-``(c num, c den)`` for every nonzero c: so no gcd is taken, and a
-denominator may be negative. Away from small degrees R has no rows,
-and no elimination runs at all.
+integer rows of ``_node_row``, with node k's scalar pair ``(num, den)``:
+its row ``row_a s_b den - row_b s_a num`` is ``s_a s_b den != 0`` times
+G's row, so R's rank is unchanged for any pair of the scalar, and
+``exactlin.certified_rank`` takes it. Away from small degrees R has no
+rows, and no elimination runs at all.
 
 The dualizing bundle is realized concretely: on a component whose
 branch points are D, with A the affine ones among them, a section of it
@@ -96,9 +103,16 @@ _ONE = Fraction(1)
 
 
 class LineBundle(Value):
-    """Multidegree plus one nonzero gluing scalar per node of the curve."""
+    """Multidegree plus one nonzero gluing scalar per node of the curve,
+    stored once, as an integer pair: ``pairs[k] == (num, den)`` is the
+    scalar ``num / den`` at node k, with ``num, den != 0`` and no gcd
+    taken, so a denominator may be negative. ``gluings`` is the derived
+    read-only Fraction view, built on each read, and the field that
+    equality, hashing, repr and pickling use: two bundles whose pairs
+    differ by a scale are the same bundle."""
 
-    __slots__ = _fields = ("curve", "multidegree", "gluings")
+    __slots__ = ("curve", "multidegree", "pairs")
+    _fields = ("curve", "multidegree", "gluings")
 
     def __init__(self, curve: NodalCurve, multidegree: tuple[int, ...], gluings: tuple[Fraction, ...]) -> None:
         degrees = tuple(int(d) for d in multidegree)
@@ -115,12 +129,38 @@ class LineBundle(Value):
         for k, g in enumerate(scalars):
             if g == 0:
                 raise ValueError(f"gluing scalar at node {k} is zero")
-        _set(self, "curve", curve)
-        _set(self, "multidegree", degrees)
-        _set(self, "gluings", scalars)
+        _init(self, curve, degrees, tuple((g.numerator, g.denominator) for g in scalars))
+
+    @property
+    def gluings(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(num, den) for num, den in self.pairs)
 
     def degree(self) -> int:
         return sum(self.multidegree)
+
+
+def _init(bundle: LineBundle, curve: NodalCurve, degrees: tuple[int, ...], pairs) -> LineBundle:
+    """Set the bundle's three slots, with no check."""
+    _set(bundle, "curve", curve)
+    _set(bundle, "multidegree", degrees)
+    _set(bundle, "pairs", tuple(pairs))
+    return bundle
+
+
+def _bundle(curve: NodalCurve, degrees, pairs) -> LineBundle:
+    """A ``LineBundle`` of these degrees and scalar pairs, unchecked: the
+    constructor of the pair arithmetic, whose pairs are known nonzero."""
+    return _init(object.__new__(LineBundle), curve, tuple(degrees), pairs)
+
+
+def _power(g: tuple[int, int], m: int, t: tuple[int, int] = (1, 1)) -> tuple[int, int]:
+    """``t * g^m`` for scalars given as integer pairs ``(num, den)``, as
+    one such pair: no gcd is taken, and for m < 0 the power is the
+    reciprocal's, so its denominator may be negative."""
+    (gn, gd), (tn, td) = g, t
+    if m < 0:
+        gn, gd, m = gd, gn, -m
+    return tn * gn**m, td * gd**m
 
 
 def line_bundle(curve: NodalCurve, multidegree, gluings=None) -> LineBundle:
@@ -163,26 +203,17 @@ def block_widths(bundle: LineBundle) -> tuple[int, ...]:
     return tuple(max(0, d + 1) for d in bundle.multidegree)
 
 
-def _scalar_pairs(bundle: LineBundle) -> list[tuple[int, int]]:
-    """Each node's gluing scalar as its ``(numerator, denominator)``."""
-    return [(g.numerator, g.denominator) for g in bundle.gluings]
-
-
 def gluing_matrix(bundle: LineBundle) -> MatrixQ:
     """One row per node over the concatenated coefficient blocks.
 
     The row is the branch-a evaluation minus the gluing scalar times the
     branch-b evaluation. Blocks of negative-degree components have width
     zero, so a branch landing there simply contributes nothing; for a
-    self-node both contributions land in the same block. It is built as
-    ``_node_row``'s integer row over that row's positive scale.
+    self-node both contributions land in the same block. Each row is a
+    ``_node_rows`` integer row over its scale.
     """
-    widths = block_widths(bundle)
-    offsets = tuple(accumulate(widths, initial=0))
-    rows, memo = [], {}
-    for sites, g in zip(bundle.curve.sites, _scalar_pairs(bundle)):
-        node = _node_row(widths, sites, g, memo)
-        rows.append([Fraction(e, node[4]) if e else _ZERO for e in _flat_row(offsets, node)])
+    offsets = tuple(accumulate(block_widths(bundle), initial=0))
+    rows = [[Fraction(e, node[4]) if e else _ZERO for e in _flat_row(offsets, node)] for node in _node_rows(bundle)]
     return MatrixQ.from_rows(rows, cols=offsets[-1])
 
 
@@ -239,11 +270,9 @@ class SectionSpace(Value):
     canonical kernel order, so it is deterministic and forms part of
     downstream contracts (embedding coordinates, monomial indexing).
 
-    Derived on first read, then kept, and not fields (equality and hashing
-    see the two fields only): ``basis``, the Fraction ``Section``s
-    (``_section``), and ``free_columns``, the free columns of the gluing
-    matrix's rref in the flattened block layout, each section's last
-    nonzero slot. The basis restricted to them is the identity.
+    ``basis``, the Fraction ``Section``s (``_section``), is derived on
+    first read, then kept, and is not a field: equality and hashing see
+    the two fields only.
     """
 
     _fields = ("bundle", "integral_basis")
@@ -255,13 +284,6 @@ class SectionSpace(Value):
     def basis(self) -> tuple[Section, ...]:
         widths = block_widths(self.bundle)
         return tuple(_section(form, widths) for form in self.integral_basis)
-
-    @cached_property
-    def free_columns(self) -> tuple[int, ...]:
-        offsets = tuple(accumulate(block_widths(self.bundle), initial=0))
-        return tuple(
-            max(a + terms[-1][0] for a, terms in zip(offsets, blocks) if terms) for blocks, _ in self.integral_basis
-        )
 
 
 def basis_rank(space: SectionSpace) -> int:
@@ -298,7 +320,7 @@ def cohomology(bundle: LineBundle) -> tuple[int, int]:
     taken only when it has rows (see the module docstring): this is
     ``_cohomology_of`` on the bundle's scalar pairs, with a memo of its own.
     """
-    return _cohomology_of(bundle.curve, bundle.multidegree, _scalar_pairs(bundle).__getitem__, {})
+    return _cohomology_of(bundle.curve, bundle.multidegree, bundle.pairs.__getitem__, {})
 
 
 def h0(bundle: LineBundle) -> int:
@@ -425,20 +447,20 @@ def _jet_row(width: int, p: PointOnLine) -> tuple[tuple[int, ...], int]:
 
 
 def _node_rows(bundle: LineBundle) -> _NodeRows:
-    """One ``(ia, row_a, ib, row_b, S_a S_b g.denominator)`` per node:
-    the components and integer rows of its branches, for ``_glues``.
+    """One ``(ia, row_a, ib, row_b, S_a S_b den)`` per node, for the
+    node's scalar pair ``(num, den)``: the components and integer rows of
+    its branches, for ``_glues`` and ``gluing_matrix``.
 
     With a section's branch values ``H_a / S_a`` and ``H_b / S_b`` from
-    ``_homogeneous_row``, the node constraint ``H_a / S_a = g H_b / S_b``
-    is ``H_a S_b g.denominator == g.numerator H_b S_a``. ``S`` depends
-    only on the branch point and the bundle's block width there, so each
-    side is a fixed integer row dotted with the block: the
-    ``_homogeneous_row`` times the other branch's S and g's denominator,
-    or its numerator. Every factor is an integer, the common denominator
-    cancels, and nothing is rounded.
+    ``_homogeneous_row``, the node constraint ``H_a / S_a = num H_b / (den S_b)``
+    is ``H_a S_b den == num H_b S_a``. ``S`` depends only on the branch
+    point and the bundle's block width there, so each side is a fixed
+    integer row dotted with the block: the ``_homogeneous_row`` times the
+    other branch's S and den, or num. Every factor is an integer, the
+    common denominator cancels, and nothing is rounded.
     """
     widths, memo = block_widths(bundle), {}
-    return tuple(_node_row(widths, sites, g, memo) for sites, g in zip(bundle.curve.sites, _scalar_pairs(bundle)))
+    return tuple(_node_row(widths, sites, g, memo) for sites, g in zip(bundle.curve.sites, bundle.pairs))
 
 
 def _node_row(widths, sites: tuple[Site, Site], g: tuple[int, int], rows: _RowMemo) -> _NodeRow:
@@ -495,32 +517,21 @@ def _same_curve(a: LineBundle, b: LineBundle) -> None:
 
 
 def tensor(a: LineBundle, b: LineBundle) -> LineBundle:
-    """Multidegrees add, gluing scalars multiply."""
+    """Multidegrees add, gluing scalars multiply (as pairs, ``_power``)."""
     _same_curve(a, b)
-    return LineBundle(
-        a.curve,
-        tuple(x + y for x, y in zip(a.multidegree, b.multidegree)),
-        tuple(x * y for x, y in zip(a.gluings, b.gluings)),
-    )
+    degrees = (x + y for x, y in zip(a.multidegree, b.multidegree))
+    return _bundle(a.curve, degrees, (_power(y, 1, x) for x, y in zip(a.pairs, b.pairs)))
 
 
 def dual(bundle: LineBundle) -> LineBundle:
-    """Multidegree negates, gluing scalars invert."""
-    return LineBundle(
-        bundle.curve,
-        tuple(-d for d in bundle.multidegree),
-        tuple(_ONE / g for g in bundle.gluings),
-    )
+    """Multidegree negates, gluing scalars invert (as pairs, ``_power``)."""
+    return power(bundle, -1)
 
 
 def power(bundle: LineBundle, m: int) -> LineBundle:
-    """m-th tensor power; m may be negative or zero."""
+    """m-th tensor power; m may be negative or zero (as pairs, ``_power``)."""
     m = int(m)
-    return LineBundle(
-        bundle.curve,
-        tuple(d * m for d in bundle.multidegree),
-        tuple(g**m for g in bundle.gluings),
-    )
+    return _bundle(bundle.curve, (d * m for d in bundle.multidegree), (_power(g, m) for g in bundle.pairs))
 
 
 def dualizing_bundle(curve: NodalCurve) -> LineBundle:
@@ -532,17 +543,10 @@ def dualizing_bundle(curve: NodalCurve) -> LineBundle:
     docstring for the resulting degree-(|D| - 2) trivialization, the
     ``-c_p / c_q`` scalars and the cofactor ``c_inf = -1`` of a branch
     at infinity, each taken at a branch site of ``curve.sites`` as an
-    integer numerator over a positive denominator (``_dualizing_pairs``).
+    integer numerator over a positive denominator. The scalar ``-c_p / c_q``
+    is the pair ``(-num_p den_q, den_p num_q)`` of the two cofactors'
+    numerators and denominators, with no gcd taken.
     """
-    degrees, scalars = _dualizing_pairs(curve)
-    return LineBundle(curve, degrees, tuple(Fraction(n, d) for n, d in scalars))
-
-
-def _dualizing_pairs(curve: NodalCurve) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """The dualizing bundle's multidegree, and its scalar ``-c_p / c_q``
-    at each node as the integer pair ``(-num_p den_q, den_p num_q)`` of
-    the two cofactors' numerators and denominators, with no gcd taken."""
-    multidegree = tuple(len(comp.marked_points) - 2 for comp in curve.components)
 
     def cofactor(site: Site) -> tuple[int, int]:
         ci, k, p = site
@@ -557,7 +561,8 @@ def _dualizing_pairs(curve: NodalCurve) -> tuple[tuple[int, ...], list[tuple[int
         return num, den
 
     cofactors = (cofactor(a) + cofactor(b) for a, b in curve.sites)
-    return multidegree, [(-na * db, da * nb) for na, da, nb, db in cofactors]
+    degrees = (len(comp.marked_points) - 2 for comp in curve.components)
+    return _bundle(curve, degrees, ((-na * db, da * nb) for na, da, nb, db in cofactors))
 
 
 def tangent_bundle(curve: NodalCurve) -> LineBundle:
@@ -566,18 +571,9 @@ def tangent_bundle(curve: NodalCurve) -> LineBundle:
     For these curves the dualizing bundle has degree ``2 p_a - 2``; its
     inverse is what the deformation theory of the cone tensors against.
     This package takes that inverse as the definition of the tangent
-    bundle, built from ``_tangent_pairs``.
+    bundle.
     """
-    degrees, scalars = _tangent_pairs(curve)
-    return LineBundle(curve, degrees, tuple(Fraction(n, d) for n, d in scalars))
-
-
-def _tangent_pairs(curve: NodalCurve) -> tuple[tuple[int, ...], list[tuple[int, int]]]:
-    """The tangent bundle's multidegree, and its scalars as integer pairs
-    (a denominator may be negative): ``_dualizing_pairs`` with the degrees
-    negated and each pair inverted, so no Fraction is built."""
-    degrees, scalars = _dualizing_pairs(curve)
-    return tuple(-d for d in degrees), [(d, n) for n, d in scalars]
+    return dual(dualizing_bundle(curve))
 
 
 class RiemannRochReport(NamedTuple):

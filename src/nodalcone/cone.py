@@ -26,17 +26,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bundles import (
-    LineBundle,
-    _cohomology_of,
-    _scalar_pairs,
-    _tangent_pairs,
-    h0,
-    h1_direct,
-    power,
-    tangent_bundle,
-    tensor,
-)
+from .bundles import LineBundle, _cohomology_of, _power, h0, h1_direct, power, tangent_bundle, tensor
 from .curve import NodalCurve, arithmetic_genus
 
 SMOOTHING = "smoothing"
@@ -94,16 +84,6 @@ def t1_dim(curve: NodalCurve, bundle: LineBundle, m: int, mode: str = DIRECT) ->
     return h1_direct(deformation_bundle(curve, bundle, m))
 
 
-def _power(g: tuple[int, int], m: int, t: tuple[int, int] = (1, 1)) -> tuple[int, int]:
-    """``t * g^m`` for scalars given as integer pairs ``(num, den)``, as
-    one such pair: no gcd is taken, and for m < 0 the power is the
-    reciprocal's, so its denominator may be negative."""
-    (gn, gd), (tn, td) = g, t
-    if m < 0:
-        gn, gd, m = gd, gn, -m
-    return tn * gn**m, td * gd**m
-
-
 class WeightEntry(NamedTuple):
     m: int
     t0_formula: int
@@ -130,27 +110,27 @@ def graded_report(curve: NodalCurve, bundle: LineBundle, m_min: int, m_max: int)
 
     Requires ``m_min <= 0 <= m_max`` so the table always shows all three
     regimes. Formula and direct values are both present in every row;
-    nothing is reconciled silently. No bundle is built: F_m has
-    multidegree ``t + m l`` and scalar ``t_k g_k^m`` at node k, L^m has
-    ``m l`` and ``g_k^m``. T's degrees and scalars are read once as
-    integer pairs (``_tangent_pairs``), L's scalars once too, and the
+    nothing is reconciled silently. No bundle is built per weight: F_m
+    has multidegree ``t + m l`` and scalar ``t_k g_k^m`` at node k, L^m
+    has ``m l`` and ``g_k^m``. T is built once, and its degrees and
+    scalar pairs are read from it, L's pairs from the bundle, and the
     bundle's total degree once; ``g_k^m`` and ``t_k g_k^m`` are formed as
-    pairs by ``_power``, only at the nodes whose rows are eliminated. One
-    row memo serves both columns at every weight, so each branch row is
-    built once per report.
+    pairs by ``bundles._power``, only at the nodes whose rows are
+    eliminated. One row memo serves both columns at every weight, so each
+    branch row is built once per report.
     """
     if not m_min <= 0 <= m_max:
         raise ValueError("range must contain 0: need m_min <= 0 <= m_max")
     if bundle.curve != curve:
         raise ValueError("bundle lives on a different curve")
-    tangent_degrees, t = _tangent_pairs(curve)
-    g = _scalar_pairs(bundle)
+    tangent = tangent_bundle(curve)
+    t, g = tangent.pairs, bundle.pairs
     total = bundle.degree()
     rows = {}
     entries = []
     for m in range(m_min, m_max + 1):
         degrees = [d * m for d in bundle.multidegree]
-        twist = [a + d for a, d in zip(tangent_degrees, degrees)]
+        twist = [a + d for a, d in zip(tangent.multidegree, degrees)]
         t0_direct, t1_direct = _cohomology_of(curve, twist, lambda k: _power(g[k], m, t[k]), rows)
         t0_formula, t1_formula = _formula(total, m)
         if m < 0:

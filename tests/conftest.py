@@ -92,6 +92,32 @@ def flip_node(bundle, k):
     return LineBundle(flipped_curve, bundle.multidegree, tuple(gluings))
 
 
+def reference_tensor(a, b):
+    """Multidegrees added and gluing scalars multiplied in Fractions: the
+    reference for ``bundles.tensor``."""
+    degrees = tuple(x + y for x, y in zip(a.multidegree, b.multidegree))
+    return LineBundle(a.curve, degrees, tuple(x * y for x, y in zip(a.gluings, b.gluings)))
+
+
+def reference_dual(bundle):
+    """Multidegree negated and gluing scalars inverted in Fractions: the
+    reference for ``bundles.dual``."""
+    return LineBundle(bundle.curve, tuple(-d for d in bundle.multidegree), tuple(1 / g for g in bundle.gluings))
+
+
+def reference_power(bundle, m):
+    """The m-th power in Fractions: the reference for ``bundles.power``."""
+    return LineBundle(bundle.curve, tuple(m * d for d in bundle.multidegree), tuple(g**m for g in bundle.gluings))
+
+
+def reference_tangent(curve):
+    """The inverse of the dualizing bundle, its degrees ``2 - n`` and its
+    scalars ``reference_dualizing_gluings`` inverted, all in Fractions:
+    the reference for ``bundles.tangent_bundle``."""
+    degrees = tuple(2 - len(c.marked_points) for c in curve.components)
+    return LineBundle(curve, degrees, tuple(1 / g for g in reference_dualizing_gluings(curve)))
+
+
 def reference_dualizing_gluings(curve):
     """The dualizing bundle's gluing scalars ``-c_p / c_q`` with every
     cofactor ``c_p = prod (p - p')`` over the other affine marked points
@@ -292,6 +318,15 @@ def reference_flatten(bundle, section):
         assert len(block) in (0, w)
         flat.extend(block or [Fraction(0)] * w)
     return tuple(flat)
+
+
+def assert_identity_at(space, columns):
+    """The basis of a section space, flattened in its bundle's block
+    layout, is the identity at ``columns`` (the free columns of the gluing
+    matrix's rref), and each section's last nonzero slot is its column."""
+    flat = [reference_flatten(space.bundle, s) for s in space.basis]
+    assert [[v[c] for c in columns] for v in flat] == [[int(i == j) for j in columns] for i in columns]
+    assert [max(j for j, e in enumerate(v) if e) for v in flat] == list(columns)
 
 
 def reference_gluing_matrix(bundle):

@@ -1,5 +1,7 @@
 """Line bundles, gluing matrices, cohomology, duality."""
 
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -8,20 +10,25 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import (
+    assert_identity_at,
     curve_with_infinity,
     flip_node,
     random_bundle,
     random_curve,
     reference_convolve,
+    reference_dual,
     reference_dualizing_gluings,
     reference_evaluation_row,
     reference_flatten,
     reference_gluing_matrix,
     reference_jet,
     reference_kernel,
+    reference_power,
     reference_product,
     reference_satisfies_gluing,
     reference_rref,
+    reference_tangent,
+    reference_tensor,
     reference_value,
 )
 import nodalcone.bundles as bundles
@@ -162,8 +169,8 @@ def test_gluing_matrix_shape_and_frozen_rows(paper_curve):
 def _assert_gluing_and_basis_match_the_reference(bundle):
     """G, its kernel and its free columns against the Fraction references:
     the stored integer form is ``_integral`` of a reference kernel vector
-    cut into the bundle's blocks, the derived ``basis`` is those sections
-    and ``free_columns`` the reference's. ``basis_rank`` is h0, also with
+    cut into the bundle's blocks, the derived ``basis`` is those sections,
+    the identity at the reference's free columns. ``basis_rank`` is h0, also with
     a section repeated and one scaled by a negative integer appended."""
     g = reference_gluing_matrix(bundle)
     assert gluing_matrix(bundle) == g
@@ -173,7 +180,7 @@ def _assert_gluing_and_basis_match_the_reference(bundle):
     expected = tuple(Section(tuple(v[a:b] for a, b in zip(offsets, offsets[1:]))) for v in reference_kernel(g))
     assert space.integral_basis == tuple(_integral(s) for s in expected)
     assert space.basis == expected
-    assert space.free_columns == tuple(c for c in range(g.cols) if c not in pivots)
+    assert_identity_at(space, [c for c in range(g.cols) if c not in pivots])
     assert basis_rank(space) == len(expected)
     if expected:
         (blocks, den), *_ = space.integral_basis
@@ -529,6 +536,65 @@ def test_dualizing_bundle_with_infinity_randomized():
             assert serre_duality_check(bundle, omega), (curve, bundle)
     assert set(range(5)) <= genera
     assert with_infinity >= 30
+
+
+def _wide_bundle(rng, curve):
+    """A bundle of degrees -3..6 whose scalars are small and often
+    negative, or 30-digit numerators over 30-digit denominators."""
+    big = 10**29
+
+    def scalar():
+        if rng.random() < 0.5:
+            return F(rng.choice([-1, 1]) * rng.randrange(big, 10 * big), rng.randrange(big, 10 * big))
+        return F(rng.choice([-5, -3, -2, 2, 3, 5]), rng.randint(1, 3))
+
+    return LineBundle(curve, tuple(rng.randint(-3, 6) for _ in curve.components), tuple(scalar() for _ in curve.nodes))
+
+
+def test_pair_arithmetic_matches_the_fraction_references():
+    """``tensor``, ``dual``, ``power``, ``dualizing_bundle`` and
+    ``tangent_bundle`` compute on integer pairs with no gcd taken; their
+    Fraction views equal the bundles built in Fractions by conftest's
+    references, on curves with branches at inf, for 30-digit and negative
+    scalars and every m in -12..12."""
+    rng = random.Random(1974)
+    negative_den = big_pairs = with_infinity = 0
+    for _ in range(40):
+        curve = curve_with_infinity(rng)
+        with_infinity += any(p.is_infinity for c in curve.components for p in c.marked_points)
+        a, b = _wide_bundle(rng, curve), _wide_bundle(rng, curve)
+        omega, theta = dualizing_bundle(curve), tangent_bundle(curve)
+        assert omega.gluings == reference_dualizing_gluings(curve)
+        assert theta.gluings == reference_tangent(curve).gluings and theta == reference_tangent(curve)
+        assert tensor(a, b).gluings == reference_tensor(a, b).gluings and tensor(a, b) == reference_tensor(a, b)
+        assert dual(a).gluings == reference_dual(a).gluings and dual(a) == reference_dual(a)
+        for m in range(-12, 13):
+            built = tensor(theta, power(tensor(a, dual(b)), m))
+            expected = reference_tensor(reference_tangent(curve), reference_power(reference_tensor(a, reference_dual(b)), m))
+            assert power(a, m).gluings == reference_power(a, m).gluings and power(a, m) == reference_power(a, m)
+            assert built.gluings == expected.gluings and built == expected
+            negative_den += any(den < 0 for _, den in built.pairs)
+            big_pairs += any(abs(den) >= 10**60 for _, den in built.pairs)
+    assert with_infinity >= 15 and negative_den > 100 and big_pairs > 100
+
+
+def test_bundles_from_unreduced_pairs_equal_the_reduced_ones():
+    """A bundle is its Fraction view: reached through pairs with a common
+    factor, or with negative denominators, it compares, hashes, shows and
+    pickles like the bundle built from reduced Fractions, and a pickled
+    copy stores the reduced pairs."""
+    rng = random.Random(1979)
+    unreduced = 0
+    for _ in range(40):
+        curve = curve_with_infinity(rng)
+        b, trivial = _wide_bundle(rng, curve), trivial_bundle(curve)
+        scaled = bundles._bundle(curve, b.multidegree, [(-7 * num, -7 * den) for num, den in b.pairs])
+        for built, reduced in ((tensor(b, dual(b)), trivial), (power(b, 0), trivial), (scaled, b)):
+            unreduced += built.pairs != reduced.pairs
+            assert built == reduced and hash(built) == hash(reduced) and repr(built) == repr(reduced)
+            for twin in (pickle.loads(pickle.dumps(built)), copy.deepcopy(built)):
+                assert twin == reduced and twin.pairs == reduced.pairs
+    assert unreduced >= 40
 
 
 def _send_a_point_to_infinity(rng, curve):

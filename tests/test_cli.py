@@ -39,6 +39,7 @@ F = Fraction
 
 REPO = Path(__file__).resolve().parents[1]
 PAPER_SPEC = REPO / "curves" / "paper-x.json"
+SPECS = REPO / "tests" / "specs"
 
 MINIMAL = """
 {
@@ -932,25 +933,18 @@ def test_main_deform_paper_curve_in_coordinates_zero_one_infinity(tmp_path, caps
 def test_verify_builds_the_dualizing_bundle_twice(monkeypatch, capsys):
     from nodalcone import bundles, cli
 
-    calls, pairs = [], []
-    dualizing_pairs = bundles._dualizing_pairs
+    calls = []
 
     def counting(curve):
         calls.append(curve)
         return dualizing_bundle(curve)
 
-    def counting_pairs(curve):
-        pairs.append(curve)
-        return dualizing_pairs(curve)
-
     monkeypatch.setattr(bundles, "dualizing_bundle", counting)
     monkeypatch.setattr(cli, "dualizing_bundle", counting)
-    monkeypatch.setattr(bundles, "_dualizing_pairs", counting_pairs)
     assert main(["verify", str(PAPER_SPEC), "--json"]) == EXIT_OK
-    # the bundle once, for the duality checks, and not once per Serre duality
-    # check (14 of them); its cofactors once more, as graded_report's tangent
-    # scalars, with no bundle built
-    assert len(calls) == 1 and len(pairs) == 2
+    # once for the duality checks, and not once per Serre duality check (14
+    # of them); once more inside tangent_bundle, as graded_report's tangent
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("command", ["verify", "ideal"])
@@ -1130,6 +1124,62 @@ def test_json_output_matches_pinned_digest(command, name, monkeypatch, capsys):
     assert main([command, f"curves/{name}", *PINNED_FLAGS[command]]) == EXIT_OK
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
     assert digest == PINNED_STDOUT[(command, name)]
+
+
+# stdout sha256 and exit status of each invocation on the specs under
+# tests/specs, run from the repository root. Unlike curves/*.json, whose
+# gluings are all 1, these glue by 5/3, -2/7 and 3 (one spec at a 30-digit
+# scalar, one with branches at inf), and C1 has degree 0, so every weight's
+# residual rows carry the scalars' powers. verify exits 1: degree 0 on C1
+# is not very ample.
+PINNED_SPEC_STDOUT = {
+    ("deform", "paper-x-degree-0-big.json"): "738388b2856e59967edb627566fa29e7b5db7337b513411609bb5e120ca9f40a",
+    ("sections", "paper-x-degree-0-big.json"): "df581503b26cfb2c01dcc45b743c23f49127a3ef8af21c04dfcad8ae72bb3080",
+    ("verify", "paper-x-degree-0-big.json"): "d0454f608bad014ad7eb68f161c83326e2926980e7ca576aee115c2794ff5d31",
+    ("deform", "paper-x-degree-0.json"): "3cdcc85ab5e9365f916a85a07c122df56110eaab563a28986f02406217e7e638",
+    ("sections", "paper-x-degree-0.json"): "e2bfa6a5e01e71a31883abbe44ba12a265c02f02e03c17128e89881913461acc",
+    ("verify", "paper-x-degree-0.json"): "6bba337f531b70871b31be611b1ceb90d82114349adace5457e562ad9a0ac936",
+    ("deform", "paper-x-inf.json"): "e5a6591952aaf0c94e0d47df1139022c2d242c7ed16ed2746e18046daa0dab38",
+    ("sections", "paper-x-inf.json"): "3fb8de1eb3caa4367012f14fbdd73d6672da74bf0ad21374741657e247b8d7e7",
+    ("verify", "paper-x-inf.json"): "523b259a922f5d2f61611092bcacac0b7ce9357b3458da444c2bbee49b28a3ae",
+}
+PINNED_SPEC_FLAGS = {
+    "deform": (["--json", "--range", "-300:300"], EXIT_OK),
+    "sections": (["--json", "--basis"], EXIT_OK),
+    "verify": (["--json"], EXIT_CHECK_FAILED),
+}
+
+
+@pytest.mark.parametrize("command,name", sorted(PINNED_SPEC_STDOUT))
+def test_nontrivial_gluings_match_pinned_digest(command, name, monkeypatch, capsys):
+    assert sorted(p.name for p in SPECS.glob("*.json")) == sorted({n for _, n in PINNED_SPEC_STDOUT})
+    monkeypatch.chdir(REPO)
+    flags, status = PINNED_SPEC_FLAGS[command]
+    assert main([command, f"tests/specs/{name}", *flags]) == status
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == PINNED_SPEC_STDOUT[(command, name)]
+
+
+@pytest.mark.parametrize("path", sorted({f"curves/{n}" for _, n in PINNED_STDOUT} | {f"tests/specs/{n}" for _, n in PINNED_SPEC_STDOUT}))
+def test_no_command_reads_the_fraction_gluings(path, monkeypatch, capsys):
+    """Every command, plain and with --json, and ``sections --basis``, runs
+    on the bundles' scalar pairs alone: with ``LineBundle.gluings`` patched
+    to raise, each gives the exit status and stdout of an unpatched run,
+    on every spec under curves/ and tests/specs/."""
+    monkeypatch.chdir(REPO)
+    runs = [[command, path, *flags] for command in cli._COMMANDS for flags in ([], ["--json"])]
+    runs.append(["sections", path, "--basis", "--json"])
+    expected = []
+    for argv in runs:
+        expected.append((main(argv), capsys.readouterr().out))
+
+    def refuse(bundle):
+        raise AssertionError("a command read LineBundle.gluings")
+
+    monkeypatch.setattr(LineBundle, "gluings", property(refuse))
+    for argv, (status, out) in zip(runs, expected):
+        assert main(argv) == status in (EXIT_OK, EXIT_CHECK_FAILED), argv
+        assert capsys.readouterr().out == out, argv
 
 
 # stdout sha256 of ``ideal --json`` on the paper curve at (k,k,k), the

@@ -8,12 +8,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import curve_with_infinity, random_bundle, random_curve
+from conftest import curve_with_infinity, random_bundle, random_curve, reference_power, reference_tangent, reference_tensor
 from nodalcone.bundles import (
     LineBundle,
     _cohomology_of,
-    _scalar_pairs,
-    _tangent_pairs,
+    _power,
     cohomology,
     component_h1,
     gluing_matrix,
@@ -32,7 +31,6 @@ from nodalcone.cone import (
     FORMULA,
     SMOOTHING,
     WeightEntry,
-    _power,
     deformation_bundle,
     graded_report,
     hilbert_function,
@@ -52,6 +50,12 @@ def _fraction_cohomology(bundle):
     return full.cols - r, full.rows - r + sum(component_h1(d) for d in bundle.multidegree)
 
 
+def _reference_twist(curve, bundle, m):
+    """F_m = T (x) L^m from conftest's Fraction references, so an oracle
+    shares no pair arithmetic with the code under test."""
+    return reference_tensor(reference_tangent(curve), reference_power(bundle, m))
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1))
 def test_graded_report_matches_the_bundle_by_bundle_cohomology(seed):
@@ -65,8 +69,8 @@ def test_graded_report_matches_the_bundle_by_bundle_cohomology(seed):
     assert [e.m for e in entries] == list(range(-8, 9))
     for e in entries:
         twist = tensor(tangent, power(bundle, e.m))
-        assert (e.t0_direct, e.t1_direct) == cohomology(twist) == _fraction_cohomology(twist)
-        assert e.hilbert == h0(power(bundle, e.m)) == _fraction_cohomology(power(bundle, e.m))[0]
+        assert (e.t0_direct, e.t1_direct) == cohomology(twist) == _fraction_cohomology(_reference_twist(curve, bundle, e.m))
+        assert e.hilbert == h0(power(bundle, e.m)) == _fraction_cohomology(reference_power(bundle, e.m))[0]
 
 
 _COORDINATES = sorted({F(p, q) for p in range(-6, 7) for q in (1, 2, 3)})
@@ -112,17 +116,14 @@ def test_cohomology_of_matches_the_fraction_oracle_on_sweep_regimes():
         degrees = [rng.randint(-3, 6) for _ in curve.components]
         degrees[rng.randrange(len(degrees))] = 0
         bundle = LineBundle(curve, degrees, tuple(F(rng.choice(nonzero), rng.randint(1, 3)) for _ in curve.nodes))
-        tangent = tangent_bundle(curve)
-        t, g = _tangent_pairs(curve)[1], _scalar_pairs(bundle)
+        t, g = tangent_bundle(curve).pairs, bundle.pairs
         rows = {}
         for m in range(-12, 13):
-            twist = tensor(tangent, power(bundle, m))
+            twist, lm = _reference_twist(curve, bundle, m), reference_power(bundle, m)
             assert _cohomology_of(
                 curve, twist.multidegree, lambda k: _power(g[k], m, t[k]), rows
             ) == _fraction_cohomology(twist)
-            assert _cohomology_of(
-                curve, power(bundle, m).multidegree, lambda k: _power(g[k], m), rows
-            ) == _fraction_cohomology(power(bundle, m))
+            assert _cohomology_of(curve, lm.multidegree, lambda k: _power(g[k], m), rows) == _fraction_cohomology(lm)
 
 
 def test_cohomology_of_is_free_of_the_pairs_scale():
@@ -150,15 +151,14 @@ def test_cohomology_of_is_free_of_the_pairs_scale():
                 F(rng.choice([-1, 1]) * rng.randrange(big, 10 * big), rng.randrange(big, 10 * big)) for _ in curve.nodes
             ]
         bundle = LineBundle(curve, degrees, scalars)
-        tangent = tangent_bundle(curve)
-        t, g = _tangent_pairs(curve)[1], _scalar_pairs(bundle)
+        t, g = tangent_bundle(curve).pairs, bundle.pairs
         for m in range(-12, 13):
-            twist = tensor(tangent, power(bundle, m))
+            twist, lm = _reference_twist(curve, bundle, m), reference_power(bundle, m)
             for degs, scalar, oracle in (
                 (twist.multidegree, lambda k: _power(g[k], m, t[k]), twist),
-                (power(bundle, m).multidegree, lambda k: _power(g[k], m), power(bundle, m)),
+                (lm.multidegree, lambda k: _power(g[k], m), lm),
             ):
-                reduced = _cohomology_of(curve, degs, _scalar_pairs(oracle).__getitem__, {})
+                reduced = _cohomology_of(curve, degs, oracle.pairs.__getitem__, {})
                 assert reduced == _fraction_cohomology(oracle)
                 for c in (-3, 1, 7):
                     assert _cohomology_of(curve, degs, lambda k: scaled(c, scalar(k)), {}) == reduced
@@ -208,9 +208,8 @@ def test_graded_report_builds_each_branch_row_once_and_no_fraction_power(monkeyp
         assert len(built) == len(expected) > 0 and powers == []
         assert Counter(built) == Counter((w, curve.components[i].marked_points[k]) for i, k, w in expected)
         for e in entries:
-            twist = tensor(tangent, power(bundle, e.m))
-            assert (e.t0_direct, e.t1_direct) == _fraction_cohomology(twist)
-            assert e.hilbert == _fraction_cohomology(power(bundle, e.m))[0]
+            assert (e.t0_direct, e.t1_direct) == _fraction_cohomology(_reference_twist(curve, bundle, e.m))
+            assert e.hilbert == _fraction_cohomology(reference_power(bundle, e.m))[0]
 
 
 def test_weights_with_every_line_negative_or_onto_run_no_elimination(monkeypatch):
@@ -230,7 +229,7 @@ def test_weights_with_every_line_negative_or_onto_run_no_elimination(monkeypatch
         curve = _sweep_curve(rng)
         bundle = LineBundle(curve, [rng.randint(-3, 6) for _ in curve.components], (F(2),) * len(curve.nodes))
         tangent = tangent_bundle(curve)
-        t, g = _tangent_pairs(curve)[1], _scalar_pairs(bundle)
+        t, g = tangent.pairs, bundle.pairs
         thresholds = [max(0, len(c.marked_points) - 1) for c in curve.components]
         for m in range(-12, 13):
             degrees = tuple(a + m * d for a, d in zip(tangent.multidegree, bundle.multidegree))
