@@ -31,7 +31,6 @@ from typing import NamedTuple
 from . import __version__
 from .bundles import (
     LineBundle,
-    SectionSpace,
     basis_rank,
     dual,
     dualizing_bundle,
@@ -62,22 +61,16 @@ from .curve import (
 from .embedding import (
     FAILED,
     SAMPLE_SEED,
-    CurvePoint,
-    _cone_vector,
-    _jacobian_rank,
-    _probe_rank,
-    _product_matrix,
-    _quadric_at,
-    _quadric_forms,
-    _samples,
     check_sample_count,
+    cone_ideal,
     embed_point,
     globally_generated,
     node_images_consistent,
+    quadric_failures,
     sample_points,
+    singularity_probe,
     very_ample,
 )
-from .exactlin import certified_rank_of_columns
 from .jsontext import json_text
 
 EXIT_OK = 0
@@ -328,48 +321,23 @@ def run_embed(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) ->
     }
 
 
-def _multiplication_maps(space: SectionSpace) -> tuple[dict, dict, tuple]:
-    """Shape and rank of the m = 2 and m = 3 multiplication maps of
-    ``space``, and the quadrics in integer form: the kernel at m = 2,
-    whose count gives its rank without a second elimination. Both maps
-    stay the integer matrices of ``_product_matrix``, each column the
-    rational one times its ``den > 0``, so kernel and rank are the map's.
-    Both are taken on the maps' sparse columns: ``_quadric_forms`` the
-    m = 2 kernel by ``kernel_of_columns``, over Q on the nonzero columns,
-    and ``certified_rank_of_columns`` the m = 3 rank mod one prime,
-    falling back to Q from the same integers where the prime does not
-    prove it. The m = 2 products are the m = 3 prefixes."""
-    products2: dict = {}
-    columns2, dens2, target2 = _product_matrix(space, 2, products=products2)
-    quadrics = _quadric_forms(columns2, dens2, target2, len(space.integral_basis))
-    columns3, dens3, target3 = _product_matrix(space, 3, prefixes=products2)
-
-    def shape(source: int, target: int, r: int) -> dict:
-        return {"source": source, "target": target, "rank": r, "surjective": r == target}
-
-    m3_shape = shape(len(dens3), target3, certified_rank_of_columns(columns3, target3))
-    return shape(len(dens2), target2, len(dens2) - len(quadrics)), m3_shape, quadrics
+def _shape(source: int, target: int, rank: int) -> dict:
+    """A multiplication map of ``cone_ideal`` as its report."""
+    return {"source": source, "target": target, "rank": rank, "surjective": rank == target}
 
 
 def run_ideal(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) -> dict:
     space = section_basis(bundle)
-    n = len(space.integral_basis)
-    m2, m3, quadrics = _multiplication_maps(space)
-    out = {"h0": n, "m2": m2, "m3": m3, "quadric_count": len(quadrics)}
-    probe: dict = {
-        "note": (
-            "ranks of the Jacobian of the degree-2 ideal part only; the quadrics "
-            "are not known to generate the whole ideal, so this probes candidate "
-            "singular points without proving smoothness"
-        ),
-        "vertex_rank": _jacobian_rank(quadrics, (0,) * n),
-    }
-    probe["node_ranks"] = [_probe_rank(space, quadrics, CurvePoint.at_node(k)) for k in range(len(curve.nodes))]
-    smooth = next((x for x in _samples(curve, samples, seed) if not x.is_node), None)
-    if smooth is not None:
-        probe["smooth_point_rank"] = _probe_rank(space, quadrics, smooth)
-    out["singularity_probe"] = probe
-    return out
+    m2, m3, quadrics = cone_ideal(space)
+    vertex, nodes, smooth = singularity_probe(space, quadrics, samples, seed)
+    note = (
+        "ranks of the Jacobian of the degree-2 ideal part only; the quadrics "
+        "are not known to generate the whole ideal, so this probes candidate "
+        "singular points without proving smoothness"
+    )
+    probe = {"note": note, "vertex_rank": vertex, "node_ranks": nodes, **{"smooth_point_rank": r for r in smooth}}
+    maps = {"m2": _shape(*m2), "m3": _shape(*m3)}
+    return {"h0": len(space.integral_basis), **maps, "quadric_count": len(quadrics), "singularity_probe": probe}
 
 
 def run_deform(curve: NodalCurve, bundle: LineBundle, m_min: int, m_max: int) -> dict:
@@ -458,20 +426,14 @@ def run_verify(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int, m
     check("very-ample", va.status != FAILED, f"{va.status} after {va.samples_checked} tests")
 
     if min(bundle.multidegree) >= 3:
-        m2, m3, quadrics = _multiplication_maps(space)
-        for m, doc in ((2, m2), (3, m3)):
-            check(
-                f"multiplication-m{m}-surjective",
-                doc["surjective"],
-                f"rank {doc['rank']} of a {doc['target']} x {doc['source']} matrix",
-            )
-        # a point where every section vanishes has no image to test
-        images = [v for v in (_cone_vector(space, x) for x in sample_points(curve, samples, seed)) if any(v)]
-        failures = sum(1 for v in images for q in quadrics if _quadric_at(q, v))
+        m2, m3, quadrics = cone_ideal(space)
+        for m, (source, target, rank) in ((2, m2), (3, m3)):
+            check(f"multiplication-m{m}-surjective", rank == target, f"rank {rank} of a {target} x {source} matrix")
+        points, failures = quadric_failures(space, quadrics, samples, seed)
         check(
             "quadrics-vanish-on-curve",
             failures == 0,
-            f"{len(quadrics)} quadrics at {len(images) if quadrics else 0} points, {failures} nonzero values",
+            f"{len(quadrics)} quadrics at {points if quadrics else 0} points, {failures} nonzero values",
         )
     else:
         skip("multiplication-m2-surjective", "multidegree below the very-ampleness criterion")

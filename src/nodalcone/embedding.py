@@ -34,9 +34,9 @@ node-by-node check has shown the product is a global section.
 Products and that check run on the sparse integer terms of the basis
 (see ``bundles``, whose ``_multiply`` is the one product routine), into
 one integer matrix per map, kept as each monomial's nonzero
-``(row, entry)`` pairs (``_product_matrix``): most products are zero.
-A caller building both maps hands the m = 2 products to m = 3 as its
-prefixes, each still checked against its own target.
+``(row, entry)`` pairs: most products are zero. One ladder,
+``_product_ladder``, builds the maps degree by degree, each product
+one more ``_multiply`` of a prefix kept from the degree below.
 ``multiplication_map`` makes Fractions of its entries. A caller after a
 rank or a kernel can keep the integers: column j is the rational column
 times ``den_j > 0``, so the rank is the same, and
@@ -69,14 +69,16 @@ through x (``_probe_rank``). Once each of those known vectors is shown
 to be in the kernel exactly over Z, ``rank_p <= rank_Q <= n - k``,
 with k their rank, so a rank mod p equal to ``n - k`` proves the rank
 with no kernel found; a shorter one is taken over Q from the same
-integers, never decided mod p (``_jacobian_rank``).
+integers, never decided mod p (``_jacobian_rank``). ``cone_ideal``,
+``singularity_probe`` and ``quadric_failures`` are the whole ideal
+computation a caller reports: maps, quadrics, probe and vanishing check.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import accumulate, chain, combinations, combinations_with_replacement
+from itertools import accumulate, chain, combinations, combinations_with_replacement, islice
 from math import lcm
 from typing import NamedTuple
 
@@ -360,58 +362,53 @@ def sym_monomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations_with_replacement(range(n), m))
 
 
-def _product_matrix(
-    space: SectionSpace, m: int, prefixes: dict | None = None, products: dict | None = None
-) -> tuple[list[tuple[tuple[int, int], ...]], list[int], int]:
-    """The matrix of Sym^m H0(L) -> H0(L^m) over the integers, as
-    ``(columns, dens, rows)``: for each monomial of
+def _product_ladder(space: SectionSpace, top: int):
+    """The matrices of Sym^m H0(L) -> H0(L^m) over the integers for
+    m = 2..top in turn (m = 1 alone for top 1, the basis's identity), each
+    as ``(columns, dens, rows)``: for each monomial of
     ``sym_monomials(h0, m)`` the nonzero entries ``(i, h)`` of its
     column, where entry (i, j) of the map is ``Fraction(h, dens[j])``
     with ``dens[j] > 0``; and the number of rows, the target's h0.
 
-    The degree-(m - 1) products are built once and held; each column's
-    product is one more ``_multiply`` of its prefix, so the degree-m
-    products are never all held at once, unless a ``products`` dict is
-    given: each checked product is then stored there by its monomial, for
-    a call at m + 1 to take as its ``prefixes`` instead of building them
-    again. Each product, zero or not, is
-    first checked exactly against every node constraint of ``L^m``, on
-    integers. Once it is known to be a global section, its coordinates are
-    its terms at the target's free columns, where the target basis is the
-    identity: those without a pivot in the target's ``_flat_row`` rows,
-    each G's row times a positive scale. A product failing the check
-    would mean the gluing bookkeeping is broken, and raises
-    ``ArithmeticError`` rather than reading off coordinates that do not
-    reproduce it.
+    Each degree-m product is one more ``_multiply`` of its degree-(m - 1)
+    prefix, and a degree's products are kept only while the next degree
+    reads them, so the top degree's are never all held at once. Each
+    product, zero or not, is first checked exactly against every node
+    constraint of ``L^m``, on integers. Once it is known to be a global
+    section, its coordinates are its terms at the target's free columns,
+    where the target basis is the identity: those without a pivot in the
+    target's ``_flat_row`` rows, each G's row times a positive scale. A
+    product failing the check would mean the gluing bookkeeping is
+    broken, and raises ``ArithmeticError`` rather than reading off
+    coordinates that do not reproduce it.
     """
-    if m < 1:
+    if top < 1:
         raise ValueError("multiplication maps are defined for m >= 1")
-    target = power(space.bundle, m)
-    node_rows = _node_rows(target)
-    offsets = tuple(accumulate(block_widths(target), initial=0))
-    free = _free(offsets[-1], _forward_eliminate([_flat_row(offsets, node) for node in node_rows]))
-    row_of = {c: i for i, c in enumerate(free)}  # the target row of each free column
     basis = space.integral_basis
-    if prefixes is None:
-        prefixes = {(i,): s for i, s in enumerate(basis)}
-        for j in range(2, m):
-            prefixes = {p: _multiply(prefixes[p[:-1]], basis[p[-1]]) for p in sym_monomials(len(basis), j)}
-    columns, dens = [], []
-    for mono in sym_monomials(len(basis), m):
-        product = _multiply(prefixes[mono[:-1]], basis[mono[-1]]) if m > 1 else basis[mono[0]]
-        blocks, den = product
-        if not _glues(node_rows, blocks):
-            raise ArithmeticError(
-                f"product for monomial {mono} is not a global section of the target; "
-                "gluing bookkeeping is broken"
-            )
-        if products is not None:
-            products[mono] = product
-        column = ((row_of[at + k], c) for at, terms in zip(offsets, blocks) for k, c in terms if at + k in row_of)
-        # a tuple, not a list: the many zero products then share the empty tuple, and m3 holds less memory
-        columns.append(tuple(column))
-        dens.append(den)
-    return columns, dens, len(free)
+    prefixes = {(i,): form for i, form in enumerate(basis)}
+    for m in range(min(2, top), top + 1):
+        target = power(space.bundle, m)
+        node_rows = _node_rows(target)
+        offsets = tuple(accumulate(block_widths(target), initial=0))
+        free = _free(offsets[-1], _forward_eliminate([_flat_row(offsets, node) for node in node_rows]))
+        row_of = {c: i for i, c in enumerate(free)}  # the target row of each free column
+        products, columns, dens = {}, [], []
+        for mono in sym_monomials(len(basis), m):
+            product = _multiply(prefixes[mono[:-1]], basis[mono[-1]]) if m > 1 else basis[mono[0]]
+            blocks, den = product
+            if not _glues(node_rows, blocks):
+                raise ArithmeticError(
+                    f"product for monomial {mono} is not a global section of the target; "
+                    "gluing bookkeeping is broken"
+                )
+            if m < top:
+                products[mono] = product
+            column = ((row_of[at + k], c) for at, terms in zip(offsets, blocks) for k, c in terms if at + k in row_of)
+            # a tuple, not a list: the many zero products then share the empty tuple, and m3 holds less memory
+            columns.append(tuple(column))
+            dens.append(den)
+        prefixes = products
+        yield columns, dens, len(free)
 
 
 def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
@@ -420,10 +417,10 @@ def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
 
     Columns follow ``sym_monomials(h0, m)``; each column is the product
     of the chosen basis sections, expressed in the canonical basis of
-    the target, read off ``_product_matrix``. Surjectivity is
-    ``rank == h0(L^m)``.
+    the target, read off the last map of ``_product_ladder``.
+    Surjectivity is ``rank == h0(L^m)``.
     """
-    columns, dens, rows = _product_matrix(space, m)
+    *_, (columns, dens, rows) = _product_ladder(space, m)
     # most entries are zero; they share one Fraction instead of one each
     entries = [[Fraction(h, d) if h else _ZERO for h, d in zip(row, dens)] for row in _dense_rows(columns, rows)]
     return MatrixQ.from_rows(entries, cols=len(dens))
@@ -473,7 +470,7 @@ _QuadricForm = tuple[tuple[tuple[int, int, int], ...], int]
 
 def _quadric_forms(columns, dens, rows: int, n: int) -> tuple[_QuadricForm, ...]:
     """The quadrics through the curve in integer form, from the integer
-    m = 2 map ``(columns, dens, rows) = _product_matrix(space, 2)`` of an
+    m = 2 map ``(columns, dens, rows)`` of ``_product_ladder`` on an
     n-dimensional space: the vectors of ``quadric_ideal``, each as its
     nonzero terms over a positive denominator (see ``_quadric_form``)."""
     monos = sym_monomials(n, 2)
@@ -549,6 +546,44 @@ def _probe_rank(space: SectionSpace, forms, x: CurvePoint) -> int | None:
     branches = [CurvePoint.at_node(x.node, b) for b in (0, 1)] if x.is_node else [x]
     known = [coords, *(_cone_vector(space, b, _jet_row) for b in branches)]
     return _jacobian_rank(forms, coords, known, x)
+
+
+def cone_ideal(space: SectionSpace) -> tuple[tuple[int, int, int], tuple[int, int, int], tuple[_QuadricForm, ...]]:
+    """``(m2, m3, quadrics)``: the m = 2 and m = 3 multiplication maps of
+    ``space`` as ``(source, target, rank)``, and the quadrics through the
+    curve in integer form (``_quadric_forms``). Both maps stay the
+    integers of ``_product_ladder``; the m = 2 kernel, whose count gives
+    that map's rank, is taken over Q and the m = 3 rank is certified mod
+    one prime, as the module docstring sets out."""
+    ladder = _product_ladder(space, 3)
+    columns, dens, rows = next(ladder)
+    quadrics = _quadric_forms(columns, dens, rows, len(space.integral_basis))
+    m2 = (len(dens), rows, len(dens) - len(quadrics))
+    columns, dens, rows = next(ladder)
+    return m2, (len(dens), rows, certified_rank_of_columns(columns, rows)), quadrics
+
+
+def singularity_probe(space: SectionSpace, forms, extra_samples: int = 5, seed: int = SAMPLE_SEED) -> tuple:
+    """``(vertex, nodes, smooth)``: the ranks of the Jacobian of the
+    quadric forms of ``cone_ideal`` at the cone's vertex, at each node and
+    at the first smooth point of ``sample_points`` in that order, no point
+    after it drawn; ``smooth`` is empty where no sample is smooth. A point
+    with no image has rank None (``_probe_rank``)."""
+    curve = space.bundle.curve
+    vertex = _jacobian_rank(forms, (0,) * len(space.integral_basis))
+    nodes = [_probe_rank(space, forms, CurvePoint.at_node(k)) for k in range(len(curve.nodes))]
+    smooth = (x for x in _samples(curve, extra_samples, seed) if not x.is_node)
+    return vertex, nodes, [_probe_rank(space, forms, x) for x in islice(smooth, 1)]
+
+
+def quadric_failures(space: SectionSpace, forms, extra_samples: int = 5, seed: int = SAMPLE_SEED) -> tuple[int, int]:
+    """``(points, failures)``: how many points of ``sample_points(curve,
+    extra_samples, seed)`` have an image, and how many values of the
+    quadric forms of ``cone_ideal`` at those images are nonzero. A point
+    where every section vanishes has no image to test."""
+    samples = sample_points(space.bundle.curve, extra_samples, seed)
+    images = [v for v in (_cone_vector(space, x) for x in samples) if any(v)]
+    return len(images), sum(1 for v in images for q in forms if _quadric_at(q, v))
 
 
 def quadric_value(quadric, coords) -> Fraction:

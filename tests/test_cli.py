@@ -491,13 +491,13 @@ def test_quadrics_converted_once_per_command(command, tmp_path, monkeypatch, cap
     from nodalcone.exactlin import kernel_basis
 
     forms, dense = [], []
-    build = cli._quadric_forms
+    build = embedding._quadric_forms
 
     def counting(columns, dens, rows, n):
         forms.append(build(columns, dens, rows, n))
         return forms[-1]
 
-    monkeypatch.setattr(cli, "_quadric_forms", counting)
+    monkeypatch.setattr(embedding, "_quadric_forms", counting)
     monkeypatch.setattr(embedding, "_quadric_form", lambda q, n: dense.append(q))
     for spec in M3_GUARD_SPECS:
         path, bundle = _guard_spec(spec, tmp_path)
@@ -529,12 +529,12 @@ def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys
     row per quadric, is ranked mod PRIME on its sparse columns and never
     eliminated, except where ``PROBE_SHORTFALL`` names the one matrix
     whose rank mod PRIME falls short of its bound and is taken over Q."""
-    from nodalcone.embedding import _product_matrix
+    from nodalcone.embedding import _product_ladder
 
     path, bundle = _guard_spec(spec, tmp_path)
     space = section_basis(bundle)
     h0 = len(space.basis)
-    columns2, _, target2 = _product_matrix(space, 2)
+    columns2, _, target2 = next(_product_ladder(space, 2))
     m2 = (target2, h0 * (h0 + 1) // 2)
     m2_nonzero = (target2, sum(1 for column in columns2 if column))
     assert m2_nonzero[1] < m2[1]
@@ -627,8 +627,8 @@ def test_ideal_takes_a_short_m3_rank_over_q(tmp_path, monkeypatch, capsys):
 
 
 def _record_probe(monkeypatch):
-    """Wrap ``_jacobian_rank`` where ``embedding`` and ``cli`` call it and
-    record, for each call, the point it names (``vertex`` for none) and the
+    """Wrap ``_jacobian_rank`` where ``embedding`` calls it and record,
+    for each call, the point it names (``vertex`` for none) and the
     eliminations ``_record_eliminations`` records during it."""
     from nodalcone import embedding
 
@@ -642,8 +642,7 @@ def _record_probe(monkeypatch):
         points.append(("vertex" if at is None else str(at), eliminations[start:]))
         return rank
 
-    for module in (embedding, cli):
-        monkeypatch.setattr(module, "_jacobian_rank", recording)
+    monkeypatch.setattr(embedding, "_jacobian_rank", recording)
     return points
 
 
@@ -696,10 +695,10 @@ def test_probe_ranks_are_certified_without_elimination(spec, tmp_path, monkeypat
 @pytest.mark.parametrize("samples", [0, 1, 5])
 @pytest.mark.parametrize("seed", [1, 7, 1105])
 def test_ideal_reads_the_first_smooth_sample_only(samples, seed, monkeypatch, capsys):
-    """``ideal`` probes the first smooth point of ``_samples``, which is
-    the first smooth point of ``sample_points`` for the same arguments,
-    and draws no point after it; with no smooth samples there is no
-    ``smooth_point_rank``."""
+    """``ideal`` probes the first smooth point of ``embedding._samples``,
+    which is the first smooth point of ``sample_points`` for the same
+    arguments, and draws no point after it; with no smooth samples there
+    is no ``smooth_point_rank``."""
     from nodalcone import embedding
 
     drawn = []
@@ -710,7 +709,7 @@ def test_ideal_reads_the_first_smooth_sample_only(samples, seed, monkeypatch, ca
             drawn.append(x)
             yield x
 
-    monkeypatch.setattr(cli, "_samples", counting)
+    monkeypatch.setattr(embedding, "_samples", counting)
     for path in sorted((REPO / "curves").glob("*.json")):
         curve = parse_spec(path.read_text()).curve
         smooth = [x for x in embedding.sample_points(curve, samples, seed) if not x.is_node]

@@ -289,8 +289,10 @@ def test_multiplication_map_builds_each_product_once(paper_curve, monkeypatch):
     degree-2 products is built once and each of the 220 columns is one
     more multiplication: 55 + 220 calls of the one product routine,
     ``_multiply``, where multiplying every monomial out from scratch
-    takes 55 + 2 * 220 = 440. Every one of the 220 products, the zero
-    ones too, is checked against the nodes once. Column order and
+    takes 55 + 2 * 220 = 440. The product ladder builds the m = 2 map on
+    the way, so each of the 55 degree-2 products is checked against the
+    nodes of ``L^2`` once, and then every one of the 220 products, the
+    zero ones too, against those of ``L^3`` once. Column order and
     values are checked by ``_assert_columns_reconstruct_products``."""
     calls, checked = [], []
     multiply, glues = embedding._multiply, embedding._glues
@@ -310,8 +312,8 @@ def test_multiplication_map_builds_each_product_once(paper_curve, monkeypatch):
     m3 = multiplication_map(space, 3)
     assert (m3.rows, m3.cols) == (30, 220)
     assert len(calls) == 55 + 220
-    assert len(checked) == 220
-    assert any(not any(blocks) for blocks in checked)
+    assert len(checked) == 55 + 220
+    assert any(not any(blocks) for blocks in checked[55:])
 
 
 def _moved(form, ci, k, delta):
@@ -349,7 +351,7 @@ def test_product_matrix_raises_where_one_branch_block_is_empty(paper_curve, monk
     curve at (4, 3, 3) live on C1 alone and on C3 alone: at the node
     C1.0 - C3.0 one branch block is empty and the other is not. With the
     constant term of the nonempty one moved by one, the value there no
-    longer matches the empty branch's zero, and ``_product_matrix``
+    longer matches the empty branch's zero, and the product ladder
     raises for that monomial."""
     calls = []
     multiply = embedding._multiply
@@ -366,7 +368,7 @@ def test_product_matrix_raises_where_one_branch_block_is_empty(paper_curve, monk
     space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
     mono = sym_monomials(10, 2)[k]
     with pytest.raises(ArithmeticError, match=rf"monomial {re.escape(str(mono))} is not a global section"):
-        embedding._product_matrix(space, 2)
+        list(embedding._product_ladder(space, 2))
     assert len(calls) == k + 1
 
 
@@ -375,7 +377,7 @@ def test_product_matrix_raises_on_one_corrupted_coefficient(paper_curve, monkeyp
     """The k-th column's product on the paper curve at (4, 3, 3), its
     leading coefficient on C2 (of degree 3m) moved by one, no longer
     takes the same value at the two branches of the self-node of C2 at
-    0 and 2, and ``_product_matrix`` raises for its monomial. At m = 3
+    0 and 2, and the product ladder raises for its monomial. At m = 3
     the 55 degree-2 prefixes are multiplied first."""
     calls = []
     multiply = embedding._multiply
@@ -392,8 +394,92 @@ def test_product_matrix_raises_on_one_corrupted_coefficient(paper_curve, monkeyp
     space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
     mono = sym_monomials(10, m)[k]
     with pytest.raises(ArithmeticError, match=rf"monomial {re.escape(str(mono))} is not a global section"):
-        embedding._product_matrix(space, m)
+        list(embedding._product_ladder(space, m))
     assert len(calls) == target
+
+
+def _ladder_space(seed):
+    """The paper curve at (2, 2, 1) for seed None, else a seeded curve
+    with ``inf`` points, and self-nodes on some, and a bundle of degrees
+    0..2 with at least three sections."""
+    if seed is None:
+        return section_basis(line_bundle(paper_example_curve(), (2, 2, 1)))
+    rng = random.Random(seed)
+    curve = curve_with_infinity(rng)
+    assert curve.nodes and any(p.is_infinity for c in curve.components for p in c.marked_points)
+    space = section_basis(random_bundle(rng, curve, degree_range=(0, 2)))
+    assert len(space.integral_basis) >= 3
+    return space
+
+
+def _breaking_move(bundle, m, form):
+    """``form`` with one coefficient moved by its denominator so that it
+    breaks a node constraint of ``L^m``: the first such move, in
+    component and then exponent order."""
+    target = power(bundle, m)
+    node_rows = bundles._node_rows(target)
+    for ci, width in enumerate(bundles.block_widths(target)):
+        for k in range(width):
+            moved = _moved(form, ci, k, form[1])
+            if not bundles._glues(node_rows, moved[0]):
+                return moved
+    raise AssertionError("no single move breaks a node constraint")
+
+
+@pytest.mark.parametrize("seed", [None, 12, 15, 17, 34])
+def test_product_ladder_maps_each_degree_once(seed, monkeypatch):
+    """For top = 1..4 the ladder returns the maps of degrees 2..top (of
+    degree 1 alone for top 1), each the last map of the ladder with that
+    degree as top and the integer form of ``multiplication_map``; each
+    product of degree 2..top is multiplied exactly once; and a product
+    moved off the gluing raises ``ArithmeticError`` at every degree
+    1..4, for the first monomial, with no product built after it."""
+    space = _ladder_space(seed)
+    n = len(space.integral_basis)
+    calls = []
+    multiply = embedding._multiply
+
+    def counted(a, b):
+        calls.append(None)
+        return multiply(a, b)
+
+    def as_matrix(integer_map):
+        columns, dens, rows = integer_map
+        entries = [[F(0)] * len(dens) for _ in range(rows)]
+        for j, (column, den) in enumerate(zip(columns, dens)):
+            for i, h in column:
+                entries[i][j] = F(h, den)
+        return exactlin.MatrixQ.from_rows(entries, cols=len(dens))
+
+    for top in range(1, 5):
+        degrees = range(min(2, top), top + 1)
+        calls.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(embedding, "_multiply", counted)
+            maps = list(embedding._product_ladder(space, top))
+        assert len(calls) == sum(math.comb(n + m - 1, m) for m in degrees if m > 1)
+        assert len(maps) == len(degrees)
+        for m, integer_map in zip(degrees, maps):
+            assert len(integer_map[0]) == math.comb(n + m - 1, m)
+            assert integer_map == list(embedding._product_ladder(space, m))[-1]
+            assert as_matrix(integer_map) == multiplication_map(space, m)
+
+    moved = (_breaking_move(space.bundle, 1, space.integral_basis[0]), *space.integral_basis[1:])
+    with pytest.raises(ArithmeticError, match=r"monomial \(0,\) is not a global section"):
+        list(embedding._product_ladder(SectionSpace(space.bundle, moved), 1))
+    for m in range(2, 5):
+        first = sum(math.comb(n + j - 1, j) for j in range(2, m)) + 1
+
+        def broken(a, b):
+            calls.append(None)
+            product = multiply(a, b)
+            return _breaking_move(space.bundle, m, product) if len(calls) == first else product
+
+        calls.clear()
+        monkeypatch.setattr(embedding, "_multiply", broken)
+        with pytest.raises(ArithmeticError, match=rf"monomial {re.escape(str((0,) * m))} is not a global section"):
+            list(embedding._product_ladder(space, 4))
+        assert len(calls) == first
 
 
 def test_multiplication_map_m3_surjective(paper_curve):
@@ -473,7 +559,7 @@ def _probe_against_the_reference(space, seed):
     certified rank was taken over Q."""
     curve = space.bundle.curve
     n = len(space.basis)
-    forms = embedding._quadric_forms(*embedding._product_matrix(space, 2), n)
+    forms = embedding._quadric_forms(*next(embedding._product_ladder(space, 2)), n)
     quadrics = quadric_ideal(multiplication_map(space, 2))
     assert embedding._jacobian_rank(forms, (0,) * n) == reference_jacobian_rank(quadrics, (0,) * n) == 0
     over_q = []
@@ -527,7 +613,7 @@ def test_certified_probe_rank_where_known_vectors_are_dependent(paper_curve, deg
     rank is above ``h0`` minus their count, and still the reference's."""
     space = section_basis(line_bundle(paper_curve, degrees))
     n = len(space.basis)
-    forms = embedding._quadric_forms(*embedding._product_matrix(space, 2), n)
+    forms = embedding._quadric_forms(*next(embedding._product_ladder(space, 2)), n)
     # three known vectors at a node: the cone point and the two branch jets
     assert embedding._probe_rank(space, forms, CurvePoint.at_node(node)) > n - 3
     _probe_against_the_reference(space, SAMPLE_SEED)

@@ -61,3 +61,18 @@ def test_every_definition_is_reached_or_exported():
             if node.name not in public | elsewhere | _names(rest):
                 orphans.append(f"{module}.{node.name}")
     assert orphans == []
+
+
+def test_cli_imports_no_private_name():
+    """``cli`` formats what the library computes: it imports no
+    ``_``-prefixed name from another ``nodalcone`` module. Dunder names
+    such as ``__version__`` are not private."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    private = [
+        f"{node.module}.{alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("nodalcone"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert private == []
