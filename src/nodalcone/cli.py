@@ -294,7 +294,7 @@ def run_sections(curve: NodalCurve, bundle: LineBundle, with_basis: bool) -> dic
     return out
 
 
-def run_ample(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) -> dict:
+def run_ample(bundle: LineBundle, samples: int, seed: int) -> dict:
     space = section_basis(bundle)
     return {
         "globally_generated": globally_generated(space, samples, seed)._asdict(),
@@ -326,7 +326,7 @@ def _shape(source: int, target: int, rank: int) -> dict:
     return {"source": source, "target": target, "rank": rank, "surjective": rank == target}
 
 
-def run_ideal(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) -> dict:
+def run_ideal(bundle: LineBundle, samples: int, seed: int) -> dict:
     space = section_basis(bundle)
     m2, m3, quadrics = cone_ideal(space)
     vertex, nodes, smooth = singularity_probe(space, quadrics, samples, seed)
@@ -681,11 +681,11 @@ def main(argv: list[str] | None = None) -> int:
         elif args.command == "sections":
             body = run_sections(curve, bundle, args.basis)
         elif args.command == "ample":
-            body = run_ample(curve, bundle, args.samples, args.seed)
+            body = run_ample(bundle, args.samples, args.seed)
         elif args.command == "embed":
             body = run_embed(curve, bundle, args.samples, args.seed)
         elif args.command == "ideal":
-            body = run_ideal(curve, bundle, args.samples, args.seed)
+            body = run_ideal(bundle, args.samples, args.seed)
         elif args.command == "deform":
             body = run_deform(curve, bundle, args.weight_range[0], args.weight_range[1])
         else:

@@ -7,7 +7,9 @@ pseudo-random affine points on each component. A direct test asks for
 a nonzero evaluation row (generation) or for two independent rows,
 point against point or value against jet (separation); exact 2 x 2
 minors decide independence, without a rank. Random sampling can only
-ever refute; the criterion is what certifies.
+ever refute; the criterion is what certifies. Each sampled check reads
+a point's rows once: ``very_ample`` hands the value rows its pair tests
+read on to its jet tests (``_jet_tests``).
 
 The rows are integers, read off the integer form of the basis that the
 section space keeps (see ``bundles``): entry j is the numerator ``h_j``
@@ -49,11 +51,10 @@ is the space of quadrics through the embedded curve.
 zero product's monomial being a quadric by itself, and eliminates only
 the nonzero ones, over Q, so it is the canonical basis of
 ``kernel_basis``: a vector w of the integer map gives the rational
-kernel vector with entries ``den_j * w_j`` up to a positive factor
-(``_scaled_kernel``).
+kernel vector with entries ``den_j * w_j`` up to a positive factor.
 ``_quadric_forms`` keeps each quadric as its nonzero terms
-``(den_j * w_j, i, j)`` over the integers, and ``quadric_ideal`` turns
-the same vectors into Fractions.
+``(den_j * w_j, i, j)`` over the integers. ``quadric_ideal`` is
+``kernel_basis``'s view of the same quadrics, from the rational map.
 The rank of the quadrics' Jacobian at points of the affine cone is
 exposed as a probe. The probe is a heuristic: it reflects the quadrics
 alone, which are not known here to generate the full ideal, so no
@@ -86,18 +87,14 @@ from .bundles import SectionSpace, _dot, _flat_row, _glues, _homogeneous_row, _j
 from .bundles import block_widths, power
 from .curve import NodalCurve, PointOnLine, affine_point
 from .exactlin import MatrixQ, VectorQ, _dense_rows, _forward_eliminate, _free, _kills, as_scalar, certified_rank
-from .exactlin import certified_rank_of_columns, kernel_of_columns
+from .exactlin import certified_rank_of_columns, kernel_basis, kernel_of_columns
 
 _ZERO = Fraction(0)
 
 SAMPLE_SEED = 1105
 _MAX_NUMERATOR = 24
 _MAX_DENOMINATOR = 5
-_SAMPLE_POOL = frozenset(
-    Fraction(n, q)
-    for n in range(-_MAX_NUMERATOR, _MAX_NUMERATOR + 1)
-    for q in range(1, _MAX_DENOMINATOR + 1)
-)
+_POOL_SIZE = 169  # the distinct n/q with |n| <= 24 and 1 <= q <= 5
 
 CRITERION_SATISFIED = "criterion-satisfied"
 VERIFIED_ON_SAMPLES = "verified-on-samples"
@@ -178,10 +175,12 @@ def _branch_vector(space: SectionSpace, x: CurvePoint, row) -> tuple[int, ...]:
 def check_sample_count(curve: NodalCurve, extra_per_component: int) -> None:
     """Raise ``ValueError`` unless every component has
     ``extra_per_component`` free points in the sample pool: the pool is
-    ``n/q`` with ``|n| <= 24``, ``1 <= q <= 5``, less the component's
-    affine marked points. Nothing is drawn."""
+    the 169 values ``n/q`` with ``|n| <= 24``, ``1 <= q <= 5``, less the
+    component's affine marked points in it, those ``a/b`` in lowest terms
+    with ``b <= 5`` and ``|a| <= 24``. Nothing is drawn or stored."""
     for comp in curve.components:
-        free = len(_SAMPLE_POOL - {p.coord for p in comp.marked_points if not p.is_infinity})
+        marked = {p.coord for p in comp.marked_points if not p.is_infinity}
+        free = _POOL_SIZE - sum(c.denominator <= _MAX_DENOMINATOR and abs(c.numerator) <= _MAX_NUMERATOR for c in marked)
         if not 0 <= extra_per_component <= free:
             raise ValueError(
                 f"component {comp.name} takes 0..{free} extra sample points, "
@@ -259,19 +258,23 @@ def _independent(u: VectorQ, v: VectorQ) -> bool:
     return any(uk * b != a * vk for a, b in zip(u, v))
 
 
-def _jet_tests(space: SectionSpace, x: CurvePoint):
+def _jet_tests(space: SectionSpace, x: CurvePoint, value: tuple[int, ...]):
     """Yield ``(witness, value row, jet row)`` for each first-order test
     at x: one at a smooth point, one per branch at a node without a
     branch selector, and the selected branch's at a node with one. A
     witness is a ``(template, arguments)`` pair, formatted only for a
-    test that fails."""
+    test that fails.
+
+    ``value`` is x's value row as ``_branch_vector`` reads it: the
+    selected branch's, branch 0's at a node without a selector. The one
+    value row read here is branch 1's at a node without a selector."""
     if not x.is_node:
-        yield ("jet test fails at {}", (x,)), _branch_vector(space, x, _homogeneous_row), _branch_vector(space, x, _jet_row)
+        yield ("jet test fails at {}", (x,)), value, _branch_vector(space, x, _jet_row)
         return
     for b in (0, 1) if x.branch is None else (x.branch,):
         at = CurvePoint.at_node(x.node, b)
-        witness = ("jet test fails on branch {} of {}", (b, x))
-        yield witness, _branch_vector(space, at, _homogeneous_row), _branch_vector(space, at, _jet_row)
+        u = value if b == (x.branch or 0) else _branch_vector(space, at, _homogeneous_row)
+        yield ("jet test fails on branch {} of {}", (b, x)), u, _branch_vector(space, at, _jet_row)
 
 
 def separates_points(space: SectionSpace, x: CurvePoint, y: CurvePoint) -> bool:
@@ -293,17 +296,20 @@ def separates_jets(space: SectionSpace, x: CurvePoint) -> bool:
     """Whether sections surject onto first-order data at x: the value
     row and the jet row are independent. At a node the test is
     branch-local, and both branches must pass unless x selects one.
+    x's value row is read once, for ``_jet_tests``.
     """
     if len(space.integral_basis) < 2:
         raise ValueError("need at least two sections to separate jets")
     _check_point(space.bundle.curve, x)
-    return all(_independent(u, v) for _, u, v in _jet_tests(space, x))
+    tests = _jet_tests(space, x, _branch_vector(space, x, _homogeneous_row))
+    return all(_independent(u, v) for _, u, v in tests)
 
 
 def very_ample(space: SectionSpace, extra_samples: int = 5, seed: int = SAMPLE_SEED) -> AmpleVerdict:
     """Criterion: min degree >= 3. Direct mode: separation of all sample
-    pairs, each sample evaluated once, then jets at every sample point
-    (branch by branch at nodes), as one ordered stream of tests.
+    pairs, then jets at every sample point (branch by branch at nodes),
+    as one ordered stream of tests. Each sample's value row is read once,
+    for its pairs and its jets; a node's branch 1 adds one more.
 
     The witness is the first failing test, formatted only once it fails;
     ``samples_checked`` counts the tests run up to it, node branches
@@ -318,7 +324,7 @@ def very_ample(space: SectionSpace, extra_samples: int = 5, seed: int = SAMPLE_S
         (("sections do not separate {} and {}", (samples[i], samples[j])), values[i], values[j])
         for i, j in combinations(range(len(samples)), 2)
     )
-    jets = (test for x in samples for test in _jet_tests(space, x))
+    jets = (test for x, value in zip(samples, values) for test in _jet_tests(space, x, value))
     checked = 0
     for checked, ((template, args), u, v) in enumerate(chain(pairs, jets), start=1):
         if not _independent(u, v):
@@ -427,42 +433,16 @@ def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
 
 
 def quadric_ideal(m2: MatrixQ) -> tuple[VectorQ, ...]:
-    """Canonical basis of quadrics through the embedded curve.
+    """Canonical basis of quadrics through the embedded curve:
+    ``kernel_basis(m2)``, coefficient vectors over
+    ``sym_monomials(h0, 2)``.
 
     Takes the m = 2 multiplication map, so a caller that also reports
-    the map builds it once. Coefficient vectors over
-    ``sym_monomials(h0, 2)``; the kernel of that map, equal to
-    ``kernel_basis(m2)``. For an h0-dimensional section space the count
-    is ``C(h0 + 1, 2) - rank``. Each column is cleared of its
-    denominators by their lcm, and the kernel of those integers comes
-    from ``_scaled_kernel`` (see the module docstring).
+    the map builds it once. For an h0-dimensional section space the
+    count is ``C(h0 + 1, 2) - rank``. ``_quadric_forms`` holds the same
+    quadrics in integer form.
     """
-    entries = [m2.entries[j :: m2.cols] for j in range(m2.cols)]
-    dens = [lcm(*(e.denominator for e in column)) for column in entries]
-    columns = [[(i, e.numerator * (d // e.denominator)) for i, e in enumerate(column) if e] for column, d in zip(entries, dens)]
-    basis = []
-    for terms, den in _scaled_kernel(columns, dens, m2.rows):
-        v = [_ZERO] * m2.cols
-        for j, c in terms:
-            v[j] = Fraction(c, den)
-        basis.append(tuple(v))
-    return tuple(basis)
-
-
-def _scaled_kernel(columns, dens, rows: int):
-    """The canonical kernel basis of the map with ``rows`` rows and
-    entry (i, j) ``h / dens[j]`` for each ``(i, h)`` in ``columns[j]``,
-    every ``dens[j] > 0``, each vector as its nonzero entries ``(j, u_j)``
-    over a positive integer den: the vector is ``u / den``.
-
-    The integer matrix is the map times ``diag(dens)``, so each vector w
-    of its ``kernel_of_columns`` gives the map's kernel vector
-    ``u_j = dens[j] * w_j``; den is u's entry at the free column, its
-    last one, where the canonical vector has a unit.
-    """
-    for w in kernel_of_columns(columns, rows):
-        terms = [(j, dens[j] * c) for j, c in w]
-        yield terms, terms[-1][1]
+    return tuple(kernel_basis(m2))
 
 
 _QuadricForm = tuple[tuple[tuple[int, int, int], ...], int]
@@ -472,9 +452,15 @@ def _quadric_forms(columns, dens, rows: int, n: int) -> tuple[_QuadricForm, ...]
     """The quadrics through the curve in integer form, from the integer
     m = 2 map ``(columns, dens, rows)`` of ``_product_ladder`` on an
     n-dimensional space: the vectors of ``quadric_ideal``, each as its
-    nonzero terms over a positive denominator (see ``_quadric_form``)."""
+    nonzero terms over a positive denominator (see ``_quadric_form``).
+
+    The integer map is the rational one times ``diag(dens)``, so each
+    vector w of its ``kernel_of_columns`` gives the rational kernel
+    vector ``u_j = dens[j] * w_j`` over a denominator, u's entry at the
+    free column, its last one, where the canonical vector has a unit."""
     monos = sym_monomials(n, 2)
-    return tuple((tuple((c, *monos[j]) for j, c in terms), den) for terms, den in _scaled_kernel(columns, dens, rows))
+    forms = (tuple((dens[j] * c, *monos[j]) for j, c in w) for w in kernel_of_columns(columns, rows))
+    return tuple((terms, terms[-1][0]) for terms in forms)
 
 
 def _quadric_form(quadric, n: int) -> _QuadricForm:
@@ -563,7 +549,7 @@ def cone_ideal(space: SectionSpace) -> tuple[tuple[int, int, int], tuple[int, in
     return m2, (len(dens), rows, certified_rank_of_columns(columns, rows)), quadrics
 
 
-def singularity_probe(space: SectionSpace, forms, extra_samples: int = 5, seed: int = SAMPLE_SEED) -> tuple:
+def singularity_probe(space: SectionSpace, forms, extra_samples: int, seed: int) -> tuple:
     """``(vertex, nodes, smooth)``: the ranks of the Jacobian of the
     quadric forms of ``cone_ideal`` at the cone's vertex, at each node and
     at the first smooth point of ``sample_points`` in that order, no point
@@ -576,7 +562,7 @@ def singularity_probe(space: SectionSpace, forms, extra_samples: int = 5, seed: 
     return vertex, nodes, [_probe_rank(space, forms, x) for x in islice(smooth, 1)]
 
 
-def quadric_failures(space: SectionSpace, forms, extra_samples: int = 5, seed: int = SAMPLE_SEED) -> tuple[int, int]:
+def quadric_failures(space: SectionSpace, forms, extra_samples: int, seed: int) -> tuple[int, int]:
     """``(points, failures)``: how many points of ``sample_points(curve,
     extra_samples, seed)`` have an image, and how many values of the
     quadric forms of ``cone_ideal`` at those images are nonzero. A point

@@ -27,6 +27,7 @@ from conftest import (
     reference_value,
 )
 from nodalcone.bundles import (
+    LineBundle,
     SectionSpace,
     _homogeneous_row,
     _jet_row,
@@ -36,8 +37,8 @@ from nodalcone.bundles import (
     section_basis,
     trivial_bundle,
 )
-from nodalcone.cli import EXIT_OK, main
-from nodalcone.curve import paper_example_curve
+from nodalcone.cli import EXIT_OK, main, parse_spec
+from nodalcone.curve import INFINITY, Component, NodalCurve, NodeGluing, affine_point, paper_example_curve
 from nodalcone.embedding import (
     CRITERION_SATISFIED,
     AmpleVerdict,
@@ -62,7 +63,8 @@ from nodalcone.exactlin import MatrixQ, rank
 
 F = Fraction
 
-PAPER_SPEC = Path(__file__).resolve().parents[1] / "curves" / "paper-x.json"
+ROOT = Path(__file__).resolve().parents[1]
+PAPER_SPEC = ROOT / "curves" / "paper-x.json"
 
 
 def test_curve_point_display():
@@ -814,10 +816,12 @@ def test_independent_is_rank_two(rows, shape, scale):
 
 
 def test_very_ample_evaluates_each_sample_once_and_takes_no_rank(paper_curve, monkeypatch):
-    """The paper curve of curves/paper-x.json at (4, 3, 3): one evaluation
-    per sample for all 153 pair tests, one per smooth jet and one per node
-    branch, and no elimination, so no rank of any kind. The rank-per-pair
-    loop takes 327 evaluations and 174 ranks."""
+    """The paper curve of curves/paper-x.json at (4, 3, 3): one value
+    row per sample, read once for its 17 pair tests and its jet tests,
+    plus branch 1's at each node, so 18 + 3 = 21 value reads; and no
+    elimination, so no rank of any kind. Reading each jet test's value
+    row again would take 39, and the rank-per-pair loop takes 327
+    evaluations and 174 ranks."""
     space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
     counts = {"elimination": 0, "evaluation": 0}
 
@@ -841,7 +845,119 @@ def test_very_ample_evaluates_each_sample_once_and_takes_no_rank(paper_curve, mo
     assert (v.status, v.samples_checked) == (CRITERION_SATISFIED, 153 + 6 + 15)
     samples = sample_points(paper_curve)
     assert counts["elimination"] == 0
-    assert counts["evaluation"] <= 2 * len(samples) + len(paper_curve.nodes)
+    assert counts["evaluation"] == len(samples) + len(paper_curve.nodes) == 21
+
+
+def _separates_jets_by_rank(space, x):
+    """Reference: rank 2 of each tested branch's own value and jet rows,
+    from the Fraction coefficients: both branches at a node without a
+    selector, the selected one otherwise."""
+    if x.is_node:
+        points = [CurvePoint.at_node(x.node, b) for b in ((0, 1) if x.branch is None else (x.branch,))]
+    else:
+        points = [x]
+    rows = ([_reference_row(space, reference_value, at), _reference_row(space, reference_jet, at)] for at in points)
+    return all(rank(MatrixQ.from_rows(pair)) == 2 for pair in rows)
+
+
+def test_separates_jets_matches_the_rank_reference(paper_curve):
+    """``separates_jets`` reads x's value row once and hands it to the
+    jet tests; the verdict is still the rank-2 test of each branch's own
+    rows, at every node with selector None, 0 and 1 and at smooth
+    samples, on the paper curve and on curves with ``inf`` branches."""
+    rng = random.Random(30)
+    spaces = [section_basis(line_bundle(paper_curve, d)) for d in ((4, 3, 3), (2, 2, 2), (1, 1, 2))]
+    at_infinity = 0
+    while at_infinity < 15:
+        curve = curve_with_infinity(rng)
+        space = section_basis(random_bundle(rng, curve, degree_range=(0, 4)))
+        if len(space.integral_basis) >= 2:
+            spaces.append(space)
+            at_infinity += any(point.is_infinity for sites in curve.sites for _, _, point in sites)
+    verdicts = set()
+    for space in spaces:
+        curve = space.bundle.curve
+        points = [CurvePoint.at_node(k, b) for k in range(len(curve.nodes)) for b in (None, 0, 1)]
+        points += [x for x in sample_points(curve, 2, rng.randrange(100)) if not x.is_node]
+        for x in points:
+            verdict = separates_jets(space, x)
+            assert verdict == _separates_jets_by_rank(space, x), (space.bundle, x)
+            verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
+_POOL_REFERENCE = frozenset(Fraction(n, q) for n in range(-24, 25) for q in range(1, 6))
+
+
+def _check_sample_count_by_pool(curve, extra):
+    """Reference: each component's free share as the stored pool less
+    its affine marked points, with the same message."""
+    for comp in curve.components:
+        free = len(_POOL_REFERENCE - {p.coord for p in comp.marked_points if not p.is_infinity})
+        if not 0 <= extra <= free:
+            raise ValueError(f"component {comp.name} takes 0..{free} extra sample points, {extra} requested")
+
+
+def test_check_sample_count_counts_the_pool_it_no_longer_stores():
+    """The pool is counted, not built: 169 values, less each component's
+    marked points in it. Components marked in and out of the pool, at its
+    edges (+-24, 24/5, 1/5), just past them (+-25, 1/6, 49/2) and at
+    ``inf``, give the stored pool's count, and the same message at the
+    bound, one past it and below zero."""
+    assert len(_POOL_REFERENCE) == embedding._POOL_SIZE == 169
+    special = [F(24), F(-24), F(25), F(-25), F(24, 5), F(1, 5), F(1, 6), F(49, 2), None, F(0), F(-7, 4), F(10, 4)]
+    rng = random.Random(169)
+    seen = set()
+    for _ in range(60):
+        n = rng.randint(1, 5)
+        points = [rng.sample(special, n) for _ in range(2)]
+        seen.update(c for pts in points for c in pts)
+        components = tuple(
+            Component(name, tuple(INFINITY if c is None else affine_point(c) for c in pts))
+            for name, pts in zip(("C1", "C2"), points)
+        )
+        curve = NodalCurve(components, tuple(NodeGluing(("C1", i), ("C2", i)) for i in range(n)))
+        free = [len(_POOL_REFERENCE - {c for c in pts if c is not None}) for pts in points]
+        bound = min(free)
+        for extra in (-1, 0, bound, bound + 1):
+            try:
+                _check_sample_count_by_pool(curve, extra)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as raised:
+                    embedding.check_sample_count(curve, extra)
+                assert str(raised.value) == str(exc)
+            else:
+                assert extra in (0, bound)
+                embedding.check_sample_count(curve, extra)
+    assert seen == set(special)
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [*range(3, 7)] + [str(p.relative_to(ROOT)) for p in sorted(ROOT.glob("curves/*.json")) + sorted(ROOT.glob("tests/specs/*.json"))],
+)
+def test_cone_ideal_quadrics_are_the_quadric_ideal(paper_curve, spec):
+    """The command line's integer quadrics (``cone_ideal``, from the sparse
+    integer m = 2 map) and ``quadric_ideal`` (``kernel_basis`` of the
+    rational map) share only ``exactlin``'s kernel, and agree vector for
+    vector over ``sym_monomials(h0, 2)``: on the paper curve at (k, k, k)
+    and on every spec file."""
+    if isinstance(spec, int):
+        bundle = line_bundle(paper_curve, (spec, spec, spec))
+    else:
+        parsed = parse_spec((ROOT / spec).read_text())
+        bundle = LineBundle(parsed.curve, parsed.multidegree, parsed.gluings)
+    space = section_basis(bundle)
+    monos = sym_monomials(len(space.integral_basis), 2)
+    index = {mono: j for j, mono in enumerate(monos)}
+    forms = embedding.cone_ideal(space)[2]
+    vectors = []
+    for terms, den in forms:
+        v = [F(0)] * len(monos)
+        for c, i, j in terms:
+            v[index[(i, j)]] = F(c, den)
+        vectors.append(tuple(v))
+    assert tuple(vectors) == quadric_ideal(multiplication_map(space, 2))
 
 @pytest.mark.parametrize(
     "argv, built",
