@@ -450,7 +450,7 @@ def run_verify(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int, m
     serre_ok = all(r.h1 == h0(tensor(omega, dual(b))) for b, r in reports)
     check("serre-duality", serre_ok, "h1 matches h0 of the dual twist for the bundle, its square and its inverse")
 
-    entries = graded_report(curve, bundle, m_min, m_max).entries
+    entries = graded_report(curve, bundle, m_min, m_max, tangent=dual(omega)).entries
     if genus != 1:
         skip("deformation-formula-vs-direct", f"the closed form is derived for genus 1; this curve has genus {genus}")
     elif va.status == FAILED:

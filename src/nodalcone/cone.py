@@ -105,25 +105,31 @@ class GradedReport(NamedTuple):
     entries: tuple[WeightEntry, ...]
 
 
-def graded_report(curve: NodalCurve, bundle: LineBundle, m_min: int, m_max: int) -> GradedReport:
+def graded_report(
+    curve: NodalCurve, bundle: LineBundle, m_min: int, m_max: int, *, tangent: LineBundle | None = None
+) -> GradedReport:
     """Weight-by-weight table over ``m_min <= m <= m_max``.
 
     Requires ``m_min <= 0 <= m_max`` so the table always shows all three
     regimes. Formula and direct values are both present in every row;
     nothing is reconciled silently. No bundle is built per weight: F_m
     has multidegree ``t + m l`` and scalar ``t_k g_k^m`` at node k, L^m
-    has ``m l`` and ``g_k^m``. T is built once, and its degrees and
-    scalar pairs are read from it, L's pairs from the bundle, and the
-    bundle's total degree once; ``g_k^m`` and ``t_k g_k^m`` are formed as
-    pairs by ``bundles._power``, only at the nodes whose rows are
-    eliminated. One row memo serves both columns at every weight, so each
-    branch row is built once per report.
+    has ``m l`` and ``g_k^m``. T is ``tangent``, a caller's
+    ``tangent_bundle(curve)`` (the dual of a dualizing bundle it holds),
+    or else built once here. Its degrees and scalar pairs are read from
+    it, L's pairs from the bundle, and the bundle's total degree once;
+    ``g_k^m`` and ``t_k g_k^m`` are formed as pairs by ``bundles._power``,
+    only at the nodes whose rows are eliminated. One row memo serves both
+    columns at every weight, so each branch row is built once per report.
     """
     if not m_min <= 0 <= m_max:
         raise ValueError("range must contain 0: need m_min <= 0 <= m_max")
     if bundle.curve != curve:
         raise ValueError("bundle lives on a different curve")
-    tangent = tangent_bundle(curve)
+    if tangent is None:
+        tangent = tangent_bundle(curve)
+    elif tangent.curve != curve:
+        raise ValueError("tangent bundle lives on a different curve")
     t, g = tangent.pairs, bundle.pairs
     total = bundle.degree()
     rows = {}

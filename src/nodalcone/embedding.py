@@ -36,12 +36,13 @@ node-by-node check has shown the product is a global section.
 Products and that check run on the sparse integer terms of the basis
 (see ``bundles``, whose ``_multiply`` is the one product routine), into
 one integer matrix per map, kept as each monomial's nonzero
-``(row, entry)`` pairs: most products are zero. One ladder,
-``_product_ladder``, builds the maps degree by degree, each product
-one more ``_multiply`` of a prefix kept from the degree below.
-``multiplication_map`` makes Fractions of its entries. A caller after a
-rank or a kernel can keep the integers: column j is the rational column
-times ``den_j > 0``, so the rank is the same, and
+``(row, entry)`` pairs: most products are zero. One step,
+``_degree_map``, builds a degree's map on the monomials it is given,
+each product one more ``_multiply`` of a prefix kept from the degree
+below; ``_product_ladder`` runs it on every monomial of each degree in
+turn, and ``multiplication_map`` makes Fractions of its entries. A
+caller after a rank or a kernel can keep the integers: column j is the
+rational column times ``den_j > 0``, so the rank is the same, and
 ``exactlin.certified_rank_of_columns`` takes it on the sparse columns
 modulo one prime; as ``rank_p <= rank_Q <= min(rows, cols)``, that
 certifies that the map is onto and never decides a shortfall (that
@@ -52,6 +53,14 @@ zero product's monomial being a quadric by itself, and eliminates only
 the nonzero ones, over Q, so it is the canonical basis of
 ``kernel_basis``: a vector w of the integer map gives the rational
 kernel vector with entries ``den_j * w_j`` up to a positive factor.
+The m = 3 map's image is ``H0(L) * image(m2)``: each cubic monomial is
+``x_c * (x_a x_b)``, and m2's column for ``x_a x_b`` lies in the span of
+its pivot columns P, those that are no kernel vector's free column,
+read off the exact kernel with no second elimination. So the columns of
+the cubics ``x_i * p``, i a basis index and p in P, span m3's image, and
+``cone_ideal`` takes m3's rank on them alone: the other cubic products
+are never built, while every product built is node-checked as above.
+m3's reported source still counts every cubic monomial.
 ``_quadric_forms`` keeps each quadric as its nonzero terms
 ``(den_j * w_j, i, j)`` over the integers. ``quadric_ideal`` is
 ``kernel_basis``'s view of the same quadrics, from the rational map.
@@ -80,7 +89,7 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, combinations_with_replacement, islice
-from math import lcm
+from math import comb, lcm
 from typing import NamedTuple
 
 from .bundles import SectionSpace, _dot, _flat_row, _glues, _homogeneous_row, _jet_row, _multiply, _node_rows
@@ -368,17 +377,16 @@ def sym_monomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations_with_replacement(range(n), m))
 
 
-def _product_ladder(space: SectionSpace, top: int):
-    """The matrices of Sym^m H0(L) -> H0(L^m) over the integers for
-    m = 2..top in turn (m = 1 alone for top 1, the basis's identity), each
-    as ``(columns, dens, rows)``: for each monomial of
-    ``sym_monomials(h0, m)`` the nonzero entries ``(i, h)`` of its
-    column, where entry (i, j) of the map is ``Fraction(h, dens[j])``
-    with ``dens[j] > 0``; and the number of rows, the target's h0.
+def _degree_map(space: SectionSpace, m: int, prefixes, monos, kept: dict | None = None):
+    """The integer map of Sym^m H0(L) -> H0(L^m) on the columns of
+    ``monos``, degree-m monomials, as ``(columns, dens, rows)``: for each
+    monomial the nonzero entries ``(i, h)`` of its column, where entry
+    (i, j) of the map is ``Fraction(h, dens[j])`` with ``dens[j] > 0``;
+    and the number of rows, the target's h0.
 
-    Each degree-m product is one more ``_multiply`` of its degree-(m - 1)
-    prefix, and a degree's products are kept only while the next degree
-    reads them, so the top degree's are never all held at once. Each
+    Each product is one ``_multiply`` of its degree-(m - 1) prefix, read
+    from ``prefixes``, by its last basis section (the basis section
+    itself at m = 1), and is stored in ``kept`` when one is given. Each
     product, zero or not, is first checked exactly against every node
     constraint of ``L^m``, on integers. Once it is known to be a global
     section, its coordinates are its terms at the target's free columns,
@@ -388,33 +396,46 @@ def _product_ladder(space: SectionSpace, top: int):
     broken, and raises ``ArithmeticError`` rather than reading off
     coordinates that do not reproduce it.
     """
+    basis = space.integral_basis
+    target = power(space.bundle, m)
+    node_rows = _node_rows(target)
+    offsets = tuple(accumulate(block_widths(target), initial=0))
+    free = _free(offsets[-1], _forward_eliminate([_flat_row(offsets, node) for node in node_rows]))
+    row_of = {c: i for i, c in enumerate(free)}  # the target row of each free column
+    columns, dens = [], []
+    for mono in monos:
+        product = _multiply(prefixes[mono[:-1]], basis[mono[-1]]) if m > 1 else basis[mono[0]]
+        blocks, den = product
+        if not _glues(node_rows, blocks):
+            raise ArithmeticError(
+                f"product for monomial {mono} is not a global section of the target; "
+                "gluing bookkeeping is broken"
+            )
+        if kept is not None:
+            kept[mono] = product
+        column = ((row_of[at + k], c) for at, terms in zip(offsets, blocks) for k, c in terms if at + k in row_of)
+        # a tuple, not a list: the many zero products then share the empty tuple, and m3 holds less memory
+        columns.append(tuple(column))
+        dens.append(den)
+    return columns, dens, len(free)
+
+
+def _product_ladder(space: SectionSpace, top: int):
+    """The matrices of Sym^m H0(L) -> H0(L^m) over the integers for
+    m = 2..top in turn (m = 1 alone for top 1, the basis's identity), each
+    ``_degree_map`` on every monomial of ``sym_monomials(h0, m)``.
+
+    A degree's products are kept only while the next degree reads them
+    as prefixes, so the top degree's are never all held at once.
+    """
     if top < 1:
         raise ValueError("multiplication maps are defined for m >= 1")
     basis = space.integral_basis
     prefixes = {(i,): form for i, form in enumerate(basis)}
     for m in range(min(2, top), top + 1):
-        target = power(space.bundle, m)
-        node_rows = _node_rows(target)
-        offsets = tuple(accumulate(block_widths(target), initial=0))
-        free = _free(offsets[-1], _forward_eliminate([_flat_row(offsets, node) for node in node_rows]))
-        row_of = {c: i for i, c in enumerate(free)}  # the target row of each free column
-        products, columns, dens = {}, [], []
-        for mono in sym_monomials(len(basis), m):
-            product = _multiply(prefixes[mono[:-1]], basis[mono[-1]]) if m > 1 else basis[mono[0]]
-            blocks, den = product
-            if not _glues(node_rows, blocks):
-                raise ArithmeticError(
-                    f"product for monomial {mono} is not a global section of the target; "
-                    "gluing bookkeeping is broken"
-                )
-            if m < top:
-                products[mono] = product
-            column = ((row_of[at + k], c) for at, terms in zip(offsets, blocks) for k, c in terms if at + k in row_of)
-            # a tuple, not a list: the many zero products then share the empty tuple, and m3 holds less memory
-            columns.append(tuple(column))
-            dens.append(den)
+        products = {} if m < top else None
+        yield _degree_map(space, m, prefixes, sym_monomials(len(basis), m), products)
         prefixes = products
-        yield columns, dens, len(free)
 
 
 def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
@@ -538,15 +559,28 @@ def cone_ideal(space: SectionSpace) -> tuple[tuple[int, int, int], tuple[int, in
     """``(m2, m3, quadrics)``: the m = 2 and m = 3 multiplication maps of
     ``space`` as ``(source, target, rank)``, and the quadrics through the
     curve in integer form (``_quadric_forms``). Both maps stay the
-    integers of ``_product_ladder``; the m = 2 kernel, whose count gives
-    that map's rank, is taken over Q and the m = 3 rank is certified mod
-    one prime, as the module docstring sets out."""
-    ladder = _product_ladder(space, 3)
-    columns, dens, rows = next(ladder)
-    quadrics = _quadric_forms(columns, dens, rows, len(space.integral_basis))
+    integers of ``_degree_map``; the m = 2 kernel, whose count gives that
+    map's rank, is taken over Q, and the m = 3 rank is certified mod one
+    prime, as the module docstring sets out.
+
+    m3's rank is taken on the columns of the cubics ``x_i * p`` only, i a
+    basis index and p one of P, m2's pivot monomials: those whose column
+    is no quadric's free column, its last term. The kernel is exact, so
+    P's columns span m2's image, and each cubic ``x_c * (x_a x_b)`` maps
+    into ``x_c`` times that span, which those cubics' columns span. So
+    their rank is m3's; every other cubic product is never built. m3's
+    ``source`` still counts every cubic monomial, ``C(h0 + 2, 3)``."""
+    basis = space.integral_basis
+    n = len(basis)
+    monos = sym_monomials(n, 2)
+    products: dict = {}
+    columns, dens, rows = _degree_map(space, 2, {(i,): form for i, form in enumerate(basis)}, monos, products)
+    quadrics = _quadric_forms(columns, dens, rows, n)
     m2 = (len(dens), rows, len(dens) - len(quadrics))
-    columns, dens, rows = next(ladder)
-    return m2, (len(dens), rows, certified_rank_of_columns(columns, rows)), quadrics
+    lead = {terms[-1][1:] for terms, _ in quadrics}
+    cubics = sorted({tuple(sorted((*p, i))) for p in monos if p not in lead for i in range(n)})
+    columns, _, rows = _degree_map(space, 3, products, cubics)
+    return m2, (comb(n + 2, 3), rows, certified_rank_of_columns(columns, rows)), quadrics
 
 
 def singularity_probe(space: SectionSpace, forms, extra_samples: int, seed: int) -> tuple:

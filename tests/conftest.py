@@ -12,6 +12,23 @@ from nodalcone.curve import INFINITY, Component, NodalCurve, NodeGluing, affine_
 from nodalcone.exactlin import PRIME, MatrixQ, rank
 
 
+# two lines, a self-node on A: degree 1 there cannot separate its branches,
+# and the m = 3 map is not onto
+SHORT_M3_SPEC = """
+{
+  "components": [
+    {"name": "A", "points": ["0", "1", "2"]},
+    {"name": "B", "points": ["0"]}
+  ],
+  "nodes": [
+    {"a": "A.0", "b": "B.0"},
+    {"a": "A.1", "b": "A.2"}
+  ],
+  "bundle": {"multidegree": [1, 3], "gluings": ["1", "1"]}
+}
+"""
+
+
 @pytest.fixture
 def paper_curve():
     return paper_example_curve()
@@ -49,11 +66,12 @@ def random_curve(rng, max_components=4, max_nodes=4):
     return NodalCurve(tuple(components), nodes)
 
 
-def curve_with_infinity(rng):
+def curve_with_infinity(rng, components=(1, 4)):
     """Connected curve whose components may carry a point at infinity
     (``random_curve`` is affine-only), with self-nodes on about a third
-    of its components, so a node can have both branches in one block."""
-    k = rng.randint(1, 4)
+    of its components, so a node can have both branches in one block,
+    and a component count drawn from the range ``components``."""
+    k = rng.randint(*components)
     edges = [(rng.randrange(j), j) for j in range(1, k)]
     edges += [(i, i) for i in range(k) if rng.random() < 1 / 3]
     edges += [(rng.randrange(k), rng.randrange(k)) for _ in range(rng.randint(0, 2))]

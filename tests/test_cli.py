@@ -19,6 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nodalcone.cli as cli
+from conftest import SHORT_M3_SPEC
 from nodalcone.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -517,13 +518,27 @@ def test_quadrics_converted_once_per_command(command, tmp_path, monkeypatch, cap
 PROBE_SHORTFALL = {"curves/paper-x-333.json": 6, "curves/paper-x.json": 7, "ladder:3": 6}
 
 
+def _pivot_cubics(space) -> set:
+    """The cubics ``x_i * p``, i a basis index and p a monomial at a pivot
+    column of the rational m = 2 map's rref: the columns of m3 whose rank
+    ``cone_ideal`` takes."""
+    from nodalcone.embedding import multiplication_map, sym_monomials
+    from nodalcone.exactlin import rref
+
+    n = len(space.integral_basis)
+    monos = sym_monomials(n, 2)
+    return {tuple(sorted((*monos[j], i))) for j in rref(multiplication_map(space, 2))[1] for i in range(n)}
+
+
 @pytest.mark.parametrize("command", ["ideal", "verify"])
 @pytest.mark.parametrize("spec", M3_GUARD_SPECS)
 def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys):
     """On the shipped curves and the (k,k,k) ladder neither multiplication
     map becomes a MatrixQ, either way round. The m = 3 rank is certified
-    mod PRIME on its sparse columns, and m3 is never built as dense rows
-    or eliminated over Q. The m = 2 kernel is eliminated exactly once,
+    mod PRIME on the sparse columns of the cubics ``x_i * p``, p at a
+    pivot of m2 (``_pivot_cubics``), fewer than all of them, and m3 is
+    never built as dense rows or eliminated over Q, at that width or at
+    its full one. The m = 2 kernel is eliminated exactly once,
     over Q, on m2's nonzero columns only, never at its full width and
     never mod a prime. Every gradient matrix of ``ideal``'s probe, one
     row per quadric, is ranked mod PRIME on its sparse columns and never
@@ -538,18 +553,21 @@ def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys
     m2 = (target2, h0 * (h0 + 1) // 2)
     m2_nonzero = (target2, sum(1 for column in columns2 if column))
     assert m2_nonzero[1] < m2[1]
-    m3 = (len(section_basis(power(bundle, 3)).basis), h0 * (h0 + 1) * (h0 + 2) // 6)
+    target3 = len(section_basis(power(bundle, 3)).basis)
+    m3_full = (target3, h0 * (h0 + 1) * (h0 + 2) // 6)
+    m3 = (target3, len(_pivot_cubics(space)))
+    assert m3[1] < m3_full[1]
     eliminations, column_ranks, dense, matrices = _record_eliminations(monkeypatch)
     assert main([command, str(path), "--json"]) == EXIT_OK
     body = json.loads(capsys.readouterr().out)["sections"][command]
-    for shape in (m2_nonzero, m2, m3):
+    for shape in (m2_nonzero, m2, m3, m3_full):
         assert shape not in matrices and shape[::-1] not in matrices
     assert eliminations.count((0, *m2_nonzero)) == 1
     assert m2_nonzero not in column_ranks
     assert (0, *m2) not in eliminations and m2 not in column_ranks
-    assert m3 in column_ranks
-    assert (0, *m3) not in eliminations
-    assert m3 not in dense
+    assert column_ranks.count(m3) == 1 and m3_full not in column_ranks
+    for shape in (m3, m3_full):
+        assert (0, *shape) not in eliminations and shape not in dense
     if command == "ideal":
         gradients = (body["quadric_count"], h0)  # the smooth sample's, every column nonzero
         assert gradients in column_ranks
@@ -591,37 +609,25 @@ def test_ideal_with_huge_coordinates_falls_back_to_q(as_json, tmp_path, monkeypa
     assert (0, 18, 45) not in eliminations
 
 
-# two lines, a self-node on A: degree 1 there cannot separate its branches
-SHORT_M3_SPEC = """
-{
-  "components": [
-    {"name": "A", "points": ["0", "1", "2"]},
-    {"name": "B", "points": ["0"]}
-  ],
-  "nodes": [
-    {"a": "A.0", "b": "B.0"},
-    {"a": "A.1", "b": "A.2"}
-  ],
-  "bundle": {"multidegree": [1, 3], "gluings": ["1", "1"]}
-}
-"""
-
-
 def test_ideal_takes_a_short_m3_rank_over_q(tmp_path, monkeypatch, capsys):
-    """rank 10 of 12 mod PRIME on the sparse columns certifies nothing,
-    so the rank printed is the exact rank of the same integers, taken
-    over Q from their dense rows."""
+    """rank 10 of 12 mod PRIME on the sparse columns of the 16 of m3's 20
+    cubics that ``_pivot_cubics`` names certifies nothing, so the rank
+    printed is the exact rank of the same integers, taken over Q from
+    their dense rows; the full 20 columns are never ranked."""
     from nodalcone.exactlin import PRIME
 
     path = tmp_path / "short.json"
     path.write_text(SHORT_M3_SPEC)
+    parsed = parse_spec(SHORT_M3_SPEC)
+    assert len(_pivot_cubics(section_basis(LineBundle(parsed.curve, parsed.multidegree, parsed.gluings)))) == 16
     eliminations, column_ranks, dense, matrices = _record_eliminations(monkeypatch)
     assert main(["ideal", str(path), "--json"]) == EXIT_OK
     body = json.loads(capsys.readouterr().out)["sections"]["ideal"]
     assert body["m3"] == {"source": 20, "target": 12, "rank": 10, "surjective": False}
-    assert (12, 20) in column_ranks and (0, 12, 20) in eliminations
-    assert (PRIME, 12, 20) not in eliminations and (12, 20) in dense
-    assert (12, 20) not in matrices
+    assert column_ranks.count((12, 16)) == 1 and eliminations.count((0, 12, 16)) == 1
+    assert (PRIME, 12, 16) not in eliminations and dense.count((12, 16)) == 1
+    assert (12, 16) not in matrices
+    assert (12, 20) not in column_ranks + dense + matrices and (0, 12, 20) not in eliminations
     assert main(["ideal", str(path)]) == EXIT_OK
     assert "m3:\n  source: 20\n  target: 12\n  rank: 10\n  surjective: False\n" in capsys.readouterr().out
 
@@ -929,7 +935,7 @@ def test_main_deform_paper_curve_in_coordinates_zero_one_infinity(tmp_path, caps
     assert tables[0] == tables[1]
 
 
-def test_verify_builds_the_dualizing_bundle_twice(monkeypatch, capsys):
+def test_verify_builds_the_dualizing_bundle_once(monkeypatch, capsys):
     from nodalcone import bundles, cli
 
     calls = []
@@ -942,8 +948,8 @@ def test_verify_builds_the_dualizing_bundle_twice(monkeypatch, capsys):
     monkeypatch.setattr(cli, "dualizing_bundle", counting)
     assert main(["verify", str(PAPER_SPEC), "--json"]) == EXIT_OK
     # once for the duality checks, and not once per Serre duality check (14
-    # of them); once more inside tangent_bundle, as graded_report's tangent
-    assert len(calls) == 2
+    # of them); graded_report takes its dual as the tangent bundle
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize("command", ["verify", "ideal"])
@@ -1183,10 +1189,12 @@ def test_no_command_reads_the_fraction_gluings(path, monkeypatch, capsys):
 
 # stdout sha256 of ``ideal --json`` on the paper curve at (k,k,k), the
 # spec written as ``paper-x-k<k>.json`` by ``_paper_curve_at`` and run
-# from its directory; recorded while the m = 3 rank was still taken over Q.
+# from its directory; 7 and 8 recorded while the m = 3 rank was still
+# taken over Q, 14 while m3 was still ranked on every cubic product.
 PINNED_IDEAL_AT = {
     7: "9fb2cef8884436109591afb451a67037f0a465974624530743c837bac41fc444",
     8: "f6bd2cbb978b21fc0df221585bba062c8743f49b5e3b21cea0d6d40332769bc3",
+    14: "fbca5c978ff4bcda1f477fc8f15a897b53a2f7a3bba0d126d5740a8491182162",
 }
 
 
@@ -1197,6 +1205,24 @@ def test_ideal_at_large_degree_matches_pinned_digest(k, tmp_path, monkeypatch, c
     monkeypatch.chdir(tmp_path)
     assert main(["ideal", name, "--json"]) == EXIT_OK
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_IDEAL_AT[k]
+
+
+# stdout sha256 of ``ideal --json`` on the spec of the CI step "Entry growth
+# in exact elimination is bounded": the paper curve at (14,14,14) with
+# gluings 5/3, -2/7, 3 and C2's second point at ``BIG_COORDINATE``, written
+# as ``paper-x-14-big.json`` and run from its directory; recorded while m3
+# was still ranked on every cubic product
+PINNED_IDEAL_BIG_14 = "d88f073d5031e2efafa8755b4a21e09554a41e0d04802e5a42f16f9870e8d9e4"
+
+
+def test_ideal_on_the_entry_growth_spec_matches_pinned_digest(tmp_path, monkeypatch, capsys):
+    doc = json.loads(PAPER_SPEC.read_text())
+    doc["components"][1]["points"][1] = BIG_COORDINATE
+    doc["bundle"] = {"multidegree": [14, 14, 14], "gluings": ["5/3", "-2/7", "3"]}
+    (tmp_path / "paper-x-14-big.json").write_text(json.dumps(doc, indent=2) + "\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["ideal", "paper-x-14-big.json", "--json"]) == EXIT_OK
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == PINNED_IDEAL_BIG_14
 
 
 SPEC_DOCS = [json.loads(p.read_text()) for p in sorted((REPO / "curves").glob("*.json"))]

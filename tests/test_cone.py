@@ -295,6 +295,25 @@ def test_graded_report_range_validation(paper_curve):
         graded_report(paper_curve, b, -3, -1)
 
 
+def test_graded_report_reads_a_given_tangent_bundle(paper_curve, monkeypatch):
+    """A caller's tangent bundle gives the same table as the one
+    ``graded_report`` builds, and no other is built; one on another curve
+    is refused."""
+    from nodalcone import cone
+
+    b = line_bundle(paper_curve, (4, 3, 3))
+    expected = graded_report(paper_curve, b, -3, 3)
+    tangent = tangent_bundle(paper_curve)
+
+    def refuse(curve):
+        raise AssertionError("graded_report built its own tangent bundle")
+
+    monkeypatch.setattr(cone, "tangent_bundle", refuse)
+    assert graded_report(paper_curve, b, -3, 3, tangent=tangent) == expected
+    with pytest.raises(ValueError, match="tangent bundle lives on a different curve"):
+        graded_report(paper_curve, b, -3, 3, tangent=trivial_bundle(random_curve(random.Random(1))))
+
+
 def test_graded_report_table(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
     report = graded_report(paper_curve, b, -5, 5)

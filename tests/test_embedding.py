@@ -15,6 +15,7 @@ import nodalcone.bundles as bundles
 import nodalcone.embedding as embedding
 import nodalcone.exactlin as exactlin
 from conftest import (
+    SHORT_M3_SPEC,
     assert_identity_at,
     curve_with_infinity,
     random_bundle,
@@ -932,25 +933,42 @@ def test_check_sample_count_counts_the_pool_it_no_longer_stores():
     assert seen == set(special)
 
 
+# the seeds of ``test_cone_ideal_quadrics_are_the_quadric_ideal``'s random
+# specs, and those among them whose m = 3 map is onto (seed 1's has h0 = 0)
+CONE_IDEAL_SEEDS = range(24)
+M3_ONTO_SEEDS = {0, 1, 6, 12}
+
+
 @pytest.mark.parametrize(
     "spec",
-    [*range(3, 7)] + [str(p.relative_to(ROOT)) for p in sorted(ROOT.glob("curves/*.json")) + sorted(ROOT.glob("tests/specs/*.json"))],
+    [*range(3, 7)]
+    + [str(p.relative_to(ROOT)) for p in sorted(ROOT.glob("curves/*.json")) + sorted(ROOT.glob("tests/specs/*.json"))]
+    + ["short-m3"]
+    + [f"seed:{seed}" for seed in CONE_IDEAL_SEEDS],
 )
 def test_cone_ideal_quadrics_are_the_quadric_ideal(paper_curve, spec):
     """The command line's integer quadrics (``cone_ideal``, from the sparse
     integer m = 2 map) and ``quadric_ideal`` (``kernel_basis`` of the
     rational map) share only ``exactlin``'s kernel, and agree vector for
-    vector over ``sym_monomials(h0, 2)``: on the paper curve at (k, k, k)
-    and on every spec file."""
+    vector over ``sym_monomials(h0, 2)``. Both maps' shapes and ranks are
+    those of the rational ``multiplication_map``, ranked by ``rank``: m3's
+    too, though ``cone_ideal`` ranks only the cubics over m2's pivots. On
+    the paper curve at (k, k, k), on every spec file, on ``SHORT_M3_SPEC``
+    and on seeded specs of 2-5 lines, some through infinity, at degrees
+    0-4, where m3 is onto for ``M3_ONTO_SEEDS`` only."""
+    seed = int(spec.removeprefix("seed:")) if str(spec).startswith("seed:") else None
     if isinstance(spec, int):
         bundle = line_bundle(paper_curve, (spec, spec, spec))
+    elif seed is not None:
+        rng = random.Random(seed)
+        bundle = random_bundle(rng, curve_with_infinity(rng, components=(2, 5)), degree_range=(0, 4))
     else:
-        parsed = parse_spec((ROOT / spec).read_text())
+        parsed = parse_spec(SHORT_M3_SPEC if spec == "short-m3" else (ROOT / spec).read_text())
         bundle = LineBundle(parsed.curve, parsed.multidegree, parsed.gluings)
     space = section_basis(bundle)
     monos = sym_monomials(len(space.integral_basis), 2)
     index = {mono: j for j, mono in enumerate(monos)}
-    forms = embedding.cone_ideal(space)[2]
+    m2, m3, forms = embedding.cone_ideal(space)
     vectors = []
     for terms, den in forms:
         v = [F(0)] * len(monos)
@@ -958,6 +976,43 @@ def test_cone_ideal_quadrics_are_the_quadric_ideal(paper_curve, spec):
             v[index[(i, j)]] = F(c, den)
         vectors.append(tuple(v))
     assert tuple(vectors) == quadric_ideal(multiplication_map(space, 2))
+    for shape, m in ((m2, 2), (m3, 3)):
+        matrix = multiplication_map(space, m)
+        assert shape == (matrix.cols, matrix.rows, rank(matrix))
+    if seed is not None:
+        assert (m3[2] == m3[1]) == (seed in M3_ONTO_SEEDS)
+    elif spec == "short-m3":
+        assert m3 == (20, 12, 10)
+
+
+@pytest.mark.parametrize("degrees, built", [((4, 3, 3), (55, 160)), ((6, 6, 6), (171, 530))])
+def test_cone_ideal_builds_m2_and_the_pivot_cubics_only(paper_curve, degrees, built, monkeypatch):
+    """``cone_ideal`` multiplies, and then checks against the node
+    constraints, each of m2's products and each cubic over m2's pivots,
+    once each and nothing else: 55 + 160 of the 55 + 220 products at
+    (4, 3, 3), the bundle of ``curves/paper-x.json``, and 171 + 530 of the
+    171 + 1140 at (6, 6, 6). The zero products are checked too."""
+    space = section_basis(line_bundle(paper_curve, degrees))
+    multiplied, glued = [], []
+    multiply, glues = embedding._multiply, embedding._glues
+
+    def counted_multiply(a, b):
+        multiplied.append(multiply(a, b))
+        return multiplied[-1]
+
+    def counted_glues(node_rows, blocks):
+        glued.append(blocks)
+        return glues(node_rows, blocks)
+
+    monkeypatch.setattr(embedding, "_multiply", counted_multiply)
+    monkeypatch.setattr(embedding, "_glues", counted_glues)
+    m2, m3, _ = embedding.cone_ideal(space)
+    n = len(space.integral_basis)
+    assert (m2[0], m3[0]) == (math.comb(n + 1, 2), math.comb(n + 2, 3))
+    assert len(multiplied) == sum(built)
+    assert glued == [blocks for blocks, _ in multiplied]
+    assert any(not any(blocks) for blocks in glued[: built[0]]) and any(not any(blocks) for blocks in glued[built[0] :])
+
 
 @pytest.mark.parametrize(
     "argv, built",
