@@ -57,10 +57,21 @@ The m = 3 map's image is ``H0(L) * image(m2)``: each cubic monomial is
 ``x_c * (x_a x_b)``, and m2's column for ``x_a x_b`` lies in the span of
 its pivot columns P, those that are no kernel vector's free column,
 read off the exact kernel with no second elimination. So the columns of
-the cubics ``x_i * p``, i a basis index and p in P, span m3's image, and
-``cone_ideal`` takes m3's rank on them alone: the other cubic products
-are never built, while every product built is node-checked as above.
-m3's reported source still counts every cubic monomial.
+the cubics ``x_i * p``, i a basis index and p in P, span m3's image.
+Fewer usually do. By Castelnuovo's base-point-free pencil trick (Green
+1984; Eisenbud 2005, ch. 8), sections V with no common zero and
+H1(L) = 0 give ``V * H0(L^2) = H0(L^3)``. ``_multipliers`` picks a few
+such sections S greedily, from gcds of their restrictions to the
+components mod ``PRIME``; that is only a heuristic, as nothing here
+checks its hypotheses. What is exact is the certificate: the cubics
+``x_s * p``, s in S, are some of m3's integer columns, so their rank
+mod ``PRIME`` is at most m3's rank over Q, itself at most the rows, and
+a rank mod ``PRIME`` equal to the rows proves m3 onto. Then no other
+cubic is built. Otherwise, or with no S, ``cone_ideal`` builds the
+cubics over P not yet built and takes the exact rank of all of them
+with ``certified_rank_of_columns``. Either way every product built is
+node-checked as above, none twice, and m3's reported source still
+counts every cubic monomial.
 ``_quadric_forms`` keeps each quadric as its nonzero terms
 ``(den_j * w_j, i, j)`` over the integers. ``quadric_ideal`` is
 ``kernel_basis``'s view of the same quadrics, from the rational map.
@@ -95,8 +106,8 @@ from typing import NamedTuple
 from .bundles import SectionSpace, _dot, _flat_row, _glues, _homogeneous_row, _jet_row, _multiply, _node_rows
 from .bundles import block_widths, power
 from .curve import NodalCurve, PointOnLine, affine_point
-from .exactlin import MatrixQ, VectorQ, _dense_rows, _forward_eliminate, _free, _kills, as_scalar, certified_rank
-from .exactlin import certified_rank_of_columns, kernel_basis, kernel_of_columns
+from .exactlin import PRIME, MatrixQ, VectorQ, _dense_rows, _forward_eliminate, _free, _kills, _rank_mod_prime
+from .exactlin import as_scalar, certified_rank, certified_rank_of_columns, kernel_basis, kernel_of_columns
 
 _ZERO = Fraction(0)
 
@@ -377,34 +388,47 @@ def sym_monomials(n: int, m: int) -> tuple[tuple[int, ...], ...]:
     return tuple(combinations_with_replacement(range(n), m))
 
 
-def _degree_map(space: SectionSpace, m: int, prefixes, monos, kept: dict | None = None):
+def _target(bundle, m: int):
+    """``(node_rows, tables, rows)`` for the map into ``L^m``: its
+    ``_node_rows``; per component, the target row of each slot of its
+    block, None at a slot without one; and the number of rows, h0(L^m).
+
+    The rows are the target's free columns, where the target basis is the
+    identity: those without a pivot in the target's ``_flat_row`` rows,
+    each G's row times a positive scale."""
+    target = power(bundle, m)
+    node_rows = _node_rows(target)
+    widths = block_widths(target)
+    offsets = tuple(accumulate(widths, initial=0))
+    free = _free(offsets[-1], _forward_eliminate([_flat_row(offsets, node) for node in node_rows]))
+    row_of = {c: i for i, c in enumerate(free)}
+    tables = tuple(tuple(row_of.get(at + k) for k in range(w)) for at, w in zip(offsets, widths))
+    return node_rows, tables, len(free)
+
+
+def _degree_map(space: SectionSpace, target, prefixes, monos, kept: dict | None = None):
     """The integer map of Sym^m H0(L) -> H0(L^m) on the columns of
     ``monos``, degree-m monomials, as ``(columns, dens, rows)``: for each
     monomial the nonzero entries ``(i, h)`` of its column, where entry
     (i, j) of the map is ``Fraction(h, dens[j])`` with ``dens[j] > 0``;
-    and the number of rows, the target's h0.
+    and the number of rows, the target's h0. ``target`` is
+    ``_target(space.bundle, m)``, built once per degree.
 
     Each product is one ``_multiply`` of its degree-(m - 1) prefix, read
     from ``prefixes``, by its last basis section (the basis section
     itself at m = 1), and is stored in ``kept`` when one is given. Each
     product, zero or not, is first checked exactly against every node
     constraint of ``L^m``, on integers. Once it is known to be a global
-    section, its coordinates are its terms at the target's free columns,
-    where the target basis is the identity: those without a pivot in the
-    target's ``_flat_row`` rows, each G's row times a positive scale. A
-    product failing the check would mean the gluing bookkeeping is
-    broken, and raises ``ArithmeticError`` rather than reading off
-    coordinates that do not reproduce it.
+    section, its coordinates are its terms at the target's rows, read
+    through the target's tables. A product failing the check would mean
+    the gluing bookkeeping is broken, and raises ``ArithmeticError``
+    rather than reading off coordinates that do not reproduce it.
     """
     basis = space.integral_basis
-    target = power(space.bundle, m)
-    node_rows = _node_rows(target)
-    offsets = tuple(accumulate(block_widths(target), initial=0))
-    free = _free(offsets[-1], _forward_eliminate([_flat_row(offsets, node) for node in node_rows]))
-    row_of = {c: i for i, c in enumerate(free)}  # the target row of each free column
+    node_rows, tables, rows = target
     columns, dens = [], []
     for mono in monos:
-        product = _multiply(prefixes[mono[:-1]], basis[mono[-1]]) if m > 1 else basis[mono[0]]
+        product = _multiply(prefixes[mono[:-1]], basis[mono[-1]]) if len(mono) > 1 else basis[mono[0]]
         blocks, den = product
         if not _glues(node_rows, blocks):
             raise ArithmeticError(
@@ -413,11 +437,11 @@ def _degree_map(space: SectionSpace, m: int, prefixes, monos, kept: dict | None 
             )
         if kept is not None:
             kept[mono] = product
-        column = ((row_of[at + k], c) for at, terms in zip(offsets, blocks) for k, c in terms if at + k in row_of)
+        column = ((table[k], c) for table, terms in zip(tables, blocks) for k, c in terms if table[k] is not None)
         # a tuple, not a list: the many zero products then share the empty tuple, and m3 holds less memory
         columns.append(tuple(column))
         dens.append(den)
-    return columns, dens, len(free)
+    return columns, dens, rows
 
 
 def _product_ladder(space: SectionSpace, top: int):
@@ -434,7 +458,7 @@ def _product_ladder(space: SectionSpace, top: int):
     prefixes = {(i,): form for i, form in enumerate(basis)}
     for m in range(min(2, top), top + 1):
         products = {} if m < top else None
-        yield _degree_map(space, m, prefixes, sym_monomials(len(basis), m), products)
+        yield _degree_map(space, _target(space.bundle, m), prefixes, sym_monomials(len(basis), m), products)
         prefixes = products
 
 
@@ -555,6 +579,77 @@ def _probe_rank(space: SectionSpace, forms, x: CurvePoint) -> int | None:
     return _jacobian_rank(forms, coords, known, x)
 
 
+def _gcd(g: list[int], h: list[int]) -> list[int]:
+    """A gcd mod ``PRIME`` of two polynomials, coefficients low to high,
+    g nonzero and each with no trailing zero, up to a unit: ``[1]`` when
+    it is one. Euclid's algorithm, each step g mod h by long division."""
+    while len(h) > 1:
+        g, top, inv = g[:], len(h) - 1, pow(h[-1], -1, PRIME)
+        for i in range(len(g) - 1, top - 1, -1):
+            f = g[i] * inv % PRIME
+            for j in range(top):
+                g[i - top + j] = (g[i - top + j] - f * h[j]) % PRIME
+        del g[top:]
+        while g and not g[-1]:
+            g.pop()
+        g, h = h, g
+    return [1] if h else g
+
+
+def _multipliers(space: SectionSpace) -> list[int] | None:
+    """Basis indices S of sections with no common zero, or None.
+
+    Each basis section nonzero mod ``PRIME`` on a component is restricted
+    there to a polynomial mod ``PRIME``: ``t^v`` times a core with a
+    nonzero constant term, and of vanishing order ``width - 1 - top`` at
+    infinity, top its highest exponent. Sections are added greedily,
+    each time the one that leaves the fewest common zeros: per component,
+    the degree of the gcd of their restrictions plus their least order at
+    infinity, or the width while none is nonzero there. While the whole
+    basis has no base point, some section lowers the count, so None is
+    returned once none does, or when a component has no nonzero section.
+    A gcd mod ``PRIME`` may be larger than over Q; that costs at most a
+    longer S or a None, as S only chooses which of m3's columns are built
+    first."""
+    widths = block_widths(space.bundle)
+    forms: list[dict[int, tuple]] = [{} for _ in widths]
+    for j, (blocks, _) in enumerate(space.integral_basis):
+        for ci, terms in enumerate(blocks):
+            terms = [(k, c % PRIME) for k, c in terms if c % PRIME]
+            if terms:
+                v, top = terms[0][0], terms[-1][0]
+                core = [0] * (top + 1 - v)
+                for k, c in terms:
+                    core[k - v] = c
+                forms[ci][j] = v, core, widths[ci] - 1 - top
+    if not all(forms):
+        return None
+
+    def zeros(state, width: int) -> int:
+        return width if state is None else state[0] + len(state[1]) - 1 + state[2]
+
+    def joined(state, form):
+        if state is None:
+            return form
+        return min(state[0], form[0]), _gcd(state[1], form[1]), min(state[2], form[2])
+
+    chosen, states, total = [], [None] * len(widths), sum(widths)
+    while total:
+        left = list(map(zeros, states, widths))
+        best = total, None, {}  # a section already taken lowers nothing
+        for j in range(len(space.integral_basis)):
+            trial = {ci: joined(states[ci], f[j]) for ci, f in enumerate(forms) if left[ci] and j in f}
+            count = total + sum(zeros(state, widths[ci]) - left[ci] for ci, state in trial.items())
+            if count < best[0]:
+                best = count, j, trial
+        total, j, trial = best
+        if j is None:
+            return None
+        chosen.append(j)
+        states = [trial.get(ci, state) for ci, state in enumerate(states)]
+    return chosen
+
+
 def cone_ideal(space: SectionSpace) -> tuple[tuple[int, int, int], tuple[int, int, int], tuple[_QuadricForm, ...]]:
     """``(m2, m3, quadrics)``: the m = 2 and m = 3 multiplication maps of
     ``space`` as ``(source, target, rank)``, and the quadrics through the
@@ -563,24 +658,40 @@ def cone_ideal(space: SectionSpace) -> tuple[tuple[int, int, int], tuple[int, in
     map's rank, is taken over Q, and the m = 3 rank is certified mod one
     prime, as the module docstring sets out.
 
-    m3's rank is taken on the columns of the cubics ``x_i * p`` only, i a
-    basis index and p one of P, m2's pivot monomials: those whose column
-    is no quadric's free column, its last term. The kernel is exact, so
-    P's columns span m2's image, and each cubic ``x_c * (x_a x_b)`` maps
-    into ``x_c`` times that span, which those cubics' columns span. So
-    their rank is m3's; every other cubic product is never built. m3's
-    ``source`` still counts every cubic monomial, ``C(h0 + 2, 3)``."""
+    m3's image is spanned by the cubics ``x_i * p``, i a basis index and p
+    one of P, m2's pivot monomials: those whose column is no quadric's
+    free column, its last term. The kernel is exact, so P's columns span
+    m2's image, and each cubic ``x_c * (x_a x_b)`` maps into ``x_c`` times
+    that span. The base-point-free pencil trick says more: if the sections
+    S of ``_multipliers`` share no zero and H1(L) = 0, the cubics
+    ``x_s * p``, s in S, already span ``H0(L^3)``. That is only a guide to
+    which columns to build first: their rank mod ``PRIME`` is at most
+    m3's rank over Q, at most the rows, so a rank mod ``PRIME`` equal to
+    the rows certifies that m3 is onto, and no other cubic is built.
+    Otherwise, or with S None, the pivot cubics not yet built are built,
+    and ``certified_rank_of_columns`` takes the exact rank of all of them.
+    m3's ``source`` still counts every cubic monomial, ``C(h0 + 2, 3)``."""
     basis = space.integral_basis
     n = len(basis)
     monos = sym_monomials(n, 2)
     products: dict = {}
-    columns, dens, rows = _degree_map(space, 2, {(i,): form for i, form in enumerate(basis)}, monos, products)
+    prefixes = {(i,): form for i, form in enumerate(basis)}
+    columns, dens, rows = _degree_map(space, _target(space.bundle, 2), prefixes, monos, products)
     quadrics = _quadric_forms(columns, dens, rows, n)
     m2 = (len(dens), rows, len(dens) - len(quadrics))
     lead = {terms[-1][1:] for terms, _ in quadrics}
-    cubics = sorted({tuple(sorted((*p, i))) for p in monos if p not in lead for i in range(n)})
-    columns, _, rows = _degree_map(space, 3, products, cubics)
-    return m2, (comb(n + 2, 3), rows, certified_rank_of_columns(columns, rows)), quadrics
+    pivots = [p for p in monos if p not in lead]
+    chosen = _multipliers(space) or ()
+    first = sorted({tuple(sorted((*p, s))) for p in pivots for s in chosen})
+    target = _target(space.bundle, 3)
+    columns, _, rows = _degree_map(space, target, products, first)
+    if 0 < rows <= len(first) and _rank_mod_prime(columns, rows, rows) == rows:
+        rank = rows
+    else:
+        rest = {tuple(sorted((*p, i))) for p in pivots for i in range(n)}.difference(first)
+        columns += _degree_map(space, target, products, sorted(rest))[0]
+        rank = certified_rank_of_columns(columns, rows)
+    return m2, (comb(n + 2, 3), rows, rank), quadrics
 
 
 def singularity_probe(space: SectionSpace, forms, extra_samples: int, seed: int) -> tuple:

@@ -452,8 +452,8 @@ def _record_eliminations(monkeypatch):
         init(self, rows, cols, entries)
 
     monkeypatch.setattr(exactlin, "_forward_eliminate", counting_eliminate)
-    monkeypatch.setattr(exactlin, "_rank_mod_prime", counting_by_columns)
     for module in (exactlin, embedding):
+        monkeypatch.setattr(module, "_rank_mod_prime", counting_by_columns)
         monkeypatch.setattr(module, "_dense_rows", counting_to_rows)
     monkeypatch.setattr(exactlin.MatrixQ, "__init__", counting_init)
     return eliminations, column_ranks, dense, matrices
@@ -530,15 +530,30 @@ def _pivot_cubics(space) -> set:
     return {tuple(sorted((*monos[j], i))) for j in rref(multiplication_map(space, 2))[1] for i in range(n)}
 
 
+def _multiplier_cubics(space) -> set:
+    """The cubics ``x_s * p``, s one of the sections ``_multipliers``
+    picks and p a monomial at a pivot column of the rational m = 2 map's
+    rref: the columns of m3 whose rank ``cone_ideal`` takes first."""
+    from nodalcone.embedding import _multipliers, multiplication_map, sym_monomials
+    from nodalcone.exactlin import rref
+
+    chosen = _multipliers(space)
+    assert chosen is not None
+    monos = sym_monomials(len(space.integral_basis), 2)
+    return {tuple(sorted((*monos[j], s))) for j in rref(multiplication_map(space, 2))[1] for s in chosen}
+
+
 @pytest.mark.parametrize("command", ["ideal", "verify"])
 @pytest.mark.parametrize("spec", M3_GUARD_SPECS)
 def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys):
     """On the shipped curves and the (k,k,k) ladder neither multiplication
     map becomes a MatrixQ, either way round. The m = 3 rank is certified
-    mod PRIME on the sparse columns of the cubics ``x_i * p``, p at a
-    pivot of m2 (``_pivot_cubics``), fewer than all of them, and m3 is
-    never built as dense rows or eliminated over Q, at that width or at
-    its full one. The m = 2 kernel is eliminated exactly once,
+    mod PRIME once, on the sparse columns of the cubics ``x_s * p``, s a
+    multiplier and p at a pivot of m2 (``_multiplier_cubics``), fewer than
+    the cubics over every basis index (``_pivot_cubics``), themselves
+    fewer than all cubics. m3 is never ranked at either larger width, and
+    never built as dense rows or eliminated over Q at any of the three.
+    The m = 2 kernel is eliminated exactly once,
     over Q, on m2's nonzero columns only, never at its full width and
     never mod a prime. Every gradient matrix of ``ideal``'s probe, one
     row per quadric, is ranked mod PRIME on its sparse columns and never
@@ -555,18 +570,19 @@ def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys
     assert m2_nonzero[1] < m2[1]
     target3 = len(section_basis(power(bundle, 3)).basis)
     m3_full = (target3, h0 * (h0 + 1) * (h0 + 2) // 6)
-    m3 = (target3, len(_pivot_cubics(space)))
-    assert m3[1] < m3_full[1]
+    m3_pivots = (target3, len(_pivot_cubics(space)))
+    m3 = (target3, len(_multiplier_cubics(space)))
+    assert m3[1] < m3_pivots[1] < m3_full[1]
     eliminations, column_ranks, dense, matrices = _record_eliminations(monkeypatch)
     assert main([command, str(path), "--json"]) == EXIT_OK
     body = json.loads(capsys.readouterr().out)["sections"][command]
-    for shape in (m2_nonzero, m2, m3, m3_full):
+    for shape in (m2_nonzero, m2, m3, m3_pivots, m3_full):
         assert shape not in matrices and shape[::-1] not in matrices
     assert eliminations.count((0, *m2_nonzero)) == 1
     assert m2_nonzero not in column_ranks
     assert (0, *m2) not in eliminations and m2 not in column_ranks
-    assert column_ranks.count(m3) == 1 and m3_full not in column_ranks
-    for shape in (m3, m3_full):
+    assert column_ranks.count(m3) == 1 and m3_pivots not in column_ranks and m3_full not in column_ranks
+    for shape in (m3, m3_pivots, m3_full):
         assert (0, *shape) not in eliminations and shape not in dense
     if command == "ideal":
         gradients = (body["quadric_count"], h0)  # the smooth sample's, every column nonzero

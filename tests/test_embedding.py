@@ -1,5 +1,6 @@
 """Embedding checks: positivity verdicts, multiplication maps, quadrics."""
 
+import functools
 import math
 import random
 import re
@@ -938,34 +939,71 @@ def test_check_sample_count_counts_the_pool_it_no_longer_stores():
 CONE_IDEAL_SEEDS = range(24)
 M3_ONTO_SEEDS = {0, 1, 6, 12}
 
+# two more seeds, where the multiplier cubics' rank mod PRIME is m3's
+# exact rank, one short of the rows: a certificate one row short fails there
+SHORT_BY_ONE_SEEDS = (100, 134)
+
+# the seeds whose basis has sections with no common zero for
+# ``_multipliers`` to find
+MULTIPLIER_SEEDS = {0, 6, 8, 12, 13, 15, 16, 17, 18, 23, *SHORT_BY_ONE_SEEDS}
+
+
+def _cone_ideal_space(paper_curve, spec):
+    """The section space of a spec of ``test_cone_ideal_quadrics_are_the_quadric_ideal``:
+    the paper curve at (k, k, k), a spec file, ``SHORT_M3_SPEC`` or a
+    seeded spec of 2-5 lines, some through infinity, at degrees 0-4."""
+    if isinstance(spec, int):
+        return section_basis(line_bundle(paper_curve, (spec, spec, spec)))
+    if spec.startswith("seed:"):
+        rng = random.Random(int(spec.removeprefix("seed:")))
+        return section_basis(random_bundle(rng, curve_with_infinity(rng, components=(2, 5)), degree_range=(0, 4)))
+    parsed = parse_spec(SHORT_M3_SPEC if spec == "short-m3" else (ROOT / spec).read_text())
+    return section_basis(LineBundle(parsed.curve, parsed.multidegree, parsed.gluings))
+
 
 @pytest.mark.parametrize(
     "spec",
-    [*range(3, 7)]
+    [*range(3, 9)]
     + [str(p.relative_to(ROOT)) for p in sorted(ROOT.glob("curves/*.json")) + sorted(ROOT.glob("tests/specs/*.json"))]
     + ["short-m3"]
-    + [f"seed:{seed}" for seed in CONE_IDEAL_SEEDS],
+    + [f"seed:{seed}" for seed in (*CONE_IDEAL_SEEDS, *SHORT_BY_ONE_SEEDS)],
 )
-def test_cone_ideal_quadrics_are_the_quadric_ideal(paper_curve, spec):
+def test_cone_ideal_quadrics_are_the_quadric_ideal(paper_curve, spec, monkeypatch):
     """The command line's integer quadrics (``cone_ideal``, from the sparse
     integer m = 2 map) and ``quadric_ideal`` (``kernel_basis`` of the
     rational map) share only ``exactlin``'s kernel, and agree vector for
     vector over ``sym_monomials(h0, 2)``. Both maps' shapes and ranks are
-    those of the rational ``multiplication_map``, ranked by ``rank``: m3's
-    too, though ``cone_ideal`` ranks only the cubics over m2's pivots. On
+    those of the rational ``multiplication_map``, ranked by ``rank``, on
     the paper curve at (k, k, k), on every spec file, on ``SHORT_M3_SPEC``
-    and on seeded specs of 2-5 lines, some through infinity, at degrees
-    0-4, where m3 is onto for ``M3_ONTO_SEEDS`` only."""
-    seed = int(spec.removeprefix("seed:")) if str(spec).startswith("seed:") else None
-    if isinstance(spec, int):
-        bundle = line_bundle(paper_curve, (spec, spec, spec))
-    elif seed is not None:
-        rng = random.Random(seed)
-        bundle = random_bundle(rng, curve_with_infinity(rng, components=(2, 5)), degree_range=(0, 4))
-    else:
-        parsed = parse_spec(SHORT_M3_SPEC if spec == "short-m3" else (ROOT / spec).read_text())
-        bundle = LineBundle(parsed.curve, parsed.multidegree, parsed.gluings)
-    space = section_basis(bundle)
+    and on the seeded specs, where m3 is onto for ``M3_ONTO_SEEDS`` only.
+
+    m3's is so on whichever path ``cone_ideal`` takes: a rank mod PRIME
+    on the multiplier cubics that reaches the rows and certifies m3 onto,
+    with no exact rank taken (the ladder, the curve files and seeds 0, 6
+    and 12); or ``certified_rank_of_columns`` on every pivot cubic, where
+    ``_multipliers`` finds no sections (the spec files, ``SHORT_M3_SPEC``
+    and the seeds outside ``MULTIPLIER_SEEDS``) or finds some whose cubics
+    fall short because m3 is not onto (the rest of ``MULTIPLIER_SEEDS``)."""
+    space = _cone_ideal_space(paper_curve, spec)
+    picked, subset_ranks, exact_ranks = [], [], []
+    multipliers, by_columns = embedding._multipliers, embedding._rank_mod_prime
+    certified = embedding.certified_rank_of_columns
+
+    def recording_multipliers(space):
+        picked.append(multipliers(space))
+        return picked[-1]
+
+    def recording_by_columns(columns, rows, stop):
+        subset_ranks.append(len(columns))
+        return by_columns(columns, rows, stop)
+
+    def recording_certified(columns, rows, bound=None):
+        exact_ranks.append(len(columns))
+        return certified(columns, rows, bound)
+
+    monkeypatch.setattr(embedding, "_multipliers", recording_multipliers)
+    monkeypatch.setattr(embedding, "_rank_mod_prime", recording_by_columns)
+    monkeypatch.setattr(embedding, "certified_rank_of_columns", recording_certified)
     monos = sym_monomials(len(space.integral_basis), 2)
     index = {mono: j for j, mono in enumerate(monos)}
     m2, m3, forms = embedding.cone_ideal(space)
@@ -979,18 +1017,34 @@ def test_cone_ideal_quadrics_are_the_quadric_ideal(paper_curve, spec):
     for shape, m in ((m2, 2), (m3, 3)):
         matrix = multiplication_map(space, m)
         assert shape == (matrix.cols, matrix.rows, rank(matrix))
-    if seed is not None:
+    [chosen] = picked
+    path = "none" if chosen is None else "short" if exact_ranks else "certified"
+    if isinstance(spec, int) or spec.startswith("curves/"):
+        assert path == "certified"
+    elif spec.startswith("seed:"):
+        seed = int(spec.removeprefix("seed:"))
         assert (m3[2] == m3[1]) == (seed in M3_ONTO_SEEDS)
-    elif spec == "short-m3":
-        assert m3 == (20, 12, 10)
+        assert path == ("none" if seed not in MULTIPLIER_SEEDS else "certified" if seed in M3_ONTO_SEEDS else "short")
+    else:
+        assert path == "none"
+        if spec == "short-m3":
+            assert m3 == (20, 12, 10)
+    if path == "certified":
+        assert m3[2] == m3[1] and len(subset_ranks) == 1 and exact_ranks == []
+    else:
+        assert len(subset_ranks) <= (path == "short") and len(exact_ranks) == 1
+    if path == "short":
+        assert m3[2] < m3[1]
 
 
-@pytest.mark.parametrize("degrees, built", [((4, 3, 3), (55, 160)), ((6, 6, 6), (171, 530))])
+@pytest.mark.parametrize("degrees, built", [((4, 3, 3), (55, 90)), ((6, 6, 6), (171, 164))])
 def test_cone_ideal_builds_m2_and_the_pivot_cubics_only(paper_curve, degrees, built, monkeypatch):
     """``cone_ideal`` multiplies, and then checks against the node
-    constraints, each of m2's products and each cubic over m2's pivots,
-    once each and nothing else: 55 + 160 of the 55 + 220 products at
-    (4, 3, 3), the bundle of ``curves/paper-x.json``, and 171 + 530 of the
+    constraints, each of m2's products and each cubic ``x_s * p``, s one
+    of the sections ``_multipliers`` picks and p a pivot of m2, once each
+    and nothing else: their rank mod PRIME certifies m3 onto, so no other
+    pivot cubic is built. That is 55 + 90 of the 55 + 220 products at
+    (4, 3, 3), the bundle of ``curves/paper-x.json``, and 171 + 164 of the
     171 + 1140 at (6, 6, 6). The zero products are checked too."""
     space = section_basis(line_bundle(paper_curve, degrees))
     multiplied, glued = [], []
@@ -1012,6 +1066,61 @@ def test_cone_ideal_builds_m2_and_the_pivot_cubics_only(paper_curve, degrees, bu
     assert len(multiplied) == sum(built)
     assert glued == [blocks for blocks, _ in multiplied]
     assert any(not any(blocks) for blocks in glued[: built[0]]) and any(not any(blocks) for blocks in glued[built[0] :])
+
+
+def _restriction(section, ci):
+    """Block ci of a Fraction section as a sympy polynomial in t over QQ."""
+    coeffs = [sympy.Rational(c.numerator, c.denominator) for c in reversed(section.coeffs[ci])]
+    return sympy.Poly(coeffs, sympy.Symbol("t"), domain="QQ")
+
+
+@pytest.mark.parametrize("k", range(3, 15))
+def test_multipliers_share_no_zero(paper_curve, k):
+    """On the paper curve at (k, k, k), ``_multipliers`` picks five basis
+    sections with no common zero, checked over Q with sympy: on each line
+    the gcd of their restrictions is 1, and not all of them vanish at
+    infinity, where a section of degree k reads its coefficient of t^k."""
+    space = section_basis(line_bundle(paper_curve, (k, k, k)))
+    chosen = embedding._multipliers(space)
+    assert chosen is not None and len(chosen) == len(set(chosen)) == 5
+    for ci, width in enumerate(bundles.block_widths(space.bundle)):
+        restrictions = [_restriction(space.basis[j], ci) for j in chosen]
+        assert functools.reduce(sympy.Poly.gcd, restrictions).degree() == 0
+        assert any(space.basis[j].coeffs[ci][width - 1] != 0 for j in chosen)
+
+
+@pytest.mark.parametrize("spec", ["short-m3", "seed:8", "seed:13"])
+def test_cone_ideal_fallback_builds_each_product_once(paper_curve, spec, monkeypatch):
+    """Where the multiplier cubics certify nothing (``SHORT_M3_SPEC``,
+    with no multipliers, and two seeds whose multiplier cubics fall short
+    of the rows), ``cone_ideal`` multiplies m2's products and then every
+    cubic ``x_i * p`` over m2's pivots, the rational rref's, once each:
+    those the multipliers reach first, then only the rest."""
+    space = _cone_ideal_space(paper_curve, spec)
+    n = len(space.integral_basis)
+    monos = sym_monomials(n, 2)
+    pivot_columns = exactlin.rref(multiplication_map(space, 2))[1]
+    pivots = {tuple(sorted((*monos[j], i))) for j in pivot_columns for i in range(n)}
+    built = []
+    degree_map = embedding._degree_map
+
+    def recording(space, target, prefixes, monos, kept=None):
+        built.extend(monos)
+        return degree_map(space, target, prefixes, monos, kept)
+
+    multiplied = []
+    multiply = embedding._multiply
+
+    def counted_multiply(a, b):
+        multiplied.append(1)
+        return multiply(a, b)
+
+    monkeypatch.setattr(embedding, "_degree_map", recording)
+    monkeypatch.setattr(embedding, "_multiply", counted_multiply)
+    embedding.cone_ideal(space)
+    cubics = [mono for mono in built if len(mono) == 3]
+    assert len(cubics) == len(set(cubics)) and set(cubics) == pivots
+    assert len(multiplied) == len(monos) + len(pivots)
 
 
 @pytest.mark.parametrize(
