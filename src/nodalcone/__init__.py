@@ -19,7 +19,7 @@ same integers. Results are exact and deterministic.
 
 __version__ = "0.1.0"
 
-from .exactlin import MatrixQ, as_scalar, kernel_basis, rank, rref
+from .exactlin import MatrixQ, as_scalar, kernel_basis, rank
 from .curve import (
     Component,
     DualGraph,
@@ -46,40 +46,57 @@ from .bundles import (
     component_h1,
     dual,
     dualizing_bundle,
-    evaluation_row,
     gluing_matrix,
     h0,
     h1_direct,
     line_bundle,
-    multiply_sections,
     power,
     riemann_roch_report,
     section_basis,
-    section_satisfies_gluing,
     serre_duality_check,
     tangent_bundle,
     tensor,
-    trivial_bundle,
 )
 from .embedding import (
+    CRITERION_SATISFIED,
     AmpleVerdict,
     CurvePoint,
-    cone_jacobian_rank,
     embed_point,
     globally_generated,
     multiplication_map,
     quadric_ideal,
+    quadric_value,
     sample_points,
     separates_jets,
     separates_points,
     very_ample,
 )
 from .cone import (
+    DIRECT,
+    FORMULA,
     GradedReport,
     WeightEntry,
     deformation_bundle,
     graded_report,
-    hilbert_function,
     t0_dim,
     t1_dim,
 )
+
+# The library API: the names README's "Library use" section lists.
+__all__ = [
+    # exactlin
+    "MatrixQ", "as_scalar", "kernel_basis", "rank",
+    # curve
+    "Component", "DualGraph", "INFINITY", "InvalidCurveError", "NodalCurve", "NodeGluing", "PointOnLine",
+    "affine_point", "arithmetic_genus", "betti_1", "dual_graph", "jacobian_dimension", "paper_example_curve",
+    "validate",
+    # bundles
+    "LineBundle", "RiemannRochReport", "Section", "SectionSpace", "cohomology", "component_h0", "component_h1",
+    "dual", "dualizing_bundle", "gluing_matrix", "h0", "h1_direct", "line_bundle", "power", "riemann_roch_report",
+    "section_basis", "serre_duality_check", "tangent_bundle", "tensor",
+    # embedding
+    "CRITERION_SATISFIED", "AmpleVerdict", "CurvePoint", "embed_point", "globally_generated", "multiplication_map",
+    "quadric_ideal", "quadric_value", "sample_points", "separates_jets", "separates_points", "very_ample",
+    # cone
+    "DIRECT", "FORMULA", "GradedReport", "WeightEntry", "deformation_bundle", "graded_report", "t0_dim", "t1_dim",
+]

@@ -36,20 +36,18 @@ A section space stores its basis in integer form only: per component,
 the nonzero terms ``(k, c)``, numerator c of ``t^k`` over one common
 positive denominator, cut from each kernel vector
 (``SectionSpace.integral_basis``); a canonical basis has few terms.
-``_integral`` is the one step from a Fraction ``Section`` to that form
-and ``_section`` the one step back, taken only where a ``Section`` is
-read (``SectionSpace.basis``, ``multiply_sections``). A value or a jet
-is the terms dotted with an integer row of the point that clears its
-denominator (``_homogeneous_row``, ``_jet_row``), an integer over a
-positive one. The one product routine multiplies terms with no
-gcd at each step and drops those that cancel (``_multiply``), and the
-node check dots each branch's terms with an integer row, built once per
-bundle, that also clears the gluing scalar's denominator
+``_section`` is the one step from that form to a Fraction ``Section``,
+taken only where a ``Section`` is read (``SectionSpace.basis``). A
+value or a jet is the terms dotted with an integer row of the point
+that clears its denominator (``_homogeneous_row``, ``_jet_row``), an
+integer over a positive one. The one product routine multiplies terms
+with no gcd at each step and drops those that cancel (``_multiply``),
+and the node check dots each branch's terms with an integer row, built
+once per bundle, that also clears the gluing scalar's denominator
 (``_node_rows``, ``_glues``). ``_node_row`` takes the scalar's pair,
 and each branch's ``_homogeneous_row`` from a memo keyed by
 (component, marked-point index, width) that its caller creates: one per
-bundle, or one per ``cone.graded_report``, shared by every weight. ``multiply_sections``
-and ``section_satisfies_gluing`` are thin wrappers over these helpers.
+bundle, or one per ``cone.graded_report``, shared by every weight.
 
 Only the rank of G enters ``h0`` and ``h1``, and it is mostly read off
 the multidegree. Call a component of degree ``d >= max(0, n - 1)``, with
@@ -89,10 +87,10 @@ scalar at a node with branches (i, p), (j, q) is ``-c_p / c_q``.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, pairwise
-from math import lcm
 from typing import Callable, NamedTuple, Sequence
 
 from .curve import NodalCurve, PointOnLine, Site, Value, _set, arithmetic_genus
@@ -115,7 +113,7 @@ class LineBundle(Value):
     _fields = ("curve", "multidegree", "gluings")
 
     def __init__(self, curve: NodalCurve, multidegree: tuple[int, ...], gluings: tuple[Fraction, ...]) -> None:
-        degrees = tuple(int(d) for d in multidegree)
+        degrees = tuple(operator.index(d) for d in multidegree)
         scalars = tuple(as_scalar(g) for g in gluings)
         if len(degrees) != len(curve.components):
             raise ValueError(
@@ -170,10 +168,6 @@ def line_bundle(curve: NodalCurve, multidegree, gluings=None) -> LineBundle:
     return LineBundle(curve, tuple(multidegree), tuple(gluings))
 
 
-def trivial_bundle(curve: NodalCurve) -> LineBundle:
-    return line_bundle(curve, (0,) * len(curve.components))
-
-
 def component_h0(d: int) -> int:
     """Sections of O(d) on one projective line: d + 1 for d >= 0, else 0."""
     return d + 1 if d >= 0 else 0
@@ -182,20 +176,6 @@ def component_h0(d: int) -> int:
 def component_h1(d: int) -> int:
     """h1 of O(d) on one projective line: -d - 1 for d <= -2, else 0."""
     return -d - 1 if d <= -2 else 0
-
-
-def evaluation_row(d: int, p: PointOnLine) -> VectorQ:
-    """Row of the evaluation functional on degree <= d polynomials.
-
-    Affine p gives ``(1, p, p^2, ..., p^d)``; infinity selects the
-    leading coefficient. It is ``_homogeneous_row``'s row over its s, as
-    Fractions. Negative d has no coefficient slots at all, so
-    it is a caller error rather than an empty row.
-    """
-    if d < 0:
-        raise ValueError("no evaluation row on a negative-degree component")
-    row, s = _homogeneous_row(d + 1, p)
-    return tuple(Fraction(e, s) if e else _ZERO for e in row)
 
 
 def block_widths(bundle: LineBundle) -> tuple[int, ...]:
@@ -265,8 +245,8 @@ class Section(Value):
 
 class SectionSpace(Value):
     """A bundle and the canonical basis of its global sections, stored in
-    integer form only: ``integral_basis`` holds each section's ``_integral``
-    form, cut from a kernel vector of the gluing matrix. Basis order is the
+    integer form only: ``integral_basis`` holds each section's terms over
+    one positive denominator, cut from a kernel vector of the gluing matrix. Basis order is the
     canonical kernel order, so it is deterministic and forms part of
     downstream contracts (embedding coordinates, monomial indexing).
 
@@ -338,50 +318,16 @@ def h1_direct(bundle: LineBundle) -> int:
     return cohomology(bundle)[1]
 
 
-def multiply_sections(a: Section, b: Section) -> Section:
-    """Componentwise polynomial product.
-
-    A section of L' times a section of L'' lies in L' (x) L''; blocks
-    multiply as polynomials and a zero (empty) factor block collapses
-    the product block to empty. The product is ``_multiply`` of the
-    integer forms of the two factors (see ``_integral``).
-    """
-    if len(a.coeffs) != len(b.coeffs):
-        raise ValueError("sections live on curves with different component counts")
-    widths = (len(x) + len(y) - 1 if x and y else 0 for x, y in zip(a.coeffs, b.coeffs))
-    return _section(_multiply(_integral(a), _integral(b)), widths)
-
-
-def section_satisfies_gluing(bundle: LineBundle, section: Section) -> bool:
-    """Exact check of every node constraint for one section, at the
-    branch sites of ``curve.sites``, on its integer form (see ``_glues``).
-    Each block must have the bundle's width or be empty."""
-    widths = block_widths(bundle)
-    if len(section.coeffs) != len(widths) or any(len(b) not in (0, w) for b, w in zip(section.coeffs, widths)):
-        raise ValueError("section blocks do not fit the bundle's widths")
-    return _glues(_node_rows(bundle), _integral(section)[0])
-
-
 _Terms = tuple[tuple[int, int], ...]
 _IntegralForm = tuple[tuple[_Terms, ...], int]
 
 
-def _integral(section: Section) -> _IntegralForm:
-    """A section as ``(blocks, den)``: per component the nonzero terms
-    ``(k, c)`` in ascending k over one common positive denominator, the
-    lcm of the coefficients' denominators, so the coefficient of ``t^k``
-    is ``Fraction(c, den)`` and every other coefficient is zero."""
-    den = lcm(*(c.denominator for block in section.coeffs for c in block))
-    blocks = tuple(
-        tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(block) if c) for block in section.coeffs
-    )
-    return blocks, den
-
-
 def _section(form: _IntegralForm, widths) -> Section:
-    """The ``Section`` of an integer form, its blocks of ``widths``: the
-    one step back from ``_integral``. A Fraction is built for each term
-    only, and every other coefficient is one shared zero."""
+    """The ``Section`` of an integer form ``(blocks, den)``, its blocks of
+    ``widths``: per component the nonzero terms ``(k, c)`` in ascending k
+    over one common positive denominator, so the coefficient of ``t^k`` is
+    ``Fraction(c, den)``. A Fraction is built for each term only, and
+    every other coefficient is one shared zero."""
     blocks, den = form
     return Section(
         tuple(tuple(Fraction(t[k], den) if k in t else _ZERO for k in range(w)) for w, t in zip(widths, map(dict, blocks)))
@@ -530,7 +476,7 @@ def dual(bundle: LineBundle) -> LineBundle:
 
 def power(bundle: LineBundle, m: int) -> LineBundle:
     """m-th tensor power; m may be negative or zero (as pairs, ``_power``)."""
-    m = int(m)
+    m = operator.index(m)
     return _bundle(bundle.curve, (d * m for d in bundle.multidegree), (_power(g, m) for g in bundle.pairs))
 
 

@@ -44,13 +44,6 @@ _EULER_NOTE = (
 )
 
 
-def hilbert_function(bundle: LineBundle, m: int) -> int:
-    """``h0(L^m)`` for m >= 0; the m = 0 value is 1 on a connected curve."""
-    if m < 0:
-        raise ValueError("the Hilbert function takes nonnegative weights")
-    return h0(power(bundle, m))
-
-
 def deformation_bundle(curve: NodalCurve, bundle: LineBundle, m: int) -> LineBundle:
     """The weight-m twist ``tangent (x) L^m``."""
     if bundle.curve != curve:

@@ -26,6 +26,7 @@ at which its polynomials reach every tuple of values at those points
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -121,8 +122,8 @@ class NodeGluing(Value):
     __slots__ = _fields = ("branch_a", "branch_b")
 
     def __init__(self, branch_a: Branch, branch_b: Branch) -> None:
-        _set(self, "branch_a", (branch_a[0], int(branch_a[1])))
-        _set(self, "branch_b", (branch_b[0], int(branch_b[1])))
+        _set(self, "branch_a", (branch_a[0], operator.index(branch_a[1])))
+        _set(self, "branch_b", (branch_b[0], operator.index(branch_b[1])))
 
 
 class NodalCurve(Value):
@@ -162,11 +163,6 @@ class NodalCurve(Value):
 
     def component(self, name: str) -> Component:
         return self.components[self.component_index(name)]
-
-    def branch_point(self, branch: Branch) -> PointOnLine:
-        """Marked point a node branch refers to."""
-        comp = self.component(branch[0])
-        return comp.marked_points[branch[1]]
 
 
 class DualGraph(NamedTuple):

@@ -39,8 +39,8 @@ one integer matrix per map, kept as each monomial's nonzero
 ``(row, entry)`` pairs: most products are zero. One step,
 ``_degree_map``, builds a degree's map on the monomials it is given,
 each product one more ``_multiply`` of a prefix kept from the degree
-below; ``_product_ladder`` runs it on every monomial of each degree in
-turn, and ``multiplication_map`` makes Fractions of its entries. A
+below; ``multiplication_map`` runs it on every monomial of each degree
+in turn and makes Fractions of the top degree's entries. A
 caller after a rank or a kernel can keep the integers: column j is the
 rational column times ``den_j > 0``, so the rank is the same, and
 ``exactlin.certified_rank_of_columns`` takes it on the sparse columns
@@ -444,34 +444,27 @@ def _degree_map(space: SectionSpace, target, prefixes, monos, kept: dict | None 
     return columns, dens, rows
 
 
-def _product_ladder(space: SectionSpace, top: int):
-    """The matrices of Sym^m H0(L) -> H0(L^m) over the integers for
-    m = 2..top in turn (m = 1 alone for top 1, the basis's identity), each
-    ``_degree_map`` on every monomial of ``sym_monomials(h0, m)``.
-
-    A degree's products are kept only while the next degree reads them
-    as prefixes, so the top degree's are never all held at once.
-    """
-    if top < 1:
-        raise ValueError("multiplication maps are defined for m >= 1")
-    basis = space.integral_basis
-    prefixes = {(i,): form for i, form in enumerate(basis)}
-    for m in range(min(2, top), top + 1):
-        products = {} if m < top else None
-        yield _degree_map(space, _target(space.bundle, m), prefixes, sym_monomials(len(basis), m), products)
-        prefixes = products
-
-
 def multiplication_map(space: SectionSpace, m: int) -> MatrixQ:
     """Matrix of Sym^m H0(L) -> H0(L^m) in the canonical bases, with L
     the bundle of ``space``.
 
     Columns follow ``sym_monomials(h0, m)``; each column is the product
     of the chosen basis sections, expressed in the canonical basis of
-    the target, read off the last map of ``_product_ladder``.
-    Surjectivity is ``rank == h0(L^m)``.
+    the target. The integer maps of degrees 2..m (m = 1 alone, the
+    basis's identity) are built in turn by ``_degree_map``, each on every
+    monomial of its degree; a degree's products are kept only while the
+    next degree reads them as prefixes, so the top degree's are never all
+    held at once. Surjectivity is ``rank == h0(L^m)``.
     """
-    *_, (columns, dens, rows) = _product_ladder(space, m)
+    if m < 1:
+        raise ValueError("multiplication maps are defined for m >= 1")
+    basis = space.integral_basis
+    prefixes = {(i,): form for i, form in enumerate(basis)}
+    for degree in range(min(2, m), m + 1):
+        products = {} if degree < m else None
+        monos = sym_monomials(len(basis), degree)
+        columns, dens, rows = _degree_map(space, _target(space.bundle, degree), prefixes, monos, products)
+        prefixes = products
     # most entries are zero; they share one Fraction instead of one each
     entries = [[Fraction(h, d) if h else _ZERO for h, d in zip(row, dens)] for row in _dense_rows(columns, rows)]
     return MatrixQ.from_rows(entries, cols=len(dens))
@@ -495,7 +488,7 @@ _QuadricForm = tuple[tuple[tuple[int, int, int], ...], int]
 
 def _quadric_forms(columns, dens, rows: int, n: int) -> tuple[_QuadricForm, ...]:
     """The quadrics through the curve in integer form, from the integer
-    m = 2 map ``(columns, dens, rows)`` of ``_product_ladder`` on an
+    m = 2 map ``(columns, dens, rows)`` of ``_degree_map`` on an
     n-dimensional space: the vectors of ``quadric_ideal``, each as its
     nonzero terms over a positive denominator (see ``_quadric_form``).
 
@@ -722,19 +715,3 @@ def quadric_value(quadric, coords) -> Fraction:
     values = [as_scalar(c) for c in coords]
     form = _quadric_form(quadric, len(values))
     return Fraction(_quadric_at(form, values), form[1])
-
-
-def cone_jacobian_rank(quadrics, coords) -> int:
-    """Rank of the Jacobian of the given quadrics at an affine point.
-
-    Heuristic singularity probe: it sees only the quadrics handed in
-    (normally the degree-2 part of the ideal), so a rank drop locates
-    candidate singular points but proves nothing about smoothness.
-    The coordinates are cleared of their denominators by their lcm and
-    each quadric by ``_quadric_form``, positive factors that leave the
-    rank alone, and ``_jacobian_rank`` takes it over the integers.
-    """
-    values = [as_scalar(c) for c in coords]
-    den = lcm(*(v.denominator for v in values))
-    x = [v.numerator * (den // v.denominator) for v in values]
-    return _jacobian_rank([_quadric_form(q, len(x)) for q in quadrics], x)

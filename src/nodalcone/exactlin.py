@@ -118,31 +118,10 @@ class MatrixQ:
             cols = 0
         return cls(len(data), cols, [e for r in data for e in r])
 
-    def at(self, i: int, j: int) -> Fraction:
-        if not (0 <= i < self.rows and 0 <= j < self.cols):
-            raise IndexError(f"entry ({i}, {j}) outside {self.rows}x{self.cols} matrix")
-        return self.entries[i * self.cols + j]
-
     def row(self, i: int) -> VectorQ:
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} outside {self.rows}x{self.cols} matrix")
         return self.entries[i * self.cols : (i + 1) * self.cols]
-
-    def row_lists(self) -> list[list[Fraction]]:
-        """Mutable copy of the rows."""
-        return [list(self.row(i)) for i in range(self.rows)]
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, MatrixQ):
-            return NotImplemented
-        return (self.rows, self.cols, self.entries) == (other.rows, other.cols, other.entries)
-
-    def __hash__(self) -> int:
-        return hash((self.rows, self.cols, self.entries))
-
-    def __repr__(self) -> str:
-        body = "; ".join(" ".join(str(e) for e in self.row(i)) for i in range(self.rows))
-        return f"MatrixQ({self.rows}x{self.cols}: {body})"
 
 
 def _combine(row: list[int], terms: list[tuple[int, int, list[tuple[int, int]]]]) -> None:
@@ -221,17 +200,8 @@ def _integer_rows(m: MatrixQ) -> list[list[int]]:
     return [[e.numerator * (d // e.denominator) for e in m.row(i)] for i, d in enumerate(dens)]
 
 
-def rref(m: MatrixQ) -> tuple[MatrixQ, tuple[int, ...]]:
-    """Reduced row echelon form together with the pivot column indices."""
-    rows = _integer_rows(m)
-    pivots = _forward_eliminate(rows)
-    _back_substitute(rows, pivots)
-    reduced = [[Fraction(e, row[pc]) for e in row] for row, pc in zip(rows, pivots)]
-    return MatrixQ.from_rows(reduced + rows[len(pivots) :], cols=m.cols), tuple(pivots)
-
-
 def rank(m: MatrixQ) -> int:
-    """Exact rank. Forward elimination only; cheaper than full rref."""
+    """Exact rank, by forward elimination only."""
     return len(_forward_eliminate(_integer_rows(m)))
 
 

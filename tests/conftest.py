@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import lcm
 
 import pytest
 from sympy import GF
@@ -158,7 +159,7 @@ def reference_dualizing_gluings(curve):
 def reference_product(a, b):
     """Componentwise product by Fraction convolution, an empty factor
     block collapsing the product block: the reference that
-    ``bundles.multiply_sections`` and the multiplication map must match."""
+    ``bundles._multiply`` and the multiplication map must match."""
     blocks = []
     for x, y in zip(a.coeffs, b.coeffs):
         if not x or not y:
@@ -172,6 +173,19 @@ def reference_product(a, b):
                 out[i + j] += xi * yj
         blocks.append(tuple(out))
     return Section(tuple(blocks))
+
+
+def reference_integral(section):
+    """A section as ``(blocks, den)``: per component the nonzero terms
+    ``(k, c)`` in ascending k over one common positive denominator, the
+    lcm of the coefficients' denominators, so the coefficient of ``t^k``
+    is ``Fraction(c, den)`` and every other coefficient is zero. The
+    reference for the integer form of ``SectionSpace.integral_basis``."""
+    den = lcm(*(c.denominator for block in section.coeffs for c in block))
+    blocks = tuple(
+        tuple((k, c.numerator * (den // c.denominator)) for k, c in enumerate(block) if c) for block in section.coeffs
+    )
+    return blocks, den
 
 
 def reference_convolve(a, b):
@@ -224,7 +238,7 @@ def reference_jet(block, point):
 
 def reference_satisfies_gluing(bundle, section):
     """Every node constraint by Fraction Horner at both branches: the
-    reference for ``bundles.section_satisfies_gluing``."""
+    reference for ``bundles._glues``."""
     for ((ia, _, pa), (ib, _, pb)), glue in zip(bundle.curve.sites, bundle.gluings):
         if reference_value(section.coeffs[ia], pa) != glue * reference_value(section.coeffs[ib], pb):
             return False
@@ -252,7 +266,7 @@ def reference_quadric_value(quadric, coords):
 
 def reference_jacobian_rank(quadrics, coords):
     """Rank of the Fraction gradients of dense quadric vectors at
-    rational coordinates: the reference for ``cone_jacobian_rank``."""
+    rational coordinates: the reference for ``embedding._jacobian_rank``."""
     values = [Fraction(c) for c in coords]
     n = len(values)
     rows = []
@@ -282,7 +296,7 @@ def reference_rref(m):
     a column, the first nonzero row from the top; the pivot row scaled to
     a unit pivot and cleared below, then every pivot column cleared above.
     The elimination ``exactlin`` ran before it became fraction-free, kept
-    as the reference for ``rref``, ``rank`` and the kernels."""
+    as the reference for ``rank`` and the kernels."""
     rows = [list(m.row(i)) for i in range(m.rows)]
     pivots = []
     for col in range(m.cols):
@@ -314,7 +328,7 @@ def reference_kernel(m):
         v = [Fraction(0)] * m.cols
         v[free] = Fraction(1)
         for r, pc in enumerate(pivots):
-            v[pc] = -reduced.at(r, free)
+            v[pc] = -reduced.row(r)[free]
         basis.append(tuple(v))
     return basis
 
@@ -322,7 +336,7 @@ def reference_kernel(m):
 def reference_evaluation_row(d, p):
     """``(1, p, ..., p^d)`` by repeated Fraction products at affine p, the
     unit at the leading coefficient at infinity: the reference that
-    ``bundles.evaluation_row`` must match."""
+    ``bundles._homogeneous_row``'s row over its s must match."""
     if p.is_infinity:
         return (Fraction(0),) * d + (Fraction(1),)
     return tuple(p.coord**k for k in range(d + 1))

@@ -21,6 +21,7 @@ from conftest import (
     reference_evaluation_row,
     reference_flatten,
     reference_gluing_matrix,
+    reference_integral,
     reference_jet,
     reference_kernel,
     reference_power,
@@ -35,7 +36,6 @@ import nodalcone.bundles as bundles
 from nodalcone.bundles import (
     _dot,
     _homogeneous_row,
-    _integral,
     _jet_row,
     _multiply,
     LineBundle,
@@ -48,20 +48,16 @@ from nodalcone.bundles import (
     component_h1,
     dual,
     dualizing_bundle,
-    evaluation_row,
     gluing_matrix,
     h0,
     h1_direct,
     line_bundle,
-    multiply_sections,
     power,
     riemann_roch_report,
     section_basis,
-    section_satisfies_gluing,
     serre_duality_check,
     tangent_bundle,
     tensor,
-    trivial_bundle,
 )
 from nodalcone.curve import (
     INFINITY,
@@ -79,29 +75,44 @@ from nodalcone.exactlin import MatrixQ, certified_rank, rank
 F = Fraction
 
 
+def _product(a, b):
+    """``_multiply`` of two sections' integer forms, read back as the
+    ``Section`` of the product's block widths."""
+    widths = [len(x) + len(y) - 1 if x and y else 0 for x, y in zip(a.coeffs, b.coeffs)]
+    return bundles._section(_multiply(reference_integral(a), reference_integral(b)), widths)
+
+
+def _glues(bundle, section):
+    """``bundles._glues`` on a section's integer form against the node
+    rows of the bundle."""
+    return bundles._glues(bundles._node_rows(bundle), reference_integral(section)[0])
+
+
 def test_component_cohomology_table():
     assert [component_h0(d) for d in (-3, -1, 0, 2)] == [0, 0, 1, 3]
     assert [component_h1(d) for d in (-4, -2, -1, 0, 3)] == [3, 1, 0, 0, 0]
 
 
 def test_evaluation_row_affine_and_infinity():
-    assert evaluation_row(2, affine_point(F(3))) == (F(1), F(3), F(9))
-    assert evaluation_row(2, INFINITY) == (F(0), F(0), F(1))
-    assert evaluation_row(0, INFINITY) == (F(1),)
-    with pytest.raises(ValueError):
-        evaluation_row(-1, affine_point(F(0)))
+    """``_homogeneous_row`` over its s is the evaluation row: the powers of
+    an affine point, the leading coefficient at infinity, nothing at
+    width 0."""
+    assert _homogeneous_row(3, affine_point(F(3))) == ((1, 3, 9), 1)
+    assert _homogeneous_row(3, affine_point(F(3, 2))) == ((4, 6, 9), 4)
+    assert _homogeneous_row(3, INFINITY) == ((0, 0, 1), 1)
+    assert _homogeneous_row(1, INFINITY) == ((1,), 1)
+    assert _homogeneous_row(0, affine_point(F(0))) == ((), 1)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.integers(min_value=0, max_value=8), st.none() | st.fractions(max_denominator=10**6))
 def test_evaluation_row_equals_the_power_reference(d, coord):
-    """``evaluation_row`` from the homogeneous integer row equals the
-    powers of the point in Fractions, at infinity and affine points with
-    signs, zero and large denominators."""
+    """The homogeneous integer row over its s equals the powers of the
+    point in Fractions, at infinity and affine points with signs, zero
+    and large denominators."""
     p = INFINITY if coord is None else affine_point(coord)
-    row = evaluation_row(d, p)
-    assert row == reference_evaluation_row(d, p)
-    assert all(type(e) is Fraction for e in row)
+    row, s = _homogeneous_row(d + 1, p)
+    assert s > 0 and tuple(F(e, s) for e in row) == reference_evaluation_row(d, p)
 
 
 def _value(block, p):
@@ -168,17 +179,19 @@ def test_gluing_matrix_shape_and_frozen_rows(paper_curve):
 
 def _assert_gluing_and_basis_match_the_reference(bundle):
     """G, its kernel and its free columns against the Fraction references:
-    the stored integer form is ``_integral`` of a reference kernel vector
-    cut into the bundle's blocks, the derived ``basis`` is those sections,
-    the identity at the reference's free columns. ``basis_rank`` is h0, also with
-    a section repeated and one scaled by a negative integer appended."""
+    the stored integer form is ``reference_integral`` of a reference
+    kernel vector cut into the bundle's blocks, the derived ``basis`` is
+    those sections, the identity at the reference's free columns.
+    ``basis_rank`` is h0, also with a section repeated and one scaled by a
+    negative integer appended."""
     g = reference_gluing_matrix(bundle)
-    assert gluing_matrix(bundle) == g
+    m = gluing_matrix(bundle)
+    assert (m.rows, m.cols, m.entries) == (g.rows, g.cols, g.entries)
     _, pivots = reference_rref(g)
     space = section_basis(bundle)
     offsets = [sum(block_widths(bundle)[:i]) for i in range(len(bundle.multidegree) + 1)]
     expected = tuple(Section(tuple(v[a:b] for a, b in zip(offsets, offsets[1:]))) for v in reference_kernel(g))
-    assert space.integral_basis == tuple(_integral(s) for s in expected)
+    assert space.integral_basis == tuple(reference_integral(s) for s in expected)
     assert space.basis == expected
     assert_identity_at(space, [c for c in range(g.cols) if c not in pivots])
     assert basis_rank(space) == len(expected)
@@ -230,7 +243,8 @@ def test_section_counts_on_reference_bundles(paper_curve):
 
 
 def test_trivial_bundle_cohomology(paper_curve):
-    o = trivial_bundle(paper_curve)
+    """Degree 0 and scalar 1 at every node: the trivial bundle."""
+    o = line_bundle(paper_curve, (0, 0, 0))
     assert h0(o) == 1
     assert h1_direct(o) == arithmetic_genus(paper_curve)
 
@@ -246,15 +260,17 @@ def test_basis_sections_satisfy_gluing_exactly(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
     space = section_basis(b)
     for s in space.basis:
-        assert section_satisfies_gluing(b, s)
+        assert _glues(b, s) and reference_satisfies_gluing(b, s)
     rows = [reference_flatten(b, s) for s in space.basis]
     assert rank(MatrixQ.from_rows(rows, cols=13)) == 10
 
 
 def test_multiply_sections_is_polynomial_product():
+    """``_multiply`` of two sections' integer forms is their polynomial
+    product."""
     a = Section(((F(1), F(1)), ()))
     b = Section(((F(2), F(0), F(1)), (F(3),)))
-    prod = multiply_sections(a, b)
+    prod = _product(a, b)
     # (1 + t)(2 + t^2) = 2 + 2t + t^2 + t^3; empty times anything collapses
     assert prod.coeffs == ((F(2), F(2), F(1), F(1)), ())
 
@@ -320,8 +336,8 @@ def test_products_of_sections_glue_in_the_square(paper_curve):
     basis = section_basis(b).basis
     for i in (0, 3, 7):
         for j in (1, 5, 9):
-            prod = multiply_sections(basis[i], basis[j])
-            assert section_satisfies_gluing(square, prod)
+            prod = _product(basis[i], basis[j])
+            assert _glues(square, prod)
 
 
 def test_node_rows_decide_like_fraction_horner_on_moved_products(paper_curve):
@@ -338,27 +354,16 @@ def test_node_rows_decide_like_fraction_horner_on_moved_products(paper_curve):
     verdicts = set()
     for i, a in enumerate(basis):
         for b in basis[i:]:
-            product = multiply_sections(a, b)
-            assert section_satisfies_gluing(square, product)
+            product = _product(a, b)
+            assert _glues(square, product)
             for ci, block in enumerate(product.coeffs):
                 for k in range(len(block)):
                     moved = block[:k] + (block[k] + F(1, 2),) + block[k + 1 :]
                     s = Section(product.coeffs[:ci] + (moved,) + product.coeffs[ci + 1 :])
-                    verdict = bundles._glues(node_rows, _integral(s)[0])
+                    verdict = bundles._glues(node_rows, reference_integral(s)[0])
                     assert verdict == reference_satisfies_gluing(square, s) == (ci == 2 and k > 0)
                     verdicts.add(verdict)
     assert verdicts == {True, False}
-
-
-def test_section_satisfies_gluing_needs_the_bundle_widths(paper_curve):
-    """A block is the bundle's width or empty; anything else raises
-    instead of being read at the wrong degree."""
-    bundle = line_bundle(paper_curve, (1, 0, 0))
-    assert section_satisfies_gluing(bundle, Section(((), (), ())))
-    assert section_satisfies_gluing(bundle, Section(((F(1), F(0)), (F(1),), (F(1),))))
-    for coeffs in (((F(1),), (F(1),), (F(1),)), ((F(1), F(0)), (F(1),))):
-        with pytest.raises(ValueError):
-            section_satisfies_gluing(bundle, Section(coeffs))
 
 
 def _scaled(rng, section):
@@ -388,9 +393,9 @@ def _perturbed_at_node(rng, bundle, section):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(min_value=0, max_value=2**32 - 1), st.booleans())
 def test_integer_kernels_match_the_fraction_references(seed, with_infinity):
-    """``multiply_sections`` and ``section_satisfies_gluing`` run on the
-    integer form of a section; they must equal the Fraction convolution
-    and the Fraction-Horner node check. The curves have fractional
+    """``_multiply`` and ``_glues`` run on the integer form of a section;
+    they must equal the Fraction convolution and the Fraction-Horner node
+    check. The curves have fractional
     coordinates, ``inf`` branches and self-nodes, the gluings have
     denominators, and the sections are scaled basis sections, their
     products, and both perturbed at one node."""
@@ -402,7 +407,7 @@ def test_integer_kernels_match_the_fraction_references(seed, with_infinity):
     cases = [(bundle, s) for s in basis]
     for i, a in enumerate(basis):
         for b in basis[i:]:
-            product = multiply_sections(a, b)
+            product = _product(a, b)
             assert product == reference_product(a, b)
             assert reference_satisfies_gluing(square, product)
             cases.append((square, product))
@@ -410,9 +415,9 @@ def test_integer_kernels_match_the_fraction_references(seed, with_infinity):
         off = _perturbed_at_node(rng, target, s)
         if off is not None:
             cases.append((target, off))
-            assert multiply_sections(off, basis[0]) == reference_product(off, basis[0])
+            assert _product(off, basis[0]) == reference_product(off, basis[0])
     for target, s in cases:
-        assert section_satisfies_gluing(target, s) == reference_satisfies_gluing(target, s)
+        assert _glues(target, s) == reference_satisfies_gluing(target, s)
 
 
 @settings(max_examples=60, deadline=None)
@@ -428,7 +433,7 @@ def test_integer_values_and_jets_match_fraction_horner(seed):
     curve = curve_with_infinity(rng)
     bundle = random_bundle(rng, curve, degree_range=(-2, 4))
     space = section_basis(bundle)
-    assert space.integral_basis == tuple(_integral(s) for s in space.basis)
+    assert space.integral_basis == tuple(reference_integral(s) for s in space.basis)
     sections = list(space.basis) + [_scaled(rng, s) for s in space.basis]
     sections.append(
         Section(
@@ -443,13 +448,25 @@ def test_integer_values_and_jets_match_fraction_horner(seed):
         if not x.is_node:
             points[curve.component_index(x.component)].append(x.coord)
     for section in sections:
-        blocks, den = _integral(section)
+        blocks, den = reference_integral(section)
         for ci, block in enumerate(section.coeffs):
             for p in points[ci]:
                 row, s = _homogeneous_row(len(block), p)
                 assert s > 0 and F(_dot(blocks[ci], row), s * den) == reference_value(block, p)
                 row, s = _jet_row(len(block), p)
                 assert s > 0 and F(_dot(blocks[ci], row), s * den) == reference_jet(block, p)
+
+
+def test_degrees_and_powers_are_integers(paper_curve):
+    """A multidegree entry or a power that is not an integer raises
+    ``TypeError`` instead of being truncated or parsed."""
+    for degrees in ((4.7, 3, 3), ("4", 3, 3), (F(4), 3, 3)):
+        with pytest.raises(TypeError):
+            line_bundle(paper_curve, degrees)
+    b = line_bundle(paper_curve, (4, 3, 3))
+    for m in (2.5, 2.0, "2", F(2)):
+        with pytest.raises(TypeError):
+            power(b, m)
 
 
 def test_tensor_dual_power_algebra(paper_curve):
@@ -462,13 +479,13 @@ def test_tensor_dual_power_algebra(paper_curve):
     assert d.multidegree == (-4, -3, -3)
     assert d.gluings == (F(1), F(1, 2), F(1, 3))
     assert dual(d) == a
-    assert power(a, 0) == trivial_bundle(paper_curve)
+    assert power(a, 0) == line_bundle(paper_curve, (0, 0, 0))
     assert power(a, 3).multidegree == (12, 9, 9)
     assert power(a, 3).gluings == (F(1), F(8), F(27))
     assert power(a, -1) == d
     other = random_curve(random.Random(5))
     with pytest.raises(ValueError):
-        tensor(a, trivial_bundle(other))
+        tensor(a, line_bundle(other, (0,) * len(other.components)))
 
 
 def test_dualizing_bundle_on_reference_curve(paper_curve):
@@ -513,7 +530,7 @@ def test_dualizing_bundle_of_nodal_cubic_at_zero_and_infinity():
     # one line with its points 0 and inf glued: omega is trivial, spanned by
     # dt / t, whose residues +1 at 0 and -1 at inf cancel at the node
     cubic = NodalCurve((Component("C1", (affine_point(0), INFINITY)),), (NodeGluing(("C1", 0), ("C1", 1)),))
-    assert dualizing_bundle(cubic) == trivial_bundle(cubic)
+    assert dualizing_bundle(cubic) == line_bundle(cubic, (0,) * len(cubic.components))
     assert cohomology(dualizing_bundle(cubic)) == (1, 1)
 
 
@@ -587,7 +604,7 @@ def test_bundles_from_unreduced_pairs_equal_the_reduced_ones():
     unreduced = 0
     for _ in range(40):
         curve = curve_with_infinity(rng)
-        b, trivial = _wide_bundle(rng, curve), trivial_bundle(curve)
+        b, trivial = _wide_bundle(rng, curve), line_bundle(curve, (0,) * len(curve.components))
         scaled = bundles._bundle(curve, b.multidegree, [(-7 * num, -7 * den) for num, den in b.pairs])
         for built, reduced in ((tensor(b, dual(b)), trivial), (power(b, 0), trivial), (scaled, b)):
             unreduced += built.pairs != reduced.pairs

@@ -19,7 +19,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nodalcone.cli as cli
-from conftest import SHORT_M3_SPEC
+from conftest import SHORT_M3_SPEC, reference_rref
 from nodalcone.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -523,11 +523,10 @@ def _pivot_cubics(space) -> set:
     column of the rational m = 2 map's rref: the columns of m3 whose rank
     ``cone_ideal`` takes."""
     from nodalcone.embedding import multiplication_map, sym_monomials
-    from nodalcone.exactlin import rref
 
     n = len(space.integral_basis)
     monos = sym_monomials(n, 2)
-    return {tuple(sorted((*monos[j], i))) for j in rref(multiplication_map(space, 2))[1] for i in range(n)}
+    return {tuple(sorted((*monos[j], i))) for j in reference_rref(multiplication_map(space, 2))[1] for i in range(n)}
 
 
 def _multiplier_cubics(space) -> set:
@@ -535,12 +534,11 @@ def _multiplier_cubics(space) -> set:
     picks and p a monomial at a pivot column of the rational m = 2 map's
     rref: the columns of m3 whose rank ``cone_ideal`` takes first."""
     from nodalcone.embedding import _multipliers, multiplication_map, sym_monomials
-    from nodalcone.exactlin import rref
 
     chosen = _multipliers(space)
     assert chosen is not None
     monos = sym_monomials(len(space.integral_basis), 2)
-    return {tuple(sorted((*monos[j], s))) for j in rref(multiplication_map(space, 2))[1] for s in chosen}
+    return {tuple(sorted((*monos[j], s))) for j in reference_rref(multiplication_map(space, 2))[1] for s in chosen}
 
 
 @pytest.mark.parametrize("command", ["ideal", "verify"])
@@ -559,14 +557,15 @@ def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys
     row per quadric, is ranked mod PRIME on its sparse columns and never
     eliminated, except where ``PROBE_SHORTFALL`` names the one matrix
     whose rank mod PRIME falls short of its bound and is taken over Q."""
-    from nodalcone.embedding import _product_ladder
+    from nodalcone.embedding import multiplication_map
 
     path, bundle = _guard_spec(spec, tmp_path)
     space = section_basis(bundle)
     h0 = len(space.basis)
-    columns2, _, target2 = next(_product_ladder(space, 2))
+    rational_m2 = multiplication_map(space, 2)
+    target2 = rational_m2.rows
     m2 = (target2, h0 * (h0 + 1) // 2)
-    m2_nonzero = (target2, sum(1 for column in columns2 if column))
+    m2_nonzero = (target2, sum(1 for column in zip(*map(rational_m2.row, range(target2))) if any(column)))
     assert m2_nonzero[1] < m2[1]
     target3 = len(section_basis(power(bundle, 3)).basis)
     m3_full = (target3, h0 * (h0 + 1) * (h0 + 2) // 6)
@@ -1011,10 +1010,9 @@ def test_one_section_basis_per_bundle(command, monkeypatch, capsys):
 @pytest.mark.parametrize("command", [["sections", "--basis"], ["ideal"]])
 def test_eliminations_over_q_take_integer_rows(command, monkeypatch, capsys):
     """On the paper curve at (4, 3, 3), the section basis and the free
-    columns of L^2 and L^3 are read off fraction-free eliminations: rref
-    never runs, the only MatrixQ built is L's gluing matrix, from the one
+    columns of L^2 and L^3 are read off fraction-free eliminations: the
+    only MatrixQ built is L's gluing matrix, from the one
     ``gluing_matrix`` call, and every elimination over Q gets rows of ints."""
-    import nodalcone
     from nodalcone import bundles, embedding, exactlin
 
     glued, matrices, over_q = [], [], []
@@ -1033,11 +1031,6 @@ def test_eliminations_over_q_take_integer_rows(command, monkeypatch, capsys):
         over_q.append(all(type(e) is int for row in rows for e in row))
         return eliminate(rows)
 
-    def no_rref(m):
-        raise AssertionError("rref called")
-
-    for module in (nodalcone, exactlin, bundles, embedding, cli):
-        monkeypatch.setattr(module, "rref", no_rref, raising=False)
     for module in (bundles, embedding, cli):
         monkeypatch.setattr(module, "gluing_matrix", recording_gluing, raising=False)
     monkeypatch.setattr(exactlin.MatrixQ, "__init__", recording_init)

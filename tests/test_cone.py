@@ -22,7 +22,6 @@ from nodalcone.bundles import (
     power,
     tangent_bundle,
     tensor,
-    trivial_bundle,
 )
 from nodalcone.cone import (
     DIRECT,
@@ -33,7 +32,6 @@ from nodalcone.cone import (
     WeightEntry,
     deformation_bundle,
     graded_report,
-    hilbert_function,
     t0_dim,
     t1_dim,
 )
@@ -244,12 +242,11 @@ def test_weights_with_every_line_negative_or_onto_run_no_elimination(monkeypatch
 
 
 def test_hilbert_function_values(paper_curve):
+    """The table's Hilbert column, ``h0(L^m)``, at m = 0, 1, ..."""
     b = line_bundle(paper_curve, (4, 3, 3))
-    assert [hilbert_function(b, m) for m in range(4)] == [1, 10, 20, 30]
+    assert [e.hilbert for e in graded_report(paper_curve, b, 0, 3).entries] == [1, 10, 20, 30]
     b2 = line_bundle(paper_curve, (3, 3, 3))
-    assert [hilbert_function(b2, m) for m in range(3)] == [1, 9, 18]
-    with pytest.raises(ValueError):
-        hilbert_function(b, -1)
+    assert [e.hilbert for e in graded_report(paper_curve, b2, 0, 2).entries] == [1, 9, 18]
 
 
 def test_deformation_bundle_twists(paper_curve):
@@ -262,7 +259,7 @@ def test_deformation_bundle_twists(paper_curve):
 
 def test_deformation_bundle_rejects_foreign_curve(paper_curve):
     other = random_curve(random.Random(3))
-    b = trivial_bundle(other)
+    b = line_bundle(other, (0,) * len(other.components))
     with pytest.raises(ValueError):
         deformation_bundle(paper_curve, b, 1)
 
@@ -311,7 +308,7 @@ def test_graded_report_reads_a_given_tangent_bundle(paper_curve, monkeypatch):
     monkeypatch.setattr(cone, "tangent_bundle", refuse)
     assert graded_report(paper_curve, b, -3, 3, tangent=tangent) == expected
     with pytest.raises(ValueError, match="tangent bundle lives on a different curve"):
-        graded_report(paper_curve, b, -3, 3, tangent=trivial_bundle(random_curve(random.Random(1))))
+        graded_report(paper_curve, b, -3, 3, tangent=tangent_bundle(random_curve(random.Random(1))))
 
 
 def test_graded_report_table(paper_curve):

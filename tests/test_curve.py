@@ -184,8 +184,17 @@ def test_component_lookup(paper_curve):
     assert paper_curve.component("C3").name == "C3"
     with pytest.raises(KeyError):
         paper_curve.component("C9")
-    p = paper_curve.branch_point(("C2", 2))
-    assert p.coord == F(2)
+    assert paper_curve.component("C2").marked_points[2].coord == F(2)
+
+
+def test_node_branch_index_is_an_integer():
+    """A branch index that is not an integer raises ``TypeError`` instead
+    of being truncated to another marked point."""
+    for bad in (0.9, "0", F(0)):
+        with pytest.raises(TypeError):
+            NodeGluing(("C1", bad), ("C3", 0))
+        with pytest.raises(TypeError):
+            NodeGluing(("C3", 0), ("C1", bad))
 
 
 def test_sites_resolve_every_branch_by_name():
@@ -203,7 +212,7 @@ def test_sites_resolve_every_branch_by_name():
         assert len(curve.sites) == len(curve.nodes)
         for node, sites in zip(curve.nodes, curve.sites):
             expected = tuple(
-                (curve.component_index(name), k, curve.branch_point((name, k)))
+                (curve.component_index(name), k, curve.component(name).marked_points[k])
                 for name, k in (node.branch_a, node.branch_b)
             )
             assert sites == expected

@@ -26,6 +26,7 @@ from conftest import (
     reference_jet,
     reference_product,
     reference_quadric_value,
+    reference_rref,
     reference_value,
 )
 from nodalcone.bundles import (
@@ -37,7 +38,6 @@ from nodalcone.bundles import (
     line_bundle,
     power,
     section_basis,
-    trivial_bundle,
 )
 from nodalcone.cli import EXIT_OK, main, parse_spec
 from nodalcone.curve import INFINITY, Component, NodalCurve, NodeGluing, affine_point, paper_example_curve
@@ -48,7 +48,6 @@ from nodalcone.embedding import (
     SAMPLE_SEED,
     VERIFIED_ON_SAMPLES,
     CurvePoint,
-    cone_jacobian_rank,
     embed_point,
     globally_generated,
     multiplication_map,
@@ -131,7 +130,7 @@ def test_positivity_verdicts_with_too_few_sections(paper_curve):
     none = line_bundle(paper_curve, (-1, -1, -1))
     assert h0(none) == 0
     assert globally_generated(section_basis(none)) == AmpleVerdict(FAILED, "no global sections (h0 = 0)", 0)
-    one = trivial_bundle(paper_curve)
+    one = line_bundle(paper_curve, (0, 0, 0))
     assert very_ample(section_basis(one)) == AmpleVerdict(FAILED, "fewer than two global sections (h0 = 1)", 0)
     assert very_ample(section_basis(none)).witness == "fewer than two global sections (h0 = 0)"
 
@@ -166,7 +165,7 @@ def test_separates_points_basics(paper_curve):
         separates_points(space, CurvePoint.at_node(0), CurvePoint.at_node(0))
     with pytest.raises(ValueError):
         separates_points(
-            section_basis(trivial_bundle(paper_curve)), CurvePoint.at_node(0), CurvePoint.at_node(1)
+            section_basis(line_bundle(paper_curve, (0, 0, 0))), CurvePoint.at_node(0), CurvePoint.at_node(1)
         )
 
 
@@ -230,8 +229,9 @@ def test_sym_monomials_order_and_count():
 
 def test_multiplication_map_degree_one_is_identity(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
-    identity = MatrixQ.from_rows([[int(i == j) for j in range(10)] for i in range(10)])
-    assert multiplication_map(section_basis(b), 1) == identity
+    m1 = multiplication_map(section_basis(b), 1)
+    assert (m1.rows, m1.cols) == (10, 10)
+    assert m1.entries == tuple(F(int(i == j)) for i in range(10) for j in range(10))
     with pytest.raises(ValueError):
         multiplication_map(section_basis(b), 0)
 
@@ -246,9 +246,7 @@ def test_multiplication_map_m2_frozen_shape_and_rank(paper_curve):
 def test_multiplication_map_m2_rank_against_sympy(paper_curve):
     b = line_bundle(paper_curve, (4, 3, 3))
     m2 = multiplication_map(section_basis(b), 2)
-    sm = sympy.Matrix(
-        m2.rows, m2.cols, [sympy.Rational(x) for row in m2.row_lists() for x in row]
-    )
+    sm = sympy.Matrix(m2.rows, m2.cols, [sympy.Rational(x) for x in m2.entries])
     assert sm.rank() == 20
 
 
@@ -267,7 +265,7 @@ def _assert_columns_reconstruct_products(bundle, m):
             product = reference_product(product, space.basis[idx])
         expected = reference_flatten(target_bundle, product)
         combo = [F(0)] * len(expected)
-        for c, flat in zip((matrix.at(r, col) for r in range(matrix.rows)), target):
+        for c, flat in zip((matrix.row(r)[col] for r in range(matrix.rows)), target):
             if c:
                 combo = [acc + c * v for acc, v in zip(combo, flat)]
         assert tuple(combo) == expected
@@ -372,7 +370,7 @@ def test_product_matrix_raises_where_one_branch_block_is_empty(paper_curve, monk
     space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
     mono = sym_monomials(10, 2)[k]
     with pytest.raises(ArithmeticError, match=rf"monomial {re.escape(str(mono))} is not a global section"):
-        list(embedding._product_ladder(space, 2))
+        multiplication_map(space, 2)
     assert len(calls) == k + 1
 
 
@@ -398,7 +396,7 @@ def test_product_matrix_raises_on_one_corrupted_coefficient(paper_curve, monkeyp
     space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
     mono = sym_monomials(10, m)[k]
     with pytest.raises(ArithmeticError, match=rf"monomial {re.escape(str(mono))} is not a global section"):
-        list(embedding._product_ladder(space, m))
+        multiplication_map(space, m)
     assert len(calls) == target
 
 
@@ -432,12 +430,11 @@ def _breaking_move(bundle, m, form):
 
 @pytest.mark.parametrize("seed", [None, 12, 15, 17, 34])
 def test_product_ladder_maps_each_degree_once(seed, monkeypatch):
-    """For top = 1..4 the ladder returns the maps of degrees 2..top (of
-    degree 1 alone for top 1), each the last map of the ladder with that
-    degree as top and the integer form of ``multiplication_map``; each
-    product of degree 2..top is multiplied exactly once; and a product
-    moved off the gluing raises ``ArithmeticError`` at every degree
-    1..4, for the first monomial, with no product built after it."""
+    """For top = 1..4 ``multiplication_map`` builds the degrees 2..top in
+    turn (degree 1 alone for top 1) and multiplies each of their products
+    exactly once, into a map of the shape of degree top; and a product
+    moved off the gluing raises ``ArithmeticError`` at every degree 1..4,
+    for the first monomial, with no product built after it."""
     space = _ladder_space(seed)
     n = len(space.integral_basis)
     calls = []
@@ -447,30 +444,17 @@ def test_product_ladder_maps_each_degree_once(seed, monkeypatch):
         calls.append(None)
         return multiply(a, b)
 
-    def as_matrix(integer_map):
-        columns, dens, rows = integer_map
-        entries = [[F(0)] * len(dens) for _ in range(rows)]
-        for j, (column, den) in enumerate(zip(columns, dens)):
-            for i, h in column:
-                entries[i][j] = F(h, den)
-        return exactlin.MatrixQ.from_rows(entries, cols=len(dens))
-
     for top in range(1, 5):
-        degrees = range(min(2, top), top + 1)
         calls.clear()
         with monkeypatch.context() as patch:
             patch.setattr(embedding, "_multiply", counted)
-            maps = list(embedding._product_ladder(space, top))
-        assert len(calls) == sum(math.comb(n + m - 1, m) for m in degrees if m > 1)
-        assert len(maps) == len(degrees)
-        for m, integer_map in zip(degrees, maps):
-            assert len(integer_map[0]) == math.comb(n + m - 1, m)
-            assert integer_map == list(embedding._product_ladder(space, m))[-1]
-            assert as_matrix(integer_map) == multiplication_map(space, m)
+            matrix = multiplication_map(space, top)
+        assert len(calls) == sum(math.comb(n + m - 1, m) for m in range(2, top + 1))
+        assert (matrix.rows, matrix.cols) == (h0(power(space.bundle, top)), math.comb(n + top - 1, top))
 
     moved = (_breaking_move(space.bundle, 1, space.integral_basis[0]), *space.integral_basis[1:])
     with pytest.raises(ArithmeticError, match=r"monomial \(0,\) is not a global section"):
-        list(embedding._product_ladder(SectionSpace(space.bundle, moved), 1))
+        multiplication_map(SectionSpace(space.bundle, moved), 1)
     for m in range(2, 5):
         first = sum(math.comb(n + j - 1, j) for j in range(2, m)) + 1
 
@@ -482,7 +466,7 @@ def test_product_ladder_maps_each_degree_once(seed, monkeypatch):
         calls.clear()
         monkeypatch.setattr(embedding, "_multiply", broken)
         with pytest.raises(ArithmeticError, match=rf"monomial {re.escape(str((0,) * m))} is not a global section"):
-            list(embedding._product_ladder(space, 4))
+            multiplication_map(space, 4)
         assert len(calls) == first
 
 
@@ -519,14 +503,26 @@ def test_quadric_value_golden():
         quadric_value((F(1),), (F(2), F(5)))
 
 
+def _jacobian_rank(quadrics, coords):
+    """``embedding._jacobian_rank`` of quadric vectors at rational
+    coordinates, checked against ``reference_jacobian_rank``: each quadric
+    as its ``_quadric_form``, the point cleared of its denominators by
+    their lcm, positive factors that leave the rank alone."""
+    den = math.lcm(*(F(v).denominator for v in coords))
+    x = [int(F(v) * den) for v in coords]
+    found = embedding._jacobian_rank([embedding._quadric_form(q, len(x)) for q in quadrics], x)
+    assert found == reference_jacobian_rank(quadrics, coords)
+    return found
+
+
 def test_cone_jacobian_rank_hand_example():
     # single quadric x^2 - yz in three variables
     q = (F(1), F(0), F(0), F(0), F(-1), F(0))
-    assert cone_jacobian_rank([q], (F(1), F(1), F(1))) == 1
-    assert cone_jacobian_rank([q], (F(0), F(0), F(0))) == 0
-    assert cone_jacobian_rank([], (F(1), F(1), F(1))) == 0
+    assert _jacobian_rank([q], (F(1), F(1), F(1))) == 1
+    assert _jacobian_rank([q], (F(0), F(0), F(0))) == 0
+    assert _jacobian_rank([], (F(1), F(1), F(1))) == 0
     with pytest.raises(ValueError):
-        cone_jacobian_rank([q[:-1]], (F(1), F(1), F(1)))
+        _jacobian_rank([q[:-1]], (F(1), F(1), F(1)))
 
 
 def test_cone_jacobian_ranks_frozen(paper_curve):
@@ -534,14 +530,14 @@ def test_cone_jacobian_ranks_frozen(paper_curve):
     space = section_basis(b)
     quadrics = quadric_ideal(multiplication_map(space, 2))
     smooth = embed_point(space, CurvePoint.smooth("C1", F(5)))
-    assert cone_jacobian_rank(quadrics, smooth) == 8
+    assert _jacobian_rank(quadrics, smooth) == 8
     node_ranks = tuple(
-        cone_jacobian_rank(quadrics, embed_point(space, CurvePoint.at_node(k))) for k in range(3)
+        _jacobian_rank(quadrics, embed_point(space, CurvePoint.at_node(k))) for k in range(3)
     )
     assert node_ranks == (7, 6, 7)
     assert all(r <= 7 for r in node_ranks)
     vertex = tuple([F(0)] * 10)
-    assert cone_jacobian_rank(quadrics, vertex) == 0
+    assert _jacobian_rank(quadrics, vertex) == 0
 
 
 def test_cone_jacobian_rank_scale_invariant(paper_curve):
@@ -550,20 +546,18 @@ def test_cone_jacobian_rank_scale_invariant(paper_curve):
     quadrics = quadric_ideal(multiplication_map(space, 2))
     x = CurvePoint.smooth("C2", F(-4, 3))
     coords = embed_point(space, x)
-    assert cone_jacobian_rank(quadrics, coords) == cone_jacobian_rank(
-        quadrics, tuple(F(7, 2) * v for v in coords)
-    )
+    assert _jacobian_rank(quadrics, coords) == _jacobian_rank(quadrics, tuple(F(7, 2) * v for v in coords))
 
 
 def _probe_against_the_reference(space, seed):
     """Check the probe's rank against ``reference_jacobian_rank`` at the
     vertex, every node and two smooth samples per component: the rank
     certified from known kernel vectors (``_probe_rank``), and the one
-    ``cone_jacobian_rank`` takes with none. Return the points whose
+    ``_jacobian_rank`` takes with none. Return the points whose
     certified rank was taken over Q."""
     curve = space.bundle.curve
     n = len(space.basis)
-    forms = embedding._quadric_forms(*next(embedding._product_ladder(space, 2)), n)
+    forms = embedding.cone_ideal(space)[2]
     quadrics = quadric_ideal(multiplication_map(space, 2))
     assert embedding._jacobian_rank(forms, (0,) * n) == reference_jacobian_rank(quadrics, (0,) * n) == 0
     over_q = []
@@ -581,7 +575,7 @@ def _probe_against_the_reference(space, seed):
             assert embedding._probe_rank(space, forms, x) == expected
         if runs:
             over_q.append(str(x))
-        assert cone_jacobian_rank(quadrics, coords) == expected
+        assert _jacobian_rank(quadrics, coords) == expected
     return over_q
 
 
@@ -617,7 +611,7 @@ def test_certified_probe_rank_where_known_vectors_are_dependent(paper_curve, deg
     rank is above ``h0`` minus their count, and still the reference's."""
     space = section_basis(line_bundle(paper_curve, degrees))
     n = len(space.basis)
-    forms = embedding._quadric_forms(*next(embedding._product_ladder(space, 2)), n)
+    forms = embedding.cone_ideal(space)[2]
     # three known vectors at a node: the cone point and the two branch jets
     assert embedding._probe_rank(space, forms, CurvePoint.at_node(node)) > n - 3
     _probe_against_the_reference(space, SAMPLE_SEED)
@@ -664,7 +658,8 @@ def test_quadric_form_matches_the_dense_fraction_reference(case):
     """The integer form's value, with the denominators of the quadric and
     of the point cleared, is the dense Fraction value scaled by both;
     its Jacobian rank on the integer point is the dense one; and the
-    public wrappers give the dense results, before and after rescaling."""
+    value and the rank of the rational point give the dense results,
+    before and after rescaling."""
     quadrics, point, scale = case
     n = len(point)
     den = math.lcm(*(v.denominator for v in point))
@@ -679,8 +674,8 @@ def test_quadric_form_matches_the_dense_fraction_reference(case):
         assert quadric_value(q, scaled) == value * scale**2
     expected = reference_jacobian_rank(quadrics, point)
     assert embedding._jacobian_rank(forms, x) == expected
-    assert cone_jacobian_rank(quadrics, point) == expected
-    assert cone_jacobian_rank(quadrics, scaled) == expected
+    assert _jacobian_rank(quadrics, point) == expected
+    assert _jacobian_rank(quadrics, scaled) == expected
 
 
 def test_very_ample_holds_for_min_degree_three_random_curves():
@@ -1099,7 +1094,7 @@ def test_cone_ideal_fallback_builds_each_product_once(paper_curve, spec, monkeyp
     space = _cone_ideal_space(paper_curve, spec)
     n = len(space.integral_basis)
     monos = sym_monomials(n, 2)
-    pivot_columns = exactlin.rref(multiplication_map(space, 2))[1]
+    pivot_columns = reference_rref(multiplication_map(space, 2))[1]
     pivots = {tuple(sorted((*monos[j], i))) for j in pivot_columns for i in range(n)}
     built = []
     degree_map = embedding._degree_map
@@ -1130,23 +1125,17 @@ def test_cone_ideal_fallback_builds_each_product_once(paper_curve, spec, monkeyp
 def test_only_sections_basis_builds_fraction_sections(argv, built, monkeypatch):
     """A section space stores the integer form only, and the checks read
     it: of the commands on the paper curve, only ``sections --basis``
-    builds ``Section``s, one per basis section (h0 = 10), and no command
-    converts a section back (``_integral``)."""
-    counts = {"Section": 0, "_integral": 0}
-    init, integral = bundles.Section.__init__, bundles._integral
+    builds ``Section``s, one per basis section (h0 = 10)."""
+    sections = []
+    init = bundles.Section.__init__
 
     def counted_init(self, coeffs):
-        counts["Section"] += 1
+        sections.append(None)
         init(self, coeffs)
 
-    def counted_integral(section):
-        counts["_integral"] += 1
-        return integral(section)
-
     monkeypatch.setattr(bundles.Section, "__init__", counted_init)
-    monkeypatch.setattr(bundles, "_integral", counted_integral)
     assert main([argv[0], str(PAPER_SPEC), "--json", *argv[1:]]) == EXIT_OK
-    assert counts == {"Section": built, "_integral": 0}
+    assert len(sections) == built
 
 
 def test_section_space_is_its_bundle_and_integer_basis(paper_curve):

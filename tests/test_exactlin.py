@@ -23,7 +23,6 @@ from nodalcone.exactlin import (
     kernel_basis,
     kernel_of_columns,
     rank,
-    rref,
 )
 
 F = Fraction
@@ -68,22 +67,6 @@ def test_empty_shapes():
     assert kernel_basis(n) == []
 
 
-def test_rref_golden_example():
-    m = MatrixQ.from_rows([[2, 4], [1, 2]])
-    reduced, pivots = rref(m)
-    assert reduced == MatrixQ.from_rows([[1, 2], [0, 0]])
-    assert pivots == (0,)
-    assert rank(m) == 1
-
-
-def test_rref_idempotent_on_example():
-    m = MatrixQ.from_rows([[0, 2, 1], [3, 1, 0], [3, 3, 1]])
-    reduced, pivots = rref(m)
-    again, pivots2 = rref(reduced)
-    assert again == reduced
-    assert pivots2 == pivots
-
-
 def _det_by_permutations(m):
     assert m.rows == m.cols
     total = F(0)
@@ -95,7 +78,7 @@ def _det_by_permutations(m):
                     sign = -sign
         prod = F(1)
         for i, j in enumerate(perm):
-            prod *= m.at(i, j)
+            prod *= m.row(i)[j]
         total += sign * prod
     return total
 
@@ -111,6 +94,9 @@ def test_vandermonde_rank_with_determinant_oracle():
 def test_kernel_canonical_form():
     m = MatrixQ.from_rows([[1, 2]])
     assert kernel_basis(m) == [(F(-2), F(1))]
+    dependent = MatrixQ.from_rows([[2, 4], [1, 2]])
+    assert kernel_basis(dependent) == [(F(-2), F(1))]
+    assert rank(dependent) == 1
     z = MatrixQ.from_rows([[0, 0, 0], [0, 0, 0]])
     basis = kernel_basis(z)
     assert basis == [
@@ -121,7 +107,11 @@ def test_kernel_canonical_form():
 
 
 def _mul_vec(m, vec):
-    return tuple(sum((a * b for a, b in zip(row, vec)), F(0)) for row in m.row_lists())
+    return tuple(sum((a * b for a, b in zip(row, vec)), F(0)) for row in _rows(m))
+
+
+def _rows(m):
+    return [m.row(i) for i in range(m.rows)]
 
 
 def _random_matrix(rng, max_dim=6):
@@ -137,7 +127,7 @@ def test_rank_and_kernel_against_sympy():
     rng = random.Random(20260819)
     for _ in range(30):
         m = _random_matrix(rng)
-        sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x) for row in m.row_lists() for x in row])
+        sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(x) for x in m.entries])
         assert rank(m) == sm.rank()
         basis = kernel_basis(m)
         assert len(basis) == len(sm.nullspace())
@@ -200,12 +190,21 @@ def sparse_matrices(draw, max_rows=8, max_cols=12):
 @settings(max_examples=150, deadline=None)
 @given(sparse_matrices())
 def test_rref_of_sparse_matrices_against_sympy(m):
+    """The reduced echelon form of the fraction-free elimination, read
+    through the canonical kernel basis it gives (a unit at each free
+    column, the negated reduced column at the pivots), is sympy's."""
     assert 5 * sum(e == 0 for e in m.entries) >= 3 * m.rows * m.cols
     sm = sympy.Matrix(m.rows, m.cols, [sympy.Rational(e.numerator, e.denominator) for e in m.entries])
     s_reduced, s_pivots = sm.rref()
-    reduced, pivots = rref(m)
-    assert pivots == s_pivots
-    assert reduced.entries == tuple(F(int(e.p), int(e.q)) for e in s_reduced)
+    expected = []
+    for free in (c for c in range(m.cols) if c not in s_pivots):
+        v = [F(0)] * m.cols
+        v[free] = F(1)
+        for r, pc in enumerate(s_pivots):
+            e = s_reduced[r, free]
+            v[pc] = -F(int(e.p), int(e.q))
+        expected.append(tuple(v))
+    assert kernel_basis(m) == expected
     assert rank(m) == len(s_pivots)
 
 
@@ -218,7 +217,7 @@ def test_rank_nullity(m):
 @settings(max_examples=60, deadline=None)
 @given(matrices())
 def test_rank_equals_transpose_rank(m):
-    assert rank(m) == rank(MatrixQ.from_rows(list(zip(*m.row_lists())), cols=m.rows))
+    assert rank(m) == rank(MatrixQ.from_rows(list(zip(*_rows(m))), cols=m.rows))
 
 
 @settings(max_examples=60, deadline=None)
@@ -231,18 +230,10 @@ def test_kernel_vectors_annihilate(m):
 
 @settings(max_examples=60, deadline=None)
 @given(matrices())
-def test_rref_is_idempotent(m):
-    reduced, pivots = rref(m)
-    assert rref(reduced) == (reduced, pivots)
-    assert list(pivots) == sorted(pivots)
-
-
-@settings(max_examples=60, deadline=None)
-@given(matrices())
 def test_kernel_basis_is_identity_on_free_columns(m):
     """The invariant coordinate readoff relies on: a kernel vector's
     coordinates in the canonical basis are its free-column entries."""
-    _, pivots = rref(m)
+    _, pivots = reference_rref(m)
     free = tuple(c for c in range(m.cols) if c not in pivots)
     basis = kernel_basis(m)
     vectors = exactlin._kernel_vectors(exactlin._integer_rows(m), m.cols)
@@ -284,10 +275,9 @@ def awkward_matrices(draw):
 @settings(max_examples=200, deadline=None)
 @given(awkward_matrices())
 def test_fraction_free_elimination_equals_the_fraction_reference(m):
-    """``rref``, ``rank`` and ``kernel_basis`` eliminate integer rows with
-    no division; every result equals rational Gaussian elimination's."""
-    reduced, pivots = reference_rref(m)
-    assert rref(m) == (reduced, pivots)
+    """``rank`` and ``kernel_basis`` eliminate integer rows with no
+    division; every result equals rational Gaussian elimination's."""
+    _, pivots = reference_rref(m)
     assert rank(m) == len(pivots)
     assert kernel_basis(m) == reference_kernel(m)
 
@@ -355,7 +345,7 @@ def _eliminations_skip_zero_columns(patch, m, columns):
     exactly m's nonzero columns, in order, as integer rows; return the
     list it appends to, one entry per elimination."""
     nonzero = [j for j, column in enumerate(columns) if column]
-    kept = [[m.at(i, j).numerator for j in nonzero] for i in range(m.rows)]
+    kept = [[m.row(i)[j].numerator for j in nonzero] for i in range(m.rows)]
     eliminate, runs = exactlin._forward_eliminate, []
 
     def counting(rows):

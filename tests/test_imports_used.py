@@ -1,7 +1,11 @@
-"""Every name a runtime module imports is used in that module."""
+"""The runtime modules' imports, their reach, and the declared library API."""
 
 import ast
+import importlib
+import re
 from pathlib import Path
+
+import nodalcone
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "nodalcone"
 
@@ -39,18 +43,24 @@ def _names(tree) -> set[str]:
     return found
 
 
-def _from_imports(tree) -> set[str]:
-    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) for alias in node.names}
+def _nodalcone_imports(tree) -> set[str]:
+    """The names a tree imports from ``nodalcone`` modules with ``from``."""
+    return {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("nodalcone")
+        for alias in node.names
+    }
 
 
 def test_every_definition_is_reached_or_exported():
     """Every top-level function and class of a runtime module is named by
-    another runtime module or by its own module outside its own body,
-    exported by ``__init__``, or imported by the acceptance tests. The
-    console entry point ``cli.main`` is exempt."""
+    another runtime module or by its own module outside its own body, or
+    is in ``nodalcone.__all__``, the declared library API. The console
+    entry point ``cli.main`` is exempt."""
     trees = {p.stem: ast.parse(p.read_text(), filename=str(p)) for p in sorted(SRC.glob("*.py"))}
-    public = _from_imports(trees.pop("__init__"))
-    public |= _from_imports(ast.parse((SRC.parents[1] / "tests" / "test_acceptance.py").read_text()))
+    del trees["__init__"]
+    public = set(nodalcone.__all__)
     orphans = []
     for module, tree in trees.items():
         elsewhere = set().union(*(_names(other) for name, other in trees.items() if name != module))
@@ -76,3 +86,41 @@ def test_cli_imports_no_private_name():
         if alias.name.startswith("_") and not alias.name.endswith("__")
     ]
     assert private == []
+
+
+def _readme_api() -> dict[str, list[str]]:
+    """The names the list in README's "Library use" section gives, per
+    module: one item ``- `module`: `name`, ...`` each, continued on
+    indented lines."""
+    text = (SRC.parents[1] / "README.md").read_text()
+    section = text.split("\n## Library use\n", 1)[1].split("\n## ", 1)[0]
+    items = re.findall(r"^- `(\w+)`:(.*(?:\n  .*)*)", section, re.M)
+    return {module: re.findall(r"`(\w+)`", names) for module, names in items}
+
+
+def test_all_is_the_declared_api():
+    """``nodalcone.__all__`` holds every name the acceptance tests import,
+    each once; each resolves, and ``from nodalcone import *`` binds
+    exactly these. The package binds no other public name but its
+    modules, and README's list names the same ones, each under the module
+    that defines it."""
+    declared = nodalcone.__all__
+    assert len(set(declared)) == len(declared)
+    acceptance = _nodalcone_imports(ast.parse((SRC.parents[1] / "tests" / "test_acceptance.py").read_text()))
+    assert acceptance and acceptance <= set(declared)
+    namespace = {}
+    exec("from nodalcone import *", namespace)
+    del namespace["__builtins__"]
+    assert sorted(namespace) == sorted(declared)
+    assert all(namespace[name] is getattr(nodalcone, name) for name in declared)
+    bound = {
+        name
+        for name, value in vars(nodalcone).items()
+        if not name.startswith("_") and getattr(value, "__name__", "").rpartition(".")[0] != "nodalcone"
+    }
+    assert bound == set(declared)
+    readme = _readme_api()
+    assert sorted(name for names in readme.values() for name in names) == sorted(declared)
+    for module, names in readme.items():
+        defining = importlib.import_module(f"nodalcone.{module}")
+        assert all(getattr(defining, name) is getattr(nodalcone, name) for name in names)

@@ -73,7 +73,12 @@ def test_constructors_default_and_coerce_their_fields():
     with pytest.raises(TypeError):
         PointOnLine(0.5)
     assert Component("C1", [INFINITY]).marked_points == (INFINITY,)
-    assert NodeGluing(("C1", "0"), ["C3", 0.0]) == NodeGluing(("C1", 0), ("C3", 0))
-    bundle = LineBundle(CURVE, [4.0, 3, 3], ["1", 1, F(1)])
-    assert bundle == BUNDLE and type(bundle.multidegree[0]) is int
+    assert NodeGluing(("C1", 0), ["C3", 0]) == NodeGluing(("C1", 0), ("C3", 0))
+    bundle = LineBundle(CURVE, [4, 3, 3], ["1", 1, F(1)])
+    assert bundle == BUNDLE and type(bundle.multidegree) is tuple
+    # integers are not coerced: a float or a string index or degree raises
+    with pytest.raises(TypeError):
+        NodeGluing(("C1", "0"), ["C3", 0.0])
+    with pytest.raises(TypeError):
+        LineBundle(CURVE, [4.0, 3, 3], ["1", 1, F(1)])
     assert Section([[1, "1/2"], []]).coeffs == ((F(1), F(1, 2)), ())
