@@ -30,7 +30,7 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-from .exactlin import as_scalar
+from .exactlin import _Frozen, as_scalar
 
 _set = object.__setattr__
 
@@ -39,12 +39,10 @@ class InvalidCurveError(ValueError):
     """Raised when a ``NodalCurve`` is built from data that fails ``validate``."""
 
 
-class Value:
+class Value(_Frozen):
     """Base of the immutable values, compared, hashed and shown by the
     attributes named in ``_fields``: ``__reduce__`` is the constructor
-    call that rebuilds a value from them, for pickling and copying too.
-    Assigning or deleting an attribute raises ``AttributeError``, so
-    ``__init__`` sets them with ``object.__setattr__``."""
+    call that rebuilds a value from them, for pickling and copying too."""
 
     __slots__ = ()
     _fields: tuple[str, ...]
@@ -62,12 +60,6 @@ class Value:
 
     def __repr__(self) -> str:
         return f"{type(self).__qualname__}({', '.join(f'{name}={getattr(self, name)!r}' for name in self._fields)})"
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
 
 
 class PointOnLine(Value):

@@ -7,20 +7,20 @@ pseudo-random affine points on each component. A direct test asks for
 a nonzero evaluation row (generation) or for two independent rows,
 point against point or value against jet (separation); exact 2 x 2
 minors decide independence, without a rank. Random sampling can only
-ever refute; the criterion is what certifies. Each sampled check reads
-a point's rows once: ``very_ample`` hands the value rows its pair tests
-read on to its jet tests (``_jet_tests``).
+ever refute; the criterion is what certifies. The sampled checks share
+one table per section space and sample arguments (``_sample_table``),
+so the samples are drawn once and each point's value row is read once.
 
 The rows are integers, read off the integer form of the basis that the
-section space keeps (see ``bundles``): entry j is the numerator ``h_j``
-of the value ``h_j / (s * den_j)``, where ``s > 0`` depends only on the
-point and the component's degree, so on no section, and ``den_j > 0``
-only on section j. So an integer row has the zero pattern of the
-rational row, and each 2 x 2 minor is the rational one times
-``s_u * s_v * den_j * den_k > 0``; jet rows scale the same way. The
-verdicts, witnesses and test counts are those of the rational rows,
-reached with no Fraction arithmetic. ``embed_point`` alone builds
-Fractions, ``Fraction(h, s * den)``, for exact coordinates.
+section space keeps (see ``bundles``) by one reader, ``_branch_vector``:
+entry j is the value ``h_j / (s * den_j)`` of section j times ``s * L``,
+with ``s > 0`` given by the point and the component's degree and L the
+lcm of the basis denominators. One positive factor per point keeps a
+row's zero pattern and scales each 2 x 2 minor by a positive factor; a
+value row is a cone point for the quadric checks, and jet rows scale
+the same way. The verdicts, witnesses and test counts are those of the
+rational rows, reached with no Fraction arithmetic. ``embed_point``
+alone builds Fractions, ``Fraction(h, s * den)``, for exact coordinates.
 
 Every check takes the section space its caller holds (the verdicts,
 the point-level tests, node bookkeeping and the multiplication map),
@@ -101,6 +101,7 @@ import random
 from fractions import Fraction
 from itertools import accumulate, chain, combinations, combinations_with_replacement, islice
 from math import comb, lcm
+from operator import index
 from typing import NamedTuple
 
 from .bundles import SectionSpace, _dot, _flat_row, _glues, _homogeneous_row, _jet_row, _multiply, _node_rows
@@ -184,20 +185,23 @@ def _branch_site(curve: NodalCurve, x: CurvePoint) -> tuple[int, PointOnLine]:
 
 
 def _branch_vector(space: SectionSpace, x: CurvePoint, row) -> tuple[int, ...]:
-    """The basis at x as integers, ``h_j`` for basis section j, read with
-    ``row``: its values with ``_homogeneous_row``, its jets with
-    ``_jet_row``; the module docstring gives their scaling."""
+    """The basis at x as integers on one scale, read with ``row``: its
+    values with ``_homogeneous_row``, ``embed_point`` times ``s * L > 0``
+    or all zero where x has no image; its jets with ``_jet_row``."""
     ci, point = _branch_site(space.bundle.curve, x)
     weights, _ = row(block_widths(space.bundle)[ci], point)
-    return tuple(_dot(blocks[ci], weights) for blocks, _ in space.integral_basis)
+    den = lcm(*(d for _, d in space.integral_basis))
+    return tuple(_dot(blocks[ci], weights) * (den // d) for blocks, d in space.integral_basis)
 
 
 def check_sample_count(curve: NodalCurve, extra_per_component: int) -> None:
-    """Raise ``ValueError`` unless every component has
-    ``extra_per_component`` free points in the sample pool: the pool is
-    the 169 values ``n/q`` with ``|n| <= 24``, ``1 <= q <= 5``, less the
-    component's affine marked points in it, those ``a/b`` in lowest terms
-    with ``b <= 5`` and ``|a| <= 24``. Nothing is drawn or stored."""
+    """Raise ``TypeError`` unless ``extra_per_component`` is an integer
+    (``operator.index``), and ``ValueError`` unless every component has
+    that many free points in the sample pool: the pool is the 169 values
+    ``n/q`` with ``|n| <= 24``, ``1 <= q <= 5``, less the component's
+    affine marked points in it, those ``a/b`` in lowest terms with
+    ``b <= 5`` and ``|a| <= 24``. Nothing is drawn or stored."""
+    extra_per_component = index(extra_per_component)
     for comp in curve.components:
         marked = {p.coord for p in comp.marked_points if not p.is_infinity}
         free = _POOL_SIZE - sum(c.denominator <= _MAX_DENOMINATOR and abs(c.numerator) <= _MAX_NUMERATOR for c in marked)
@@ -216,8 +220,9 @@ def sample_points(curve: NodalCurve, extra_per_component: int = 5, seed: int = S
     order and every downstream report are reproducible. They are drawn
     from a finite pool, so a request that is negative or exceeds a
     component's free share of it raises ``ValueError`` from
-    ``check_sample_count`` instead of drawing forever. The tuple is that
-    of ``_samples``, which draws a point only when it is read.
+    ``check_sample_count`` instead of drawing forever; a count or seed
+    that is no integer raises ``TypeError``. The tuple is that of
+    ``_samples``, which draws a point only when it is read.
     """
     return tuple(_samples(curve, extra_per_component, seed))
 
@@ -225,7 +230,7 @@ def sample_points(curve: NodalCurve, extra_per_component: int = 5, seed: int = S
 def _samples(curve: NodalCurve, extra_per_component: int, seed: int):
     """The points of ``sample_points`` in order, as a generator."""
     check_sample_count(curve, extra_per_component)
-    rng = random.Random(seed)
+    rng = random.Random(index(seed))
     yield from (CurvePoint.at_node(k) for k in range(len(curve.nodes)))
     for comp in curve.components:
         taken = {p.coord for p in comp.marked_points if not p.is_infinity}
@@ -236,6 +241,18 @@ def _samples(curve: NodalCurve, extra_per_component: int, seed: int):
                 continue
             chosen.append(candidate)
             yield CurvePoint.smooth(comp.name, candidate)
+
+
+def _sample_table(space: SectionSpace, extra_samples: int, seed: int):
+    """``sample_points(curve, extra_samples, seed)`` and each sample's
+    value row, kept in the space's ``__dict__`` like its ``basis``, under
+    the two arguments as integers, where no ``Value`` method sees it."""
+    key = index(extra_samples), index(seed)
+    tables = vars(space).setdefault("_sample_tables", {})
+    if key not in tables:
+        samples = sample_points(space.bundle.curve, *key)
+        tables[key] = samples, [_branch_vector(space, x, _homogeneous_row) for x in samples]
+    return tables[key]
 
 
 class AmpleVerdict(NamedTuple):
@@ -257,9 +274,9 @@ def globally_generated(space: SectionSpace, extra_samples: int = 5, seed: int = 
     every section vanishes. A bundle without sections fails outright."""
     if len(space.integral_basis) < 1:
         return AmpleVerdict(FAILED, "no global sections (h0 = 0)", 0)
-    samples = sample_points(space.bundle.curve, extra_samples, seed)
-    for x in samples:
-        if not any(_branch_vector(space, x, _homogeneous_row)):
+    samples, values = _sample_table(space, extra_samples, seed)
+    for x, value in zip(samples, values):
+        if not any(value):
             return AmpleVerdict(FAILED, f"all sections vanish at {x}", len(samples))
     criterion = min(space.bundle.multidegree) >= 2
     status = CRITERION_SATISFIED if criterion else VERIFIED_ON_SAMPLES
@@ -328,8 +345,8 @@ def separates_jets(space: SectionSpace, x: CurvePoint) -> bool:
 def very_ample(space: SectionSpace, extra_samples: int = 5, seed: int = SAMPLE_SEED) -> AmpleVerdict:
     """Criterion: min degree >= 3. Direct mode: separation of all sample
     pairs, then jets at every sample point (branch by branch at nodes),
-    as one ordered stream of tests. Each sample's value row is read once,
-    for its pairs and its jets; a node's branch 1 adds one more.
+    as one ordered stream of tests. The value rows are the sample table's,
+    for the pairs and the jets; a node's branch 1 adds one read.
 
     The witness is the first failing test, formatted only once it fails;
     ``samples_checked`` counts the tests run up to it, node branches
@@ -338,8 +355,7 @@ def very_ample(space: SectionSpace, extra_samples: int = 5, seed: int = SAMPLE_S
     """
     if len(space.integral_basis) < 2:
         return AmpleVerdict(FAILED, f"fewer than two global sections (h0 = {len(space.integral_basis)})", 0)
-    samples = sample_points(space.bundle.curve, extra_samples, seed)
-    values = [_branch_vector(space, x, _homogeneous_row) for x in samples]
+    samples, values = _sample_table(space, extra_samples, seed)
     pairs = (
         (("sections do not separate {} and {}", (samples[i], samples[j])), values[i], values[j])
         for i, j in combinations(range(len(samples)), 2)
@@ -548,15 +564,6 @@ def _jacobian_rank(forms, x, known=(), at: CurvePoint | None = None) -> int:
     return certified_rank_of_columns([column for column in columns if column], len(forms), bound)
 
 
-def _cone_vector(space: SectionSpace, x: CurvePoint, row=_homogeneous_row) -> tuple[int, ...]:
-    """The ``h_j`` of ``_branch_vector`` over one common denominator:
-    ``embed_point`` times ``s * lcm(den_j) > 0``, or all zero where x
-    has no image; with ``_jet_row`` for ``row``, the jets at x over the
-    same denominator."""
-    den = lcm(*(d for _, d in space.integral_basis))
-    return tuple(h * (den // d) for h, (_, d) in zip(_branch_vector(space, x, row), space.integral_basis))
-
-
 def _probe_rank(space: SectionSpace, forms, x: CurvePoint) -> int | None:
     """The rank of the quadric forms' Jacobian at the cone point of x,
     or None where x has no image. Every quadric q vanishes on the cone,
@@ -564,11 +571,11 @@ def _probe_rank(space: SectionSpace, forms, x: CurvePoint) -> int | None:
     and the tangent jet of every branch through it: the cone vector and
     the jets of both branches at a node, of the point itself elsewhere,
     are ``_jacobian_rank``'s known vectors."""
-    coords = _cone_vector(space, x)
+    coords = _branch_vector(space, x, _homogeneous_row)
     if not any(coords):
         return None
     branches = [CurvePoint.at_node(x.node, b) for b in (0, 1)] if x.is_node else [x]
-    known = [coords, *(_cone_vector(space, b, _jet_row) for b in branches)]
+    known = [coords, *(_branch_vector(space, b, _jet_row) for b in branches)]
     return _jacobian_rank(forms, coords, known, x)
 
 
@@ -705,8 +712,7 @@ def quadric_failures(space: SectionSpace, forms, extra_samples: int, seed: int) 
     extra_samples, seed)`` have an image, and how many values of the
     quadric forms of ``cone_ideal`` at those images are nonzero. A point
     where every section vanishes has no image to test."""
-    samples = sample_points(space.bundle.curve, extra_samples, seed)
-    images = [v for v in (_cone_vector(space, x) for x in samples) if any(v)]
+    images = [v for v in _sample_table(space, extra_samples, seed)[1] if any(v)]
     return len(images), sum(1 for v in images for q in forms if _quadric_at(q, v))
 
 

@@ -84,7 +84,20 @@ def as_scalar(value: int | str | Fraction) -> Fraction:
     return Fraction(value)
 
 
-class MatrixQ:
+class _Frozen:
+    """Base of the immutable objects: assigning or deleting an attribute
+    raises ``AttributeError``; ``__init__`` uses ``object.__setattr__``."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class MatrixQ(_Frozen):
     """Immutable dense rational matrix, row-major storage.
 
     Zero-by-n and n-by-zero shapes are legal and behave degenerately
@@ -99,9 +112,9 @@ class MatrixQ:
         flat = tuple(as_scalar(e) for e in entries)
         if len(flat) != rows * cols:
             raise ValueError(f"expected {rows * cols} entries, got {len(flat)}")
-        self.rows = rows
-        self.cols = cols
-        self.entries = flat
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "cols", cols)
+        object.__setattr__(self, "entries", flat)
 
     @classmethod
     def from_rows(cls, rows: Sequence[Sequence], cols: int | None = None) -> "MatrixQ":

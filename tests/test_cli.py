@@ -743,6 +743,33 @@ def test_ideal_reads_the_first_smooth_sample_only(samples, seed, monkeypatch, ca
         assert ("smooth_point_rank" in probe) == bool(smooth)
 
 
+@pytest.mark.parametrize("command", ["verify", "ample"])
+def test_sampled_checks_draw_once_and_read_each_row_once(command, monkeypatch, capsys):
+    """The sampled checks share one sample table: on the paper curve the
+    samples are drawn once, and each of the 42 (point, row) pairs is read
+    once: 18 samples' value rows, the three nodes' branch-1 value rows
+    and 21 jet rows."""
+    from nodalcone import embedding
+
+    draws, reads = [], []
+    draw, read = embedding.sample_points, embedding._branch_vector
+
+    def counted_draw(*args):
+        draws.append(args)
+        return draw(*args)
+
+    def counted_read(space, x, row):
+        reads.append((x, row))
+        return read(space, x, row)
+
+    monkeypatch.setattr(embedding, "sample_points", counted_draw)
+    monkeypatch.setattr(embedding, "_branch_vector", counted_read)
+    assert main([command, str(PAPER_SPEC), "--json"]) == EXIT_OK
+    capsys.readouterr()
+    assert len(draws) == 1
+    assert len(reads) == len(set(reads)) == 42
+
+
 def test_main_verify_ok(capsys):
     assert main(["verify", str(PAPER_SPEC), "--json"]) == EXIT_OK
     body = json.loads(capsys.readouterr().out)["sections"]["verify"]

@@ -1,7 +1,9 @@
 """Embedding checks: positivity verdicts, multiplication maps, quadrics."""
 
 import functools
+import itertools
 import math
+import pickle
 import random
 import re
 from fractions import Fraction
@@ -106,6 +108,33 @@ def test_sample_points_bounded_by_free_pool(paper_curve):
         sample_points(paper_curve, extra_per_component=167)
     with pytest.raises(ValueError, match=r"C1 takes 0\.\.167 extra sample points, -1 requested"):
         sample_points(paper_curve, extra_per_component=-1)
+
+
+@pytest.mark.parametrize(
+    "extra, seed",
+    [(2, None), (2, 1.0), (2, "1105"), (2.5, SAMPLE_SEED), (2.0, SAMPLE_SEED), ("2", SAMPLE_SEED), (None, 1)],
+    ids=repr,
+)
+def test_sample_arguments_are_integers(paper_curve, extra, seed):
+    """A sample count or seed that is no integer raises ``TypeError``
+    wherever samples are counted or drawn, as ``operator.index`` reads
+    them: a None seed would draw a new tuple on each call, and a count of
+    2.5 three points per component. A sampled check raises before it
+    keeps a table, so a table is only ever kept under two integers."""
+    space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
+    forms = embedding.cone_ideal(space)[2]
+    if not isinstance(extra, int):
+        with pytest.raises(TypeError):
+            embedding.check_sample_count(paper_curve, extra)
+    with pytest.raises(TypeError):
+        sample_points(paper_curve, extra, seed)
+    for check in (globally_generated, very_ample):
+        with pytest.raises(TypeError):
+            check(space, extra, seed)
+    for check in (embedding.quadric_failures, embedding.singularity_probe):
+        with pytest.raises(TypeError):
+            check(space, forms, extra, seed)
+    assert not vars(space).get("_sample_tables")
 
 
 def test_globally_generated_verdicts(paper_curve):
@@ -729,7 +758,7 @@ def test_embed_point_is_the_fraction_value():
         points += [x for x in samples if not x.is_node]
         for x in points:
             expected = tuple(_reference_row(space, reference_value, x))
-            cone = embedding._cone_vector(space, x)
+            cone = embedding._branch_vector(space, x, _homogeneous_row)
             if any(expected):
                 assert embed_point(space, x) == expected
                 tested += any(v.denominator > 1 for v in expected)
@@ -1142,7 +1171,12 @@ def test_section_space_is_its_bundle_and_integer_basis(paper_curve):
     """``basis`` is derived on first read and then kept, and is not a
     field: a space rebuilt from the bundle and the integer basis equals
     and hashes like the original and derives the same basis, the identity
-    at the gluing matrix's free columns. No library check reads it."""
+    at the gluing matrix's free columns. No library check reads it.
+
+    The sampled checks' table is kept the same way: once the checks have
+    filled it the space still equals, hashes and reprs like a fresh one,
+    a pickled copy has none, each pair of sample arguments has its own,
+    and the checks in any order give a fresh space's results."""
     space = section_basis(line_bundle(paper_curve, (4, 3, 3)))
     rebuilt = SectionSpace(space.bundle, space.integral_basis)
     assert rebuilt == space and hash(rebuilt) == hash(space)
@@ -1153,7 +1187,45 @@ def test_section_space_is_its_bundle_and_integer_basis(paper_curve):
     multiplication_map(rebuilt, 2)
     multiplication_map(rebuilt, 3)
     assert "basis" not in vars(rebuilt)
+    # the checks kept their sample table on rebuilt, and no field sees it
+    assert list(vars(rebuilt)["_sample_tables"]) == [(5, SAMPLE_SEED)]
+    assert rebuilt == space and hash(rebuilt) == hash(space) and repr(rebuilt) == repr(space)
+    copied = pickle.loads(pickle.dumps(rebuilt))
+    assert copied == rebuilt and set(vars(copied)) == {"bundle", "integral_basis"}
     assert rebuilt.basis == space.basis and rebuilt.basis is rebuilt.basis
     assert len(space.basis) == 10
     assert_identity_at(rebuilt, (2, 3, 4, 5, 7, 8, 9, 10, 11, 12))
     assert repr(rebuilt).startswith("SectionSpace(bundle=") and ", integral_basis=(" in repr(rebuilt)
+
+    # one space, three sample arguments: each gives its own samples and a
+    # fresh space's verdicts; C3 has degree 0, so the witness names a sample
+    shared = section_basis(line_bundle(paper_curve, (3, 3, 0)))
+    verdicts = set()
+    for extra, seed in ((2, 1), (2, 2), (3, 1)):
+        fresh = section_basis(shared.bundle)
+        for check in (globally_generated, very_ample):
+            assert check(shared, extra, seed) == check(fresh, extra, seed)
+        assert embedding._sample_table(shared, extra, seed)[0] == sample_points(paper_curve, extra, seed)
+        verdicts.add(very_ample(shared, extra, seed))
+    assert len(verdicts) == 3
+
+    # the three sampled checks on one space, in every order, give a fresh
+    # space's results on seeded specs
+    rng = random.Random(34)
+    tested = 0
+    while tested < 8:
+        bundle = random_bundle(rng, random_curve(rng, max_components=3, max_nodes=3), degree_range=(1, 4))
+        if h0(bundle) < 2:
+            continue
+        extra, seed = rng.randint(0, 3), rng.randrange(100)
+        forms = embedding.cone_ideal(section_basis(bundle))[2]
+        checks = (
+            functools.partial(globally_generated, extra_samples=extra, seed=seed),
+            functools.partial(very_ample, extra_samples=extra, seed=seed),
+            functools.partial(embedding.quadric_failures, forms=forms, extra_samples=extra, seed=seed),
+        )
+        expected = [check(section_basis(bundle)) for check in checks]
+        for order in itertools.permutations(range(3)):
+            space = section_basis(bundle)
+            assert [checks[i](space) for i in order] == [expected[i] for i in order]
+        tested += 1

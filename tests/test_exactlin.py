@@ -52,6 +52,20 @@ def test_as_scalar_rejects_floats():
         MatrixQ.from_rows([[0.5]])
 
 
+def test_matrix_is_immutable():
+    """Assigning or deleting a field raises, as for the other values, and
+    leaves the shape and the entries as they were."""
+    m = MatrixQ.from_rows([[1, 2]])
+    for name in ("rows", "cols", "entries"):
+        with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
+            setattr(m, name, 5)
+        with pytest.raises(AttributeError, match=f"cannot delete field '{name}'"):
+            delattr(m, name)
+    assert (m.rows, m.cols, m.entries) == (1, 2, (F(1), F(2)))
+    with pytest.raises(IndexError):
+        m.row(3)
+
+
 def test_from_rows_ragged_raises():
     with pytest.raises(ValueError):
         MatrixQ.from_rows([[1, 2], [3]])
