@@ -170,11 +170,13 @@ def line_bundle(curve: NodalCurve, multidegree, gluings=None) -> LineBundle:
 
 def component_h0(d: int) -> int:
     """Sections of O(d) on one projective line: d + 1 for d >= 0, else 0."""
+    d = operator.index(d)
     return d + 1 if d >= 0 else 0
 
 
 def component_h1(d: int) -> int:
     """h1 of O(d) on one projective line: -d - 1 for d <= -2, else 0."""
+    d = operator.index(d)
     return -d - 1 if d <= -2 else 0
 
 

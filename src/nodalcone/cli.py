@@ -14,6 +14,11 @@ produce byte-identical output.
 Exit codes: 0 success, 1 a verification check failed, 2 malformed input
 or usage error (including a ``--samples`` count that is negative or
 larger than a component's pool of sample coordinates).
+
+A subcommand is one ``_COMMANDS`` entry: its help, its options, a runner
+``(bundle, args) -> dict`` that reads the curve off the bundle and its
+options off ``args`` and returns the report's body, and a text renderer
+``body -> lines`` for the plain form.
 """
 
 from __future__ import annotations
@@ -257,7 +262,8 @@ def fmt_exact(value: Fraction):
 # ---------------------------------------------------------------- subcommands
 
 
-def run_info(curve: NodalCurve, bundle: LineBundle) -> dict:
+def run_info(bundle: LineBundle, args) -> dict:
+    curve = bundle.curve
     graph = dual_graph(curve)
     return {
         **_layout(curve),
@@ -275,38 +281,38 @@ def run_info(curve: NodalCurve, bundle: LineBundle) -> dict:
     }
 
 
-def run_sections(curve: NodalCurve, bundle: LineBundle, with_basis: bool) -> dict:
+def run_sections(bundle: LineBundle, args) -> dict:
     report = riemann_roch_report(bundle)
     out = {
         **report._asdict(),
         "riemann_roch_balanced": report.balanced,
-        "serre_duality": report.h1 == h0(tensor(dualizing_bundle(curve), dual(bundle))),
+        "serre_duality": report.h1 == h0(tensor(dualizing_bundle(bundle.curve), dual(bundle))),
     }
-    if with_basis:
+    if args.basis:
         space = section_basis(bundle)
         out["basis"] = [
             {
                 comp.name: [fmt_exact(c) for c in block]
-                for comp, block in zip(curve.components, s.coeffs)
+                for comp, block in zip(bundle.curve.components, s.coeffs)
             }
             for s in space.basis
         ]
     return out
 
 
-def run_ample(bundle: LineBundle, samples: int, seed: int) -> dict:
+def run_ample(bundle: LineBundle, args) -> dict:
     space = section_basis(bundle)
     return {
-        "globally_generated": globally_generated(space, samples, seed)._asdict(),
-        "very_ample": very_ample(space, samples, seed)._asdict(),
+        "globally_generated": globally_generated(space, args.samples, args.seed)._asdict(),
+        "very_ample": very_ample(space, args.samples, args.seed)._asdict(),
     }
 
 
-def run_embed(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int) -> dict:
+def run_embed(bundle: LineBundle, args) -> dict:
     space = section_basis(bundle)
     n = len(space.integral_basis)
     points_out = []
-    for x in sample_points(curve, samples, seed):
+    for x in sample_points(bundle.curve, args.samples, args.seed):
         entry: dict = {"point": str(x)}
         try:
             entry["coordinates"] = [fmt_exact(v) for v in embed_point(space, x)]
@@ -326,10 +332,10 @@ def _shape(source: int, target: int, rank: int) -> dict:
     return {"source": source, "target": target, "rank": rank, "surjective": rank == target}
 
 
-def run_ideal(bundle: LineBundle, samples: int, seed: int) -> dict:
+def run_ideal(bundle: LineBundle, args) -> dict:
     space = section_basis(bundle)
     m2, m3, quadrics = cone_ideal(space)
-    vertex, nodes, smooth = singularity_probe(space, quadrics, samples, seed)
+    vertex, nodes, smooth = singularity_probe(space, quadrics, args.samples, args.seed)
     note = (
         "ranks of the Jacobian of the degree-2 ideal part only; the quadrics "
         "are not known to generate the whole ideal, so this probes candidate "
@@ -340,20 +346,12 @@ def run_ideal(bundle: LineBundle, samples: int, seed: int) -> dict:
     return {"h0": len(space.integral_basis), **maps, "quadric_count": len(quadrics), "singularity_probe": probe}
 
 
-def run_deform(curve: NodalCurve, bundle: LineBundle, m_min: int, m_max: int) -> dict:
-    report = graded_report(curve, bundle, m_min, m_max)
+def run_deform(bundle: LineBundle, args) -> dict:
+    report = graded_report(bundle.curve, bundle, *args.weight_range)
+    keys = ("m", "classification", "t0_formula", "t0_direct", "t1_formula", "t1_direct", "hilbert", "discrepancy")
     entries = []
     for e in report.entries:
-        row = {
-            "m": e.m,
-            "classification": e.classification,
-            "t0_formula": e.t0_formula,
-            "t0_direct": e.t0_direct,
-            "t1_formula": e.t1_formula,
-            "t1_direct": e.t1_direct,
-            "hilbert": e.hilbert,
-            "discrepancy": e.discrepancy,
-        }
+        row = {key: getattr(e, key) for key in keys}
         if e.euler_note is not None:
             row["euler_note"] = e.euler_note
         entries.append(row)
@@ -372,12 +370,13 @@ def _random_bundles(curve: NodalCurve, count: int, seed: int):
         yield LineBundle(curve, degrees, gluings)
 
 
-def run_verify(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int, m_min: int, m_max: int) -> dict:
+def run_verify(bundle: LineBundle, args) -> dict:
     """The full exactness suite for one spec. The deformation closed form
     is compared only on genus-1 curves with a very ample bundle, the case
     it is derived for, and its weight 0 is reported, never failed: the
     closed form there is a generic claim and the concrete curve may
     differ."""
+    curve, samples, seed, (m_min, m_max) = bundle.curve, args.samples, args.seed, args.weight_range
     checks: list[dict] = []
 
     def check(name: str, ok: bool, detail: str) -> None:
@@ -486,48 +485,40 @@ def run_verify(curve: NodalCurve, bundle: LineBundle, samples: int, seed: int, m
 # ------------------------------------------------------------------ plumbing
 
 
-def _render_text(command: str, body: dict) -> str:
-    lines: list[str] = []
-    if command == "verify":
-        for c in body["checks"]:
-            lines.append(f"{c['status']:<5} {c['name']:<34} {c['detail']}")
-        lines.append("PASSED" if body["passed"] else "FAILED")
-    elif command == "deform":
-        lines.append(f"{body['curve']}  {body['bundle']}")
-        header = f"{'m':>4}  {'class':<18} {'t0 formula':>10} {'t0 direct':>9} {'t1 formula':>10} {'t1 direct':>9} {'hilbert':>7}"
-        lines.append(header)
-        for e in body["entries"]:
-            lines.append(
-                f"{e['m']:>4}  {e['classification']:<18} {e['t0_formula']:>10} {e['t0_direct']:>9} "
-                f"{e['t1_formula']:>10} {e['t1_direct']:>9} {e['hilbert']:>7}"
-                + ("  !" if e["discrepancy"] else "")
-            )
-        if any(e["discrepancy"] for e in body["entries"]):
-            lines.append("rows marked ! differ between formula and direct mode; see euler_note")
-    else:
-        lines.extend(_render_plain(body, indent=0))
-    return "\n".join(lines) + "\n"
+def _verify_text(body: dict) -> list[str]:
+    lines = [f"{c['status']:<5} {c['name']:<34} {c['detail']}" for c in body["checks"]]
+    return [*lines, "PASSED" if body["passed"] else "FAILED"]
 
 
-def _render_plain(value, indent: int) -> list[str]:
+def _deform_text(body: dict) -> list[str]:
+    lines = [
+        f"{body['curve']}  {body['bundle']}",
+        f"{'m':>4}  {'class':<18} {'t0 formula':>10} {'t0 direct':>9} {'t1 formula':>10} {'t1 direct':>9} {'hilbert':>7}",
+    ]
+    for e in body["entries"]:
+        lines.append(
+            f"{e['m']:>4}  {e['classification']:<18} {e['t0_formula']:>10} {e['t0_direct']:>9} "
+            f"{e['t1_formula']:>10} {e['t1_direct']:>9} {e['hilbert']:>7}"
+            + ("  !" if e["discrepancy"] else "")
+        )
+    if any(e["discrepancy"] for e in body["entries"]):
+        lines.append("rows marked ! differ between formula and direct mode; see euler_note")
+    return lines
+
+
+def _render_plain(value: dict | list, indent: int = 0) -> list[str]:
+    """A dict's entries as 'key: value' lines and a list's items as
+    '- value' lines, a nested dict or list under its bare 'key:' or '-'
+    line, one level deeper."""
     pad = "  " * indent
+    labelled = ((f"{k}:", v) for k, v in value.items()) if isinstance(value, dict) else (("-", v) for v in value)
     lines: list[str] = []
-    if isinstance(value, dict):
-        for k, v in value.items():
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.extend(_render_plain(v, indent + 1))
-            else:
-                lines.append(f"{pad}{k}: {v}")
-    elif isinstance(value, list):
-        for v in value:
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}-")
-                lines.extend(_render_plain(v, indent + 1))
-            else:
-                lines.append(f"{pad}- {v}")
-    else:
-        lines.append(f"{pad}{value}")
+    for label, v in labelled:
+        if isinstance(v, (dict, list)):
+            lines.append(f"{pad}{label}")
+            lines.extend(_render_plain(v, indent + 1))
+        else:
+            lines.append(f"{pad}{label} {v}")
     return lines
 
 
@@ -545,11 +536,12 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-# The command line: each subcommand's help and options after ``spec``,
-# in help order, as (name, dest, converter, default, help); a converter
-# of None makes a flag that stores True. ``_parse_argv`` and
-# ``build_parser`` both read this table.
+# The command line: each subcommand's help, its options after ``spec``
+# in help order as (name, dest, converter, default, help), its runner and
+# its text renderer; a converter of None makes a flag that stores True.
+# ``_parse_argv``, ``build_parser`` and ``main`` all read this table.
 _JSON = ("--json", "json", None, False, "machine-readable output")
+_BASIS = ("--basis", "basis", None, False, "include the section basis")
 _SAMPLING = (
     ("--samples", "samples", int, 5, "extra sample points per component"),
     ("--seed", "seed", int, SAMPLE_SEED, "sampling seed"),
@@ -561,16 +553,15 @@ def _weights(default: tuple[int, int]) -> tuple:
 
 
 _COMMANDS = {
-    "info": ("curve structure, genus, dual graph", (_JSON,)),
-    "sections": (
-        "h0/h1 and duality checks for the bundle",
-        (_JSON, ("--basis", "basis", None, False, "include the section basis")),
+    "info": ("curve structure, genus, dual graph", (_JSON,), run_info, _render_plain),
+    "sections": ("h0/h1 and duality checks for the bundle", (_JSON, _BASIS), run_sections, _render_plain),
+    "ample": ("global generation and very ampleness verdicts", (_JSON, *_SAMPLING), run_ample, _render_plain),
+    "embed": ("projective coordinates of sample points", (_JSON, *_SAMPLING), run_embed, _render_plain),
+    "ideal": ("multiplication maps, quadrics, singularity probe", (_JSON, *_SAMPLING), run_ideal, _render_plain),
+    "deform": ("graded deformation table of the affine cone", (_JSON, _weights((-5, 5))), run_deform, _deform_text),
+    "verify": (
+        "run every check and exit nonzero on failure", (_JSON, *_SAMPLING, _weights((-3, 3))), run_verify, _verify_text
     ),
-    "ample": ("global generation and very ampleness verdicts", (_JSON, *_SAMPLING)),
-    "embed": ("projective coordinates of sample points", (_JSON, *_SAMPLING)),
-    "ideal": ("multiplication maps, quadrics, singularity probe", (_JSON, *_SAMPLING)),
-    "deform": ("graded deformation table of the affine cone", (_JSON, _weights((-5, 5)))),
-    "verify": ("run every check and exit nonzero on failure", (_JSON, *_SAMPLING, _weights((-3, 3)))),
 }
 
 
@@ -634,7 +625,7 @@ def build_parser():
         description="Exact section spaces, embeddings and cone deformations for nodal curves of projective lines.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for command, (help_text, options) in _COMMANDS.items():
+    for command, (help_text, options, _, _) in _COMMANDS.items():
         p = sub.add_parser(command, help=help_text)
         p.add_argument("spec", help="path to a JSON curve spec")
         for name, dest, convert, default, help_text in options:
@@ -667,31 +658,16 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"error: cannot read {args.spec}: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
+    _, _, run, render = _COMMANDS[args.command]
     try:
         spec = parse_spec(raw.decode("utf-8"))
-        curve = spec.curve
-        bundle = LineBundle(curve, spec.multidegree, spec.gluings)
+        bundle = LineBundle(spec.curve, spec.multidegree, spec.gluings)
         if hasattr(args, "samples"):
             try:
-                check_sample_count(curve, args.samples)
+                check_sample_count(spec.curve, args.samples)
             except ValueError as exc:
                 raise SpecError("samples", str(exc))
-        if args.command == "info":
-            body = run_info(curve, bundle)
-        elif args.command == "sections":
-            body = run_sections(curve, bundle, args.basis)
-        elif args.command == "ample":
-            body = run_ample(bundle, args.samples, args.seed)
-        elif args.command == "embed":
-            body = run_embed(curve, bundle, args.samples, args.seed)
-        elif args.command == "ideal":
-            body = run_ideal(bundle, args.samples, args.seed)
-        elif args.command == "deform":
-            body = run_deform(curve, bundle, args.weight_range[0], args.weight_range[1])
-        else:
-            body = run_verify(
-                curve, bundle, args.samples, args.seed, args.weight_range[0], args.weight_range[1]
-            )
+        body = run(bundle, args)
     except SpecError as exc:
         print(f"error[{exc.code}]: {exc.message}", file=sys.stderr)
         return EXIT_INPUT_ERROR
@@ -708,7 +684,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.json:
             print(json_text(document))
         else:
-            print(_render_text(args.command, body), end="")
+            print("\n".join(render(body)))
         sys.stdout.flush()
     except BrokenPipeError:
         # The reader has gone (e.g. `| head -1`). As the `signal` docs advise,

@@ -24,6 +24,7 @@ slot, positive weights deform the embedding.
 
 from __future__ import annotations
 
+import operator
 from typing import NamedTuple
 
 from .bundles import LineBundle, _cohomology_of, _power, h0, h1_direct, power, tangent_bundle, tensor
@@ -63,6 +64,7 @@ def _formula(total: int, m: int) -> tuple[int, int]:
 
 def t0_dim(curve: NodalCurve, bundle: LineBundle, m: int, mode: str = DIRECT) -> int:
     """Weight-m first-order automorphism dimension of the cone."""
+    m = operator.index(m)
     _check_mode(mode)
     if mode == FORMULA:
         return _formula(bundle.degree(), m)[0]
@@ -71,6 +73,7 @@ def t0_dim(curve: NodalCurve, bundle: LineBundle, m: int, mode: str = DIRECT) ->
 
 def t1_dim(curve: NodalCurve, bundle: LineBundle, m: int, mode: str = DIRECT) -> int:
     """Weight-m first-order deformation dimension of the cone."""
+    m = operator.index(m)
     _check_mode(mode)
     if mode == FORMULA:
         return _formula(bundle.degree(), m)[1]

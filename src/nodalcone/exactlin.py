@@ -55,6 +55,7 @@ at the boundary.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_left
 from fractions import Fraction
 from itertools import compress
@@ -107,6 +108,7 @@ class MatrixQ(_Frozen):
     __slots__ = ("rows", "cols", "entries")
 
     def __init__(self, rows: int, cols: int, entries: Iterable) -> None:
+        rows, cols = operator.index(rows), operator.index(cols)
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
         flat = tuple(as_scalar(e) for e in entries)

@@ -458,8 +458,8 @@ def test_integer_values_and_jets_match_fraction_horner(seed):
 
 
 def test_degrees_and_powers_are_integers(paper_curve):
-    """A multidegree entry or a power that is not an integer raises
-    ``TypeError`` instead of being truncated or parsed."""
+    """A multidegree entry, a power or a component degree that is not an
+    integer raises ``TypeError`` instead of being truncated or parsed."""
     for degrees in ((4.7, 3, 3), ("4", 3, 3), (F(4), 3, 3)):
         with pytest.raises(TypeError):
             line_bundle(paper_curve, degrees)
@@ -467,6 +467,10 @@ def test_degrees_and_powers_are_integers(paper_curve):
     for m in (2.5, 2.0, "2", F(2)):
         with pytest.raises(TypeError):
             power(b, m)
+    for d in (2.5, -2.5, "2", F(2)):
+        for count in (component_h0, component_h1):
+            with pytest.raises(TypeError):
+                count(d)
 
 
 def test_tensor_dual_power_algebra(paper_curve):

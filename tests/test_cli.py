@@ -1130,10 +1130,12 @@ def test_verify_json_into_a_closed_pipe_exits_cleanly():
 
 
 # stdout sha256 of each invocation, run from the repository root on the
-# checked-in specs. The deform and sections digests were recorded before
-# h0/h1 moved to the branch-value rank and graded_report to one twist per
-# weight; the embed and ideal digests before the quadrics moved to their
-# integer form.
+# checked-in specs, keyed by the form of ``PINNED_FLAGS``: a command's own
+# name is its --json form, "<command> text" its plain text. The deform and
+# sections --json digests were recorded before h0/h1 moved to the
+# branch-value rank and graded_report to one twist per weight; the embed
+# and ideal --json digests before the quadrics moved to their integer
+# form; the text digests before the subcommands moved into one table.
 PINNED_STDOUT = {
     ("embed", "paper-x-333.json"): "943460b1258555403d7de42e993c07105ac5e2632b8031500cd08d26d71f2dea",
     ("ideal", "paper-x-333.json"): "71ed144ebf189f17ea677d0a057125396fb43d5b78256cfd413b55a8630b5f50",
@@ -1147,28 +1149,57 @@ PINNED_STDOUT = {
     ("sections", "paper-x-443.json"): "ac806b737b7ee847a7290a20efed8cf1b9e9c69a5087afb582bd18bff6460e7a",
     ("deform", "paper-x.json"): "e4c93e6f5fb3e70dcdde893124c58807731631573f2efe4f368e8e1fbcb61f03",
     ("sections", "paper-x.json"): "92dd04265533d3594ab4741dc27c4badcfd29e3bd7c641959ea13f6e1371e88d",
+    ("info text", "paper-x-333.json"): "a06a1f632e2be4eb1e410ce941465a3a64e985e579b5e9b608170b738a46368e",
+    ("sections text", "paper-x-333.json"): "a963f4d1bd6c80502090676e30b7f26de57cfd15eac35fa8865875a656286981",
+    ("ample text", "paper-x-333.json"): "4a1664693f089c17d8551b249af486b75ecbfc6236ff7265048d74a4b9edf711",
+    ("embed text", "paper-x-333.json"): "3d61333c7a908d88cfa42b39c9a4d441bb58234fd1981a459287be98022f7717",
+    ("ideal text", "paper-x-333.json"): "a2029692a76716d95a2391cd4faa3f4c0d20a5fd425486c5107c8bcaa60984b8",
+    ("deform text", "paper-x-333.json"): "72a6a6e8fac28034e09b361439e3925b60d8051df4c8de50a028b30b695f59df",
+    ("verify text", "paper-x-333.json"): "5398d631d3dcbcdbda0dd5aa1958984ee8b044507b787cfe60508e68379febfb",
+    ("info text", "paper-x-443.json"): "5a534697b675a1dfef62e313ed6a87baa5b50580f0382873201c913033f99c1f",
+    ("sections text", "paper-x-443.json"): "20e63a754511462fa4e9e8deb8a9db49e0bb024885eda050107911cc7f317811",
+    ("ample text", "paper-x-443.json"): "4a1664693f089c17d8551b249af486b75ecbfc6236ff7265048d74a4b9edf711",
+    ("embed text", "paper-x-443.json"): "ce6672191ea2ada6ad3aaec344dc0409f2dcd4c16bb4c1d498fd86e70f20a659",
+    ("ideal text", "paper-x-443.json"): "5ca4246e07a9ca7b281925397e65af6d44e38685aef30ca30d3f83103d323dcb",
+    ("deform text", "paper-x-443.json"): "b644bb5160fdf82367d0c36d1efdec0a25fca2c79a7b80af07c32c0911db80d9",
+    ("verify text", "paper-x-443.json"): "3522d6ab8d604f5693e43bacffb9e804bbb9641d4c1ea87cfba063fe521b7e59",
+    ("info text", "paper-x.json"): "b848867d998309ff3ef21855e541f469d5c4f44e05bed0b4a12ca59aa05160ca",
+    ("sections text", "paper-x.json"): "66d57b44a50f06953f4cfea09a9d01382c0eb4e637b61adaa2d913e0257187d2",
+    ("ample text", "paper-x.json"): "4a1664693f089c17d8551b249af486b75ecbfc6236ff7265048d74a4b9edf711",
+    ("embed text", "paper-x.json"): "a137f1b73def51f148eb87558212e3ce5f5fb9437b4a02f685f1b2d2219a47be",
+    ("ideal text", "paper-x.json"): "1721058b39316db08eeb5adae461df7c952af1d8aae246f6693d133a91bb1a65",
+    ("deform text", "paper-x.json"): "66e41cceafb8a1de5112515334279ff7ad5ec08236f98a57c5a21f8922b1f0ba",
+    ("verify text", "paper-x.json"): "a72cfec6dd27249cdd621730578df25266cc51a4f44c54c5a6744b199f56ab01",
 }
 PINNED_FLAGS = {
     "deform": ["--json", "--range", "-12:12"],
     "sections": ["--json", "--basis"],
     "embed": ["--json"],
     "ideal": ["--json"],
+    "info text": [],
+    "sections text": ["--basis"],
+    "ample text": [],
+    "embed text": [],
+    "ideal text": [],
+    "deform text": ["--range", "-12:12"],
+    "verify text": [],
 }
 
 
-@pytest.mark.parametrize("command,name", sorted(PINNED_STDOUT))
-def test_json_output_matches_pinned_digest(command, name, monkeypatch, capsys):
+@pytest.mark.parametrize("form,name", sorted(PINNED_STDOUT))
+def test_json_output_matches_pinned_digest(form, name, monkeypatch, capsys):
     assert sorted(p.name for p in (REPO / "curves").glob("*.json")) == sorted(
         {n for _, n in PINNED_STDOUT}
     )
     monkeypatch.chdir(REPO)
-    assert main([command, f"curves/{name}", *PINNED_FLAGS[command]]) == EXIT_OK
+    assert main([form.split()[0], f"curves/{name}", *PINNED_FLAGS[form]]) == EXIT_OK
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == PINNED_STDOUT[(command, name)]
+    assert digest == PINNED_STDOUT[(form, name)]
 
 
 # stdout sha256 and exit status of each invocation on the specs under
-# tests/specs, run from the repository root. Unlike curves/*.json, whose
+# tests/specs, run from the repository root and keyed as PINNED_STDOUT is;
+# the text digests were recorded with it. Unlike curves/*.json, whose
 # gluings are all 1, these glue by 5/3, -2/7 and 3 (one spec at a 30-digit
 # scalar, one with branches at inf), and C1 has degree 0, so every weight's
 # residual rows carry the scalars' powers. verify exits 1: degree 0 on C1
@@ -1183,22 +1214,34 @@ PINNED_SPEC_STDOUT = {
     ("deform", "paper-x-inf.json"): "e5a6591952aaf0c94e0d47df1139022c2d242c7ed16ed2746e18046daa0dab38",
     ("sections", "paper-x-inf.json"): "3fb8de1eb3caa4367012f14fbdd73d6672da74bf0ad21374741657e247b8d7e7",
     ("verify", "paper-x-inf.json"): "523b259a922f5d2f61611092bcacac0b7ce9357b3458da444c2bbee49b28a3ae",
+    ("sections text", "paper-x-degree-0-big.json"): "f0aae5fe17b0c4444a6b51e2f71d3f721a91c2d74b58cea25179d3048006fd04",
+    ("deform text", "paper-x-degree-0-big.json"): "dfa6004da4da8bf33c4d0da21501de8ffdbf795e9c8ea4e1e504fa3f2a114302",
+    ("verify text", "paper-x-degree-0-big.json"): "5779f1b90ca17afdefd194481dc2cc323c9deec5f97218729bd2302f08d4c782",
+    ("sections text", "paper-x-degree-0.json"): "a716258d9ff291abee9d2064d4c18b8a1d87150382d127be8a246a1e7edb18ac",
+    ("deform text", "paper-x-degree-0.json"): "dfa6004da4da8bf33c4d0da21501de8ffdbf795e9c8ea4e1e504fa3f2a114302",
+    ("verify text", "paper-x-degree-0.json"): "5779f1b90ca17afdefd194481dc2cc323c9deec5f97218729bd2302f08d4c782",
+    ("sections text", "paper-x-inf.json"): "0077df1d6e1c9ca7be47e65dbe493bcddfbadf77c1a9a0be07ab55b06cfac9cb",
+    ("deform text", "paper-x-inf.json"): "dfa6004da4da8bf33c4d0da21501de8ffdbf795e9c8ea4e1e504fa3f2a114302",
+    ("verify text", "paper-x-inf.json"): "57ee30aa7a250f3ca87a7ec9038a9788c66adb68a5c6716d571bb248fe6e7ddb",
 }
 PINNED_SPEC_FLAGS = {
     "deform": (["--json", "--range", "-300:300"], EXIT_OK),
     "sections": (["--json", "--basis"], EXIT_OK),
     "verify": (["--json"], EXIT_CHECK_FAILED),
+    "deform text": (["--range", "-300:300"], EXIT_OK),
+    "sections text": (["--basis"], EXIT_OK),
+    "verify text": ([], EXIT_CHECK_FAILED),
 }
 
 
-@pytest.mark.parametrize("command,name", sorted(PINNED_SPEC_STDOUT))
-def test_nontrivial_gluings_match_pinned_digest(command, name, monkeypatch, capsys):
+@pytest.mark.parametrize("form,name", sorted(PINNED_SPEC_STDOUT))
+def test_nontrivial_gluings_match_pinned_digest(form, name, monkeypatch, capsys):
     assert sorted(p.name for p in SPECS.glob("*.json")) == sorted({n for _, n in PINNED_SPEC_STDOUT})
     monkeypatch.chdir(REPO)
-    flags, status = PINNED_SPEC_FLAGS[command]
-    assert main([command, f"tests/specs/{name}", *flags]) == status
+    flags, status = PINNED_SPEC_FLAGS[form]
+    assert main([form.split()[0], f"tests/specs/{name}", *flags]) == status
     digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
-    assert digest == PINNED_SPEC_STDOUT[(command, name)]
+    assert digest == PINNED_SPEC_STDOUT[(form, name)]
 
 
 @pytest.mark.parametrize("path", sorted({f"curves/{n}" for _, n in PINNED_STDOUT} | {f"tests/specs/{n}" for _, n in PINNED_SPEC_STDOUT}))

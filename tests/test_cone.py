@@ -274,6 +274,12 @@ def test_t0_t1_values(paper_curve):
     assert t1_dim(paper_curve, b, 3, FORMULA) == 0
     with pytest.raises(ValueError):
         t0_dim(paper_curve, b, 1, mode="closedform")
+    # a weight that is not an integer raises in both modes, before the mode is read
+    for m in (2.5, -1.5, F(2), "2"):
+        for dim in (t0_dim, t1_dim):
+            for mode in (FORMULA, DIRECT, "closedform"):
+                with pytest.raises(TypeError):
+                    dim(paper_curve, b, m, mode)
 
 
 def test_euler_characteristic_of_twists(paper_curve):

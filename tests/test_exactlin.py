@@ -66,6 +66,18 @@ def test_matrix_is_immutable():
         m.row(3)
 
 
+def test_matrix_shape_is_integers():
+    """A row or column count that is not an integer raises ``TypeError``
+    instead of making a matrix that fails only when it is used."""
+    for bad in (1.5, 2.0, "2", F(2)):
+        with pytest.raises(TypeError):
+            MatrixQ(bad, 2, [1, 2])
+        with pytest.raises(TypeError):
+            MatrixQ(1, bad, [1, 2])
+        with pytest.raises(TypeError):
+            MatrixQ.from_rows([], cols=bad)
+
+
 def test_from_rows_ragged_raises():
     with pytest.raises(ValueError):
         MatrixQ.from_rows([[1, 2], [3]])
