@@ -67,15 +67,15 @@ def test_matrix_is_immutable():
 
 
 def test_matrix_shape_is_integers():
-    """A row or column count that is not an integer raises ``TypeError``
-    instead of making a matrix that fails only when it is used."""
-    for bad in (1.5, 2.0, "2", F(2)):
+    """A row or column count that is not an integer raises ``TypeError``,
+    also where rows times cols is the number of entries, instead of making
+    a matrix that fails only when it is used."""
+    for rows, cols, n in ((1.5, 2, 3), (2, 1.5, 3), (2.0, 1, 2), (1, F(2), 2), ("2", 1, 2), (1, "2", 2)):
         with pytest.raises(TypeError):
-            MatrixQ(bad, 2, [1, 2])
+            MatrixQ(rows, cols, [1] * n)
+    for cols in (2.0, "2", F(2)):
         with pytest.raises(TypeError):
-            MatrixQ(1, bad, [1, 2])
-        with pytest.raises(TypeError):
-            MatrixQ.from_rows([], cols=bad)
+            MatrixQ.from_rows([], cols=cols)
 
 
 def test_from_rows_ragged_raises():
