@@ -47,7 +47,9 @@ once per bundle, that also clears the gluing scalar's denominator
 (``_node_rows``, ``_glues``). ``_node_row`` takes the scalar's pair,
 and each branch's ``_homogeneous_row`` from a memo keyed by
 (component, marked-point index, width) that its caller creates: one per
-bundle, or one per ``cone.graded_report``, shared by every weight.
+bundle, one per ``cone.graded_report``, shared by every weight, or one
+per ``verify`` run, shared by every bundle its Riemann-Roch and Serre
+rows check, each read as degrees and scalar pairs (``twisted_cohomology``).
 
 Only the rank of G enters ``h0`` and ``h1``, and it is mostly read off
 the multidegree. Call a component of degree ``d >= max(0, n - 1)``, with
@@ -303,6 +305,21 @@ def cohomology(bundle: LineBundle) -> tuple[int, int]:
     ``_cohomology_of`` on the bundle's scalar pairs, with a memo of its own.
     """
     return _cohomology_of(bundle.curve, bundle.multidegree, bundle.pairs.__getitem__, {})
+
+
+def twisted_cohomology(
+    curve: NodalCurve, degrees: Sequence[int], pairs, m: int, rows: _RowMemo, twist: LineBundle | None = None
+) -> tuple[int, int]:
+    """``cohomology`` of ``twist (x) B^m``, B of multidegree ``degrees``
+    and scalar pairs ``pairs`` on ``curve`` and ``twist`` a bundle on it or
+    None for the trivial one, with no ``LineBundle`` built: the degrees
+    ``t_i + m d_i`` and at a node with a row the scalar ``t_k g_k^m`` as a
+    pair (``_power``). ``rows`` is the caller's branch-row memo
+    (``_cohomology_of``); its keys depend only on the curve, so one memo
+    may serve every bundle on it."""
+    shift, t = (twist.multidegree, twist.pairs) if twist else ((0,) * len(degrees), ((1, 1),) * len(pairs))
+    twisted = [a + m * d for a, d in zip(shift, degrees)]
+    return _cohomology_of(curve, twisted, lambda k: _power(pairs[k], m, t[k]), rows)
 
 
 def h0(bundle: LineBundle) -> int:

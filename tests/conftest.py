@@ -1,5 +1,6 @@
 """Shared fixtures and seeded generators for randomized suites."""
 
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 from math import lcm
@@ -97,6 +98,20 @@ def random_bundle(rng, curve, degree_range=(-4, 4)):
     nonzero = [x for x in range(-5, 6) if x != 0]
     gluings = tuple(Fraction(rng.choice(nonzero), rng.randint(1, 3)) for _ in curve.nodes)
     return LineBundle(curve, degrees, gluings)
+
+
+def reference_random_bundles(curve, count, seed):
+    """``count`` seeded random ``LineBundle``s with Fraction scalars, as
+    ``cli._random_bundles`` built them before it yielded integer pairs: a
+    degree in -4..4 per component, then per node ``Fraction(a, b)`` with a
+    in -5..5 nonzero and b in 1..3, from one ``random.Random(seed)``. The
+    reference for the bundles verify's randomized rows check."""
+    rng = random.Random(seed)
+    nonzero = [x for x in range(-5, 6) if x != 0]
+    for _ in range(count):
+        degrees = tuple(rng.randint(-4, 4) for _ in curve.components)
+        gluings = tuple(Fraction(rng.choice(nonzero), rng.randint(1, 3)) for _ in curve.nodes)
+        yield LineBundle(curve, degrees, gluings)
 
 
 def flip_node(bundle, k):

@@ -6,9 +6,11 @@ import hashlib
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tempfile
+from collections import Counter
 from fractions import Fraction
 from itertools import accumulate
 from pathlib import Path
@@ -19,7 +21,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import nodalcone.cli as cli
-from conftest import SHORT_M3_SPEC, reference_rref
+from conftest import (
+    SHORT_M3_SPEC,
+    curve_with_infinity,
+    random_curve,
+    reference_dual,
+    reference_power,
+    reference_random_bundles,
+    reference_rref,
+    reference_tensor,
+)
 from nodalcone.cli import (
     EXIT_CHECK_FAILED,
     EXIT_INPUT_ERROR,
@@ -32,8 +43,20 @@ from nodalcone.cli import (
     parse_scalar,
     parse_spec,
 )
-from nodalcone.bundles import LineBundle, dualizing_bundle, gluing_matrix, power, section_basis
+from nodalcone.bundles import (
+    LineBundle,
+    cohomology,
+    dual,
+    dualizing_bundle,
+    gluing_matrix,
+    h0,
+    power,
+    section_basis,
+    tensor,
+    twisted_cohomology,
+)
 from nodalcone.curve import arithmetic_genus, validate
+from nodalcone.embedding import SAMPLE_SEED
 from nodalcone.jsontext import json_text
 
 F = Fraction
@@ -421,6 +444,35 @@ def test_main_range_endpoints_are_bounded():
         with pytest.raises(SystemExit) as err:
             main([command, str(PAPER_SPEC), "--range", text])
         assert err.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ample", "--samples", "１"],  # a fullwidth 1
+        ["verify", "--seed", "٣"],  # an Arabic-Indic 3
+        ["deform", "--range=-1_0:3"],
+        ["embed", "--samples", "1_0"],
+        ["ideal", "--seed= 5"],
+        ["verify", "--range=-1:٣"],
+    ],
+)
+def test_option_integers_are_ascii_digits(argv, capsys):
+    """``--samples``, ``--seed`` and the ``--range`` endpoints take ASCII
+    digits with an optional sign, as a spec's numbers do: an underscore,
+    a space or another script's digit is argparse's usage error, exit 2."""
+    argv = [argv[0], str(PAPER_SPEC), *argv[1:]]
+    assert cli._parse_argv(argv) is None
+    with pytest.raises(SystemExit) as err:
+        main(argv)
+    assert err.value.code == 2 and "usage:" in capsys.readouterr().err
+
+
+def test_option_integer_grammar():
+    assert [cli._integer(text) for text in ("7", "+7", "-0", "007")] == [7, 7, 0, 7]
+    for text in ("", "+", "1_0", " 5", "5\n", "1e3", "１"):
+        with pytest.raises(ValueError):
+            cli._integer(text)
 
 
 def _record_eliminations(monkeypatch):
@@ -994,6 +1046,159 @@ def test_verify_builds_the_dualizing_bundle_once(monkeypatch, capsys):
     assert len(calls) == 1
 
 
+def _checked_curves():
+    """The curves of every spec under curves/ and tests/specs/, and
+    conftest's seeded random curves, affine and with points at infinity."""
+    paths = sorted([*(REPO / "curves").glob("*.json"), *SPECS.glob("*.json")])
+    rng = random.Random(36)
+    return [
+        *(parse_spec(p.read_text()).curve for p in paths),
+        *(random_curve(rng) for _ in range(8)),
+        *(curve_with_infinity(rng) for _ in range(8)),
+    ]
+
+
+@pytest.mark.parametrize("seed", [SAMPLE_SEED + 7, SAMPLE_SEED + 13, 0, 1, 12345])
+def test_random_bundles_equal_the_fraction_reference(seed):
+    """verify's randomized rows check the bundles they checked when each
+    was a Fraction-built ``LineBundle``: every draw has the reference's
+    degrees and, reduced, its scalars, in ints; its cohomology and its
+    Serre twist's h0, read through one memo per curve as verify reads
+    them, are the reference bundle's."""
+    for curve in _checked_curves():
+        omega, rows = dualizing_bundle(curve), {}
+        drawn = list(cli._random_bundles(curve, 25, seed))
+        reference = list(reference_random_bundles(curve, 25, seed))
+        assert len(drawn) == len(reference) == 25
+        for (degrees, pairs), bundle in zip(drawn, reference):
+            assert all(type(e) is int for e in (*degrees, *(e for pair in pairs for e in pair)))
+            assert degrees == bundle.multidegree
+            assert tuple(Fraction(num, den) for num, den in pairs) == bundle.gluings
+            assert twisted_cohomology(curve, degrees, pairs, 1, rows) == cohomology(bundle)
+            assert twisted_cohomology(curve, degrees, pairs, -1, rows, omega)[0] == h0(tensor(omega, dual(bundle)))
+
+
+def test_a_wrong_random_result_fails_both_randomized_rows(monkeypatch, capsys):
+    """With the h1 of the first bundle each randomized row draws off by
+    one, the two rows read FAIL with one bad bundle each, every other row
+    is unchanged, and verify exits 1."""
+    assert main(["verify", str(PAPER_SPEC), "--json"]) == EXIT_OK
+    before = json.loads(capsys.readouterr().out)["sections"]["verify"]["checks"]
+    draw, computed = cli._random_bundles, cli.twisted_cohomology
+    firsts = []
+
+    def marking(curve, count, seed):
+        drawn = list(draw(curve, count, seed))
+        firsts.append(drawn[0][0])
+        return iter(drawn)
+
+    def off_by_one(curve, degrees, pairs, m, rows, twist=None):
+        h0_, h1_ = computed(curve, degrees, pairs, m, rows, twist)
+        first = twist is None and any(degrees is d for d in firsts)
+        return h0_, h1_ + first
+
+    monkeypatch.setattr(cli, "_random_bundles", marking)
+    monkeypatch.setattr(cli, "twisted_cohomology", off_by_one)
+    assert main(["verify", str(PAPER_SPEC), "--json"]) == EXIT_CHECK_FAILED
+    body = json.loads(capsys.readouterr().out)["sections"]["verify"]
+    assert len(firsts) == 2 and not body["passed"]
+    expected = {
+        "randomized-riemann-roch": "25 random bundles on this curve, 1 unbalanced",
+        "randomized-serre": "10 random bundles on this curve, 1 mismatched",
+    }
+    for old, new in zip(before, body["checks"], strict=True):
+        if old["name"] in expected:
+            assert (old["status"], new["status"], new["detail"]) == ("ok", "FAIL", expected[old["name"]])
+        else:
+            assert new == old
+
+
+def test_verify_builds_each_branch_row_once_across_its_duality_rows(monkeypatch, capsys):
+    """One ``verify --json`` on a spec with a degree-0 line: its
+    Riemann-Roch, dualizing and Serre rows read 52 cohomologies through
+    one branch-row memo, build the ``_homogeneous_row`` of each
+    (component, marked point, width) their residual blocks use exactly
+    once, and build no Fraction."""
+    from nodalcone import bundles
+
+    path = SPECS / "paper-x-degree-0.json"
+    spec = parse_spec(path.read_text())
+    curve, seed = spec.curve, SAMPLE_SEED
+    bundle = LineBundle(curve, spec.multidegree, spec.gluings)
+    omega = dualizing_bundle(curve)
+    checked = [reference_power(bundle, m) for m in (1, 2, -1)] + [omega]
+    checked += [reference_tensor(omega, reference_dual(b)) for b in checked[:3]]
+    checked += reference_random_bundles(curve, 25, seed + 7)
+    serre = list(reference_random_bundles(curve, 10, seed + 13))
+    checked += serre + [reference_tensor(omega, reference_dual(b)) for b in serre]
+    thresholds = [max(0, len(c.marked_points) - 1) for c in curve.components]
+    expected = set()
+    for b in checked:
+        widths = [None if d >= n else max(0, d + 1) for d, n in zip(b.multidegree, thresholds)]
+        for (ia, ka, _), (ib, kb, _) in curve.sites:
+            if None not in (widths[ia], widths[ib]) and (widths[ia] or widths[ib]):
+                expected |= {(ia, ka, widths[ia]), (ib, kb, widths[ib])}
+
+    memos, built, fractions, inside = [], [], [], []
+    computed, homogeneous_row, fraction = cli.twisted_cohomology, bundles._homogeneous_row, Fraction.__new__
+
+    def recording(curve, degrees, pairs, m, rows, twist=None):
+        memos.append(rows)
+        inside.append(True)
+        try:
+            return computed(curve, degrees, pairs, m, rows, twist)
+        finally:
+            inside.pop()
+
+    def counting_row(width, p):
+        if inside:
+            built.append((width, p))
+        return homogeneous_row(width, p)
+
+    def counting_fraction(cls, *args, **kwargs):
+        if inside:
+            fractions.append(args)
+        return fraction(cls, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "twisted_cohomology", recording)
+    monkeypatch.setattr(bundles, "_homogeneous_row", counting_row)
+    monkeypatch.setattr(Fraction, "__new__", counting_fraction)
+    assert main(["verify", str(path), "--json"]) == EXIT_CHECK_FAILED
+    assert len(memos) == len(checked) == 52 and all(rows is memos[0] for rows in memos)
+    assert len(built) == len(expected) > 0 and fractions == []
+    assert Counter(built) == Counter((w, curve.components[i].marked_points[k]) for i, k, w in expected)
+
+
+@pytest.mark.parametrize("path", [PAPER_SPEC, SPECS / "paper-x-degree-0.json"])
+def test_verify_duality_rows_build_no_bundle(path, monkeypatch, capsys):
+    """verify builds one ``LineBundle``, ``main``'s, and calls no
+    ``tensor``. Its one ``dual``, with the ``power`` inside it, inverts the
+    dualizing bundle into the tangent bundle its deformation table reads;
+    no checked bundle is built by ``dual`` or ``power``."""
+    from nodalcone import bundles
+
+    built, called = [], []
+    init = LineBundle.__init__
+
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    monkeypatch.setattr(LineBundle, "__init__", counting_init)
+    for name in ("tensor", "dual", "power"):
+
+        def counting(*args, _name=name, _original=getattr(bundles, name)):
+            called.append((_name, *args))
+            return _original(*args)
+
+        for module in (bundles, cli):
+            monkeypatch.setattr(module, name, counting, raising=False)
+    assert main(["verify", str(path), "--json"]) in (EXIT_OK, EXIT_CHECK_FAILED)
+    omega = dualizing_bundle(parse_spec(path.read_text()).curve)
+    assert len(built) == 1
+    assert called == [("dual", omega), ("power", omega, -1)]
+
+
 @pytest.mark.parametrize("command", ["verify", "ideal"])
 def test_one_section_basis_per_bundle(command, monkeypatch, capsys):
     """L's section basis is built once, and its gluing matrix only there.
@@ -1388,7 +1593,7 @@ def test_main_fuzz_exits_cleanly(doc, argv):
 SUBCOMMANDS = ["info", "sections", "ample", "embed", "ideal", "deform", "verify"]
 OPTION_NAMES = ["--json", "--basis", "--samples", "--seed", "--range"]
 GOOD_VALUES = ["2", "-1", "0:4", "-3:3"]
-BAD_VALUES = ["x", "", "1:3", "0:1001"]
+BAD_VALUES = ["x", "", "1:3", "0:1001", "1_0", "\u0663", "-1_0:3"]
 ODD_TOKENS = ["", "-", "-5", "x.json", "--json=1", "--basis=", "--js", "-h", "--help", "--", "bogus", "1:3", "--seed"]
 
 
