@@ -45,11 +45,10 @@ with no gcd at each step and drops those that cancel (``_multiply``),
 and the node check dots each branch's terms with an integer row, built
 once per bundle, that also clears the gluing scalar's denominator
 (``_node_rows``, ``_glues``). ``_node_row`` takes the scalar's pair,
-and each branch's ``_homogeneous_row`` from a memo keyed by
-(component, marked-point index, width) that its caller creates: one per
-bundle, one per ``cone.graded_report``, shared by every weight, or one
-per ``verify`` run, shared by every bundle its Riemann-Roch and Serre
-rows check, each read as degrees and scalar pairs (``twisted_cohomology``).
+and each branch's ``_homogeneous_row`` from the curve's one table
+``NodalCurve.branch_rows``, keyed by (component, marked-point index,
+width): a key depends only on the curve, so each branch row is built
+once per curve, whichever bundles, weights and commands read it.
 
 Only the rank of G enters ``h0`` and ``h1``, and it is mostly read off
 the multidegree. Call a component of degree ``d >= max(0, n - 1)``, with
@@ -70,7 +69,8 @@ integer rows of ``_node_row``, with node k's scalar pair ``(num, den)``:
 its row ``row_a s_b den - row_b s_a num`` is ``s_a s_b den != 0`` times
 G's row, so R's rank is unchanged for any pair of the scalar, and
 ``exactlin.certified_rank`` takes it. Away from small degrees R has no
-rows, and no elimination runs at all.
+rows, and no elimination runs at all. ``twisted_cohomology`` is the one
+routine that counts this way, for every ``(h0, h1)`` the package reads.
 
 The dualizing bundle is realized concretely: on a component whose
 branch points are D, with A the affine ones among them, a section of it
@@ -93,7 +93,7 @@ import operator
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, pairwise
-from typing import Callable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .curve import NodalCurve, PointOnLine, Site, Value, _set, arithmetic_genus
 from .exactlin import MatrixQ, VectorQ, _integer_rows, _kernel_vectors, as_scalar, certified_rank, rank
@@ -201,43 +201,6 @@ def gluing_matrix(bundle: LineBundle) -> MatrixQ:
     return MatrixQ.from_rows(rows, cols=offsets[-1])
 
 
-def _cohomology_of(
-    curve: NodalCurve, degrees: Sequence[int], scalar: Callable[[int], tuple[int, int]], rows: _RowMemo
-) -> tuple[int, int]:
-    """``cohomology`` of the bundle of multidegree ``degrees`` and scalar
-    ``num / den`` at node k, ``scalar(k) == (num, den)`` with ``den != 0``,
-    with no ``LineBundle`` built. The gluing rank is the covered nodes plus
-    the certified rank of the residual block in integer rows, over the
-    blocks of the components neither onto nor negative (see the module
-    docstring), which a common factor of a pair leaves unchanged. One
-    pass over the components counts the slots and the ``h1(O(d_i))``,
-    and one over the nodes counts the covered ones; the block offsets and
-    the rows are built, and ``scalar`` asked, only at the nodes with a
-    row, each branch row from the caller's memo ``rows`` (``_node_row``)."""
-    slots = h1 = 0
-    widths = []  # per component its width in the residual block, None if onto
-    for d, threshold in zip(degrees, curve.onto_thresholds):
-        if d < 0:
-            h1 += component_h1(d)
-            widths.append(0)
-        else:
-            slots += d + 1
-            widths.append(None if d >= threshold else d + 1)
-    r, residual = 0, []
-    for k, ((ia, _, _), (ib, _, _)) in enumerate(curve.sites):
-        wa, wb = widths[ia], widths[ib]
-        if wa is None or wb is None:
-            r += 1
-        elif wa or wb:
-            residual.append(k)
-    if residual:
-        widths = [w or 0 for w in widths]
-        offsets = tuple(accumulate(widths, initial=0))
-        node_rows = [_flat_row(offsets, _node_row(widths, curve.sites[k], scalar(k), rows)) for k in residual]
-        r += certified_rank(node_rows, offsets[-1])
-    return slots - r, len(curve.nodes) - r + h1
-
-
 class Section(Value):
     """Per-component coefficient vectors; empty vector = zero polynomial."""
 
@@ -295,31 +258,50 @@ def section_basis(bundle: LineBundle) -> SectionSpace:
 
 
 def cohomology(bundle: LineBundle) -> tuple[int, int]:
-    """``(h0, h1)`` from the rank of the gluing matrix.
-
-    The normalization exact sequence gives
-    ``h0 = sum_i h0(O(d_i)) - rank`` and
-    ``h1 = (#nodes - rank) + sum_i h1(O(d_i))``. The rank is the number
-    of covered nodes plus the certified rank of the residual block,
-    taken only when it has rows (see the module docstring): this is
-    ``_cohomology_of`` on the bundle's scalar pairs, with a memo of its own.
-    """
-    return _cohomology_of(bundle.curve, bundle.multidegree, bundle.pairs.__getitem__, {})
+    """``(h0, h1)`` from the rank of the gluing matrix: the bundle's
+    ``twisted_cohomology`` at m = 1."""
+    return twisted_cohomology(bundle.curve, bundle.multidegree, bundle.pairs, 1)
 
 
 def twisted_cohomology(
-    curve: NodalCurve, degrees: Sequence[int], pairs, m: int, rows: _RowMemo, twist: LineBundle | None = None
+    curve: NodalCurve, degrees: Sequence[int], pairs, m: int, twist: LineBundle | None = None
 ) -> tuple[int, int]:
-    """``cohomology`` of ``twist (x) B^m``, B of multidegree ``degrees``
-    and scalar pairs ``pairs`` on ``curve`` and ``twist`` a bundle on it or
-    None for the trivial one, with no ``LineBundle`` built: the degrees
-    ``t_i + m d_i`` and at a node with a row the scalar ``t_k g_k^m`` as a
-    pair (``_power``). ``rows`` is the caller's branch-row memo
-    (``_cohomology_of``); its keys depend only on the curve, so one memo
-    may serve every bundle on it."""
+    """``(h0, h1)`` of ``twist (x) B^m``, B of multidegree ``degrees`` and
+    scalar pairs ``pairs`` on ``curve``, ``twist`` a bundle on it or None
+    for the trivial one, with no ``LineBundle`` built.
+
+    The normalization exact sequence gives
+    ``h0 = sum_i h0(O(d_i)) - rank`` and
+    ``h1 = (#nodes - rank) + sum_i h1(O(d_i))`` for the degrees
+    ``d_i = t_i + m b_i``. The rank is the covered nodes plus the
+    certified rank of the residual block (see the module docstring),
+    whose rows are built only at its nodes, each with the scalar
+    ``t_k g_k^m`` as a pair (``_power``) and its branch rows from the
+    curve's table (``_node_row``)."""
     shift, t = (twist.multidegree, twist.pairs) if twist else ((0,) * len(degrees), ((1, 1),) * len(pairs))
-    twisted = [a + m * d for a, d in zip(shift, degrees)]
-    return _cohomology_of(curve, twisted, lambda k: _power(pairs[k], m, t[k]), rows)
+    slots = h1 = 0
+    widths = []  # per component its width in the residual block, None if onto
+    for a, b, threshold in zip(shift, degrees, curve.onto_thresholds):
+        d = a + m * b
+        if d < 0:
+            h1 += component_h1(d)
+            widths.append(0)
+        else:
+            slots += d + 1
+            widths.append(None if d >= threshold else d + 1)
+    r, residual = 0, []
+    for k, ((ia, _, _), (ib, _, _)) in enumerate(curve.sites):
+        wa, wb = widths[ia], widths[ib]
+        if wa is None or wb is None:
+            r += 1
+        elif wa or wb:
+            residual.append(k)
+    if residual:
+        widths = [w or 0 for w in widths]
+        offsets = tuple(accumulate(widths, initial=0))
+        node_rows = [_flat_row(offsets, _node_row(curve, widths, k, _power(pairs[k], m, t[k]))) for k in residual]
+        r += certified_rank(node_rows, offsets[-1])
+    return slots - r, len(curve.nodes) - r + h1
 
 
 def h0(bundle: LineBundle) -> int:
@@ -382,7 +364,6 @@ def _dot(terms: _Terms, row: tuple[int, ...]) -> int:
 
 _NodeRow = tuple[int, tuple[int, ...], int, tuple[int, ...], int]
 _NodeRows = tuple[_NodeRow, ...]
-_RowMemo = dict[tuple[int, int, int], tuple[tuple[int, ...], int]]  # (component, marked point, width) -> row, s
 
 
 def _homogeneous_row(width: int, p: PointOnLine) -> tuple[tuple[int, ...], int]:
@@ -424,28 +405,30 @@ def _node_rows(bundle: LineBundle) -> _NodeRows:
     other branch's S and den, or num. Every factor is an integer, the
     common denominator cancels, and nothing is rounded.
     """
-    widths, memo = block_widths(bundle), {}
-    return tuple(_node_row(widths, sites, g, memo) for sites, g in zip(bundle.curve.sites, bundle.pairs))
+    widths, curve = block_widths(bundle), bundle.curve
+    return tuple(_node_row(curve, widths, k, g) for k, g in enumerate(bundle.pairs))
 
 
-def _node_row(widths, sites: tuple[Site, Site], g: tuple[int, int], rows: _RowMemo) -> _NodeRow:
-    """One node's entry of ``_node_rows``, over blocks of ``widths``, for
+def _node_row(curve: NodalCurve, widths, k: int, g: tuple[int, int]) -> _NodeRow:
+    """Node k's entry of ``_node_rows``, over blocks of ``widths``, for
     the scalar ``num / den`` given as ``g = (num, den)``, ``den != 0``.
-    Each branch's ``_homogeneous_row`` is read from the memo ``rows``,
-    keyed by (component, marked-point index, width), and built there on
-    first use."""
+    Each branch's ``_homogeneous_row`` is read from the curve's table
+    (``_branch_row``)."""
     num, den = g
-    row_a, s_a = _branch_row(rows, widths, sites[0])
-    row_b, s_b = _branch_row(rows, widths, sites[1])
+    site_a, site_b = curve.sites[k]
+    row_a, s_a = _branch_row(curve, widths, site_a)
+    row_b, s_b = _branch_row(curve, widths, site_b)
     scaled_a = tuple(e * s_b * den for e in row_a)
-    return sites[0][0], scaled_a, sites[1][0], tuple(e * s_a * num for e in row_b), s_a * s_b * den
+    return site_a[0], scaled_a, site_b[0], tuple(e * s_a * num for e in row_b), s_a * s_b * den
 
 
-def _branch_row(rows: _RowMemo, widths, site: Site) -> tuple[tuple[int, ...], int]:
+def _branch_row(curve: NodalCurve, widths, site: Site) -> tuple[tuple[int, ...], int]:
     """``_homogeneous_row`` of the branch at ``site`` over its component's
-    width, from the memo ``rows`` or built into it."""
+    width, from ``curve.branch_rows``, keyed by (component, marked-point
+    index, width), or built there on first use."""
     ci, k, p = site
     key = ci, k, widths[ci]
+    rows = curve.branch_rows
     row = rows.get(key)
     if row is None:
         row = rows[key] = _homogeneous_row(widths[ci], p)
@@ -559,5 +542,7 @@ def riemann_roch_report(bundle: LineBundle) -> RiemannRochReport:
 
 def serre_duality_check(bundle: LineBundle, omega: LineBundle) -> bool:
     """Exact check that h1 of the bundle equals h0 of (omega (x) dual),
-    with ``omega`` the curve's dualizing bundle, built once by the caller."""
-    return h1_direct(bundle) == h0(tensor(omega, dual(bundle)))
+    with ``omega`` the curve's dualizing bundle, built once by the caller:
+    that h0 is ``twisted_cohomology`` at m = -1 with ``omega`` as twist."""
+    _same_curve(bundle, omega)
+    return h1_direct(bundle) == twisted_cohomology(bundle.curve, bundle.multidegree, bundle.pairs, -1, omega)[0]

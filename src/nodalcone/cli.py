@@ -40,10 +40,8 @@ from .bundles import (
     basis_rank,
     dual,
     dualizing_bundle,
-    h0,
     riemann_roch_report,
     section_basis,
-    tensor,
     twisted_cohomology,
 )
 from .cone import graded_report
@@ -298,11 +296,10 @@ def run_info(bundle: LineBundle, args) -> dict:
 
 def run_sections(bundle: LineBundle, args) -> dict:
     report = riemann_roch_report(bundle)
-    out = {
-        **report._asdict(),
-        "riemann_roch_balanced": report.balanced,
-        "serre_duality": report.h1 == h0(tensor(dualizing_bundle(bundle.curve), dual(bundle))),
-    }
+    curve = bundle.curve
+    # h0 of omega (x) L^-1, the other side of Serre duality
+    dual_h0 = twisted_cohomology(curve, bundle.multidegree, bundle.pairs, -1, dualizing_bundle(curve))[0]
+    out = {**report._asdict(), "riemann_roch_balanced": report.balanced, "serre_duality": report.h1 == dual_h0}
     if args.basis:
         space = section_basis(bundle)
         out["basis"] = [
@@ -398,9 +395,10 @@ def run_verify(bundle: LineBundle, args) -> dict:
     pairs, with no ``LineBundle`` built: L^m for m = 1, 2, -1, the
     dualizing bundle omega, the twists ``omega (x) L^-m`` and the 35
     ``_random_bundles`` B with their twists ``omega (x) B^-1``. Each is one
-    ``twisted_cohomology`` call, and all share one branch-row memo for the
-    run, keyed by (component, marked point, width), so each branch row is
-    built once however many bundles read it."""
+    ``twisted_cohomology`` call. Those rows, the deformation table and the
+    section basis read every branch row from the curve's one table
+    (``NodalCurve.branch_rows``), so each is built once per run however
+    many bundles read it."""
     curve, samples, seed, (m_min, m_max) = bundle.curve, args.samples, args.seed, args.weight_range
     checks: list[dict] = []
 
@@ -422,15 +420,14 @@ def run_verify(bundle: LineBundle, args) -> dict:
 
     l, g = bundle.multidegree, bundle.pairs
     omega = dualizing_bundle(curve)
-    rows: dict = {}  # the one branch-row memo of the run: its keys depend only on the curve
 
     def report(degrees, pairs, m: int = 1) -> RiemannRochReport:
         """Riemann-Roch for B^m, B of these degrees and scalar pairs."""
-        return RiemannRochReport(*twisted_cohomology(curve, degrees, pairs, m, rows), m * sum(degrees), genus)
+        return RiemannRochReport(*twisted_cohomology(curve, degrees, pairs, m), m * sum(degrees), genus)
 
     def serre(h1: int, degrees, pairs, m: int = 1) -> bool:
         """Whether ``h1`` of B^m equals h0 of ``omega (x) B^-m``."""
-        return h1 == twisted_cohomology(curve, degrees, pairs, -m, rows, omega)[0]
+        return h1 == twisted_cohomology(curve, degrees, pairs, -m, omega)[0]
 
     # L^m's cohomology once, read again by the serre-duality row
     reports = {m: report(l, g, m) for m in (1, 2, -1)}
@@ -477,7 +474,7 @@ def run_verify(bundle: LineBundle, args) -> dict:
         skip("multiplication-m3-surjective", "multidegree below the very-ampleness criterion")
         skip("quadrics-vanish-on-curve", "multidegree below the very-ampleness criterion")
 
-    omega_h0 = twisted_cohomology(curve, omega.multidegree, omega.pairs, 1, rows)[0]
+    omega_h0 = twisted_cohomology(curve, omega.multidegree, omega.pairs, 1)[0]
     check(
         "dualizing-h0-equals-genus",
         omega_h0 == genus,

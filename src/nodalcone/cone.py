@@ -27,7 +27,7 @@ from __future__ import annotations
 import operator
 from typing import NamedTuple
 
-from .bundles import LineBundle, _cohomology_of, _power, h0, h1_direct, power, tangent_bundle, tensor
+from .bundles import LineBundle, power, tangent_bundle, tensor, twisted_cohomology
 from .curve import NodalCurve, arithmetic_genus
 
 SMOOTHING = "smoothing"
@@ -63,21 +63,27 @@ def _formula(total: int, m: int) -> tuple[int, int]:
 
 
 def t0_dim(curve: NodalCurve, bundle: LineBundle, m: int, mode: str = DIRECT) -> int:
-    """Weight-m first-order automorphism dimension of the cone."""
+    """Weight-m first-order automorphism dimension of the cone: in direct
+    mode h0 of ``tangent (x) L^m``, with no bundle built for it."""
     m = operator.index(m)
     _check_mode(mode)
     if mode == FORMULA:
         return _formula(bundle.degree(), m)[0]
-    return h0(deformation_bundle(curve, bundle, m))
+    if bundle.curve != curve:
+        raise ValueError("bundle lives on a different curve")
+    return twisted_cohomology(curve, bundle.multidegree, bundle.pairs, m, tangent_bundle(curve))[0]
 
 
 def t1_dim(curve: NodalCurve, bundle: LineBundle, m: int, mode: str = DIRECT) -> int:
-    """Weight-m first-order deformation dimension of the cone."""
+    """Weight-m first-order deformation dimension of the cone: in direct
+    mode h1 of ``tangent (x) L^m``, with no bundle built for it."""
     m = operator.index(m)
     _check_mode(mode)
     if mode == FORMULA:
         return _formula(bundle.degree(), m)[1]
-    return h1_direct(deformation_bundle(curve, bundle, m))
+    if bundle.curve != curve:
+        raise ValueError("bundle lives on a different curve")
+    return twisted_cohomology(curve, bundle.multidegree, bundle.pairs, m, tangent_bundle(curve))[1]
 
 
 class WeightEntry(NamedTuple):
@@ -108,15 +114,12 @@ def graded_report(
 
     Requires ``m_min <= 0 <= m_max`` so the table always shows all three
     regimes. Formula and direct values are both present in every row;
-    nothing is reconciled silently. No bundle is built per weight: F_m
-    has multidegree ``t + m l`` and scalar ``t_k g_k^m`` at node k, L^m
-    has ``m l`` and ``g_k^m``. T is ``tangent``, a caller's
-    ``tangent_bundle(curve)`` (the dual of a dualizing bundle it holds),
-    or else built once here. Its degrees and scalar pairs are read from
-    it, L's pairs from the bundle, and the bundle's total degree once;
-    ``g_k^m`` and ``t_k g_k^m`` are formed as pairs by ``bundles._power``,
-    only at the nodes whose rows are eliminated. One row memo serves both
-    columns at every weight, so each branch row is built once per report.
+    nothing is reconciled silently. No bundle is built per weight: each
+    weight is two ``twisted_cohomology`` calls on L's degrees and scalar
+    pairs, F_m with T as twist and L^m with none. T is ``tangent``, a
+    caller's ``tangent_bundle(curve)`` (the dual of a dualizing bundle it
+    holds), or else built once here. Every branch row comes from the
+    curve's one table, so each is built once per curve, not per weight.
     """
     if not m_min <= 0 <= m_max:
         raise ValueError("range must contain 0: need m_min <= 0 <= m_max")
@@ -126,14 +129,11 @@ def graded_report(
         tangent = tangent_bundle(curve)
     elif tangent.curve != curve:
         raise ValueError("tangent bundle lives on a different curve")
-    t, g = tangent.pairs, bundle.pairs
+    l, g = bundle.multidegree, bundle.pairs
     total = bundle.degree()
-    rows = {}
     entries = []
     for m in range(m_min, m_max + 1):
-        degrees = [d * m for d in bundle.multidegree]
-        twist = [a + d for a, d in zip(tangent.multidegree, degrees)]
-        t0_direct, t1_direct = _cohomology_of(curve, twist, lambda k: _power(g[k], m, t[k]), rows)
+        t0_direct, t1_direct = twisted_cohomology(curve, l, g, m, tangent)
         t0_formula, t1_formula = _formula(total, m)
         if m < 0:
             classification = SMOOTHING
@@ -148,7 +148,7 @@ def graded_report(
                 t0_direct=t0_direct,
                 t1_formula=t1_formula,
                 t1_direct=t1_direct,
-                hilbert=_cohomology_of(curve, degrees, lambda k: _power(g[k], m), rows)[0],
+                hilbert=twisted_cohomology(curve, l, g, m)[0],
                 classification=classification,
                 euler_note=_EULER_NOTE if m == 0 else None,
             )

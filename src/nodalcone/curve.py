@@ -21,7 +21,8 @@ branch resolves, for ``validate`` and the command line's parser. Each
 component's onto threshold ``max(0, n - 1)``, with n its marked points,
 is derived once too, in ``NodalCurve.onto_thresholds``: the least degree
 at which its polynomials reach every tuple of values at those points
-(see ``bundles``).
+(see ``bundles``). ``NodalCurve.branch_rows`` is the one table of node
+branch rows that ``bundles`` fills for every bundle on the curve.
 """
 
 from __future__ import annotations
@@ -123,12 +124,17 @@ class NodalCurve(Value):
 
     Derived, never passed, and no part of equality, hash or repr:
     ``sites``, once ``validate`` accepts, per node the ``(component index,
-    marked-point index, point)`` of branch a, then of branch b; and
+    marked-point index, point)`` of branch a, then of branch b;
     ``onto_thresholds``, per component ``max(0, n - 1)`` for its n marked
-    points. Names resolve through ``_index``, each name's first component.
+    points; and ``branch_rows``, a dict that starts empty and that
+    ``bundles`` fills, from (component index, marked-point index, width)
+    to that branch's ``_homogeneous_row``. Its keys and rows depend only
+    on the curve, so every bundle on it shares them, and a pickle or copy
+    rebuilds the curve with an empty table. Names resolve through
+    ``_index``, each name's first component.
     """
 
-    __slots__ = ("components", "nodes", "sites", "onto_thresholds", "_index")
+    __slots__ = ("components", "nodes", "sites", "onto_thresholds", "branch_rows", "_index")
     _fields = ("components", "nodes")
 
     def __init__(self, components: tuple[Component, ...], nodes: tuple[NodeGluing, ...] = ()) -> None:
@@ -146,6 +152,7 @@ class NodalCurve(Value):
         )
         _set(self, "sites", sites)
         _set(self, "onto_thresholds", tuple(max(0, len(c.marked_points) - 1) for c in comps))
+        _set(self, "branch_rows", {})
 
     def component_index(self, name: str) -> int:
         i = self._index.get(name)

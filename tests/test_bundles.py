@@ -676,6 +676,12 @@ def test_serre_duality_randomized():
     assert checked >= 20
 
 
+def test_serre_duality_check_rejects_another_curves_dualizing_bundle(paper_curve):
+    other = random_curve(random.Random(5))
+    with pytest.raises(ValueError, match="bundles live on different curves"):
+        serre_duality_check(line_bundle(paper_curve, (4, 3, 3)), dualizing_bundle(other))
+
+
 def test_dualizing_h0_equals_genus_randomized():
     rng = random.Random(515)
     for _ in range(25):

@@ -6,6 +6,7 @@ import hashlib
 import io
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -1063,10 +1064,10 @@ def test_random_bundles_equal_the_fraction_reference(seed):
     """verify's randomized rows check the bundles they checked when each
     was a Fraction-built ``LineBundle``: every draw has the reference's
     degrees and, reduced, its scalars, in ints; its cohomology and its
-    Serre twist's h0, read through one memo per curve as verify reads
-    them, are the reference bundle's."""
+    Serre twist's h0, read through the curve's one branch-row table as
+    verify reads them, are the reference bundle's."""
     for curve in _checked_curves():
-        omega, rows = dualizing_bundle(curve), {}
+        omega = dualizing_bundle(curve)
         drawn = list(cli._random_bundles(curve, 25, seed))
         reference = list(reference_random_bundles(curve, 25, seed))
         assert len(drawn) == len(reference) == 25
@@ -1074,8 +1075,8 @@ def test_random_bundles_equal_the_fraction_reference(seed):
             assert all(type(e) is int for e in (*degrees, *(e for pair in pairs for e in pair)))
             assert degrees == bundle.multidegree
             assert tuple(Fraction(num, den) for num, den in pairs) == bundle.gluings
-            assert twisted_cohomology(curve, degrees, pairs, 1, rows) == cohomology(bundle)
-            assert twisted_cohomology(curve, degrees, pairs, -1, rows, omega)[0] == h0(tensor(omega, dual(bundle)))
+            assert twisted_cohomology(curve, degrees, pairs, 1) == cohomology(bundle)
+            assert twisted_cohomology(curve, degrees, pairs, -1, omega)[0] == h0(tensor(omega, dual(bundle)))
 
 
 def test_a_wrong_random_result_fails_both_randomized_rows(monkeypatch, capsys):
@@ -1092,8 +1093,8 @@ def test_a_wrong_random_result_fails_both_randomized_rows(monkeypatch, capsys):
         firsts.append(drawn[0][0])
         return iter(drawn)
 
-    def off_by_one(curve, degrees, pairs, m, rows, twist=None):
-        h0_, h1_ = computed(curve, degrees, pairs, m, rows, twist)
+    def off_by_one(curve, degrees, pairs, m, twist=None):
+        h0_, h1_ = computed(curve, degrees, pairs, m, twist)
         first = twist is None and any(degrees is d for d in firsts)
         return h0_, h1_ + first
 
@@ -1116,9 +1117,9 @@ def test_a_wrong_random_result_fails_both_randomized_rows(monkeypatch, capsys):
 def test_verify_builds_each_branch_row_once_across_its_duality_rows(monkeypatch, capsys):
     """One ``verify --json`` on a spec with a degree-0 line: its
     Riemann-Roch, dualizing and Serre rows read 52 cohomologies through
-    one branch-row memo, build the ``_homogeneous_row`` of each
-    (component, marked point, width) their residual blocks use exactly
-    once, and build no Fraction."""
+    the curve's one branch-row table, build the ``_homogeneous_row`` of
+    each (component, marked point, width) their residual blocks use
+    exactly once, and build no Fraction."""
     from nodalcone import bundles
 
     path = SPECS / "paper-x-degree-0.json"
@@ -1139,14 +1140,14 @@ def test_verify_builds_each_branch_row_once_across_its_duality_rows(monkeypatch,
             if None not in (widths[ia], widths[ib]) and (widths[ia] or widths[ib]):
                 expected |= {(ia, ka, widths[ia]), (ib, kb, widths[ib])}
 
-    memos, built, fractions, inside = [], [], [], []
+    tables, built, fractions, inside = [], [], [], []
     computed, homogeneous_row, fraction = cli.twisted_cohomology, bundles._homogeneous_row, Fraction.__new__
 
-    def recording(curve, degrees, pairs, m, rows, twist=None):
-        memos.append(rows)
+    def recording(curve, degrees, pairs, m, twist=None):
+        tables.append(curve.branch_rows)
         inside.append(True)
         try:
-            return computed(curve, degrees, pairs, m, rows, twist)
+            return computed(curve, degrees, pairs, m, twist)
         finally:
             inside.pop()
 
@@ -1164,9 +1165,58 @@ def test_verify_builds_each_branch_row_once_across_its_duality_rows(monkeypatch,
     monkeypatch.setattr(bundles, "_homogeneous_row", counting_row)
     monkeypatch.setattr(Fraction, "__new__", counting_fraction)
     assert main(["verify", str(path), "--json"]) == EXIT_CHECK_FAILED
-    assert len(memos) == len(checked) == 52 and all(rows is memos[0] for rows in memos)
+    assert len(tables) == len(checked) == 52 and all(rows is tables[0] for rows in tables)
     assert len(built) == len(expected) > 0 and fractions == []
     assert Counter(built) == Counter((w, curve.components[i].marked_points[k]) for i, k, w in expected)
+
+
+def _verify_curve(monkeypatch, path: Path):
+    """Run ``verify --json`` on ``path`` and return the curve it parsed."""
+    parsed, parse = [], cli.parse_spec
+
+    def recording(text):
+        parsed.append(parse(text))
+        return parsed[-1]
+
+    monkeypatch.setattr(cli, "parse_spec", recording)
+    assert main(["verify", str(path), "--json"]) in (EXIT_OK, EXIT_CHECK_FAILED)
+    [spec] = parsed
+    return spec.curve
+
+
+@pytest.mark.parametrize("path", [PAPER_SPEC, SPECS / "paper-x-degree-0.json"])
+def test_verify_builds_each_node_branch_row_once_per_run(path, monkeypatch, capsys):
+    """One ``verify --json`` builds each node branch row, a ``_branch_row``
+    miss, exactly once across the whole run: its duality rows, its
+    deformation table and every ``_node_rows`` (the section basis, the
+    basis node check and the multiplication maps' targets) read the
+    curve's one table."""
+    from nodalcone import bundles
+
+    built, homogeneous_row = [], bundles._homogeneous_row
+
+    def counting_row(width, p):
+        if sys._getframe(1).f_code is bundles._branch_row.__code__:
+            built.append((width, p))
+        return homogeneous_row(width, p)
+
+    monkeypatch.setattr(bundles, "_homogeneous_row", counting_row)
+    curve = _verify_curve(monkeypatch, path)
+    table = curve.branch_rows
+    assert len(built) == len(table) > 0
+    assert Counter(built) == Counter((w, curve.components[i].marked_points[k]) for i, k, w in table)
+
+
+def test_a_filled_branch_row_table_is_no_part_of_the_curve(monkeypatch, capsys):
+    """After ``verify`` has filled its curve's branch-row table, the curve
+    equals, hashes and reprs like a fresh one, and a pickle or a copy of
+    it starts with an empty table."""
+    curve = _verify_curve(monkeypatch, PAPER_SPEC)
+    fresh = parse_spec(PAPER_SPEC.read_text()).curve
+    assert curve.branch_rows and fresh.branch_rows == {}
+    assert curve == fresh and hash(curve) == hash(fresh) and repr(curve) == repr(fresh)
+    for clone in (pickle.loads(pickle.dumps(curve)), copy.copy(curve), copy.deepcopy(curve)):
+        assert clone == curve and clone.branch_rows == {}
 
 
 @pytest.mark.parametrize("path", [PAPER_SPEC, SPECS / "paper-x-degree-0.json"])

@@ -9,10 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import curve_with_infinity, random_bundle, random_curve, reference_power, reference_tangent, reference_tensor
+from nodalcone import bundles
 from nodalcone.bundles import (
     LineBundle,
-    _cohomology_of,
-    _power,
     cohomology,
     component_h1,
     gluing_matrix,
@@ -22,6 +21,7 @@ from nodalcone.bundles import (
     power,
     tangent_bundle,
     tensor,
+    twisted_cohomology,
 )
 from nodalcone.cone import (
     DIRECT,
@@ -99,11 +99,11 @@ def _sweep_curve(rng):
 
 
 def test_cohomology_of_matches_the_fraction_oracle_on_sweep_regimes():
-    """``_cohomology_of`` on F_m and L^m, with the integer pairs
-    ``graded_report`` hands it and one row memo for every call, equals the
-    rank of the whole gluing matrix over Q at every weight -12..12, for
-    bundles of degrees -3..6 with a degree-0 line, on a lone line without
-    marked points and on random curves."""
+    """``twisted_cohomology`` on F_m and L^m, called as ``graded_report``
+    calls it, with every call on a curve sharing its branch-row table,
+    equals the rank of the whole gluing matrix over Q at every weight
+    -12..12, for bundles of degrees -3..6 with a degree-0 line, on a lone
+    line without marked points and on random curves."""
     rng = random.Random(1974)
     curves = [NodalCurve((Component("L0", ()),))] + [_sweep_curve(rng) for _ in range(30)]
     assert {0, 1} <= {len(c.marked_points) for curve in curves for c in curve.components}
@@ -114,29 +114,36 @@ def test_cohomology_of_matches_the_fraction_oracle_on_sweep_regimes():
         degrees = [rng.randint(-3, 6) for _ in curve.components]
         degrees[rng.randrange(len(degrees))] = 0
         bundle = LineBundle(curve, degrees, tuple(F(rng.choice(nonzero), rng.randint(1, 3)) for _ in curve.nodes))
-        t, g = tangent_bundle(curve).pairs, bundle.pairs
-        rows = {}
+        tangent, l, g = tangent_bundle(curve), bundle.multidegree, bundle.pairs
         for m in range(-12, 13):
             twist, lm = _reference_twist(curve, bundle, m), reference_power(bundle, m)
-            assert _cohomology_of(
-                curve, twist.multidegree, lambda k: _power(g[k], m, t[k]), rows
-            ) == _fraction_cohomology(twist)
-            assert _cohomology_of(curve, lm.multidegree, lambda k: _power(g[k], m), rows) == _fraction_cohomology(lm)
+            assert twisted_cohomology(curve, l, g, m, tangent) == _fraction_cohomology(twist)
+            assert twisted_cohomology(curve, l, g, m) == _fraction_cohomology(lm)
 
 
-def test_cohomology_of_is_free_of_the_pairs_scale():
+def test_cohomology_of_is_free_of_the_pairs_scale(monkeypatch):
     """A pair ``(c num, c den)`` is the same scalar for every nonzero c,
-    and ``_cohomology_of`` gives the same ``(h0, h1)`` for c in -3, 1, 7 as
-    for the reduced pair, on the sweep regimes at every weight -12..12,
-    negative scalars at odd negative weights among them; 30-digit
-    numerators and denominators equal the rank over Q."""
+    and ``twisted_cohomology`` gives the same ``(h0, h1)`` for c in -3, 1,
+    7 as for the reduced pair, on the sweep regimes at every weight
+    -12..12, negative scalars at odd negative weights among them; 30-digit
+    numerators and denominators equal the rank over Q. The scale rides on
+    the twist's pairs (T's, or the trivial bundle's ``(c, c)``), so each
+    scalar ``t_k g_k^m`` the routine forms is c times its unscaled pair."""
     rng = random.Random(1979)
     big = 10**29
     handed = []
+    power, scale = bundles._power, None  # the c of the running call, None for the reduced one
 
-    def scaled(c, pair):
-        handed.append(pair)
-        return c * pair[0], c * pair[1]
+    def recording(g, m, t=(1, 1)):
+        num, den = power(g, m, t)
+        if scale is not None:
+            handed.append((num // scale, den // scale))
+        return num, den
+
+    def scaled(c, twist):
+        return bundles._bundle(twist.curve, twist.multidegree, ((c * num, c * den) for num, den in twist.pairs))
+
+    monkeypatch.setattr(bundles, "_power", recording)
 
     for draw in range(30):
         curve = _sweep_curve(rng)
@@ -149,17 +156,16 @@ def test_cohomology_of_is_free_of_the_pairs_scale():
                 F(rng.choice([-1, 1]) * rng.randrange(big, 10 * big), rng.randrange(big, 10 * big)) for _ in curve.nodes
             ]
         bundle = LineBundle(curve, degrees, scalars)
-        t, g = tangent_bundle(curve).pairs, bundle.pairs
+        tangent, trivial = tangent_bundle(curve), line_bundle(curve, (0,) * len(curve.components))
+        l, g = bundle.multidegree, bundle.pairs
         for m in range(-12, 13):
             twist, lm = _reference_twist(curve, bundle, m), reference_power(bundle, m)
-            for degs, scalar, oracle in (
-                (twist.multidegree, lambda k: _power(g[k], m, t[k]), twist),
-                (lm.multidegree, lambda k: _power(g[k], m), lm),
-            ):
-                reduced = _cohomology_of(curve, degs, oracle.pairs.__getitem__, {})
+            for shift, oracle in ((tangent, twist), (trivial, lm)):
+                reduced = twisted_cohomology(curve, oracle.multidegree, oracle.pairs, 1)
                 assert reduced == _fraction_cohomology(oracle)
-                for c in (-3, 1, 7):
-                    assert _cohomology_of(curve, degs, lambda k: scaled(c, scalar(k)), {}) == reduced
+                for scale in (-3, 1, 7):
+                    assert twisted_cohomology(curve, l, g, m, scaled(scale, shift)) == reduced
+                scale = None
     # denominators below zero, from negative scalars at odd negative weights
     assert sum(den < 0 for _, den in handed) > 100
     assert any(abs(num) >= 10**29 <= abs(den) for num, den in handed)
@@ -169,13 +175,8 @@ def test_graded_report_builds_each_branch_row_once_and_no_fraction_power(monkeyp
     """One ``graded_report`` on a spec with a degree-0 line builds the
     ``_homogeneous_row`` of each (component, marked point, width) its
     residual blocks use exactly once, across F_m, L^m and every weight,
-    and takes no Fraction power, at -3..3 and at -12..12."""
-    from nodalcone import bundles
-
-    curve = paper_example_curve()
-    bundle = LineBundle(curve, (0, 1, 2), (F(5, 3), F(-2, 7), F(3)))
-    tangent = tangent_bundle(curve)
-    thresholds = [max(0, len(c.marked_points) - 1) for c in curve.components]
+    and takes no Fraction power, at -3..3 and at -12..12, each on a fresh
+    curve, whose branch-row table starts empty."""
     built, powers = [], []
     homogeneous_row, fraction_pow = bundles._homogeneous_row, F.__pow__
 
@@ -188,6 +189,10 @@ def test_graded_report_builds_each_branch_row_once_and_no_fraction_power(monkeyp
         return fraction_pow(a, b, *rest)
 
     for lo, hi in ((-3, 3), (-12, 12)):
+        curve = paper_example_curve()
+        bundle = LineBundle(curve, (0, 1, 2), (F(5, 3), F(-2, 7), F(3)))
+        tangent = tangent_bundle(curve)
+        thresholds = [max(0, len(c.marked_points) - 1) for c in curve.components]
         expected = set()
         for m in range(lo, hi + 1):
             for degrees in (
@@ -211,7 +216,6 @@ def test_graded_report_builds_each_branch_row_once_and_no_fraction_power(monkeyp
 
 
 def test_weights_with_every_line_negative_or_onto_run_no_elimination(monkeypatch):
-    from nodalcone import bundles
     from nodalcone.exactlin import certified_rank
 
     calls = []
@@ -227,17 +231,16 @@ def test_weights_with_every_line_negative_or_onto_run_no_elimination(monkeypatch
         curve = _sweep_curve(rng)
         bundle = LineBundle(curve, [rng.randint(-3, 6) for _ in curve.components], (F(2),) * len(curve.nodes))
         tangent = tangent_bundle(curve)
-        t, g = tangent.pairs, bundle.pairs
         thresholds = [max(0, len(c.marked_points) - 1) for c in curve.components]
         for m in range(-12, 13):
             degrees = tuple(a + m * d for a, d in zip(tangent.multidegree, bundle.multidegree))
             if all(d < 0 or d >= n for d, n in zip(degrees, thresholds)):
                 quiet += 1
-                _cohomology_of(curve, degrees, lambda k: _power(g[k], m, t[k]), {})
+                twisted_cohomology(curve, bundle.multidegree, bundle.pairs, m, tangent)
     assert quiet > 100 and calls == []
     # and a line of degree 0 <= d < n - 1 does eliminate its uncovered nodes
     paper = paper_example_curve()
-    _cohomology_of(paper, (0, 0, 0), lambda k: (1, 1), {})
+    twisted_cohomology(paper, (0, 0, 0), ((1, 1),) * 3, 1)
     assert calls == [(2, 2)]
 
 
@@ -258,10 +261,13 @@ def test_deformation_bundle_twists(paper_curve):
 
 
 def test_deformation_bundle_rejects_foreign_curve(paper_curve):
+    """``deformation_bundle``, and ``t0_dim`` and ``t1_dim`` in direct
+    mode, which build no twist, reject a bundle on another curve."""
     other = random_curve(random.Random(3))
     b = line_bundle(other, (0,) * len(other.components))
-    with pytest.raises(ValueError):
-        deformation_bundle(paper_curve, b, 1)
+    for direct in (deformation_bundle, t0_dim, t1_dim):
+        with pytest.raises(ValueError, match="bundle lives on a different curve"):
+            direct(paper_curve, b, 1)
 
 
 def test_t0_t1_values(paper_curve):

@@ -74,13 +74,14 @@ def test_every_definition_is_reached_or_exported():
 
 
 def test_cli_imports_no_private_name():
-    """``cli`` formats what the library computes: it imports no
+    """``cli`` formats what the library computes, and ``cone`` reads
+    cohomology through ``bundles``' public routine: neither imports a
     ``_``-prefixed name from another ``nodalcone`` module. Dunder names
     such as ``__version__`` are not private."""
-    tree = ast.parse((SRC / "cli.py").read_text())
     private = [
-        f"{node.module}.{alias.name}"
-        for node in ast.walk(tree)
+        f"{path.name}: {node.module}.{alias.name}"
+        for path in (SRC / "cli.py", SRC / "cone.py")
+        for node in ast.walk(ast.parse(path.read_text()))
         if isinstance(node, ast.ImportFrom) and (node.level or (node.module or "").startswith("nodalcone"))
         for alias in node.names
         if alias.name.startswith("_") and not alias.name.endswith("__")
