@@ -9,9 +9,12 @@ separation tests, the section products, the node checks and the
 quadrics' vanishing check and Jacobian probe. These run on integer
 numerators over a common denominator; clearing a positive denominator
 changes neither which values or 2 x 2 minors vanish nor a Jacobian's
-rank, so the verdicts are the same. The m = 3 multiplication map's
-rank is taken mod one fixed prime where that proves the map onto,
-and over Q from the same integers where it does not; so is each of the
+rank, so the verdicts are the same. The m = 3 multiplication map is
+proved onto by Castelnuovo's base-point-free pencil trick, with no
+cubic built, where its hypotheses hold, each checked exactly: the m = 2
+map onto, H1(L) = 0 and a pencil with no common zero. Elsewhere its
+rank is taken mod one fixed prime where that proves the map onto, and
+over Q from the same integers where it does not; so is each of the
 probe's Jacobian ranks, bounded by vectors checked exactly to be in its
 kernel. The quadrics are the m = 2 map's kernel, taken over Q from the
 same integers. Results are exact and deterministic.

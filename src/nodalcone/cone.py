@@ -62,28 +62,28 @@ def _formula(total: int, m: int) -> tuple[int, int]:
     return total * m if m >= 1 else 0, -total * m if m <= -1 else 0
 
 
+def _dims(curve: NodalCurve, bundle: LineBundle, m: int, mode: str) -> tuple[int, int]:
+    """``(t0, t1)`` at weight m in ``mode``, once the weight, the mode and
+    the bundle's curve are checked, in that order."""
+    m = operator.index(m)
+    _check_mode(mode)
+    if bundle.curve != curve:
+        raise ValueError("bundle lives on a different curve")
+    if mode == FORMULA:
+        return _formula(bundle.degree(), m)
+    return twisted_cohomology(curve, bundle.multidegree, bundle.pairs, m, tangent_bundle(curve))
+
+
 def t0_dim(curve: NodalCurve, bundle: LineBundle, m: int, mode: str = DIRECT) -> int:
     """Weight-m first-order automorphism dimension of the cone: in direct
     mode h0 of ``tangent (x) L^m``, with no bundle built for it."""
-    m = operator.index(m)
-    _check_mode(mode)
-    if mode == FORMULA:
-        return _formula(bundle.degree(), m)[0]
-    if bundle.curve != curve:
-        raise ValueError("bundle lives on a different curve")
-    return twisted_cohomology(curve, bundle.multidegree, bundle.pairs, m, tangent_bundle(curve))[0]
+    return _dims(curve, bundle, m, mode)[0]
 
 
 def t1_dim(curve: NodalCurve, bundle: LineBundle, m: int, mode: str = DIRECT) -> int:
     """Weight-m first-order deformation dimension of the cone: in direct
     mode h1 of ``tangent (x) L^m``, with no bundle built for it."""
-    m = operator.index(m)
-    _check_mode(mode)
-    if mode == FORMULA:
-        return _formula(bundle.degree(), m)[1]
-    if bundle.curve != curve:
-        raise ValueError("bundle lives on a different curve")
-    return twisted_cohomology(curve, bundle.multidegree, bundle.pairs, m, tangent_bundle(curve))[1]
+    return _dims(curve, bundle, m, mode)[1]
 
 
 class WeightEntry(NamedTuple):

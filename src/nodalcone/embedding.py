@@ -53,25 +53,25 @@ zero product's monomial being a quadric by itself, and eliminates only
 the nonzero ones, over Q, so it is the canonical basis of
 ``kernel_basis``: a vector w of the integer map gives the rational
 kernel vector with entries ``den_j * w_j`` up to a positive factor.
-The m = 3 map's image is ``H0(L) * image(m2)``: each cubic monomial is
-``x_c * (x_a x_b)``, and m2's column for ``x_a x_b`` lies in the span of
-its pivot columns P, those that are no kernel vector's free column,
-read off the exact kernel with no second elimination. So the columns of
-the cubics ``x_i * p``, i a basis index and p in P, span m3's image.
-Fewer usually do. By Castelnuovo's base-point-free pencil trick (Green
-1984; Eisenbud 2005, ch. 8), sections V with no common zero and
-H1(L) = 0 give ``V * H0(L^2) = H0(L^3)``. ``_multipliers`` picks a few
-such sections S greedily, from gcds of their restrictions to the
-components mod ``PRIME``; that is only a heuristic, as nothing here
-checks its hypotheses. What is exact is the certificate: the cubics
-``x_s * p``, s in S, are some of m3's integer columns, so their rank
-mod ``PRIME`` is at most m3's rank over Q, itself at most the rows, and
-a rank mod ``PRIME`` equal to the rows proves m3 onto. Then no other
-cubic is built. Otherwise, or with no S, ``cone_ideal`` builds the
-cubics over P not yet built and takes the exact rank of all of them
-with ``certified_rank_of_columns``. Either way every product built is
-node-checked as above, none twice, and m3's reported source still
-counts every cubic monomial.
+m3 is proved onto, where it can be, by Castelnuovo's base-point-free
+pencil trick (Green 1984; Eisenbud 2005, ch. 8), with no cubic built:
+two sections s1, s2 with no common zero give the exact Koszul sequence
+``0 -> L -> L^2 + L^2 -> L^3 -> 0`` on any curve, nodal and reducible
+ones included, so with H1(L) = 0 and m2 onto, ``s1 * H0(L^2) +
+s2 * H0(L^2) = H0(L^3)`` lies in m3's image. ``_pencil_trick`` checks its
+three hypotheses exactly: m2's rank equals its rows, H1(L) = 0 by
+``twisted_cohomology``, and the pencil ``s1 = sum b_j``,
+``s2 = sum (j + 1) b_j`` of the basis has no common zero on any line
+(``_pencil_is_free``: its values at infinity, and a gcd mod ``PRIME`` of
+its restrictions that proves their gcd over Q is 1). Then m3's target
+and rank are ``h0(L^3)``. Otherwise m3's rank is exact: its image is
+``H0(L) * image(m2)``, each cubic monomial is ``x_c * (x_a x_b)``, and
+m2's column for ``x_a x_b`` lies in the span of its pivot columns P,
+those that are no kernel vector's free column, read off the exact kernel
+with no second elimination. So the cubics ``x_i * p``, i a basis index
+and p in P, span m3's image; ``cone_ideal`` builds each once,
+node-checked as above, and ``certified_rank_of_columns`` ranks them.
+Either way m3's reported source counts every cubic monomial.
 ``_quadric_forms`` keeps each quadric as its nonzero terms
 ``(den_j * w_j, i, j)`` over the integers. ``quadric_ideal`` is
 ``kernel_basis``'s view of the same quadrics, from the rational map.
@@ -105,9 +105,9 @@ from operator import index
 from typing import NamedTuple
 
 from .bundles import SectionSpace, _dot, _flat_row, _glues, _homogeneous_row, _jet_row, _multiply, _node_rows
-from .bundles import block_widths, power
+from .bundles import block_widths, power, twisted_cohomology
 from .curve import NodalCurve, PointOnLine, affine_point
-from .exactlin import PRIME, MatrixQ, VectorQ, _dense_rows, _forward_eliminate, _free, _kills, _rank_mod_prime
+from .exactlin import PRIME, MatrixQ, VectorQ, _dense_rows, _forward_eliminate, _free, _kills
 from .exactlin import as_scalar, certified_rank, certified_rank_of_columns, kernel_basis, kernel_of_columns
 
 _ZERO = Fraction(0)
@@ -589,88 +589,71 @@ def _gcd(g: list[int], h: list[int]) -> list[int]:
             f = g[i] * inv % PRIME
             for j in range(top):
                 g[i - top + j] = (g[i - top + j] - f * h[j]) % PRIME
-        del g[top:]
-        while g and not g[-1]:
-            g.pop()
-        g, h = h, g
+        g, h = h, _trimmed(g[:top])
     return [1] if h else g
 
 
-def _multipliers(space: SectionSpace) -> list[int] | None:
-    """Basis indices S of sections with no common zero, or None.
+def _pencil_is_free(space: SectionSpace) -> bool:
+    """Whether the pencil ``s1 = sum b_j``, ``s2 = sum (j + 1) b_j`` of
+    the basis, times the lcm of its denominators, has no common zero, line
+    by line: a line of width 0 fails; the values at infinity, the
+    coefficients of ``t^(w - 1)``, must not both be 0; and for w >= 2, with
+    F the restriction whose true leading coefficient is nonzero mod
+    ``PRIME`` and G the other, nonzero mod ``PRIME``, ``_gcd`` must be a
+    unit. Then their gcd over Q is 1: a primitive common factor over Q
+    divides F in Z[t], so its leading coefficient is a unit mod ``PRIME``,
+    and its reduction keeps its degree and divides both reductions."""
+    basis = space.integral_basis
+    den = lcm(*(d for _, d in basis))
+    for ci, width in enumerate(block_widths(space.bundle)):
+        pencil = [[0] * width, [0] * width]
+        for j, (blocks, d) in enumerate(basis):
+            for k, c in blocks[ci]:
+                pencil[0][k] += c * (den // d)
+                pencil[1][k] += (j + 1) * c * (den // d)
+        if not (width and (pencil[0][-1] or pencil[1][-1])):
+            return False
+        if width > 1:
+            f, g = map(_trimmed, pencil)
+            if not (f and f[-1] % PRIME):
+                f, g = g, f
+            g = _trimmed([c % PRIME for c in g])
+            if not (f and f[-1] % PRIME and g) or len(_gcd([c % PRIME for c in f], g)) > 1:
+                return False
+    return True
 
-    Each basis section nonzero mod ``PRIME`` on a component is restricted
-    there to a polynomial mod ``PRIME``: ``t^v`` times a core with a
-    nonzero constant term, and of vanishing order ``width - 1 - top`` at
-    infinity, top its highest exponent. Sections are added greedily,
-    each time the one that leaves the fewest common zeros: per component,
-    the degree of the gcd of their restrictions plus their least order at
-    infinity, or the width while none is nonzero there. While the whole
-    basis has no base point, some section lowers the count, so None is
-    returned once none does, or when a component has no nonzero section.
-    A gcd mod ``PRIME`` may be larger than over Q; that costs at most a
-    longer S or a None, as S only chooses which of m3's columns are built
-    first."""
-    widths = block_widths(space.bundle)
-    forms: list[dict[int, tuple]] = [{} for _ in widths]
-    for j, (blocks, _) in enumerate(space.integral_basis):
-        for ci, terms in enumerate(blocks):
-            terms = [(k, c % PRIME) for k, c in terms if c % PRIME]
-            if terms:
-                v, top = terms[0][0], terms[-1][0]
-                core = [0] * (top + 1 - v)
-                for k, c in terms:
-                    core[k - v] = c
-                forms[ci][j] = v, core, widths[ci] - 1 - top
-    if not all(forms):
-        return None
 
-    def zeros(state, width: int) -> int:
-        return width if state is None else state[0] + len(state[1]) - 1 + state[2]
+def _trimmed(coeffs: list[int]) -> list[int]:
+    """``coeffs``, low to high, less its zero coefficients at the top."""
+    while coeffs and not coeffs[-1]:
+        coeffs = coeffs[:-1]
+    return coeffs
 
-    def joined(state, form):
-        if state is None:
-            return form
-        return min(state[0], form[0]), _gcd(state[1], form[1]), min(state[2], form[2])
 
-    chosen, states, total = [], [None] * len(widths), sum(widths)
-    while total:
-        left = list(map(zeros, states, widths))
-        best = total, None, {}  # a section already taken lowers nothing
-        for j in range(len(space.integral_basis)):
-            trial = {ci: joined(states[ci], f[j]) for ci, f in enumerate(forms) if left[ci] and j in f}
-            count = total + sum(zeros(state, widths[ci]) - left[ci] for ci, state in trial.items())
-            if count < best[0]:
-                best = count, j, trial
-        total, j, trial = best
-        if j is None:
-            return None
-        chosen.append(j)
-        states = [trial.get(ci, state) for ci, state in enumerate(states)]
-    return chosen
+def _pencil_trick(space: SectionSpace, m2: tuple[int, int, int]) -> bool:
+    """Whether the base-point-free pencil trick proves m3 onto (see the
+    module docstring): m2, as ``(source, target, rank)``, is onto,
+    H1(L) = 0, and the pencil of ``_pencil_is_free`` has no common zero."""
+    bundle = space.bundle
+    return (
+        m2[2] == m2[1]
+        and twisted_cohomology(bundle.curve, bundle.multidegree, bundle.pairs, 1)[1] == 0
+        and _pencil_is_free(space)
+    )
 
 
 def cone_ideal(space: SectionSpace) -> tuple[tuple[int, int, int], tuple[int, int, int], tuple[_QuadricForm, ...]]:
     """``(m2, m3, quadrics)``: the m = 2 and m = 3 multiplication maps of
     ``space`` as ``(source, target, rank)``, and the quadrics through the
-    curve in integer form (``_quadric_forms``). Both maps stay the
-    integers of ``_degree_map``; the m = 2 kernel, whose count gives that
-    map's rank, is taken over Q, and the m = 3 rank is certified mod one
-    prime, as the module docstring sets out.
-
-    m3's image is spanned by the cubics ``x_i * p``, i a basis index and p
-    one of P, m2's pivot monomials: those whose column is no quadric's
-    free column, its last term. The kernel is exact, so P's columns span
-    m2's image, and each cubic ``x_c * (x_a x_b)`` maps into ``x_c`` times
-    that span. The base-point-free pencil trick says more: if the sections
-    S of ``_multipliers`` share no zero and H1(L) = 0, the cubics
-    ``x_s * p``, s in S, already span ``H0(L^3)``. That is only a guide to
-    which columns to build first: their rank mod ``PRIME`` is at most
-    m3's rank over Q, at most the rows, so a rank mod ``PRIME`` equal to
-    the rows certifies that m3 is onto, and no other cubic is built.
-    Otherwise, or with S None, the pivot cubics not yet built are built,
-    and ``certified_rank_of_columns`` takes the exact rank of all of them.
-    m3's ``source`` still counts every cubic monomial, ``C(h0 + 2, 3)``."""
+    curve in integer form (``_quadric_forms``). m2 stays the integers of
+    ``_degree_map``, and its kernel, whose count gives its rank, is taken
+    over Q. m3's ``source`` counts every cubic monomial, ``C(h0 + 2, 3)``.
+    Where ``_pencil_trick`` holds, m3 is onto, and its target and rank are
+    ``h0(L^3)`` from ``twisted_cohomology``, with no cubic built.
+    Otherwise each cubic ``x_i * p``, i a basis index and p one of m2's
+    pivot monomials, those that are no quadric's last term, is built and
+    node-checked once, and ``certified_rank_of_columns`` ranks them all:
+    they span m3's image, as the module docstring sets out."""
     basis = space.integral_basis
     n = len(basis)
     monos = sym_monomials(n, 2)
@@ -679,19 +662,14 @@ def cone_ideal(space: SectionSpace) -> tuple[tuple[int, int, int], tuple[int, in
     columns, dens, rows = _degree_map(space, _target(space.bundle, 2), prefixes, monos, products)
     quadrics = _quadric_forms(columns, dens, rows, n)
     m2 = (len(dens), rows, len(dens) - len(quadrics))
+    if _pencil_trick(space, m2):
+        bundle = space.bundle
+        rows = twisted_cohomology(bundle.curve, bundle.multidegree, bundle.pairs, 3)[0]
+        return m2, (comb(n + 2, 3), rows, rows), quadrics
     lead = {terms[-1][1:] for terms, _ in quadrics}
-    pivots = [p for p in monos if p not in lead]
-    chosen = _multipliers(space) or ()
-    first = sorted({tuple(sorted((*p, s))) for p in pivots for s in chosen})
-    target = _target(space.bundle, 3)
-    columns, _, rows = _degree_map(space, target, products, first)
-    if 0 < rows <= len(first) and _rank_mod_prime(columns, rows, rows) == rows:
-        rank = rows
-    else:
-        rest = {tuple(sorted((*p, i))) for p in pivots for i in range(n)}.difference(first)
-        columns += _degree_map(space, target, products, sorted(rest))[0]
-        rank = certified_rank_of_columns(columns, rows)
-    return m2, (comb(n + 2, 3), rows, rank), quadrics
+    cubics = sorted({tuple(sorted((*p, i))) for p in monos if p not in lead for i in range(n)})
+    columns, _, rows = _degree_map(space, _target(space.bundle, 3), products, cubics)
+    return m2, (comb(n + 2, 3), rows, certified_rank_of_columns(columns, rows)), quadrics
 
 
 def singularity_probe(space: SectionSpace, forms, extra_samples: int, seed: int) -> tuple:

@@ -505,8 +505,8 @@ def _record_eliminations(monkeypatch):
         init(self, rows, cols, entries)
 
     monkeypatch.setattr(exactlin, "_forward_eliminate", counting_eliminate)
+    monkeypatch.setattr(exactlin, "_rank_mod_prime", counting_by_columns)
     for module in (exactlin, embedding):
-        monkeypatch.setattr(module, "_rank_mod_prime", counting_by_columns)
         monkeypatch.setattr(module, "_dense_rows", counting_to_rows)
     monkeypatch.setattr(exactlin.MatrixQ, "__init__", counting_init)
     return eliminations, column_ranks, dense, matrices
@@ -582,34 +582,22 @@ def _pivot_cubics(space) -> set:
     return {tuple(sorted((*monos[j], i))) for j in reference_rref(multiplication_map(space, 2))[1] for i in range(n)}
 
 
-def _multiplier_cubics(space) -> set:
-    """The cubics ``x_s * p``, s one of the sections ``_multipliers``
-    picks and p a monomial at a pivot column of the rational m = 2 map's
-    rref: the columns of m3 whose rank ``cone_ideal`` takes first."""
-    from nodalcone.embedding import _multipliers, multiplication_map, sym_monomials
-
-    chosen = _multipliers(space)
-    assert chosen is not None
-    monos = sym_monomials(len(space.integral_basis), 2)
-    return {tuple(sorted((*monos[j], s))) for j in reference_rref(multiplication_map(space, 2))[1] for s in chosen}
-
-
 @pytest.mark.parametrize("command", ["ideal", "verify"])
 @pytest.mark.parametrize("spec", M3_GUARD_SPECS)
 def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys):
     """On the shipped curves and the (k,k,k) ladder neither multiplication
-    map becomes a MatrixQ, either way round. The m = 3 rank is certified
-    mod PRIME once, on the sparse columns of the cubics ``x_s * p``, s a
-    multiplier and p at a pivot of m2 (``_multiplier_cubics``), fewer than
-    the cubics over every basis index (``_pivot_cubics``), themselves
-    fewer than all cubics. m3 is never ranked at either larger width, and
-    never built as dense rows or eliminated over Q at any of the three.
-    The m = 2 kernel is eliminated exactly once,
+    map becomes a MatrixQ, either way round. The pencil trick proves m3
+    onto, so no cubic product is built, and no m3 column is ranked, built
+    as dense rows or eliminated, at any width: not at the width of the
+    cubics over m2's pivots (``_pivot_cubics``), nor at every cubic's;
+    every rank taken mod PRIME with m3's row count is a probe's gradient
+    matrix, at most h0 wide. The m = 2 kernel is eliminated exactly once,
     over Q, on m2's nonzero columns only, never at its full width and
     never mod a prime. Every gradient matrix of ``ideal``'s probe, one
     row per quadric, is ranked mod PRIME on its sparse columns and never
     eliminated, except where ``PROBE_SHORTFALL`` names the one matrix
     whose rank mod PRIME falls short of its bound and is taken over Q."""
+    from nodalcone import embedding
     from nodalcone.embedding import multiplication_map
 
     path, bundle = _guard_spec(spec, tmp_path)
@@ -623,19 +611,27 @@ def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys
     target3 = len(section_basis(power(bundle, 3)).basis)
     m3_full = (target3, h0 * (h0 + 1) * (h0 + 2) // 6)
     m3_pivots = (target3, len(_pivot_cubics(space)))
-    m3 = (target3, len(_multiplier_cubics(space)))
-    assert m3[1] < m3_pivots[1] < m3_full[1]
+    assert h0 < m3_pivots[1] < m3_full[1]
     eliminations, column_ranks, dense, matrices = _record_eliminations(monkeypatch)
+    cubics = []
+    degree_map = embedding._degree_map
+
+    def recording(space, target, prefixes, monos, kept=None):
+        cubics.extend(mono for mono in monos if len(mono) == 3)
+        return degree_map(space, target, prefixes, monos, kept)
+
+    monkeypatch.setattr(embedding, "_degree_map", recording)
     assert main([command, str(path), "--json"]) == EXIT_OK
     body = json.loads(capsys.readouterr().out)["sections"][command]
-    for shape in (m2_nonzero, m2, m3, m3_pivots, m3_full):
+    assert cubics == []
+    for shape in (m2_nonzero, m2, m3_pivots, m3_full):
         assert shape not in matrices and shape[::-1] not in matrices
     assert eliminations.count((0, *m2_nonzero)) == 1
     assert m2_nonzero not in column_ranks
     assert (0, *m2) not in eliminations and m2 not in column_ranks
-    assert column_ranks.count(m3) == 1 and m3_pivots not in column_ranks and m3_full not in column_ranks
-    for shape in (m3, m3_pivots, m3_full):
-        assert (0, *shape) not in eliminations and shape not in dense
+    assert all(cols <= h0 for rows, cols in column_ranks if rows == target3)
+    for shape in (m3_pivots, m3_full):
+        assert (0, *shape) not in eliminations and shape not in dense and shape not in column_ranks
     if command == "ideal":
         gradients = (body["quadric_count"], h0)  # the smooth sample's, every column nonzero
         assert gradients in column_ranks
@@ -643,6 +639,31 @@ def test_m3_rank_is_certified_mod_p(command, spec, tmp_path, monkeypatch, capsys
         probe = [e for e in eliminations if e[1] == gradients[0] and e[2] <= h0]
         shortfall = [(0, gradients[0], PROBE_SHORTFALL[spec])] if spec in PROBE_SHORTFALL else []
         assert probe == shortfall
+
+
+@pytest.mark.parametrize("command", ["ideal", "verify"])
+@pytest.mark.parametrize("spec", M3_GUARD_SPECS)
+def test_m3_by_the_pencil_trick_prints_what_the_exact_rank_prints(command, spec, tmp_path, monkeypatch, capsys):
+    """On the shipped curves and the (k,k,k) ladder ``cone_ideal`` takes
+    the pencil route once per command, and with ``_pencil_trick`` patched
+    to fail, so that m3's rank is taken exactly over the pivot cubics, the
+    command prints the same stdout and stderr with the same exit code."""
+    from nodalcone import embedding
+
+    path, _ = _guard_spec(spec, tmp_path)
+    trick, routes = embedding._pencil_trick, []
+
+    def recording(space, m2):
+        routes.append(trick(space, m2))
+        return routes[-1]
+
+    monkeypatch.setattr(embedding, "_pencil_trick", recording)
+    assert main([command, str(path), "--json"]) == EXIT_OK
+    by_pencil = capsys.readouterr()
+    assert routes == [True]
+    monkeypatch.setattr(embedding, "_pencil_trick", lambda space, m2: False)
+    assert main([command, str(path), "--json"]) == EXIT_OK
+    assert capsys.readouterr() == by_pencil
 
 
 # the paper curve at (3, 3, 3) with C2's branch of the node C1.1 - C2.1
@@ -1253,8 +1274,10 @@ def test_verify_duality_rows_build_no_bundle(path, monkeypatch, capsys):
 def test_one_section_basis_per_bundle(command, monkeypatch, capsys):
     """L's section basis is built once, and its gluing matrix only there.
     L^2 and L^3 need only the free columns of their gluing rref, so no
-    basis and no gluing matrix is built for them: each is eliminated
-    once, from its integer node rows."""
+    basis and no gluing matrix is built for them: L^2 is eliminated once,
+    from its integer node rows, and so is L^3 on the exact route only,
+    with ``_pencil_trick`` patched to fail; the pencil route reads
+    h0(L^3) off ``twisted_cohomology``."""
     from nodalcone import bundles, cli, embedding, exactlin
 
     bases, glued, eliminated = [], [], []
@@ -1278,15 +1301,19 @@ def test_one_section_basis_per_bundle(command, monkeypatch, capsys):
     for module in (bundles, embedding, cli):
         monkeypatch.setattr(module, "gluing_matrix", counting_gluing, raising=False)
     monkeypatch.setattr(embedding, "_forward_eliminate", counting_eliminate)
-    assert main([command, str(PAPER_SPEC), "--json"]) == EXIT_OK
-    assert bases == glued == [(4, 3, 3)]
     spec = parse_spec(PAPER_SPEC.read_text())
     expected = []
     for m in (2, 3):
         target = power(LineBundle(spec.curve, spec.multidegree, spec.gluings), m)
         offsets = tuple(accumulate(bundles.block_widths(target), initial=0))
         expected.append([bundles._flat_row(offsets, node) for node in bundles._node_rows(target)])
-    assert eliminated == expected
+    for route, powers in (("pencil", 1), ("exact", 2)):
+        if route == "exact":
+            monkeypatch.setattr(embedding, "_pencil_trick", lambda space, m2: False)
+        del bases[:], glued[:], eliminated[:]
+        assert main([command, str(PAPER_SPEC), "--json"]) == EXIT_OK
+        assert bases == glued == [(4, 3, 3)]
+        assert eliminated == expected[:powers]
 
 
 @pytest.mark.parametrize("command", [["sections", "--basis"], ["ideal"]])

@@ -261,13 +261,17 @@ def test_deformation_bundle_twists(paper_curve):
 
 
 def test_deformation_bundle_rejects_foreign_curve(paper_curve):
-    """``deformation_bundle``, and ``t0_dim`` and ``t1_dim`` in direct
-    mode, which build no twist, reject a bundle on another curve."""
+    """``deformation_bundle``, and ``t0_dim`` and ``t1_dim`` in both modes,
+    direct (which builds no twist) and formula, reject a bundle on another
+    curve."""
     other = random_curve(random.Random(3))
     b = line_bundle(other, (0,) * len(other.components))
-    for direct in (deformation_bundle, t0_dim, t1_dim):
-        with pytest.raises(ValueError, match="bundle lives on a different curve"):
-            direct(paper_curve, b, 1)
+    with pytest.raises(ValueError, match="bundle lives on a different curve"):
+        deformation_bundle(paper_curve, b, 1)
+    for dim in (t0_dim, t1_dim):
+        for mode in (DIRECT, FORMULA):
+            with pytest.raises(ValueError, match="bundle lives on a different curve"):
+                dim(paper_curve, b, 1, mode)
 
 
 def test_t0_t1_values(paper_curve):

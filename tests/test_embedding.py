@@ -963,21 +963,34 @@ def test_check_sample_count_counts_the_pool_it_no_longer_stores():
 CONE_IDEAL_SEEDS = range(24)
 M3_ONTO_SEEDS = {0, 1, 6, 12}
 
-# two more seeds, where the multiplier cubics' rank mod PRIME is m3's
-# exact rank, one short of the rows: a certificate one row short fails there
+# the seeds where ``_pencil_trick`` holds: m3 is onto with no cubic built
+PENCIL_SEEDS = {0, 6, 12}
+
+# two more seeds whose pencil has no common zero and H1(L) = 0, but m2 is
+# not onto and m3's rank is one short of the rows: a certificate that
+# skipped m2's rank would report m3 onto there
 SHORT_BY_ONE_SEEDS = (100, 134)
 
-# the seeds whose basis has sections with no common zero for
-# ``_multipliers`` to find
-MULTIPLIER_SEEDS = {0, 6, 8, 12, 13, 15, 16, 17, 18, 23, *SHORT_BY_ONE_SEEDS}
+
+def _genus_two_canonical():
+    """The dualizing bundle of two lines meeting in three points, genus 2:
+    h0 = 2, H1 = 1, m2 onto and a pencil with no common zero, yet m3 has
+    rank 4 of 5, so only H1(L) = 0 keeps the pencil trick from applying."""
+    pts = (affine_point(0), affine_point(1), INFINITY), (affine_point(0), affine_point(2), affine_point(-1))
+    components = tuple(Component(name, p) for name, p in zip(("C1", "C2"), pts))
+    curve = NodalCurve(components, tuple(NodeGluing(("C1", i), ("C2", i)) for i in range(3)))
+    return section_basis(bundles.dualizing_bundle(curve))
 
 
 def _cone_ideal_space(paper_curve, spec):
     """The section space of a spec of ``test_cone_ideal_quadrics_are_the_quadric_ideal``:
-    the paper curve at (k, k, k), a spec file, ``SHORT_M3_SPEC`` or a
-    seeded spec of 2-5 lines, some through infinity, at degrees 0-4."""
+    the paper curve at (k, k, k), a spec file, ``SHORT_M3_SPEC``, the
+    genus-2 canonical bundle or a seeded spec of 2-5 lines, some through
+    infinity, at degrees 0-4."""
     if isinstance(spec, int):
         return section_basis(line_bundle(paper_curve, (spec, spec, spec)))
+    if spec == "canonical-genus-2":
+        return _genus_two_canonical()
     if spec.startswith("seed:"):
         rng = random.Random(int(spec.removeprefix("seed:")))
         return section_basis(random_bundle(rng, curve_with_infinity(rng, components=(2, 5)), degree_range=(0, 4)))
@@ -989,7 +1002,7 @@ def _cone_ideal_space(paper_curve, spec):
     "spec",
     [*range(3, 9)]
     + [str(p.relative_to(ROOT)) for p in sorted(ROOT.glob("curves/*.json")) + sorted(ROOT.glob("tests/specs/*.json"))]
-    + ["short-m3"]
+    + ["short-m3", "canonical-genus-2"]
     + [f"seed:{seed}" for seed in (*CONE_IDEAL_SEEDS, *SHORT_BY_ONE_SEEDS)],
 )
 def test_cone_ideal_quadrics_are_the_quadric_ideal(paper_curve, spec, monkeypatch):
@@ -998,35 +1011,29 @@ def test_cone_ideal_quadrics_are_the_quadric_ideal(paper_curve, spec, monkeypatc
     rational map) share only ``exactlin``'s kernel, and agree vector for
     vector over ``sym_monomials(h0, 2)``. Both maps' shapes and ranks are
     those of the rational ``multiplication_map``, ranked by ``rank``, on
-    the paper curve at (k, k, k), on every spec file, on ``SHORT_M3_SPEC``
-    and on the seeded specs, where m3 is onto for ``M3_ONTO_SEEDS`` only.
+    the paper curve at (k, k, k), on every spec file, on ``SHORT_M3_SPEC``,
+    on the genus-2 canonical bundle and on the seeded specs, where m3 is
+    onto for ``M3_ONTO_SEEDS`` only.
 
-    m3's is so on whichever path ``cone_ideal`` takes: a rank mod PRIME
-    on the multiplier cubics that reaches the rows and certifies m3 onto,
-    with no exact rank taken (the ladder, the curve files and seeds 0, 6
-    and 12); or ``certified_rank_of_columns`` on every pivot cubic, where
-    ``_multipliers`` finds no sections (the spec files, ``SHORT_M3_SPEC``
-    and the seeds outside ``MULTIPLIER_SEEDS``) or finds some whose cubics
-    fall short because m3 is not onto (the rest of ``MULTIPLIER_SEEDS``)."""
+    m3's is so on whichever route ``cone_ideal`` takes: "pencil", where
+    ``_pencil_trick`` proves m3 onto and no rank is taken (the ladder, the
+    curve files and ``PENCIL_SEEDS``), or "exact", where
+    ``certified_rank_of_columns`` ranks every pivot cubic (the spec files,
+    ``SHORT_M3_SPEC``, the genus-2 canonical bundle, ``SHORT_BY_ONE_SEEDS``
+    and the other seeds). So the theorem never reports more than the rank."""
     space = _cone_ideal_space(paper_curve, spec)
-    picked, subset_ranks, exact_ranks = [], [], []
-    multipliers, by_columns = embedding._multipliers, embedding._rank_mod_prime
-    certified = embedding.certified_rank_of_columns
+    routes, exact_ranks = [], []
+    trick, certified = embedding._pencil_trick, embedding.certified_rank_of_columns
 
-    def recording_multipliers(space):
-        picked.append(multipliers(space))
-        return picked[-1]
-
-    def recording_by_columns(columns, rows, stop):
-        subset_ranks.append(len(columns))
-        return by_columns(columns, rows, stop)
+    def recording_trick(space, m2):
+        routes.append("pencil" if trick(space, m2) else "exact")
+        return routes[-1] == "pencil"
 
     def recording_certified(columns, rows, bound=None):
         exact_ranks.append(len(columns))
         return certified(columns, rows, bound)
 
-    monkeypatch.setattr(embedding, "_multipliers", recording_multipliers)
-    monkeypatch.setattr(embedding, "_rank_mod_prime", recording_by_columns)
+    monkeypatch.setattr(embedding, "_pencil_trick", recording_trick)
     monkeypatch.setattr(embedding, "certified_rank_of_columns", recording_certified)
     monos = sym_monomials(len(space.integral_basis), 2)
     index = {mono: j for j, mono in enumerate(monos)}
@@ -1041,35 +1048,32 @@ def test_cone_ideal_quadrics_are_the_quadric_ideal(paper_curve, spec, monkeypatc
     for shape, m in ((m2, 2), (m3, 3)):
         matrix = multiplication_map(space, m)
         assert shape == (matrix.cols, matrix.rows, rank(matrix))
-    [chosen] = picked
-    path = "none" if chosen is None else "short" if exact_ranks else "certified"
+    [route] = routes
     if isinstance(spec, int) or spec.startswith("curves/"):
-        assert path == "certified"
+        assert route == "pencil"
     elif spec.startswith("seed:"):
         seed = int(spec.removeprefix("seed:"))
         assert (m3[2] == m3[1]) == (seed in M3_ONTO_SEEDS)
-        assert path == ("none" if seed not in MULTIPLIER_SEEDS else "certified" if seed in M3_ONTO_SEEDS else "short")
+        assert route == ("pencil" if seed in PENCIL_SEEDS else "exact")
+        if seed in SHORT_BY_ONE_SEEDS:
+            assert embedding._pencil_is_free(space) and m2[2] < m2[1] and m3[2] == m3[1] - 1
     else:
-        assert path == "none"
+        assert route == "exact"
         if spec == "short-m3":
             assert m3 == (20, 12, 10)
-    if path == "certified":
-        assert m3[2] == m3[1] and len(subset_ranks) == 1 and exact_ranks == []
-    else:
-        assert len(subset_ranks) <= (path == "short") and len(exact_ranks) == 1
-    if path == "short":
-        assert m3[2] < m3[1]
+        if spec == "canonical-genus-2":
+            assert embedding._pencil_is_free(space) and m2 == (3, 3, 3) and m3 == (4, 5, 4)
+    assert len(exact_ranks) == (route == "exact")
 
 
-@pytest.mark.parametrize("degrees, built", [((4, 3, 3), (55, 90)), ((6, 6, 6), (171, 164))])
+@pytest.mark.parametrize("degrees, built", [((4, 3, 3), (55, 0)), ((6, 6, 6), (171, 0))])
 def test_cone_ideal_builds_m2_and_the_pivot_cubics_only(paper_curve, degrees, built, monkeypatch):
     """``cone_ideal`` multiplies, and then checks against the node
-    constraints, each of m2's products and each cubic ``x_s * p``, s one
-    of the sections ``_multipliers`` picks and p a pivot of m2, once each
-    and nothing else: their rank mod PRIME certifies m3 onto, so no other
-    pivot cubic is built. That is 55 + 90 of the 55 + 220 products at
-    (4, 3, 3), the bundle of ``curves/paper-x.json``, and 171 + 164 of the
-    171 + 1140 at (6, 6, 6). The zero products are checked too."""
+    constraints, each of m2's products once each and nothing else: the
+    pencil trick proves m3 onto, so no cubic is built. That is 55 of the
+    55 + 220 products at (4, 3, 3), the bundle of ``curves/paper-x.json``,
+    and 171 of the 171 + 1140 at (6, 6, 6). The zero products are checked
+    too."""
     space = section_basis(line_bundle(paper_curve, degrees))
     multiplied, glued = [], []
     multiply, glues = embedding._multiply, embedding._glues
@@ -1087,9 +1091,9 @@ def test_cone_ideal_builds_m2_and_the_pivot_cubics_only(paper_curve, degrees, bu
     m2, m3, _ = embedding.cone_ideal(space)
     n = len(space.integral_basis)
     assert (m2[0], m3[0]) == (math.comb(n + 1, 2), math.comb(n + 2, 3))
-    assert len(multiplied) == sum(built)
+    assert len(multiplied) == sum(built) == m2[0]
     assert glued == [blocks for blocks, _ in multiplied]
-    assert any(not any(blocks) for blocks in glued[: built[0]]) and any(not any(blocks) for blocks in glued[built[0] :])
+    assert any(not any(blocks) for blocks in glued)
 
 
 def _restriction(section, ci):
@@ -1100,26 +1104,56 @@ def _restriction(section, ci):
 
 @pytest.mark.parametrize("k", range(3, 15))
 def test_multipliers_share_no_zero(paper_curve, k):
-    """On the paper curve at (k, k, k), ``_multipliers`` picks five basis
-    sections with no common zero, checked over Q with sympy: on each line
-    the gcd of their restrictions is 1, and not all of them vanish at
-    infinity, where a section of degree k reads its coefficient of t^k."""
+    """On the paper curve at (k, k, k) the two multipliers of the pencil
+    trick, ``s1 = sum b_j`` and ``s2 = sum (j + 1) b_j`` over the basis
+    sections b_j, have no common zero, checked over Q with sympy: on each
+    line the gcd of their restrictions is 1, and their coefficients of
+    t^k, the values at infinity, are not both zero. ``_pencil_is_free``,
+    which checks the same mod PRIME, agrees."""
     space = section_basis(line_bundle(paper_curve, (k, k, k)))
-    chosen = embedding._multipliers(space)
-    assert chosen is not None and len(chosen) == len(set(chosen)) == 5
-    for ci, width in enumerate(bundles.block_widths(space.bundle)):
-        restrictions = [_restriction(space.basis[j], ci) for j in chosen]
-        assert functools.reduce(sympy.Poly.gcd, restrictions).degree() == 0
-        assert any(space.basis[j].coeffs[ci][width - 1] != 0 for j in chosen)
+    t = sympy.Symbol("t")
+    for ci in range(len(paper_curve.components)):
+        restrictions = [_restriction(b, ci) for b in space.basis]
+        s1 = functools.reduce(sympy.Poly.add, restrictions)
+        s2 = functools.reduce(sympy.Poly.add, (r * (j + 1) for j, r in enumerate(restrictions)))
+        assert not s1.is_zero and not s2.is_zero and s1.gcd(s2).degree() == 0
+        assert (s1.coeff_monomial(t**k), s2.coeff_monomial(t**k)) != (0, 0)
+    assert embedding._pencil_is_free(space)
+
+
+_P = exactlin.PRIME
+
+
+@pytest.mark.parametrize(
+    "degree, basis, free",
+    [
+        (2, [[(0, -1), (1, 1)], [(1, -1), (2, 1)]], False),  # t - 1 and t^2 - t share t = 1
+        (2, [[(0, 1)], [(1, 1)]], False),  # 1 and t share the point at infinity
+        (2, [[(0, 1)], [(2, 1)]], True),
+        (1, [[(1, _P)], [(0, 1)]], False),  # p t + 1, p t + 2: no leading coefficient is a unit mod p
+        (1, [[(0, _P - 2), (1, _P - 2)], [(0, 1), (1, 1)]], False),  # s2 = p (t + 1) is zero mod p
+        (0, [[(0, 3)]], True),
+        (-1, [], False),
+    ],
+    ids=["affine-zero", "zero-at-infinity", "free", "leads-vanish-mod-p", "s2-vanishes-mod-p", "constant", "width-0"],
+)
+def test_pencil_is_free_on_one_line(degree, basis, free):
+    """``_pencil_is_free`` on hand-made bases over one line with no node:
+    the pencil ``s1 = b0 + b1``, ``s2 = b0 + 2 b1`` spans the same sections
+    as the basis, so it has a common zero exactly where the basis does.
+    Where no restriction keeps its leading coefficient mod PRIME, or s2
+    vanishes mod PRIME, the check fails whatever holds over Q."""
+    bundle = line_bundle(NodalCurve((Component("A", ()),), ()), (degree,))
+    space = SectionSpace(bundle, tuple(((tuple(terms),), 1) for terms in basis))
+    assert embedding._pencil_is_free(space) is free
 
 
 @pytest.mark.parametrize("spec", ["short-m3", "seed:8", "seed:13"])
 def test_cone_ideal_fallback_builds_each_product_once(paper_curve, spec, monkeypatch):
-    """Where the multiplier cubics certify nothing (``SHORT_M3_SPEC``,
-    with no multipliers, and two seeds whose multiplier cubics fall short
-    of the rows), ``cone_ideal`` multiplies m2's products and then every
-    cubic ``x_i * p`` over m2's pivots, the rational rref's, once each:
-    those the multipliers reach first, then only the rest."""
+    """Where the pencil trick proves nothing (``SHORT_M3_SPEC``, and two
+    seeds whose pencil has no common zero but whose m2 is not onto),
+    ``cone_ideal`` multiplies m2's products and then every cubic
+    ``x_i * p`` over m2's pivots, the rational rref's, once each."""
     space = _cone_ideal_space(paper_curve, spec)
     n = len(space.integral_basis)
     monos = sym_monomials(n, 2)
