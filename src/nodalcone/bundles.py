@@ -68,8 +68,9 @@ the rows of the uncovered nodes with a branch on a component of degree
 integer rows of ``_node_row``, with node k's scalar pair ``(num, den)``:
 its row ``row_a s_b den - row_b s_a num`` is ``s_a s_b den != 0`` times
 G's row, so R's rank is unchanged for any pair of the scalar, and
-``exactlin.certified_rank`` takes it. Away from small degrees R has no
-rows, and no elimination runs at all. ``twisted_cohomology`` is the one
+``exactlin.certified_rank_of_columns`` takes it on R's rows, as the
+columns of its transpose. Away from small degrees R has no rows, and no
+elimination runs at all. ``twisted_cohomology`` is the one
 routine that counts this way, for every ``(h0, h1)`` the package reads.
 
 The dualizing bundle is realized concretely: on a component whose
@@ -96,7 +97,7 @@ from itertools import accumulate, pairwise
 from typing import NamedTuple, Sequence
 
 from .curve import NodalCurve, PointOnLine, Site, Value, _set, arithmetic_genus
-from .exactlin import MatrixQ, VectorQ, _integer_rows, _kernel_vectors, as_scalar, certified_rank, rank
+from .exactlin import MatrixQ, VectorQ, _integer_rows, _kernel_vectors, as_scalar, certified_rank_of_columns, rank
 
 _ZERO = Fraction(0)
 _ONE = Fraction(1)
@@ -299,8 +300,8 @@ def twisted_cohomology(
     if residual:
         widths = [w or 0 for w in widths]
         offsets = tuple(accumulate(widths, initial=0))
-        node_rows = [_flat_row(offsets, _node_row(curve, widths, k, _power(pairs[k], m, t[k]))) for k in residual]
-        r += certified_rank(node_rows, offsets[-1])
+        node_rows = (_flat_row(offsets, _node_row(curve, widths, k, _power(pairs[k], m, t[k]))) for k in residual)
+        r += certified_rank_of_columns([[(j, e) for j, e in enumerate(row) if e] for row in node_rows], offsets[-1])
     return slots - r, len(curve.nodes) - r + h1
 
 

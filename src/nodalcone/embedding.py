@@ -108,7 +108,7 @@ from .bundles import SectionSpace, _dot, _flat_row, _glues, _homogeneous_row, _j
 from .bundles import block_widths, power, twisted_cohomology
 from .curve import NodalCurve, PointOnLine, affine_point
 from .exactlin import PRIME, MatrixQ, VectorQ, _dense_rows, _forward_eliminate, _free, _kills
-from .exactlin import as_scalar, certified_rank, certified_rank_of_columns, kernel_basis, kernel_of_columns
+from .exactlin import as_scalar, certified_rank_of_columns, kernel_basis, kernel_of_columns
 
 _ZERO = Fraction(0)
 
@@ -324,7 +324,7 @@ def separates_points(space: SectionSpace, x: CurvePoint, y: CurvePoint) -> bool:
         raise ValueError("need at least two sections to separate points")
     _check_point(space.bundle.curve, x)
     _check_point(space.bundle.curve, y)
-    if x == y:
+    if x._replace(branch=None) == y._replace(branch=None):  # one closed point, whichever branches are named
         raise ValueError("the two points must be distinct")
     return _independent(_branch_vector(space, x, _homogeneous_row), _branch_vector(space, y, _homogeneous_row))
 
@@ -541,9 +541,10 @@ def _jacobian_rank(forms, x, known=(), at: CurvePoint | None = None) -> int:
     ``c x_i x_j`` adds ``c x_j`` to column i only where ``x_j != 0``, so
     a square term adds ``c x_i`` twice.
 
-    The vectors ``known`` are ones every gradient must kill: each is
-    checked to be in the kernel exactly over Z, else ``ArithmeticError``
-    names the point ``at``. With k their rank, ``rank_Q <= len(x) - k``,
+    The vectors ``known`` are ones every gradient must kill, made sparse
+    once: each is checked to be in the kernel exactly over Z, else
+    ``ArithmeticError`` names the point ``at``, and with k their rank,
+    as the columns of a transpose, ``rank_Q <= len(x) - k``,
     the bound a rank mod p must reach to be certified; short of it the
     rank is taken over Q from the same integers, never decided mod p."""
     grads: list[dict[int, int]] = [{} for _ in x]
@@ -554,13 +555,13 @@ def _jacobian_rank(forms, x, known=(), at: CurvePoint | None = None) -> int:
             if x[i]:
                 grads[j][q] = grads[j].get(q, 0) + c * x[i]
     columns = [[(q, e) for q, e in grad.items() if e] for grad in grads]
-    for v in known:
-        if not _kills(columns, len(forms), [(j, c) for j, c in enumerate(v) if c]):
-            raise ArithmeticError(
-                f"a vector known to be in the kernel of the quadrics' Jacobian at {at} is not; "
-                "the cone point or a branch jet is broken"
-            )
-    bound = len(x) - certified_rank(known, len(x))
+    known = [[(j, c) for j, c in enumerate(v) if c] for v in known]
+    if not all(_kills(columns, len(forms), w) for w in known):
+        raise ArithmeticError(
+            f"a vector known to be in the kernel of the quadrics' Jacobian at {at} is not; "
+            "the cone point or a branch jet is broken"
+        )
+    bound = len(x) - certified_rank_of_columns(known, len(x))
     return certified_rank_of_columns([column for column in columns if column], len(forms), bound)
 
 

@@ -23,16 +23,17 @@ left as it is, so every result is the same as dense elimination's.
 ``certified_rank_of_columns`` takes the rank of an integer matrix, given
 as the nonzero ``(row, entry)`` pairs of each column, modulo the fixed
 prime ``PRIME`` first: column by column, in any order, since the rank
-does not depend on it, with no row built, zero columns skipped, and a
-stop at ``min(rows, cols)`` pivots, or at a smaller upper bound on
-``rank_Q`` that the caller has proven (``embedding``'s probe does, from
-vectors known to be in the kernel). Reduction mod p can only lose rank,
-so ``rank_p <= rank_Q``, and ``rank_Q`` is at most that bound: a
-``rank_p`` equal to it proves ``rank_Q`` equal to it, for a tall matrix
-as for a wide one. A shorter ``rank_p`` may be a loss to the prime, so
-it never decides a shortfall; the rank is then taken over Q from the
-same integers, as dense rows. The result is the exact rank either way,
-and the same on every run. ``certified_rank`` takes dense rows.
+does not depend on it, each reduced on its nonzero entries only, zero
+columns skipped, and a stop at ``min(rows, cols)`` pivots, or at a
+smaller upper bound on ``rank_Q`` that the caller has proven
+(``embedding``'s probe does, from vectors known to be in the kernel).
+Reduction mod p can only lose rank, so ``rank_p <= rank_Q``, and
+``rank_Q`` is at most that bound: a ``rank_p`` equal to it proves
+``rank_Q`` equal to it, for a tall matrix as for a wide one. A shorter
+``rank_p`` may be a loss to the prime, so it never decides a shortfall;
+the rank is then taken over Q from the same integers, as dense rows. The
+result is the exact rank either way, and the same on every run. Dense
+rows go in as the columns of their transpose.
 
 ``kernel_of_columns`` finds the canonical kernel basis of an integer
 matrix given by columns in the same way. A zero column is free, with the
@@ -220,11 +221,6 @@ def rank(m: MatrixQ) -> int:
     return len(_forward_eliminate(_integer_rows(m)))
 
 
-def _columns(rows: Sequence[Sequence[int]], cols: int) -> list[list[tuple[int, int]]]:
-    """The nonzero ``(row, entry)`` pairs of each column of a dense matrix."""
-    return [[(i, r[j]) for i, r in enumerate(rows) if r[j]] for j in range(cols)]
-
-
 def _dense_rows(columns: Sequence[Sequence[tuple[int, int]]], rows: int) -> list[list[int]]:
     """The dense rows of the matrix with these sparse columns."""
     out = [[0] * len(columns) for _ in range(rows)]
@@ -234,29 +230,30 @@ def _dense_rows(columns: Sequence[Sequence[tuple[int, int]]], rows: int) -> list
     return out
 
 
-def _rank_mod_prime(columns: Sequence[Sequence[tuple[int, int]]], rows: int, stop: int) -> int:
+def _rank_mod_prime(columns: Sequence[Sequence[tuple[int, int]]], stop: int) -> int:
     """The rank mod ``PRIME`` of the matrix with these sparse columns,
     counted up to ``stop``; shortest columns first, as the cheapest to
-    reduce. A pivot keeps its column's tail past the pivot row, scaled to
-    a unit there; a column reduced down to a row without one becomes one."""
-    pivots: dict[int, list[tuple[int, int]]] = {}
+    reduce. Each column is a dict from row to nonzero residue, always
+    reduced at its lowest row: a pivot there keeps the rest of the dict,
+    scaled to a unit at that row; a column reduced to nothing adds none."""
+    pivots: dict[int, dict[int, int]] = {}
     for column in sorted(filter(None, columns), key=len):
         if len(pivots) == stop:
             break
-        v = [0] * rows
-        for i, e in column:
-            v[i] = e % PRIME
-        for i in range(min(i for i, _ in column), rows):
-            f = v[i]
-            if not f:
-                continue
+        v = {i: r for i, e in column if (r := e % PRIME)}
+        while v:
+            i = min(v)
+            f = v.pop(i)
             tail = pivots.get(i)
             if tail is None:
                 inv = pow(f, -1, PRIME)
-                pivots[i] = [(j, v[j] * inv % PRIME) for j in range(i + 1, rows) if v[j]]
+                pivots[i] = {j: x * inv % PRIME for j, x in v.items()}
                 break
-            for j, x in tail:
-                v[j] = (v[j] - f * x) % PRIME
+            for j, x in tail.items():
+                if y := (v.get(j, 0) - f * x) % PRIME:
+                    v[j] = y
+                else:
+                    del v[j]
     return len(pivots)
 
 
@@ -267,16 +264,9 @@ def certified_rank_of_columns(columns: Sequence[Sequence[tuple[int, int]]], rows
     smaller, a proven upper bound on the rank over Q, which certifies it
     (see the module docstring), and otherwise its rank over Q."""
     full = min(rows, len(columns)) if bound is None else min(rows, len(columns), bound)
-    if _rank_mod_prime(columns, rows, full) == full:
+    if _rank_mod_prime(columns, full) == full:
         return full
     return len(_forward_eliminate(_dense_rows(columns, rows)))
-
-
-def certified_rank(rows: Sequence[Sequence[int]], cols: int) -> int:
-    """``certified_rank_of_columns`` of an integer matrix given as dense rows."""
-    if any(len(r) != cols for r in rows):
-        raise ValueError(f"rows must all have length {cols}")
-    return certified_rank_of_columns(_columns(rows, cols), len(rows))
 
 
 def _free(cols: int, pivots: Sequence[int]) -> list[int]:

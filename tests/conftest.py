@@ -297,6 +297,13 @@ def reference_jacobian_rank(quadrics, coords):
     return rank(MatrixQ.from_rows(rows, cols=n))
 
 
+def sparse_columns(rows, cols):
+    """The nonzero ``(row, entry)`` pairs of each of the ``cols`` columns
+    of dense integer rows: the input form of ``exactlin``'s ranks and
+    kernels on sparse columns."""
+    return [[(i, r[j]) for i, r in enumerate(rows) if r[j]] for j in range(cols)]
+
+
 def reference_rank_mod_prime(rows):
     """Rank mod ``PRIME`` of integer rows, by sympy's ``DomainMatrix``
     over ``GF(PRIME)``: the reference for ``exactlin._rank_mod_prime``."""

@@ -70,7 +70,7 @@ from nodalcone.curve import (
     paper_example_curve,
 )
 from nodalcone.embedding import sample_points
-from nodalcone.exactlin import MatrixQ, certified_rank, rank
+from nodalcone.exactlin import MatrixQ, certified_rank_of_columns, rank
 
 F = Fraction
 
@@ -773,14 +773,15 @@ def test_cohomology_has_the_gluing_rank(seed, m):
 
 def _counting_rank(monkeypatch):
     """Patch the elimination ``cohomology`` runs; return the list of the
-    integer residual blocks it is handed, as ``(rows, cols)``."""
+    integer residual blocks it is handed, each as the sparse columns of
+    its transpose and their row count, ``(columns, rows)``."""
     seen = []
 
-    def counting(rows, cols):
-        seen.append((rows, cols))
-        return certified_rank(rows, cols)
+    def counting(columns, rows):
+        seen.append((columns, rows))
+        return certified_rank_of_columns(columns, rows)
 
-    monkeypatch.setattr(bundles, "certified_rank", counting)
+    monkeypatch.setattr(bundles, "certified_rank_of_columns", counting)
     return seen
 
 
@@ -796,16 +797,18 @@ def test_gluing_rank_splits_covered_nodes_and_residual(paper_curve, monkeypatch)
     short = line_bundle(paper_curve, (1, 1, -1))
     h0_value, _ = cohomology(short)
     [(residual, cols)] = seen
-    assert (len(residual), cols) == (1, 2)
-    # an integer row, a nonzero multiple of the gluing matrix's row there
+    assert (cols, len(residual)) == (2, 1)
+    # an integer row, a nonzero multiple of the gluing matrix's row there,
+    # handed in as its nonzero (column, entry) pairs
     g_row = gluing_matrix(short).row(2)[2:4]
-    [row] = residual
-    assert all(type(e) is int for e in row)
+    [column] = residual
+    assert all(type(e) is int and e for _, e in column)
+    row = [dict(column).get(j, 0) for j in range(cols)]
     j = next(j for j, e in enumerate(g_row) if e)
     scale = F(row[j]) / g_row[j]
     assert scale != 0 and tuple(row) == tuple(scale * e for e in g_row)
-    assert certified_rank(residual, cols) == rank(gluing_matrix(short)) - 2
-    assert h0_value == 4 - 2 - certified_rank(residual, cols)
+    assert certified_rank_of_columns(residual, cols) == rank(gluing_matrix(short)) - 2
+    assert h0_value == 4 - 2 - certified_rank_of_columns(residual, cols)
 
 
 def test_onto_or_negative_components_run_no_elimination(monkeypatch):

@@ -479,22 +479,23 @@ def test_option_integer_grammar():
 def _record_eliminations(monkeypatch):
     """Record ``(0, rows, width)`` of every elimination of dense rows, 0
     the characteristic of Q, over which every one runs, ``(rows, cols)``
-    of every rank taken mod PRIME on sparse columns, of every matrix
-    whose dense rows are built from sparse columns, and of every MatrixQ
-    built."""
-    from nodalcone import embedding, exactlin
+    of every rank certified on sparse columns, first taken mod PRIME, of
+    every matrix whose dense rows are built from sparse columns, and of
+    every MatrixQ built."""
+    from nodalcone import bundles, embedding, exactlin
 
     eliminations, column_ranks, dense, matrices = [], [], [], []
-    eliminate, by_columns, to_rows = exactlin._forward_eliminate, exactlin._rank_mod_prime, exactlin._dense_rows
+    eliminate, to_rows = exactlin._forward_eliminate, exactlin._dense_rows
+    by_columns = exactlin.certified_rank_of_columns
     init = exactlin.MatrixQ.__init__
 
     def counting_eliminate(rows):
         eliminations.append((0, len(rows), len(rows[0]) if rows else 0))
         return eliminate(rows)
 
-    def counting_by_columns(columns, rows, stop):
+    def counting_by_columns(columns, rows, bound=None):
         column_ranks.append((rows, len(columns)))
-        return by_columns(columns, rows, stop)
+        return by_columns(columns, rows, bound)
 
     def counting_to_rows(columns, rows):
         dense.append((rows, len(columns)))
@@ -505,7 +506,8 @@ def _record_eliminations(monkeypatch):
         init(self, rows, cols, entries)
 
     monkeypatch.setattr(exactlin, "_forward_eliminate", counting_eliminate)
-    monkeypatch.setattr(exactlin, "_rank_mod_prime", counting_by_columns)
+    for module in (bundles, embedding):
+        monkeypatch.setattr(module, "certified_rank_of_columns", counting_by_columns)
     for module in (exactlin, embedding):
         monkeypatch.setattr(module, "_dense_rows", counting_to_rows)
     monkeypatch.setattr(exactlin.MatrixQ, "__init__", counting_init)
@@ -1373,15 +1375,16 @@ def test_deform_eliminates_only_the_residual_blocks(monkeypatch, capsys):
 
     shapes = []
 
-    def counting(rows, cols):
-        shapes.append((len(rows), cols))
-        return exactlin.certified_rank(rows, cols)
+    def counting(columns, rows):
+        shapes.append((rows, len(columns)))
+        return exactlin.certified_rank_of_columns(columns, rows)
 
-    monkeypatch.setattr(bundles, "certified_rank", counting)
+    monkeypatch.setattr(bundles, "certified_rank_of_columns", counting)
     assert main(["deform", str(PAPER_SPEC), "--json", "--range", "-12:12"]) == EXIT_OK
     # F_m has degrees (4m, 3m - 1, 3m + 1): every component is onto or
     # negative except at m = 0, where C1 at degree 0 leaves its node with
-    # C2 uncovered; L^0 leaves C1-C2 and C2's self-node over C1 and C2
+    # C2 uncovered; L^0 leaves C1-C2 and C2's self-node over C1 and C2;
+    # each residual block is ranked as its transpose, one column per node
     assert shapes == [(1, 1), (2, 2)]
 
 

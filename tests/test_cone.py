@@ -216,15 +216,15 @@ def test_graded_report_builds_each_branch_row_once_and_no_fraction_power(monkeyp
 
 
 def test_weights_with_every_line_negative_or_onto_run_no_elimination(monkeypatch):
-    from nodalcone.exactlin import certified_rank
+    from nodalcone.exactlin import certified_rank_of_columns
 
     calls = []
 
-    def counting(rows, cols):
-        calls.append((len(rows), cols))
-        return certified_rank(rows, cols)
+    def counting(columns, rows):
+        calls.append((rows, len(columns)))
+        return certified_rank_of_columns(columns, rows)
 
-    monkeypatch.setattr(bundles, "certified_rank", counting)
+    monkeypatch.setattr(bundles, "certified_rank_of_columns", counting)
     rng = random.Random(2718)
     quiet = 0
     for _ in range(30):

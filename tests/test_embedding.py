@@ -190,8 +190,11 @@ def test_separates_points_basics(paper_curve):
     assert separates_points(space, CurvePoint.smooth("C1", F(5)), CurvePoint.smooth("C2", F(5)))
     weak = section_basis(line_bundle(paper_curve, (1, 1, 1)))
     assert not separates_points(weak, CurvePoint.at_node(1), CurvePoint.at_node(2))
-    with pytest.raises(ValueError):
-        separates_points(space, CurvePoint.at_node(0), CurvePoint.at_node(0))
+    # one closed point, however its branches are named, is not a pair
+    node, branch_0, branch_1 = CurvePoint.at_node(0), CurvePoint.at_node(0, 0), CurvePoint.at_node(0, 1)
+    for x, y in ((node, node), (node, branch_1), (node, branch_0), (branch_0, branch_1)):
+        with pytest.raises(ValueError, match="the two points must be distinct"):
+            separates_points(space, x, y)
     with pytest.raises(ValueError):
         separates_points(
             section_basis(line_bundle(paper_curve, (0, 0, 0))), CurvePoint.at_node(0), CurvePoint.at_node(1)
