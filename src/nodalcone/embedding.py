@@ -72,8 +72,8 @@ with no second elimination. So the cubics ``x_i * p``, i a basis index
 and p in P, span m3's image; ``cone_ideal`` builds each once,
 node-checked as above, and ``certified_rank_of_columns`` ranks them.
 Either way m3's reported source counts every cubic monomial.
-``_quadric_forms`` keeps each quadric as its nonzero terms
-``(den_j * w_j, i, j)`` over the integers. ``quadric_ideal`` is
+``_quadric_forms`` keeps each quadric as its integer terms, the nonzero
+``(den_j * w_j, i, j)``, with no denominator. ``quadric_ideal`` is
 ``kernel_basis``'s view of the same quadrics, from the rational map.
 The rank of the quadrics' Jacobian at points of the affine cone is
 exposed as a probe. The probe is a heuristic: it reflects the quadrics
@@ -82,17 +82,19 @@ smoothness verdict is derived from it. One evaluator and one Jacobian
 read the integer quadrics at a point's integer cone coordinates,
 ``embed_point`` times a positive factor. A quadric is homogeneous, so
 positive rescalings of it and of the point change neither which values
-vanish nor the Jacobian's rank. The gradients' columns are built
-straight from the quadric terms at the nonzero coordinates. Every
-quadric vanishes on the cone, so its gradient at a cone point x kills x
-(``grad q(x) . x = 2 q(x) = 0``) and the tangent jet of every branch
-through x (``_probe_rank``). Once each of those known vectors is shown
-to be in the kernel exactly over Z, ``rank_p <= rank_Q <= n - k``,
-with k their rank, so a rank mod p equal to ``n - k`` proves the rank
-with no kernel found; a shorter one is taken over Q from the same
-integers, never decided mod p (``_jacobian_rank``). ``cone_ideal``,
-``singularity_probe`` and ``quadric_failures`` are the whole ideal
-computation a caller reports: maps, quadrics, probe and vanishing check.
+vanish nor the Jacobian's rank; of degree 2, so its gradient is linear
+and the rank at the vertex is 0, with no Jacobian built. The gradients'
+columns are built straight from the quadric terms at the nonzero
+coordinates. Every quadric vanishes on the cone, so its gradient at a
+cone point x kills x (``grad q(x) . x = 2 q(x) = 0``) and the tangent
+jet of every branch through x (``_probe_rank``). Once each of those
+known vectors is shown to be in the kernel exactly over Z,
+``rank_p <= rank_Q <= n - k``, with k their rank, so a rank mod p equal
+to ``n - k`` proves the rank with no kernel found; a shorter one is
+taken over Q from the same integers, never decided mod p
+(``_jacobian_rank``). ``cone_ideal``, ``singularity_probe`` and
+``quadric_failures`` are the whole ideal computation a caller reports:
+maps, quadrics, probe and vanishing check.
 """
 
 from __future__ import annotations
@@ -165,6 +167,8 @@ def _check_point(curve: NodalCurve, x: CurvePoint) -> None:
         return
     if x.component is None or x.coord is None:
         raise ValueError("smooth points need a component name and a coordinate")
+    if not isinstance(x.coord, PointOnLine):
+        raise TypeError(f"coordinate {x.coord!r} is no PointOnLine; build smooth points with CurvePoint.smooth")
     comp = curve.component(x.component)
     if x.coord in comp.marked_points:
         raise ValueError(
@@ -499,47 +503,33 @@ def quadric_ideal(m2: MatrixQ) -> tuple[VectorQ, ...]:
     return tuple(kernel_basis(m2))
 
 
-_QuadricForm = tuple[tuple[tuple[int, int, int], ...], int]
+_Quadric = tuple[tuple[int, int, int], ...]
 
 
-def _quadric_forms(columns, dens, rows: int, n: int) -> tuple[_QuadricForm, ...]:
+def _quadric_forms(columns, dens, rows: int, n: int) -> tuple[_Quadric, ...]:
     """The quadrics through the curve in integer form, from the integer
     m = 2 map ``(columns, dens, rows)`` of ``_degree_map`` on an
     n-dimensional space: the vectors of ``quadric_ideal``, each as its
-    nonzero terms over a positive denominator (see ``_quadric_form``).
+    nonzero terms ``(c, i, j)``, the quadric ``sum c x_i x_j``.
 
     The integer map is the rational one times ``diag(dens)``, so each
-    vector w of its ``kernel_of_columns`` gives the rational kernel
-    vector ``u_j = dens[j] * w_j`` over a denominator, u's entry at the
-    free column, its last one, where the canonical vector has a unit."""
+    vector w of its ``kernel_of_columns`` gives the canonical kernel vector
+    as ``u_j = dens[j] * w_j`` over u's last entry, which is positive."""
     monos = sym_monomials(n, 2)
-    forms = (tuple((dens[j] * c, *monos[j]) for j, c in w) for w in kernel_of_columns(columns, rows))
-    return tuple((terms, terms[-1][0]) for terms in forms)
+    return tuple(tuple((dens[j] * c, *monos[j]) for j, c in w) for w in kernel_of_columns(columns, rows))
 
 
-def _quadric_form(quadric, n: int) -> _QuadricForm:
-    """A quadric vector over ``sym_monomials(n, 2)``, length checked, as
-    ``(terms, den)``: ``sum c x_i x_j / den`` over the nonzero terms
-    ``(c, i, j)``, c an integer and den the lcm of the denominators."""
-    monos = sym_monomials(n, 2)
-    if len(quadric) != len(monos):
-        raise ValueError(f"quadric length {len(quadric)} does not match {len(monos)} monomials")
-    coeffs = [as_scalar(c) for c in quadric]
-    den = lcm(*(c.denominator for c in coeffs))
-    return tuple((c.numerator * (den // c.denominator), i, j) for c, (i, j) in zip(coeffs, monos) if c), den
-
-
-def _quadric_at(form: _QuadricForm, x) -> int | Fraction:
-    """The value of a quadric form at x, times its denominator."""
-    return sum(c * x[i] * x[j] for c, i, j in form[0])
+def _quadric_at(terms: _Quadric, x) -> int:
+    """The value at x of the quadric with integer terms ``terms``."""
+    return sum(c * x[i] * x[j] for c, i, j in terms)
 
 
 def _jacobian_rank(forms, x, known=(), at: CurvePoint | None = None) -> int:
-    """Rank of the quadric forms' gradients at an integer point x, each
-    times its form's denominator, taken by ``certified_rank_of_columns``
-    on the nonzero columns, each its nonzero ``(form, d/dx_i)``. A term
-    ``c x_i x_j`` adds ``c x_j`` to column i only where ``x_j != 0``, so
-    a square term adds ``c x_i`` twice.
+    """Rank of the integer quadrics' gradients at an integer point x,
+    taken by ``certified_rank_of_columns`` on the nonzero columns, each
+    its nonzero ``(quadric, d/dx_i)``. A term ``c x_i x_j`` adds ``c x_j``
+    to column i only where ``x_j != 0``, so a square term adds ``c x_i``
+    twice.
 
     The vectors ``known`` are ones every gradient must kill, made sparse
     once: each is checked to be in the kernel exactly over Z, else
@@ -548,7 +538,7 @@ def _jacobian_rank(forms, x, known=(), at: CurvePoint | None = None) -> int:
     the bound a rank mod p must reach to be certified; short of it the
     rank is taken over Q from the same integers, never decided mod p."""
     grads: list[dict[int, int]] = [{} for _ in x]
-    for q, (terms, _) in enumerate(forms):
+    for q, terms in enumerate(forms):
         for c, i, j in terms:
             if x[j]:
                 grads[i][q] = grads[i].get(q, 0) + c * x[j]
@@ -643,7 +633,7 @@ def _pencil_trick(space: SectionSpace, m2: tuple[int, int, int]) -> bool:
     )
 
 
-def cone_ideal(space: SectionSpace) -> tuple[tuple[int, int, int], tuple[int, int, int], tuple[_QuadricForm, ...]]:
+def cone_ideal(space: SectionSpace) -> tuple[tuple[int, int, int], tuple[int, int, int], tuple[_Quadric, ...]]:
     """``(m2, m3, quadrics)``: the m = 2 and m = 3 multiplication maps of
     ``space`` as ``(source, target, rank)``, and the quadrics through the
     curve in integer form (``_quadric_forms``). m2 stays the integers of
@@ -667,7 +657,7 @@ def cone_ideal(space: SectionSpace) -> tuple[tuple[int, int, int], tuple[int, in
         bundle = space.bundle
         rows = twisted_cohomology(bundle.curve, bundle.multidegree, bundle.pairs, 3)[0]
         return m2, (comb(n + 2, 3), rows, rows), quadrics
-    lead = {terms[-1][1:] for terms, _ in quadrics}
+    lead = {terms[-1][1:] for terms in quadrics}
     cubics = sorted({tuple(sorted((*p, i))) for p in monos if p not in lead for i in range(n)})
     columns, _, rows = _degree_map(space, _target(space.bundle, 3), products, cubics)
     return m2, (comb(n + 2, 3), rows, certified_rank_of_columns(columns, rows)), quadrics
@@ -678,12 +668,12 @@ def singularity_probe(space: SectionSpace, forms, extra_samples: int, seed: int)
     quadric forms of ``cone_ideal`` at the cone's vertex, at each node and
     at the first smooth point of ``sample_points`` in that order, no point
     after it drawn; ``smooth`` is empty where no sample is smooth. A point
-    with no image has rank None (``_probe_rank``)."""
+    with no image has rank None (``_probe_rank``). The vertex's rank is 0,
+    no Jacobian built: a quadric's gradient is linear, 0 at the vertex."""
     curve = space.bundle.curve
-    vertex = _jacobian_rank(forms, (0,) * len(space.integral_basis))
     nodes = [_probe_rank(space, forms, CurvePoint.at_node(k)) for k in range(len(curve.nodes))]
     smooth = (x for x in _samples(curve, extra_samples, seed) if not x.is_node)
-    return vertex, nodes, [_probe_rank(space, forms, x) for x in islice(smooth, 1)]
+    return 0, nodes, [_probe_rank(space, forms, x) for x in islice(smooth, 1)]
 
 
 def quadric_failures(space: SectionSpace, forms, extra_samples: int, seed: int) -> tuple[int, int]:
@@ -698,5 +688,7 @@ def quadric_failures(space: SectionSpace, forms, extra_samples: int, seed: int) 
 def quadric_value(quadric, coords) -> Fraction:
     """Value of a quadric coefficient vector at affine coordinates."""
     values = [as_scalar(c) for c in coords]
-    form = _quadric_form(quadric, len(values))
-    return Fraction(_quadric_at(form, values), form[1])
+    monos = sym_monomials(len(values), 2)
+    if len(quadric) != len(monos):
+        raise ValueError(f"quadric length {len(quadric)} does not match {len(monos)} monomials")
+    return sum((c * values[i] * values[j] for c, (i, j) in zip(map(as_scalar, quadric), monos) if c), _ZERO)

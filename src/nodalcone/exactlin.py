@@ -4,11 +4,12 @@ matrices found mod a prime and certified.
 The scalar type is :class:`fractions.Fraction`: arbitrary precision,
 always in lowest terms with a positive denominator, so every arithmetic
 result is exact and canonical. ``MatrixQ`` is a small immutable dense
-matrix over it. Elimination over Q is fraction-free (Bareiss 1968): rows
-are cleared to integers, a row with entry f under the pivot a becomes
+matrix over it. Elimination over Q is fraction-free: rows are cleared
+to integers, a row with entry f under the pivot a becomes
 ``a' row - f' pivot_row`` (``a' / f' = a / f`` in lowest terms) divided
-by the gcd of its entries, and a reader divides a row by its pivot
-entry. Each integer row is a nonzero multiple of the row rational
+by the gcd of its entries, taken anew for each row, not Bareiss's (1968)
+exact division by the previous pivot, and a reader divides a row by its
+pivot entry. Each integer row is a nonzero multiple of the row rational
 Gaussian elimination leaves, so pivots and results do not change. The
 pivot rule is fixed: leftmost column first and, within a column, the
 first nonzero row from the top. That rule makes ranks, echelon forms

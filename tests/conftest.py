@@ -279,6 +279,15 @@ def reference_quadric_value(quadric, coords):
     return acc
 
 
+def integer_quadric(quadric, n):
+    """A dense Fraction quadric vector in n variables as the integer terms
+    ``(c, i, j)`` that ``embedding`` reads: its nonzero terms times the
+    lcm of their denominators, a positive factor."""
+    terms = _reference_terms(quadric, n)
+    den = lcm(*(c.denominator for c, _, _ in terms))
+    return tuple((int(c * den), i, j) for c, i, j in terms)
+
+
 def reference_jacobian_rank(quadrics, coords):
     """Rank of the Fraction gradients of dense quadric vectors at
     rational coordinates: the reference for ``embedding._jacobian_rank``."""

@@ -509,6 +509,29 @@ def test_tangent_bundle_weight_zero_values(paper_curve):
     assert h1_direct(theta) == 1
 
 
+GENERIC_GLUINGS = ((2, 3, 5), (2, -3, F(5, 7)), (7, 11, 13))
+SPECIAL_GLUINGS = ((1, 1, 1), (F(1, 2), 2, 1), (3, 1, F(1, 3)))  # l1 * l2 * l3 = 1
+
+
+@pytest.mark.parametrize("scalars", GENERIC_GLUINGS + SPECIAL_GLUINGS, ids=str)
+def test_tangent_bundle_of_a_generic_triangle_has_no_cohomology(paper_curve, scalars):
+    """The abstract's "H^0(T_X) = H^1(T_X) = 0 for a generic gluing", on
+    the triangle of lines: three lines with points 0 and 1, nodes
+    C1.1 - C2.0, C2.1 - C3.0 and C3.1 - C1.0. Its dualizing bundle has
+    multidegree (0, 0, 0) with scalars (1, 1, 1), so T twisted by the
+    degree-0 bundle with scalars l has h0 = h1 = 0 unless the monodromy
+    l1 l2 l3 is 1, where both are 1. On the paper curve, whose loop is a
+    self-node on C2, both are 1 for every l."""
+    lines = tuple(Component(name, (affine_point(0), affine_point(1))) for name in ("C1", "C2", "C3"))
+    nodes = (NodeGluing(("C1", 1), ("C2", 0)), NodeGluing(("C2", 1), ("C3", 0)), NodeGluing(("C3", 1), ("C1", 0)))
+    triangle = NodalCurve(lines, nodes)
+    omega = dualizing_bundle(triangle)
+    assert (omega.multidegree, omega.gluings) == ((0, 0, 0), (1, 1, 1))
+    expected = (0, 0) if scalars in GENERIC_GLUINGS else (1, 1)
+    for curve, h in ((triangle, expected), (paper_curve, (1, 1))):
+        assert cohomology(tensor(tangent_bundle(curve), line_bundle(curve, (0, 0, 0), scalars))) == h
+
+
 def test_dualizing_bundle_on_paper_curve_at_infinity(paper_curve):
     # the reference curve with C1's points 0, 1 moved to 0, inf (t -> t / (1 - t))
     # and C2's 0, 1, 2 to 0, 1, inf (t -> t / (2 - t)); C3 and the nodes stay

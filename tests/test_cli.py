@@ -540,13 +540,12 @@ def _guard_spec(spec: str, tmp_path: Path) -> tuple[Path, LineBundle]:
 def test_quadrics_converted_once_per_command(command, tmp_path, monkeypatch, capsys):
     """On the shipped curves and the (k,k,k) ladder for k = 3..6, the
     quadrics are put in integer form once per command, straight from the
-    integer m = 2 map, however many points the command tests them at;
-    the dense Fraction conversion ``_quadric_form`` never runs. They are
-    as many as the exact kernel of the rational map has vectors."""
+    integer m = 2 map, however many points the command tests them at.
+    They are as many as the exact kernel of the rational map has vectors."""
     from nodalcone import embedding
     from nodalcone.exactlin import kernel_basis
 
-    forms, dense = [], []
+    forms = []
     build = embedding._quadric_forms
 
     def counting(columns, dens, rows, n):
@@ -554,7 +553,6 @@ def test_quadrics_converted_once_per_command(command, tmp_path, monkeypatch, cap
         return forms[-1]
 
     monkeypatch.setattr(embedding, "_quadric_forms", counting)
-    monkeypatch.setattr(embedding, "_quadric_form", lambda q, n: dense.append(q))
     for spec in M3_GUARD_SPECS:
         path, bundle = _guard_spec(spec, tmp_path)
         expected = len(kernel_basis(embedding.multiplication_map(section_basis(bundle), 2)))
@@ -564,7 +562,6 @@ def test_quadrics_converted_once_per_command(command, tmp_path, monkeypatch, cap
         assert [len(f) for f in forms] == [expected]
         if command == "ideal":
             assert body["quadric_count"] == expected
-    assert dense == []
 
 
 # the specs on which one point of ``ideal``'s probe, node 1 where C1
@@ -725,8 +722,8 @@ def test_ideal_takes_a_short_m3_rank_over_q(tmp_path, monkeypatch, capsys):
 
 def _record_probe(monkeypatch):
     """Wrap ``_jacobian_rank`` where ``embedding`` calls it and record,
-    for each call, the point it names (``vertex`` for none) and the
-    eliminations ``_record_eliminations`` records during it."""
+    for each call, the point it names and the eliminations
+    ``_record_eliminations`` records during it."""
     from nodalcone import embedding
 
     points = []
@@ -736,7 +733,7 @@ def _record_probe(monkeypatch):
     def recording(forms, x, known=(), at=None):
         start = len(eliminations)
         rank = jacobian(forms, x, known, at)
-        points.append(("vertex" if at is None else str(at), eliminations[start:]))
+        points.append((str(at), eliminations[start:]))
         return rank
 
     monkeypatch.setattr(embedding, "_jacobian_rank", recording)
@@ -746,16 +743,17 @@ def _record_probe(monkeypatch):
 @pytest.mark.parametrize("name", ["paper-x.json", "paper-x-333.json"])
 def test_probe_falls_back_to_q_at_one_node(name, monkeypatch, capsys):
     """The probe's known kernel vectors certify the rank mod PRIME at the
-    vertex, the smooth sample and two of the three nodes. Node 1, where
-    C1 meets C2, is the one point whose rank mod PRIME falls short of its
-    bound by one: the quadrics vanish on C2's whole plane, so their
-    gradients there also kill a direction the bound does not know of
-    (ROADMAP item 1). Its rank alone is taken over Q, on the gradients'
-    nonzero columns, and no other probe matrix is eliminated."""
+    smooth sample and two of the three nodes. Node 1, where C1 meets C2,
+    is the one point whose rank mod PRIME falls short of its bound by
+    one: the quadrics vanish on C2's whole plane, so their gradients
+    there also kill a direction the bound does not know of (ROADMAP item
+    1). Its rank alone is taken over Q, on the gradients' nonzero
+    columns, and no other probe matrix is eliminated. The vertex takes
+    no Jacobian: its rank is 0."""
     points = _record_probe(monkeypatch)
     assert main(["ideal", str(REPO / "curves" / name), "--json"]) == EXIT_OK
     body = json.loads(capsys.readouterr().out)["sections"]["ideal"]
-    assert [at for at, _ in points] == ["vertex", "node:0", "node:1", "node:2", "C1:24"]
+    assert [at for at, _ in points] == ["node:0", "node:1", "node:2", "C1:24"]
     q = body["quadric_count"]
     assert [(at, e) for at, done in points for e in done] == [("node:1", (0, q, PROBE_SHORTFALL[f"curves/{name}"]))]
     assert body["singularity_probe"]["node_ranks"][1] == body["h0"] - 4
@@ -782,7 +780,7 @@ def test_probe_ranks_are_certified_without_elimination(spec, tmp_path, monkeypat
     points = _record_probe(monkeypatch)
     assert main(["ideal", str(path), "--json"]) == EXIT_OK
     body = json.loads(capsys.readouterr().out)["sections"]["ideal"]
-    assert [at for at, _ in points] == ["vertex", "node:0", "node:1", "node:2", "C1:24"]
+    assert [at for at, _ in points] == ["node:0", "node:1", "node:2", "C1:24"]
     assert [e for _, done in points for e in done] == []
     probe = body["singularity_probe"]
     h0 = body["h0"]

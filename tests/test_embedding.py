@@ -21,6 +21,7 @@ from conftest import (
     SHORT_M3_SPEC,
     assert_identity_at,
     curve_with_infinity,
+    integer_quadric,
     random_bundle,
     random_curve,
     reference_flatten,
@@ -84,6 +85,13 @@ def test_point_validation(paper_curve):
         embed_point(space, CurvePoint.at_node(7))
     with pytest.raises(ValueError):
         embed_point(space, CurvePoint.at_node(0, branch=2))
+    # a smooth point built directly with a raw coordinate, not through CurvePoint.smooth
+    other = CurvePoint.smooth("C2", F(5))
+    for coord in (5, F(1, 3), "1/3"):
+        x = CurvePoint(component="C1", coord=coord)
+        for check in (lambda: embed_point(space, x), lambda: separates_jets(space, x), lambda: separates_points(space, x, other)):
+            with pytest.raises(TypeError, match=r"CurvePoint\.smooth"):
+                check()
 
 
 def test_sample_points_deterministic(paper_curve):
@@ -533,16 +541,20 @@ def test_quadric_value_golden():
     assert quadric_value(q, (F(2), F(5))) == F(4 + 20 + 75)
     with pytest.raises(ValueError):
         quadric_value((F(1),), (F(2), F(5)))
+    with pytest.raises(TypeError):
+        quadric_value((F(1), 2.0, F(3)), (F(2), F(5)))
+    with pytest.raises(TypeError):
+        quadric_value(q, (F(2), 5.0))
 
 
 def _jacobian_rank(quadrics, coords):
     """``embedding._jacobian_rank`` of quadric vectors at rational
     coordinates, checked against ``reference_jacobian_rank``: each quadric
-    as its ``_quadric_form``, the point cleared of its denominators by
+    as its ``integer_quadric``, the point cleared of its denominators by
     their lcm, positive factors that leave the rank alone."""
     den = math.lcm(*(F(v).denominator for v in coords))
     x = [int(F(v) * den) for v in coords]
-    found = embedding._jacobian_rank([embedding._quadric_form(q, len(x)) for q in quadrics], x)
+    found = embedding._jacobian_rank([integer_quadric(q, len(x)) for q in quadrics], x)
     assert found == reference_jacobian_rank(quadrics, coords)
     return found
 
@@ -553,8 +565,6 @@ def test_cone_jacobian_rank_hand_example():
     assert _jacobian_rank([q], (F(1), F(1), F(1))) == 1
     assert _jacobian_rank([q], (F(0), F(0), F(0))) == 0
     assert _jacobian_rank([], (F(1), F(1), F(1))) == 0
-    with pytest.raises(ValueError):
-        _jacobian_rank([q[:-1]], (F(1), F(1), F(1)))
 
 
 def test_cone_jacobian_ranks_frozen(paper_curve):
@@ -584,6 +594,7 @@ def test_cone_jacobian_rank_scale_invariant(paper_curve):
 def _probe_against_the_reference(space, seed):
     """Check the probe's rank against ``reference_jacobian_rank`` at the
     vertex, every node and two smooth samples per component: the rank
+    ``singularity_probe`` gives the vertex with no Jacobian, the rank
     certified from known kernel vectors (``_probe_rank``), and the one
     ``_jacobian_rank`` takes with none. Return the points whose
     certified rank was taken over Q."""
@@ -591,7 +602,8 @@ def _probe_against_the_reference(space, seed):
     n = len(space.basis)
     forms = embedding.cone_ideal(space)[2]
     quadrics = quadric_ideal(multiplication_map(space, 2))
-    assert embedding._jacobian_rank(forms, (0,) * n) == reference_jacobian_rank(quadrics, (0,) * n) == 0
+    vertex = embedding.singularity_probe(space, forms, 0, seed)[0]
+    assert vertex == embedding._jacobian_rank(forms, (0,) * n) == reference_jacobian_rank(quadrics, (0,) * n) == 0
     over_q = []
     eliminate = exactlin._forward_eliminate
     for x in sample_points(curve, 2, seed):
@@ -687,9 +699,9 @@ def _quadrics_at_a_point(draw):
 @settings(max_examples=120, deadline=None)
 @given(_quadrics_at_a_point())
 def test_quadric_form_matches_the_dense_fraction_reference(case):
-    """The integer form's value, with the denominators of the quadric and
+    """The integer terms' value, with the denominators of the quadric and
     of the point cleared, is the dense Fraction value scaled by both;
-    its Jacobian rank on the integer point is the dense one; and the
+    their Jacobian rank on the integer point is the dense one; and the
     value and the rank of the rational point give the dense results,
     before and after rescaling."""
     quadrics, point, scale = case
@@ -697,11 +709,10 @@ def test_quadric_form_matches_the_dense_fraction_reference(case):
     den = math.lcm(*(v.denominator for v in point))
     x = tuple(int(v * den) for v in point)
     scaled = tuple(scale * v for v in point)
-    forms = [embedding._quadric_form(q, n) for q in quadrics]
-    for q, form in zip(quadrics, forms):
-        assert all(type(c) is int and c for c, _, _ in form[0]) and form[1] > 0
+    forms = [integer_quadric(q, n) for q in quadrics]
+    for q, terms in zip(quadrics, forms):
         value = reference_quadric_value(q, point)
-        assert embedding._quadric_at(form, x) == value * form[1] * den**2
+        assert embedding._quadric_at(terms, x) == value * math.lcm(*(c.denominator for c in q)) * den**2
         assert quadric_value(q, point) == value
         assert quadric_value(q, scaled) == value * scale**2
     expected = reference_jacobian_rank(quadrics, point)
@@ -1042,10 +1053,10 @@ def test_cone_ideal_quadrics_are_the_quadric_ideal(paper_curve, spec, monkeypatc
     index = {mono: j for j, mono in enumerate(monos)}
     m2, m3, forms = embedding.cone_ideal(space)
     vectors = []
-    for terms, den in forms:
+    for terms in forms:
         v = [F(0)] * len(monos)
         for c, i, j in terms:
-            v[index[(i, j)]] = F(c, den)
+            v[index[(i, j)]] = F(c, terms[-1][0])
         vectors.append(tuple(v))
     assert tuple(vectors) == quadric_ideal(multiplication_map(space, 2))
     for shape, m in ((m2, 2), (m3, 3)):
